@@ -1,12 +1,22 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The primitive set is deliberately small: elementwise add/sub/mul,
-matmul, tanh/sigmoid/exp/log/softplus, full reductions sum/mean,
-rank-1 concat/slice, broadcast, and a hard clip.  Every public
-operation checks its result for NaN/Inf and raises instead of
+Every primitive is one entry of the op table, name -> (forward, vjp).
+The basic set is elementwise add/sub/mul, matmul,
+tanh/sigmoid/exp/log/softplus, full reductions sum/mean, rank-1
+concat/slice, broadcast, and a hard clip.  Four fused primitives with
+hand-written backward rules carry the model's hot paths:
+
+  affine        W @ x + b
+  gru_cell      one gated recurrent update, gates packed row-wise
+                [reset; update; cand]: one W @ x + b and one U @ h
+  gauss_logpdf  log N(x; mean, diag(exp(log_var))), summed
+  gauss_kl      KL between two diagonal Gaussians, summed
+
+Every primitive checks its result for NaN/Inf and raises instead of
 propagating silently.  A Tape is an append-only record of primitive
 applications; backward() walks it once in reverse and returns a map
-from leaf-tensor uid to gradient.
+from leaf-tensor uid to gradient, and replay() re-runs every forward
+and demands bit-identical values.
 
 Forward evaluation with no tape open is plain numpy and carries no
 recording overhead, which is what prediction and rollout paths use.
@@ -26,11 +36,7 @@ import threading
 import numpy as np
 from scipy.special import expit
 
-PRIMITIVES = (
-    "add", "sub", "mul", "matmul",
-    "tanh", "sigmoid", "exp", "log", "softplus",
-    "sum", "mean", "concat", "slice", "broadcast", "clip",
-)
+LN_2PI = float(np.log(2.0 * np.pi))
 
 
 class NonFiniteError(FloatingPointError):
@@ -49,11 +55,17 @@ def _current_tape():
     return getattr(_active, "tape", None)
 
 
-def _check_finite(arr: np.ndarray, op: str) -> None:
-    # fast path: any NaN/Inf element makes the sum non-finite; the
-    # elementwise re-check only guards against overflow of the sum itself
-    if not math.isfinite(float(arr.sum())):
-        if not np.isfinite(arr).all():
+def _check_finite(op: str, *arrs: np.ndarray) -> None:
+    # fast path: any NaN/Inf element makes the sum of squares non-finite
+    # (a dot product is cheaper than a sum); the elementwise re-check
+    # only guards against overflow of the squares themselves
+    for arr in arrs:
+        if arr.ndim == 0:
+            ok = math.isfinite(float(arr))
+        else:
+            flat = arr.ravel()
+            ok = math.isfinite(float(flat.dot(flat)))
+        if not ok and not np.isfinite(arr).all():
             raise NonFiniteError(f"non-finite result from '{op}'")
 
 
@@ -62,7 +74,8 @@ class Tensor:
 
     data holds the values (row-major), uid identifies the tensor for
     gradient lookup, const marks values that never need gradients, and
-    (tape, node_id) link the tensor to its node on the recording tape.
+    (tape, node_id) link an op result to its node on the recording
+    tape.  Leaves never link to a tape: the tape maps their uids.
     """
 
     __slots__ = ("data", "uid", "const", "tape", "node_id")
@@ -71,7 +84,7 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
-        _check_finite(arr, "tensor")
+        _check_finite("tensor", arr)
         self.data = arr
         self.uid = next(_uid_counter)
         self.const = const
@@ -156,19 +169,24 @@ def parameter(x) -> Tensor:
 class Tape:
     """Append-only record of primitive applications.
 
-    Nodes are stored as parallel lists (op id, parent node ids, cached
-    forward value, op-specific aux data).  Leaves are enrolled lazily on
-    first use.  Entering the context makes the tape the thread's active
+    Nodes are stored as parallel lists (op name, parent node ids, cached
+    forward value, op-specific aux data, static keyword arguments).
+    Leaves are enrolled lazily on first use and found again through the
+    tape's own uid -> node map, so a leaf tensor never keeps a tape
+    alive.  Entering the context makes the tape the thread's active
     recorder; tapes may nest, the innermost one records.
     """
 
-    __slots__ = ("ops", "parents", "values", "aux", "_prev")
+    __slots__ = ("ops", "parents", "values", "aux", "kws", "leaves", "_prev",
+                 "__weakref__")
 
     def __init__(self):
         self.ops: list[str] = []
         self.parents: list[tuple[int, ...]] = []
         self.values: list[np.ndarray] = []
         self.aux: list = []
+        self.kws: list[dict | None] = []
+        self.leaves: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -183,23 +201,22 @@ class Tape:
         return False
 
     def _leaf(self, t: Tensor) -> int:
-        if t.tape is self and t.node_id is not None:
+        if t.tape is self:
             return t.node_id
-        nid = len(self.ops)
-        self.ops.append("leaf")
-        self.parents.append(())
-        self.values.append(t.data)
-        self.aux.append((t.uid, t.const))
-        t.tape = self
-        t.node_id = nid
+        nid = self.leaves.get(t.uid)
+        if nid is None:
+            nid = self._record("leaf", (), t.data, (t.uid, t.const), None)
+            self.leaves[t.uid] = nid
         return nid
 
-    def _record(self, op: str, pids: tuple[int, ...], value: np.ndarray, aux) -> int:
+    def _record(self, op: str, pids: tuple[int, ...], value: np.ndarray,
+                aux, kw: dict | None) -> int:
         nid = len(self.ops)
         self.ops.append(op)
         self.parents.append(pids)
         self.values.append(value)
         self.aux.append(aux)
+        self.kws.append(kw)
         return nid
 
 
@@ -219,7 +236,12 @@ class no_tape:
 
 
 # ---------------------------------------------------------------------------
-# forward kernels
+# the op table
+#
+# forward(*input arrays, **static args) -> (output, aux); aux is whatever
+# the backward rule needs beyond the inputs and the output.
+# vjp(output adjoint, input arrays, output, aux) -> one adjoint
+# contribution per input.  Neither may modify its arguments.
 
 
 def _shape_match(op, a, b):
@@ -227,7 +249,35 @@ def _shape_match(op, a, b):
         raise ValueError(f"'{op}' shape mismatch: {a.shape} vs {b.shape}")
 
 
-def _fwd_matmul(a, b):
+def _add(a, b):
+    _shape_match("add", a, b)
+    return a + b, None
+
+
+def _add_vjp(g, vals, out, aux):
+    return g, g
+
+
+def _sub(a, b):
+    _shape_match("sub", a, b)
+    return a - b, None
+
+
+def _sub_vjp(g, vals, out, aux):
+    return g, -g
+
+
+def _mul(a, b):
+    _shape_match("mul", a, b)
+    return a * b, None
+
+
+def _mul_vjp(g, vals, out, aux):
+    a, b = vals
+    return g * b, g * a
+
+
+def _matmul(a, b):
     if a.ndim == 2 and b.ndim in (1, 2):
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"matmul inner dims: {a.shape} @ {b.shape}")
@@ -236,42 +286,245 @@ def _fwd_matmul(a, b):
             raise ValueError(f"matmul inner dims: {a.shape} @ {b.shape}")
     else:
         raise ValueError(f"matmul ranks unsupported: {a.ndim} @ {b.ndim}")
-    return a @ b
+    return a @ b, None
 
 
-def _fwd_softplus(x):
-    # max(x, 0) + log1p(exp(-|x|)): exact for large |x|, no overflow
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+def _matmul_vjp(g, vals, out, aux):
+    a, b = vals
+    if a.ndim == 1:  # dot of two vectors, g is scalar
+        return g * b, g * a
+    if b.ndim == 1:
+        return np.multiply.outer(g, b), a.T @ g
+    return g @ b.T, a.T @ g
 
 
-def _fwd_log(x):
+def _tanh(x):
+    return np.tanh(x), None
+
+
+def _tanh_vjp(g, vals, out, aux):
+    return (g * (1.0 - out * out),)
+
+
+def _sigmoid(x):
+    return expit(x), None
+
+
+def _sigmoid_vjp(g, vals, out, aux):
+    return (g * out * (1.0 - out),)
+
+
+def _exp(x):
+    return np.exp(x), None
+
+
+def _exp_vjp(g, vals, out, aux):
+    return (g * out,)
+
+
+def _log(x):
     if np.any(x <= 0.0):
         raise ValueError("log of non-positive value")
-    return np.log(x)
+    return np.log(x), None
 
 
-def _fwd_broadcast(x, shape):
-    shape = tuple(shape)
-    if x.shape == ():
-        return np.full(shape, float(x), dtype=np.float64)
-    if x.ndim == 1 and len(shape) == 2 and shape[1] == x.shape[0]:
-        return np.ascontiguousarray(np.broadcast_to(x, shape))
-    raise ValueError(f"broadcast {x.shape} -> {shape} unsupported")
+def _log_vjp(g, vals, out, aux):
+    return (g / vals[0],)
 
 
-def _fwd_concat(parts):
+def _softplus(x):
+    # max(x, 0) + log1p(exp(-|x|)): exact for large |x|, no overflow
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), None
+
+
+def _softplus_vjp(g, vals, out, aux):
+    return (g * expit(vals[0]),)
+
+
+def _sum(x):
+    return x.sum(), None
+
+
+def _sum_vjp(g, vals, out, aux):
+    return (np.broadcast_to(g, vals[0].shape),)
+
+
+def _mean(x):
+    return x.mean(), None
+
+
+def _mean_vjp(g, vals, out, aux):
+    return (np.broadcast_to(g / vals[0].size, vals[0].shape),)
+
+
+def _concat(*parts):
     for p in parts:
         if p.ndim != 1:
             raise ValueError("concat expects rank-1 inputs")
-    return np.concatenate(parts)
+    return np.concatenate(parts), None
 
 
-def _fwd_slice(x, start, stop):
+def _concat_vjp(g, vals, out, aux):
+    pieces = []
+    off = 0
+    for v in vals:
+        pieces.append(g[off:off + v.shape[0]])
+        off += v.shape[0]
+    return pieces
+
+
+def _slice(x, start, stop):
     if x.ndim != 1:
         raise ValueError("slice expects a rank-1 input")
     if not (0 <= start <= stop <= x.shape[0]):
         raise ValueError(f"slice [{start}:{stop}] out of range for {x.shape}")
-    return x[start:stop].copy()
+    return x[start:stop].copy(), (start, stop)
+
+
+def _slice_vjp(g, vals, out, aux):
+    s, e = aux
+    gx = np.zeros_like(vals[0])
+    gx[s:e] = g
+    return (gx,)
+
+
+def _broadcast(x, shape):
+    shape = tuple(shape)
+    if x.shape == ():
+        return np.full(shape, float(x), dtype=np.float64), None
+    if x.ndim == 1 and len(shape) == 2 and shape[1] == x.shape[0]:
+        return np.ascontiguousarray(np.broadcast_to(x, shape)), None
+    raise ValueError(f"broadcast {x.shape} -> {shape} unsupported")
+
+
+def _broadcast_vjp(g, vals, out, aux):
+    return (g.sum() if vals[0].shape == () else g.sum(axis=0),)
+
+
+def _clip(x, lo, hi):
+    lo, hi = float(lo), float(hi)
+    if not lo < hi:
+        raise ValueError(f"clip bounds out of order: [{lo}, {hi}]")
+    return np.clip(x, lo, hi), (lo, hi)
+
+
+def _clip_vjp(g, vals, out, aux):
+    lo, hi = aux
+    x = vals[0]
+    return (g * ((x > lo) & (x < hi)),)
+
+
+def _affine(W, x, b):
+    if W.ndim == 2:
+        ok = x.shape == (W.shape[1],) and b.shape == (W.shape[0],)
+    else:  # a row vector: the result is a scalar
+        ok = W.ndim == 1 and x.shape == W.shape and b.shape == ()
+    if not ok:
+        raise ValueError(
+            f"affine shapes unsupported: {W.shape} @ {x.shape} + {b.shape}")
+    return W @ x + b, None
+
+
+def _affine_vjp(g, vals, out, aux):
+    W, x, _ = vals
+    if W.ndim == 1:
+        return g * x, g * W, g
+    return np.multiply.outer(g, x), W.T @ g, g
+
+
+def _gru_cell(W, U, b, h, x):
+    n = h.shape[0] if h.ndim == 1 else 0
+    if (n == 0 or x.ndim != 1 or W.shape != (3 * n, x.shape[0])
+            or U.shape != (3 * n, n) or b.shape != (3 * n,)):
+        raise ValueError(
+            f"gru_cell shapes unsupported: W {W.shape}, U {U.shape}, "
+            f"b {b.shape}, h {h.shape}, x {x.shape}")
+    s = W @ x + b
+    t = U @ h
+    tc = t[2 * n:]
+    pre_ru = s[:2 * n] + t[:2 * n]
+    r = expit(pre_ru[:n])
+    u = expit(pre_ru[n:])
+    pre_c = s[2 * n:] + r * tc
+    # The gates saturate, so an overflow in W @ x + b or U @ h would leave
+    # a finite output.  Every entry of both reaches pre_ru or pre_c, and
+    # a NaN/Inf there stays NaN/Inf (r > 0, or r * inf is NaN), so this
+    # check also covers them.
+    _check_finite("gru_cell", pre_ru, pre_c)
+    c = np.tanh(pre_c)
+    return (1.0 - u) * h + u * c, (r, u, c, tc)
+
+
+def _gru_cell_vjp(g, vals, out, aux):
+    W, U, _, h, x = vals
+    r, u, c, tc = aux
+    d_pre_c = g * u * (1.0 - c * c)
+    d_pre_r = d_pre_c * tc * r * (1.0 - r)
+    d_pre_u = g * (c - h) * u * (1.0 - u)
+    ds = np.concatenate((d_pre_r, d_pre_u, d_pre_c))
+    dt = np.concatenate((d_pre_r, d_pre_u, d_pre_c * r))
+    return (np.multiply.outer(ds, x), np.multiply.outer(dt, h), ds,
+            g * (1.0 - u) + U.T @ dt, W.T @ ds)
+
+
+def _gauss_logpdf(x, mean, log_var):
+    if not x.shape == mean.shape == log_var.shape:
+        raise ValueError(f"gauss_logpdf shape mismatch: {x.shape}, "
+                         f"{mean.shape}, {log_var.shape}")
+    d = x - mean
+    inv_var = np.exp(-log_var)
+    quad = (d * d * inv_var).sum()
+    out = (quad + log_var.sum()) * -0.5 + (-0.5 * LN_2PI * x.size)
+    return out, (d, inv_var)
+
+
+def _gauss_logpdf_vjp(g, vals, out, aux):
+    d, inv_var = aux
+    g_mean = g * d * inv_var
+    return -g_mean, g_mean, (g * 0.5) * (d * d * inv_var - 1.0)
+
+
+def _gauss_kl(q_mean, q_log_var, p_mean, p_log_var):
+    if not q_mean.shape == q_log_var.shape == p_mean.shape == p_log_var.shape:
+        raise ValueError("gauss_kl shape mismatch")
+    diff_lv = q_log_var - p_log_var
+    dm = q_mean - p_mean
+    ratio = np.exp(diff_lv)
+    inv_p = np.exp(-p_log_var)
+    inner = ratio + dm * dm * inv_p - 1.0 - diff_lv
+    return inner.sum() * 0.5, (dm, ratio, inv_p)
+
+
+def _gauss_kl_vjp(g, vals, out, aux):
+    dm, ratio, inv_p = aux
+    g_mean = g * dm * inv_p
+    g_lv = (g * 0.5) * (ratio - 1.0)
+    return g_mean, g_lv, -g_mean, -g_lv - (g * 0.5) * (dm * dm * inv_p)
+
+
+_OPS = {
+    "add": (_add, _add_vjp),
+    "sub": (_sub, _sub_vjp),
+    "mul": (_mul, _mul_vjp),
+    "matmul": (_matmul, _matmul_vjp),
+    "tanh": (_tanh, _tanh_vjp),
+    "sigmoid": (_sigmoid, _sigmoid_vjp),
+    "exp": (_exp, _exp_vjp),
+    "log": (_log, _log_vjp),
+    "softplus": (_softplus, _softplus_vjp),
+    "sum": (_sum, _sum_vjp),
+    "mean": (_mean, _mean_vjp),
+    "concat": (_concat, _concat_vjp),
+    "slice": (_slice, _slice_vjp),
+    "broadcast": (_broadcast, _broadcast_vjp),
+    "clip": (_clip, _clip_vjp),
+    "affine": (_affine, _affine_vjp),
+    "gru_cell": (_gru_cell, _gru_cell_vjp),
+    "gauss_logpdf": (_gauss_logpdf, _gauss_logpdf_vjp),
+    "gauss_kl": (_gauss_kl, _gauss_kl_vjp),
+}
+
+PRIMITIVES = tuple(_OPS)
 
 
 def apply_primitive(op: str, *inputs, **kw) -> Tensor:
@@ -281,58 +534,12 @@ def apply_primitive(op: str, *inputs, **kw) -> Tensor:
     bounds, broadcast shape, clip range).  The result is checked for
     finiteness before it is returned.
     """
-    vals = tuple(t.data for t in inputs)
-    aux = None
-    if op == "add":
-        _shape_match(op, vals[0], vals[1])
-        out = vals[0] + vals[1]
-    elif op == "sub":
-        _shape_match(op, vals[0], vals[1])
-        out = vals[0] - vals[1]
-    elif op == "mul":
-        _shape_match(op, vals[0], vals[1])
-        out = vals[0] * vals[1]
-    elif op == "matmul":
-        out = _fwd_matmul(vals[0], vals[1])
-    elif op == "tanh":
-        out = np.tanh(vals[0])
-    elif op == "sigmoid":
-        out = expit(vals[0])
-    elif op == "exp":
-        out = np.exp(vals[0])
-    elif op == "log":
-        out = _fwd_log(vals[0])
-    elif op == "softplus":
-        out = _fwd_softplus(vals[0])
-    elif op == "sum":
-        out = vals[0].sum()
-    elif op == "mean":
-        out = vals[0].mean()
-    elif op == "concat":
-        out = _fwd_concat(vals)
-        bounds = []
-        off = 0
-        for v in vals:
-            bounds.append((off, off + v.shape[0]))
-            off += v.shape[0]
-        aux = tuple(bounds)
-    elif op == "slice":
-        start, stop = kw["start"], kw["stop"]
-        out = _fwd_slice(vals[0], start, stop)
-        aux = (start, stop)
-    elif op == "broadcast":
-        out = _fwd_broadcast(vals[0], kw["shape"])
-    elif op == "clip":
-        lo, hi = float(kw["lo"]), float(kw["hi"])
-        if not lo < hi:
-            raise ValueError(f"clip bounds out of order: [{lo}, {hi}]")
-        out = np.clip(vals[0], lo, hi)
-        aux = (lo, hi)
-    else:
+    entry = _OPS.get(op)
+    if entry is None:
         raise ValueError(f"unknown primitive '{op}'")
-
+    out, aux = entry[0](*[t.data for t in inputs], **kw)
     out = np.asarray(out, dtype=np.float64)
-    _check_finite(out, op)
+    _check_finite(op, out)
 
     result = Tensor.__new__(Tensor)
     result.data = out
@@ -343,13 +550,13 @@ def apply_primitive(op: str, *inputs, **kw) -> Tensor:
 
     tape = _current_tape()
     if tape is not None:
-        pids = tuple(tape._leaf(t) for t in inputs)
+        pids = tuple([tape._leaf(t) for t in inputs])
         result.tape = tape
-        result.node_id = tape._record(op, pids, out, aux)
+        result.node_id = tape._record(op, pids, out, aux, kw or None)
     return result
 
 
-# module-level math aliases
+# module-level aliases
 def tanh(t: Tensor) -> Tensor:
     return apply_primitive("tanh", t)
 
@@ -378,22 +585,25 @@ def broadcast_to(t: Tensor, shape) -> Tensor:
     return apply_primitive("broadcast", t, shape=tuple(shape))
 
 
+def affine(W: Tensor, x: Tensor, b: Tensor) -> Tensor:
+    return apply_primitive("affine", W, x, b)
+
+
+def gru_cell(W: Tensor, U: Tensor, b: Tensor, h: Tensor, x: Tensor) -> Tensor:
+    return apply_primitive("gru_cell", W, U, b, h, x)
+
+
+def gauss_logpdf(x: Tensor, mean: Tensor, log_var: Tensor) -> Tensor:
+    return apply_primitive("gauss_logpdf", x, mean, log_var)
+
+
+def gauss_kl(q_mean: Tensor, q_log_var: Tensor,
+             p_mean: Tensor, p_log_var: Tensor) -> Tensor:
+    return apply_primitive("gauss_kl", q_mean, q_log_var, p_mean, p_log_var)
+
+
 # ---------------------------------------------------------------------------
 # reverse pass
-
-
-def _acc(adj, pid, contrib, owned):
-    # stored adjoints must be writable ndarrays: numpy collapses 0-d
-    # results to scalar types, and += on those rebinds instead of
-    # accumulating
-    cur = adj[pid]
-    if cur is None:
-        if owned and isinstance(contrib, np.ndarray) and contrib.flags["WRITEABLE"]:
-            adj[pid] = contrib
-        else:
-            adj[pid] = np.array(contrib, dtype=np.float64)
-    else:
-        cur += contrib
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
@@ -413,75 +623,24 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
     adj[loss.node_id] = np.ones((), dtype=np.float64)
     grads: dict[int, np.ndarray] = {}
 
+    # Adjoints are never updated in place: a contribution may be a view
+    # of another node's adjoint or of a taped value.
     for i in range(loss.node_id, -1, -1):
-        a = adj[i]
-        if a is None:
+        g = adj[i]
+        if g is None:
             continue
+        adj[i] = None
         op = ops[i]
         if op == "leaf":
             uid, is_const = aux[i]
             if not is_const:
-                grads[uid] = a
+                grads[uid] = np.array(g, dtype=np.float64)
             continue
         ps = parents[i]
-        if op == "add":
-            _acc(adj, ps[0], a, False)
-            _acc(adj, ps[1], a, False)
-        elif op == "sub":
-            _acc(adj, ps[0], a, False)
-            _acc(adj, ps[1], -a, True)
-        elif op == "mul":
-            _acc(adj, ps[0], a * values[ps[1]], True)
-            _acc(adj, ps[1], a * values[ps[0]], True)
-        elif op == "matmul":
-            x, y = values[ps[0]], values[ps[1]]
-            if x.ndim == 2 and y.ndim == 1:
-                _acc(adj, ps[0], np.multiply.outer(a, y), True)
-                _acc(adj, ps[1], x.T @ a, True)
-            elif x.ndim == 2 and y.ndim == 2:
-                _acc(adj, ps[0], a @ y.T, True)
-                _acc(adj, ps[1], x.T @ a, True)
-            else:  # dot of two vectors, a is scalar
-                _acc(adj, ps[0], a * y, True)
-                _acc(adj, ps[1], a * x, True)
-        elif op == "tanh":
-            out = values[i]
-            _acc(adj, ps[0], a * (1.0 - out * out), True)
-        elif op == "sigmoid":
-            out = values[i]
-            _acc(adj, ps[0], a * out * (1.0 - out), True)
-        elif op == "exp":
-            _acc(adj, ps[0], a * values[i], True)
-        elif op == "log":
-            _acc(adj, ps[0], a / values[ps[0]], True)
-        elif op == "softplus":
-            _acc(adj, ps[0], a * expit(values[ps[0]]), True)
-        elif op == "sum":
-            _acc(adj, ps[0], np.broadcast_to(a, values[ps[0]].shape), False)
-        elif op == "mean":
-            g = a / values[ps[0]].size
-            _acc(adj, ps[0], np.broadcast_to(g, values[ps[0]].shape), False)
-        elif op == "concat":
-            for pid, (s, e) in zip(ps, aux[i]):
-                _acc(adj, pid, a[s:e], False)
-        elif op == "slice":
-            s, e = aux[i]
-            g = np.zeros_like(values[ps[0]])
-            g[s:e] = a
-            _acc(adj, ps[0], g, True)
-        elif op == "broadcast":
-            x = values[ps[0]]
-            if x.shape == ():
-                _acc(adj, ps[0], a.sum(), True)
-            else:
-                _acc(adj, ps[0], a.sum(axis=0), True)
-        elif op == "clip":
-            lo, hi = aux[i]
-            x = values[ps[0]]
-            _acc(adj, ps[0], a * ((x > lo) & (x < hi)), True)
-        else:  # pragma: no cover - recording guarantees a known op
-            raise ValueError(f"unknown primitive '{op}' on tape")
-        adj[i] = None
+        contribs = _OPS[op][1](g, [values[p] for p in ps], values[i], aux[i])
+        for pid, c in zip(ps, contribs):
+            cur = adj[pid]
+            adj[pid] = c if cur is None else cur + c
     return grads
 
 
@@ -494,40 +653,8 @@ def replay(tape: Tape) -> None:
     for i, op in enumerate(tape.ops):
         if op == "leaf":
             continue
-        vals = tuple(tape.values[p] for p in tape.parents[i])
-        aux = tape.aux[i]
-        if op == "matmul":
-            out = _fwd_matmul(*vals)
-        elif op == "add":
-            out = vals[0] + vals[1]
-        elif op == "sub":
-            out = vals[0] - vals[1]
-        elif op == "mul":
-            out = vals[0] * vals[1]
-        elif op == "tanh":
-            out = np.tanh(vals[0])
-        elif op == "sigmoid":
-            out = expit(vals[0])
-        elif op == "exp":
-            out = np.exp(vals[0])
-        elif op == "log":
-            out = _fwd_log(vals[0])
-        elif op == "softplus":
-            out = _fwd_softplus(vals[0])
-        elif op == "sum":
-            out = vals[0].sum()
-        elif op == "mean":
-            out = vals[0].mean()
-        elif op == "concat":
-            out = _fwd_concat(vals)
-        elif op == "slice":
-            out = _fwd_slice(vals[0], *aux)
-        elif op == "broadcast":
-            out = _fwd_broadcast(vals[0], tape.values[i].shape)
-        elif op == "clip":
-            out = np.clip(vals[0], *aux)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown primitive '{op}' on tape")
+        vals = [tape.values[p] for p in tape.parents[i]]
+        out, _ = _OPS[op][0](*vals, **(tape.kws[i] or {}))
         if not np.array_equal(np.asarray(out, dtype=np.float64), tape.values[i]):
             raise AssertionError(f"replay mismatch at node {i} ('{op}')")
 

@@ -664,7 +664,7 @@ def cmd_gradcheck(args) -> int:
         status = "ok" if err < args.tol else "FAIL"
         ok = ok and err < args.tol
         print(f"{name:12s} max relative error {err:.3e}  {status}")
-    return 0 if ok else 2
+    return 0 if ok else 4
 
 
 def cmd_oracle(args) -> int:
@@ -679,7 +679,7 @@ def cmd_oracle(args) -> int:
               f"{r.gap_after:.3f})")
     print(f"bound held on {held}/{len(rows)} instances; "
           f"gap shrank on {shrunk}/{len(rows)}")
-    return 0 if held == len(rows) else 2
+    return 0 if held == len(rows) else 4
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,17 @@ import numpy as np
 
 from . import rng
 from .data import LinearGaussianSpec
-from .diffcore import Tensor, apply_primitive, concat, constant, sigmoid, softplus, tanh
+from .diffcore import (
+    Tensor,
+    affine,
+    apply_primitive,
+    concat,
+    constant,
+    gru_cell,
+    sigmoid,
+    softplus,
+    tanh,
+)
 
 LOG_VAR_MIN = -10.0
 LOG_VAR_MAX = 10.0
@@ -203,21 +213,16 @@ def init_params(spec: NetworkSpec, markovian: bool, seed: int) -> ModelParams:
 
 def gru_step(group: dict[str, Tensor], prefix: str, h: Tensor, inp: Tensor) -> Tensor:
     """Gated recurrent update; gates packed row-wise [reset; update; cand]."""
-    n_h = h.shape[0]
-    s = group[f"{prefix}.W"] @ inp + group[f"{prefix}.b"]
-    t = group[f"{prefix}.U"] @ h
-    r = sigmoid(s.slice(0, n_h) + t.slice(0, n_h))
-    u = sigmoid(s.slice(n_h, 2 * n_h) + t.slice(n_h, 2 * n_h))
-    c = tanh(s.slice(2 * n_h, 3 * n_h) + r * t.slice(2 * n_h, 3 * n_h))
-    return (1.0 - u) * h + u * c
+    return gru_cell(group[f"{prefix}.W"], group[f"{prefix}.U"],
+                    group[f"{prefix}.b"], h, inp)
 
 
 def _gaussian_head(group: dict[str, Tensor], prefix: str, hidden: int,
                    inp: Tensor) -> GaussianDiag:
-    feat = tanh(group[f"{prefix}.W1"] @ inp + group[f"{prefix}.b1"]) \
+    feat = tanh(affine(group[f"{prefix}.W1"], inp, group[f"{prefix}.b1"])) \
         if hidden > 0 else inp
-    mean = group[f"{prefix}.Wm"] @ feat + group[f"{prefix}.bm"]
-    log_var = (group[f"{prefix}.Wv"] @ feat + group[f"{prefix}.bv"]).clip(
+    mean = affine(group[f"{prefix}.Wm"], feat, group[f"{prefix}.bm"])
+    log_var = affine(group[f"{prefix}.Wv"], feat, group[f"{prefix}.bv"]).clip(
         LOG_VAR_MIN, LOG_VAR_MAX)
     return GaussianDiag(mean=mean, log_var=log_var)
 
@@ -303,10 +308,10 @@ def discriminate(params: ModelParams, z_seq: list[Tensor]) -> Tensor:
     psi = params.psi
     pooled = None
     for z in z_seq:
-        f = tanh(psi["feat.W"] @ z + psi["feat.b"])
+        f = tanh(affine(psi["feat.W"], z, psi["feat.b"]))
         pooled = f if pooled is None else pooled + f
     pooled = pooled * (1.0 / len(z_seq))
-    logit = (psi["out.w"] @ pooled + psi["out.b"]).clip(
+    logit = affine(psi["out.w"], pooled, psi["out.b"]).clip(
         -DISC_LOGIT_CLIP, DISC_LOGIT_CLIP)
     return sigmoid(logit)
 
@@ -315,8 +320,8 @@ def rul_head(params: ModelParams, state: HistoryState, z_mean: Tensor) -> Tensor
     """Non-negative remaining-life estimate from the filtered belief."""
     inp = concat([state.h, z_mean])
     rho = params.rho
-    feat = tanh(rho["l1.W"] @ inp + rho["l1.b"])
-    return softplus(rho["out.w"] @ feat + rho["out.b"])
+    feat = tanh(affine(rho["l1.W"], inp, rho["l1.b"]))
+    return softplus(affine(rho["out.w"], feat, rho["out.b"]))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Trajectory
-from .diffcore import Tensor, apply_primitive, constant, exp, log, no_tape
+from .diffcore import LN_2PI  # noqa: F401  (part of this module's interface)
+from .diffcore import (
+    Tensor,
+    apply_primitive,
+    constant,
+    gauss_kl,
+    gauss_logpdf,
+    log,
+    no_tape,
+)
 from .model import (
     GaussianDiag,
     HistoryState,
@@ -36,8 +45,6 @@ from .model import (
     sample_reparam,
     transition_prior,
 )
-
-LN_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass
@@ -60,7 +67,6 @@ class FilterPass:
     posteriors: list[GaussianDiag]
     priors: list[GaussianDiag]
     samples: list[Tensor]
-    emissions: list[GaussianDiag]
     recon_steps: list[Tensor]
     kl_steps: list[Tensor]
 
@@ -70,19 +76,14 @@ def gaussian_log_density(x, g: GaussianDiag) -> Tensor:
     x = constant(x)
     if x.shape != g.mean.shape:
         raise ValueError(f"x shape {x.shape} vs mean shape {g.mean.shape}")
-    d = x - g.mean
-    quad = (d * d * exp(g.log_var * -1.0)).sum()
-    return (quad + g.log_var.sum()) * -0.5 + (-0.5 * LN_2PI * x.data.size)
+    return gauss_logpdf(x, g.mean, g.log_var)
 
 
 def kl_diag_gaussians(q: GaussianDiag, p: GaussianDiag) -> Tensor:
     """KL(q || p) between diagonal Gaussians, closed form, summed."""
     if q.mean.shape != p.mean.shape:
         raise ValueError("distribution dimension mismatch")
-    diff_lv = q.log_var - p.log_var
-    dm = q.mean - p.mean
-    inner = exp(diff_lv) + dm * dm * exp(p.log_var * -1.0) - 1.0 - diff_lv
-    return inner.sum() * 0.5
+    return gauss_kl(q.mean, q.log_var, p.mean, p.log_var)
 
 
 def filter_forward(params: ModelParams, traj: Trajectory,
@@ -101,7 +102,7 @@ def filter_forward(params: ModelParams, traj: Trajectory,
     z_prev: Tensor = constant(np.zeros(n_z))
     enc_state = None
     pri_state = None
-    out = FilterPass([], [], [], [], [], [], [])
+    out = FilterPass([], [], [], [], [], [])
     for t in range(T):
         x_t, u_t = traj.x[t], traj.u[t]
         pri_state = advance_prior_state(params, pri_state, z_prev, u_t)
@@ -115,7 +116,6 @@ def filter_forward(params: ModelParams, traj: Trajectory,
         out.posteriors.append(post)
         out.priors.append(prior)
         out.samples.append(z_t)
-        out.emissions.append(em)
         out.recon_steps.append(gaussian_log_density(x_t, em))
         out.kl_steps.append(kl_diag_gaussians(post, prior))
         z_prev = z_t

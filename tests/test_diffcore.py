@@ -280,3 +280,151 @@ def test_primitive_set_is_pinned():
     }
     with pytest.raises(ValueError):
         apply_primitive("pow", Tensor(1.0))
+
+
+# ---------------------------------------------------------------------------
+# fused primitives, at default-NetworkSpec shapes on the FD001-shaped
+# fleet: 14 sensors, 2 settings, n_z = 8, n_h = 32, heads 32 wide
+
+N_X, N_U, N_Z, N_H = 14, 2, 8, 32
+N_IN = N_X + N_U + N_Z      # recognition GRU input
+
+
+def _unfused_gru(W, U, b, h, x):
+    """The unfused gated update, built from basic primitives."""
+    n = h.shape[0]
+    s = W @ x + b
+    t = U @ h
+    r = dc.sigmoid(s.slice(0, n) + t.slice(0, n))
+    u = dc.sigmoid(s.slice(n, 2 * n) + t.slice(n, 2 * n))
+    c = dc.tanh(s.slice(2 * n, 3 * n) + r * t.slice(2 * n, 3 * n))
+    return (1.0 - u) * h + u * c
+
+
+def _unfused_logpdf(x, mean, log_var):
+    d = x - mean
+    quad = (d * d * dc.exp(log_var * -1.0)).sum()
+    return (quad + log_var.sum()) * -0.5 + (-0.5 * dc.LN_2PI * x.data.size)
+
+
+def _unfused_kl(q_mean, q_log_var, p_mean, p_log_var):
+    diff_lv = q_log_var - p_log_var
+    dm = q_mean - p_mean
+    inner = dc.exp(diff_lv) + dm * dm * dc.exp(p_log_var * -1.0) - 1.0 - diff_lv
+    return inner.sum() * 0.5
+
+
+def _fused_cases():
+    """(name, fused f, unfused f, param arrays, grad_check step).
+
+    Vector inputs and the output weights have magnitudes in [s/2, 3s/2],
+    so that no gradient coordinate is a product of near-zero factors
+    that central differences cannot resolve.  affine is linear in each
+    input, so central differences are exact at any step there, and a
+    large one keeps round-off below its smallest coordinate (a sum with
+    cancellation).
+    """
+    g = np.random.default_rng(21)
+
+    def vec(n, s=1.0):
+        return s * g.choice((-1.0, 1.0), n) * g.uniform(0.5, 1.5, n)
+
+    w = dc.constant(vec(N_H))
+    red_h = lambda out: (out * w).sum()  # noqa: E731
+    return [
+        ("affine", lambda ps: red_h(dc.affine(*ps)),
+         lambda ps: red_h(ps[0] @ ps[1] + ps[2]),
+         [g.normal(0, N_IN ** -0.5, (N_H, N_IN)), vec(N_IN), vec(N_H, 0.1)],
+         1e-2),
+        ("affine_row", lambda ps: dc.softplus(dc.affine(*ps)),
+         lambda ps: dc.softplus(ps[0] @ ps[1] + ps[2]),
+         [vec(N_H, N_H ** -0.5), vec(N_H), np.array(0.2)], 1e-6),
+        ("gru_cell", lambda ps: red_h(dc.gru_cell(*ps)),
+         lambda ps: red_h(_unfused_gru(*ps)),
+         [g.normal(0, N_IN ** -0.5, (3 * N_H, N_IN)),
+          g.normal(0, N_H ** -0.5, (3 * N_H, N_H)), vec(3 * N_H, 0.1),
+          vec(N_H, 0.5), vec(N_IN)], 1e-6),
+        ("gauss_logpdf", lambda ps: dc.gauss_logpdf(*ps),
+         lambda ps: _unfused_logpdf(*ps),
+         [vec(N_X, 2.0), vec(N_X), vec(N_X)], 1e-6),
+        ("gauss_kl", lambda ps: dc.gauss_kl(*ps),
+         lambda ps: _unfused_kl(*ps),
+         [vec(N_Z), vec(N_Z), vec(N_Z), vec(N_Z)], 1e-6),
+    ]
+
+
+@pytest.mark.parametrize("case", _fused_cases(), ids=lambda c: c[0])
+def test_fused_primitive_gradcheck(case):
+    _, fused, _, arrays, step = case
+    params = [Tensor(a) for a in arrays]
+    for k in range(len(params)):
+        def f(ps, k=k):
+            return fused(params[:k] + ps + params[k + 1:])
+
+        assert grad_check(f, [params[k]], step=step) < 1e-6, f"input {k}"
+
+
+@pytest.mark.parametrize("case", _fused_cases(), ids=lambda c: c[0])
+def test_fused_primitive_matches_unfused_composition(case):
+    _, fused, unfused, arrays, _ = case
+    params = [Tensor(a) for a in arrays]
+    results = []
+    for f in (fused, unfused):
+        with Tape() as tape:
+            out = f(params)
+        results.append((out.item(), backward(tape, out)))
+    (v_f, g_f), (v_u, g_u) = results
+    assert abs(v_f - v_u) <= 1e-12 * abs(v_u)
+    for p in params:
+        scale = np.abs(g_u[p.uid]).max()
+        assert g_f[p.uid].shape == p.shape
+        assert np.abs(g_f[p.uid] - g_u[p.uid]).max() <= 1e-12 * scale
+
+
+def test_gru_cell_overflow_is_loud():
+    g = np.random.default_rng(4)
+    W = g.normal(0, 1.0, (3 * N_H, N_IN))
+    U = g.normal(0, 1.0, (3 * N_H, N_H))
+    b = np.zeros(3 * N_H)
+    h = g.uniform(0.1, 0.9, N_H)
+    x = g.uniform(0.1, 0.9, N_IN)
+    # Each overflow below feeds a saturating gate, so without the check
+    # the cell's output would stay finite.
+    huge_W = W.copy()
+    huge_W[:N_H] = 1e308         # reset-gate rows of W @ x overflow
+    huge_U = U.copy()
+    huge_U[2 * N_H:] = 1e308     # candidate rows of U @ h overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for args in ((huge_W, U, b, h, x), (W, huge_U, b, h, x)):
+            with pytest.raises(NonFiniteError):
+                dc.gru_cell(*[Tensor(a) for a in args])
+            with pytest.raises(NonFiniteError):
+                _unfused_gru(*[Tensor(a) for a in args])
+
+
+def test_fused_shape_errors():
+    with pytest.raises(ValueError):
+        dc.affine(Tensor(np.ones((3, 4))), Tensor(np.ones(4)), Tensor(np.ones(4)))
+    with pytest.raises(ValueError):
+        dc.gru_cell(Tensor(np.ones((9, 2))), Tensor(np.ones((9, 3))),
+                    Tensor(np.ones(9)), Tensor(np.ones(2)), Tensor(np.ones(2)))
+    with pytest.raises(ValueError):
+        dc.gauss_logpdf(Tensor(np.ones(2)), Tensor(np.ones(3)), Tensor(np.ones(3)))
+    with pytest.raises(ValueError):
+        dc.gauss_kl(Tensor(np.ones(2)), Tensor(np.ones(2)), Tensor(np.ones(2)),
+                    Tensor(np.ones(3)))
+
+
+def test_leaf_does_not_keep_its_tape_alive():
+    import gc
+    import weakref
+
+    p = dc.parameter([1.0, -2.0])
+    with Tape() as tape:
+        loss = (p * p).sum()
+    assert backward(tape, loss)[p.uid].tolist() == [2.0, -4.0]
+    assert p.tape is None and p.node_id is None
+    ref = weakref.ref(tape)
+    del tape, loss
+    gc.collect()
+    assert ref() is None

@@ -465,6 +465,28 @@ def test_cli_oracle_smoke(capsys):
     assert "bound held on 1/1" in capsys.readouterr().out
 
 
+def test_cli_gradcheck_failure_exits_4(monkeypatch, capsys):
+    import avfp.evalcli as cli
+
+    monkeypatch.setattr(cli, "gradient_audit", lambda draws, seed: {
+        "log_density": 1e-9, "kl": 3e-2})
+    assert main(["gradcheck", "--draws", "1"]) == 4
+    out = capsys.readouterr().out
+    assert out.count("ok") == 1 and out.count("FAIL") == 1
+
+
+def test_cli_oracle_failure_exits_4(monkeypatch, capsys):
+    import avfp.evalcli as cli
+    from avfp.training import BoundAuditRow
+
+    above = BoundAuditRow(seed=0, n_z=2, n_x=3, length=20, exact=-50.0,
+                          before_mean=-40.0, before_se=0.1,
+                          after_mean=-45.0, after_se=0.1)
+    monkeypatch.setattr(cli, "bound_gap_audit", lambda **kw: [above])
+    assert main(["oracle", "--instances", "1"]) == 4
+    assert "bound held on 0/1" in capsys.readouterr().out
+
+
 def test_gradient_audit_reports_every_objective():
     worst = gradient_audit(draws=1, seed=3)
     assert set(worst) == {"log_density", "kl", "elbo", "adversarial",

@@ -6,7 +6,7 @@ from scipy.stats import multivariate_normal, norm
 
 from avfp import rng
 from avfp.data import LinearGaussianSpec, Trajectory, gen_linear_gaussian, kalman_loglik
-from avfp.diffcore import Tape, Tensor, backward, constant, grad_check
+from avfp.diffcore import Tape, Tensor, backward, constant, grad_check, replay
 from avfp.model import (
     GaussianDiag,
     ModelParams,
@@ -348,3 +348,19 @@ def test_elbo_never_exceeds_exact_loglik():
             vals[d] = elbo.item()
         se = vals.std(ddof=1) / np.sqrt(draws)
         assert vals.mean() <= exact + 3.0 * se
+
+
+def test_replay_bit_exact_over_combined_objective_tape():
+    # default spec on the FD001-shaped fleet: every fused op is on the tape
+    spec = NetworkSpec(n_x=14, n_u=2)
+    params = init_params(spec, markovian=False, seed=0)
+    traj = rand_traj(6, 14, 2, seed=8)
+    noise = rng.normal(0, (6, spec.n_z), "replay-noise")
+    prior_noise = rng.normal(0, (6, spec.n_z), "replay-prior-noise")
+    with Tape() as tape:
+        _, target, _ = combined_objective(params, traj, noise, 0.1,
+                                          prior_noise=prior_noise)
+    assert {"affine", "gru_cell", "gauss_logpdf", "gauss_kl"} <= set(tape.ops)
+    replay(tape)
+    grads = backward(tape, target)
+    assert all(np.isfinite(g).all() for g in grads.values())
