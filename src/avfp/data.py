@@ -5,6 +5,11 @@ Handles the 26-column turbofan degradation text format (unit id, cycle,
 linear-Gaussian state-space simulation with an exact Kalman-filter
 log-likelihood used as an oracle for variational bounds.
 
+A parsed split is columnar: one settings array and one sensors array
+with a row per cycle, grouped by ascending unit id, plus the row offset
+at which each unit starts.  Parsing, normalization, targets and the CSV
+cache are array operations on that layout; trajectories are row slices.
+
 Normalization is strict train-statistics z-scoring: constant channels
 (population std below 1e-8 on the training split) are dropped, and the
 same retained-channel list and moments are applied verbatim to test
@@ -17,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,20 +43,18 @@ class DataFormatError(ValueError):
 
 
 @dataclass
-class TrajectoryRecord:
-    """One observed cycle of one unit."""
+class Dataset:
+    """Columnar cycle records, either raw (3+21 channels) or normalized.
 
-    unit_id: int
-    cycle: int
+    Rows are grouped by ascending unit id and, within a unit, ordered by
+    cycle 1..n, so unit i owns rows offsets[i]:offsets[i + 1] and a row's
+    cycle is its position in that range plus one.
+    """
+
+    unit_ids: np.ndarray
+    offsets: np.ndarray
     settings: np.ndarray
     sensors: np.ndarray
-
-
-@dataclass
-class Dataset:
-    """Per-unit cycle records, either raw (3+21 channels) or normalized."""
-
-    units: dict[int, list[TrajectoryRecord]]
     split: str
     setting_names: tuple[str, ...] = SETTING_NAMES
     sensor_names: tuple[str, ...] = SENSOR_NAMES
@@ -59,11 +62,11 @@ class Dataset:
 
     @property
     def n_units(self) -> int:
-        return len(self.units)
+        return len(self.unit_ids)
 
     @property
     def n_rows(self) -> int:
-        return sum(len(v) for v in self.units.values())
+        return int(self.offsets[-1])
 
 
 @dataclass
@@ -136,41 +139,36 @@ def parse_cmapss(path: str, split: str | None = None) -> Dataset:
             f"{path}: expected {N_COLUMNS} columns, found {raw.shape[1]}"
         )
 
-    units: dict[int, list[TrajectoryRecord]] = {}
-    for row in raw:
-        unit = int(row[0])
-        cycle = int(row[1])
-        if unit <= 0 or row[0] != unit:
-            raise DataFormatError(f"bad unit id {row[0]!r}")
-        rec = TrajectoryRecord(
-            unit_id=unit,
-            cycle=cycle,
-            settings=row[2 : 2 + N_SETTINGS].copy(),
-            sensors=row[2 + N_SETTINGS :].copy(),
-        )
-        units.setdefault(unit, []).append(rec)
+    ids = raw[:, 0]
+    # positive whole numbers within int64 range (NaN compares false)
+    bad = ~((ids >= 1) & (ids < 2.0**63) & (ids == np.trunc(ids)))
+    if bad.any():
+        raise DataFormatError(f"bad unit id {ids[np.argmax(bad)]!r}")
 
-    for unit, recs in units.items():
-        cycles = [r.cycle for r in recs]
-        if cycles != list(range(1, len(recs) + 1)):
-            raise DataFormatError(
-                f"unit {unit}: cycles are not consecutive from 1"
-            )
-    return Dataset(units=units, split=split)
+    # stable: a unit's rows keep their file order even when interleaved
+    order = np.argsort(ids, kind="stable")
+    unit_ids, starts = np.unique(ids[order].astype(np.int64), return_index=True)
+    offsets = np.append(starts, len(raw))
+    wrong = raw[order, 1] != _cycles(offsets)
+    if wrong.any():
+        unit = unit_ids[np.searchsorted(offsets, np.argmax(wrong), "right") - 1]
+        raise DataFormatError(f"unit {unit}: cycles are not consecutive from 1")
+    return Dataset(
+        unit_ids=unit_ids,
+        offsets=offsets,
+        settings=raw[order, 2 : 2 + N_SETTINGS],
+        sensors=raw[order, 2 + N_SETTINGS :],
+        split=split,
+    )
+
+
+def _cycles(offsets: np.ndarray) -> np.ndarray:
+    """Each row's cycle: its position within its unit's rows, from 1."""
+    return np.arange(offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets)) + 1
 
 
 # ---------------------------------------------------------------------------
 # normalization
-
-
-def _stack(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    settings = np.concatenate(
-        [np.stack([r.settings for r in recs]) for recs in ds.units.values()]
-    )
-    sensors = np.concatenate(
-        [np.stack([r.sensors for r in recs]) for recs in ds.units.values()]
-    )
-    return settings, sensors
 
 
 def compute_stats(ds: Dataset, rul_cap: int = DEFAULT_RUL_CAP) -> NormalizationStats:
@@ -179,9 +177,8 @@ def compute_stats(ds: Dataset, rul_cap: int = DEFAULT_RUL_CAP) -> NormalizationS
         raise ValueError("stats must be computed on raw data")
     if ds.split != "train":
         raise ValueError("normalization statistics come from the train split only")
-    settings, sensors = _stack(ds)
-    set_mean, set_std = settings.mean(axis=0), settings.std(axis=0)
-    sen_mean, sen_std = sensors.mean(axis=0), sensors.std(axis=0)
+    set_mean, set_std = ds.settings.mean(axis=0), ds.settings.std(axis=0)
+    sen_mean, sen_std = ds.sensors.mean(axis=0), ds.sensors.std(axis=0)
 
     keep_set = set_std >= CONSTANT_STD_THRESHOLD
     keep_sen = sen_std >= CONSTANT_STD_THRESHOLD
@@ -213,17 +210,14 @@ def normalize(
     keep_set = [ds.setting_names.index(n) for n in stats.setting_names]
     keep_sen = [ds.sensor_names.index(n) for n in stats.sensor_names]
 
-    units: dict[int, list[TrajectoryRecord]] = {}
-    for unit, recs in ds.units.items():
-        out = []
-        for r in recs:
-            s = (r.settings[keep_set] - stats.setting_mean) / stats.setting_std
-            x = (r.sensors[keep_sen] - stats.sensor_mean) / stats.sensor_std
-            out.append(TrajectoryRecord(r.unit_id, r.cycle, s, x))
-        units[unit] = out
-    norm = Dataset(
-        units=units,
-        split=ds.split,
+    norm = replace(
+        ds,
+        # take, not [:, keep]: the latter is column-major, which would make
+        # every unit's row slice in to_trajectories strided
+        settings=(ds.settings.take(keep_set, axis=1) - stats.setting_mean)
+        / stats.setting_std,
+        sensors=(ds.sensors.take(keep_sen, axis=1) - stats.sensor_mean)
+        / stats.sensor_std,
         setting_names=stats.setting_names,
         sensor_names=stats.sensor_names,
         normalized=True,
@@ -232,47 +226,21 @@ def normalize(
 
 
 # ---------------------------------------------------------------------------
-# dataset cache and stats sidecar
+# dataset cache and stats sidecar (written for inspection; nothing reads them)
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
     """CSV cache: header row names retained channels, rows keep unit order."""
     cols = ["unit", "cycle", *ds.setting_names, *ds.sensor_names]
-    with open(path, "w") as f:
-        f.write(",".join(cols) + "\n")
-        for unit in sorted(ds.units):
-            for r in ds.units[unit]:
-                vals = [str(r.unit_id), str(r.cycle)]
-                vals += [f"{v:.17g}" for v in r.settings]
-                vals += [f"{v:.17g}" for v in r.sensors]
-                f.write(",".join(vals) + "\n")
-
-
-def load_dataset(path: str, split: str, normalized: bool = True) -> Dataset:
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        if header[:2] != ["unit", "cycle"]:
-            raise DataFormatError(f"{path}: not a dataset cache (bad header)")
-        setting_names = tuple(n for n in header[2:] if n.startswith("setting"))
-        sensor_names = tuple(n for n in header[2:] if n.startswith("sensor"))
-        n_set = len(setting_names)
-        units: dict[int, list[TrajectoryRecord]] = {}
-        for line in f:
-            parts = line.strip().split(",")
-            if len(parts) != len(header):
-                raise DataFormatError(f"{path}: ragged row")
-            unit, cycle = int(parts[0]), int(parts[1])
-            vals = np.array([float(v) for v in parts[2:]])
-            units.setdefault(unit, []).append(
-                TrajectoryRecord(unit, cycle, vals[:n_set], vals[n_set:])
-            )
-    return Dataset(
-        units=units,
-        split=split,
-        setting_names=setting_names,
-        sensor_names=sensor_names,
-        normalized=normalized,
-    )
+    table = np.column_stack([
+        np.repeat(ds.unit_ids, np.diff(ds.offsets)),
+        _cycles(ds.offsets),
+        ds.settings,
+        ds.sensors,
+    ])
+    fmt = ["%d", "%d"] + ["%.17g"] * (len(cols) - 2)
+    np.savetxt(path, table, fmt=fmt, delimiter=",", header=",".join(cols),
+               comments="")
 
 
 def save_stats(stats: NormalizationStats, path: str) -> None:
@@ -286,23 +254,6 @@ def save_stats(stats: NormalizationStats, path: str) -> None:
     }
     with open(path, "w") as f:
         json.dump(doc, f, indent=2)
-
-
-def load_stats(path: str) -> NormalizationStats:
-    with open(path) as f:
-        doc = json.load(f)
-    set_names = tuple(doc["setting_mean"].keys())
-    sen_names = tuple(doc["sensor_mean"].keys())
-    return NormalizationStats(
-        setting_names=set_names,
-        sensor_names=sen_names,
-        setting_mean=np.array([doc["setting_mean"][n] for n in set_names]),
-        setting_std=np.array([doc["setting_std"][n] for n in set_names]),
-        sensor_mean=np.array([doc["sensor_mean"][n] for n in sen_names]),
-        sensor_std=np.array([doc["sensor_std"][n] for n in sen_names]),
-        dropped=tuple(doc["dropped"]),
-        rul_cap=int(doc["rul_cap"]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +271,15 @@ def build_rul_targets(ds: Dataset, cap: int = DEFAULT_RUL_CAP) -> dict[int, np.n
         raise ValueError("per-cycle RUL targets exist only for run-to-failure data")
     if cap <= 0:
         raise ValueError("cap must be positive")
-    targets = {}
-    for unit, recs in ds.units.items():
-        t_fail = recs[-1].cycle
-        raw = t_fail - np.array([r.cycle for r in recs], dtype=np.float64)
-        targets[unit] = np.minimum(raw, float(cap))
-    return targets
+    return {
+        unit: np.minimum(np.arange(n - 1, -1, -1, dtype=np.float64), float(cap))
+        for unit, n in zip(ds.unit_ids.tolist(), np.diff(ds.offsets).tolist())
+    }
 
 
-def load_test_rul(path: str, unit_ids: list[int] | None = None) -> dict[int, float]:
+def load_test_rul(
+    path: str, unit_ids: np.ndarray | list[int] | None = None
+) -> dict[int, float]:
     """True remaining life at each test unit's last observed cycle.
 
     One integer per line, line i belongs to the i-th unit (ascending id
@@ -347,7 +298,7 @@ def load_test_rul(path: str, unit_ids: list[int] | None = None) -> dict[int, flo
         raise DataFormatError(
             f"{path}: {len(vals)} values for {len(ids)} test units"
         )
-    return {u: float(v) for u, v in zip(ids, vals)}
+    return {int(u): float(v) for u, v in zip(ids, vals)}
 
 
 def to_trajectories(
@@ -359,13 +310,9 @@ def to_trajectories(
     model keeps a fixed input width.
     """
     trajs = []
-    for unit in sorted(ds.units):
-        recs = ds.units[unit]
-        x = np.stack([r.sensors for r in recs])
-        if len(ds.setting_names) > 0:
-            u = np.stack([r.settings for r in recs])
-        else:
-            u = np.zeros((len(recs), 1))
+    for unit, a, b in zip(ds.unit_ids.tolist(), ds.offsets[:-1], ds.offsets[1:]):
+        x = ds.sensors[a:b]
+        u = ds.settings[a:b] if len(ds.setting_names) > 0 else np.zeros((b - a, 1))
         rul = None
         if targets is not None:
             if unit not in targets:

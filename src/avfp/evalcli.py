@@ -33,7 +33,7 @@ from .data import (
     save_stats,
     to_trajectories,
 )
-from .diffcore import Tensor, grad_check, no_tape
+from .diffcore import NonFiniteError, Tensor, grad_check, no_tape
 from .model import GaussianDiag, ModelParams, NetworkSpec, init_params, rul_head
 from .objectives import (
     adversarial_losses,
@@ -271,8 +271,8 @@ def run_experiment(train_trajs: list[Trajectory],
     Each run's curve is the test-set RMSE at every evaluation
     checkpoint; its reported score is the curve value at the step with
     the best validation RMSE (falling back to the curve minimum when no
-    validation split exists).  Aborted runs are recorded and excluded
-    from the aggregates.
+    validation split exists).  Runs aborted by training or by a
+    non-finite value are recorded and excluded from the aggregates.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -285,7 +285,7 @@ def run_experiment(train_trajs: list[Trajectory],
         cfg = replace(config, seed=config.seed + i)
         try:
             res = train(train_trajs, spec, cfg, eval_extra=test_score)
-        except TrainingAborted:
+        except (TrainingAborted, NonFiniteError):
             records.append(RunRecord(run=i, seed=cfg.seed, best_step=-1,
                                      best_rmse=float("nan"), curve=[],
                                      aborted=True))
@@ -452,7 +452,7 @@ def load_corpus(data_dir: str, tag: str = "FD001",
     targets = build_rul_targets(train_raw, cap)
     train_trajs = to_trajectories(train_ds, targets)
     test_trajs = to_trajectories(test_ds)
-    truth = load_test_rul(files["rul"], sorted(test_ds.units))
+    truth = load_test_rul(files["rul"], test_ds.unit_ids)
     return Corpus(
         train_trajs=train_trajs, test_trajs=test_trajs, truth=truth,
         n_x=train_trajs[0].x.shape[1], n_u=train_trajs[0].u.shape[1],
@@ -761,6 +761,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except TrainingAborted as e:
         print(f"training aborted: {e}", file=sys.stderr)
+        return 3
+    except NonFiniteError as e:
+        print(f"non-finite values: {e}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -100,7 +100,6 @@ class HistoryState:
     """Recurrent summary of everything seen up to and including step t."""
 
     h: Tensor
-    t: int
 
 
 @dataclass
@@ -247,11 +246,10 @@ def encode_history(params: ModelParams, prev: HistoryState | None,
     inputs, so the posterior can only see adjacent information.
     """
     inp = concat([constant(x_t), constant(u_t), constant(z_prev)])
-    t_next = 0 if prev is None else prev.t + 1
     if params.markovian:
-        return HistoryState(h=inp, t=t_next)
+        return HistoryState(h=inp)
     h_prev = params.phi["h0"] if prev is None else prev.h
-    return HistoryState(h=gru_step(params.phi, "gru", h_prev, inp), t=t_next)
+    return HistoryState(h=gru_step(params.phi, "gru", h_prev, inp))
 
 
 def recognition(params: ModelParams, state: HistoryState) -> GaussianDiag:
@@ -266,13 +264,12 @@ def recognition(params: ModelParams, state: HistoryState) -> GaussianDiag:
 def advance_prior_state(params: ModelParams, prev: HistoryState | None,
                         z_prev, u_t) -> HistoryState:
     """Fold (z_{t-1}, u_t) into the prior's own recurrent summary."""
-    t_next = 0 if prev is None else prev.t + 1
     if params.markovian:
-        return HistoryState(h=constant(np.zeros(0)), t=t_next)
+        return HistoryState(h=constant(np.zeros(0)))
     z_prev = z_prev if isinstance(z_prev, Tensor) else constant(z_prev)
     inp = concat([z_prev, constant(u_t)])
     g_prev = params.theta["g0"] if prev is None else prev.h
-    return HistoryState(h=gru_step(params.theta, "gru", g_prev, inp), t=t_next)
+    return HistoryState(h=gru_step(params.theta, "gru", g_prev, inp))
 
 
 def transition_prior(params: ModelParams, state: HistoryState,

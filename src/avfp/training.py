@@ -23,6 +23,7 @@ checksum (first 8 bytes of the SHA-256 of the table).
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from dataclasses import dataclass, field, fields
 
@@ -423,8 +424,7 @@ def train(
                         errs = []
                         for traj, rows in zip(batch, feats):
                             for t, (h, zm) in enumerate(rows):
-                                pred = rul_head(
-                                    params, HistoryState(h=h, t=t), zm)
+                                pred = rul_head(params, HistoryState(h=h), zm)
                                 errs.append(pred + (-float(traj.rul[t])))
                         err_vec = stack_scalars(errs)
                         rul_loss = (err_vec * err_vec).mean()
@@ -680,16 +680,27 @@ def _checkpoint_table(ckpt: Checkpoint) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
+    """Write via a synced sibling temp file renamed over path, so a crash
+    mid-write leaves the previous checkpoint intact."""
     table = _checkpoint_table(ckpt)
     body = struct.pack("<Q", len(table))
     for name in sorted(table):
         body += _pack_entry(name, np.asarray(table[name]))
     digest = hashlib.sha256(body).digest()[:8]
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", ckpt.version))
-        f.write(body)
-        f.write(digest)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", ckpt.version))
+            f.write(body)
+            f.write(digest)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _read(buf: bytes, off: int, n: int) -> tuple[bytes, int]:

@@ -181,19 +181,18 @@ def test_criterion_8_data_pipeline_invariants(synth_dir):
         total, per_unit = scan_counts(path)
         assert ds.n_rows == total
         assert ds.n_units == len(per_unit)
-        assert {u: len(recs) for u, recs in ds.units.items()} == per_unit
+        counts = np.diff(ds.offsets).tolist()
+        assert dict(zip(ds.unit_ids.tolist(), counts)) == per_unit
 
     train_ds = parse_cmapss(os.path.join(data, "train_FD001.txt"), "train")
     normed, stats = normalize(train_ds)
-    sensors = np.stack([r.sensors for recs in normed.units.values()
-                        for r in recs])
-    assert np.all(np.abs(sensors.mean(axis=0)) < 1e-9)
-    assert np.all(np.abs(sensors.std(axis=0) - 1.0) < 1e-9)
+    assert np.all(np.abs(normed.sensors.mean(axis=0)) < 1e-9)
+    assert np.all(np.abs(normed.sensors.std(axis=0) - 1.0) < 1e-9)
 
     targets = build_rul_targets(train_ds, cap=125)
-    for unit, recs in train_ds.units.items():
+    for unit, life in zip(train_ds.unit_ids.tolist(),
+                          np.diff(train_ds.offsets).tolist()):
         t = targets[unit]
-        life = recs[-1].cycle
         assert t[-1] == 0.0  # zero exactly at failure
         assert np.all(t <= 125.0)
         want = np.minimum(life - np.arange(1, life + 1, dtype=float), 125.0)

@@ -1,5 +1,7 @@
 """Parsing, normalization, RUL targets, and the Kalman oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,6 @@ from avfp.data import (
     build_rul_targets,
     gen_linear_gaussian,
     kalman_loglik,
-    load_dataset,
-    load_stats,
     load_test_rul,
     normalize,
     parse_cmapss,
@@ -31,15 +31,15 @@ def test_parse_counts_match_text_scan(synth_dir, synth_train):
     total, per_unit = scan_counts(f"{synth_dir}/train_FD001.txt")
     assert synth_train.n_rows == total
     assert synth_train.n_units == len(per_unit)
-    for unit, n in per_unit.items():
-        assert len(synth_train.units[unit]) == n
+    counts = np.diff(synth_train.offsets)
+    assert dict(zip(synth_train.unit_ids.tolist(), counts.tolist())) == per_unit
 
 
 def test_parse_record_shape(synth_train):
-    rec = synth_train.units[1][0]
-    assert rec.cycle == 1
-    assert rec.settings.shape == (3,)
-    assert rec.sensors.shape == (21,)
+    assert synth_train.unit_ids[0] == 1 and synth_train.offsets[0] == 0
+    assert synth_train.offsets.shape == (synth_train.n_units + 1,)
+    assert synth_train.settings.shape == (synth_train.n_rows, 3)
+    assert synth_train.sensors.shape == (synth_train.n_rows, 21)
 
 
 def test_parse_split_inference(synth_dir, synth_test):
@@ -72,6 +72,29 @@ def test_parse_rejects_gap_in_cycles(tmp_path):
         parse_cmapss(str(p))
 
 
+def _row(unit, cycle, value=0.0):
+    return " ".join([str(unit), str(cycle)] + [repr(value)] * 24)
+
+
+def test_parse_groups_interleaved_units(tmp_path):
+    p = tmp_path / "train_mixed.txt"
+    rows = [_row(2, 1, 20.0), _row(1, 1, 10.0), _row(2, 2, 21.0),
+            _row(1, 2, 11.0), _row(2, 3, 22.0)]
+    p.write_text("\n".join(rows) + "\n")
+    ds = parse_cmapss(str(p))
+    assert ds.unit_ids.tolist() == [1, 2]
+    assert ds.offsets.tolist() == [0, 2, 5]
+    assert ds.sensors[:, 0].tolist() == [10.0, 11.0, 20.0, 21.0, 22.0]
+
+
+@pytest.mark.parametrize("unit", ["1.5", "0"])
+def test_parse_rejects_bad_unit_id(tmp_path, unit):
+    p = tmp_path / "train_bad.txt"
+    p.write_text(_row(unit, 1) + "\n")
+    with pytest.raises(DataFormatError, match="unit id"):
+        parse_cmapss(str(p))
+
+
 def test_parse_rejects_empty(tmp_path):
     p = tmp_path / "train_empty.txt"
     p.write_text("")
@@ -93,11 +116,28 @@ def test_constant_channels_dropped(synth_train):
 
 def test_train_moments_are_zero_one(synth_train):
     norm, stats = normalize(synth_train)
-    settings, sensors = avdata._stack(norm)
-    assert np.all(np.abs(sensors.mean(axis=0)) < 1e-9)
-    assert np.all(np.abs(sensors.std(axis=0) - 1.0) < 1e-9)
-    assert np.all(np.abs(settings.mean(axis=0)) < 1e-9)
-    assert np.all(np.abs(settings.std(axis=0) - 1.0) < 1e-9)
+    assert np.all(np.abs(norm.sensors.mean(axis=0)) < 1e-9)
+    assert np.all(np.abs(norm.sensors.std(axis=0) - 1.0) < 1e-9)
+    assert np.all(np.abs(norm.settings.mean(axis=0)) < 1e-9)
+    assert np.all(np.abs(norm.settings.std(axis=0) - 1.0) < 1e-9)
+
+
+def test_normalized_columns_are_direct_z_scores(synth_dir, synth_train):
+    norm, stats = normalize(synth_train)
+    raw = np.loadtxt(f"{synth_dir}/train_FD001.txt")
+    for names, values, first in ((stats.setting_names, norm.settings, 2),
+                                 (stats.sensor_names, norm.sensors, 5)):
+        cols = [first + int(n.split("_")[1]) - 1 for n in names]
+        # compute_stats sums row by row (an axis-0 reduction of a row-major
+        # block); a 1-D col.mean() sums pairwise and can differ in the last
+        # bit, so exact equality is checked against the former
+        block = np.ascontiguousarray(raw[:, cols])
+        direct = (block - block.mean(axis=0)) / block.std(axis=0)
+        assert np.array_equal(values, direct)
+        for j, c in enumerate(cols):
+            col = raw[:, c]
+            assert np.allclose(values[:, j], (col - col.mean()) / col.std(),
+                               rtol=0, atol=1e-12)
 
 
 def test_test_split_uses_train_stats(synth_train, synth_test):
@@ -105,29 +145,21 @@ def test_test_split_uses_train_stats(synth_train, synth_test):
     norm_test, _ = normalize(synth_test, stats)
     assert norm_test.sensor_names == stats.sensor_names
     # test moments are NOT exactly 0/1: stats came from train
-    _, sensors = avdata._stack(norm_test)
-    assert np.any(np.abs(sensors.mean(axis=0)) > 1e-6)
+    assert np.any(np.abs(norm_test.sensors.mean(axis=0)) > 1e-6)
 
 
 def test_shifted_copy_mean_is_shift_over_std(synth_train):
     _, stats = normalize(synth_train)
     shifted = avdata.Dataset(
-        units={
-            u: [
-                avdata.TrajectoryRecord(
-                    r.unit_id, r.cycle, r.settings.copy(), r.sensors + 5.0
-                )
-                for r in recs
-            ]
-            for u, recs in synth_train.units.items()
-        },
+        unit_ids=synth_train.unit_ids.copy(),
+        offsets=synth_train.offsets.copy(),
+        settings=synth_train.settings.copy(),
+        sensors=synth_train.sensors + 5.0,
         split="train",
     )
     norm, _ = normalize(shifted, stats)
-    _, sensors = avdata._stack(norm)
     base_norm, _ = normalize(synth_train, stats)
-    _, base_sensors = avdata._stack(base_norm)
-    observed = sensors.mean(axis=0) - base_sensors.mean(axis=0)
+    observed = norm.sensors.mean(axis=0) - base_norm.sensors.mean(axis=0)
     assert np.allclose(observed, 5.0 / stats.sensor_std, rtol=1e-9)
 
 
@@ -150,25 +182,32 @@ def test_dataset_cache_roundtrip(tmp_path, synth_train):
     norm, stats = normalize(synth_train)
     csv = tmp_path / "train_norm.csv"
     save_dataset(norm, str(csv))
-    back = load_dataset(str(csv), split="train")
-    assert back.sensor_names == norm.sensor_names
-    assert back.n_rows == norm.n_rows
-    for unit in norm.units:
-        a = np.stack([r.sensors for r in norm.units[unit]])
-        b = np.stack([r.sensors for r in back.units[unit]])
-        assert np.array_equal(a, b)  # bit-exact via repr-precision floats
+    with open(csv) as f:
+        header = f.readline().strip().split(",")
+    back = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+    n_set = len(norm.setting_names)
+    assert header == ["unit", "cycle", *norm.setting_names, *norm.sensor_names]
+    assert back.shape[0] == norm.n_rows
+    counts = np.diff(norm.offsets)
+    assert np.array_equal(back[:, 0], np.repeat(norm.unit_ids, counts))
+    assert np.array_equal(back[:, 1], np.concatenate(
+        [np.arange(1, n + 1) for n in counts]))
+    # bit-exact via repr-precision floats
+    assert np.array_equal(back[:, 2 : 2 + n_set], norm.settings)
+    assert np.array_equal(back[:, 2 + n_set :], norm.sensors)
 
 
 def test_stats_sidecar_roundtrip(tmp_path, synth_train):
     _, stats = normalize(synth_train)
     p = tmp_path / "stats.json"
     save_stats(stats, str(p))
-    back = load_stats(str(p))
-    assert back.sensor_names == stats.sensor_names
-    assert back.dropped == stats.dropped
-    assert back.rul_cap == stats.rul_cap
-    assert np.array_equal(back.sensor_mean, stats.sensor_mean)
-    assert np.array_equal(back.sensor_std, stats.sensor_std)
+    with open(p) as f:
+        back = json.load(f)
+    assert tuple(back["sensor_mean"]) == stats.sensor_names
+    assert tuple(back["dropped"]) == stats.dropped
+    assert back["rul_cap"] == stats.rul_cap
+    assert np.array_equal(list(back["sensor_mean"].values()), stats.sensor_mean)
+    assert np.array_equal(list(back["sensor_std"].values()), stats.sensor_std)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +216,11 @@ def test_stats_sidecar_roundtrip(tmp_path, synth_train):
 
 def test_rul_targets_shape_and_invariants(synth_train):
     targets = build_rul_targets(synth_train, cap=125)
-    for unit, recs in synth_train.units.items():
+    counts = np.diff(synth_train.offsets)
+    assert sorted(targets) == synth_train.unit_ids.tolist()
+    for unit, n in zip(synth_train.unit_ids.tolist(), counts):
         t = targets[unit]
-        assert t.shape == (len(recs),)
+        assert t.shape == (n,)
         assert t[-1] == 0.0  # failure cycle
         assert np.all(t >= 0) and np.all(t <= 125)
         assert np.all(np.diff(t) <= 0)  # nonincreasing
@@ -192,8 +233,7 @@ def test_rul_cap_applies(tmp_path):
     )
     ds = parse_cmapss(f"{tmp_path}/train_FD001.txt")
     targets = build_rul_targets(ds, cap=30)
-    for unit, recs in ds.units.items():
-        t = targets[unit]
+    for t in targets.values():
         assert t[0] == 30.0  # early life is clamped
         assert np.all(t <= 30.0)
         assert t[-1] == 0.0
@@ -225,11 +265,12 @@ def test_to_trajectories(synth_train):
     norm, stats = normalize(synth_train)
     targets = build_rul_targets(synth_train, cap=stats.rul_cap)
     trajs = to_trajectories(norm, targets)
-    assert [t.unit_id for t in trajs] == sorted(norm.units)
+    assert [t.unit_id for t in trajs] == norm.unit_ids.tolist()
     tr = trajs[0]
     assert tr.x.shape[1] == len(stats.sensor_names)
     assert tr.u.shape == (tr.length, len(stats.setting_names))
     assert tr.rul.shape == (tr.length,)
+    assert all(t.x.flags.c_contiguous and t.u.flags.c_contiguous for t in trajs)
 
 
 def test_train_val_split_last_units(synth_train):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from avfp.data import Trajectory, gen_linear_gaussian, LinearGaussianSpec
+from avfp.diffcore import NonFiniteError
 from avfp.evalcli import (
     PredictionSet,
     RunRecord,
@@ -235,6 +236,28 @@ def test_run_summary_invariants(corpus, exp_setup):
     assert len(lengths) == 1  # every run sees the same eval checkpoints
 
 
+def test_run_experiment_records_non_finite_eval_as_aborted(
+        corpus, exp_setup, monkeypatch):
+    import avfp.evalcli as cli
+
+    real_predict = cli.predict_rul
+    calls = []
+
+    def predict_once_non_finite(*a, **kw):
+        calls.append(1)
+        if len(calls) == 1:
+            raise NonFiniteError("non-finite result from 'gru_cell'")
+        return real_predict(*a, **kw)
+
+    monkeypatch.setattr(cli, "predict_rul", predict_once_non_finite)
+    spec, config = exp_setup
+    s = run_experiment(corpus.train_trajs, corpus.test_trajs, corpus.truth,
+                       spec, config, n_runs=2)
+    assert s.aborted_runs == [0]
+    assert [r.run for r in s.completed] == [1]
+    assert np.isfinite(s.mean_rmse)
+
+
 def test_aborted_runs_are_excluded_from_aggregates():
     good = RunRecord(run=0, seed=0, best_step=10, best_rmse=20.0,
                      curve=[(10, 20.0)])
@@ -450,6 +473,19 @@ def test_cli_training_abort_exits_3(synth_dir, monkeypatch, tmp_path, capsys):
     rc = main(["train", "--data", synth_dir, "--out", str(tmp_path)])
     assert rc == 3
     assert "aborted" in capsys.readouterr().err
+
+
+def test_cli_non_finite_exits_3(synth_dir, monkeypatch, tmp_path, capsys):
+    import avfp.evalcli as cli
+
+    def explode(*a, **kw):
+        raise NonFiniteError("non-finite result from 'gauss_kl'")
+
+    monkeypatch.setattr(cli, "train", explode)
+    rc = main(["train", "--data", synth_dir, "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["non-finite values: non-finite result from 'gauss_kl'"]
 
 
 def test_cli_gradcheck_smoke(capsys):

@@ -99,14 +99,13 @@ def test_gru_gate_saturation_limits():
     assert np.allclose(out.data, h.data, atol=1e-12)
 
 
-def test_encode_history_counts_steps():
+def test_encode_history_state_shapes():
     spec = small_spec()
     p = init_params(spec, markovian=False, seed=1)
     x, u, z = np.zeros(spec.n_x), np.zeros(spec.n_u), np.zeros(spec.n_z)
     s0 = encode_history(p, None, x, u, z)
     s1 = encode_history(p, s0, x, u, z)
-    assert (s0.t, s1.t) == (0, 1)
-    assert s0.h.shape == (spec.n_h,)
+    assert s0.h.shape == s1.h.shape == (spec.n_h,)
 
 
 def test_markovian_summary_is_inputs_only():
@@ -224,7 +223,6 @@ def test_linear_gaussian_model_is_exact():
     p = linear_gaussian_model(lg, seed=1)
     z_prev = g.standard_normal(2)
     st = advance_prior_state(p, None, z_prev, np.zeros(1))
-    st = avm.HistoryState(h=st.h, t=1)
     pr = transition_prior(p, st, constant(z_prev), step=1)
     assert np.allclose(pr.mean.data, lg.A @ z_prev, atol=1e-14)
     assert np.allclose(pr.log_var.data, np.log(lg.q_diag), atol=1e-14)

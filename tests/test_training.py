@@ -1,5 +1,8 @@
 """Optimizer, minimax loop, checkpointing, and the toy adversarial game."""
 
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -319,6 +322,44 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
         for k in a["m"]:
             assert np.array_equal(a["m"][k], b["m"][k])
             assert np.array_equal(a["v"][k], b["v"][k])
+
+
+def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
+    res = train(toy_trajs(2), small_spec(), quick_config(epochs=1))
+    path = tmp_path / "run.ckpt"
+    save_checkpoint(res.checkpoint, str(path))
+    before = path.read_bytes()
+
+    real_open = open
+
+    class FailsMidWrite:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, b):
+            self.f.write(b[: len(b) // 2])
+            raise OSError("no space left on device")
+
+    def failing_open(file, mode="r", *a, **kw):
+        f = real_open(file, mode, *a, **kw)
+        return FailsMidWrite(f) if "w" in mode else f
+
+    newer = replace(res.checkpoint, step=res.checkpoint.step + 1)
+    monkeypatch.setattr("builtins.open", failing_open)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(newer, str(path))
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["run.ckpt"]
+    save_checkpoint(newer, str(path))
+    assert load_checkpoint(str(path)).step == newer.step
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
