@@ -1,12 +1,12 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Every primitive is one entry of the op table, name -> (forward, vjp).
-The basic set is elementwise add/sub/mul, matmul,
-tanh/sigmoid/exp/log/softplus, full reductions sum/mean, rank-1
+The basic set is elementwise add/sub/mul (either operand may be 0-d),
+matmul, tanh/sigmoid/exp/log/softplus, full reductions sum/mean, rank-1
 concat/slice, broadcast, and a hard clip.  Four fused primitives with
 hand-written backward rules carry the model's hot paths:
 
-  affine        W @ x + b
+  affine        W @ x + b, for one input x or for each row of a batch
   gru_cell      one gated recurrent update, gates packed row-wise
                 [reset; update; cand]: one W @ x + b and one U @ h
   gauss_logpdf  log N(x; mean, diag(exp(log_var))), summed
@@ -103,27 +103,27 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, uid={self.uid})"
 
-    # -- operator sugar; scalars are lifted and broadcast ---------------
+    # -- operator sugar; scalars are lifted to 0-d constants ------------
     def __add__(self, other):
-        return _binary("add", self, other)
+        return apply_primitive("add", self, _lift(other))
 
     def __radd__(self, other):
-        return _binary("add", _lift(other), self)
+        return apply_primitive("add", _lift(other), self)
 
     def __sub__(self, other):
-        return _binary("sub", self, other)
+        return apply_primitive("sub", self, _lift(other))
 
     def __rsub__(self, other):
-        return _binary("sub", _lift(other), self)
+        return apply_primitive("sub", _lift(other), self)
 
     def __mul__(self, other):
-        return _binary("mul", self, other)
+        return apply_primitive("mul", self, _lift(other))
 
     def __rmul__(self, other):
-        return _binary("mul", _lift(other), self)
+        return apply_primitive("mul", _lift(other), self)
 
     def __neg__(self):
-        return _binary("mul", self, _lift(-1.0))
+        return apply_primitive("mul", self, _lift(-1.0))
 
     def __matmul__(self, other):
         return apply_primitive("matmul", self, _lift(other))
@@ -143,17 +143,6 @@ class Tensor:
 
 def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x, const=True)
-
-
-def _binary(op: str, a, b) -> Tensor:
-    a = _lift(a)
-    b = _lift(b)
-    if a.data.shape != b.data.shape:
-        if a.data.shape == ():
-            a = apply_primitive("broadcast", a, shape=b.data.shape)
-        elif b.data.shape == ():
-            b = apply_primitive("broadcast", b, shape=a.data.shape)
-    return apply_primitive(op, a, b)
 
 
 def constant(x) -> Tensor:
@@ -245,8 +234,14 @@ class no_tape:
 
 
 def _shape_match(op, a, b):
-    if a.shape != b.shape:
+    # equal shapes, or one 0-d operand that numpy broadcasts
+    if a.shape != b.shape and a.shape != () and b.shape != ():
         raise ValueError(f"'{op}' shape mismatch: {a.shape} vs {b.shape}")
+
+
+def _unbroadcast(c, x):
+    """An adjoint contribution summed down to its 0-d input's shape."""
+    return c.sum() if x.shape == () and c.shape != () else c
 
 
 def _add(a, b):
@@ -255,7 +250,8 @@ def _add(a, b):
 
 
 def _add_vjp(g, vals, out, aux):
-    return g, g
+    a, b = vals
+    return _unbroadcast(g, a), _unbroadcast(g, b)
 
 
 def _sub(a, b):
@@ -264,7 +260,8 @@ def _sub(a, b):
 
 
 def _sub_vjp(g, vals, out, aux):
-    return g, -g
+    a, b = vals
+    return _unbroadcast(g, a), _unbroadcast(-g, b)
 
 
 def _mul(a, b):
@@ -274,7 +271,7 @@ def _mul(a, b):
 
 def _mul_vjp(g, vals, out, aux):
     a, b = vals
-    return g * b, g * a
+    return _unbroadcast(g * b, a), _unbroadcast(g * a, b)
 
 
 def _matmul(a, b):
@@ -415,18 +412,24 @@ def _clip_vjp(g, vals, out, aux):
 
 
 def _affine(W, x, b):
+    # x is one input (n,) or a row batch (N, n), and each row gets
+    # W @ row + b; W is a matrix, or a row vector giving one scalar per row
+    n = x.shape[-1] if x.ndim in (1, 2) else -1
     if W.ndim == 2:
-        ok = x.shape == (W.shape[1],) and b.shape == (W.shape[0],)
-    else:  # a row vector: the result is a scalar
-        ok = W.ndim == 1 and x.shape == W.shape and b.shape == ()
+        ok = W.shape[1] == n and b.shape == (W.shape[0],)
+    else:
+        ok = W.shape == (n,) and b.shape == ()
     if not ok:
         raise ValueError(
             f"affine shapes unsupported: {W.shape} @ {x.shape} + {b.shape}")
-    return W @ x + b, None
+    return (W @ x if x.ndim == 1 else x @ W.T) + b, None
 
 
 def _affine_vjp(g, vals, out, aux):
     W, x, _ = vals
+    if x.ndim == 2:  # a row batch: g holds one adjoint per row of x
+        gx = np.multiply.outer(g, W) if W.ndim == 1 else g @ W
+        return g.T @ x, gx, g.sum(axis=0)
     if W.ndim == 1:
         return g * x, g * W, g
     return np.multiply.outer(g, x), W.T @ g, g

@@ -33,12 +33,12 @@ from .data import (
     save_stats,
     to_trajectories,
 )
-from .diffcore import NonFiniteError, Tensor, grad_check, no_tape
-from .model import GaussianDiag, ModelParams, NetworkSpec, init_params, rul_head
+from .diffcore import NonFiniteError, Tensor, grad_check
+from .model import GaussianDiag, ModelParams, NetworkSpec, init_params
 from .objectives import (
     adversarial_losses,
     combined_objective,
-    filter_forward,
+    filter_means,
     gaussian_log_density,
     kl_diag_gaussians,
     sequence_elbo,
@@ -49,6 +49,7 @@ from .training import (
     bound_gap_audit,
     load_checkpoint,
     params_from_checkpoint,
+    predict_sequence_rul,
     save_checkpoint,
     train,
 )
@@ -91,19 +92,9 @@ def rmse(pred: PredictionSet) -> float:
     return float(np.sqrt(np.mean((pred.predicted - pred.truth) ** 2)))
 
 
-def _last_cycle_prediction(params: ModelParams, traj: Trajectory) -> float:
-    """Regression-head readout at the final history state, deterministic."""
-    with no_tape():
-        fp = filter_forward(params, traj, None)
-        t = traj.length - 1
-        return float(rul_head(params, fp.states[t], fp.samples[t]).item())
-
-
 def latent_mean_curve(params: ModelParams, traj: Trajectory) -> np.ndarray:
     """(T, n_z) posterior means from a deterministic filter pass."""
-    with no_tape():
-        fp = filter_forward(params, traj, None)
-        return np.stack([q.mean.data for q in fp.posteriors])
+    return filter_means(params, traj)[1]
 
 
 @dataclass
@@ -186,7 +177,7 @@ def predict_rul(params: ModelParams, test_trajs: list[Trajectory],
 
     ordered = sorted(test_trajs, key=lambda t: t.unit_id)
     if mode == "supervised":
-        preds = [min(_last_cycle_prediction(params, t), float(cap))
+        preds = [min(float(predict_sequence_rul(params, t)[-1]), float(cap))
                  for t in ordered]
     else:
         if train_trajs is None:

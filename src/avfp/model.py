@@ -8,7 +8,8 @@ Four parameter partitions with strict ownership:
   phi    recognition side: gated recurrent encoder over observations,
          inputs and previous latents, plus the posterior head
   psi    latent-sequence discriminator
-  rho    remaining-life regression readout
+  rho    remaining-life regression readout over stacked rows
+         [h_t, mean_t] of the filtered belief, one row per cycle
 
 All densities are diagonal Gaussians parameterized by (mean, log_var)
 with log_var hard-clamped to [-10, 10].  In markovian mode both
@@ -59,7 +60,6 @@ class NetworkSpec:
     prior_hidden: int = 32
     disc_hidden: int = 32
     rul_hidden: int = 32
-    activation: str = "tanh"
 
     def __post_init__(self):
         for name in ("n_x", "n_u", "n_z", "n_h"):
@@ -71,15 +71,13 @@ class NetworkSpec:
                 raise ValueError(f"{name} must be non-negative")
         if self.n_z > self.n_h:
             raise ValueError("n_z must not exceed n_h")
-        if self.activation != "tanh":
-            raise ValueError("only tanh activation is supported")
 
     def to_dict(self) -> dict:
         return {
             "n_x": self.n_x, "n_u": self.n_u, "n_z": self.n_z, "n_h": self.n_h,
             "enc_hidden": self.enc_hidden, "dec_hidden": self.dec_hidden,
             "prior_hidden": self.prior_hidden, "disc_hidden": self.disc_hidden,
-            "rul_hidden": self.rul_hidden, "activation": self.activation,
+            "rul_hidden": self.rul_hidden,
         }
 
 
@@ -93,13 +91,6 @@ class GaussianDiag:
     def __post_init__(self):
         if self.mean.shape != self.log_var.shape:
             raise ValueError("mean/log_var shape mismatch")
-
-
-@dataclass
-class HistoryState:
-    """Recurrent summary of everything seen up to and including step t."""
-
-    h: Tensor
 
 
 @dataclass
@@ -238,54 +229,53 @@ def sample_reparam(g: GaussianDiag, noise) -> Tensor:
 # recognition side (phi)
 
 
-def encode_history(params: ModelParams, prev: HistoryState | None,
-                   x_t, u_t, z_prev) -> HistoryState:
-    """Fold (x_t, u_t, z_{t-1}) into the recognition summary.
+def encode_history(params: ModelParams, prev: Tensor | None,
+                   x_t, u_t, z_prev) -> Tensor:
+    """Fold (x_t, u_t, z_{t-1}) into the recognition summary h_t.
 
     Markovian mode carries no state: the summary is just the current
     inputs, so the posterior can only see adjacent information.
     """
     inp = concat([constant(x_t), constant(u_t), constant(z_prev)])
     if params.markovian:
-        return HistoryState(h=inp)
-    h_prev = params.phi["h0"] if prev is None else prev.h
-    return HistoryState(h=gru_step(params.phi, "gru", h_prev, inp))
+        return inp
+    h_prev = params.phi["h0"] if prev is None else prev
+    return gru_step(params.phi, "gru", h_prev, inp)
 
 
-def recognition(params: ModelParams, state: HistoryState) -> GaussianDiag:
+def recognition(params: ModelParams, state: Tensor) -> GaussianDiag:
     """Posterior belief over z_t given the recognition summary."""
-    return _gaussian_head(params.phi, "enc", params.spec.enc_hidden, state.h)
+    return _gaussian_head(params.phi, "enc", params.spec.enc_hidden, state)
 
 
 # ---------------------------------------------------------------------------
 # generative side (theta)
 
 
-def advance_prior_state(params: ModelParams, prev: HistoryState | None,
-                        z_prev, u_t) -> HistoryState:
+def advance_prior_state(params: ModelParams, prev: Tensor | None,
+                        z_prev, u_t) -> Tensor:
     """Fold (z_{t-1}, u_t) into the prior's own recurrent summary."""
     if params.markovian:
-        return HistoryState(h=constant(np.zeros(0)))
-    z_prev = z_prev if isinstance(z_prev, Tensor) else constant(z_prev)
-    inp = concat([z_prev, constant(u_t)])
-    g_prev = params.theta["g0"] if prev is None else prev.h
-    return HistoryState(h=gru_step(params.theta, "gru", g_prev, inp))
+        return constant(np.zeros(0))
+    inp = concat([constant(z_prev), constant(u_t)])
+    g_prev = params.theta["g0"] if prev is None else prev
+    return gru_step(params.theta, "gru", g_prev, inp)
 
 
-def transition_prior(params: ModelParams, state: HistoryState,
+def transition_prior(params: ModelParams, state: Tensor,
                      z_prev, step: int) -> GaussianDiag:
     """p(z_t | z_{t-1}, history); the first step is pinned to N(0, I)."""
     if step == 0:
         zeros = constant(np.zeros(params.spec.n_z))
         return GaussianDiag(mean=zeros, log_var=constant(np.zeros(params.spec.n_z)))
-    z_prev = z_prev if isinstance(z_prev, Tensor) else constant(z_prev)
-    inp = z_prev if params.markovian else concat([z_prev, state.h])
+    z_prev = constant(z_prev)
+    inp = z_prev if params.markovian else concat([z_prev, state])
     return _gaussian_head(params.theta, "pri", params.spec.prior_hidden, inp)
 
 
-def emission(params: ModelParams, state: HistoryState, z_t: Tensor) -> GaussianDiag:
+def emission(params: ModelParams, state: Tensor, z_t: Tensor) -> GaussianDiag:
     """p(x_t | z_t, history); never conditioned on the current x_t."""
-    inp = z_t if params.markovian else concat([z_t, state.h])
+    inp = z_t if params.markovian else concat([z_t, state])
     return _gaussian_head(params.theta, "dec", params.spec.dec_hidden, inp)
 
 
@@ -313,12 +303,18 @@ def discriminate(params: ModelParams, z_seq: list[Tensor]) -> Tensor:
     return sigmoid(logit)
 
 
-def rul_head(params: ModelParams, state: HistoryState, z_mean: Tensor) -> Tensor:
-    """Non-negative remaining-life estimate from the filtered belief."""
-    inp = concat([state.h, z_mean])
+def rul_head(params: ModelParams, feats) -> Tensor:
+    """Non-negative remaining-life estimates from the filtered belief.
+
+    feats stacks one row [h_t, mean_t] per cycle, shape (N, d); the
+    result holds the N estimates.
+    """
+    feats = constant(feats)
+    if feats.data.ndim != 2:
+        raise ValueError(f"rul_head expects stacked rows, got {feats.shape}")
     rho = params.rho
-    feat = tanh(affine(rho["l1.W"], inp, rho["l1.b"]))
-    return softplus(affine(rho["out.w"], feat, rho["out.b"]))
+    hidden = tanh(affine(rho["l1.W"], feats, rho["l1.b"]))
+    return softplus(affine(rho["out.w"], hidden, rho["out.b"]))
 
 
 # ---------------------------------------------------------------------------

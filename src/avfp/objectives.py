@@ -5,7 +5,11 @@ at each step the recognition summary is updated with the current
 observation first, the posterior over z_t is read off, a single
 reparameterized sample is drawn with externally supplied noise, and the
 emission term plus the closed-form KL against the transition prior are
-accumulated.  The first-step prior is pinned to N(0, I).
+accumulated.  The first-step prior is pinned to N(0, I).  filter_means
+runs the pass deterministically (the posterior mean stands in for the
+sample) with recording off and returns the stacked per-cycle summaries
+and posterior means that the remaining-life and health-index readouts
+read.
 
 The adversarial pair treats latent sequences rolled out from the
 transition prior as real and recognition-sampled sequences as fake.
@@ -35,7 +39,6 @@ from .diffcore import (
 )
 from .model import (
     GaussianDiag,
-    HistoryState,
     ModelParams,
     advance_prior_state,
     discriminate,
@@ -63,7 +66,7 @@ class ObjectiveBreakdown:
 class FilterPass:
     """Everything the filtering pass produced, step-aligned."""
 
-    states: list[HistoryState]
+    states: list[Tensor]
     posteriors: list[GaussianDiag]
     priors: list[GaussianDiag]
     samples: list[Tensor]
@@ -120,6 +123,17 @@ def filter_forward(params: ModelParams, traj: Trajectory,
         out.kl_steps.append(kl_diag_gaussians(post, prior))
         z_prev = z_t
     return out
+
+
+def filter_means(params: ModelParams,
+                 traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic, untaped filtering: the stacked (T, d_h) recognition
+    summaries h_t and (T, n_z) posterior means, one row per cycle."""
+    with no_tape():
+        fp = filter_forward(params, traj, None)
+    # np.array copies a list of equal-length rows faster than np.stack
+    return (np.array([h.data for h in fp.states]),
+            np.array([q.mean.data for q in fp.posteriors]))
 
 
 def _accumulate(parts: list[Tensor]) -> Tensor:
@@ -218,9 +232,7 @@ def combined_objective(
             z_real = prior_rollout(params, traj.u, pn)
             d_real = discriminate(params, z_real)
             disc_loss, _ = adversarial_losses(
-                stack_scalars([constant(d_real.data)]),
-                stack_scalars([constant(d_fake.data)]),
-            )
+                stack_scalars([d_real]), stack_scalars([d_fake]))
             adv_disc_val = disc_loss.item()
         adv_gen_val = adv_gen.item()
         combined = elbo - adv_gen * lambda_adv

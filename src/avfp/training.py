@@ -7,8 +7,9 @@ Each batch runs up to three phases with strict parameter isolation:
      then scored; only psi moves.
   2. joint generative/recognition (theta, phi): maximize the combined
      objective; psi gradients exist on the tape but are not applied.
-  3. remaining-life readout (rho): squared error of the per-cycle
-     prediction against capped targets on detached filter features.
+  3. remaining-life readout (rho): mean squared error against capped
+     targets of one readout over the batch's stacked, detached filter
+     rows [h_t, mean_t].
 
 Randomness is derived per (seed, purpose, step), never from a shared
 mutable generator, so a run checkpointed at step s and resumed
@@ -50,7 +51,6 @@ from .diffcore import (
     tanh,
 )
 from .model import (
-    HistoryState,
     ModelParams,
     NetworkSpec,
     discriminate,
@@ -62,6 +62,7 @@ from .objectives import (
     adversarial_losses,
     combined_objective,
     filter_forward,
+    filter_means,
     prior_rollout,
     sequence_elbo,
     stack_scalars,
@@ -229,12 +230,17 @@ class TrainResult:
 
 def predict_sequence_rul(params: ModelParams, traj: Trajectory) -> np.ndarray:
     """Per-cycle remaining-life estimates from deterministic filtering."""
+    feats = np.hstack(filter_means(params, traj))
     with no_tape():
-        fp = filter_forward(params, traj, None)
-        out = np.empty(traj.length)
-        for t in range(traj.length):
-            out[t] = rul_head(params, fp.states[t], fp.samples[t]).item()
-    return out
+        return rul_head(params, feats).data
+
+
+def readout_loss(params: ModelParams, trajs: list[Trajectory]) -> Tensor:
+    """Mean squared error against the capped targets of one readout over
+    the stacked rows of every trajectory; the filter rows are detached."""
+    feats = np.vstack([np.hstack(filter_means(params, t)) for t in trajs])
+    err = rul_head(params, feats) - np.concatenate([t.rul for t in trajs])
+    return (err * err).mean()
 
 
 def rmse_per_cycle(params: ModelParams, trajs: list[Trajectory]) -> float:
@@ -411,23 +417,8 @@ def train(
             # phase 3: remaining-life readout
             if supervised:
                 try:
-                    with no_tape():
-                        feats = []
-                        for traj in batch:
-                            fp = filter_forward(params, traj, None)
-                            feats.append([
-                                (constant(fp.states[t].h.data),
-                                 constant(fp.samples[t].data))
-                                for t in range(traj.length)
-                            ])
                     with Tape() as tape:
-                        errs = []
-                        for traj, rows in zip(batch, feats):
-                            for t, (h, zm) in enumerate(rows):
-                                pred = rul_head(params, HistoryState(h=h), zm)
-                                errs.append(pred + (-float(traj.rul[t])))
-                        err_vec = stack_scalars(errs)
-                        rul_loss = (err_vec * err_vec).mean()
+                        rul_loss = readout_loss(params, batch)
                     grads = _grads_for(rul_group, backward(tape, rul_loss))
                     grads, _ = clip_by_global_norm(
                         grads, config.gradient_clip_norm)
@@ -658,8 +649,6 @@ def _checkpoint_table(ckpt: Checkpoint) -> dict[str, np.ndarray]:
     """Everything as named float64 arrays (ints/bools are exact < 2^53)."""
     table: dict[str, np.ndarray] = {}
     for k, v in ckpt.spec.to_dict().items():
-        if k == "activation":
-            continue  # only tanh exists; nothing to encode
         table[f"spec/{k}"] = np.float64(v)
     for k, v in ckpt.config.to_dict().items():
         table[f"config/{k}"] = np.float64(float(v))

@@ -69,6 +69,39 @@ def test_scalar_broadcast_sugar():
     assert np.allclose((-t).data, [-1.0, -2.0, -3.0])
 
 
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+@pytest.mark.parametrize("scalar_first", [False, True])
+def test_scalar_operand_gradcheck(op, scalar_first):
+    rng = np.random.default_rng(17)
+    params = [Tensor(np.array(rng.uniform(0.5, 1.5))),
+              Tensor(rng.uniform(0.5, 1.5, 5))]
+    if scalar_first:
+        params.reverse()
+    binop = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+             "*": lambda a, b: a * b}[op]
+    w = dc.constant(rng.uniform(0.5, 1.5, 5))
+
+    def f(ps):
+        return (binop(ps[0], ps[1]) * w).sum()
+
+    assert grad_check(f, params) < 1e-6
+    with Tape() as tape:
+        out = f(params)
+    grads = backward(tape, out)
+    assert {p.uid: grads[p.uid].shape for p in params} == \
+        {p.uid: p.shape for p in params}
+
+
+def test_scalar_operand_records_no_broadcast():
+    t = dc.parameter([1.0, 2.0, 3.0])
+    with Tape() as tape:
+        out = t * 2.0
+        loss = (1.0 - out).sum()
+    assert "broadcast" not in tape.ops
+    assert tape.ops.count("leaf") == 3  # t and the two lifted scalars
+    assert backward(tape, loss)[t.uid].tolist() == [-2.0, -2.0, -2.0]
+
+
 def test_matmul_shapes():
     a = Tensor(np.arange(6.0).reshape(2, 3))
     v = Tensor([1.0, 1.0, 1.0])
@@ -381,6 +414,52 @@ def test_fused_primitive_matches_unfused_composition(case):
         assert np.abs(g_f[p.uid] - g_u[p.uid]).max() <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("shape", [(N_H, N_H + N_Z), (N_H,)],
+                         ids=["matrix", "row_vector"])
+def test_batched_affine_matches_rows(shape):
+    """affine on an (N, n) row batch, at the readout's default shapes:
+    l1 maps rows [h_t, mean_t] of width 40 to 32, out maps 32 to 1."""
+    g = np.random.default_rng(23)
+    n_rows, n_in = 6, shape[-1]
+    W = Tensor(g.normal(0, n_in ** -0.5, shape))
+    X = Tensor(g.choice((-1.0, 1.0), (n_rows, n_in))
+               * g.uniform(0.5, 1.5, (n_rows, n_in)))
+    b = Tensor(g.uniform(0.05, 0.15, shape[:-1]))
+    w = dc.constant(g.uniform(0.5, 1.5, (n_rows,) + shape[:-1]))
+
+    def batched(ps):
+        return (dc.affine(*ps) * w).sum()
+
+    params = [W, X, b]
+    for k in range(3):
+        def f(ps, k=k):
+            return batched(params[:k] + ps + params[k + 1:])
+
+        assert grad_check(f, [params[k]], step=1e-2) < 1e-6, f"input {k}"
+
+    with Tape() as tape:
+        out = dc.affine(W, X, b)
+        loss = (out * w).sum()
+    g_batch = backward(tape, loss)
+    rows = [Tensor(r) for r in X.data]
+    with Tape() as tape:
+        outs = [dc.affine(W, r, b) for r in rows]
+        loss_rows = None
+        for o, wi in zip(outs, w.data):
+            term = (o * dc.constant(wi)).sum()
+            loss_rows = term if loss_rows is None else loss_rows + term
+    g_rows = backward(tape, loss_rows)
+
+    def close(a, ref):
+        return np.abs(a - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    assert out.shape == (n_rows,) + shape[:-1]
+    assert close(out.data, np.stack([o.data for o in outs]))
+    assert close(g_batch[W.uid], g_rows[W.uid])
+    assert close(g_batch[b.uid], g_rows[b.uid])
+    assert close(g_batch[X.uid], np.stack([g_rows[r.uid] for r in rows]))
+
+
 def test_gru_cell_overflow_is_loud():
     g = np.random.default_rng(4)
     W = g.normal(0, 1.0, (3 * N_H, N_IN))
@@ -405,6 +484,10 @@ def test_gru_cell_overflow_is_loud():
 def test_fused_shape_errors():
     with pytest.raises(ValueError):
         dc.affine(Tensor(np.ones((3, 4))), Tensor(np.ones(4)), Tensor(np.ones(4)))
+    with pytest.raises(ValueError):
+        dc.affine(Tensor(np.ones((3, 4))), Tensor(np.ones((5, 3))), Tensor(np.ones(3)))
+    with pytest.raises(ValueError):
+        dc.affine(Tensor(np.ones(4)), Tensor(np.ones((2, 5, 4))), Tensor(0.0))
     with pytest.raises(ValueError):
         dc.gru_cell(Tensor(np.ones((9, 2))), Tensor(np.ones((9, 3))),
                     Tensor(np.ones(9)), Tensor(np.ones(2)), Tensor(np.ones(2)))

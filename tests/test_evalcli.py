@@ -25,7 +25,13 @@ from avfp.evalcli import (
     run_experiment,
 )
 from avfp.model import NetworkSpec, init_params
-from avfp.training import TrainConfig, TrainingAborted, save_checkpoint, train
+from avfp.training import (
+    TrainConfig,
+    TrainingAborted,
+    predict_sequence_rul,
+    save_checkpoint,
+    train,
+)
 
 
 def pset(pairs):
@@ -116,6 +122,17 @@ def test_supervised_prediction_deterministic_and_order_invariant():
     b = predict_rul(params, list(reversed(trajs)), truth)
     assert a.unit_ids == b.unit_ids == (1, 2, 3, 4)
     assert np.array_equal(a.predicted, b.predicted)
+
+
+def test_supervised_prediction_is_clamped_last_cycle_readout():
+    params = tiny_params(seed=7)
+    params.rho["out.b"].data[...] = 3.0
+    trajs = rand_trajs(6, 9, seed=5)
+    last = np.array([predict_sequence_rul(params, t)[-1] for t in trajs])
+    cap = float(np.median(last))
+    pred = predict_rul(params, trajs, {t.unit_id: 1.0 for t in trajs}, cap=cap)
+    assert np.array_equal(pred.predicted, np.minimum(last, cap))
+    assert np.any(last > cap) and np.any(last < cap)
 
 
 def test_predict_error_contracts():

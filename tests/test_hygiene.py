@@ -1,0 +1,58 @@
+"""Source hygiene: every top-level import in the package is used."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "avfp"
+NOQA = "# noqa: F401"
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """Names listed in a module-level __all__."""
+    out = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            out |= {e.value for e in node.value.elts}
+    return out
+
+
+def unused_imports(path: pathlib.Path) -> list[str]:
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= _exported(tree)
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            marked = NOQA in lines[node.lineno - 1] or NOQA in lines[alias.lineno - 1]
+            if bound not in used and not marked:
+                unused.append(f"{path.name}:{alias.lineno}: {bound}")
+    return unused
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_unused_import_check_catches_a_dead_import(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import json  # noqa: F401\n"
+        "from .diffcore import (\n    Tensor,\n    no_tape,\n)\n"
+        "from .model import rul_head, init_params\n"
+        "__all__ = ['init_params']\n"
+        "def f(t: Tensor) -> None:\n    return os.sep\n")
+    assert unused_imports(mod) == ["mod.py:6: no_tape", "mod.py:8: rul_head"]

@@ -6,9 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from avfp import diffcore as dc
 from avfp.data import LinearGaussianSpec, gen_linear_gaussian, kalman_loglik
-from avfp.diffcore import Tensor
-from avfp.model import NetworkSpec, linear_gaussian_model
+from avfp.diffcore import Tape, Tensor, backward
+from avfp.model import NetworkSpec, init_params, linear_gaussian_model
+from avfp.objectives import filter_means, stack_scalars
 from avfp.training import (
     BoundAuditRow,
     OptimizerState,
@@ -20,6 +22,7 @@ from avfp.training import (
     load_checkpoint,
     mc_elbo,
     predict_sequence_rul,
+    readout_loss,
     rmse_per_cycle,
     save_checkpoint,
     train,
@@ -271,6 +274,42 @@ def test_predict_sequence_rul_shape_and_sign():
     pred = predict_sequence_rul(res.params, trajs[0])
     assert pred.shape == (12,)
     assert np.all(pred >= 0.0)  # soft-plus readout cannot go negative
+
+
+def test_readout_loss_matches_per_row_reference():
+    # a ragged batch; the reference applies the readout one row at a time
+    trajs = []
+    for s, T in enumerate((5, 9, 7)):
+        tr = gen_linear_gaussian(toy_lg(), T, seed=10 + s)
+        tr.rul = np.arange(T - 1, -1, -1, dtype=float) * 3.0
+        trajs.append(tr)
+    params = init_params(small_spec(), markovian=False, seed=5)
+    with Tape() as tape:
+        loss = readout_loss(params, trajs)
+    grads = backward(tape, loss)
+    assert len(tape) <= 20
+    with Tape() as one:
+        readout_loss(params, trajs[:1])
+    assert len(one) == len(tape)  # independent of the row count
+
+    rho = params.rho
+    with Tape() as tape:
+        errs = []
+        for tr in trajs:
+            for row, target in zip(np.hstack(filter_means(params, tr)), tr.rul):
+                hidden = dc.tanh(dc.affine(rho["l1.W"], dc.constant(row),
+                                           rho["l1.b"]))
+                pred = dc.softplus(dc.affine(rho["out.w"], hidden, rho["out.b"]))
+                errs.append(pred - target)
+        err = stack_scalars(errs)
+        ref = (err * err).mean()
+    ref_grads = backward(tape, ref)
+
+    assert abs(loss.item() - ref.item()) <= 1e-12 * abs(ref.item())
+    assert set(grads) == {p.uid for p in rho.values()}
+    for name, p in rho.items():
+        scale = np.abs(ref_grads[p.uid]).max()
+        assert np.abs(grads[p.uid] - ref_grads[p.uid]).max() <= 1e-12 * scale, name
 
 
 def test_rmse_per_cycle_matches_manual_computation():
