@@ -2,15 +2,16 @@
 
 Every primitive is one entry of the op table, name -> (forward, vjp).
 The basic set is elementwise add/sub/mul (either operand may be 0-d),
-matmul, tanh/sigmoid/exp/log/softplus, full reductions sum/mean, rank-1
-concat/slice, broadcast, and a hard clip.  Four fused primitives with
-hand-written backward rules carry the model's hot paths:
+matmul, tanh/sigmoid/exp/log/softplus, full reductions sum/mean,
+concat along a static axis, slice of the leading axis, broadcast, and a
+hard clip.  Four fused primitives with hand-written backward rules carry
+the model's hot paths, each for one input or for a batch of rows:
 
-  affine        W @ x + b, for one input x or for each row of a batch
+  affine        W @ x + b
   gru_cell      one gated recurrent update, gates packed row-wise
                 [reset; update; cand]: one W @ x + b and one U @ h
-  gauss_logpdf  log N(x; mean, diag(exp(log_var))), summed
-  gauss_kl      KL between two diagonal Gaussians, summed
+  gauss_logpdf  log N(x; mean, diag(exp(log_var))), summed per row
+  gauss_kl      KL between two diagonal Gaussians, summed per row
 
 Every primitive checks its result for NaN/Inf and raises instead of
 propagating silently.  A Tape is an append-only record of primitive
@@ -354,25 +355,28 @@ def _mean_vjp(g, vals, out, aux):
     return (np.broadcast_to(g / vals[0].size, vals[0].shape),)
 
 
-def _concat(*parts):
-    for p in parts:
-        if p.ndim != 1:
-            raise ValueError("concat expects rank-1 inputs")
-    return np.concatenate(parts), None
+def _concat(*parts, axis=0):
+    nd = parts[0].ndim
+    if nd == 0 or any(p.ndim != nd for p in parts) or not -nd <= axis < nd:
+        raise ValueError(f"concat of ranks {[p.ndim for p in parts]} "
+                         f"along axis {axis} unsupported")
+    return np.concatenate(parts, axis=axis), axis
 
 
 def _concat_vjp(g, vals, out, aux):
-    pieces = []
-    off = 0
+    lead = (slice(None),) * (aux % g.ndim)  # basic slicing: views, no copies
+    pieces, off = [], 0
     for v in vals:
-        pieces.append(g[off:off + v.shape[0]])
-        off += v.shape[0]
+        n = v.shape[aux]
+        pieces.append(g[lead + (slice(off, off + n),)])
+        off += n
     return pieces
 
 
 def _slice(x, start, stop):
-    if x.ndim != 1:
-        raise ValueError("slice expects a rank-1 input")
+    # rows start:stop of the leading axis
+    if x.ndim == 0:
+        raise ValueError("slice of a 0-d input")
     if not (0 <= start <= stop <= x.shape[0]):
         raise ValueError(f"slice [{start}:{stop}] out of range for {x.shape}")
     return x[start:stop].copy(), (start, stop)
@@ -436,19 +440,21 @@ def _affine_vjp(g, vals, out, aux):
 
 
 def _gru_cell(W, U, b, h, x):
-    n = h.shape[0] if h.ndim == 1 else 0
-    if (n == 0 or x.ndim != 1 or W.shape != (3 * n, x.shape[0])
-            or U.shape != (3 * n, n) or b.shape != (3 * n,)):
+    # one state h (n,) with input x (m,), or a row batch h (B, n), x (B, m)
+    n = h.shape[-1] if h.ndim in (1, 2) else 0
+    if (n == 0 or x.ndim != h.ndim or x.shape[:-1] != h.shape[:-1]
+            or W.shape != (3 * n, x.shape[-1]) or U.shape != (3 * n, n)
+            or b.shape != (3 * n,)):
         raise ValueError(
             f"gru_cell shapes unsupported: W {W.shape}, U {U.shape}, "
             f"b {b.shape}, h {h.shape}, x {x.shape}")
-    s = W @ x + b
-    t = U @ h
-    tc = t[2 * n:]
-    pre_ru = s[:2 * n] + t[:2 * n]
-    r = expit(pre_ru[:n])
-    u = expit(pre_ru[n:])
-    pre_c = s[2 * n:] + r * tc
+    s = x @ W.T + b
+    t = h @ U.T
+    tc = t[..., 2 * n:]
+    pre_ru = s[..., :2 * n] + t[..., :2 * n]
+    ru = expit(pre_ru)
+    r, u = ru[..., :n], ru[..., n:]
+    pre_c = s[..., 2 * n:] + r * tc
     # The gates saturate, so an overflow in W @ x + b or U @ h would leave
     # a finite output.  Every entry of both reaches pre_ru or pre_c, and
     # a NaN/Inf there stays NaN/Inf (r > 0, or r * inf is NaN), so this
@@ -464,42 +470,50 @@ def _gru_cell_vjp(g, vals, out, aux):
     d_pre_c = g * u * (1.0 - c * c)
     d_pre_r = d_pre_c * tc * r * (1.0 - r)
     d_pre_u = g * (c - h) * u * (1.0 - u)
-    ds = np.concatenate((d_pre_r, d_pre_u, d_pre_c))
-    dt = np.concatenate((d_pre_r, d_pre_u, d_pre_c * r))
-    return (np.multiply.outer(ds, x), np.multiply.outer(dt, h), ds,
-            g * (1.0 - u) + U.T @ dt, W.T @ ds)
+    ds = np.concatenate((d_pre_r, d_pre_u, d_pre_c), axis=-1)
+    dt = np.concatenate((d_pre_r, d_pre_u, d_pre_c * r), axis=-1)
+    if h.ndim == 1:
+        dW, dU, db = np.multiply.outer(ds, x), np.multiply.outer(dt, h), ds
+    else:
+        dW, dU, db = ds.T @ x, dt.T @ h, ds.sum(axis=0)
+    return dW, dU, db, g * (1.0 - u) + dt @ U, ds @ W
 
 
 def _gauss_logpdf(x, mean, log_var):
-    if not x.shape == mean.shape == log_var.shape:
+    # one density of a vector, or one per row of a matrix
+    if not x.shape == mean.shape == log_var.shape or x.ndim not in (1, 2):
         raise ValueError(f"gauss_logpdf shape mismatch: {x.shape}, "
                          f"{mean.shape}, {log_var.shape}")
     d = x - mean
     inv_var = np.exp(-log_var)
-    quad = (d * d * inv_var).sum()
-    out = (quad + log_var.sum()) * -0.5 + (-0.5 * LN_2PI * x.size)
+    quad = (d * d * inv_var).sum(axis=-1)
+    out = (quad + log_var.sum(axis=-1)) * -0.5 + (-0.5 * LN_2PI * x.shape[-1])
     return out, (d, inv_var)
 
 
 def _gauss_logpdf_vjp(g, vals, out, aux):
     d, inv_var = aux
+    g = np.expand_dims(g, -1)
     g_mean = g * d * inv_var
     return -g_mean, g_mean, (g * 0.5) * (d * d * inv_var - 1.0)
 
 
 def _gauss_kl(q_mean, q_log_var, p_mean, p_log_var):
-    if not q_mean.shape == q_log_var.shape == p_mean.shape == p_log_var.shape:
+    # one KL of vector Gaussians, or one per row of matrices
+    if (not q_mean.shape == q_log_var.shape == p_mean.shape == p_log_var.shape
+            or q_mean.ndim not in (1, 2)):
         raise ValueError("gauss_kl shape mismatch")
     diff_lv = q_log_var - p_log_var
     dm = q_mean - p_mean
     ratio = np.exp(diff_lv)
     inv_p = np.exp(-p_log_var)
     inner = ratio + dm * dm * inv_p - 1.0 - diff_lv
-    return inner.sum() * 0.5, (dm, ratio, inv_p)
+    return inner.sum(axis=-1) * 0.5, (dm, ratio, inv_p)
 
 
 def _gauss_kl_vjp(g, vals, out, aux):
     dm, ratio, inv_p = aux
+    g = np.expand_dims(g, -1)
     g_mean = g * dm * inv_p
     g_lv = (g * 0.5) * (ratio - 1.0)
     return g_mean, g_lv, -g_mean, -g_lv - (g * 0.5) * (dm * dm * inv_p)
@@ -534,8 +548,8 @@ def apply_primitive(op: str, *inputs, **kw) -> Tensor:
     """Apply one primitive, record it on the active tape if any.
 
     inputs are Tensors; kw carries the op's static arguments (slice
-    bounds, broadcast shape, clip range).  The result is checked for
-    finiteness before it is returned.
+    bounds, concat axis, broadcast shape, clip range).  The result is
+    checked for finiteness before it is returned.
     """
     entry = _OPS.get(op)
     if entry is None:
@@ -580,8 +594,11 @@ def softplus(t: Tensor) -> Tensor:
     return apply_primitive("softplus", t)
 
 
-def concat(parts) -> Tensor:
-    return apply_primitive("concat", *parts)
+def concat(parts, axis: int = 0) -> Tensor:
+    """The parts joined along axis; a single part is returned as is."""
+    if len(parts) == 1:
+        return parts[0]
+    return apply_primitive("concat", *parts, axis=axis)
 
 
 def broadcast_to(t: Tensor, shape) -> Tensor:

@@ -92,9 +92,16 @@ def rmse(pred: PredictionSet) -> float:
     return float(np.sqrt(np.mean((pred.predicted - pred.truth) ** 2)))
 
 
+def _latent_means(params: ModelParams,
+                  trajs: list[Trajectory]) -> list[np.ndarray]:
+    """Every unit's (T, n_z) posterior means from one filter pass."""
+    batch, _, means = filter_means(params, trajs)
+    return batch.unpack(means)
+
+
 def latent_mean_curve(params: ModelParams, traj: Trajectory) -> np.ndarray:
     """(T, n_z) posterior means from a deterministic filter pass."""
-    return filter_means(params, traj)[1]
+    return _latent_means(params, [traj])[0]
 
 
 @dataclass
@@ -110,15 +117,19 @@ class HealthIndexMap:
     center: np.ndarray
     curves: list[np.ndarray]
 
+    def project(self, means: np.ndarray) -> np.ndarray:
+        """Index curve of one unit's (T, n_z) latent means."""
+        return (means - self.center) @ self.direction
+
     def index_curve(self, params: ModelParams, traj: Trajectory) -> np.ndarray:
-        return (latent_mean_curve(params, traj) - self.center) @ self.direction
+        return self.project(latent_mean_curve(params, traj))
 
 
 def fit_health_index(params: ModelParams,
                      train_trajs: list[Trajectory]) -> HealthIndexMap:
     if not train_trajs:
         raise ValueError("health index needs training trajectories")
-    means = [latent_mean_curve(params, t) for t in train_trajs]
+    means = _latent_means(params, train_trajs)
     stacked = np.concatenate(means)
     center = stacked.mean(axis=0)
     _, _, vt = np.linalg.svd(stacked - center, full_matrices=False)
@@ -177,14 +188,14 @@ def predict_rul(params: ModelParams, test_trajs: list[Trajectory],
 
     ordered = sorted(test_trajs, key=lambda t: t.unit_id)
     if mode == "supervised":
-        preds = [min(float(predict_sequence_rul(params, t)[-1]), float(cap))
-                 for t in ordered]
+        preds = [min(float(p[-1]), float(cap))
+                 for p in predict_sequence_rul(params, ordered)]
     else:
         if train_trajs is None:
             raise ValueError("health_index mode needs training trajectories")
         hi = fit_health_index(params, train_trajs)
-        preds = [match_remaining_life(hi, hi.index_curve(params, t), cap)
-                 for t in ordered]
+        preds = [match_remaining_life(hi, hi.project(m), cap)
+                 for m in _latent_means(params, ordered)]
     return PredictionSet(
         unit_ids=tuple(t.unit_id for t in ordered),
         predicted=np.array(preds),
@@ -389,21 +400,23 @@ def gradient_audit(draws: int = 20, seed: int = 0) -> dict[str, float]:
             grad_check(lambda ps: adversarial_losses(ps[0], ps[1])[1], probs),
         )
 
+        # a ragged batch of two, so the audit covers the row cuts
         spec = _audit_spec()
         params = init_params(spec, markovian=False, seed=1000 + d)
-        traj = Trajectory(unit_id=0, x=g.standard_normal((5, spec.n_x)),
-                          u=g.standard_normal((5, spec.n_u)))
-        noise = g.standard_normal((5, spec.n_z))
+        trajs = [Trajectory(unit_id=k, x=g.standard_normal((T, spec.n_x)),
+                            u=g.standard_normal((T, spec.n_u)))
+                 for k, T in enumerate((5, 3))]
+        noise = [g.standard_normal((t.length, spec.n_z)) for t in trajs]
 
         tensors, rebuild = _model_leaves(params, ("theta", "phi"))
         worst["elbo"] = max(worst["elbo"], grad_check(
-            lambda ps: sequence_elbo(rebuild(ps), traj, noise)[0],
+            lambda ps: sequence_elbo(rebuild(ps), trajs, noise)[0],
             tensors, step=1e-5))
 
-        prior_noise = g.standard_normal((5, spec.n_z))
+        prior_noise = [g.standard_normal((t.length, spec.n_z)) for t in trajs]
         tensors, rebuild = _model_leaves(params, ("theta", "phi", "psi"))
         worst["combined"] = max(worst["combined"], grad_check(
-            lambda ps: combined_objective(rebuild(ps), traj, noise, 0.3,
+            lambda ps: combined_objective(rebuild(ps), trajs, noise, 0.3,
                                           prior_noise=prior_noise)[1],
             tensors, step=1e-5))
     return worst

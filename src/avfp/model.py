@@ -16,6 +16,12 @@ with log_var hard-clamped to [-10, 10].  In markovian mode both
 recurrent encoders are bypassed: the recognition head sees only
 (x_t, u_t, z_prev) and the prior/emission heads see only the adjacent
 latent, which removes every non-adjacent dependency.
+
+Every block takes one cycle (vectors) or a batch of rows (matrices, one
+row per trajectory or per stacked cycle).  A recurrent step whose
+previous state has more rows than its inputs keeps the first ones: the
+trajectories of a time-major batch that are still running.  The
+discriminator pools stacked latent rows into one score per trajectory.
 """
 
 from __future__ import annotations
@@ -29,9 +35,10 @@ from .data import LinearGaussianSpec
 from .diffcore import (
     Tensor,
     affine,
-    apply_primitive,
+    broadcast_to,
     concat,
     constant,
+    exp,
     gru_cell,
     sigmoid,
     softplus,
@@ -41,6 +48,7 @@ from .diffcore import (
 LOG_VAR_MIN = -10.0
 LOG_VAR_MAX = 10.0
 DISC_LOGIT_CLIP = 15.0
+_HALF = constant(0.5)  # one tape leaf however many samples are drawn
 
 
 @dataclass(frozen=True)
@@ -207,6 +215,17 @@ def gru_step(group: dict[str, Tensor], prefix: str, h: Tensor, inp: Tensor) -> T
                     group[f"{prefix}.b"], h, inp)
 
 
+def _carry(h0: Tensor, prev: Tensor | None, inp: Tensor) -> Tensor:
+    """The state a recurrent step starts from: h0 (one copy per input
+    row) at the first step, else prev cut to the rows still running."""
+    if prev is None:
+        return h0 if inp.data.ndim == 1 else broadcast_to(
+            h0, (inp.shape[0], h0.shape[0]))
+    if prev.data.ndim == 2 and prev.shape[0] > inp.shape[0]:
+        return prev.slice(0, inp.shape[0])
+    return prev
+
+
 def _gaussian_head(group: dict[str, Tensor], prefix: str, hidden: int,
                    inp: Tensor) -> GaussianDiag:
     feat = tanh(affine(group[f"{prefix}.W1"], inp, group[f"{prefix}.b1"])) \
@@ -222,7 +241,7 @@ def sample_reparam(g: GaussianDiag, noise) -> Tensor:
     noise = constant(noise)
     if noise.shape != g.mean.shape:
         raise ValueError("noise shape mismatch")
-    return g.mean + apply_primitive("exp", g.log_var * 0.5) * noise
+    return g.mean + exp(g.log_var * _HALF) * noise
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +255,10 @@ def encode_history(params: ModelParams, prev: Tensor | None,
     Markovian mode carries no state: the summary is just the current
     inputs, so the posterior can only see adjacent information.
     """
-    inp = concat([constant(x_t), constant(u_t), constant(z_prev)])
+    inp = concat([constant(x_t), constant(u_t), constant(z_prev)], axis=-1)
     if params.markovian:
         return inp
-    h_prev = params.phi["h0"] if prev is None else prev
-    return gru_step(params.phi, "gru", h_prev, inp)
+    return gru_step(params.phi, "gru", _carry(params.phi["h0"], prev, inp), inp)
 
 
 def recognition(params: ModelParams, state: Tensor) -> GaussianDiag:
@@ -253,29 +271,29 @@ def recognition(params: ModelParams, state: Tensor) -> GaussianDiag:
 
 
 def advance_prior_state(params: ModelParams, prev: Tensor | None,
-                        z_prev, u_t) -> Tensor:
-    """Fold (z_{t-1}, u_t) into the prior's own recurrent summary."""
+                        z_prev, u_t) -> Tensor | None:
+    """Fold (z_{t-1}, u_t) into the prior's own recurrent summary; None
+    in markovian mode, which has no such summary."""
     if params.markovian:
-        return constant(np.zeros(0))
-    inp = concat([constant(z_prev), constant(u_t)])
-    g_prev = params.theta["g0"] if prev is None else prev
-    return gru_step(params.theta, "gru", g_prev, inp)
+        return None
+    inp = concat([constant(z_prev), constant(u_t)], axis=-1)
+    return gru_step(params.theta, "gru", _carry(params.theta["g0"], prev, inp),
+                    inp)
 
 
-def transition_prior(params: ModelParams, state: Tensor,
-                     z_prev, step: int) -> GaussianDiag:
-    """p(z_t | z_{t-1}, history); the first step is pinned to N(0, I)."""
-    if step == 0:
-        zeros = constant(np.zeros(params.spec.n_z))
-        return GaussianDiag(mean=zeros, log_var=constant(np.zeros(params.spec.n_z)))
+def transition_prior(params: ModelParams, state: Tensor | None,
+                     z_prev) -> GaussianDiag:
+    """p(z_t | z_{t-1}, history) for t >= 1; the caller pins the first
+    step to N(0, I)."""
     z_prev = constant(z_prev)
-    inp = z_prev if params.markovian else concat([z_prev, state])
+    inp = z_prev if params.markovian else concat([z_prev, state], axis=-1)
     return _gaussian_head(params.theta, "pri", params.spec.prior_hidden, inp)
 
 
-def emission(params: ModelParams, state: Tensor, z_t: Tensor) -> GaussianDiag:
+def emission(params: ModelParams, state: Tensor | None,
+             z_t: Tensor) -> GaussianDiag:
     """p(x_t | z_t, history); never conditioned on the current x_t."""
-    inp = z_t if params.markovian else concat([z_t, state])
+    inp = z_t if params.markovian else concat([z_t, state], axis=-1)
     return _gaussian_head(params.theta, "dec", params.spec.dec_hidden, inp)
 
 
@@ -283,21 +301,24 @@ def emission(params: ModelParams, state: Tensor, z_t: Tensor) -> GaussianDiag:
 # discriminator (psi) and remaining-life readout (rho)
 
 
-def discriminate(params: ModelParams, z_seq: list[Tensor]) -> Tensor:
-    """Probability that a latent sequence came from the prior rollout.
+def discriminate(params: ModelParams, z_rows, pool) -> Tensor:
+    """Probability, per sequence, that it came from the prior rollout.
 
-    Per-step features are mean-pooled over time, so sequences of any
-    length share one readout; the logit is clamped before the sigmoid
-    to keep the probability strictly inside (0, 1).
+    z_rows stacks latent rows (N, n_z); row b of the constant (B, N)
+    matrix pool averages sequence b's rows, so the per-step features are
+    mean-pooled over time and sequences of any length share one
+    readout.  The logits are clamped before the sigmoid to keep the B
+    probabilities strictly inside (0, 1).
     """
-    if len(z_seq) == 0:
-        raise ValueError("empty latent sequence")
+    z_rows = constant(z_rows)
+    pool = np.asarray(pool, dtype=np.float64)
+    if z_rows.data.ndim != 2 or z_rows.shape[0] == 0:
+        raise ValueError(f"discriminate expects stacked rows, got {z_rows.shape}")
+    if pool.ndim != 2 or pool.shape[1] != z_rows.shape[0]:
+        raise ValueError(f"pool {pool.shape} does not match {z_rows.shape[0]} rows")
     psi = params.psi
-    pooled = None
-    for z in z_seq:
-        f = tanh(affine(psi["feat.W"], z, psi["feat.b"]))
-        pooled = f if pooled is None else pooled + f
-    pooled = pooled * (1.0 / len(z_seq))
+    feats = tanh(affine(psi["feat.W"], z_rows, psi["feat.b"]))
+    pooled = constant(pool) @ feats
     logit = affine(psi["out.w"], pooled, psi["out.b"]).clip(
         -DISC_LOGIT_CLIP, DISC_LOGIT_CLIP)
     return sigmoid(logit)
@@ -322,13 +343,16 @@ def rul_head(params: ModelParams, feats) -> Tensor:
 
 
 def linear_gaussian_model(lg: LinearGaussianSpec, enc_hidden: int = 16,
-                          seed: int = 0) -> ModelParams:
-    """Markovian model whose generative side equals the given instance.
+                          seed: int = 0, markovian: bool = True) -> ModelParams:
+    """Model whose generative side equals the given instance.
 
     Prior and emission heads are linear with weights set to (A, diag q)
     and (C, diag r); the recognition network stays randomly initialized
-    and trainable.  Valid only when the instance starts at N(0, I),
-    matching the pinned first-step prior.
+    and trainable.  With markovian=False both history GRUs run, but the
+    heads' weight columns for the history summary are zero, so the
+    model stays exact on the code path that training uses.  Valid only
+    when the instance starts at N(0, I), matching the pinned first-step
+    prior.
     """
     if not np.allclose(lg.init_mean, 0.0) or not np.allclose(lg.init_cov, np.eye(lg.n_z)):
         raise ValueError("instance must start at N(0, I) to match the fixed first prior")
@@ -343,14 +367,19 @@ def linear_gaussian_model(lg: LinearGaussianSpec, enc_hidden: int = 16,
         enc_hidden=enc_hidden, dec_hidden=0, prior_hidden=0,
         disc_hidden=8, rul_hidden=8,
     )
-    params = init_params(spec, markovian=True, seed=seed)
+    params = init_params(spec, markovian=markovian, seed=seed)
+    n_hist = 0 if markovian else spec.n_h
+
+    def weights(M):  # history columns, if any, are zero
+        return Tensor(np.hstack([M, np.zeros((M.shape[0], n_hist))]))
+
     th = params.theta
-    th["pri.Wm"] = Tensor(lg.A.copy())
+    th["pri.Wm"] = weights(lg.A)
     th["pri.bm"] = Tensor(np.zeros(lg.n_z))
-    th["pri.Wv"] = Tensor(np.zeros((lg.n_z, lg.n_z)))
+    th["pri.Wv"] = weights(np.zeros((lg.n_z, lg.n_z)))
     th["pri.bv"] = Tensor(log_q)
-    th["dec.Wm"] = Tensor(lg.C.copy())
+    th["dec.Wm"] = weights(lg.C)
     th["dec.bm"] = Tensor(np.zeros(lg.n_x))
-    th["dec.Wv"] = Tensor(np.zeros((lg.n_x, lg.n_z)))
+    th["dec.Wv"] = weights(np.zeros((lg.n_x, lg.n_z)))
     th["dec.bv"] = Tensor(log_r)
     return params

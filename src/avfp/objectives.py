@@ -1,21 +1,30 @@
-"""Training objectives: sequence evidence bound and adversarial terms.
+"""Training objectives over time-major batches of trajectories.
 
-The evidence bound is assembled by one filtering pass per trajectory:
-at each step the recognition summary is updated with the current
-observation first, the posterior over z_t is read off, a single
-reparameterized sample is drawn with externally supplied noise, and the
-emission term plus the closed-form KL against the transition prior are
-accumulated.  The first-step prior is pinned to N(0, I).  filter_means
-runs the pass deterministically (the posterior mean stands in for the
-sample) with recording off and returns the stacked per-cycle summaries
-and posterior means that the remaining-life and health-index readouts
-read.
+A batch is packed time-major (Batch): its trajectories are ordered by
+length, longest first, so at step t only the first n_t of them are
+still running, and every per-cycle quantity is one stacked (N, .) array
+whose rows run step by step.  No padded row is ever computed: when a
+trajectory ends, the recurrent states are cut to the running rows.
+
+filter_forward is the recognition chain alone: at each step the
+recognition summary is updated with the current observation first, the
+posterior over z_t is read off, and a reparameterized sample is drawn
+with externally supplied noise (or, for readouts, the posterior mean
+stands in for it).  filter_means runs it with recording off for the
+remaining-life and health-index readouts.
+
+The evidence bound steps only the prior's recurrence through time; the
+transition prior, the emission head, the log-density and the KL then
+run once each over all stacked rows.  The first-step prior is pinned to
+N(0, I).
 
 The adversarial pair treats latent sequences rolled out from the
-transition prior as real and recognition-sampled sequences as fake.
-The generator-side term is the non-saturating form -log D(fake).
+transition prior as real and recognition-sampled sequences as fake; the
+discriminator pools each trajectory's rows.  The generator-side term is
+the non-saturating form -log D(fake).
 
-combined = recon_loglik - kl_total - lambda_adv * adv_gen, and with
+Per trajectory, combined = recon_loglik - kl_total - lambda_adv *
+adv_gen, and the maximization target is its sum over the batch.  With
 lambda_adv = 0 the combined objective is the evidence bound itself,
 computed through the identical operation sequence (bit-identical).
 """
@@ -23,6 +32,7 @@ computed through the identical operation sequence (bit-identical).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +40,7 @@ from .data import Trajectory
 from .diffcore import LN_2PI  # noqa: F401  (part of this module's interface)
 from .diffcore import (
     Tensor,
-    apply_primitive,
+    concat,
     constant,
     gauss_kl,
     gauss_logpdf,
@@ -50,6 +60,55 @@ from .model import (
 )
 
 
+class Batch:
+    """Time-major packed layout of a list of trajectories.
+
+    Step t owns rows spans[t] = (lo, hi) of every stacked array: one row
+    per trajectory still running, longest trajectories first (ties keep
+    the input order).  rows[b] lists trajectory b's rows, one per cycle,
+    in the input order of the trajectories; x and u hold the packed
+    observations and inputs.
+    """
+
+    def __init__(self, trajs: list[Trajectory]):
+        lengths = np.array([t.length for t in trajs], dtype=np.int64)
+        if lengths.size == 0 or lengths.min() < 1:
+            raise ValueError("a batch needs trajectories of at least one cycle")
+        order = np.argsort(-lengths, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        counts = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        self.spans = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+        self.n_rows = int(offsets[-1])
+        self.rows = [offsets[:n] + rank[b] for b, n in enumerate(lengths)]
+        self.x = self.pack([t.x for t in trajs])
+        self.u = self.pack([t.u for t in trajs])
+
+    def pack(self, arrays) -> np.ndarray:
+        """Per-trajectory arrays (one leading row per cycle) as stacked rows."""
+        arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+        out = np.empty((self.n_rows,) + arrays[0].shape[1:])
+        for rows, a in zip(self.rows, arrays, strict=True):
+            if a.shape != (len(rows),) + out.shape[1:]:
+                raise ValueError(f"array of shape {a.shape}, expected "
+                                 f"{(len(rows),) + out.shape[1:]}")
+            out[rows] = a
+        return out
+
+    def unpack(self, stacked: np.ndarray) -> list[np.ndarray]:
+        """Stacked rows back to one array per trajectory, input order."""
+        return [stacked[rows] for rows in self.rows]
+
+    @cached_property
+    def pool(self) -> np.ndarray:
+        """(B, N) matrix whose row b averages trajectory b's rows."""
+        pool = np.zeros((len(self.rows), self.n_rows))
+        for b, rows in enumerate(self.rows):
+            pool[b, rows] = 1.0 / len(rows)
+        return pool
+
+
 @dataclass
 class ObjectiveBreakdown:
     """Scalar summary of one trajectory's objective evaluation."""
@@ -64,18 +123,38 @@ class ObjectiveBreakdown:
 
 @dataclass
 class FilterPass:
-    """Everything the filtering pass produced, step-aligned."""
+    """What the recognition chain produced, rows stacked as in batch.
 
-    states: list[Tensor]
-    posteriors: list[GaussianDiag]
-    priors: list[GaussianDiag]
-    samples: list[Tensor]
-    recon_steps: list[Tensor]
-    kl_steps: list[Tensor]
+    prev holds, per step, the previous sample z_{t-1} of the running
+    rows (zeros at the first step): the latent input of both
+    recurrences.  In deterministic mode samples is posterior.mean.
+    """
+
+    batch: Batch
+    states: Tensor
+    posterior: GaussianDiag
+    samples: Tensor
+    prev: list[Tensor]
+
+
+@dataclass
+class Bound:
+    """Per-row terms of the evidence bound, rows stacked as in fp.batch;
+    the first-step rows of prior are N(0, I)."""
+
+    fp: FilterPass
+    prior: GaussianDiag
+    recon: Tensor
+    kl: Tensor
+
+    def per_trajectory(self, values: Tensor) -> np.ndarray:
+        """Sum of a per-row term over each trajectory's rows."""
+        return np.array([values.data[rows].sum() for rows in self.fp.batch.rows])
 
 
 def gaussian_log_density(x, g: GaussianDiag) -> Tensor:
-    """log N(x; mean, diag(exp(log_var))), summed over dimensions."""
+    """log N(x; mean, diag(exp(log_var))), summed over dimensions (per
+    row for stacked rows)."""
     x = constant(x)
     if x.shape != g.mean.shape:
         raise ValueError(f"x shape {x.shape} vs mean shape {g.mean.shape}")
@@ -83,102 +162,119 @@ def gaussian_log_density(x, g: GaussianDiag) -> Tensor:
 
 
 def kl_diag_gaussians(q: GaussianDiag, p: GaussianDiag) -> Tensor:
-    """KL(q || p) between diagonal Gaussians, closed form, summed."""
+    """KL(q || p) between diagonal Gaussians, closed form, summed (per
+    row for stacked rows)."""
     if q.mean.shape != p.mean.shape:
         raise ValueError("distribution dimension mismatch")
     return gauss_kl(q.mean, q.log_var, p.mean, p.log_var)
 
 
-def filter_forward(params: ModelParams, traj: Trajectory,
-                   noise: np.ndarray | None) -> FilterPass:
-    """One pass of stochastic filtering over a trajectory.
+def _running(t: Tensor, n: int) -> Tensor:
+    """The first n rows of t: the trajectories still running."""
+    return t if t.shape[0] == n else t.slice(0, n)
 
-    noise has shape (T, n_z); None switches to deterministic filtering
-    where the posterior mean stands in for the sample.
+
+def filter_forward(params: ModelParams, trajs: list[Trajectory],
+                   noise: list[np.ndarray] | None) -> FilterPass:
+    """The recognition chain over a batch, one time-major pass.
+
+    noise holds one (T_b, n_z) array per trajectory; None switches to
+    deterministic filtering where the posterior mean stands in for the
+    sample.
     """
-    T = traj.length
+    batch = Batch(trajs)
     n_z = params.spec.n_z
+    eps = None
     if noise is not None:
-        noise = np.asarray(noise, dtype=np.float64)
-        if noise.shape != (T, n_z):
-            raise ValueError(f"noise shape {noise.shape}, expected {(T, n_z)}")
-    z_prev: Tensor = constant(np.zeros(n_z))
-    enc_state = None
-    pri_state = None
-    out = FilterPass([], [], [], [], [], [])
-    for t in range(T):
-        x_t, u_t = traj.x[t], traj.u[t]
-        pri_state = advance_prior_state(params, pri_state, z_prev, u_t)
-        prior = transition_prior(params, pri_state, z_prev, step=t)
-        enc_state = encode_history(params, enc_state, x_t, u_t, z_prev)
-        post = recognition(params, enc_state)
-        z_t = sample_reparam(post, noise[t]) if noise is not None else post.mean
-        em = emission(params, pri_state, z_t)
-
-        out.states.append(enc_state)
-        out.posteriors.append(post)
-        out.priors.append(prior)
-        out.samples.append(z_t)
-        out.recon_steps.append(gaussian_log_density(x_t, em))
-        out.kl_steps.append(kl_diag_gaussians(post, prior))
-        z_prev = z_t
-    return out
+        eps = batch.pack(noise)
+        if eps.shape != (batch.n_rows, n_z):
+            raise ValueError(f"noise rows of width {eps.shape[1:]}, expected {n_z}")
+    z_prev = constant(np.zeros((batch.spans[0][1], n_z)))
+    h = None
+    states, means, log_vars, samples, prev = [], [], [], [], []
+    for lo, hi in batch.spans:
+        z_prev = _running(z_prev, hi - lo)
+        h = encode_history(params, h, batch.x[lo:hi], batch.u[lo:hi], z_prev)
+        post = recognition(params, h)
+        z = post.mean if eps is None else sample_reparam(post, eps[lo:hi])
+        states.append(h)
+        means.append(post.mean)
+        log_vars.append(post.log_var)
+        samples.append(z)
+        prev.append(z_prev)
+        z_prev = z
+    mean = concat(means)
+    return FilterPass(
+        batch=batch, states=concat(states),
+        posterior=GaussianDiag(mean, concat(log_vars)),
+        samples=mean if eps is None else concat(samples), prev=prev)
 
 
-def filter_means(params: ModelParams,
-                 traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic, untaped filtering: the stacked (T, d_h) recognition
-    summaries h_t and (T, n_z) posterior means, one row per cycle."""
+def filter_means(params: ModelParams, trajs: list[Trajectory]
+                 ) -> tuple[Batch, np.ndarray, np.ndarray]:
+    """Deterministic, untaped filtering of a batch: its layout, the
+    stacked (N, d_h) recognition summaries h_t and (N, n_z) posterior
+    means, one row per cycle."""
     with no_tape():
-        fp = filter_forward(params, traj, None)
-    # np.array copies a list of equal-length rows faster than np.stack
-    return (np.array([h.data for h in fp.states]),
-            np.array([q.mean.data for q in fp.posteriors]))
+        fp = filter_forward(params, trajs, None)
+    return fp.batch, fp.states.data, fp.posterior.mean.data
 
 
-def _accumulate(parts: list[Tensor]) -> Tensor:
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return total
+def _bound(params: ModelParams, fp: FilterPass) -> Bound:
+    """Step the prior's recurrence, then score every row at once."""
+    batch = fp.batch
+    g, states = None, []
+    if not params.markovian:
+        for (lo, hi), z_prev in zip(batch.spans, fp.prev):
+            g = advance_prior_state(params, g, z_prev, batch.u[lo:hi])
+            states.append(g)
+    history = concat(states) if states else None
+    recon = gaussian_log_density(batch.x, emission(params, history, fp.samples))
+
+    first = batch.spans[0][1]
+    pinned = constant(np.zeros((first, params.spec.n_z)))
+    prior = GaussianDiag(pinned, pinned)
+    if batch.n_rows > first:
+        later = transition_prior(
+            params, None if history is None else history.slice(first, batch.n_rows),
+            concat(fp.prev[1:]))
+        prior = GaussianDiag(concat([pinned, later.mean]),
+                             concat([pinned, later.log_var]))
+    return Bound(fp=fp, prior=prior, recon=recon,
+                 kl=kl_diag_gaussians(fp.posterior, prior))
 
 
-def sequence_elbo(params: ModelParams, traj: Trajectory,
-                  noise: np.ndarray) -> tuple[Tensor, FilterPass]:
-    """Single-sample evidence bound for one trajectory."""
-    fp = filter_forward(params, traj, noise)
-    elbo = _accumulate(fp.recon_steps) - _accumulate(fp.kl_steps)
-    return elbo, fp
+def sequence_elbo(params: ModelParams, trajs: list[Trajectory],
+                  noise: list[np.ndarray]) -> tuple[Tensor, Bound]:
+    """Single-sample evidence bound, summed over the batch."""
+    bound = _bound(params, filter_forward(params, trajs, noise))
+    return bound.recon.sum() - bound.kl.sum(), bound
 
 
-def prior_rollout(params: ModelParams, u_seq: np.ndarray,
-                  noise: np.ndarray) -> list[Tensor]:
-    """Latent sequence sampled from the transition prior chain.
+def prior_rollout(params: ModelParams, trajs: list[Trajectory],
+                  noise: list[np.ndarray]) -> Tensor:
+    """Latent rows sampled from the transition prior chain, driven by
+    each trajectory's inputs and stacked as in Batch(trajs).
 
     Evaluated outside any tape: rollouts feed the discriminator as
     constants, gradients never travel through them.
     """
-    noise = np.asarray(noise, dtype=np.float64)
-    T = noise.shape[0]
-    if noise.shape[1] != params.spec.n_z:
+    batch = Batch(trajs)
+    eps = batch.pack(noise)
+    if eps.shape[1:] != (params.spec.n_z,):
         raise ValueError("noise width must equal n_z")
     with no_tape():
-        z_prev = constant(np.zeros(params.spec.n_z))
-        state = None
-        zs = []
-        for t in range(T):
-            state = advance_prior_state(params, state, z_prev, u_seq[t])
-            pri = transition_prior(params, state, z_prev, step=t)
-            z_t = sample_reparam(pri, noise[t])
-            zs.append(z_t)
-            z_prev = z_t
-    return [constant(z.data) for z in zs]
-
-
-def stack_scalars(vals: list[Tensor]) -> Tensor:
-    """Rank-1 tensor from scalar tensors, preserving gradients."""
-    parts = [apply_primitive("broadcast", v, shape=(1,)) for v in vals]
-    return parts[0] if len(parts) == 1 else apply_primitive("concat", *parts)
+        z_prev = constant(np.zeros((batch.spans[0][1], params.spec.n_z)))
+        g, zs = None, []
+        for t, (lo, hi) in enumerate(batch.spans):
+            z_prev = _running(z_prev, hi - lo)
+            g = advance_prior_state(params, g, z_prev, batch.u[lo:hi])
+            # the first-step prior is N(0, I): its sample is the noise
+            z = constant(eps[lo:hi]) if t == 0 else sample_reparam(
+                transition_prior(params, g, z_prev), eps[lo:hi])
+            zs.append(z)
+            z_prev = z
+    return constant(np.concatenate([z.data for z in zs]))
 
 
 def adversarial_losses(d_real: Tensor, d_fake: Tensor) -> tuple[Tensor, Tensor]:
@@ -198,55 +294,55 @@ def adversarial_losses(d_real: Tensor, d_fake: Tensor) -> tuple[Tensor, Tensor]:
 
 def combined_objective(
     params: ModelParams,
-    traj: Trajectory,
-    noise: np.ndarray,
+    trajs: list[Trajectory],
+    noise: list[np.ndarray],
     lambda_adv: float,
-    prior_noise: np.ndarray | None = None,
+    prior_noise: list[np.ndarray] | None = None,
     kl_weight: float = 1.0,
-) -> tuple[ObjectiveBreakdown, Tensor, FilterPass]:
+) -> tuple[list[ObjectiveBreakdown], Tensor, Bound]:
     """Evidence bound minus the weighted generator-side adversarial term.
 
-    Returns (breakdown, maximization target, filter pass).  kl_weight
-    scales the KL term of the returned target only (warm-up support);
-    the breakdown always reports the canonical kl_weight = 1 value.
+    Returns (one breakdown per trajectory, maximization target summed
+    over the batch, the bound's per-row terms).  kl_weight scales the
+    KL term of the returned target only (warm-up support); the
+    breakdowns always report the canonical kl_weight = 1 value.
     prior_noise drives the reference rollout behind the reported
     discriminator loss and defaults to reusing noise.
     """
     if lambda_adv < 0.0:
         raise ValueError("lambda_adv must be non-negative")
-    fp = filter_forward(params, traj, noise)
-    recon = _accumulate(fp.recon_steps)
-    kl = _accumulate(fp.kl_steps)
+    bound = _bound(params, filter_forward(params, trajs, noise))
+    recon = bound.recon.sum()
+    kl = bound.kl.sum()
     elbo = recon - kl
 
+    adv_gen_rows = adv_disc_rows = np.zeros(len(trajs))
     if lambda_adv == 0.0:
-        adv_gen_val = 0.0
-        adv_disc_val = 0.0
         combined = elbo
         target = combined if kl_weight == 1.0 else recon - kl * kl_weight
     else:
-        d_fake = discriminate(params, fp.samples)
+        pool = bound.fp.batch.pool
+        d_fake = discriminate(params, bound.fp.samples, pool)
         adv_gen = log(d_fake) * -1.0
         with no_tape():
             pn = prior_noise if prior_noise is not None else noise
-            z_real = prior_rollout(params, traj.u, pn)
-            d_real = discriminate(params, z_real)
-            disc_loss, _ = adversarial_losses(
-                stack_scalars([d_real]), stack_scalars([d_fake]))
-            adv_disc_val = disc_loss.item()
-        adv_gen_val = adv_gen.item()
-        combined = elbo - adv_gen * lambda_adv
+            d_real = discriminate(params, prior_rollout(params, trajs, pn), pool)
+            adv_disc = (log(d_real) + log(1.0 - d_fake)) * -1.0
+        adv_gen_rows, adv_disc_rows = adv_gen.data, adv_disc.data
+        adv_total = adv_gen.sum()
+        combined = elbo - adv_total * lambda_adv
         if kl_weight == 1.0:
             target = combined
         else:
-            target = recon - kl * kl_weight - adv_gen * lambda_adv
+            target = recon - kl * kl_weight - adv_total * lambda_adv
 
-    breakdown = ObjectiveBreakdown(
-        recon_loglik=recon.item(),
-        kl_total=kl.item(),
-        adv_gen=adv_gen_val,
-        adv_disc=adv_disc_val,
-        combined=combined.item(),
-        kl_per_step=np.array([k.item() for k in fp.kl_steps]),
-    )
-    return breakdown, target, fp
+    recons = bound.per_trajectory(bound.recon)
+    breakdowns = []
+    for b, rows in enumerate(bound.fp.batch.rows):
+        kl_steps = bound.kl.data[rows]
+        r, k, a = float(recons[b]), float(kl_steps.sum()), float(adv_gen_rows[b])
+        breakdowns.append(ObjectiveBreakdown(
+            recon_loglik=r, kl_total=k, adv_gen=a,
+            adv_disc=float(adv_disc_rows[b]),
+            combined=r - k - lambda_adv * a, kl_per_step=kl_steps))
+    return breakdowns, target, bound

@@ -1,15 +1,19 @@
 """Minimax training loop, Adam, and bit-exact checkpointing.
 
-Each batch runs up to three phases with strict parameter isolation:
+Each batch runs up to three phases with strict parameter isolation,
+each as one time-major pass over the whole batch (objectives.Batch):
 
   1. discriminator (psi): latent sequences are rolled out from the
      prior (real) and the recognition path (fake) with recording off,
-     then scored; only psi moves.
+     then scored by one pooled discriminator call each; only psi moves.
   2. joint generative/recognition (theta, phi): maximize the combined
      objective; psi gradients exist on the tape but are not applied.
   3. remaining-life readout (rho): mean squared error against capped
      targets of one readout over the batch's stacked, detached filter
      rows [h_t, mean_t].
+
+The bound audits use the same pass: fit_recognition filters a batch of
+one, and mc_elbo scores its draws as the rows of one batch.
 
 Randomness is derived per (seed, purpose, step), never from a shared
 mutable generator, so a run checkpointed at step s and resumed
@@ -65,7 +69,6 @@ from .objectives import (
     filter_means,
     prior_rollout,
     sequence_elbo,
-    stack_scalars,
 )
 
 CHECKPOINT_MAGIC = b"AVFP"
@@ -228,31 +231,46 @@ class TrainResult:
 # readout helpers
 
 
-def predict_sequence_rul(params: ModelParams, traj: Trajectory) -> np.ndarray:
-    """Per-cycle remaining-life estimates from deterministic filtering."""
-    feats = np.hstack(filter_means(params, traj))
+def predict_sequence_rul(params: ModelParams,
+                         trajs: list[Trajectory]) -> list[np.ndarray]:
+    """Per-cycle remaining-life estimates from deterministic filtering,
+    one array per trajectory."""
+    batch, states, means = filter_means(params, trajs)
     with no_tape():
-        return rul_head(params, feats).data
+        return batch.unpack(rul_head(params, np.hstack([states, means])).data)
 
 
 def readout_loss(params: ModelParams, trajs: list[Trajectory]) -> Tensor:
     """Mean squared error against the capped targets of one readout over
     the stacked rows of every trajectory; the filter rows are detached."""
-    feats = np.vstack([np.hstack(filter_means(params, t)) for t in trajs])
-    err = rul_head(params, feats) - np.concatenate([t.rul for t in trajs])
+    batch, states, means = filter_means(params, trajs)
+    err = rul_head(params, np.hstack([states, means])) - batch.pack(
+        [t.rul for t in trajs])
     return (err * err).mean()
 
 
 def rmse_per_cycle(params: ModelParams, trajs: list[Trajectory]) -> float:
     """RMSE of per-cycle predictions against capped targets."""
-    sq, n = 0.0, 0
     for traj in trajs:
         if traj.rul is None:
             raise ValueError(f"unit {traj.unit_id} has no targets")
-        pred = predict_sequence_rul(params, traj)
-        sq += float(((pred - traj.rul) ** 2).sum())
-        n += traj.length
-    return float(np.sqrt(sq / n))
+    preds = predict_sequence_rul(params, trajs)
+    sq = sum(float(((p - t.rul) ** 2).sum()) for p, t in zip(preds, trajs))
+    return float(np.sqrt(sq / sum(t.length for t in trajs)))
+
+
+def _discriminator_loss(params: ModelParams, trajs: list[Trajectory],
+                        fake_noise: list[np.ndarray],
+                        real_noise: list[np.ndarray]) -> Tensor:
+    """Phase 1's loss: recognition samples (fake) against prior rollouts
+    (real), both computed with recording off, so only psi is taped."""
+    with no_tape():
+        fp = filter_forward(params, trajs, fake_noise)
+        real = prior_rollout(params, trajs, real_noise)
+    pool = fp.batch.pool
+    d_fake = discriminate(params, constant(fp.samples.data), pool)
+    d_real = discriminate(params, real, pool)
+    return adversarial_losses(d_real, d_fake)[0]
 
 
 def _grads_for(group: dict[str, Tensor], grads_by_uid: dict[int, np.ndarray]
@@ -345,25 +363,16 @@ def train(
             disc_loss_val = None
             if config.lambda_adv > 0.0:
                 for j in range(config.disc_steps):
-                    with no_tape():
-                        fakes, reals = [], []
-                        for i, traj in enumerate(batch):
-                            nf = rng.normal(
-                                config.seed, (traj.length, spec.n_z),
-                                "disc-fake", step, j, i)
-                            fp = filter_forward(params, traj, nf)
-                            fakes.append([constant(z.data) for z in fp.samples])
-                            nr = rng.normal(
-                                config.seed, (traj.length, spec.n_z),
-                                "disc-real", step, j, i)
-                            reals.append(prior_rollout(params, traj.u, nr))
+                    fake_noise = [rng.normal(config.seed, (t.length, spec.n_z),
+                                             "disc-fake", step, j, i)
+                                  for i, t in enumerate(batch)]
+                    real_noise = [rng.normal(config.seed, (t.length, spec.n_z),
+                                             "disc-real", step, j, i)
+                                  for i, t in enumerate(batch)]
                     try:
                         with Tape() as tape:
-                            d_fake = stack_scalars(
-                                [discriminate(params, z) for z in fakes])
-                            d_real = stack_scalars(
-                                [discriminate(params, z) for z in reals])
-                            disc_loss, _ = adversarial_losses(d_real, d_fake)
+                            disc_loss = _discriminator_loss(
+                                params, batch, fake_noise, real_noise)
                         grads = _grads_for(disc_group, backward(tape, disc_loss))
                         grads, _ = clip_by_global_norm(
                             grads, config.gradient_clip_norm)
@@ -377,21 +386,17 @@ def train(
                 kl_w = min(1.0, step / config.kl_warmup_steps)
             else:
                 kl_w = 1.0
+            noise = [rng.normal(config.seed, (t.length, spec.n_z),
+                                "noise", step, i) for i, t in enumerate(batch)]
+            prior_noise = [rng.normal(config.seed, (t.length, spec.n_z),
+                                      "prior-noise", step, i)
+                           for i, t in enumerate(batch)]
             try:
                 with Tape() as tape:
-                    breakdowns = []
-                    total = None
-                    for i, traj in enumerate(batch):
-                        noise = rng.normal(config.seed, (traj.length, spec.n_z),
-                                           "noise", step, i)
-                        pn = rng.normal(config.seed, (traj.length, spec.n_z),
-                                        "prior-noise", step, i)
-                        bd, target, _ = combined_objective(
-                            params, traj, noise, config.lambda_adv,
-                            prior_noise=pn, kl_weight=kl_w)
-                        breakdowns.append(bd)
-                        total = target if total is None else total + target
-                    loss = total * (-1.0 / len(batch))  # minimize -combined
+                    breakdowns, target, _ = combined_objective(
+                        params, batch, noise, config.lambda_adv,
+                        prior_noise=prior_noise, kl_weight=kl_w)
+                    loss = target * (-1.0 / len(batch))  # minimize -combined
                 grads = _grads_for(gen_group, backward(tape, loss))
                 grads, _ = clip_by_global_norm(grads, config.gradient_clip_norm)
                 adam_step(gen_group, grads, opt_gen)
@@ -490,7 +495,7 @@ def fit_recognition(params: ModelParams, trajs: list[Trajectory], steps: int,
         noise = rng.normal(seed, (traj.length, params.spec.n_z),
                            "fit-phi", step)
         with Tape() as tape:
-            elbo, _ = sequence_elbo(params, traj, noise)
+            elbo, _ = sequence_elbo(params, [traj], [noise])
             loss = elbo * -1.0
         grads = _grads_for(phi_group, backward(tape, loss))
         grads, _ = clip_by_global_norm(grads, clip)
@@ -501,14 +506,13 @@ def fit_recognition(params: ModelParams, trajs: list[Trajectory], steps: int,
 
 def mc_elbo(params: ModelParams, traj: Trajectory, draws: int,
             seed: int) -> tuple[float, float]:
-    """Monte-Carlo mean and standard error of the single-sample bound."""
-    vals = np.empty(draws)
+    """Monte-Carlo mean and standard error of the single-sample bound;
+    the draws are the rows of one batch."""
+    noise = [rng.normal(seed, (traj.length, params.spec.n_z), "mc-elbo", d)
+             for d in range(draws)]
     with no_tape():
-        for d in range(draws):
-            noise = rng.normal(seed, (traj.length, params.spec.n_z),
-                               "mc-elbo", d)
-            elbo, _ = sequence_elbo(params, traj, noise)
-            vals[d] = elbo.item()
+        _, bound = sequence_elbo(params, [traj] * draws, noise)
+    vals = bound.per_trajectory(bound.recon) - bound.per_trajectory(bound.kl)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(draws))
 
 

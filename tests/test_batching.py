@@ -1,0 +1,180 @@
+"""Time-major batches: one pass over a ragged batch equals one pass per
+trajectory, and the tape stays small whatever the batch size."""
+
+import numpy as np
+import pytest
+
+from avfp import rng
+from avfp.data import Trajectory
+from avfp.diffcore import Tape, backward, no_tape
+from avfp.model import NetworkSpec, init_params
+from avfp.objectives import (
+    Batch,
+    combined_objective,
+    filter_means,
+    sequence_elbo,
+)
+from avfp.training import _discriminator_loss, mc_elbo
+
+LENGTHS = (9, 5, 7)
+
+
+def small_spec():
+    return NetworkSpec(n_x=3, n_u=2, n_z=2, n_h=4, enc_hidden=3,
+                       dec_hidden=3, prior_hidden=3, disc_hidden=3,
+                       rul_hidden=3)
+
+
+def ragged(spec, lengths=LENGTHS, seed=0):
+    g = np.random.default_rng(seed)
+    return [Trajectory(unit_id=k, x=g.standard_normal((T, spec.n_x)),
+                       u=g.standard_normal((T, spec.n_u)))
+            for k, T in enumerate(lengths)]
+
+
+def noises(spec, trajs, *ids):
+    return [rng.normal(0, (t.length, spec.n_z), *ids, i)
+            for i, t in enumerate(trajs)]
+
+
+def assert_close(got, want):
+    """max |got - want| <= 1e-12 * max |want|, one array at a time."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def assert_grads_close(got: dict, want: dict):
+    assert set(got) == set(want)
+    for uid in want:
+        assert_close(got[uid], want[uid])
+
+
+def summed(dicts):
+    out = {}
+    for d in dicts:
+        for k, v in d.items():
+            out[k] = out[k] + v if k in out else v
+    return out
+
+
+def test_batch_layout():
+    spec = small_spec()
+    batch = Batch(ragged(spec))
+    # longest first: trajectory 0 (9), then 2 (7), then 1 (5)
+    assert batch.spans[:2] == [(0, 3), (3, 6)]
+    assert [hi - lo for lo, hi in batch.spans] == [3] * 5 + [2] * 2 + [1] * 2
+    assert batch.n_rows == sum(LENGTHS)
+    assert batch.rows[0][:3].tolist() == [0, 3, 6]
+    assert batch.rows[2][:3].tolist() == [1, 4, 7]
+    assert batch.rows[1][:3].tolist() == [2, 5, 8]
+    assert np.array_equal(np.sort(np.concatenate(batch.rows)),
+                          np.arange(batch.n_rows))
+    for t, x in zip(ragged(spec), batch.unpack(batch.x)):
+        assert np.array_equal(t.x, x)
+    assert np.allclose(batch.pool.sum(axis=1), 1.0)
+    with pytest.raises(ValueError):
+        Batch([])
+    with pytest.raises(ValueError):
+        batch.pack([np.zeros((9, 2)), np.zeros((4, 2)), np.zeros((7, 2))])
+
+
+@pytest.mark.parametrize("lambda_adv", [0.0, 0.1])
+@pytest.mark.parametrize("markovian", [False, True])
+def test_combined_objective_batched_equals_per_trajectory(markovian, lambda_adv):
+    spec = small_spec()
+    params = init_params(spec, markovian, seed=3)
+    trajs = ragged(spec)
+    noise = noises(spec, trajs, "noise")
+    prior_noise = noises(spec, trajs, "prior-noise")
+
+    with Tape() as tape:
+        bds, target, _ = combined_objective(params, trajs, noise, lambda_adv,
+                                            prior_noise=prior_noise)
+    grads = backward(tape, target)
+
+    singles, single_grads = [], []
+    for t, n, p in zip(trajs, noise, prior_noise):
+        with Tape() as tape:
+            (bd,), tgt, _ = combined_objective(params, [t], [n], lambda_adv,
+                                               prior_noise=[p])
+        singles.append((bd, tgt.item()))
+        single_grads.append(backward(tape, tgt))
+
+    assert_close(target.item(), sum(v for _, v in singles))
+    for bd, (one, _) in zip(bds, singles):
+        for field in ("recon_loglik", "kl_total", "adv_gen", "adv_disc",
+                      "combined"):
+            assert_close(getattr(bd, field), getattr(one, field))
+        assert_close(bd.kl_per_step, one.kl_per_step)
+    assert_grads_close(grads, summed(single_grads))
+
+
+@pytest.mark.parametrize("markovian", [False, True])
+def test_filter_means_batched_equals_per_trajectory(markovian):
+    spec = small_spec()
+    params = init_params(spec, markovian, seed=4)
+    trajs = ragged(spec)
+    batch, states, means = filter_means(params, trajs)
+    for t, h, m in zip(trajs, batch.unpack(states), batch.unpack(means)):
+        _, h1, m1 = filter_means(params, [t])
+        assert_close(h, h1)
+        assert_close(m, m1)
+
+
+@pytest.mark.parametrize("markovian", [False, True])
+def test_mc_elbo_rows_equal_single_draws(markovian):
+    spec = small_spec()
+    params = init_params(spec, markovian, seed=5)
+    traj = ragged(spec, lengths=(7,))[0]
+    draws = 12
+    noise = [rng.normal(9, (traj.length, spec.n_z), "mc-elbo", d)
+             for d in range(draws)]
+    with no_tape():
+        _, bound = sequence_elbo(params, [traj] * draws, noise)
+        rows = bound.per_trajectory(bound.recon) - bound.per_trajectory(bound.kl)
+        single = np.array([sequence_elbo(params, [traj], [n])[0].item()
+                           for n in noise])
+    assert_close(rows, single)
+    mean, se = mc_elbo(params, traj, draws, seed=9)
+    assert_close(mean, single.mean())
+    assert_close(se, single.std(ddof=1) / np.sqrt(draws))
+
+
+@pytest.mark.parametrize("markovian", [False, True])
+def test_discriminator_loss_batched_equals_per_trajectory(markovian):
+    spec = small_spec()
+    params = init_params(spec, markovian, seed=6)
+    trajs = ragged(spec)
+    fake, real = noises(spec, trajs, "fake"), noises(spec, trajs, "real")
+
+    with Tape() as tape:
+        loss = _discriminator_loss(params, trajs, fake, real)
+    grads = backward(tape, loss)
+    assert set(grads) == {p.uid for p in params.psi.values()}
+
+    values, single_grads = [], []
+    for t, f, r in zip(trajs, fake, real):
+        with Tape() as tape:
+            one = _discriminator_loss(params, [t], [f], [r])
+        values.append(one.item())
+        single_grads.append({k: v / len(trajs)
+                             for k, v in backward(tape, one).items()})
+    assert_close(loss.item(), np.mean(values))
+    assert_grads_close(grads, summed(single_grads))
+
+
+@pytest.mark.parametrize("n_traj", [1, 4, 8])
+def test_phase_two_tape_is_at_most_20_nodes_per_step(n_traj):
+    """Default spec, lambda_adv 0.1: the recurrences add a fixed number
+    of nodes per time step, and every head runs once over all rows."""
+    spec = NetworkSpec(n_x=14, n_u=2)
+    params = init_params(spec, markovian=False, seed=0)
+    lengths = [60 - 5 * (k % 4) for k in range(n_traj)]
+    trajs = ragged(spec, lengths, seed=1)
+    noise = noises(spec, trajs, "noise")
+    with Tape() as tape:
+        _, target, _ = combined_objective(params, trajs, noise, 0.1,
+                                          prior_noise=noises(spec, trajs, "pn"))
+    assert len(tape) <= 20 * max(lengths)
+    assert backward(tape, target)

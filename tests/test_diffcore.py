@@ -460,6 +460,97 @@ def test_batched_affine_matches_rows(shape):
     assert close(g_batch[X.uid], np.stack([g_rows[r.uid] for r in rows]))
 
 
+def _row_cases(n_rows):
+    """(name, f, param arrays, grad_check step, tolerance) for the
+    row-batch forms, at default-NetworkSpec shapes with n_rows rows.
+
+    Some coordinates of the GRU weight gradients are products of two
+    small gate derivatives (about 1e-3), where central differences
+    resolve no better than 1e-16 * |loss| / step: its bar is 1e-5 at
+    step 1e-5.  test_row_form_matches_rows pins it to the one-vector
+    form within 1e-12, and that form to the unfused composition.
+    """
+    g = np.random.default_rng(31 + n_rows)
+
+    def mat(shape, s=1.0):
+        return s * g.choice((-1.0, 1.0), shape) * g.uniform(0.5, 1.5, shape)
+
+    def red(shape):
+        w = dc.constant(mat(shape))
+        return lambda out: (out * w).sum()
+
+    red_h, red_r = red((n_rows, N_H)), red((n_rows,))
+    red_cols, red_stack = red((n_rows, N_Z + N_H)), red((n_rows + 2, N_Z))
+    return [
+        ("gru_cell", lambda ps: red_h(dc.gru_cell(*ps)),
+         [g.normal(0, N_IN ** -0.5, (3 * N_H, N_IN)),
+          g.normal(0, N_H ** -0.5, (3 * N_H, N_H)), mat(3 * N_H, 0.1),
+          mat((n_rows, N_H), 0.5), mat((n_rows, N_IN))], 1e-5, 1e-5),
+        ("gauss_logpdf", lambda ps: red_r(dc.gauss_logpdf(*ps)),
+         [mat((n_rows, N_X), 2.0), mat((n_rows, N_X)), mat((n_rows, N_X))],
+         1e-6, 1e-6),
+        ("gauss_kl", lambda ps: red_r(dc.gauss_kl(*ps)),
+         [mat((n_rows, N_Z)) for _ in range(4)], 1e-6, 1e-6),
+        ("concat_columns", lambda ps: red_cols(dc.concat(ps, axis=1)),
+         [mat((n_rows, N_Z)), mat((n_rows, N_H))], 1e-2, 1e-6),
+        ("concat_rows", lambda ps: red_stack(dc.concat(ps, axis=0)),
+         [mat((n_rows, N_Z)), mat((2, N_Z))], 1e-2, 1e-6),
+        ("slice_rows", lambda ps: red_h(ps[0].slice(1, n_rows + 1)),
+         [mat((n_rows + 2, N_H))], 1e-2, 1e-6),
+    ]
+
+
+@pytest.mark.parametrize("n_rows", [1, 3])
+@pytest.mark.parametrize("name", [c[0] for c in _row_cases(1)])
+def test_row_form_gradcheck(name, n_rows):
+    _, f, arrays, step, tol = next(
+        c for c in _row_cases(n_rows) if c[0] == name)
+    params = [Tensor(a) for a in arrays]
+    for k in range(len(params)):
+        def fk(ps, k=k):
+            return f(params[:k] + ps + params[k + 1:])
+
+        assert grad_check(fk, [params[k]], step=step) < tol, f"input {k}"
+
+
+@pytest.mark.parametrize("name", ["gru_cell", "gauss_logpdf", "gauss_kl"])
+def test_row_form_matches_rows(name):
+    """Each row of the batch form equals the one-vector form on that row,
+    values and gradients; the first inputs of gru_cell are shared."""
+    arrays = next(c for c in _row_cases(3) if c[0] == name)[2]
+    shared = 3 if name == "gru_cell" else 0
+    w = np.random.default_rng(5).uniform(0.5, 1.5, 3)
+    params = [Tensor(a) for a in arrays]
+    op = getattr(dc, name)
+
+    def weighted(out, wi):
+        if out.data.ndim == 2:  # gru_cell rows: reduce each state too
+            return (out * dc.constant(np.outer(wi, np.ones(N_H)))).sum()
+        return (out * dc.constant(wi)).sum()
+
+    with Tape() as tape:
+        out = op(*params)
+        loss = weighted(out, w)
+    g_batch = backward(tape, loss)
+    rows = [[Tensor(a[i]) for a in arrays[shared:]] for i in range(3)]
+    with Tape() as tape:
+        outs = [op(*params[:shared], *r) for r in rows]
+        terms = [(o * dc.constant(wi)).sum() if o.data.ndim else o * wi
+                 for o, wi in zip(outs, w)]
+        loss_rows = terms[0] + terms[1] + terms[2]
+    g_rows = backward(tape, loss_rows)
+
+    def close(a, ref):
+        return np.abs(a - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    assert close(out.data, np.stack([o.data for o in outs]))
+    for p in params[:shared]:
+        assert close(g_batch[p.uid], g_rows[p.uid])
+    for k, p in enumerate(params[shared:]):
+        assert close(g_batch[p.uid],
+                     np.stack([g_rows[r[k].uid] for r in rows]))
+
+
 def test_gru_cell_overflow_is_loud():
     g = np.random.default_rng(4)
     W = g.normal(0, 1.0, (3 * N_H, N_IN))
@@ -496,6 +587,26 @@ def test_fused_shape_errors():
     with pytest.raises(ValueError):
         dc.gauss_kl(Tensor(np.ones(2)), Tensor(np.ones(2)), Tensor(np.ones(2)),
                     Tensor(np.ones(3)))
+
+
+def test_row_form_shape_errors():
+    W, U, b = Tensor(np.ones((6, 3))), Tensor(np.ones((6, 2))), Tensor(np.ones(6))
+    with pytest.raises(ValueError):  # row counts differ
+        dc.gru_cell(W, U, b, Tensor(np.ones((2, 2))), Tensor(np.ones((3, 3))))
+    with pytest.raises(ValueError):  # one state, a batch of inputs
+        dc.gru_cell(W, U, b, Tensor(np.ones(2)), Tensor(np.ones((1, 3))))
+    with pytest.raises(ValueError):
+        dc.gauss_logpdf(*[Tensor(np.ones((2, 2, 2)))] * 3)
+    with pytest.raises(ValueError):
+        dc.gauss_kl(*[Tensor(np.ones((2, 3)))] * 3, Tensor(np.ones((3, 3))))
+    with pytest.raises(ValueError):  # mixed ranks
+        dc.concat([Tensor(np.ones(2)), Tensor(np.ones((1, 2)))])
+    with pytest.raises(ValueError):
+        dc.concat([Tensor(np.ones((1, 2))), Tensor(np.ones((1, 2)))], axis=2)
+    with pytest.raises(ValueError):
+        Tensor(np.ones((3, 2))).slice(2, 4)
+    with pytest.raises(ValueError):
+        Tensor(1.0).slice(0, 1)
 
 
 def test_leaf_does_not_keep_its_tape_alive():

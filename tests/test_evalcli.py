@@ -128,7 +128,7 @@ def test_supervised_prediction_is_clamped_last_cycle_readout():
     params = tiny_params(seed=7)
     params.rho["out.b"].data[...] = 3.0
     trajs = rand_trajs(6, 9, seed=5)
-    last = np.array([predict_sequence_rul(params, t)[-1] for t in trajs])
+    last = np.array([p[-1] for p in predict_sequence_rul(params, trajs)])
     cap = float(np.median(last))
     pred = predict_rul(params, trajs, {t.unit_id: 1.0 for t in trajs}, cap=cap)
     assert np.array_equal(pred.predicted, np.minimum(last, cap))

@@ -1,12 +1,17 @@
-"""Source hygiene: every top-level import in the package is used."""
+"""Source hygiene: every top-level import in the package is used, and
+every module-level function is named somewhere besides its definition."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "avfp"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "avfp"
 NOQA = "# noqa: F401"
+# code that may call a package function
+CALLERS = tuple(ROOT / d for d in ("src", "tests", "demos", "perfbench"))
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -56,3 +61,32 @@ def test_unused_import_check_catches_a_dead_import(tmp_path):
         "__all__ = ['init_params']\n"
         "def f(t: Tensor) -> None:\n    return os.sep\n")
     assert unused_imports(mod) == ["mod.py:6: no_tape", "mod.py:8: rul_head"]
+
+
+def unused_functions(path: pathlib.Path, roots) -> list[str]:
+    """Module-level functions of path whose name occurs in no .py file
+    under roots except in their own definition."""
+    tree = ast.parse(path.read_text())
+    names = [n.name for n in tree.body
+             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    text = "\n".join(p.read_text() for root in roots
+                     for p in sorted(root.rglob("*.py")))
+    return [f"{path.name}: {name}" for name in names
+            if len(re.findall(rf"\b{re.escape(name)}\b", text)) < 2]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_functions(path):
+    assert unused_functions(path, CALLERS) == []
+
+
+def test_unused_function_check_catches_a_dead_function(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def used():\n    return _helper()\n\n"
+        "def _helper():\n    return 1\n\n"
+        "def dead():\n    return 2\n\n"
+        "def dead_too():\n    return 3\n")
+    (tmp_path / "user.py").write_text(
+        "from mod import used\nprint(used())\n")
+    assert unused_functions(tmp_path / "mod.py", [tmp_path]) == [
+        "mod.py: dead", "mod.py: dead_too"]

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import expit
 
 from avfp import model as avm
-from avfp.data import LinearGaussianSpec
+from avfp.data import LinearGaussianSpec, Trajectory
 from avfp.diffcore import Tape, Tensor, backward, constant, grad_check
 from avfp.model import (
     GaussianDiag,
@@ -22,6 +22,7 @@ from avfp.model import (
     sample_reparam,
     transition_prior,
 )
+from avfp.objectives import sequence_elbo
 
 
 def small_spec(**kw):
@@ -156,11 +157,18 @@ def test_recognition_logvar_clamped():
 
 
 def test_first_step_prior_is_standard_normal():
+    # the bound's first-step prior rows, one per trajectory of a batch
     spec = small_spec()
     p = init_params(spec, markovian=False, seed=0)
-    st = advance_prior_state(p, None, np.zeros(spec.n_z), np.zeros(spec.n_u))
-    pr = transition_prior(p, st, np.zeros(spec.n_z), step=0)
-    assert np.all(pr.mean.data == 0.0) and np.all(pr.log_var.data == 0.0)
+    g = np.random.default_rng(0)
+    trajs = [Trajectory(unit_id=k, x=g.standard_normal((T, spec.n_x)),
+                        u=g.standard_normal((T, spec.n_u)))
+             for k, T in enumerate((3, 4))]
+    noise = [g.standard_normal((t.length, spec.n_z)) for t in trajs]
+    _, bound = sequence_elbo(p, trajs, noise)
+    first = [rows[0] for rows in bound.fp.batch.rows]
+    pr = bound.prior
+    assert np.all(pr.mean.data[first] == 0.0) and np.all(pr.log_var.data[first] == 0.0)
 
 
 def test_sample_reparam_formula_and_shape_check():
@@ -182,13 +190,14 @@ def test_discriminator_range_and_pooling():
     spec = small_spec()
     p = init_params(spec, markovian=False, seed=4)
     g = np.random.default_rng(1)
-    zs = [Tensor(g.standard_normal(spec.n_z)) for _ in range(7)]
-    d = discriminate(p, zs)
+    zs = g.standard_normal((7, spec.n_z))
+    pool = np.full((1, 7), 1.0 / 7)
+    d = discriminate(p, zs, pool)
     assert 0.0 < d.item() < 1.0
-    perm = [zs[i] for i in [3, 0, 6, 1, 5, 2, 4]]
-    assert discriminate(p, perm).item() == pytest.approx(d.item(), abs=1e-12)
+    perm = zs[[3, 0, 6, 1, 5, 2, 4]]
+    assert discriminate(p, perm, pool).item() == pytest.approx(d.item(), abs=1e-12)
     with pytest.raises(ValueError):
-        discriminate(p, [])
+        discriminate(p, np.zeros((0, spec.n_z)), np.zeros((1, 0)))
 
 
 def test_zero_weight_discriminator_outputs_half():
@@ -196,8 +205,8 @@ def test_zero_weight_discriminator_outputs_half():
     p = init_params(spec, markovian=False, seed=4)
     for k in p.psi:
         p.psi[k] = Tensor(np.zeros_like(p.psi[k].data))
-    zs = [Tensor(np.random.default_rng(0).standard_normal(spec.n_z))]
-    assert discriminate(p, zs).item() == 0.5
+    zs = np.random.default_rng(0).standard_normal((1, spec.n_z))
+    assert discriminate(p, zs, np.ones((1, 1))).item() == 0.5
 
 
 def test_rul_head_nonnegative():
@@ -224,7 +233,7 @@ def test_linear_gaussian_model_is_exact():
     p = linear_gaussian_model(lg, seed=1)
     z_prev = g.standard_normal(2)
     st = advance_prior_state(p, None, z_prev, np.zeros(1))
-    pr = transition_prior(p, st, constant(z_prev), step=1)
+    pr = transition_prior(p, st, constant(z_prev))
     assert np.allclose(pr.mean.data, lg.A @ z_prev, atol=1e-14)
     assert np.allclose(pr.log_var.data, np.log(lg.q_diag), atol=1e-14)
     z_t = constant(g.standard_normal(2))

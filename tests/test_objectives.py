@@ -23,7 +23,6 @@ from avfp.objectives import (
     kl_diag_gaussians,
     prior_rollout,
     sequence_elbo,
-    stack_scalars,
 )
 
 
@@ -160,16 +159,6 @@ def test_adversarial_domain_check():
         adversarial_losses(ok, constant(np.array([0.0])))
 
 
-def test_stack_scalars_keeps_gradients():
-    a, b = Tensor(2.0), Tensor(3.0)
-    with Tape() as tape:
-        v = stack_scalars([a * a, b * a])
-        loss = v.sum()  # a^2 + ab
-    g = backward(tape, loss)
-    assert g[a.uid] == pytest.approx(2 * 2.0 + 3.0)
-    assert g[b.uid] == pytest.approx(2.0)
-
-
 # ---------------------------------------------------------------------------
 # filtering pass and evidence bound
 
@@ -191,9 +180,9 @@ def test_zero_net_reduction(markovian):
     for T in (1, 5):
         traj = Trajectory(unit_id=0, x=np.zeros((T, 3)), u=np.zeros((T, 2)))
         noise = rng.normal(0, (T, 2), "test-noise")
-        elbo, fp = sequence_elbo(params, traj, noise)
+        elbo, bound = sequence_elbo(params, [traj], [noise])
         assert elbo.item() == pytest.approx(T * 3 * (-0.5 * LN_2PI), abs=1e-12)
-        assert all(k.item() == 0.0 for k in fp.kl_steps)
+        assert np.all(bound.kl.data == 0.0)
 
 
 def test_filter_forward_structure():
@@ -202,14 +191,14 @@ def test_filter_forward_structure():
     params = init_params(spec, markovian=False, seed=1)
     traj = rand_traj(6, 3, 2, seed=0)
     noise = rng.normal(1, (6, 2), "n")
-    fp = filter_forward(params, traj, noise)
-    assert len(fp.samples) == 6 and len(fp.kl_steps) == 6
-    assert all(s.shape == (2,) for s in fp.samples)
+    fp = filter_forward(params, [traj], [noise])
+    _, bound = sequence_elbo(params, [traj], [noise])
+    assert fp.samples.shape == (6, 2) and bound.kl.shape == (6,)
     # first-step prior pinned
-    assert np.all(fp.priors[0].mean.data == 0.0)
-    assert np.all(fp.priors[0].log_var.data == 0.0)
+    assert np.all(bound.prior.mean.data[0] == 0.0)
+    assert np.all(bound.prior.log_var.data[0] == 0.0)
     with pytest.raises(ValueError):
-        filter_forward(params, traj, np.zeros((5, 2)))
+        filter_forward(params, [traj], [np.zeros((5, 2))])
 
 
 def test_deterministic_mode_uses_means():
@@ -217,9 +206,8 @@ def test_deterministic_mode_uses_means():
                        dec_hidden=3, prior_hidden=3)
     params = init_params(spec, markovian=False, seed=1)
     traj = rand_traj(4, 3, 2, seed=2)
-    fp = filter_forward(params, traj, None)
-    for z, q in zip(fp.samples, fp.posteriors):
-        assert z is q.mean
+    fp = filter_forward(params, [traj], None)
+    assert fp.samples is fp.posterior.mean
 
 
 def test_elbo_gradcheck_both_modes():
@@ -243,7 +231,7 @@ def test_elbo_gradcheck_both_modes():
                 theta[n] = t
             trial = ModelParams(spec=spec, markovian=markovian, theta=theta,
                                 phi=phi, psi=params.psi, rho=params.rho)
-            elbo, _ = sequence_elbo(trial, traj, noise)
+            elbo, _ = sequence_elbo(trial, [traj], [noise])
             return elbo
 
         assert grad_check(f, tensors + th_tensors, step=1e-5) < 1e-4
@@ -255,8 +243,9 @@ def test_combined_equals_elbo_when_lambda_zero():
     params = init_params(spec, markovian=False, seed=2)
     traj = rand_traj(5, 3, 2, seed=4)
     noise = rng.normal(2, (5, 2), "cmp")
-    elbo, _ = sequence_elbo(params, traj, noise)
-    bd, target, _ = combined_objective(params, traj, noise, lambda_adv=0.0)
+    elbo, _ = sequence_elbo(params, [traj], [noise])
+    (bd,), target, _ = combined_objective(params, [traj], [noise],
+                                          lambda_adv=0.0)
     assert bd.combined == elbo.item()  # bit-identical
     assert target.item() == elbo.item()
     assert bd.adv_gen == 0.0
@@ -270,8 +259,8 @@ def test_combined_breakdown_invariant():
     noise = rng.normal(2, (5, 2), "cmp")
     pn = rng.normal(2, (5, 2), "cmp-prior")
     lam = 0.37
-    bd, target, _ = combined_objective(params, traj, noise, lambda_adv=lam,
-                                       prior_noise=pn)
+    (bd,), target, _ = combined_objective(params, [traj], [noise],
+                                          lambda_adv=lam, prior_noise=[pn])
     assert bd.combined == bd.recon_loglik - bd.kl_total - lam * bd.adv_gen
     assert bd.kl_per_step.shape == (5,)
     assert np.isfinite(bd.adv_disc)
@@ -287,8 +276,8 @@ def test_zero_weight_discriminator_constant_penalty():
         params.psi[k] = Tensor(np.zeros_like(params.psi[k].data))
     traj = rand_traj(5, 3, 2, seed=4)
     noise = rng.normal(2, (5, 2), "cmp")
-    elbo, _ = sequence_elbo(params, traj, noise)
-    bd, _, _ = combined_objective(params, traj, noise, lambda_adv=1.0)
+    elbo, _ = sequence_elbo(params, [traj], [noise])
+    (bd,), _, _ = combined_objective(params, [traj], [noise], lambda_adv=1.0)
     assert bd.adv_gen == pytest.approx(np.log(2.0), abs=1e-15)
     assert bd.combined == pytest.approx(elbo.item() - np.log(2.0), abs=1e-12)
     assert bd.adv_disc == pytest.approx(2.0 * np.log(2.0), abs=1e-15)
@@ -300,8 +289,8 @@ def test_kl_warmup_changes_target_not_breakdown():
     params = init_params(spec, markovian=False, seed=2)
     traj = rand_traj(5, 3, 2, seed=4)
     noise = rng.normal(2, (5, 2), "cmp")
-    bd, target, _ = combined_objective(params, traj, noise, lambda_adv=0.0,
-                                       kl_weight=0.25)
+    (bd,), target, _ = combined_objective(params, [traj], [noise],
+                                          lambda_adv=0.0, kl_weight=0.25)
     assert bd.combined == bd.recon_loglik - bd.kl_total
     assert target.item() == pytest.approx(
         bd.recon_loglik - 0.25 * bd.kl_total, rel=1e-12
@@ -312,15 +301,14 @@ def test_prior_rollout_detached_and_deterministic():
     spec = NetworkSpec(n_x=3, n_u=2, n_z=2, n_h=4, enc_hidden=3,
                        dec_hidden=3, prior_hidden=3)
     params = init_params(spec, markovian=False, seed=8)
-    u = np.zeros((6, 2))
+    traj = Trajectory(unit_id=0, x=np.zeros((6, 3)), u=np.zeros((6, 2)))
     noise = rng.normal(8, (6, 2), "roll")
     with Tape() as tape:
-        zs = prior_rollout(params, u, noise)
+        zs = prior_rollout(params, [traj], [noise])
     assert len(tape) == 0  # nothing recorded
-    assert all(z.tape is None for z in zs)
-    zs2 = prior_rollout(params, u, noise)
-    for a, b in zip(zs, zs2):
-        assert np.array_equal(a.data, b.data)
+    assert zs.tape is None
+    zs2 = prior_rollout(params, [traj], [noise])
+    assert np.array_equal(zs.data, zs2.data)
 
 
 # ---------------------------------------------------------------------------
@@ -344,23 +332,27 @@ def test_elbo_never_exceeds_exact_loglik():
         vals = np.empty(draws)
         for d in range(draws):
             noise = rng.normal(seed, (12, n_z), "elbo-mc", d)
-            elbo, _ = sequence_elbo(params, traj, noise)
+            elbo, _ = sequence_elbo(params, [traj], [noise])
             vals[d] = elbo.item()
         se = vals.std(ddof=1) / np.sqrt(draws)
         assert vals.mean() <= exact + 3.0 * se
 
 
 def test_replay_bit_exact_over_combined_objective_tape():
-    # default spec on the FD001-shaped fleet: every fused op is on the tape
+    # default spec on the FD001-shaped fleet and a ragged batch: every
+    # fused op and the row cuts of ending trajectories are on the tape
     spec = NetworkSpec(n_x=14, n_u=2)
     params = init_params(spec, markovian=False, seed=0)
-    traj = rand_traj(6, 14, 2, seed=8)
-    noise = rng.normal(0, (6, spec.n_z), "replay-noise")
-    prior_noise = rng.normal(0, (6, spec.n_z), "replay-prior-noise")
+    trajs = [rand_traj(T, 14, 2, seed=8 + T) for T in (6, 4, 5)]
+    noise = [rng.normal(0, (t.length, spec.n_z), "replay-noise", i)
+             for i, t in enumerate(trajs)]
+    prior_noise = [rng.normal(0, (t.length, spec.n_z), "replay-prior-noise", i)
+                   for i, t in enumerate(trajs)]
     with Tape() as tape:
-        _, target, _ = combined_objective(params, traj, noise, 0.1,
+        _, target, _ = combined_objective(params, trajs, noise, 0.1,
                                           prior_noise=prior_noise)
-    assert {"affine", "gru_cell", "gauss_logpdf", "gauss_kl"} <= set(tape.ops)
+    assert {"affine", "gru_cell", "gauss_logpdf", "gauss_kl", "concat",
+            "slice", "matmul"} <= set(tape.ops)
     replay(tape)
     grads = backward(tape, target)
     assert all(np.isfinite(g).all() for g in grads.values())

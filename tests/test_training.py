@@ -7,10 +7,21 @@ import numpy as np
 import pytest
 
 from avfp import diffcore as dc
-from avfp.data import LinearGaussianSpec, gen_linear_gaussian, kalman_loglik
+from avfp.data import (
+    LinearGaussianSpec,
+    gen_linear_gaussian,
+    kalman_loglik,
+    random_linear_gaussian_instance,
+)
 from avfp.diffcore import Tape, Tensor, backward
-from avfp.model import NetworkSpec, init_params, linear_gaussian_model
-from avfp.objectives import filter_means, stack_scalars
+from avfp.model import (
+    NetworkSpec,
+    emission,
+    init_params,
+    linear_gaussian_model,
+    transition_prior,
+)
+from avfp.objectives import filter_means
 from avfp.training import (
     BoundAuditRow,
     OptimizerState,
@@ -271,7 +282,7 @@ def test_predict_sequence_rul_shape_and_sign():
     trajs = toy_trajs(1, T=12)
     res = train(trajs, small_spec(), quick_config(epochs=1,
                                                   trajectories_per_batch=1))
-    pred = predict_sequence_rul(res.params, trajs[0])
+    (pred,) = predict_sequence_rul(res.params, trajs)
     assert pred.shape == (12,)
     assert np.all(pred >= 0.0)  # soft-plus readout cannot go negative
 
@@ -296,12 +307,13 @@ def test_readout_loss_matches_per_row_reference():
     with Tape() as tape:
         errs = []
         for tr in trajs:
-            for row, target in zip(np.hstack(filter_means(params, tr)), tr.rul):
+            _, states, means = filter_means(params, [tr])
+            for row, target in zip(np.hstack([states, means]), tr.rul):
                 hidden = dc.tanh(dc.affine(rho["l1.W"], dc.constant(row),
                                            rho["l1.b"]))
                 pred = dc.softplus(dc.affine(rho["out.w"], hidden, rho["out.b"]))
                 errs.append(pred - target)
-        err = stack_scalars(errs)
+        err = dc.concat([dc.broadcast_to(e, (1,)) for e in errs])
         ref = (err * err).mean()
     ref_grads = backward(tape, ref)
 
@@ -315,7 +327,7 @@ def test_readout_loss_matches_per_row_reference():
 def test_rmse_per_cycle_matches_manual_computation():
     trajs = toy_trajs(2, T=6, rul=True)
     res = train(trajs, small_spec(), quick_config(epochs=1))
-    preds = [predict_sequence_rul(res.params, t) for t in trajs]
+    preds = predict_sequence_rul(res.params, trajs)
     manual = np.sqrt(
         np.mean(np.concatenate([(p - t.rul) ** 2 for p, t in zip(preds, trajs)]))
     )
@@ -488,6 +500,32 @@ def test_fit_recognition_tightens_the_bound():
     assert after > before
     assert after <= exact + 3.0 * after_se  # still a lower bound
     assert (exact - after) < (exact - before)
+
+
+def test_kalman_oracle_audits_the_history_path():
+    """markovian=False: both history GRUs run, the heads ignore them, so
+    the exact likelihood still caps the bound before and after fitting."""
+    for seed in range(3):
+        lg, length = random_linear_gaussian_instance(seed)
+        traj = gen_linear_gaussian(lg, length, seed=seed)
+        exact = kalman_loglik(lg, traj.x)
+        params = linear_gaussian_model(lg, enc_hidden=8, seed=seed,
+                                       markovian=False)
+        assert "gru.W" in params.theta and "gru.W" in params.phi
+
+        g = np.random.default_rng(seed)
+        history = Tensor(g.standard_normal((4, params.spec.n_h)))
+        z = g.standard_normal((4, lg.n_z))
+        assert np.allclose(transition_prior(params, history, z).mean.data,
+                           z @ lg.A.T, atol=1e-14)
+        assert np.allclose(emission(params, history, Tensor(z)).mean.data,
+                           z @ lg.C.T, atol=1e-14)
+
+        before, before_se = mc_elbo(params, traj, draws=64, seed=seed)
+        fit_recognition(params, [traj], steps=100, lr=1e-2, seed=seed)
+        after, after_se = mc_elbo(params, traj, draws=64, seed=seed + 1)
+        assert before <= exact + 3.0 * before_se
+        assert after <= exact + 3.0 * after_se
 
 
 def test_bound_audit_row_logic():
