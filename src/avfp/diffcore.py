@@ -5,10 +5,11 @@ The basic set is elementwise add/sub/mul (either operand may be 0-d),
 matmul, tanh/sigmoid/exp/log/softplus, full reductions sum/mean,
 concat along a static axis, slice of the leading axis, broadcast, and a
 hard clip.  Four fused primitives with hand-written backward rules carry
-the model's hot paths, each for one input or for a batch of rows:
+the model's hot paths.  affine and gru_cell take a batch of rows; the
+Gaussian ops take a batch of rows or one vector:
 
-  affine        W @ x + b
-  gru_cell      one gated recurrent update, gates packed row-wise
+  affine        W @ x + b for each row x
+  gru_cell      one gated recurrent update per row, gates packed
                 [reset; update; cand]: one W @ x + b and one U @ h
   gauss_logpdf  log N(x; mean, diag(exp(log_var))), summed per row
   gauss_kl      KL between two diagonal Gaussians, summed per row
@@ -21,18 +22,12 @@ and demands bit-identical values.
 
 Forward evaluation with no tape open is plain numpy and carries no
 recording overhead, which is what prediction and rollout paths use.
-
-Concurrency model: tensors are treated as immutable once created
-(training mutates parameter arrays only between tapes, never while a
-tape referencing them is alive), and independent tapes may run on
-independent threads because the active tape is thread-local.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 
 import numpy as np
 from scipy.special import expit
@@ -49,11 +44,7 @@ class TapeError(RuntimeError):
 
 
 _uid_counter = itertools.count(1)
-_active = threading.local()
-
-
-def _current_tape():
-    return getattr(_active, "tape", None)
+_active_tape = None  # the innermost open Tape; None while no_tape is open
 
 
 def _check_finite(op: str, *arrs: np.ndarray) -> None:
@@ -163,8 +154,8 @@ class Tape:
     forward value, op-specific aux data, static keyword arguments).
     Leaves are enrolled lazily on first use and found again through the
     tape's own uid -> node map, so a leaf tensor never keeps a tape
-    alive.  Entering the context makes the tape the thread's active
-    recorder; tapes may nest, the innermost one records.
+    alive.  Entering the context makes the tape the active recorder;
+    tapes may nest, the innermost one records.
     """
 
     __slots__ = ("ops", "parents", "values", "aux", "kws", "leaves", "_prev",
@@ -182,12 +173,13 @@ class Tape:
         return len(self.ops)
 
     def __enter__(self):
-        self._prev = _current_tape()
-        _active.tape = self
+        global _active_tape
+        self._prev, _active_tape = _active_tape, self
         return self
 
     def __exit__(self, *exc):
-        _active.tape = self._prev
+        global _active_tape
+        _active_tape = self._prev
         return False
 
     def _leaf(self, t: Tensor) -> int:
@@ -216,12 +208,13 @@ class no_tape:
     __slots__ = ("_prev",)
 
     def __enter__(self):
-        self._prev = _current_tape()
-        _active.tape = None
+        global _active_tape
+        self._prev, _active_tape = _active_tape, None
         return self
 
     def __exit__(self, *exc):
-        _active.tape = self._prev
+        global _active_tape
+        _active_tape = self._prev
         return False
 
 
@@ -416,9 +409,9 @@ def _clip_vjp(g, vals, out, aux):
 
 
 def _affine(W, x, b):
-    # x is one input (n,) or a row batch (N, n), and each row gets
-    # W @ row + b; W is a matrix, or a row vector giving one scalar per row
-    n = x.shape[-1] if x.ndim in (1, 2) else -1
+    # x is a row batch (N, n), and each row gets W @ row + b; W is a
+    # matrix, or a row vector giving one scalar per row
+    n = x.shape[1] if x.ndim == 2 else -1
     if W.ndim == 2:
         ok = W.shape[1] == n and b.shape == (W.shape[0],)
     else:
@@ -426,35 +419,31 @@ def _affine(W, x, b):
     if not ok:
         raise ValueError(
             f"affine shapes unsupported: {W.shape} @ {x.shape} + {b.shape}")
-    return (W @ x if x.ndim == 1 else x @ W.T) + b, None
+    return x @ W.T + b, None
 
 
 def _affine_vjp(g, vals, out, aux):
-    W, x, _ = vals
-    if x.ndim == 2:  # a row batch: g holds one adjoint per row of x
-        gx = np.multiply.outer(g, W) if W.ndim == 1 else g @ W
-        return g.T @ x, gx, g.sum(axis=0)
-    if W.ndim == 1:
-        return g * x, g * W, g
-    return np.multiply.outer(g, x), W.T @ g, g
+    W, x, _ = vals  # g holds one adjoint per row of x
+    gx = np.multiply.outer(g, W) if W.ndim == 1 else g @ W
+    return g.T @ x, gx, g.sum(axis=0)
 
 
 def _gru_cell(W, U, b, h, x):
-    # one state h (n,) with input x (m,), or a row batch h (B, n), x (B, m)
-    n = h.shape[-1] if h.ndim in (1, 2) else 0
-    if (n == 0 or x.ndim != h.ndim or x.shape[:-1] != h.shape[:-1]
-            or W.shape != (3 * n, x.shape[-1]) or U.shape != (3 * n, n)
+    # a row batch of states h (B, n) with inputs x (B, m)
+    n = h.shape[1] if h.ndim == 2 else 0
+    if (n == 0 or x.ndim != 2 or x.shape[0] != h.shape[0]
+            or W.shape != (3 * n, x.shape[1]) or U.shape != (3 * n, n)
             or b.shape != (3 * n,)):
         raise ValueError(
             f"gru_cell shapes unsupported: W {W.shape}, U {U.shape}, "
             f"b {b.shape}, h {h.shape}, x {x.shape}")
     s = x @ W.T + b
     t = h @ U.T
-    tc = t[..., 2 * n:]
-    pre_ru = s[..., :2 * n] + t[..., :2 * n]
+    tc = t[:, 2 * n:]
+    pre_ru = s[:, :2 * n] + t[:, :2 * n]
     ru = expit(pre_ru)
-    r, u = ru[..., :n], ru[..., n:]
-    pre_c = s[..., 2 * n:] + r * tc
+    r, u = ru[:, :n], ru[:, n:]
+    pre_c = s[:, 2 * n:] + r * tc
     # The gates saturate, so an overflow in W @ x + b or U @ h would leave
     # a finite output.  Every entry of both reaches pre_ru or pre_c, and
     # a NaN/Inf there stays NaN/Inf (r > 0, or r * inf is NaN), so this
@@ -470,13 +459,10 @@ def _gru_cell_vjp(g, vals, out, aux):
     d_pre_c = g * u * (1.0 - c * c)
     d_pre_r = d_pre_c * tc * r * (1.0 - r)
     d_pre_u = g * (c - h) * u * (1.0 - u)
-    ds = np.concatenate((d_pre_r, d_pre_u, d_pre_c), axis=-1)
-    dt = np.concatenate((d_pre_r, d_pre_u, d_pre_c * r), axis=-1)
-    if h.ndim == 1:
-        dW, dU, db = np.multiply.outer(ds, x), np.multiply.outer(dt, h), ds
-    else:
-        dW, dU, db = ds.T @ x, dt.T @ h, ds.sum(axis=0)
-    return dW, dU, db, g * (1.0 - u) + dt @ U, ds @ W
+    ds = np.concatenate((d_pre_r, d_pre_u, d_pre_c), axis=1)
+    dt = np.concatenate((d_pre_r, d_pre_u, d_pre_c * r), axis=1)
+    return (ds.T @ x, dt.T @ h, ds.sum(axis=0),
+            g * (1.0 - u) + dt @ U, ds @ W)
 
 
 def _gauss_logpdf(x, mean, log_var):
@@ -565,7 +551,7 @@ def apply_primitive(op: str, *inputs, **kw) -> Tensor:
     result.tape = None
     result.node_id = None
 
-    tape = _current_tape()
+    tape = _active_tape
     if tape is not None:
         pids = tuple([tape._leaf(t) for t in inputs])
         result.tape = tape

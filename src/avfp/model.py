@@ -17,11 +17,11 @@ recurrent encoders are bypassed: the recognition head sees only
 (x_t, u_t, z_prev) and the prior/emission heads see only the adjacent
 latent, which removes every non-adjacent dependency.
 
-Every block takes one cycle (vectors) or a batch of rows (matrices, one
-row per trajectory or per stacked cycle).  A recurrent step whose
-previous state has more rows than its inputs keeps the first ones: the
-trajectories of a time-major batch that are still running.  The
-discriminator pools stacked latent rows into one score per trajectory.
+Every block takes a batch of rows (matrices, one row per trajectory or
+per stacked cycle).  A recurrent step whose previous state has more rows
+than its inputs keeps the first ones: the trajectories of a time-major
+batch that are still running.  The discriminator pools stacked latent
+rows into one score per trajectory.
 """
 
 from __future__ import annotations
@@ -80,14 +80,6 @@ class NetworkSpec:
         if self.n_z > self.n_h:
             raise ValueError("n_z must not exceed n_h")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_x": self.n_x, "n_u": self.n_u, "n_z": self.n_z, "n_h": self.n_h,
-            "enc_hidden": self.enc_hidden, "dec_hidden": self.dec_hidden,
-            "prior_hidden": self.prior_hidden, "disc_hidden": self.disc_hidden,
-            "rul_hidden": self.rul_hidden,
-        }
-
 
 @dataclass
 class GaussianDiag:
@@ -128,11 +120,9 @@ def recognition_input_dim(spec: NetworkSpec, markovian: bool) -> int:
     return spec.n_x + spec.n_u + spec.n_z if markovian else spec.n_h
 
 
-def prior_input_dim(spec: NetworkSpec, markovian: bool) -> int:
-    return spec.n_z if markovian else spec.n_z + spec.n_h
-
-
-def emission_input_dim(spec: NetworkSpec, markovian: bool) -> int:
+def generative_input_dim(spec: NetworkSpec, markovian: bool) -> int:
+    """Input width of the prior and emission heads: a latent, plus the
+    prior's recurrent summary unless markovian."""
     return spec.n_z if markovian else spec.n_z + spec.n_h
 
 
@@ -181,9 +171,9 @@ def init_params(spec: NetworkSpec, markovian: bool, seed: int) -> ModelParams:
     if not markovian:
         _gru(g, spec.n_z + spec.n_u, spec.n_h, theta)
         theta["g0"] = Tensor(np.zeros(spec.n_h))
-    _head(g, "pri", prior_input_dim(spec, markovian),
+    _head(g, "pri", generative_input_dim(spec, markovian),
           spec.prior_hidden, spec.n_z, theta)
-    _head(g, "dec", emission_input_dim(spec, markovian),
+    _head(g, "dec", generative_input_dim(spec, markovian),
           spec.dec_hidden, spec.n_x, theta)
 
     g = rng.stream(seed, "init", "psi")
@@ -218,19 +208,20 @@ def gru_step(group: dict[str, Tensor], prefix: str, h: Tensor, inp: Tensor) -> T
 def _carry(h0: Tensor, prev: Tensor | None, inp: Tensor) -> Tensor:
     """The state a recurrent step starts from: h0 (one copy per input
     row) at the first step, else prev cut to the rows still running."""
+    n = inp.shape[0]
     if prev is None:
-        return h0 if inp.data.ndim == 1 else broadcast_to(
-            h0, (inp.shape[0], h0.shape[0]))
-    if prev.data.ndim == 2 and prev.shape[0] > inp.shape[0]:
-        return prev.slice(0, inp.shape[0])
-    return prev
+        return broadcast_to(h0, (n, h0.shape[0]))
+    return prev.slice(0, n) if prev.shape[0] > n else prev
 
 
 def _gaussian_head(group: dict[str, Tensor], prefix: str, hidden: int,
-                   inp: Tensor) -> GaussianDiag:
+                   inp: Tensor, mean_only: bool = False
+                   ) -> GaussianDiag | Tensor:
     feat = tanh(affine(group[f"{prefix}.W1"], inp, group[f"{prefix}.b1"])) \
         if hidden > 0 else inp
     mean = affine(group[f"{prefix}.Wm"], feat, group[f"{prefix}.bm"])
+    if mean_only:
+        return mean
     log_var = affine(group[f"{prefix}.Wv"], feat, group[f"{prefix}.bv"]).clip(
         LOG_VAR_MIN, LOG_VAR_MAX)
     return GaussianDiag(mean=mean, log_var=log_var)
@@ -261,9 +252,12 @@ def encode_history(params: ModelParams, prev: Tensor | None,
     return gru_step(params.phi, "gru", _carry(params.phi["h0"], prev, inp), inp)
 
 
-def recognition(params: ModelParams, state: Tensor) -> GaussianDiag:
-    """Posterior belief over z_t given the recognition summary."""
-    return _gaussian_head(params.phi, "enc", params.spec.enc_hidden, state)
+def recognition(params: ModelParams, state: Tensor,
+                mean_only: bool = False) -> GaussianDiag | Tensor:
+    """Posterior belief over z_t given the recognition summary; with
+    mean_only, its mean alone (the log-variance head is not run)."""
+    return _gaussian_head(params.phi, "enc", params.spec.enc_hidden, state,
+                          mean_only)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ filter_forward is the recognition chain alone: at each step the
 recognition summary is updated with the current observation first, the
 posterior over z_t is read off, and a reparameterized sample is drawn
 with externally supplied noise (or, for readouts, the posterior mean
-stands in for it).  filter_means runs it with recording off for the
-remaining-life and health-index readouts.
+stands in for it, and the log-variance head is not run).  filter_means
+runs it with recording off for the remaining-life and health-index
+readouts.
 
 The evidence bound steps only the prior's recurrence through time; the
 transition prior, the emission head, the log-density and the KL then
@@ -125,14 +126,16 @@ class ObjectiveBreakdown:
 class FilterPass:
     """What the recognition chain produced, rows stacked as in batch.
 
-    prev holds, per step, the previous sample z_{t-1} of the running
-    rows (zeros at the first step): the latent input of both
-    recurrences.  In deterministic mode samples is posterior.mean.
+    states and prev hold one entry per step: the recognition summaries
+    of the running rows, and their previous sample z_{t-1} (zeros at
+    the first step), the latent input of both recurrences.  In
+    deterministic mode samples holds the posterior means and posterior
+    is None.
     """
 
     batch: Batch
-    states: Tensor
-    posterior: GaussianDiag
+    states: list[Tensor]
+    posterior: GaussianDiag | None
     samples: Tensor
     prev: list[Tensor]
 
@@ -180,7 +183,7 @@ def filter_forward(params: ModelParams, trajs: list[Trajectory],
 
     noise holds one (T_b, n_z) array per trajectory; None switches to
     deterministic filtering where the posterior mean stands in for the
-    sample.
+    sample and nothing else of the posterior is computed.
     """
     batch = Batch(trajs)
     n_z = params.spec.n_z
@@ -195,19 +198,21 @@ def filter_forward(params: ModelParams, trajs: list[Trajectory],
     for lo, hi in batch.spans:
         z_prev = _running(z_prev, hi - lo)
         h = encode_history(params, h, batch.x[lo:hi], batch.u[lo:hi], z_prev)
-        post = recognition(params, h)
-        z = post.mean if eps is None else sample_reparam(post, eps[lo:hi])
+        if eps is None:
+            z = recognition(params, h, mean_only=True)
+        else:
+            post = recognition(params, h)
+            z = sample_reparam(post, eps[lo:hi])
+            means.append(post.mean)
+            log_vars.append(post.log_var)
         states.append(h)
-        means.append(post.mean)
-        log_vars.append(post.log_var)
         samples.append(z)
         prev.append(z_prev)
         z_prev = z
-    mean = concat(means)
-    return FilterPass(
-        batch=batch, states=concat(states),
-        posterior=GaussianDiag(mean, concat(log_vars)),
-        samples=mean if eps is None else concat(samples), prev=prev)
+    posterior = None if eps is None else GaussianDiag(concat(means),
+                                                      concat(log_vars))
+    return FilterPass(batch=batch, states=states, posterior=posterior,
+                      samples=concat(samples), prev=prev)
 
 
 def filter_means(params: ModelParams, trajs: list[Trajectory]
@@ -217,7 +222,8 @@ def filter_means(params: ModelParams, trajs: list[Trajectory]
     means, one row per cycle."""
     with no_tape():
         fp = filter_forward(params, trajs, None)
-    return fp.batch, fp.states.data, fp.posterior.mean.data
+    return (fp.batch, np.concatenate([h.data for h in fp.states]),
+            fp.samples.data)
 
 
 def _bound(params: ModelParams, fp: FilterPass) -> Bound:
@@ -314,13 +320,10 @@ def combined_objective(
     bound = _bound(params, filter_forward(params, trajs, noise))
     recon = bound.recon.sum()
     kl = bound.kl.sum()
-    elbo = recon - kl
+    target = recon - kl if kl_weight == 1.0 else recon - kl * kl_weight
 
     adv_gen_rows = adv_disc_rows = np.zeros(len(trajs))
-    if lambda_adv == 0.0:
-        combined = elbo
-        target = combined if kl_weight == 1.0 else recon - kl * kl_weight
-    else:
+    if lambda_adv > 0.0:
         pool = bound.fp.batch.pool
         d_fake = discriminate(params, bound.fp.samples, pool)
         adv_gen = log(d_fake) * -1.0
@@ -329,12 +332,7 @@ def combined_objective(
             d_real = discriminate(params, prior_rollout(params, trajs, pn), pool)
             adv_disc = (log(d_real) + log(1.0 - d_fake)) * -1.0
         adv_gen_rows, adv_disc_rows = adv_gen.data, adv_disc.data
-        adv_total = adv_gen.sum()
-        combined = elbo - adv_total * lambda_adv
-        if kl_weight == 1.0:
-            target = combined
-        else:
-            target = recon - kl * kl_weight - adv_total * lambda_adv
+        target = target - adv_gen.sum() * lambda_adv
 
     recons = bound.per_trajectory(bound.recon)
     breakdowns = []

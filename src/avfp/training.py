@@ -30,7 +30,9 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass, field, fields
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,8 +48,8 @@ from .diffcore import (
     NonFiniteError,
     Tape,
     Tensor,
+    affine,
     backward,
-    broadcast_to,
     constant,
     log,
     no_tape,
@@ -146,6 +148,21 @@ def clip_by_global_norm(grads: dict[str, np.ndarray],
     return {k: g * scale for k, g in grads.items()}, norm
 
 
+@contextmanager
+def _adam_update(group: dict[str, Tensor], state: OptimizerState,
+                 max_norm: float):
+    """Tape the body, which sets .loss on the yielded record, then take
+    one Adam step on group along the loss's gradients, clipped as a
+    whole to max_norm.  Nothing moves if the body raises."""
+    step = SimpleNamespace(loss=None)
+    with Tape() as tape:
+        yield step
+    by_uid = backward(tape, step.loss)
+    grads = {name: by_uid.get(p.uid, np.zeros_like(p.data))
+             for name, p in group.items()}
+    adam_step(group, clip_by_global_norm(grads, max_norm)[0], state)
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -180,7 +197,7 @@ class TrainConfig:
             raise ValueError("gradient_clip_norm must be positive")
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
@@ -273,14 +290,6 @@ def _discriminator_loss(params: ModelParams, trajs: list[Trajectory],
     return adversarial_losses(d_real, d_fake)[0]
 
 
-def _grads_for(group: dict[str, Tensor], grads_by_uid: dict[int, np.ndarray]
-               ) -> dict[str, np.ndarray]:
-    return {
-        name: grads_by_uid.get(p.uid, np.zeros_like(p.data))
-        for name, p in group.items()
-    }
-
-
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -370,14 +379,11 @@ def train(
                                              "disc-real", step, j, i)
                                   for i, t in enumerate(batch)]
                     try:
-                        with Tape() as tape:
-                            disc_loss = _discriminator_loss(
+                        with _adam_update(disc_group, opt_disc,
+                                          config.gradient_clip_norm) as update:
+                            update.loss = _discriminator_loss(
                                 params, batch, fake_noise, real_noise)
-                        grads = _grads_for(disc_group, backward(tape, disc_loss))
-                        grads, _ = clip_by_global_norm(
-                            grads, config.gradient_clip_norm)
-                        adam_step(disc_group, grads, opt_disc)
-                        disc_loss_val = disc_loss.item()
+                        disc_loss_val = update.loss.item()
                     except NonFiniteError:
                         opt_disc.skipped += 1
 
@@ -392,14 +398,13 @@ def train(
                                       "prior-noise", step, i)
                            for i, t in enumerate(batch)]
             try:
-                with Tape() as tape:
+                with _adam_update(gen_group, opt_gen,
+                                  config.gradient_clip_norm) as update:
                     breakdowns, target, _ = combined_objective(
                         params, batch, noise, config.lambda_adv,
                         prior_noise=prior_noise, kl_weight=kl_w)
-                    loss = target * (-1.0 / len(batch))  # minimize -combined
-                grads = _grads_for(gen_group, backward(tape, loss))
-                grads, _ = clip_by_global_norm(grads, config.gradient_clip_norm)
-                adam_step(gen_group, grads, opt_gen)
+                    # minimize -combined
+                    update.loss = target * (-1.0 / len(batch))
                 consecutive = 0
                 steps_log.append(StepRecord(
                     step=step, epoch=epoch,
@@ -422,14 +427,11 @@ def train(
             # phase 3: remaining-life readout
             if supervised:
                 try:
-                    with Tape() as tape:
-                        rul_loss = readout_loss(params, batch)
-                    grads = _grads_for(rul_group, backward(tape, rul_loss))
-                    grads, _ = clip_by_global_norm(
-                        grads, config.gradient_clip_norm)
-                    adam_step(rul_group, grads, opt_rul)
+                    with _adam_update(rul_group, opt_rul,
+                                      config.gradient_clip_norm) as update:
+                        update.loss = readout_loss(params, batch)
                     if steps_log and steps_log[-1].step == step:
-                        steps_log[-1].rul_loss = rul_loss.item()
+                        steps_log[-1].rul_loss = update.loss.item()
                 except NonFiniteError:
                     opt_rul.skipped += 1
 
@@ -494,12 +496,9 @@ def fit_recognition(params: ModelParams, trajs: list[Trajectory], steps: int,
         traj = trajs[(step - 1) % len(trajs)]
         noise = rng.normal(seed, (traj.length, params.spec.n_z),
                            "fit-phi", step)
-        with Tape() as tape:
+        with _adam_update(phi_group, opt, clip) as update:
             elbo, _ = sequence_elbo(params, [traj], [noise])
-            loss = elbo * -1.0
-        grads = _grads_for(phi_group, backward(tape, loss))
-        grads, _ = clip_by_global_norm(grads, clip)
-        adam_step(phi_group, grads, opt)
+            update.loss = elbo * -1.0
         trace.append(elbo.item())
     return trace
 
@@ -652,7 +651,7 @@ def _pack_entry(name: str, arr: np.ndarray) -> bytes:
 def _checkpoint_table(ckpt: Checkpoint) -> dict[str, np.ndarray]:
     """Everything as named float64 arrays (ints/bools are exact < 2^53)."""
     table: dict[str, np.ndarray] = {}
-    for k, v in ckpt.spec.to_dict().items():
+    for k, v in asdict(ckpt.spec).items():
         table[f"spec/{k}"] = np.float64(v)
     for k, v in ckpt.config.to_dict().items():
         table[f"config/{k}"] = np.float64(float(v))
@@ -739,11 +738,8 @@ def load_checkpoint(path: str) -> Checkpoint:
     def scalar(key):
         return float(table[key])
 
-    spec_kw = {}
-    for k in ("n_x", "n_u", "n_z", "n_h", "enc_hidden", "dec_hidden",
-              "prior_hidden", "disc_hidden", "rul_hidden"):
-        spec_kw[k] = int(scalar(f"spec/{k}"))
-    spec = NetworkSpec(**spec_kw)
+    spec = NetworkSpec(**{f_.name: int(scalar(f"spec/{f_.name}"))
+                          for f_ in fields(NetworkSpec)})
 
     cfg_kw = {}
     for f_ in fields(TrainConfig):
@@ -811,18 +807,18 @@ def train_toy_gan(steps: int = 5000, batch: int = 64, lr: float = 1e-3,
     g_params = {"scale": Tensor(np.array(1.0)), "shift": Tensor(np.array(0.0))}
     ginit = rng.stream(seed, "toy-gan-init")
     d_params = {
-        "W1": Tensor(ginit.normal(0, 1.0, (1, hidden))),
+        "W1": Tensor(ginit.normal(0, 1.0, (hidden, 1))),
         "b1": Tensor(np.zeros(hidden)),
-        "w2": Tensor(ginit.normal(0, 1.0 / np.sqrt(hidden), (hidden, 1))),
+        "w2": Tensor(ginit.normal(0, 1.0 / np.sqrt(hidden), hidden)),
         "b2": Tensor(np.array(0.0)),
     }
     opt_g = OptimizerState(lr)
     opt_d = OptimizerState(lr)
 
     def disc_prob(x: Tensor) -> Tensor:
-        h = x @ d_params["W1"]
-        h = tanh(h + broadcast_to(d_params["b1"], h.shape))
-        logit = h @ d_params["w2"] + broadcast_to(d_params["b2"], (h.shape[0], 1))
+        # x holds one sample per row; one probability per sample
+        h = tanh(affine(d_params["W1"], x, d_params["b1"]))
+        logit = affine(d_params["w2"], h, d_params["b2"])
         return sigmoid(logit.clip(-15.0, 15.0))
 
     trace = []
@@ -835,24 +831,16 @@ def train_toy_gan(steps: int = 5000, batch: int = 64, lr: float = 1e-3,
         # discriminator step: generator output detached
         with no_tape():
             fake_detached = g_params["scale"].data * eps_d + g_params["shift"].data
-        with Tape() as tape:
+        with _adam_update(d_params, opt_d, 5.0) as update:
             d_real = disc_prob(constant(real))
             d_fake = disc_prob(constant(fake_detached))
-            d_loss, _ = adversarial_losses(d_real, d_fake)
-        grads = _grads_for(d_params, backward(tape, d_loss))
-        grads, _ = clip_by_global_norm(grads, 5.0)
-        adam_step(d_params, grads, opt_d)
+            update.loss, _ = adversarial_losses(d_real, d_fake)
 
         # generator step: non-saturating loss through the sampler
-        with Tape() as tape:
-            eps = constant(eps_g)
-            fake = eps * broadcast_to(g_params["scale"], eps.shape) \
-                + broadcast_to(g_params["shift"], eps.shape)
+        with _adam_update(g_params, opt_g, 5.0) as update:
+            fake = constant(eps_g) * g_params["scale"] + g_params["shift"]
             d_fake = disc_prob(fake)
-            g_loss = log(d_fake).mean() * -1.0
-        grads = _grads_for(g_params, backward(tape, g_loss))
-        grads, _ = clip_by_global_norm(grads, 5.0)
-        adam_step(g_params, grads, opt_g)
+            update.loss = log(d_fake).mean() * -1.0
 
         if step % 100 == 0 or step == steps:
             trace.append((step, float(d_real.data.mean()),

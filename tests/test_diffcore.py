@@ -347,9 +347,17 @@ def _unfused_kl(q_mean, q_log_var, p_mean, p_log_var):
     return inner.sum() * 0.5
 
 
+def _row(v):
+    """A vector as a batch of one row, (n,) -> (1, n)."""
+    return dc.broadcast_to(v, (1,) + v.shape)
+
+
 def _fused_cases():
     """(name, fused f, unfused f, param arrays, grad_check step).
 
+    affine and gru_cell take row batches: the fused form runs on the
+    vector inputs lifted to one row each, B = 1, and the unfused
+    composition on the vectors themselves.
     Vector inputs and the output weights have magnitudes in [s/2, 3s/2],
     so that no gradient coordinate is a product of near-zero factors
     that central differences cannot resolve.  affine is linear in each
@@ -362,17 +370,19 @@ def _fused_cases():
     def vec(n, s=1.0):
         return s * g.choice((-1.0, 1.0), n) * g.uniform(0.5, 1.5, n)
 
-    w = dc.constant(vec(N_H))
-    red_h = lambda out: (out * w).sum()  # noqa: E731
+    w = vec(N_H)
+    red_h = lambda out: (out * dc.constant(w.reshape(out.shape))).sum()  # noqa: E731
     return [
-        ("affine", lambda ps: red_h(dc.affine(*ps)),
+        ("affine", lambda ps: red_h(dc.affine(ps[0], _row(ps[1]), ps[2])),
          lambda ps: red_h(ps[0] @ ps[1] + ps[2]),
          [g.normal(0, N_IN ** -0.5, (N_H, N_IN)), vec(N_IN), vec(N_H, 0.1)],
          1e-2),
-        ("affine_row", lambda ps: dc.softplus(dc.affine(*ps)),
+        ("affine_row",
+         lambda ps: dc.softplus(dc.affine(ps[0], _row(ps[1]), ps[2])).sum(),
          lambda ps: dc.softplus(ps[0] @ ps[1] + ps[2]),
          [vec(N_H, N_H ** -0.5), vec(N_H), np.array(0.2)], 1e-6),
-        ("gru_cell", lambda ps: red_h(dc.gru_cell(*ps)),
+        ("gru_cell",
+         lambda ps: red_h(dc.gru_cell(*ps[:3], _row(ps[3]), _row(ps[4]))),
          lambda ps: red_h(_unfused_gru(*ps)),
          [g.normal(0, N_IN ** -0.5, (3 * N_H, N_IN)),
           g.normal(0, N_H ** -0.5, (3 * N_H, N_H)), vec(3 * N_H, 0.1),
@@ -441,12 +451,12 @@ def test_batched_affine_matches_rows(shape):
         out = dc.affine(W, X, b)
         loss = (out * w).sum()
     g_batch = backward(tape, loss)
-    rows = [Tensor(r) for r in X.data]
+    rows = [Tensor(X.data[i:i + 1]) for i in range(n_rows)]  # B = 1 each
     with Tape() as tape:
         outs = [dc.affine(W, r, b) for r in rows]
         loss_rows = None
-        for o, wi in zip(outs, w.data):
-            term = (o * dc.constant(wi)).sum()
+        for i, o in enumerate(outs):
+            term = (o * dc.constant(w.data[i:i + 1])).sum()
             loss_rows = term if loss_rows is None else loss_rows + term
     g_rows = backward(tape, loss_rows)
 
@@ -454,10 +464,10 @@ def test_batched_affine_matches_rows(shape):
         return np.abs(a - ref).max() <= 1e-12 * np.abs(ref).max()
 
     assert out.shape == (n_rows,) + shape[:-1]
-    assert close(out.data, np.stack([o.data for o in outs]))
+    assert close(out.data, np.concatenate([o.data for o in outs]))
     assert close(g_batch[W.uid], g_rows[W.uid])
     assert close(g_batch[b.uid], g_rows[b.uid])
-    assert close(g_batch[X.uid], np.stack([g_rows[r.uid] for r in rows]))
+    assert close(g_batch[X.uid], np.concatenate([g_rows[r.uid] for r in rows]))
 
 
 def _row_cases(n_rows):
@@ -467,8 +477,9 @@ def _row_cases(n_rows):
     Some coordinates of the GRU weight gradients are products of two
     small gate derivatives (about 1e-3), where central differences
     resolve no better than 1e-16 * |loss| / step: its bar is 1e-5 at
-    step 1e-5.  test_row_form_matches_rows pins it to the one-vector
-    form within 1e-12, and that form to the unfused composition.
+    step 1e-5.  test_row_form_matches_rows pins it to B = 1 batches of
+    its rows within 1e-12, and _fused_cases pins a B = 1 batch to the
+    unfused composition.
     """
     g = np.random.default_rng(31 + n_rows)
 
@@ -515,10 +526,13 @@ def test_row_form_gradcheck(name, n_rows):
 
 @pytest.mark.parametrize("name", ["gru_cell", "gauss_logpdf", "gauss_kl"])
 def test_row_form_matches_rows(name):
-    """Each row of the batch form equals the one-vector form on that row,
-    values and gradients; the first inputs of gru_cell are shared."""
+    """Each row of the batch form equals the op on that row alone (a
+    batch of one for gru_cell, a vector for the Gaussian ops), values
+    and gradients; the first inputs of gru_cell are shared."""
     arrays = next(c for c in _row_cases(3) if c[0] == name)[2]
     shared = 3 if name == "gru_cell" else 0
+    one, join = ((lambda a, i: a[i:i + 1]), np.concatenate) if shared else (
+        (lambda a, i: a[i]), np.stack)
     w = np.random.default_rng(5).uniform(0.5, 1.5, 3)
     params = [Tensor(a) for a in arrays]
     op = getattr(dc, name)
@@ -532,7 +546,7 @@ def test_row_form_matches_rows(name):
         out = op(*params)
         loss = weighted(out, w)
     g_batch = backward(tape, loss)
-    rows = [[Tensor(a[i]) for a in arrays[shared:]] for i in range(3)]
+    rows = [[Tensor(one(a, i)) for a in arrays[shared:]] for i in range(3)]
     with Tape() as tape:
         outs = [op(*params[:shared], *r) for r in rows]
         terms = [(o * dc.constant(wi)).sum() if o.data.ndim else o * wi
@@ -543,12 +557,11 @@ def test_row_form_matches_rows(name):
     def close(a, ref):
         return np.abs(a - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    assert close(out.data, np.stack([o.data for o in outs]))
+    assert close(out.data, join([o.data for o in outs]))
     for p in params[:shared]:
         assert close(g_batch[p.uid], g_rows[p.uid])
     for k, p in enumerate(params[shared:]):
-        assert close(g_batch[p.uid],
-                     np.stack([g_rows[r[k].uid] for r in rows]))
+        assert close(g_batch[p.uid], join([g_rows[r[k].uid] for r in rows]))
 
 
 def test_gru_cell_overflow_is_loud():
@@ -566,8 +579,9 @@ def test_gru_cell_overflow_is_loud():
     huge_U[2 * N_H:] = 1e308     # candidate rows of U @ h overflow
     with np.errstate(over="ignore", invalid="ignore"):
         for args in ((huge_W, U, b, h, x), (W, huge_U, b, h, x)):
-            with pytest.raises(NonFiniteError):
-                dc.gru_cell(*[Tensor(a) for a in args])
+            with pytest.raises(NonFiniteError):  # a batch of one row
+                dc.gru_cell(*[Tensor(a) for a in args[:3]],
+                            Tensor(h[None]), Tensor(x[None]))
             with pytest.raises(NonFiniteError):
                 _unfused_gru(*[Tensor(a) for a in args])
 
@@ -587,6 +601,16 @@ def test_fused_shape_errors():
     with pytest.raises(ValueError):
         dc.gauss_kl(Tensor(np.ones(2)), Tensor(np.ones(2)), Tensor(np.ones(2)),
                     Tensor(np.ones(3)))
+    # affine and gru_cell take row batches only: a vector input is an error
+    with pytest.raises(ValueError):
+        dc.affine(Tensor(np.ones((3, 4))), Tensor(np.ones(4)), Tensor(np.ones(3)))
+    with pytest.raises(ValueError):
+        dc.affine(Tensor(np.ones(4)), Tensor(np.ones(4)), Tensor(0.0))
+    W, U, b = Tensor(np.ones((6, 3))), Tensor(np.ones((6, 2))), Tensor(np.ones(6))
+    with pytest.raises(ValueError):
+        dc.gru_cell(W, U, b, Tensor(np.ones(2)), Tensor(np.ones(3)))
+    with pytest.raises(ValueError):
+        dc.gru_cell(W, U, b, Tensor(np.ones((1, 2))), Tensor(np.ones(3)))
 
 
 def test_row_form_shape_errors():

@@ -72,7 +72,7 @@ def test_gru_step_matches_hand_computation():
     h = g.standard_normal(spec.n_h)
     inp = g.standard_normal(spec.n_x + spec.n_u + spec.n_z)
 
-    out = gru_step(p.phi, "gru", Tensor(h), Tensor(inp))
+    out = gru_step(p.phi, "gru", Tensor(h[None]), Tensor(inp[None]))  # B = 1
 
     W, U, b = (p.phi["gru.W"].data, p.phi["gru.U"].data, p.phi["gru.b"].data)
     nh = spec.n_h
@@ -82,15 +82,16 @@ def test_gru_step_matches_hand_computation():
     u = expit(s[nh : 2 * nh] + t[nh : 2 * nh])
     c = np.tanh(s[2 * nh :] + r * t[2 * nh :])
     expected = (1 - u) * h + u * c
-    assert np.allclose(out.data, expected, atol=1e-14)
+    assert out.shape == (1, nh)
+    assert np.allclose(out.data[0], expected, atol=1e-14)
 
 
 def test_gru_gate_saturation_limits():
     # huge positive update-gate bias -> h' ~ candidate; huge negative -> carry
     spec = small_spec()
     p = init_params(spec, markovian=False, seed=3)
-    h = Tensor(np.full(spec.n_h, 0.7))
-    inp = Tensor(np.zeros(spec.n_x + spec.n_u + spec.n_z))
+    h = Tensor(np.full((1, spec.n_h), 0.7))
+    inp = Tensor(np.zeros((1, spec.n_x + spec.n_u + spec.n_z)))
     b = p.phi["gru.b"].data.copy()
     b[spec.n_h : 2 * spec.n_h] = -50.0
     p.phi["gru.b"] = Tensor(b)
@@ -101,30 +102,30 @@ def test_gru_gate_saturation_limits():
 def test_encode_history_state_shapes():
     spec = small_spec()
     p = init_params(spec, markovian=False, seed=1)
-    x, u, z = np.zeros(spec.n_x), np.zeros(spec.n_u), np.zeros(spec.n_z)
+    x, u, z = (np.zeros((1, n)) for n in (spec.n_x, spec.n_u, spec.n_z))
     s0 = encode_history(p, None, x, u, z)
     s1 = encode_history(p, s0, x, u, z)
-    assert s0.shape == s1.shape == (spec.n_h,)
+    assert s0.shape == s1.shape == (1, spec.n_h)
 
 
 def test_markovian_summary_is_inputs_only():
     spec = small_spec()
     p = init_params(spec, markovian=True, seed=1)
-    x = np.array([1.0, 2.0, 3.0])
-    u = np.array([0.5, -0.5])
-    z = np.array([0.1, 0.2])
+    x = np.array([[1.0, 2.0, 3.0]])
+    u = np.array([[0.5, -0.5]])
+    z = np.array([[0.1, 0.2]])
     s = encode_history(p, None, x, u, z)
-    assert np.allclose(s.data, np.concatenate([x, u, z]))
+    assert np.allclose(s.data, np.concatenate([x, u, z], axis=1))
 
 
 def test_history_dependence_only_without_markov():
     # perturbing x_0 changes the step-1 posterior iff history is on
     spec = small_spec()
     g = np.random.default_rng(5)
-    x0a, x0b = g.standard_normal(3), g.standard_normal(3)
-    x1 = g.standard_normal(3)
-    u = g.standard_normal(2)
-    z = np.zeros(2)
+    x0a, x0b = g.standard_normal((1, 3)), g.standard_normal((1, 3))
+    x1 = g.standard_normal((1, 3))
+    u = g.standard_normal((1, 2))
+    z = np.zeros((1, 2))
 
     def posterior_at_1(params, x0):
         s0 = encode_history(params, None, x0, u, z)
@@ -141,7 +142,7 @@ def test_history_dependence_only_without_markov():
         s0 = encode_history(params, None, x0, u, z)
         q0 = recognition(params, s0)
         zm = q0.mean.data  # same z_prev for both branches
-        s1 = encode_history(params, s0, x1, u, np.zeros(2))
+        s1 = encode_history(params, s0, x1, u, np.zeros((1, 2)))
         return recognition(params, s1).mean.data
 
     assert np.allclose(posterior_markov(p_mark, x0a), posterior_markov(p_mark, x0b))
@@ -151,7 +152,8 @@ def test_recognition_logvar_clamped():
     spec = small_spec(enc_hidden=0)
     p = init_params(spec, markovian=True, seed=0)
     p.phi["enc.bv"] = Tensor(np.full(spec.n_z, 99.0))
-    s = encode_history(p, None, np.zeros(3), np.zeros(2), np.zeros(2))
+    s = encode_history(p, None, np.zeros((1, 3)), np.zeros((1, 2)),
+                       np.zeros((1, 2)))
     q = recognition(p, s)
     assert np.all(q.log_var.data == avm.LOG_VAR_MAX)
 
@@ -215,9 +217,9 @@ def test_rul_head_nonnegative():
     g = np.random.default_rng(2)
     rows = []
     for _ in range(10):
-        st = encode_history(p, None, g.standard_normal(3), g.standard_normal(2),
-                            g.standard_normal(2))
-        rows.append(np.concatenate([st.data, g.standard_normal(spec.n_z)]))
+        st = encode_history(p, None, g.standard_normal((1, 3)),
+                            g.standard_normal((1, 2)), g.standard_normal((1, 2)))
+        rows.append(np.concatenate([st.data[0], g.standard_normal(spec.n_z)]))
     val = rul_head(p, np.stack(rows))
     assert val.shape == (10,)
     assert np.all(val.data >= 0.0)
@@ -231,14 +233,14 @@ def test_linear_gaussian_model_is_exact():
         init_mean=np.zeros(2), init_cov=np.eye(2),
     )
     p = linear_gaussian_model(lg, seed=1)
-    z_prev = g.standard_normal(2)
-    st = advance_prior_state(p, None, z_prev, np.zeros(1))
+    z_prev = g.standard_normal((1, 2))  # one row per trajectory, B = 1
+    st = advance_prior_state(p, None, z_prev, np.zeros((1, 1)))
     pr = transition_prior(p, st, constant(z_prev))
-    assert np.allclose(pr.mean.data, lg.A @ z_prev, atol=1e-14)
+    assert np.allclose(pr.mean.data, z_prev @ lg.A.T, atol=1e-14)
     assert np.allclose(pr.log_var.data, np.log(lg.q_diag), atol=1e-14)
-    z_t = constant(g.standard_normal(2))
+    z_t = constant(g.standard_normal((1, 2)))
     em = emission(p, st, z_t)
-    assert np.allclose(em.mean.data, lg.C @ z_t.data, atol=1e-14)
+    assert np.allclose(em.mean.data, z_t.data @ lg.C.T, atol=1e-14)
     assert np.allclose(em.log_var.data, np.log(lg.r_diag), atol=1e-14)
 
 
@@ -255,9 +257,9 @@ def test_gradcheck_through_model_step():
     spec = small_spec(n_h=4, enc_hidden=3, dec_hidden=3)
     p = init_params(spec, markovian=False, seed=9)
     g = np.random.default_rng(7)
-    x = g.standard_normal(spec.n_x)
-    u = g.standard_normal(spec.n_u)
-    noise = g.standard_normal(spec.n_z)
+    x = g.standard_normal((1, spec.n_x))  # B = 1 rows
+    u = g.standard_normal((1, spec.n_u))
+    noise = g.standard_normal((1, spec.n_z))
     names = ["gru.W", "gru.b", "enc.Wm", "enc.bv"]
     tensors = [p.phi[n] for n in names]
 
@@ -267,7 +269,7 @@ def test_gradcheck_through_model_step():
             trial[n] = t
         params = avm.ModelParams(spec=spec, markovian=False, theta=p.theta,
                                  phi=trial, psi=p.psi, rho=p.rho)
-        st = encode_history(params, None, x, u, np.zeros(spec.n_z))
+        st = encode_history(params, None, x, u, np.zeros((1, spec.n_z)))
         q = recognition(params, st)
         z = sample_reparam(q, noise)
         em = emission(params, st, z)

@@ -13,6 +13,7 @@ from avfp.model import (
     NetworkSpec,
     init_params,
     linear_gaussian_model,
+    recognition,
 )
 from avfp.objectives import (
     LN_2PI,
@@ -207,7 +208,9 @@ def test_deterministic_mode_uses_means():
     params = init_params(spec, markovian=False, seed=1)
     traj = rand_traj(4, 3, 2, seed=2)
     fp = filter_forward(params, [traj], None)
-    assert fp.samples is fp.posterior.mean
+    assert fp.posterior is None  # the log-variance head is not run
+    means = [recognition(params, h).mean.data for h in fp.states]
+    assert np.array_equal(fp.samples.data, np.concatenate(means))
 
 
 def test_elbo_gradcheck_both_modes():

@@ -309,11 +309,11 @@ def test_readout_loss_matches_per_row_reference():
         for tr in trajs:
             _, states, means = filter_means(params, [tr])
             for row, target in zip(np.hstack([states, means]), tr.rul):
-                hidden = dc.tanh(dc.affine(rho["l1.W"], dc.constant(row),
-                                           rho["l1.b"]))
+                hidden = dc.tanh(dc.affine(rho["l1.W"], dc.constant(row[None]),
+                                           rho["l1.b"]))  # a (1, d) row
                 pred = dc.softplus(dc.affine(rho["out.w"], hidden, rho["out.b"]))
                 errs.append(pred - target)
-        err = dc.concat([dc.broadcast_to(e, (1,)) for e in errs])
+        err = dc.concat(errs)
         ref = (err * err).mean()
     ref_grads = backward(tape, ref)
 
