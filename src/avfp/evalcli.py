@@ -345,18 +345,17 @@ def emit_plot_data(summary: RunSummary, out_dir: str) -> tuple[str, str]:
 
 
 def _model_leaves(params: ModelParams, parts: tuple[str, ...]):
-    names = [(p, n) for p in parts for n in sorted(getattr(params, p))]
-    tensors = [getattr(params, p)[n] for p, n in names]
+    leaves = params.group(*parts)
 
     def rebuild(trial: list[Tensor]) -> ModelParams:
-        groups = {p: dict(getattr(params, p))
-                  for p in ("theta", "phi", "psi", "rho")}
-        for (p, n), t in zip(names, trial):
+        groups = {p: dict(g) for p, g in params.partitions().items()}
+        for name, t in zip(leaves, trial):
+            p, n = name.split(".", 1)
             groups[p][n] = t
         return ModelParams(spec=params.spec, markovian=params.markovian,
                            **groups)
 
-    return tensors, rebuild
+    return list(leaves.values()), rebuild
 
 
 def _audit_spec() -> NetworkSpec:
@@ -628,14 +627,19 @@ def cmd_experiment(args) -> int:
     spec, config, doc = load_config(args.config, corpus.n_x, corpus.n_u)
     os.makedirs(args.out, exist_ok=True)
 
+    def experiment(cfg: TrainConfig) -> RunSummary:
+        s = run_experiment(corpus.train_trajs, corpus.test_trajs,
+                           corpus.truth, spec, cfg, args.runs,
+                           cap=config.rul_cap)
+        if not s.completed:
+            raise TrainingAborted(f"all {len(s.records)} runs aborted")
+        return s
+
     if args.compare_markovian:
         header = "markovian,runs,mean_rmse,std_rmse,min_rmse"
         rows = []
         for markov in (False, True):
-            cfg = replace(config, markovian=markov)
-            s = run_experiment(corpus.train_trajs, corpus.test_trajs,
-                               corpus.truth, spec, cfg, args.runs,
-                               cap=config.rul_cap)
+            s = experiment(replace(config, markovian=markov))
             emit_plot_data(s, os.path.join(
                 args.out, "markov" if markov else "history"))
             _print_summary("markovian" if markov else "full-history", s)
@@ -648,9 +652,7 @@ def cmd_experiment(args) -> int:
         for row in rows:
             print(row)
     else:
-        s = run_experiment(corpus.train_trajs, corpus.test_trajs,
-                           corpus.truth, spec, config, args.runs,
-                           cap=config.rul_cap)
+        s = experiment(config)
         emit_plot_data(s, args.out)
         _print_summary("experiment", s)
         print(f"context, previously reported FD001 results: "

@@ -108,12 +108,13 @@ class ModelParams:
         return {"theta": self.theta, "phi": self.phi,
                 "psi": self.psi, "rho": self.rho}
 
+    def group(self, *parts: str) -> dict[str, Tensor]:
+        """The tensors of the given partitions, keyed "part.name"."""
+        groups = self.partitions()
+        return {f"{p}.{name}": t for p in parts for name, t in groups[p].items()}
+
     def named(self) -> dict[str, Tensor]:
-        out = {}
-        for part, group in self.partitions().items():
-            for name, t in group.items():
-                out[f"{part}.{name}"] = t
-        return out
+        return self.group(*self.partitions())
 
 
 def recognition_input_dim(spec: NetworkSpec, markovian: bool) -> int:

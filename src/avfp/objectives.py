@@ -38,7 +38,6 @@ from functools import cached_property
 import numpy as np
 
 from .data import Trajectory
-from .diffcore import LN_2PI  # noqa: F401  (part of this module's interface)
 from .diffcore import (
     Tensor,
     concat,

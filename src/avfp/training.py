@@ -31,7 +31,8 @@ import hashlib
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from copy import deepcopy
+from dataclasses import asdict, dataclass, field, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -196,18 +197,6 @@ class TrainConfig:
         if self.gradient_clip_norm <= 0:
             raise ValueError("gradient_clip_norm must be positive")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrainConfig":
-        """Strict construction: unknown keys are an error, not a warning."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**doc)
-
 
 # ---------------------------------------------------------------------------
 # trace records
@@ -238,10 +227,20 @@ class TrainResult:
     params: ModelParams
     steps: list[StepRecord]
     evals: list[EvalRecord]
-    best_step: int | None
-    best_val_rmse: float | None
-    skipped_batches: int
     checkpoint: "Checkpoint"
+
+    @property
+    def skipped_batches(self) -> int:
+        return self.checkpoint.skipped_batches
+
+    @property
+    def best_step(self) -> int | None:
+        """Step of the best validation score; None before the first one."""
+        return self.checkpoint.best_step if self.checkpoint.best_step >= 0 else None
+
+    @property
+    def best_val_rmse(self) -> float | None:
+        return self.checkpoint.best_val if self.checkpoint.best_step >= 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -316,98 +315,76 @@ def train(
     else:
         train_trajs, val_trajs = list(trajs), []
 
-    if resume is not None:
-        if resume.spec != spec or resume.config != config:
-            raise ValueError("checkpoint was created with a different setup")
-        params = params_from_checkpoint(resume)
-        opt_gen, opt_disc, opt_rul = opt_from_checkpoint(resume, config)
-        step = resume.step
-        start_epoch, start_batch = resume.epoch, resume.batch_idx
-        skipped_batches = resume.skipped_batches
-        consecutive = resume.consecutive_skips
-        best_step = resume.best_step if resume.best_step >= 0 else None
-        best_val = resume.best_val if np.isfinite(resume.best_val) else None
-    else:
-        params = init_params(spec, config.markovian, config.seed)
-        opt_gen = OptimizerState(config.lr, config.beta1, config.beta2, config.eps)
-        opt_disc = OptimizerState(config.lr, config.beta1, config.beta2, config.eps)
-        opt_rul = OptimizerState(config.lr, config.beta1, config.beta2, config.eps)
-        step = 0
-        start_epoch, start_batch = 0, 0
-        skipped_batches = 0
-        consecutive = 0
-        best_step, best_val = None, None
+    state = Checkpoint(spec, config) if resume is None else replace(resume)
+    if state.spec != spec or state.config != config:
+        raise ValueError("checkpoint was created with a different setup")
+    params = (init_params(spec, config.markovian, config.seed) if resume is None
+              else params_from_checkpoint(resume))
+    groups = {"gen": params.group("theta", "phi"), "disc": params.group("psi"),
+              "rul": params.group("rho")}
+    opts = {g: OptimizerState(config.lr, config.beta1, config.beta2, config.eps,
+                              **deepcopy(state.opt.get(g, {})))
+            for g in groups}
 
-    gen_group = {f"theta.{k}": t for k, t in params.theta.items()}
-    gen_group.update({f"phi.{k}": t for k, t in params.phi.items()})
-    disc_group = {f"psi.{k}": t for k, t in params.psi.items()}
-    rul_group = {f"rho.{k}": t for k, t in params.rho.items()}
+    def update(group: str):
+        return _adam_update(groups[group], opts[group], config.gradient_clip_norm)
+
+    def noise(*ids) -> list[np.ndarray]:
+        return [rng.normal(config.seed, (t.length, spec.n_z), *ids, i)
+                for i, t in enumerate(batch)]
+
+    def run_eval():
+        val = rmse_per_cycle(params, val_trajs) if val_trajs else None
+        extra = eval_extra(params) if eval_extra is not None else None
+        evals.append(EvalRecord(step=state.step, val_rmse=val, extra=extra))
+        if val is not None and (state.best_step < 0 or val < state.best_val):
+            state.best_val, state.best_step = val, state.step
 
     steps_log: list[StepRecord] = []
     evals: list[EvalRecord] = []
     n_batch = config.trajectories_per_batch
-    done = False
-
-    def run_eval(at_step: int):
-        nonlocal best_step, best_val
-        val = rmse_per_cycle(params, val_trajs) if val_trajs else None
-        extra = eval_extra(params) if eval_extra is not None else None
-        evals.append(EvalRecord(step=at_step, val_rmse=val, extra=extra))
-        if val is not None and (best_val is None or val < best_val):
-            best_val, best_step = val, at_step
-
-    for epoch in range(start_epoch, config.epochs):
-        order = rng.stream(config.seed, "shuffle", epoch).permutation(
+    stopped = False
+    while state.epoch < config.epochs and not stopped:
+        order = rng.stream(config.seed, "shuffle", state.epoch).permutation(
             len(train_trajs)
         )
         batches = [
             order[i : i + n_batch] for i in range(0, len(order), n_batch)
         ]
-        first_batch = start_batch if epoch == start_epoch else 0
-        for batch_idx in range(first_batch, len(batches)):
-            batch = [train_trajs[i] for i in batches[batch_idx]]
-            step += 1
+        while state.batch_idx < len(batches) and not stopped:
+            batch = [train_trajs[i] for i in batches[state.batch_idx]]
+            state.step += 1
+            step = state.step
 
             # phase 1: discriminator
             disc_loss_val = None
             if config.lambda_adv > 0.0:
                 for j in range(config.disc_steps):
-                    fake_noise = [rng.normal(config.seed, (t.length, spec.n_z),
-                                             "disc-fake", step, j, i)
-                                  for i, t in enumerate(batch)]
-                    real_noise = [rng.normal(config.seed, (t.length, spec.n_z),
-                                             "disc-real", step, j, i)
-                                  for i, t in enumerate(batch)]
+                    fake_noise = noise("disc-fake", step, j)
+                    real_noise = noise("disc-real", step, j)
                     try:
-                        with _adam_update(disc_group, opt_disc,
-                                          config.gradient_clip_norm) as update:
-                            update.loss = _discriminator_loss(
+                        with update("disc") as u:
+                            u.loss = _discriminator_loss(
                                 params, batch, fake_noise, real_noise)
-                        disc_loss_val = update.loss.item()
+                        disc_loss_val = u.loss.item()
                     except NonFiniteError:
-                        opt_disc.skipped += 1
+                        opts["disc"].skipped += 1
 
             # phase 2: joint generative/recognition update
             if config.kl_warmup_steps > 0:
                 kl_w = min(1.0, step / config.kl_warmup_steps)
             else:
                 kl_w = 1.0
-            noise = [rng.normal(config.seed, (t.length, spec.n_z),
-                                "noise", step, i) for i, t in enumerate(batch)]
-            prior_noise = [rng.normal(config.seed, (t.length, spec.n_z),
-                                      "prior-noise", step, i)
-                           for i, t in enumerate(batch)]
             try:
-                with _adam_update(gen_group, opt_gen,
-                                  config.gradient_clip_norm) as update:
+                with update("gen") as u:
                     breakdowns, target, _ = combined_objective(
-                        params, batch, noise, config.lambda_adv,
-                        prior_noise=prior_noise, kl_weight=kl_w)
+                        params, batch, noise("noise", step), config.lambda_adv,
+                        prior_noise=noise("prior-noise", step), kl_weight=kl_w)
                     # minimize -combined
-                    update.loss = target * (-1.0 / len(batch))
-                consecutive = 0
+                    u.loss = target * (-1.0 / len(batch))
+                state.consecutive_skips = 0
                 steps_log.append(StepRecord(
-                    step=step, epoch=epoch,
+                    step=step, epoch=state.epoch,
                     combined=float(np.mean([b.combined for b in breakdowns])),
                     recon=float(np.mean([b.recon_loglik for b in breakdowns])),
                     kl=float(np.mean([b.kl_total for b in breakdowns])),
@@ -417,67 +394,38 @@ def train(
                     rul_loss=None,
                 ))
             except NonFiniteError:
-                skipped_batches += 1
-                consecutive += 1
-                if consecutive > MAX_CONSECUTIVE_SKIPS:
+                state.skipped_batches += 1
+                state.consecutive_skips += 1
+                if state.consecutive_skips > MAX_CONSECUTIVE_SKIPS:
                     raise TrainingAborted(
-                        f"{consecutive} consecutive non-finite batches at "
-                        f"step {step}")
+                        f"{state.consecutive_skips} consecutive non-finite "
+                        f"batches at step {step}")
 
             # phase 3: remaining-life readout
             if supervised:
                 try:
-                    with _adam_update(rul_group, opt_rul,
-                                      config.gradient_clip_norm) as update:
-                        update.loss = readout_loss(params, batch)
+                    with update("rul") as u:
+                        u.loss = readout_loss(params, batch)
                     if steps_log and steps_log[-1].step == step:
-                        steps_log[-1].rul_loss = update.loss.item()
+                        steps_log[-1].rul_loss = u.loss.item()
                 except NonFiniteError:
-                    opt_rul.skipped += 1
+                    opts["rul"].skipped += 1
 
+            state.batch_idx += 1
             if config.eval_every > 0 and step % config.eval_every == 0:
-                run_eval(step)
+                run_eval()
+            stopped = stop_after_steps is not None and step >= stop_after_steps
+        if state.batch_idx >= len(batches):
+            state.epoch, state.batch_idx = state.epoch + 1, 0
+    if (not stopped and state.step > 0
+            and (not evals or evals[-1].step != state.step)):
+        run_eval()  # final state always scored
 
-            if stop_after_steps is not None and step >= stop_after_steps:
-                done = True
-                next_epoch, next_batch = epoch, batch_idx + 1
-                if next_batch >= len(batches):
-                    next_epoch, next_batch = epoch + 1, 0
-                break
-        if done:
-            break
-    if not done:
-        next_epoch, next_batch = config.epochs, 0
-        if step > 0 and (not evals or evals[-1].step != step):
-            run_eval(step)  # final state always scored
-
-    ckpt = Checkpoint(
-        version=CHECKPOINT_VERSION,
-        spec=spec,
-        config=config,
-        params={k: t.data.copy() for k, t in params.named().items()},
-        opt={
-            "gen": _opt_dump(opt_gen),
-            "disc": _opt_dump(opt_disc),
-            "rul": _opt_dump(opt_rul),
-        },
-        step=step,
-        epoch=next_epoch,
-        batch_idx=next_batch,
-        skipped_batches=skipped_batches,
-        consecutive_skips=consecutive,
-        best_step=best_step if best_step is not None else -1,
-        best_val=best_val if best_val is not None else float("nan"),
-    )
-    return TrainResult(
-        params=params,
-        steps=steps_log,
-        evals=evals,
-        best_step=best_step,
-        best_val_rmse=best_val,
-        skipped_batches=skipped_batches,
-        checkpoint=ckpt,
-    )
+    state.params = {k: t.data.copy() for k, t in params.named().items()}
+    state.opt = {g: {"t": o.t, "skipped": o.skipped, "m": o.m, "v": o.v}
+                 for g, o in opts.items()}
+    return TrainResult(params=params, steps=steps_log, evals=evals,
+                       checkpoint=state)
 
 
 def fit_recognition(params: ModelParams, trajs: list[Trajectory], steps: int,
@@ -489,7 +437,7 @@ def fit_recognition(params: ModelParams, trajs: list[Trajectory], steps: int,
     comparable against a fixed exact marginal likelihood throughout.
     Returns the per-step bound values.
     """
-    phi_group = {f"phi.{k}": t for k, t in params.phi.items()}
+    phi_group = params.group("phi")
     opt = OptimizerState(lr)
     trace = []
     for step in range(1, steps + 1):
@@ -584,61 +532,52 @@ def bound_gap_audit(n_instances: int = 20, draws: int = 256,
 
 @dataclass
 class Checkpoint:
-    version: int
+    """The state of a training run: what train advances, what a resume
+    restores and what save_checkpoint writes.
+
+    params holds the named parameter arrays; opt[group] holds that Adam
+    group's step count t, skipped-step count and moments m and v.  epoch
+    and batch_idx name the next batch to run; best_step is -1 and
+    best_val nan until a validation score exists.
+    """
+
     spec: NetworkSpec
     config: TrainConfig
-    params: dict[str, np.ndarray]
-    opt: dict[str, dict]
-    step: int
-    epoch: int
-    batch_idx: int
-    skipped_batches: int
-    consecutive_skips: int
-    best_step: int
-    best_val: float
+    params: dict[str, np.ndarray] = field(default_factory=dict)
+    opt: dict[str, dict] = field(default_factory=dict)
+    step: int = 0
+    epoch: int = 0
+    batch_idx: int = 0
+    skipped_batches: int = 0
+    consecutive_skips: int = 0
+    best_step: int = -1
+    best_val: float = float("nan")
 
 
-def _opt_dump(o: OptimizerState) -> dict:
-    return {
-        "t": o.t,
-        "skipped": o.skipped,
-        "m": {k: v.copy() for k, v in o.m.items()},
-        "v": {k: v.copy() for k, v in o.v.items()},
-    }
+_SCALAR_TYPES = {"int": int, "float": float, "bool": bool}
+
+
+def _scalar_fields(cls) -> list:
+    return [f for f in fields(cls) if f.type in _SCALAR_TYPES]
 
 
 def params_from_checkpoint(ckpt: Checkpoint) -> ModelParams:
     """Rebuild the partitioned parameter container from named arrays."""
     params = init_params(ckpt.spec, ckpt.config.markovian, ckpt.config.seed)
+    named = params.named()
+    if set(named) != set(ckpt.params):
+        raise ValueError("checkpoint parameter set mismatch: "
+                         f"{sorted(set(named) ^ set(ckpt.params))}")
     groups = params.partitions()
     for name, arr in ckpt.params.items():
-        part, local = name.split(".", 1)
-        if part not in groups or local not in groups[part]:
-            raise ValueError(f"unknown parameter '{name}' in checkpoint")
-        if groups[part][local].data.shape != arr.shape:
+        if named[name].data.shape != arr.shape:
             raise ValueError(f"shape mismatch for '{name}' in checkpoint")
+        part, local = name.split(".", 1)
         groups[part][local] = Tensor(arr.copy())
-    want = set(params.named())
-    have = set(ckpt.params)
-    if want != have:
-        raise ValueError(f"checkpoint parameter set mismatch: {sorted(want ^ have)}")
     return params
 
 
-def opt_from_checkpoint(ckpt: Checkpoint, config: TrainConfig):
-    out = []
-    for group in ("gen", "disc", "rul"):
-        dump = ckpt.opt[group]
-        o = OptimizerState(config.lr, config.beta1, config.beta2, config.eps)
-        o.t = int(dump["t"])
-        o.skipped = int(dump["skipped"])
-        o.m = {k: v.copy() for k, v in dump["m"].items()}
-        o.v = {k: v.copy() for k, v in dump["v"].items()}
-        out.append(o)
-    return tuple(out)
-
-
-def _pack_entry(name: str, arr: np.ndarray) -> bytes:
+def _pack_entry(name: str, arr) -> bytes:
     # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d
     arr = np.asarray(arr, dtype=np.float64)
     nb = name.encode("utf-8")
@@ -648,26 +587,23 @@ def _pack_entry(name: str, arr: np.ndarray) -> bytes:
     return head + arr.tobytes()
 
 
-def _checkpoint_table(ckpt: Checkpoint) -> dict[str, np.ndarray]:
-    """Everything as named float64 arrays (ints/bools are exact < 2^53)."""
-    table: dict[str, np.ndarray] = {}
-    for k, v in asdict(ckpt.spec).items():
-        table[f"spec/{k}"] = np.float64(v)
-    for k, v in ckpt.config.to_dict().items():
-        table[f"config/{k}"] = np.float64(float(v))
-    for name, arr in ckpt.params.items():
-        table[f"param/{name}"] = arr
-    for group, dump in ckpt.opt.items():
-        table[f"opt/{group}/t"] = np.float64(dump["t"])
-        table[f"opt/{group}/skipped"] = np.float64(dump["skipped"])
-        for k, v in dump["m"].items():
-            table[f"opt/{group}/m/{k}"] = v
-        for k, v in dump["v"].items():
-            table[f"opt/{group}/v/{k}"] = v
-    for k in ("step", "epoch", "batch_idx", "skipped_batches",
-              "consecutive_skips", "best_step"):
-        table[f"meta/{k}"] = np.float64(getattr(ckpt, k))
-    table["meta/best_val"] = np.float64(ckpt.best_val)
+def _checkpoint_table(ckpt: Checkpoint) -> dict:
+    """Every entry of the record by its "/"-joined path: spec/, config/,
+    param/, opt/<group>/{t,skipped,m/,v/} and meta/<counter>.  Values are
+    written as float64 (ints and bools are exact below 2^53)."""
+    table = {}
+
+    def walk(node: dict, prefix: str):
+        for k, v in node.items():
+            if isinstance(v, dict):
+                walk(v, f"{prefix}{k}/")
+            else:
+                table[prefix + k] = v
+
+    walk({"spec": asdict(ckpt.spec), "config": asdict(ckpt.config),
+          "param": ckpt.params, "opt": ckpt.opt,
+          "meta": {f.name: getattr(ckpt, f.name)
+                   for f in _scalar_fields(Checkpoint)}}, "")
     return table
 
 
@@ -677,13 +613,13 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     table = _checkpoint_table(ckpt)
     body = struct.pack("<Q", len(table))
     for name in sorted(table):
-        body += _pack_entry(name, np.asarray(table[name]))
+        body += _pack_entry(name, table[name])
     digest = hashlib.sha256(body).digest()[:8]
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", ckpt.version))
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
             f.write(body)
             f.write(digest)
             f.flush()
@@ -706,7 +642,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         blob = f.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError("not a checkpoint file (bad magic)")
-    (version,) = struct.unpack("<I", blob[4:8])
+    (version,) = struct.unpack("<I", _read(blob, 4, 4)[0])
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     body, digest = blob[8:-8], blob[-8:]
@@ -716,7 +652,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     off = 0
     raw, off = _read(body, off, 8)
     (n_entries,) = struct.unpack("<Q", raw)
-    table: dict[str, np.ndarray] = {}
+    tree: dict = {}
     for _ in range(n_entries):
         raw, off = _read(body, off, 4)
         (name_len,) = struct.unpack("<I", raw)
@@ -730,55 +666,36 @@ def load_checkpoint(path: str) -> Checkpoint:
             shape.append(struct.unpack("<Q", raw)[0])
         count = int(np.prod(shape)) if shape else 1
         raw, off = _read(body, off, count * 8)
-        arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        table[name] = arr
+        *branches, leaf = name.split("/")
+        node = tree
+        for b in branches:
+            node = node.setdefault(b, {})
+            if not isinstance(node, dict):
+                raise ValueError(f"checkpoint entry '{name}' nests in an array")
+        node[leaf] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     if off != len(body):
         raise ValueError("trailing bytes in checkpoint")
 
-    def scalar(key):
-        return float(table[key])
+    def entry(path: str):
+        node = tree
+        for part in path.split("/"):
+            if not isinstance(node, dict) or part not in node:
+                raise ValueError(f"checkpoint missing entry '{path}'")
+            node = node[part]
+        return node
 
-    spec = NetworkSpec(**{f_.name: int(scalar(f"spec/{f_.name}"))
-                          for f_ in fields(NetworkSpec)})
+    def typed(cls, branch: str) -> dict:
+        return {f.name: _SCALAR_TYPES[f.type](float(entry(f"{branch}/{f.name}")))
+                for f in _scalar_fields(cls)}
 
-    cfg_kw = {}
-    for f_ in fields(TrainConfig):
-        v = scalar(f"config/{f_.name}")
-        if f_.type == "bool":
-            cfg_kw[f_.name] = bool(v)
-        elif f_.type == "int":
-            cfg_kw[f_.name] = int(v)
-        else:
-            cfg_kw[f_.name] = float(v)
-    config = TrainConfig(**cfg_kw)
-
-    params = {}
-    opt = {g: {"t": 0, "skipped": 0, "m": {}, "v": {}} for g in ("gen", "disc", "rul")}
-    for name, arr in table.items():
-        if name.startswith("param/"):
-            params[name[len("param/"):]] = arr
-        elif name.startswith("opt/"):
-            _, group, rest = name.split("/", 2)
-            if rest in ("t", "skipped"):
-                opt[group][rest] = int(float(arr))
-            else:
-                kind, pname = rest.split("/", 1)
-                opt[group][kind][pname] = arr
-
-    return Checkpoint(
-        version=version,
-        spec=spec,
-        config=config,
-        params=params,
-        opt=opt,
-        step=int(scalar("meta/step")),
-        epoch=int(scalar("meta/epoch")),
-        batch_idx=int(scalar("meta/batch_idx")),
-        skipped_batches=int(scalar("meta/skipped_batches")),
-        consecutive_skips=int(scalar("meta/consecutive_skips")),
-        best_step=int(scalar("meta/best_step")),
-        best_val=scalar("meta/best_val"),
-    )
+    opt = {g: {"t": int(entry(f"opt/{g}/t")),
+               "skipped": int(entry(f"opt/{g}/skipped")),
+               "m": group.get("m", {}), "v": group.get("v", {})}
+           for g, group in entry("opt").items()}
+    return Checkpoint(spec=NetworkSpec(**typed(NetworkSpec, "spec")),
+                      config=TrainConfig(**typed(TrainConfig, "config")),
+                      params=entry("param"), opt=opt,
+                      **typed(Checkpoint, "meta"))
 
 
 # ---------------------------------------------------------------------------

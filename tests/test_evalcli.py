@@ -1,8 +1,10 @@
 """Prediction, scoring, experiment harness, plot data, and the CLI."""
 
+import hashlib
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -26,8 +28,12 @@ from avfp.evalcli import (
 )
 from avfp.model import NetworkSpec, init_params
 from avfp.training import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     TrainConfig,
     TrainingAborted,
+    _checkpoint_table,
+    _pack_entry,
     predict_sequence_rul,
     save_checkpoint,
     train,
@@ -480,6 +486,30 @@ def test_cli_checkpoint_mismatch_exits_2(synth_dir, tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+def test_cli_truncated_checkpoint_exits_2(synth_dir, tmp_path, capsys):
+    ckpt = tmp_path / "short.ckpt"
+    for size in range(4, 8):
+        ckpt.write_bytes((CHECKPOINT_MAGIC + b"\x01\x00\x00")[:size])
+        assert main(["eval", "--data", synth_dir, "--checkpoint",
+                     str(ckpt)]) == 2
+        assert "truncated checkpoint" in capsys.readouterr().err
+
+
+def test_cli_checkpoint_missing_entry_exits_2(synth_dir, tmp_path, capsys):
+    res = train(rand_trajs(3, 8), tiny_spec(3, 1),
+                TrainConfig(epochs=0, rul_supervision=False, val_frac=0.0))
+    table = _checkpoint_table(res.checkpoint)
+    del table["config/rul_cap"]
+    body = struct.pack("<Q", len(table)) + b"".join(
+        _pack_entry(name, table[name]) for name in sorted(table))
+    ckpt = tmp_path / "resigned.ckpt"
+    ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
+                     + body + hashlib.sha256(body).digest()[:8])
+    assert main(["eval", "--data", synth_dir, "--checkpoint", str(ckpt)]) == 2
+    assert ("checkpoint missing entry 'config/rul_cap'"
+            in capsys.readouterr().err)
+
+
 def test_cli_training_abort_exits_3(synth_dir, monkeypatch, tmp_path, capsys):
     import avfp.evalcli as cli
 
@@ -490,6 +520,21 @@ def test_cli_training_abort_exits_3(synth_dir, monkeypatch, tmp_path, capsys):
     rc = main(["train", "--data", synth_dir, "--out", str(tmp_path)])
     assert rc == 3
     assert "aborted" in capsys.readouterr().err
+
+
+def test_cli_experiment_with_every_run_aborted_exits_3(
+        synth_dir, cli_cfg, monkeypatch, tmp_path, capsys):
+    import avfp.evalcli as cli
+
+    def explode(*a, **kw):
+        raise TrainingAborted("11 consecutive non-finite batches at step 11")
+
+    monkeypatch.setattr(cli, "train", explode)
+    rc = main(["experiment", "--data", synth_dir, "--out", str(tmp_path),
+               "--config", cli_cfg, "--runs", "2"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["training aborted: all 2 runs aborted"]
 
 
 def test_cli_non_finite_exits_3(synth_dir, monkeypatch, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Source hygiene: every top-level import in the package is used, and
-every module-level function is named somewhere besides its definition."""
+every module-level function and public method is named somewhere besides
+its definition."""
 
 import ast
 import pathlib
@@ -64,11 +65,15 @@ def test_unused_import_check_catches_a_dead_import(tmp_path):
 
 
 def unused_functions(path: pathlib.Path, roots) -> list[str]:
-    """Module-level functions of path whose name occurs in no .py file
-    under roots except in their own definition."""
+    """Module-level functions and public (non-dunder) methods of path
+    whose name occurs in no .py file under roots except in their own
+    definition."""
     tree = ast.parse(path.read_text())
-    names = [n.name for n in tree.body
-             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    names = [n.name for n in tree.body if isinstance(n, funcs)]
+    names += [m.name for c in tree.body if isinstance(c, ast.ClassDef)
+              for m in c.body
+              if isinstance(m, funcs) and not m.name.startswith("_")]
     text = "\n".join(p.read_text() for root in roots
                      for p in sorted(root.rglob("*.py")))
     return [f"{path.name}: {name}" for name in names
@@ -85,8 +90,13 @@ def test_unused_function_check_catches_a_dead_function(tmp_path):
         "def used():\n    return _helper()\n\n"
         "def _helper():\n    return 1\n\n"
         "def dead():\n    return 2\n\n"
-        "def dead_too():\n    return 3\n")
+        "def dead_too():\n    return 3\n\n"
+        "class Box:\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    def _hidden(self):\n        return 1\n\n"
+        "    def opened(self):\n        return 2\n\n"
+        "    def dead_method(self):\n        return 3\n")
     (tmp_path / "user.py").write_text(
-        "from mod import used\nprint(used())\n")
+        "from mod import Box, used\nprint(used(), Box().opened())\n")
     assert unused_functions(tmp_path / "mod.py", [tmp_path]) == [
-        "mod.py: dead", "mod.py: dead_too"]
+        "mod.py: dead", "mod.py: dead_too", "mod.py: dead_method"]

@@ -6,7 +6,15 @@ from scipy.stats import multivariate_normal, norm
 
 from avfp import rng
 from avfp.data import LinearGaussianSpec, Trajectory, gen_linear_gaussian, kalman_loglik
-from avfp.diffcore import Tape, Tensor, backward, constant, grad_check, replay
+from avfp.diffcore import (
+    LN_2PI,
+    Tape,
+    Tensor,
+    backward,
+    constant,
+    grad_check,
+    replay,
+)
 from avfp.model import (
     GaussianDiag,
     ModelParams,
@@ -16,7 +24,6 @@ from avfp.model import (
     recognition,
 )
 from avfp.objectives import (
-    LN_2PI,
     adversarial_losses,
     combined_objective,
     filter_forward,
