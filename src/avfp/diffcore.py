@@ -3,16 +3,23 @@
 Every primitive is one entry of the op table, name -> (forward, vjp).
 The basic set is elementwise add/sub/mul (either operand may be 0-d),
 matmul, tanh/sigmoid/exp/log/softplus, full reductions sum/mean,
-concat along a static axis, slice of the leading axis, broadcast, and a
-hard clip.  Four fused primitives with hand-written backward rules carry
-the model's hot paths.  affine and gru_cell take a batch of rows; the
-Gaussian ops take a batch of rows or one vector:
+concat and slice along a static axis, broadcast, and a hard clip.
+Fused primitives with hand-written backward rules carry the model's
+hot paths:
 
-  affine        W @ x + b for each row x
-  gru_cell      one gated recurrent update per row, gates packed
-                [reset; update; cand]: one W @ x + b and one U @ h
+  affine        W @ x + b for each row x of a batch
   gauss_logpdf  log N(x; mean, diag(exp(log_var))), summed per row
   gauss_kl      KL between two diagonal Gaussians, summed per row
+  gru_scan      a GRU over the rows of a time-major packed batch,
+                given their input projections W @ x + b
+  latent_scan   a whole latent chain over packed rows: an optional
+                GRU, a Gaussian head, its log-variance clip and the
+                reparameterized sample, with the exogenous inputs'
+                projections computed once for all rows
+
+The Gaussian ops also take one vector.  The scans step only the
+recurrence in their loops and backpropagate through time by hand,
+forming every weight gradient with one product over all rows.
 
 Every primitive checks its result for NaN/Inf and raises instead of
 propagating silently.  A Tape is an append-only record of primitive
@@ -126,8 +133,8 @@ class Tensor:
     def mean(self):
         return apply_primitive("mean", self)
 
-    def slice(self, start: int, stop: int):
-        return apply_primitive("slice", self, start=start, stop=stop)
+    def slice(self, start: int, stop: int, axis: int = 0):
+        return apply_primitive("slice", self, start=start, stop=stop, axis=axis)
 
     def clip(self, lo: float, hi: float):
         return apply_primitive("clip", self, lo=lo, hi=hi)
@@ -366,19 +373,19 @@ def _concat_vjp(g, vals, out, aux):
     return pieces
 
 
-def _slice(x, start, stop):
-    # rows start:stop of the leading axis
-    if x.ndim == 0:
-        raise ValueError("slice of a 0-d input")
-    if not (0 <= start <= stop <= x.shape[0]):
+def _slice(x, start, stop, axis=0):
+    # entries start:stop along a static axis
+    if not 0 <= axis < x.ndim:
+        raise ValueError(f"slice along axis {axis} of a {x.ndim}-d input")
+    if not (0 <= start <= stop <= x.shape[axis]):
         raise ValueError(f"slice [{start}:{stop}] out of range for {x.shape}")
-    return x[start:stop].copy(), (start, stop)
+    cut = (slice(None),) * axis + (slice(start, stop),)
+    return x[cut].copy(), cut
 
 
 def _slice_vjp(g, vals, out, aux):
-    s, e = aux
     gx = np.zeros_like(vals[0])
-    gx[s:e] = g
+    gx[aux] = g
     return (gx,)
 
 
@@ -428,43 +435,6 @@ def _affine_vjp(g, vals, out, aux):
     return g.T @ x, gx, g.sum(axis=0)
 
 
-def _gru_cell(W, U, b, h, x):
-    # a row batch of states h (B, n) with inputs x (B, m)
-    n = h.shape[1] if h.ndim == 2 else 0
-    if (n == 0 or x.ndim != 2 or x.shape[0] != h.shape[0]
-            or W.shape != (3 * n, x.shape[1]) or U.shape != (3 * n, n)
-            or b.shape != (3 * n,)):
-        raise ValueError(
-            f"gru_cell shapes unsupported: W {W.shape}, U {U.shape}, "
-            f"b {b.shape}, h {h.shape}, x {x.shape}")
-    s = x @ W.T + b
-    t = h @ U.T
-    tc = t[:, 2 * n:]
-    pre_ru = s[:, :2 * n] + t[:, :2 * n]
-    ru = expit(pre_ru)
-    r, u = ru[:, :n], ru[:, n:]
-    pre_c = s[:, 2 * n:] + r * tc
-    # The gates saturate, so an overflow in W @ x + b or U @ h would leave
-    # a finite output.  Every entry of both reaches pre_ru or pre_c, and
-    # a NaN/Inf there stays NaN/Inf (r > 0, or r * inf is NaN), so this
-    # check also covers them.
-    _check_finite("gru_cell", pre_ru, pre_c)
-    c = np.tanh(pre_c)
-    return (1.0 - u) * h + u * c, (r, u, c, tc)
-
-
-def _gru_cell_vjp(g, vals, out, aux):
-    W, U, _, h, x = vals
-    r, u, c, tc = aux
-    d_pre_c = g * u * (1.0 - c * c)
-    d_pre_r = d_pre_c * tc * r * (1.0 - r)
-    d_pre_u = g * (c - h) * u * (1.0 - u)
-    ds = np.concatenate((d_pre_r, d_pre_u, d_pre_c), axis=1)
-    dt = np.concatenate((d_pre_r, d_pre_u, d_pre_c * r), axis=1)
-    return (ds.T @ x, dt.T @ h, ds.sum(axis=0),
-            g * (1.0 - u) + dt @ U, ds @ W)
-
-
 def _gauss_logpdf(x, mean, log_var):
     # one density of a vector, or one per row of a matrix
     if not x.shape == mean.shape == log_var.shape or x.ndim not in (1, 2):
@@ -505,6 +475,365 @@ def _gauss_kl_vjp(g, vals, out, aux):
     return g_mean, g_lv, -g_mean, -g_lv - (g * 0.5) * (dm * dm * inv_p)
 
 
+# ---------------------------------------------------------------------------
+# whole-sequence scans
+#
+# Both scans run over a time-major packed layout (objectives.Batch):
+# step t owns rows spans[t] = (lo, hi), one per sequence still running,
+# longest first, so the rows of step t continue the first hi - lo rows of
+# step t - 1.  What needs no recurrent state runs once over all rows: the
+# input projections before the step loop, the gate derivatives and every
+# weight gradient after it.  The loops keep only the recurrent products
+# and the elementwise work between them, written into stacked buffers.
+
+
+def _prev_rows(spans, n_rows: int) -> np.ndarray:
+    """For each row after the first step, the row of the same sequence
+    one step earlier; raises unless spans pack n_rows rows time-major."""
+    bounds = np.array(spans, dtype=np.int64).reshape(-1, 2)
+    counts = bounds[:, 1] - bounds[:, 0]
+    if (len(counts) == 0 or bounds[0, 0] != 0 or bounds[-1, 1] != n_rows
+            or counts.min() < 1 or np.any(counts[1:] > counts[:-1])
+            or np.any(bounds[1:, 0] != bounds[:-1, 1])):
+        raise ValueError(f"spans do not pack {n_rows} rows time-major")
+    step = np.repeat(np.arange(len(counts) - 1), counts[1:])
+    return np.arange(counts[0], n_rows) - counts[step]
+
+
+def _gru_step(s, hp, UT, pre_ru, pre_c, h):
+    """One gated recurrent update, gates packed [reset; update; cand]:
+    rows hp become rows h, given their input pre-activations s = W @ x
+    + b.  The gate pre-activations are kept in pre_ru and pre_c."""
+    n = hp.shape[1]
+    t = hp @ UT
+    np.add(s[:, :2 * n], t[:, :2 * n], out=pre_ru)
+    ru = expit(pre_ru)
+    np.multiply(ru[:, :n], t[:, 2 * n:], out=pre_c)
+    pre_c += s[:, 2 * n:]
+    np.subtract(np.tanh(pre_c), hp, out=h)
+    h *= ru[:, n:]
+    h += hp
+
+
+def _gru_factors(U, pre_ru, pre_c, hp):
+    """The gate derivatives of every row at once: with dh an adjoint
+    row repeated over the three gate blocks, dh * ks and dh * kt are the
+    adjoints of W @ x + b and U @ h, and dh * keep + (dh * kt) @ U is
+    that of the previous state."""
+    n = hp.shape[1]
+    ru = expit(pre_ru)
+    r, u = ru[:, :n], ru[:, n:]
+    c = np.tanh(pre_c)
+    dc = u * (1.0 - c * c)
+    tc = hp @ U[2 * n:].T
+    ks = np.concatenate((dc * tc * r * (1.0 - r), (c - hp) * u * (1.0 - u), dc),
+                        axis=1)
+    kt = ks.copy()
+    kt[:, 2 * n:] *= r
+    return ks.reshape(-1, 3, n), kt.reshape(-1, 3, n), 1.0 - u
+
+
+def _gru_step_vjp(dh, ks, kt, keep, U, ds, dt):
+    """Backward through one step: writes the adjoints of W @ x + b and
+    U @ h (as (rows, 3, n) blocks) into ds and dt and returns that of
+    the previous state."""
+    dh3 = dh[:, None, :]
+    np.multiply(ks, dh3, out=ds)
+    np.multiply(kt, dh3, out=dt)
+    return dh * keep + dt.reshape(dh.shape[0], -1) @ U
+
+
+def _hprev(h0, H, prev):
+    """The state each row's step starts from: h0 at the first step."""
+    n0 = H.shape[0] - len(prev)
+    return np.concatenate((np.broadcast_to(h0, (n0, H.shape[1])), H[prev]))
+
+
+def _gru_scan(U, h0, S, spans):
+    # rows S of input pre-activations W @ x + b; h0 is one initial state
+    # for every sequence or one row per sequence of the first step
+    n_rows = S.shape[0] if S.ndim == 2 else -1
+    n = U.shape[-1] if U.ndim else 0
+    prev = _prev_rows(spans, n_rows)
+    if (U.shape != (3 * n, n) or S.shape != (n_rows, 3 * n)
+            or h0.shape not in ((n,), (spans[0][1], n))):
+        raise ValueError(f"gru_scan shapes unsupported: U {U.shape}, "
+                         f"h0 {h0.shape}, S {S.shape}")
+    UT = U.T
+    H = np.empty((n_rows, n))
+    pre_ru, pre_c = np.empty((n_rows, 2 * n)), np.empty((n_rows, n))
+    hp = np.broadcast_to(h0, (spans[0][1], n))
+    for lo, hi in spans:
+        if lo:
+            hp = H[plo:plo + hi - lo]
+        _gru_step(S[lo:hi], hp, UT, pre_ru[lo:hi], pre_c[lo:hi], H[lo:hi])
+        plo = lo
+    # The gates saturate, so an overflow in S or U @ h would leave a
+    # finite output.  Every entry of both reaches pre_ru or pre_c, and a
+    # NaN/Inf there stays NaN/Inf (r > 0, or r * inf is NaN), so this
+    # check also covers them.
+    _check_finite("gru_scan", pre_ru, pre_c)
+    return H, (spans, prev, pre_ru, pre_c)
+
+
+def _gru_scan_vjp(g, vals, out, aux):
+    U, h0, S = vals
+    spans, prev, pre_ru, pre_c = aux
+    n_rows, n = out.shape
+    hp = _hprev(h0, out, prev)
+    ks, kt, keep = _gru_factors(U, pre_ru, pre_c, hp)
+    dH = np.array(g)
+    dS, dT = np.empty((n_rows, 3, n)), np.empty((n_rows, 3, n))
+    for t in range(len(spans) - 1, -1, -1):
+        lo, hi = spans[t]
+        dhp = _gru_step_vjp(dH[lo:hi], ks[lo:hi], kt[lo:hi], keep[lo:hi], U,
+                            dS[lo:hi], dT[lo:hi])
+        if t:
+            plo = spans[t - 1][0]
+            dH[plo:plo + hi - lo] += dhp
+    return (dT.reshape(n_rows, -1).T @ hp,
+            dhp.sum(axis=0) if h0.ndim == 1 else dhp,
+            dS.reshape(n_rows, -1))
+
+
+LATENT_INPUTS = ("xu", "eps", "h0", "W", "U", "b", "W1", "b1",
+                 "Wm", "bm", "Wv", "bv")
+
+
+def _latent_columns(n_h: int, n_z: int, sample: bool):
+    """(name, width) of latent_scan's output column blocks, in order."""
+    cols = [("h", n_h)] if n_h else []
+    cols.append(("mean", n_z))
+    if sample:
+        cols += [("log_var", n_z), ("z", n_z)]
+    return cols + [("z_prev", n_z)]
+
+
+def _col_blocks(M, order, width) -> dict:
+    """The column blocks of M named in order, of the given widths."""
+    if M.ndim != 2 or M.shape[1] != sum(width[k] for k in order):
+        raise ValueError(f"latent_scan: {M.shape} weights for input blocks "
+                         f"{tuple(order)}")
+    out, off = {}, 0
+    for k in order:
+        out[k] = M[:, off:off + width[k]]
+        off += width[k]
+    return out
+
+
+def _head_layers(p, lv_scale):
+    """The Gaussian head as (M, m, F, f): an output layer M, m giving
+    [mean, log_var * lv_scale] rows (no log-variance without eps) and
+    the first layer F, f on the head's input (M, m itself without W1)."""
+    M, m = p["Wm"], p["bm"]
+    if "eps" in p:
+        M = np.concatenate((M, p["Wv"] * lv_scale))
+        m = np.concatenate((m, p["bv"] * lv_scale))
+    return (M, m) + ((p["W1"], p["b1"]) if "W1" in p else (M, m))
+
+
+def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
+    # One latent chain over packed rows.  Per step, with z_prev the
+    # previous sample of the same sequence (zeros at the first step):
+    #   h       = GRU(h_prev, input blocks gru_in)  (if W is given, else
+    #                                                  gru_in is ignored)
+    #   feat    = tanh(W1 @ input blocks head_in + b1)   (the blocks, without W1)
+    #   mean    = Wm @ feat + bm
+    #   log_var = clip(Wv @ feat + bv)
+    #   z       = mean + exp(log_var / 2) * eps          (mean, without eps)
+    # The input blocks are "xu" (the exogenous rows, whose projections
+    # are computed once for all rows), "z" (z_prev) and "h".  With
+    # pin_first the first step's mean and log_var are 0, so its z is eps.
+    p = dict(zip(names, arrays))
+    sample, gru, hidden = "eps" in p, "W" in p, "W1" in p
+    need = {"xu", "Wm", "bm"} | ({"Wv", "bv"} if sample else set()) | (
+        {"h0", "U", "b"} if gru else set()) | ({"b1"} if hidden else set())
+    if (len(p) != len(names) or not need <= set(p) <= set(LATENT_INPUTS)
+            or sample != ("Wv" in p) or gru != ("U" in p)):
+        raise ValueError(f"latent_scan inputs unsupported: {names}")
+    xu = p["xu"]
+    n_rows, n_z = xu.shape[0], p["Wm"].shape[0]
+    n_h = p["U"].shape[1] if gru else 0
+    width = {"xu": xu.shape[1], "z": n_z, "h": n_h}
+    prev = _prev_rows(spans, n_rows)
+    n0 = spans[0][1]
+    # The log-variance rows are halved (exactly, a power of two): the
+    # loop clips half the log-variance and exponentiates it directly.
+    M, m, F, f = _head_layers(p, 0.5)
+    Fc = _col_blocks(F, head_in, width)
+    Wc = _col_blocks(p["W"], gru_in, width) if gru else {}
+    if (m.shape != (M.shape[0],) or f.shape != (F.shape[0],)
+            or (hidden and M.shape[1] != F.shape[0])
+            or (sample and p["eps"].shape != (n_rows, n_z))
+            or (gru and (p["U"].shape != (3 * n_h, n_h)
+                         or p["b"].shape != (3 * n_h,)
+                         or p["h0"].shape not in ((n_h,), (n0, n_h))))):
+        raise ValueError(f"latent_scan shapes unsupported: "
+                         f"{[(k, p[k].shape) for k in names]}")
+
+    k = F.shape[0]
+    PA = np.zeros((n_rows, k))          # first-layer pre-activations
+    FEAT = np.zeros((n_rows, k)) if hidden else None
+    ML = np.zeros((n_rows, M.shape[0])) if hidden else PA  # [mean, log_var]
+    A0 = (xu @ Fc["xu"].T + f if "xu" in Fc
+          else np.broadcast_to(f, (n_rows, k)))
+    FzT, FhT = (np.ascontiguousarray(Fc[b].T) if b in Fc else None
+                for b in ("z", "h"))
+    MT = M.T
+    if sample:
+        eps = p["eps"]
+        LV, STD, Z = (np.zeros((n_rows, n_z)) for _ in range(3))
+        lv_lo, lv_hi = clip[0] * 0.5, clip[1] * 0.5
+    else:
+        Z = ML          # the posterior mean stands in for the sample
+    if gru:
+        S = (xu @ Wc["xu"].T + p["b"] if "xu" in Wc
+             else np.broadcast_to(p["b"], (n_rows, 3 * n_h)))
+        WzT, UT = np.ascontiguousarray(Wc["z"].T), p["U"].T
+        H = np.zeros((n_rows, n_h))
+        pre_ru, pre_c = np.zeros((n_rows, 2 * n_h)), np.zeros((n_rows, n_h))
+        hp = np.broadcast_to(p["h0"], (n0, n_h))
+    zp = np.zeros((n0, n_z))
+    for t, (lo, hi) in enumerate(spans):
+        if t:
+            zp = Z[plo:plo + hi - lo]
+            if gru:
+                hp = H[plo:plo + hi - lo]
+        if gru:
+            _gru_step(S[lo:hi] + zp @ WzT, hp, UT, pre_ru[lo:hi],
+                      pre_c[lo:hi], H[lo:hi])
+        ml = ML[lo:hi]
+        if t or not pin_first:
+            a = PA[lo:hi]
+            if FzT is None:
+                np.matmul(H[lo:hi], FhT, out=a)
+            else:
+                np.matmul(zp, FzT, out=a)
+                if FhT is not None:
+                    a += H[lo:hi] @ FhT
+            a += A0[lo:hi]
+            if hidden:
+                np.matmul(np.tanh(a, out=FEAT[lo:hi]), MT, out=ml)
+                ml += m
+        if sample:
+            lv = np.maximum(ml[:, n_z:], lv_lo, out=LV[lo:hi])
+            np.minimum(lv, lv_hi, out=lv)
+            std = np.exp(lv, out=STD[lo:hi])
+            z = np.multiply(std, eps[lo:hi], out=Z[lo:hi])
+            z += ml[:, :n_z]
+        plo = lo
+    if sample:  # back to whole log-variances
+        ML[:, n_z:] *= 2.0
+        LV *= 2.0
+    # every pre-activation that feeds a saturating function: the gates,
+    # the hidden tanh layer and the log-variance clip (see _gru_scan)
+    _check_finite("latent_scan", PA, ML, *((pre_ru, pre_c) if gru else ()))
+
+    ZP = np.zeros((n_rows, n_z))
+    ZP[n0:] = Z[prev]
+    cols = ([H] if gru else []) + [ML[:, :n_z]] + (
+        [LV, Z] if sample else []) + [ZP]
+    aux = dict(names=names, spans=spans, gru_in=gru_in, head_in=head_in,
+               clip=clip, pin_first=pin_first, prev=prev, width=width, Wc=Wc,
+               PA=PA, FEAT=FEAT, ML=ML, ZP=ZP, H=H if gru else None,
+               pre=(pre_ru, pre_c) if gru else None,
+               STD=STD if sample else None)
+    return np.concatenate(cols, axis=1), aux
+
+
+def _latent_scan_vjp(g, vals, out, aux):
+    p = dict(zip(aux["names"], vals))
+    spans, prev, Wc = aux["spans"], aux["prev"], aux["Wc"]
+    M, _, F, _ = _head_layers(p, 1.0)
+    Fc = _col_blocks(F, aux["head_in"], aux["width"])
+    ML, FEAT, H = aux["ML"], aux["FEAT"], aux["H"]
+    sample, gru, hidden = "eps" in p, "W" in p, "W1" in p
+    xu = p["xu"]
+    n_rows, n_z = xu.shape[0], p["Wm"].shape[0]
+    n_h = p["U"].shape[1] if gru else 0
+    n0 = spans[0][1]
+
+    G, off = {}, 0
+    for name, w in _latent_columns(n_h, n_z, sample):
+        G[name] = g[:, off:off + w]
+        off += w
+    if sample:
+        lv_lo, lv_hi = aux["clip"]
+        lvp = ML[:, n_z:]
+        inside = (lvp > lv_lo) & (lvp < lv_hi)
+        dML = np.concatenate((G["mean"], G["log_var"] * inside), axis=1)
+        k_lv = 0.5 * aux["STD"] * p["eps"] * inside  # d log_var / d z
+        dZ = np.array(G["z"])
+    else:
+        dML = np.array(G["mean"])
+        dZ = dML
+    dZ[prev] += G["z_prev"][n0:]
+    dA = np.zeros_like(aux["PA"]) if hidden else dML
+    dfeat = 1.0 - FEAT * FEAT if hidden else None
+    Fz, Fh, Wz = Fc.get("z"), Fc.get("h"), Wc.get("z")
+    if gru:
+        hp = _hprev(p["h0"], H, prev)
+        ks, kt, keep = _gru_factors(p["U"], *aux["pre"], hp)
+        dH = np.array(G["h"])
+        dS, dT = np.empty((n_rows, 3, n_h)), np.empty((n_rows, 3, n_h))
+        dS2 = dS.reshape(n_rows, -1)
+
+    for t in range(len(spans) - 1, -1, -1):
+        lo, hi = spans[t]
+        dzp = None
+        if t or not aux["pin_first"]:
+            dml = dML[lo:hi]
+            if sample:
+                dz = dZ[lo:hi]
+                dml[:, :n_z] += dz
+                dml[:, n_z:] += dz * k_lv[lo:hi]
+            da = dml
+            if hidden:
+                da = np.matmul(dml, M, out=dA[lo:hi])
+                da *= dfeat[lo:hi]
+            if Fh is not None:
+                dH[lo:hi] += da @ Fh
+            if Fz is not None:
+                dzp = da @ Fz
+        else:   # the pinned first step ran no head
+            dML[lo:hi] = 0.0
+            dA[lo:hi] = 0.0
+        if gru:
+            dhp = _gru_step_vjp(dH[lo:hi], ks[lo:hi], kt[lo:hi], keep[lo:hi],
+                                p["U"], dS[lo:hi], dT[lo:hi])
+            if Wz is not None:
+                dzp = dS2[lo:hi] @ Wz if dzp is None else dzp + dS2[lo:hi] @ Wz
+            if t:
+                plo = spans[t - 1][0]
+                dH[plo:plo + hi - lo] += dhp
+        if t and dzp is not None:
+            plo = spans[t - 1][0]
+            dZ[plo:plo + hi - lo] += dzp
+
+    blocks = {"xu": xu, "z": aux["ZP"], "h": H}
+    grads = {"xu": np.zeros_like(xu)}
+    dF = np.concatenate([dA.T @ blocks[k] for k in aux["head_in"]], axis=1)
+    df = dA.sum(axis=0)
+    if hidden:
+        grads["W1"], grads["b1"] = dF, df
+        dF, df = dML.T @ FEAT, dML.sum(axis=0)
+    grads["Wm"], grads["bm"] = dF[:n_z], df[:n_z]
+    if sample:
+        grads["Wv"], grads["bv"] = dF[n_z:], df[n_z:]
+        grads["eps"] = dZ * aux["STD"]
+    if "xu" in Fc:
+        grads["xu"] += dA @ Fc["xu"]
+    if gru:
+        grads["W"] = np.concatenate([dS2.T @ blocks[k] for k in aux["gru_in"]],
+                                    axis=1)
+        grads["U"] = dT.reshape(n_rows, -1).T @ hp
+        grads["b"] = dS2.sum(axis=0)
+        grads["h0"] = dhp.sum(axis=0) if p["h0"].ndim == 1 else dhp
+        if "xu" in Wc:
+            grads["xu"] += dS2 @ Wc["xu"]
+    return [grads[k] for k in aux["names"]]
+
+
 _OPS = {
     "add": (_add, _add_vjp),
     "sub": (_sub, _sub_vjp),
@@ -522,9 +851,10 @@ _OPS = {
     "broadcast": (_broadcast, _broadcast_vjp),
     "clip": (_clip, _clip_vjp),
     "affine": (_affine, _affine_vjp),
-    "gru_cell": (_gru_cell, _gru_cell_vjp),
     "gauss_logpdf": (_gauss_logpdf, _gauss_logpdf_vjp),
     "gauss_kl": (_gauss_kl, _gauss_kl_vjp),
+    "gru_scan": (_gru_scan, _gru_scan_vjp),
+    "latent_scan": (_latent_scan, _latent_scan_vjp),
 }
 
 PRIMITIVES = tuple(_OPS)
@@ -595,8 +925,28 @@ def affine(W: Tensor, x: Tensor, b: Tensor) -> Tensor:
     return apply_primitive("affine", W, x, b)
 
 
-def gru_cell(W: Tensor, U: Tensor, b: Tensor, h: Tensor, x: Tensor) -> Tensor:
-    return apply_primitive("gru_cell", W, U, b, h, x)
+def gru_scan(U: Tensor, h0: Tensor, S: Tensor, spans) -> Tensor:
+    """The stacked states of a GRU over packed rows S = W @ x + b."""
+    return apply_primitive("gru_scan", U, h0, S, spans=tuple(spans))
+
+
+def latent_scan(inputs: dict[str, Tensor], spans, gru_in=(), head_in=(),
+                clip=(-np.inf, np.inf), pin_first=False) -> dict[str, Tensor]:
+    """One latent chain over packed rows, as one tape node (see
+    _latent_scan); inputs are keyed by LATENT_INPUTS names.  Returns its
+    output column blocks: h (with a GRU), mean, log_var and z (with
+    eps; without, z is the mean) and z_prev."""
+    rows = apply_primitive(
+        "latent_scan", *inputs.values(), names=tuple(inputs),
+        spans=tuple(spans), gru_in=tuple(gru_in), head_in=tuple(head_in),
+        clip=tuple(clip), pin_first=pin_first)
+    n_h = inputs["U"].shape[1] if "U" in inputs else 0
+    out, off = {}, 0
+    for name, w in _latent_columns(n_h, inputs["Wm"].shape[0], "eps" in inputs):
+        out[name] = rows.slice(off, off + w, axis=1)
+        off += w
+    out.setdefault("z", out["mean"])
+    return out
 
 
 def gauss_logpdf(x: Tensor, mean: Tensor, log_var: Tensor) -> Tensor:

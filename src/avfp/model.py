@@ -17,11 +17,14 @@ recurrent encoders are bypassed: the recognition head sees only
 (x_t, u_t, z_prev) and the prior/emission heads see only the adjacent
 latent, which removes every non-adjacent dependency.
 
-Every block takes a batch of rows (matrices, one row per trajectory or
-per stacked cycle).  A recurrent step whose previous state has more rows
-than its inputs keeps the first ones: the trajectories of a time-major
-batch that are still running.  The discriminator pools stacked latent
-rows into one score per trajectory.
+Every block takes stacked rows, one per cycle of a time-major packed
+batch (objectives.Batch).  The recurrent chains run whole sequences as
+one scan primitive each: recognition (GRU, posterior head and sample)
+and prior_chain (the prior's rollout) as a latent_scan, and the prior's
+summary of given latents as a gru_scan, so no per-step block exists.
+The transition prior and emission heads then read all stacked rows at
+once.  The discriminator pools stacked latent rows into one score per
+trajectory.
 """
 
 from __future__ import annotations
@@ -35,11 +38,10 @@ from .data import LinearGaussianSpec
 from .diffcore import (
     Tensor,
     affine,
-    broadcast_to,
     concat,
     constant,
-    exp,
-    gru_cell,
+    gru_scan,
+    latent_scan,
     sigmoid,
     softplus,
     tanh,
@@ -48,7 +50,6 @@ from .diffcore import (
 LOG_VAR_MIN = -10.0
 LOG_VAR_MAX = 10.0
 DISC_LOGIT_CLIP = 15.0
-_HALF = constant(0.5)  # one tape leaf however many samples are drawn
 
 
 @dataclass(frozen=True)
@@ -200,80 +201,70 @@ def init_params(spec: NetworkSpec, markovian: bool, seed: int) -> ModelParams:
 # building blocks
 
 
-def gru_step(group: dict[str, Tensor], prefix: str, h: Tensor, inp: Tensor) -> Tensor:
-    """Gated recurrent update; gates packed row-wise [reset; update; cand]."""
-    return gru_cell(group[f"{prefix}.W"], group[f"{prefix}.U"],
-                    group[f"{prefix}.b"], h, inp)
-
-
-def _carry(h0: Tensor, prev: Tensor | None, inp: Tensor) -> Tensor:
-    """The state a recurrent step starts from: h0 (one copy per input
-    row) at the first step, else prev cut to the rows still running."""
-    n = inp.shape[0]
-    if prev is None:
-        return broadcast_to(h0, (n, h0.shape[0]))
-    return prev.slice(0, n) if prev.shape[0] > n else prev
-
-
 def _gaussian_head(group: dict[str, Tensor], prefix: str, hidden: int,
-                   inp: Tensor, mean_only: bool = False
-                   ) -> GaussianDiag | Tensor:
+                   inp: Tensor) -> GaussianDiag:
     feat = tanh(affine(group[f"{prefix}.W1"], inp, group[f"{prefix}.b1"])) \
         if hidden > 0 else inp
     mean = affine(group[f"{prefix}.Wm"], feat, group[f"{prefix}.bm"])
-    if mean_only:
-        return mean
     log_var = affine(group[f"{prefix}.Wv"], feat, group[f"{prefix}.bv"]).clip(
         LOG_VAR_MIN, LOG_VAR_MAX)
     return GaussianDiag(mean=mean, log_var=log_var)
 
 
-def sample_reparam(g: GaussianDiag, noise) -> Tensor:
-    """mean + exp(log_var / 2) * noise; noise is supplied, never drawn."""
-    noise = constant(noise)
-    if noise.shape != g.mean.shape:
-        raise ValueError("noise shape mismatch")
-    return g.mean + exp(g.log_var * _HALF) * noise
+def _chain_inputs(group: dict[str, Tensor], state0: str, head: str,
+                  xu, eps) -> dict[str, Tensor]:
+    """latent_scan inputs from one partition: the exogenous rows and
+    noise, its GRU if it has one (state0 names the initial state) and
+    the Gaussian head called head; no log-variance head without noise."""
+    inputs = {"xu": constant(xu)}
+    if eps is not None:
+        inputs["eps"] = constant(eps)
+    if state0 in group:
+        inputs.update(h0=group[state0], W=group["gru.W"], U=group["gru.U"],
+                      b=group["gru.b"])
+    for w in ("W1", "Wm") + (("Wv",) if eps is not None else ()):
+        if f"{head}.{w}" in group:  # no W1 without a hidden layer
+            inputs[w] = group[f"{head}.{w}"]
+            inputs["b" + w[1:]] = group[f"{head}.b{w[1:]}"]
+    return inputs
 
 
 # ---------------------------------------------------------------------------
 # recognition side (phi)
 
 
-def encode_history(params: ModelParams, prev: Tensor | None,
-                   x_t, u_t, z_prev) -> Tensor:
-    """Fold (x_t, u_t, z_{t-1}) into the recognition summary h_t.
+def recognition(params: ModelParams, xu, eps, spans) -> dict[str, Tensor]:
+    """The recognition chain over a time-major packed batch, one
+    latent_scan: per step, the summary h_t folds (x_t, u_t, z_{t-1})
+    into the GRU state, the posterior head reads h_t, and z_t is the
+    reparameterized sample with the supplied noise eps (the posterior
+    mean without it, and no log-variance head is run).
 
-    Markovian mode carries no state: the summary is just the current
-    inputs, so the posterior can only see adjacent information.
+    xu holds the packed [x_t, u_t] rows.  Markovian mode carries no
+    state: the head reads (x_t, u_t, z_{t-1}) directly, so the posterior
+    can only see adjacent information.  Returns the stacked column
+    blocks h (history mode only), mean, log_var, z and z_prev.
     """
-    inp = concat([constant(x_t), constant(u_t), constant(z_prev)], axis=-1)
-    if params.markovian:
-        return inp
-    return gru_step(params.phi, "gru", _carry(params.phi["h0"], prev, inp), inp)
-
-
-def recognition(params: ModelParams, state: Tensor,
-                mean_only: bool = False) -> GaussianDiag | Tensor:
-    """Posterior belief over z_t given the recognition summary; with
-    mean_only, its mean alone (the log-variance head is not run)."""
-    return _gaussian_head(params.phi, "enc", params.spec.enc_hidden, state,
-                          mean_only)
+    return latent_scan(_chain_inputs(params.phi, "h0", "enc", xu, eps), spans,
+                       gru_in=("xu", "z"),
+                       head_in=("xu", "z") if params.markovian else ("h",),
+                       clip=(LOG_VAR_MIN, LOG_VAR_MAX))
 
 
 # ---------------------------------------------------------------------------
 # generative side (theta)
 
 
-def advance_prior_state(params: ModelParams, prev: Tensor | None,
-                        z_prev, u_t) -> Tensor | None:
-    """Fold (z_{t-1}, u_t) into the prior's own recurrent summary; None
-    in markovian mode, which has no such summary."""
+def prior_history(params: ModelParams, z_prev: Tensor, u,
+                  spans) -> Tensor | None:
+    """The prior's recurrent summaries g_t of (z_{t-1}, u_t) over packed
+    rows: one input projection of every row, then one gru_scan; None in
+    markovian mode, which has no such summary."""
     if params.markovian:
         return None
-    inp = concat([constant(z_prev), constant(u_t)], axis=-1)
-    return gru_step(params.theta, "gru", _carry(params.theta["g0"], prev, inp),
-                    inp)
+    th = params.theta
+    s = affine(th["gru.W"], concat([z_prev, constant(u)], axis=1), th["gru.b"])
+    return gru_scan(th["gru.U"], th["g0"], s, spans)
 
 
 def transition_prior(params: ModelParams, state: Tensor | None,
@@ -283,6 +274,17 @@ def transition_prior(params: ModelParams, state: Tensor | None,
     z_prev = constant(z_prev)
     inp = z_prev if params.markovian else concat([z_prev, state], axis=-1)
     return _gaussian_head(params.theta, "pri", params.spec.prior_hidden, inp)
+
+
+def prior_chain(params: ModelParams, u, eps, spans) -> Tensor:
+    """Latent rows sampled along the transition prior over packed rows
+    of inputs u, one latent_scan: the prior's summary and head run as
+    in prior_history and transition_prior, and the first step is N(0,
+    I), so its sample is the noise."""
+    return latent_scan(_chain_inputs(params.theta, "g0", "pri", u, eps), spans,
+                       gru_in=("z", "xu"),
+                       head_in=("z",) if params.markovian else ("z", "h"),
+                       clip=(LOG_VAR_MIN, LOG_VAR_MAX), pin_first=True)["z"]
 
 
 def emission(params: ModelParams, state: Tensor | None,

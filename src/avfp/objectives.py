@@ -6,17 +6,19 @@ still running, and every per-cycle quantity is one stacked (N, .) array
 whose rows run step by step.  No padded row is ever computed: when a
 trajectory ends, the recurrent states are cut to the running rows.
 
-filter_forward is the recognition chain alone: at each step the
-recognition summary is updated with the current observation first, the
-posterior over z_t is read off, and a reparameterized sample is drawn
-with externally supplied noise (or, for readouts, the posterior mean
-stands in for it, and the log-variance head is not run).  filter_means
-runs it with recording off for the remaining-life and health-index
-readouts.
+filter_forward is the recognition chain alone, one scan primitive over
+the whole batch: at each step the recognition summary is updated with
+the current observation first, the posterior over z_t is read off, and
+a reparameterized sample is drawn with externally supplied noise (or,
+for readouts, the posterior mean stands in for it, and the
+log-variance head is not run).  filter_means runs it with recording
+off for the remaining-life and health-index readouts.
 
-The evidence bound steps only the prior's recurrence through time; the
-transition prior, the emission head, the log-density and the KL then
-run once each over all stacked rows.  The first-step prior is pinned to
+The evidence bound runs the prior's recurrence over the given latents
+as one input projection of all rows plus one gru_scan; the transition
+prior, the emission head, the log-density and the KL then run once each
+over all stacked rows.  A batch's tape therefore has the same length
+whatever its sequences' lengths.  The first-step prior is pinned to
 N(0, I).
 
 The adversarial pair treats latent sequences rolled out from the
@@ -50,12 +52,11 @@ from .diffcore import (
 from .model import (
     GaussianDiag,
     ModelParams,
-    advance_prior_state,
     discriminate,
     emission,
-    encode_history,
+    prior_chain,
+    prior_history,
     recognition,
-    sample_reparam,
     transition_prior,
 )
 
@@ -125,18 +126,18 @@ class ObjectiveBreakdown:
 class FilterPass:
     """What the recognition chain produced, rows stacked as in batch.
 
-    states and prev hold one entry per step: the recognition summaries
-    of the running rows, and their previous sample z_{t-1} (zeros at
-    the first step), the latent input of both recurrences.  In
-    deterministic mode samples holds the posterior means and posterior
-    is None.
+    states holds the recognition GRU's summaries h_t (None in markovian
+    mode, whose summary is the inputs [x_t, u_t, z_{t-1}]), and prev
+    each row's previous sample z_{t-1} (zeros at the first step), the
+    latent input of both recurrences.  In deterministic mode samples
+    holds the posterior means and posterior is None.
     """
 
     batch: Batch
-    states: list[Tensor]
+    states: Tensor | None
     posterior: GaussianDiag | None
     samples: Tensor
-    prev: list[Tensor]
+    prev: Tensor
 
 
 @dataclass
@@ -171,14 +172,9 @@ def kl_diag_gaussians(q: GaussianDiag, p: GaussianDiag) -> Tensor:
     return gauss_kl(q.mean, q.log_var, p.mean, p.log_var)
 
 
-def _running(t: Tensor, n: int) -> Tensor:
-    """The first n rows of t: the trajectories still running."""
-    return t if t.shape[0] == n else t.slice(0, n)
-
-
 def filter_forward(params: ModelParams, trajs: list[Trajectory],
                    noise: list[np.ndarray] | None) -> FilterPass:
-    """The recognition chain over a batch, one time-major pass.
+    """The recognition chain over a batch, one time-major scan.
 
     noise holds one (T_b, n_z) array per trajectory; None switches to
     deterministic filtering where the posterior mean stands in for the
@@ -191,27 +187,11 @@ def filter_forward(params: ModelParams, trajs: list[Trajectory],
         eps = batch.pack(noise)
         if eps.shape != (batch.n_rows, n_z):
             raise ValueError(f"noise rows of width {eps.shape[1:]}, expected {n_z}")
-    z_prev = constant(np.zeros((batch.spans[0][1], n_z)))
-    h = None
-    states, means, log_vars, samples, prev = [], [], [], [], []
-    for lo, hi in batch.spans:
-        z_prev = _running(z_prev, hi - lo)
-        h = encode_history(params, h, batch.x[lo:hi], batch.u[lo:hi], z_prev)
-        if eps is None:
-            z = recognition(params, h, mean_only=True)
-        else:
-            post = recognition(params, h)
-            z = sample_reparam(post, eps[lo:hi])
-            means.append(post.mean)
-            log_vars.append(post.log_var)
-        states.append(h)
-        samples.append(z)
-        prev.append(z_prev)
-        z_prev = z
-    posterior = None if eps is None else GaussianDiag(concat(means),
-                                                      concat(log_vars))
-    return FilterPass(batch=batch, states=states, posterior=posterior,
-                      samples=concat(samples), prev=prev)
+    cols = recognition(params, np.hstack([batch.x, batch.u]), eps, batch.spans)
+    posterior = None if eps is None else GaussianDiag(cols["mean"],
+                                                      cols["log_var"])
+    return FilterPass(batch=batch, states=cols.get("h"), posterior=posterior,
+                      samples=cols["z"], prev=cols["z_prev"])
 
 
 def filter_means(params: ModelParams, trajs: list[Trajectory]
@@ -221,19 +201,16 @@ def filter_means(params: ModelParams, trajs: list[Trajectory]
     means, one row per cycle."""
     with no_tape():
         fp = filter_forward(params, trajs, None)
-    return (fp.batch, np.concatenate([h.data for h in fp.states]),
-            fp.samples.data)
+    b = fp.batch
+    states = (np.hstack([b.x, b.u, fp.prev.data]) if fp.states is None
+              else fp.states.data)
+    return b, states, fp.samples.data
 
 
 def _bound(params: ModelParams, fp: FilterPass) -> Bound:
-    """Step the prior's recurrence, then score every row at once."""
+    """Run the prior's recurrence, then score every row at once."""
     batch = fp.batch
-    g, states = None, []
-    if not params.markovian:
-        for (lo, hi), z_prev in zip(batch.spans, fp.prev):
-            g = advance_prior_state(params, g, z_prev, batch.u[lo:hi])
-            states.append(g)
-    history = concat(states) if states else None
+    history = prior_history(params, fp.prev, batch.u, batch.spans)
     recon = gaussian_log_density(batch.x, emission(params, history, fp.samples))
 
     first = batch.spans[0][1]
@@ -242,7 +219,7 @@ def _bound(params: ModelParams, fp: FilterPass) -> Bound:
     if batch.n_rows > first:
         later = transition_prior(
             params, None if history is None else history.slice(first, batch.n_rows),
-            concat(fp.prev[1:]))
+            fp.prev.slice(first, batch.n_rows))
         prior = GaussianDiag(concat([pinned, later.mean]),
                              concat([pinned, later.log_var]))
     return Bound(fp=fp, prior=prior, recon=recon,
@@ -269,17 +246,7 @@ def prior_rollout(params: ModelParams, trajs: list[Trajectory],
     if eps.shape[1:] != (params.spec.n_z,):
         raise ValueError("noise width must equal n_z")
     with no_tape():
-        z_prev = constant(np.zeros((batch.spans[0][1], params.spec.n_z)))
-        g, zs = None, []
-        for t, (lo, hi) in enumerate(batch.spans):
-            z_prev = _running(z_prev, hi - lo)
-            g = advance_prior_state(params, g, z_prev, batch.u[lo:hi])
-            # the first-step prior is N(0, I): its sample is the noise
-            z = constant(eps[lo:hi]) if t == 0 else sample_reparam(
-                transition_prior(params, g, z_prev), eps[lo:hi])
-            zs.append(z)
-            z_prev = z
-    return constant(np.concatenate([z.data for z in zs]))
+        return constant(prior_chain(params, batch.u, eps, batch.spans).data)
 
 
 def adversarial_losses(d_real: Tensor, d_fake: Tensor) -> tuple[Tensor, Tensor]:

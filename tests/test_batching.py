@@ -166,15 +166,39 @@ def test_discriminator_loss_batched_equals_per_trajectory(markovian):
 
 @pytest.mark.parametrize("n_traj", [1, 4, 8])
 def test_phase_two_tape_is_at_most_20_nodes_per_step(n_traj):
-    """Default spec, lambda_adv 0.1: the recurrences add a fixed number
-    of nodes per time step, and every head runs once over all rows."""
+    """Default spec, lambda_adv 0.1: each recurrence is one scan node and
+    every head runs once over all rows, so the tape holds the same
+    number of nodes for sequences twice as long."""
     spec = NetworkSpec(n_x=14, n_u=2)
     params = init_params(spec, markovian=False, seed=0)
-    lengths = [60 - 5 * (k % 4) for k in range(n_traj)]
-    trajs = ragged(spec, lengths, seed=1)
-    noise = noises(spec, trajs, "noise")
-    with Tape() as tape:
-        _, target, _ = combined_objective(params, trajs, noise, 0.1,
-                                          prior_noise=noises(spec, trajs, "pn"))
-    assert len(tape) <= 20 * max(lengths)
-    assert backward(tape, target)
+    sizes = []
+    for longest in (60, 120):
+        lengths = [longest - 5 * (k % 4) for k in range(n_traj)]
+        trajs = ragged(spec, lengths, seed=1)
+        noise = noises(spec, trajs, "noise")
+        with Tape() as tape:
+            _, target, _ = combined_objective(
+                params, trajs, noise, 0.1, prior_noise=noises(spec, trajs, "pn"))
+        assert len(tape) <= 20 * max(lengths)
+        assert backward(tape, target)
+        sizes.append(len(tape))
+    assert sizes[0] == sizes[1]
+
+
+@pytest.mark.parametrize("markovian", [False, True])
+def test_fit_recognition_tape_is_independent_of_length(markovian, monkeypatch):
+    """One fit_recognition step tapes as many nodes for 20 cycles as for 5."""
+    import avfp.training as training
+
+    sizes = []
+
+    def counting_backward(tape, loss):
+        sizes.append(len(tape))
+        return backward(tape, loss)
+
+    monkeypatch.setattr(training, "backward", counting_backward)
+    spec = small_spec()
+    for T in (5, 20):
+        params = init_params(spec, markovian, seed=2)
+        training.fit_recognition(params, ragged(spec, (T,)), steps=1)
+    assert len(sizes) == 2 and sizes[0] == sizes[1]

@@ -352,12 +352,20 @@ def _row(v):
     return dc.broadcast_to(v, (1,) + v.shape)
 
 
+def _gru_cell(W, U, b, h, x):
+    """One gated update of the rows h with inputs x, as the model runs
+    it: one input projection, then a single-step gru_scan whose
+    initial state holds one row per sequence."""
+    return dc.gru_scan(U, h, dc.affine(W, x, b), [(0, h.shape[0])])
+
+
 def _fused_cases():
     """(name, fused f, unfused f, param arrays, grad_check step).
 
-    affine and gru_cell take row batches: the fused form runs on the
-    vector inputs lifted to one row each, B = 1, and the unfused
-    composition on the vectors themselves.
+    affine and gru_cell (an input projection and a single-step gru_scan)
+    take row batches: the fused form runs on the vector inputs lifted to
+    one row each, B = 1, and the unfused composition on the vectors
+    themselves.
     Vector inputs and the output weights have magnitudes in [s/2, 3s/2],
     so that no gradient coordinate is a product of near-zero factors
     that central differences cannot resolve.  affine is linear in each
@@ -382,7 +390,7 @@ def _fused_cases():
          lambda ps: dc.softplus(ps[0] @ ps[1] + ps[2]),
          [vec(N_H, N_H ** -0.5), vec(N_H), np.array(0.2)], 1e-6),
         ("gru_cell",
-         lambda ps: red_h(dc.gru_cell(*ps[:3], _row(ps[3]), _row(ps[4]))),
+         lambda ps: red_h(_gru_cell(*ps[:3], _row(ps[3]), _row(ps[4]))),
          lambda ps: red_h(_unfused_gru(*ps)),
          [g.normal(0, N_IN ** -0.5, (3 * N_H, N_IN)),
           g.normal(0, N_H ** -0.5, (3 * N_H, N_H)), vec(3 * N_H, 0.1),
@@ -493,7 +501,7 @@ def _row_cases(n_rows):
     red_h, red_r = red((n_rows, N_H)), red((n_rows,))
     red_cols, red_stack = red((n_rows, N_Z + N_H)), red((n_rows + 2, N_Z))
     return [
-        ("gru_cell", lambda ps: red_h(dc.gru_cell(*ps)),
+        ("gru_cell", lambda ps: red_h(_gru_cell(*ps)),
          [g.normal(0, N_IN ** -0.5, (3 * N_H, N_IN)),
           g.normal(0, N_H ** -0.5, (3 * N_H, N_H)), mat(3 * N_H, 0.1),
           mat((n_rows, N_H), 0.5), mat((n_rows, N_IN))], 1e-5, 1e-5),
@@ -535,7 +543,7 @@ def test_row_form_matches_rows(name):
         (lambda a, i: a[i]), np.stack)
     w = np.random.default_rng(5).uniform(0.5, 1.5, 3)
     params = [Tensor(a) for a in arrays]
-    op = getattr(dc, name)
+    op = _gru_cell if shared else getattr(dc, name)
 
     def weighted(out, wi):
         if out.data.ndim == 2:  # gru_cell rows: reduce each state too
@@ -580,8 +588,8 @@ def test_gru_cell_overflow_is_loud():
     with np.errstate(over="ignore", invalid="ignore"):
         for args in ((huge_W, U, b, h, x), (W, huge_U, b, h, x)):
             with pytest.raises(NonFiniteError):  # a batch of one row
-                dc.gru_cell(*[Tensor(a) for a in args[:3]],
-                            Tensor(h[None]), Tensor(x[None]))
+                _gru_cell(*[Tensor(a) for a in args[:3]],
+                          Tensor(h[None]), Tensor(x[None]))
             with pytest.raises(NonFiniteError):
                 _unfused_gru(*[Tensor(a) for a in args])
 
@@ -593,32 +601,37 @@ def test_fused_shape_errors():
         dc.affine(Tensor(np.ones((3, 4))), Tensor(np.ones((5, 3))), Tensor(np.ones(3)))
     with pytest.raises(ValueError):
         dc.affine(Tensor(np.ones(4)), Tensor(np.ones((2, 5, 4))), Tensor(0.0))
-    with pytest.raises(ValueError):
-        dc.gru_cell(Tensor(np.ones((9, 2))), Tensor(np.ones((9, 3))),
-                    Tensor(np.ones(9)), Tensor(np.ones(2)), Tensor(np.ones(2)))
+    with pytest.raises(ValueError):  # U is not (3 n, n)
+        dc.gru_scan(Tensor(np.ones((9, 2))), Tensor(np.ones(2)),
+                    Tensor(np.ones((1, 6))), [(0, 1)])
     with pytest.raises(ValueError):
         dc.gauss_logpdf(Tensor(np.ones(2)), Tensor(np.ones(3)), Tensor(np.ones(3)))
     with pytest.raises(ValueError):
         dc.gauss_kl(Tensor(np.ones(2)), Tensor(np.ones(2)), Tensor(np.ones(2)),
                     Tensor(np.ones(3)))
-    # affine and gru_cell take row batches only: a vector input is an error
+    # affine and gru_scan take row batches only: a vector input is an error
     with pytest.raises(ValueError):
         dc.affine(Tensor(np.ones((3, 4))), Tensor(np.ones(4)), Tensor(np.ones(3)))
     with pytest.raises(ValueError):
         dc.affine(Tensor(np.ones(4)), Tensor(np.ones(4)), Tensor(0.0))
-    W, U, b = Tensor(np.ones((6, 3))), Tensor(np.ones((6, 2))), Tensor(np.ones(6))
+    U = Tensor(np.ones((6, 2)))
     with pytest.raises(ValueError):
-        dc.gru_cell(W, U, b, Tensor(np.ones(2)), Tensor(np.ones(3)))
+        dc.gru_scan(U, Tensor(np.ones(2)), Tensor(np.ones(6)), [(0, 1)])
     with pytest.raises(ValueError):
-        dc.gru_cell(W, U, b, Tensor(np.ones((1, 2))), Tensor(np.ones(3)))
+        dc.gru_scan(U, Tensor(np.ones((1, 1, 2))), Tensor(np.ones((1, 6))),
+                    [(0, 1)])
 
 
 def test_row_form_shape_errors():
-    W, U, b = Tensor(np.ones((6, 3))), Tensor(np.ones((6, 2))), Tensor(np.ones(6))
+    U, S = Tensor(np.ones((6, 2))), Tensor(np.ones((3, 6)))
     with pytest.raises(ValueError):  # row counts differ
-        dc.gru_cell(W, U, b, Tensor(np.ones((2, 2))), Tensor(np.ones((3, 3))))
-    with pytest.raises(ValueError):  # one state, a batch of inputs
-        dc.gru_cell(W, U, b, Tensor(np.ones(2)), Tensor(np.ones((1, 3))))
+        dc.gru_scan(U, Tensor(np.ones((2, 2))), S, [(0, 3)])
+    with pytest.raises(ValueError):  # spans cover other rows
+        dc.gru_scan(U, Tensor(np.ones(2)), S, [(0, 2)])
+    with pytest.raises(ValueError):  # a step with more rows than the last
+        dc.gru_scan(U, Tensor(np.ones(2)), S, [(0, 1), (1, 3)])
+    with pytest.raises(ValueError):  # steps that do not follow each other
+        dc.gru_scan(U, Tensor(np.ones(2)), S, [(0, 2), (1, 3)])
     with pytest.raises(ValueError):
         dc.gauss_logpdf(*[Tensor(np.ones((2, 2, 2)))] * 3)
     with pytest.raises(ValueError):
@@ -646,3 +659,288 @@ def test_leaf_does_not_keep_its_tape_alive():
     del tape, loss
     gc.collect()
     assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# whole-sequence scans, at default-NetworkSpec shapes over ragged packed
+# batches: B = 1 (4 steps) and B = 3 (lengths 5, 3, 2)
+
+SCAN_LENGTHS = {1: (4,), 3: (5, 3, 2)}
+# (has GRU, head layer width (0: none), gru_in, head_in, samples, pin_first)
+SCAN_MODES = {
+    "markovian": (False, N_H, (), ("xu", "z"), True, False),
+    "history": (True, N_H, ("xu", "z"), ("h",), True, False),
+    "deterministic": (True, N_H, ("xu", "z"), ("h",), False, False),
+    "prior": (True, N_H, ("z", "xu"), ("z", "h"), True, True),
+    "linear_prior": (False, 0, (), ("z",), True, True),
+}
+SCAN_CLIP = (-1.0, 1.0)     # narrow enough that some log-variances clip
+
+
+def _spans(lengths):
+    counts = [sum(T > t for T in lengths) for t in range(max(lengths))]
+    offsets = np.concatenate(([0], np.cumsum(counts))).tolist()
+    return list(zip(offsets[:-1], offsets[1:]))
+
+
+def _scan_case(mode, n_seq, seed=0):
+    """(inputs as arrays by name, static arguments) of one latent_scan;
+    the exogenous rows are [x, u] for the recognition modes, u for the
+    prior modes."""
+    gru, hidden, gru_in, head_in, samples, pin_first = SCAN_MODES[mode]
+    g = np.random.default_rng(seed + n_seq)
+    spans = _spans(SCAN_LENGTHS[n_seq])
+    n_rows = spans[-1][1]
+    n_xu = N_U if pin_first else N_X + N_U
+    width = {"xu": n_xu, "z": N_Z, "h": N_H}
+
+    def w(rows, cols):
+        return g.normal(0, cols ** -0.5, (rows, cols))
+
+    arrays = {"xu": g.standard_normal((n_rows, n_xu))}
+    if samples:
+        arrays["eps"] = g.standard_normal((n_rows, N_Z))
+    if gru:
+        arrays.update(h0=g.uniform(-0.5, 0.5, N_H),
+                      W=w(3 * N_H, sum(width[k] for k in gru_in)),
+                      U=w(3 * N_H, N_H), b=g.uniform(-0.1, 0.1, 3 * N_H))
+    d_feat = sum(width[k] for k in head_in)
+    if hidden:
+        arrays.update(W1=w(hidden, d_feat), b1=g.uniform(-0.1, 0.1, hidden))
+        d_feat = hidden
+    heads = ("m", "v") if samples else ("m",)
+    for k in heads:
+        arrays["W" + k] = w(N_Z, d_feat)
+        arrays["b" + k] = g.uniform(-0.1, 0.1, N_Z)
+    static = dict(spans=spans, gru_in=gru_in, head_in=head_in, clip=SCAN_CLIP,
+                  pin_first=pin_first)
+    return arrays, static
+
+
+def _per_step_chain(p, spans, gru_in, head_in, clip, pin_first):
+    """The latent chain composed step by step from basic primitives and
+    affine, as the model ran it before the scans: cut the states to the
+    running rows, concat the step's inputs, one gated update, the head,
+    the clip and the reparameterized sample."""
+    n_z = p["Wm"].shape[0]
+    gru, sample = "W" in p, "eps" in p
+    out = {k: [] for k in ("h", "mean", "log_var", "z", "z_prev")}
+    h = z = None
+    for t, (lo, hi) in enumerate(spans):
+        n = hi - lo
+        zp = dc.constant(np.zeros((n, n_z))) if t == 0 else z.slice(0, n)
+        blocks = {"xu": p["xu"].slice(lo, hi), "z": zp}
+        if gru:
+            m = p["U"].shape[1]
+            hp = dc.broadcast_to(p["h0"], (n, m)) if t == 0 else h.slice(0, n)
+            s = dc.affine(p["W"], dc.concat([blocks[k] for k in gru_in], axis=1),
+                          p["b"])
+            tt = dc.affine(p["U"], hp, dc.constant(np.zeros(3 * m)))
+
+            def gate(k, v):
+                return v.slice(k * m, (k + 1) * m, axis=1)
+
+            r = dc.sigmoid(gate(0, s) + gate(0, tt))
+            u = dc.sigmoid(gate(1, s) + gate(1, tt))
+            c = dc.tanh(gate(2, s) + r * gate(2, tt))
+            h = (1.0 - u) * hp + u * c
+            blocks["h"] = h
+            out["h"].append(h)
+        if t == 0 and pin_first:
+            mean = log_var = dc.constant(np.zeros((n, n_z)))
+        else:
+            feat = dc.concat([blocks[k] for k in head_in], axis=1)
+            if "W1" in p:
+                feat = dc.tanh(dc.affine(p["W1"], feat, p["b1"]))
+            mean = dc.affine(p["Wm"], feat, p["bm"])
+            if sample:
+                log_var = dc.affine(p["Wv"], feat, p["bv"]).clip(*clip)
+        z = mean
+        if sample:
+            z = mean + dc.exp(log_var * 0.5) * p["eps"].slice(lo, hi)
+            out["log_var"].append(log_var)
+        out["mean"].append(mean)
+        out["z"].append(z)
+        out["z_prev"].append(zp)
+    return {k: dc.concat(v) for k, v in out.items() if v}
+
+
+def _weighted(cols, seed=7):
+    """A scalar that weighs every entry of every output block."""
+    g = np.random.default_rng(seed)
+    total = None
+    for k in sorted(cols):
+        term = (cols[k] * dc.constant(g.uniform(0.5, 1.5, cols[k].shape))).sum()
+        total = term if total is None else total + term
+    return total
+
+
+@pytest.mark.parametrize("n_seq", [1, 3])
+@pytest.mark.parametrize("mode", sorted(SCAN_MODES))
+def test_latent_scan_matches_per_step_composition(mode, n_seq):
+    arrays, static = _scan_case(mode, n_seq)
+    results = []
+    for chain in (lambda p: dc.latent_scan(p, **static),
+                  lambda p: _per_step_chain(p, **static)):
+        params = {k: Tensor(a) for k, a in arrays.items()}
+        with Tape() as tape:
+            cols = chain(params)
+            loss = _weighted(cols)
+        grads = backward(tape, loss)
+        results.append(({k: c.data for k, c in cols.items()},
+                         {k: grads.get(p.uid, np.zeros(p.shape))
+                          for k, p in params.items()}))
+    (v_s, g_s), (v_u, g_u) = results
+    assert set(v_s) == set(v_u)
+    for k in v_u:
+        assert np.abs(v_s[k] - v_u[k]).max() <= 1e-12 * np.abs(v_u[k]).max(), k
+    for k in g_u:   # the linear prior's head does not read u: zeros
+        assert g_s[k].shape == g_u[k].shape
+        assert np.abs(g_s[k] - g_u[k]).max() <= 1e-12 * np.abs(g_u[k]).max(), k
+
+
+@pytest.mark.parametrize("mode, n_seq", [
+    (mode, n) for mode in sorted(SCAN_MODES)
+    for n in ((1, 3) if mode in ("history", "markovian") else (3,))])
+def test_latent_scan_gradcheck(mode, n_seq):
+    """Every input, weights and rows alike.  As in _row_cases, some GRU
+    weight coordinates (W, U) are products of gate derivatives over
+    several steps, near 1e-4 of the largest, where central differences
+    resolve no better than about 5e-5 at step 1e-5: their bar is 1e-4.
+    test_latent_scan_matches_per_step_composition pins the same
+    gradients to 1e-12."""
+    arrays, static = _scan_case(mode, n_seq)
+    params = {k: Tensor(a) for k, a in arrays.items()}
+    for k in params:
+        def f(ps, k=k):
+            return _weighted(dc.latent_scan({**params, k: ps[0]}, **static))
+
+        tol = 1e-4 if k in ("W", "U") else 1e-5
+        assert grad_check(f, [params[k]], step=1e-5) < tol, k
+
+
+@pytest.mark.parametrize("n_seq", [1, 3])
+def test_gru_scan_gradcheck_and_per_step_composition(n_seq):
+    arrays, static = _scan_case("history", n_seq)
+    spans, n_rows = static["spans"], static["spans"][-1][1]
+    g = np.random.default_rng(3)
+    S = g.uniform(-1.0, 1.0, (n_rows, 3 * N_H))
+    params = [Tensor(arrays["U"]), Tensor(arrays["h0"]), Tensor(S)]
+    w = dc.constant(g.uniform(0.5, 1.5, (n_rows, N_H)))
+
+    def fused(ps):
+        return (dc.gru_scan(*ps, spans) * w).sum()
+
+    def per_step(ps):
+        U, h0, S = ps
+        hs, h = [], None
+        for t, (lo, hi) in enumerate(spans):
+            n = hi - lo
+            hp = dc.broadcast_to(h0, (n, N_H)) if t == 0 else h.slice(0, n)
+            h = _gru_cell_rows(U, hp, S.slice(lo, hi))
+            hs.append(h)
+        return (dc.concat(hs) * w).sum()
+
+    for k, tol in enumerate((1e-4, 1e-5, 1e-5)):  # U: see the latent_scan test
+        def f(ps, k=k):
+            return fused(params[:k] + ps + params[k + 1:])
+
+        assert grad_check(f, [params[k]], step=1e-5) < tol, f"input {k}"
+    results = []
+    for f in (fused, per_step):
+        with Tape() as tape:
+            out = f(params)
+        results.append((out.item(), backward(tape, out)))
+    (v_f, g_f), (v_u, g_u) = results
+    assert abs(v_f - v_u) <= 1e-12 * abs(v_u)
+    for p in params:
+        assert np.abs(g_f[p.uid] - g_u[p.uid]).max() <= 1e-12 * np.abs(
+            g_u[p.uid]).max()
+
+
+def _gru_cell_rows(U, hp, s):
+    """One gated update from input pre-activations s, basic primitives."""
+    n = hp.shape[1]
+    t = dc.affine(U, hp, dc.constant(np.zeros(3 * n)))
+
+    def gate(k, v):
+        return v.slice(k * n, (k + 1) * n, axis=1)
+
+    r = dc.sigmoid(gate(0, s) + gate(0, t))
+    u = dc.sigmoid(gate(1, s) + gate(1, t))
+    c = dc.tanh(gate(2, s) + r * gate(2, t))
+    return (1.0 - u) * hp + u * c
+
+
+def test_scans_replay_bit_exact():
+    with Tape() as tape:
+        for mode in sorted(SCAN_MODES):
+            arrays, static = _scan_case(mode, 3)
+            cols = dc.latent_scan({k: Tensor(a) for k, a in arrays.items()},
+                                  **static)
+        h = dc.gru_scan(Tensor(arrays["U"]), Tensor(arrays["h0"]),
+                        dc.affine(Tensor(arrays["W"][:, :N_Z + N_U]),
+                                  dc.concat([cols["z_prev"], cols["mean"],
+                                             Tensor(arrays["xu"])], axis=1)
+                                  .slice(N_Z, 2 * N_Z + N_U, axis=1),
+                                  Tensor(arrays["b"])),
+                        static["spans"])
+        loss = (h * h).sum()
+    assert {"latent_scan", "gru_scan"} <= set(tape.ops)
+    replay(tape)
+    assert backward(tape, loss)
+
+
+def test_scan_overflow_is_loud():
+    """Each overflow below feeds a saturating function (a gate, the
+    hidden tanh layer or the log-variance clip), so without the scans'
+    pre-activation checks the outputs would stay finite."""
+    arrays, static = _scan_case("history", 3)
+    z_cols = slice(N_X + N_U, N_IN)
+    huge = []
+    for name, rows, cols in (("W", slice(0, N_H), z_cols),  # reset gate via z_prev
+                             ("U", slice(2 * N_H, None), slice(None)),  # candidate
+                             ("W1", slice(None), slice(None)),  # hidden layer
+                             ("Wv", slice(None), slice(None))):  # log-variance
+        big = arrays[name].copy()
+        big[rows, cols] = 1e308
+        huge.append({**arrays, name: big})
+    with np.errstate(over="ignore", invalid="ignore"):
+        for case in huge:
+            with pytest.raises(NonFiniteError, match="latent_scan"):
+                dc.latent_scan({k: Tensor(a) for k, a in case.items()}, **static)
+        with pytest.raises(NonFiniteError, match="gru_scan"):
+            S = np.ones((static["spans"][-1][1], 3 * N_H))
+            big_U = arrays["U"].copy()
+            big_U[:N_H] = 1e308
+            dc.gru_scan(Tensor(big_U), Tensor(arrays["h0"]), Tensor(S),
+                        static["spans"])
+
+
+def test_latent_scan_input_errors():
+    arrays, static = _scan_case("history", 3)
+    params = {k: Tensor(a) for k, a in arrays.items()}
+    for drop in ("Wv", "U", "Wm"):  # a log-variance head without weights...
+        with pytest.raises(ValueError):
+            dc.latent_scan({k: t for k, t in params.items() if k != drop},
+                           **static)
+    with pytest.raises(ValueError):  # an unknown input
+        dc.latent_scan({**params, "V": params["U"]}, **static)
+    with pytest.raises(ValueError):  # W's columns do not match its blocks
+        dc.latent_scan(params, **{**static, "gru_in": ("xu",)})
+    with pytest.raises(ValueError):  # noise rows of another count
+        dc.latent_scan({**params, "eps": Tensor(arrays["eps"][1:])}, **static)
+    with pytest.raises(ValueError):
+        dc.latent_scan(params, **{**static, "spans": static["spans"][:-1]})
+
+
+def test_slice_along_columns():
+    x = Tensor(np.arange(12.0).reshape(3, 4))
+    assert x.slice(1, 3, axis=1).data.tolist() == [[1, 2], [5, 6], [9, 10]]
+    with pytest.raises(ValueError):
+        x.slice(3, 5, axis=1)
+    with pytest.raises(ValueError):
+        x.slice(0, 1, axis=2)
+    assert grad_check(
+        lambda ps: (ps[0].slice(1, 3, axis=1) * ps[0].slice(0, 2, axis=1)).sum(),
+        [Tensor(np.arange(12.0).reshape(3, 4) / 7.0)]) < 1e-8

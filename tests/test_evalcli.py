@@ -590,3 +590,21 @@ def test_gradient_audit_reports_every_objective():
     assert set(worst) == {"log_density", "kl", "elbo", "adversarial",
                           "combined"}
     assert all(err < 1e-4 for err in worst.values())
+
+
+def test_module_entry_point_runs_once():
+    """`python -m avfp` runs the command line without importing the
+    CLI module a second time as __main__."""
+    import subprocess
+    import sys
+
+    import avfp
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(avfp.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-W", "default", "-m", "avfp", "--help"],
+                         capture_output=True, text=True, timeout=120, env=env)
+    assert out.returncode == 0, out.stderr
+    assert "usage" in out.stdout and "gradcheck" in out.stdout
+    assert "Warning" not in out.stderr

@@ -6,23 +6,28 @@ from scipy.special import expit
 
 from avfp import model as avm
 from avfp.data import LinearGaussianSpec, Trajectory
-from avfp.diffcore import Tape, Tensor, backward, constant, grad_check
+from avfp.diffcore import (
+    Tape,
+    Tensor,
+    affine,
+    backward,
+    constant,
+    grad_check,
+    gru_scan,
+)
 from avfp.model import (
     GaussianDiag,
     NetworkSpec,
-    advance_prior_state,
     discriminate,
     emission,
-    encode_history,
-    gru_step,
     init_params,
     linear_gaussian_model,
+    prior_history,
     recognition,
     rul_head,
-    sample_reparam,
     transition_prior,
 )
-from avfp.objectives import sequence_elbo
+from avfp.objectives import filter_forward, filter_means, sequence_elbo
 
 
 def small_spec(**kw):
@@ -65,6 +70,13 @@ def test_markovian_drops_recurrent_params():
     assert p.phi["enc.W1"].shape == (spec.enc_hidden, d_rec)
 
 
+def gru_step(group, h, inp):
+    """One step of the group's GRU from rows h: an input projection
+    and a single-step gru_scan, as the model's scans run it."""
+    s = affine(group["gru.W"], inp, group["gru.b"])
+    return gru_scan(group["gru.U"], h, s, [(0, h.shape[0])])
+
+
 def test_gru_step_matches_hand_computation():
     spec = small_spec()
     p = init_params(spec, markovian=False, seed=3)
@@ -72,7 +84,7 @@ def test_gru_step_matches_hand_computation():
     h = g.standard_normal(spec.n_h)
     inp = g.standard_normal(spec.n_x + spec.n_u + spec.n_z)
 
-    out = gru_step(p.phi, "gru", Tensor(h[None]), Tensor(inp[None]))  # B = 1
+    out = gru_step(p.phi, Tensor(h[None]), Tensor(inp[None]))  # B = 1
 
     W, U, b = (p.phi["gru.W"].data, p.phi["gru.U"].data, p.phi["gru.b"].data)
     nh = spec.n_h
@@ -95,67 +107,63 @@ def test_gru_gate_saturation_limits():
     b = p.phi["gru.b"].data.copy()
     b[spec.n_h : 2 * spec.n_h] = -50.0
     p.phi["gru.b"] = Tensor(b)
-    out = gru_step(p.phi, "gru", h, inp)
+    out = gru_step(p.phi, h, inp)
     assert np.allclose(out.data, h.data, atol=1e-12)
 
 
-def test_encode_history_state_shapes():
+def traj_of(x, u):
+    return Trajectory(unit_id=0, x=np.asarray(x, float), u=np.asarray(u, float))
+
+
+def test_recognition_state_shapes():
     spec = small_spec()
-    p = init_params(spec, markovian=False, seed=1)
-    x, u, z = (np.zeros((1, n)) for n in (spec.n_x, spec.n_u, spec.n_z))
-    s0 = encode_history(p, None, x, u, z)
-    s1 = encode_history(p, s0, x, u, z)
-    assert s0.shape == s1.shape == (1, spec.n_h)
+    traj = traj_of(np.zeros((2, spec.n_x)), np.zeros((2, spec.n_u)))
+    fp = filter_forward(init_params(spec, markovian=False, seed=1), [traj], None)
+    assert fp.states.shape == (2, spec.n_h)
+    fp = filter_forward(init_params(spec, markovian=True, seed=1), [traj], None)
+    assert fp.states is None  # the summary is the inputs themselves
 
 
 def test_markovian_summary_is_inputs_only():
     spec = small_spec()
     p = init_params(spec, markovian=True, seed=1)
-    x = np.array([[1.0, 2.0, 3.0]])
-    u = np.array([[0.5, -0.5]])
-    z = np.array([[0.1, 0.2]])
-    s = encode_history(p, None, x, u, z)
-    assert np.allclose(s.data, np.concatenate([x, u, z], axis=1))
+    x = np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 4.0]])
+    u = np.array([[0.5, -0.5], [1.0, 2.0]])
+    _, states, means = filter_means(p, [traj_of(x, u)])
+    z_prev = np.vstack([np.zeros((1, spec.n_z)), means[:1]])
+    assert np.array_equal(states, np.concatenate([x, u, z_prev], axis=1))
 
 
 def test_history_dependence_only_without_markov():
-    # perturbing x_0 changes the step-1 posterior iff history is on
+    # perturbing x_0 changes the step-1 posterior iff history is on; the
+    # weights that read z_{t-1} are zero, so x_0 cannot act through it
     spec = small_spec()
     g = np.random.default_rng(5)
     x0a, x0b = g.standard_normal((1, 3)), g.standard_normal((1, 3))
     x1 = g.standard_normal((1, 3))
-    u = g.standard_normal((1, 2))
-    z = np.zeros((1, 2))
+    u = g.standard_normal((2, 2))
 
     def posterior_at_1(params, x0):
-        s0 = encode_history(params, None, x0, u, z)
-        q0 = recognition(params, s0)
-        s1 = encode_history(params, s0, x1, u, q0.mean)
-        return recognition(params, s1).mean.data
+        for name in ("gru.W", "enc.W1"):
+            if name in params.phi and params.phi[name].shape[1] > spec.n_h:
+                w = params.phi[name].data.copy()
+                w[:, spec.n_x + spec.n_u:] = 0.0
+                params.phi[name] = Tensor(w)
+        return filter_means(params, [traj_of(np.vstack([x0, x1]), u)])[2][1]
 
     p_rec = init_params(spec, markovian=False, seed=2)
     assert not np.allclose(posterior_at_1(p_rec, x0a), posterior_at_1(p_rec, x0b))
-
     p_mark = init_params(spec, markovian=True, seed=2)
-
-    def posterior_markov(params, x0):
-        s0 = encode_history(params, None, x0, u, z)
-        q0 = recognition(params, s0)
-        zm = q0.mean.data  # same z_prev for both branches
-        s1 = encode_history(params, s0, x1, u, np.zeros((1, 2)))
-        return recognition(params, s1).mean.data
-
-    assert np.allclose(posterior_markov(p_mark, x0a), posterior_markov(p_mark, x0b))
+    assert np.allclose(posterior_at_1(p_mark, x0a), posterior_at_1(p_mark, x0b))
 
 
 def test_recognition_logvar_clamped():
     spec = small_spec(enc_hidden=0)
     p = init_params(spec, markovian=True, seed=0)
     p.phi["enc.bv"] = Tensor(np.full(spec.n_z, 99.0))
-    s = encode_history(p, None, np.zeros((1, 3)), np.zeros((1, 2)),
-                       np.zeros((1, 2)))
-    q = recognition(p, s)
-    assert np.all(q.log_var.data == avm.LOG_VAR_MAX)
+    traj = traj_of(np.zeros((2, 3)), np.zeros((2, 2)))
+    fp = filter_forward(p, [traj], [np.zeros((2, spec.n_z))])
+    assert np.all(fp.posterior.log_var.data == avm.LOG_VAR_MAX)
 
 
 def test_first_step_prior_is_standard_normal():
@@ -173,14 +181,18 @@ def test_first_step_prior_is_standard_normal():
     assert np.all(pr.mean.data[first] == 0.0) and np.all(pr.log_var.data[first] == 0.0)
 
 
-def test_sample_reparam_formula_and_shape_check():
-    mean = Tensor([1.0, -1.0])
-    log_var = Tensor([0.0, np.log(4.0)])
-    noise = np.array([0.5, 2.0])
-    z = sample_reparam(GaussianDiag(mean, log_var), noise)
-    assert np.allclose(z.data, [1.0 + 0.5, -1.0 + 2.0 * 2.0])
+def test_recognition_sample_is_reparameterized():
+    spec = small_spec()
+    p = init_params(spec, markovian=False, seed=3)
+    g = np.random.default_rng(4)
+    traj = traj_of(g.standard_normal((4, 3)), g.standard_normal((4, 2)))
+    noise = g.standard_normal((4, spec.n_z))
+    fp = filter_forward(p, [traj], [noise])
+    q = fp.posterior
+    assert np.array_equal(fp.samples.data,
+                          q.mean.data + np.exp(q.log_var.data * 0.5) * noise)
     with pytest.raises(ValueError):
-        sample_reparam(GaussianDiag(mean, log_var), np.zeros(3))
+        filter_forward(p, [traj], [np.zeros((4, spec.n_z + 1))])
 
 
 def test_gaussian_diag_shape_check():
@@ -215,12 +227,9 @@ def test_rul_head_nonnegative():
     spec = small_spec()
     p = init_params(spec, markovian=False, seed=6)
     g = np.random.default_rng(2)
-    rows = []
-    for _ in range(10):
-        st = encode_history(p, None, g.standard_normal((1, 3)),
-                            g.standard_normal((1, 2)), g.standard_normal((1, 2)))
-        rows.append(np.concatenate([st.data[0], g.standard_normal(spec.n_z)]))
-    val = rul_head(p, np.stack(rows))
+    rows = np.hstack([np.tanh(g.standard_normal((10, spec.n_h))),
+                      g.standard_normal((10, spec.n_z))])
+    val = rul_head(p, rows)
     assert val.shape == (10,)
     assert np.all(val.data >= 0.0)
 
@@ -234,7 +243,8 @@ def test_linear_gaussian_model_is_exact():
     )
     p = linear_gaussian_model(lg, seed=1)
     z_prev = g.standard_normal((1, 2))  # one row per trajectory, B = 1
-    st = advance_prior_state(p, None, z_prev, np.zeros((1, 1)))
+    st = prior_history(p, constant(z_prev), np.zeros((1, 1)), [(0, 1)])
+    assert st is None  # markovian: the heads read the adjacent latent only
     pr = transition_prior(p, st, constant(z_prev))
     assert np.allclose(pr.mean.data, z_prev @ lg.A.T, atol=1e-14)
     assert np.allclose(pr.log_var.data, np.log(lg.q_diag), atol=1e-14)
@@ -257,8 +267,7 @@ def test_gradcheck_through_model_step():
     spec = small_spec(n_h=4, enc_hidden=3, dec_hidden=3)
     p = init_params(spec, markovian=False, seed=9)
     g = np.random.default_rng(7)
-    x = g.standard_normal((1, spec.n_x))  # B = 1 rows
-    u = g.standard_normal((1, spec.n_u))
+    xu = g.standard_normal((1, spec.n_x + spec.n_u))  # B = 1 rows
     noise = g.standard_normal((1, spec.n_z))
     names = ["gru.W", "gru.b", "enc.Wm", "enc.bv"]
     tensors = [p.phi[n] for n in names]
@@ -269,10 +278,8 @@ def test_gradcheck_through_model_step():
             trial[n] = t
         params = avm.ModelParams(spec=spec, markovian=False, theta=p.theta,
                                  phi=trial, psi=p.psi, rho=p.rho)
-        st = encode_history(params, None, x, u, np.zeros((1, spec.n_z)))
-        q = recognition(params, st)
-        z = sample_reparam(q, noise)
-        em = emission(params, st, z)
-        return (em.mean * em.mean).sum() + em.log_var.sum() + q.log_var.sum()
+        q = recognition(params, xu, noise, [(0, 1)])
+        em = emission(params, q["h"], q["z"])
+        return (em.mean * em.mean).sum() + em.log_var.sum() + q["log_var"].sum()
 
     assert grad_check(f, tensors) < 1e-5

@@ -214,10 +214,17 @@ def test_deterministic_mode_uses_means():
                        dec_hidden=3, prior_hidden=3)
     params = init_params(spec, markovian=False, seed=1)
     traj = rand_traj(4, 3, 2, seed=2)
-    fp = filter_forward(params, [traj], None)
-    assert fp.posterior is None  # the log-variance head is not run
-    means = [recognition(params, h).mean.data for h in fp.states]
-    assert np.array_equal(fp.samples.data, np.concatenate(means))
+    with Tape() as tape:
+        fp = filter_forward(params, [traj], None)
+        loss = fp.samples.sum()
+    assert fp.posterior is None
+    grads = backward(tape, loss)
+    assert params.phi["enc.Wm"].uid in grads
+    assert params.phi["enc.Wv"].uid not in grads  # the log-variance head is not run
+    # zero noise samples the posterior means
+    sampled = filter_forward(params, [traj], [np.zeros((4, 2))])
+    assert np.abs(fp.samples.data - sampled.posterior.mean.data).max() <= 1e-15
+    assert np.array_equal(sampled.samples.data, sampled.posterior.mean.data)
 
 
 def test_elbo_gradcheck_both_modes():
@@ -361,8 +368,8 @@ def test_replay_bit_exact_over_combined_objective_tape():
     with Tape() as tape:
         _, target, _ = combined_objective(params, trajs, noise, 0.1,
                                           prior_noise=prior_noise)
-    assert {"affine", "gru_cell", "gauss_logpdf", "gauss_kl", "concat",
-            "slice", "matmul"} <= set(tape.ops)
+    assert {"affine", "latent_scan", "gru_scan", "gauss_logpdf", "gauss_kl",
+            "concat", "slice", "matmul"} <= set(tape.ops)
     replay(tape)
     grads = backward(tape, target)
     assert all(np.isfinite(g).all() for g in grads.values())
