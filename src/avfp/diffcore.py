@@ -516,31 +516,45 @@ def _gru_step(s, hp, UT, pre_ru, pre_c, h):
 
 
 def _gru_factors(U, pre_ru, pre_c, hp):
-    """The gate derivatives of every row at once: with dh an adjoint
-    row repeated over the three gate blocks, dh * ks and dh * kt are the
-    adjoints of W @ x + b and U @ h, and dh * keep + (dh * kt) @ U is
-    that of the previous state."""
+    """The gate derivatives of every row at once: ks as (rows, 3, n)
+    blocks, such that dh * ks (an adjoint row dh repeated over the three
+    gate blocks) is the adjoint of W @ x + b; the reset gate r and
+    keep = 1 - u."""
     n = hp.shape[1]
     ru = expit(pre_ru)
     r, u = ru[:, :n], ru[:, n:]
-    c = np.tanh(pre_c)
-    dc = u * (1.0 - c * c)
-    tc = hp @ U[2 * n:].T
-    ks = np.concatenate((dc * tc * r * (1.0 - r), (c - hp) * u * (1.0 - u), dc),
-                        axis=1)
-    kt = ks.copy()
-    kt[:, 2 * n:] *= r
-    return ks.reshape(-1, 3, n), kt.reshape(-1, 3, n), 1.0 - u
+    keep = 1.0 - u
+    ks = np.empty((hp.shape[0], 3, n))
+    kr, ku, kc = ks[:, 0], ks[:, 1], ks[:, 2]
+    np.tanh(pre_c, out=kc)                        # c
+    np.subtract(kc, hp, out=ku)
+    ku *= u
+    ku *= keep                                    # (c - h) u (1 - u)
+    np.multiply(kc, kc, out=kc)
+    np.subtract(1.0, kc, out=kc)
+    kc *= u                                       # u (1 - c^2)
+    np.matmul(hp, U[2 * n:].T, out=kr)            # U @ h, candidate rows
+    kr *= kc
+    kr *= r
+    kr *= 1.0 - r
+    return ks, r, keep
 
 
-def _gru_step_vjp(dh, ks, kt, keep, U, ds, dt):
-    """Backward through one step: writes the adjoints of W @ x + b and
-    U @ h (as (rows, 3, n) blocks) into ds and dt and returns that of
-    the previous state."""
-    dh3 = dh[:, None, :]
-    np.multiply(ks, dh3, out=ds)
-    np.multiply(kt, dh3, out=dt)
-    return dh * keep + dt.reshape(dh.shape[0], -1) @ U
+def _gru_step_vjp(dh, ks, r, keep, U, ds):
+    """Backward through one step: writes the adjoint of W @ x + b (as
+    (rows, 3, n) blocks) into ds and returns that of the previous
+    state; the adjoint of U @ h is ds with the candidate block times r."""
+    n = dh.shape[1]
+    np.multiply(ks, dh[:, None, :], out=ds)
+    return (dh * keep + ds[:, :2].reshape(len(dh), 2 * n) @ U[:2 * n]
+            + (ds[:, 2] * r) @ U[2 * n:])
+
+
+def _gru_dU(dS, r, hp):
+    """The gradient of U from the stacked adjoints of W @ x + b."""
+    n = hp.shape[1]
+    return np.concatenate((dS[:, :2].reshape(len(hp), 2 * n).T @ hp,
+                           (dS[:, 2] * r).T @ hp))
 
 
 def _hprev(h0, H, prev):
@@ -581,18 +595,17 @@ def _gru_scan_vjp(g, vals, out, aux):
     spans, prev, pre_ru, pre_c = aux
     n_rows, n = out.shape
     hp = _hprev(h0, out, prev)
-    ks, kt, keep = _gru_factors(U, pre_ru, pre_c, hp)
+    ks, r, keep = _gru_factors(U, pre_ru, pre_c, hp)
     dH = np.array(g)
-    dS, dT = np.empty((n_rows, 3, n)), np.empty((n_rows, 3, n))
+    dS = np.empty((n_rows, 3, n))
     for t in range(len(spans) - 1, -1, -1):
         lo, hi = spans[t]
-        dhp = _gru_step_vjp(dH[lo:hi], ks[lo:hi], kt[lo:hi], keep[lo:hi], U,
-                            dS[lo:hi], dT[lo:hi])
+        dhp = _gru_step_vjp(dH[lo:hi], ks[lo:hi], r[lo:hi], keep[lo:hi], U,
+                            dS[lo:hi])
         if t:
             plo = spans[t - 1][0]
             dH[plo:plo + hi - lo] += dhp
-    return (dT.reshape(n_rows, -1).T @ hp,
-            dhp.sum(axis=0) if h0.ndim == 1 else dhp,
+    return (_gru_dU(dS, r, hp), dhp.sum(axis=0) if h0.ndim == 1 else dhp,
             dS.reshape(n_rows, -1))
 
 
@@ -600,13 +613,15 @@ LATENT_INPUTS = ("xu", "eps", "h0", "W", "U", "b", "W1", "b1",
                  "Wm", "bm", "Wv", "bv")
 
 
-def _latent_columns(n_h: int, n_z: int, sample: bool):
-    """(name, width) of latent_scan's output column blocks, in order."""
-    cols = [("h", n_h)] if n_h else []
-    cols.append(("mean", n_z))
-    if sample:
-        cols += [("log_var", n_z), ("z", n_z)]
-    return cols + [("z_prev", n_z)]
+def _latent_columns(n_h: int, n_z: int, sample: bool) -> dict[str, slice]:
+    """The columns of each output block of latent_scan, in order."""
+    widths = ([("h", n_h)] if n_h else []) + [("mean", n_z)] + (
+        [("log_var", n_z), ("z", n_z)] if sample else []) + [("z_prev", n_z)]
+    cols, off = {}, 0
+    for name, w in widths:
+        cols[name] = slice(off, off + w)
+        off += w
+    return cols
 
 
 def _col_blocks(M, order, width) -> dict:
@@ -632,6 +647,16 @@ def _head_layers(p, lv_scale):
     return (M, m) + ((p["W1"], p["b1"]) if "W1" in p else (M, m))
 
 
+def _projection(x, blocks, b):
+    """x @ W_x.T + b for the "xu" column block of W, or b on every row
+    when W has none: the part of a layer computed once for all rows."""
+    if "xu" not in blocks:
+        return np.broadcast_to(b, (x.shape[0], b.shape[0]))
+    out = x @ blocks["xu"].T
+    out += b
+    return out
+
+
 def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
     # One latent chain over packed rows.  Per step, with z_prev the
     # previous sample of the same sequence (zeros at the first step):
@@ -644,6 +669,7 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
     # The input blocks are "xu" (the exogenous rows, whose projections
     # are computed once for all rows), "z" (z_prev) and "h".  With
     # pin_first the first step's mean and log_var are 0, so its z is eps.
+    # The loop writes h, mean, log_var and z straight into the output.
     p = dict(zip(names, arrays))
     sample, gru, hidden = "eps" in p, "W" in p, "W1" in p
     need = {"xu", "Wm", "bm"} | ({"Wv", "bv"} if sample else set()) | (
@@ -671,26 +697,27 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
         raise ValueError(f"latent_scan shapes unsupported: "
                          f"{[(k, p[k].shape) for k in names]}")
 
-    k = F.shape[0]
-    PA = np.zeros((n_rows, k))          # first-layer pre-activations
-    FEAT = np.zeros((n_rows, k)) if hidden else None
-    ML = np.zeros((n_rows, M.shape[0])) if hidden else PA  # [mean, log_var]
-    A0 = (xu @ Fc["xu"].T + f if "xu" in Fc
-          else np.broadcast_to(f, (n_rows, k)))
+    cols = _latent_columns(n_h, n_z, sample)
+    out = np.zeros((n_rows, cols["z_prev"].stop))
+    H = out[:, cols["h"]] if gru else None
+    Z = out[:, cols["z" if sample else "mean"]]
+    # [mean, log_var] are adjacent output columns, which the head's output
+    # layer fills at once; the log-variance columns hold half of it
+    # before the clip until the loop ends.
+    ML = out[:, cols["mean"].start:cols["mean"].start + M.shape[0]]
+    PA = np.zeros((n_rows, F.shape[0])) if hidden else ML  # first layer
+    FEAT = np.zeros_like(PA) if hidden else None
+    A0 = _projection(xu, Fc, f)
     FzT, FhT = (np.ascontiguousarray(Fc[b].T) if b in Fc else None
                 for b in ("z", "h"))
     MT = M.T
     if sample:
         eps = p["eps"]
-        LV, STD, Z = (np.zeros((n_rows, n_z)) for _ in range(3))
+        LVH = np.zeros((n_rows, n_z))   # half log-variance after the clip
         lv_lo, lv_hi = clip[0] * 0.5, clip[1] * 0.5
-    else:
-        Z = ML          # the posterior mean stands in for the sample
     if gru:
-        S = (xu @ Wc["xu"].T + p["b"] if "xu" in Wc
-             else np.broadcast_to(p["b"], (n_rows, 3 * n_h)))
+        S = _projection(xu, Wc, p["b"])
         WzT, UT = np.ascontiguousarray(Wc["z"].T), p["U"].T
-        H = np.zeros((n_rows, n_h))
         pre_ru, pre_c = np.zeros((n_rows, 2 * n_h)), np.zeros((n_rows, n_h))
         hp = np.broadcast_to(p["h0"], (n0, n_h))
     zp = np.zeros((n0, n_z))
@@ -716,66 +743,61 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
                 np.matmul(np.tanh(a, out=FEAT[lo:hi]), MT, out=ml)
                 ml += m
         if sample:
-            lv = np.maximum(ml[:, n_z:], lv_lo, out=LV[lo:hi])
-            np.minimum(lv, lv_hi, out=lv)
-            std = np.exp(lv, out=STD[lo:hi])
-            z = np.multiply(std, eps[lo:hi], out=Z[lo:hi])
+            lvh = np.maximum(ml[:, n_z:], lv_lo, out=LVH[lo:hi])
+            np.minimum(lvh, lv_hi, out=lvh)
+            z = np.exp(lvh, out=Z[lo:hi])
+            z *= eps[lo:hi]
             z += ml[:, :n_z]
         plo = lo
-    if sample:  # back to whole log-variances
-        ML[:, n_z:] *= 2.0
-        LV *= 2.0
     # every pre-activation that feeds a saturating function: the gates,
     # the hidden tanh layer and the log-variance clip (see _gru_scan)
     _check_finite("latent_scan", PA, ML, *((pre_ru, pre_c) if gru else ()))
-
-    ZP = np.zeros((n_rows, n_z))
-    ZP[n0:] = Z[prev]
-    cols = ([H] if gru else []) + [ML[:, :n_z]] + (
-        [LV, Z] if sample else []) + [ZP]
+    if sample:
+        np.multiply(LVH, 2.0, out=out[:, cols["log_var"]])
+    out[n0:, cols["z_prev"]] = Z[prev]
     aux = dict(names=names, spans=spans, gru_in=gru_in, head_in=head_in,
                clip=clip, pin_first=pin_first, prev=prev, width=width, Wc=Wc,
-               PA=PA, FEAT=FEAT, ML=ML, ZP=ZP, H=H if gru else None,
-               pre=(pre_ru, pre_c) if gru else None,
-               STD=STD if sample else None)
-    return np.concatenate(cols, axis=1), aux
+               cols=cols, PA=PA if hidden else None, FEAT=FEAT,
+               pre=(pre_ru, pre_c) if gru else None)
+    return out, aux
 
 
 def _latent_scan_vjp(g, vals, out, aux):
     p = dict(zip(aux["names"], vals))
-    spans, prev, Wc = aux["spans"], aux["prev"], aux["Wc"]
+    spans, prev, Wc, cols = aux["spans"], aux["prev"], aux["Wc"], aux["cols"]
     M, _, F, _ = _head_layers(p, 1.0)
     Fc = _col_blocks(F, aux["head_in"], aux["width"])
-    ML, FEAT, H = aux["ML"], aux["FEAT"], aux["H"]
+    FEAT = aux["FEAT"]
     sample, gru, hidden = "eps" in p, "W" in p, "W1" in p
     xu = p["xu"]
     n_rows, n_z = xu.shape[0], p["Wm"].shape[0]
-    n_h = p["U"].shape[1] if gru else 0
     n0 = spans[0][1]
+    H = out[:, cols["h"]] if gru else None
 
-    G, off = {}, 0
-    for name, w in _latent_columns(n_h, n_z, sample):
-        G[name] = g[:, off:off + w]
-        off += w
+    G = {name: g[:, c] for name, c in cols.items()}
     if sample:
         lv_lo, lv_hi = aux["clip"]
-        lvp = ML[:, n_z:]
-        inside = (lvp > lv_lo) & (lvp < lv_hi)
+        LV = out[:, cols["log_var"]]
+        inside = (LV > lv_lo) & (LV < lv_hi)   # where the clip passes
+        std = np.exp(LV * 0.5)
         dML = np.concatenate((G["mean"], G["log_var"] * inside), axis=1)
-        k_lv = 0.5 * aux["STD"] * p["eps"] * inside  # d log_var / d z
+        k_lv = 0.5 * std * p["eps"] * inside    # d log_var / d z
         dZ = np.array(G["z"])
     else:
         dML = np.array(G["mean"])
         dZ = dML
     dZ[prev] += G["z_prev"][n0:]
-    dA = np.zeros_like(aux["PA"]) if hidden else dML
-    dfeat = 1.0 - FEAT * FEAT if hidden else None
+    if hidden:  # starts as tanh' and becomes the adjoint row by row
+        dA = FEAT * FEAT
+        np.subtract(1.0, dA, out=dA)
+    else:
+        dA = dML
     Fz, Fh, Wz = Fc.get("z"), Fc.get("h"), Wc.get("z")
     if gru:
         hp = _hprev(p["h0"], H, prev)
-        ks, kt, keep = _gru_factors(p["U"], *aux["pre"], hp)
+        ks, r, keep = _gru_factors(p["U"], *aux["pre"], hp)
         dH = np.array(G["h"])
-        dS, dT = np.empty((n_rows, 3, n_h)), np.empty((n_rows, 3, n_h))
+        dS = np.empty((n_rows, 3, H.shape[1]))
         dS2 = dS.reshape(n_rows, -1)
 
     for t in range(len(spans) - 1, -1, -1):
@@ -789,8 +811,8 @@ def _latent_scan_vjp(g, vals, out, aux):
                 dml[:, n_z:] += dz * k_lv[lo:hi]
             da = dml
             if hidden:
-                da = np.matmul(dml, M, out=dA[lo:hi])
-                da *= dfeat[lo:hi]
+                da = dA[lo:hi]
+                da *= dml @ M
             if Fh is not None:
                 dH[lo:hi] += da @ Fh
             if Fz is not None:
@@ -799,8 +821,8 @@ def _latent_scan_vjp(g, vals, out, aux):
             dML[lo:hi] = 0.0
             dA[lo:hi] = 0.0
         if gru:
-            dhp = _gru_step_vjp(dH[lo:hi], ks[lo:hi], kt[lo:hi], keep[lo:hi],
-                                p["U"], dS[lo:hi], dT[lo:hi])
+            dhp = _gru_step_vjp(dH[lo:hi], ks[lo:hi], r[lo:hi], keep[lo:hi],
+                                p["U"], dS[lo:hi])
             if Wz is not None:
                 dzp = dS2[lo:hi] @ Wz if dzp is None else dzp + dS2[lo:hi] @ Wz
             if t:
@@ -810,7 +832,7 @@ def _latent_scan_vjp(g, vals, out, aux):
             plo = spans[t - 1][0]
             dZ[plo:plo + hi - lo] += dzp
 
-    blocks = {"xu": xu, "z": aux["ZP"], "h": H}
+    blocks = {"xu": xu, "z": out[:, cols["z_prev"]], "h": H}
     grads = {"xu": np.zeros_like(xu)}
     dF = np.concatenate([dA.T @ blocks[k] for k in aux["head_in"]], axis=1)
     df = dA.sum(axis=0)
@@ -820,13 +842,13 @@ def _latent_scan_vjp(g, vals, out, aux):
     grads["Wm"], grads["bm"] = dF[:n_z], df[:n_z]
     if sample:
         grads["Wv"], grads["bv"] = dF[n_z:], df[n_z:]
-        grads["eps"] = dZ * aux["STD"]
+        grads["eps"] = dZ * std
     if "xu" in Fc:
         grads["xu"] += dA @ Fc["xu"]
     if gru:
         grads["W"] = np.concatenate([dS2.T @ blocks[k] for k in aux["gru_in"]],
                                     axis=1)
-        grads["U"] = dT.reshape(n_rows, -1).T @ hp
+        grads["U"] = _gru_dU(dS, r, hp)
         grads["b"] = dS2.sum(axis=0)
         grads["h0"] = dhp.sum(axis=0) if p["h0"].ndim == 1 else dhp
         if "xu" in Wc:
@@ -941,10 +963,8 @@ def latent_scan(inputs: dict[str, Tensor], spans, gru_in=(), head_in=(),
         spans=tuple(spans), gru_in=tuple(gru_in), head_in=tuple(head_in),
         clip=tuple(clip), pin_first=pin_first)
     n_h = inputs["U"].shape[1] if "U" in inputs else 0
-    out, off = {}, 0
-    for name, w in _latent_columns(n_h, inputs["Wm"].shape[0], "eps" in inputs):
-        out[name] = rows.slice(off, off + w, axis=1)
-        off += w
+    cols = _latent_columns(n_h, inputs["Wm"].shape[0], "eps" in inputs)
+    out = {k: rows.slice(c.start, c.stop, axis=1) for k, c in cols.items()}
     out.setdefault("z", out["mean"])
     return out
 

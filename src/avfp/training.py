@@ -591,19 +591,20 @@ def _checkpoint_table(ckpt: Checkpoint) -> dict:
     """Every entry of the record by its "/"-joined path: spec/, config/,
     param/, opt/<group>/{t,skipped,m/,v/} and meta/<counter>.  Values are
     written as float64 (ints and bools are exact below 2^53)."""
-    table = {}
+    return _flatten({"spec": asdict(ckpt.spec), "config": asdict(ckpt.config),
+                     "param": ckpt.params, "opt": ckpt.opt,
+                     "meta": {f.name: getattr(ckpt, f.name)
+                              for f in _scalar_fields(Checkpoint)}}, "", {})
 
-    def walk(node: dict, prefix: str):
-        for k, v in node.items():
-            if isinstance(v, dict):
-                walk(v, f"{prefix}{k}/")
-            else:
-                table[prefix + k] = v
 
-    walk({"spec": asdict(ckpt.spec), "config": asdict(ckpt.config),
-          "param": ckpt.params, "opt": ckpt.opt,
-          "meta": {f.name: getattr(ckpt, f.name)
-                   for f in _scalar_fields(Checkpoint)}}, "")
+def _flatten(node: dict, prefix: str, table: dict) -> dict:
+    # a module-level function: a recursive closure would be a reference
+    # cycle holding the table's arrays until the cyclic collector runs
+    for k, v in node.items():
+        if isinstance(v, dict):
+            _flatten(v, f"{prefix}{k}/", table)
+        else:
+            table[prefix + k] = v
     return table
 
 
@@ -611,9 +612,8 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     """Write via a synced sibling temp file renamed over path, so a crash
     mid-write leaves the previous checkpoint intact."""
     table = _checkpoint_table(ckpt)
-    body = struct.pack("<Q", len(table))
-    for name in sorted(table):
-        body += _pack_entry(name, table[name])
+    body = b"".join([struct.pack("<Q", len(table))]
+                    + [_pack_entry(name, table[name]) for name in sorted(table)])
     digest = hashlib.sha256(body).digest()[:8]
     tmp = path + ".tmp"
     try:
