@@ -693,7 +693,7 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
             or (sample and p["eps"].shape != (n_rows, n_z))
             or (gru and (p["U"].shape != (3 * n_h, n_h)
                          or p["b"].shape != (3 * n_h,)
-                         or p["h0"].shape not in ((n_h,), (n0, n_h))))):
+                         or p["h0"].shape != (n_h,)))):
         raise ValueError(f"latent_scan shapes unsupported: "
                          f"{[(k, p[k].shape) for k in names]}")
 
@@ -850,7 +850,7 @@ def _latent_scan_vjp(g, vals, out, aux):
                                     axis=1)
         grads["U"] = _gru_dU(dS, r, hp)
         grads["b"] = dS2.sum(axis=0)
-        grads["h0"] = dhp.sum(axis=0) if p["h0"].ndim == 1 else dhp
+        grads["h0"] = dhp.sum(axis=0)
         if "xu" in Wc:
             grads["xu"] += dS2 @ Wc["xu"]
     return [grads[k] for k in aux["names"]]
@@ -952,8 +952,8 @@ def gru_scan(U: Tensor, h0: Tensor, S: Tensor, spans) -> Tensor:
     return apply_primitive("gru_scan", U, h0, S, spans=tuple(spans))
 
 
-def latent_scan(inputs: dict[str, Tensor], spans, gru_in=(), head_in=(),
-                clip=(-np.inf, np.inf), pin_first=False) -> dict[str, Tensor]:
+def latent_scan(inputs: dict[str, Tensor], spans, gru_in, head_in, clip,
+                pin_first=False) -> dict[str, Tensor]:
     """One latent chain over packed rows, as one tape node (see
     _latent_scan); inputs are keyed by LATENT_INPUTS names.  Returns its
     output column blocks: h (with a GRU), mean, log_var and z (with
