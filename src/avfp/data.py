@@ -80,7 +80,6 @@ class NormalizationStats:
     sensor_mean: np.ndarray
     sensor_std: np.ndarray
     dropped: tuple[str, ...]
-    rul_cap: int = DEFAULT_RUL_CAP
 
 
 @dataclass
@@ -88,14 +87,12 @@ class Trajectory:
     """Model-facing sequence: x are observations, u exogenous inputs.
 
     rul, when present, is the per-cycle capped target aligned with x.
-    latent carries simulator ground truth for synthetic sequences.
     """
 
     unit_id: int
     x: np.ndarray
     u: np.ndarray
     rul: np.ndarray | None = None
-    latent: np.ndarray | None = None
 
     @property
     def length(self) -> int:
@@ -171,7 +168,7 @@ def _cycles(offsets: np.ndarray) -> np.ndarray:
 # normalization
 
 
-def compute_stats(ds: Dataset, rul_cap: int = DEFAULT_RUL_CAP) -> NormalizationStats:
+def compute_stats(ds: Dataset) -> NormalizationStats:
     """Channel moments from a raw training split; constants get dropped."""
     if ds.normalized:
         raise ValueError("stats must be computed on raw data")
@@ -194,7 +191,6 @@ def compute_stats(ds: Dataset, rul_cap: int = DEFAULT_RUL_CAP) -> NormalizationS
         sensor_mean=sen_mean[keep_sen],
         sensor_std=sen_std[keep_sen],
         dropped=dropped,
-        rul_cap=int(rul_cap),
     )
 
 
@@ -250,7 +246,7 @@ def save_stats(stats: NormalizationStats, path: str) -> None:
         "sensor_mean": dict(zip(stats.sensor_names, stats.sensor_mean.tolist())),
         "sensor_std": dict(zip(stats.sensor_names, stats.sensor_std.tolist())),
         "dropped": list(stats.dropped),
-        "rul_cap": stats.rul_cap,
+        "rul_cap": DEFAULT_RUL_CAP,
     }
     with open(path, "w") as f:
         json.dump(doc, f, indent=2)
@@ -381,18 +377,16 @@ class LinearGaussianSpec:
         return self.C.shape[0]
 
 
-def random_linear_gaussian_instance(
-    seed: int, max_n_z: int = 3, max_n_x: int = 4,
-    min_len: int = 5, max_len: int = 30,
-) -> tuple[LinearGaussianSpec, int]:
-    """Random stable instance plus a trajectory length, for bound audits.
+def random_linear_gaussian_instance(seed: int) -> tuple[LinearGaussianSpec, int]:
+    """Random stable instance plus a trajectory length, for bound audits:
+    1-3 latent and 1-4 observed dimensions, 5-30 steps.
 
     The transition matrix is rescaled to spectral radius <= 0.9 so the
     simulated state stays well conditioned over the drawn horizon.
     """
     g = rng.stream(seed, "lg-instance")
-    n_z = int(g.integers(1, max_n_z + 1))
-    n_x = int(g.integers(1, max_n_x + 1))
+    n_z = int(g.integers(1, 4))
+    n_x = int(g.integers(1, 5))
     A = g.normal(0.0, 0.5, (n_z, n_z))
     radius = float(np.max(np.abs(np.linalg.eigvals(A))))
     if radius > 0.9:
@@ -405,29 +399,22 @@ def random_linear_gaussian_instance(
         init_mean=np.zeros(n_z),
         init_cov=np.eye(n_z),
     )
-    return lg, int(g.integers(min_len, max_len + 1))
+    return lg, int(g.integers(5, 31))
 
 
 def gen_linear_gaussian(lg: LinearGaussianSpec, T: int, seed: int) -> Trajectory:
-    """Simulate T observed steps; ground-truth latents ride along."""
+    """Simulate T observed steps of the instance."""
     if T <= 0:
         raise ValueError("T must be positive")
     g = rng.stream(seed, "lgssm")
     chol0 = np.linalg.cholesky(lg.init_cov)
     z = lg.init_mean + chol0 @ g.standard_normal(lg.n_z)
-    zs, xs = [], []
+    xs = []
     for t in range(T):
         if t > 0:
             z = lg.A @ z + np.sqrt(lg.q_diag) * g.standard_normal(lg.n_z)
-        x = lg.C @ z + np.sqrt(lg.r_diag) * g.standard_normal(lg.n_x)
-        zs.append(z.copy())
-        xs.append(x)
-    return Trajectory(
-        unit_id=0,
-        x=np.stack(xs),
-        u=np.zeros((T, 1)),
-        latent=np.stack(zs),
-    )
+        xs.append(lg.C @ z + np.sqrt(lg.r_diag) * g.standard_normal(lg.n_x))
+    return Trajectory(unit_id=0, x=np.stack(xs), u=np.zeros((T, 1)))
 
 
 def kalman_loglik(lg: LinearGaussianSpec, x: np.ndarray) -> float:
@@ -476,11 +463,11 @@ def write_synthetic_cmapss(
     n_train_units: int = 12,
     n_test_units: int = 6,
     seed: int = 0,
-    tag: str = "FD001",
     min_life: int = 60,
     max_life: int = 120,
 ) -> dict[str, str]:
-    """Write train/test/RUL files in the 26-column turbofan format.
+    """Write train/test/RUL files in the 26-column turbofan format, named
+    like those of the FD001 subset.
 
     Units degrade along a smooth health curve; a fixed subset of
     channels is constant (to exercise channel dropping) and the rest
@@ -519,9 +506,9 @@ def write_synthetic_cmapss(
             rows.append(" ".join(vals))
         return rows
 
-    train_path = os.path.join(out_dir, f"train_{tag}.txt")
-    test_path = os.path.join(out_dir, f"test_{tag}.txt")
-    rul_path = os.path.join(out_dir, f"RUL_{tag}.txt")
+    train_path = os.path.join(out_dir, "train_FD001.txt")
+    test_path = os.path.join(out_dir, "test_FD001.txt")
+    rul_path = os.path.join(out_dir, "RUL_FD001.txt")
 
     with open(train_path, "w") as f:
         for unit in range(1, n_train_units + 1):

@@ -145,7 +145,9 @@ def _lift(x) -> Tensor:
 
 
 def constant(x) -> Tensor:
-    """Tensor excluded from gradient maps (inputs, noise, targets)."""
+    """An array as a constant tensor, excluded from gradient maps (inputs,
+    noise, targets); a Tensor passes through unchanged and keeps its
+    gradient."""
     return _lift(x)
 
 

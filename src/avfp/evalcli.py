@@ -346,16 +346,8 @@ def emit_plot_data(summary: RunSummary, out_dir: str) -> tuple[str, str]:
 
 def _model_leaves(params: ModelParams, parts: tuple[str, ...]):
     leaves = params.group(*parts)
-
-    def rebuild(trial: list[Tensor]) -> ModelParams:
-        groups = {p: dict(g) for p, g in params.partitions().items()}
-        for name, t in zip(leaves, trial):
-            p, n = name.split(".", 1)
-            groups[p][n] = t
-        return ModelParams(spec=params.spec, markovian=params.markovian,
-                           **groups)
-
-    return list(leaves.values()), rebuild
+    return (list(leaves.values()),
+            lambda trial: params.with_tensors(dict(zip(leaves, trial))))
 
 
 def _audit_spec() -> NetworkSpec:
@@ -579,33 +571,29 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _checkpoint_and_corpus(args):
+def _checkpoint_predictions(args) -> PredictionSet:
+    """The test-split predictions of the checkpoint in args.mode."""
     ckpt = load_checkpoint(args.checkpoint)
-    corpus = load_corpus(_data_dir(args), args.tag,
-                         cap=ckpt.config.rul_cap)
+    corpus = load_corpus(_data_dir(args), args.tag, cap=ckpt.config.rul_cap)
     if ckpt.spec.n_x != corpus.n_x or ckpt.spec.n_u != corpus.n_u:
         raise ValueError(
             f"checkpoint/data mismatch: model expects {ckpt.spec.n_x} sensor "
             f"and {ckpt.spec.n_u} setting channels, data provides "
             f"{corpus.n_x} and {corpus.n_u}")
-    return params_from_checkpoint(ckpt), ckpt, corpus
+    return predict_rul(params_from_checkpoint(ckpt), corpus.test_trajs,
+                       corpus.truth, mode=args.mode, cap=ckpt.config.rul_cap,
+                       train_trajs=corpus.train_trajs)
 
 
 def cmd_eval(args) -> int:
-    params, ckpt, corpus = _checkpoint_and_corpus(args)
-    pred = predict_rul(params, corpus.test_trajs, corpus.truth,
-                       mode=args.mode, cap=ckpt.config.rul_cap,
-                       train_trajs=corpus.train_trajs)
+    pred = _checkpoint_predictions(args)
     print(f"test RMSE ({args.mode}): {rmse(pred):.4f} "
           f"over {len(pred.unit_ids)} units")
     return 0
 
 
 def cmd_predict(args) -> int:
-    params, ckpt, corpus = _checkpoint_and_corpus(args)
-    pred = predict_rul(params, corpus.test_trajs, corpus.truth,
-                       mode=args.mode, cap=ckpt.config.rul_cap,
-                       train_trajs=corpus.train_trajs)
+    pred = _checkpoint_predictions(args)
     with open(args.out, "w", newline="") as f:
         f.write("unit_id,predicted_rul,true_rul\n")
         for u, p, t in zip(pred.unit_ids, pred.predicted, pred.truth):

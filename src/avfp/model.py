@@ -29,7 +29,7 @@ trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,8 +56,10 @@ DISC_LOGIT_CLIP = 15.0
 class NetworkSpec:
     """Dimensions and widths of every sub-network.
 
-    A hidden width of 0 means the corresponding head is purely linear,
-    which is what exact linear-Gaussian configurations use.
+    Only the Gaussian heads (enc, dec, prior) may have a hidden width of
+    0, which makes that head purely linear, as exact linear-Gaussian
+    configurations need; the discriminator and the remaining-life readout
+    always have a tanh layer, so their widths must be positive.
     """
 
     n_x: int
@@ -71,11 +73,10 @@ class NetworkSpec:
     rul_hidden: int = 32
 
     def __post_init__(self):
-        for name in ("n_x", "n_u", "n_z", "n_h"):
+        for name in ("n_x", "n_u", "n_z", "n_h", "disc_hidden", "rul_hidden"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("enc_hidden", "dec_hidden", "prior_hidden",
-                     "disc_hidden", "rul_hidden"):
+        for name in ("enc_hidden", "dec_hidden", "prior_hidden"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.n_z > self.n_h:
@@ -117,6 +118,15 @@ class ModelParams:
     def named(self) -> dict[str, Tensor]:
         return self.group(*self.partitions())
 
+    def with_tensors(self, named: dict[str, Tensor]) -> ModelParams:
+        """A copy holding the given tensors, keyed "part.name", in place
+        of its own; every other tensor is shared."""
+        groups = {p: dict(g) for p, g in self.partitions().items()}
+        for key, t in named.items():
+            part, name = key.split(".", 1)
+            groups[part][name] = t
+        return replace(self, **groups)
+
 
 def recognition_input_dim(spec: NetworkSpec, markovian: bool) -> int:
     return spec.n_x + spec.n_u + spec.n_z if markovian else spec.n_h
@@ -149,10 +159,18 @@ def _head(g, prefix, d_in, hidden, d_out, out: dict):
     out[f"{prefix}.bv"] = Tensor(np.zeros(d_out))
 
 
-def _gru(g, d_in, n_h, out: dict, prefix="gru"):
-    out[f"{prefix}.W"] = Tensor(g.normal(0, 1 / np.sqrt(d_in), (3 * n_h, d_in)))
-    out[f"{prefix}.U"] = Tensor(g.normal(0, 1 / np.sqrt(n_h), (3 * n_h, n_h)))
-    out[f"{prefix}.b"] = Tensor(np.zeros(3 * n_h))
+def _readout(g, first, d_in, hidden, out: dict):
+    """Scalar readout params: a tanh layer named first, then one output."""
+    out[f"{first}.W"] = Tensor(g.normal(0, 1 / np.sqrt(d_in), (hidden, d_in)))
+    out[f"{first}.b"] = Tensor(np.zeros(hidden))
+    out["out.w"] = Tensor(g.normal(0, 1 / np.sqrt(hidden), hidden))
+    out["out.b"] = Tensor(np.zeros(()))
+
+
+def _gru(g, d_in, n_h, out: dict):
+    out["gru.W"] = Tensor(g.normal(0, 1 / np.sqrt(d_in), (3 * n_h, d_in)))
+    out["gru.U"] = Tensor(g.normal(0, 1 / np.sqrt(n_h), (3 * n_h, n_h)))
+    out["gru.b"] = Tensor(np.zeros(3 * n_h))
 
 
 def init_params(spec: NetworkSpec, markovian: bool, seed: int) -> ModelParams:
@@ -178,20 +196,10 @@ def init_params(spec: NetworkSpec, markovian: bool, seed: int) -> ModelParams:
     _head(g, "dec", generative_input_dim(spec, markovian),
           spec.dec_hidden, spec.n_x, theta)
 
-    g = rng.stream(seed, "init", "psi")
-    d_feat = max(spec.disc_hidden, 1)
-    psi["feat.W"] = Tensor(g.normal(0, 1 / np.sqrt(spec.n_z), (d_feat, spec.n_z)))
-    psi["feat.b"] = Tensor(np.zeros(d_feat))
-    psi["out.w"] = Tensor(g.normal(0, 1 / np.sqrt(d_feat), d_feat))
-    psi["out.b"] = Tensor(np.zeros(()))
-
-    g = rng.stream(seed, "init", "rho")
-    d_rul = rul_input_dim(spec, markovian)
-    d_feat = max(spec.rul_hidden, 1)
-    rho["l1.W"] = Tensor(g.normal(0, 1 / np.sqrt(d_rul), (d_feat, d_rul)))
-    rho["l1.b"] = Tensor(np.zeros(d_feat))
-    rho["out.w"] = Tensor(g.normal(0, 1 / np.sqrt(d_feat), d_feat))
-    rho["out.b"] = Tensor(np.zeros(()))
+    _readout(rng.stream(seed, "init", "psi"), "feat", spec.n_z,
+             spec.disc_hidden, psi)
+    _readout(rng.stream(seed, "init", "rho"), "l1",
+             rul_input_dim(spec, markovian), spec.rul_hidden, rho)
 
     return ModelParams(spec=spec, markovian=markovian,
                        theta=theta, phi=phi, psi=psi, rho=rho)
@@ -308,11 +316,8 @@ def discriminate(params: ModelParams, z_rows, pool) -> Tensor:
     probabilities strictly inside (0, 1).
     """
     z_rows = constant(z_rows)
-    pool = np.asarray(pool, dtype=np.float64)
-    if z_rows.data.ndim != 2 or z_rows.shape[0] == 0:
-        raise ValueError(f"discriminate expects stacked rows, got {z_rows.shape}")
-    if pool.ndim != 2 or pool.shape[1] != z_rows.shape[0]:
-        raise ValueError(f"pool {pool.shape} does not match {z_rows.shape[0]} rows")
+    if z_rows.data.size == 0:
+        raise ValueError("discriminate needs at least one latent row")
     psi = params.psi
     feats = tanh(affine(psi["feat.W"], z_rows, psi["feat.b"]))
     pooled = constant(pool) @ feats
@@ -327,11 +332,8 @@ def rul_head(params: ModelParams, feats) -> Tensor:
     feats stacks one row [h_t, mean_t] per cycle, shape (N, d); the
     result holds the N estimates.
     """
-    feats = constant(feats)
-    if feats.data.ndim != 2:
-        raise ValueError(f"rul_head expects stacked rows, got {feats.shape}")
     rho = params.rho
-    hidden = tanh(affine(rho["l1.W"], feats, rho["l1.b"]))
+    hidden = tanh(affine(rho["l1.W"], constant(feats), rho["l1.b"]))
     return softplus(affine(rho["out.w"], hidden, rho["out.b"]))
 
 

@@ -158,17 +158,12 @@ class Bound:
 def gaussian_log_density(x, g: GaussianDiag) -> Tensor:
     """log N(x; mean, diag(exp(log_var))), summed over dimensions (per
     row for stacked rows)."""
-    x = constant(x)
-    if x.shape != g.mean.shape:
-        raise ValueError(f"x shape {x.shape} vs mean shape {g.mean.shape}")
-    return gauss_logpdf(x, g.mean, g.log_var)
+    return gauss_logpdf(constant(x), g.mean, g.log_var)
 
 
 def kl_diag_gaussians(q: GaussianDiag, p: GaussianDiag) -> Tensor:
     """KL(q || p) between diagonal Gaussians, closed form, summed (per
     row for stacked rows)."""
-    if q.mean.shape != p.mean.shape:
-        raise ValueError("distribution dimension mismatch")
     return gauss_kl(q.mean, q.log_var, p.mean, p.log_var)
 
 
@@ -181,12 +176,7 @@ def filter_forward(params: ModelParams, trajs: list[Trajectory],
     sample and nothing else of the posterior is computed.
     """
     batch = Batch(trajs)
-    n_z = params.spec.n_z
-    eps = None
-    if noise is not None:
-        eps = batch.pack(noise)
-        if eps.shape != (batch.n_rows, n_z):
-            raise ValueError(f"noise rows of width {eps.shape[1:]}, expected {n_z}")
+    eps = None if noise is None else batch.pack(noise)
     cols = recognition(params, np.hstack([batch.x, batch.u]), eps, batch.spans)
     posterior = None if eps is None else GaussianDiag(cols["mean"],
                                                       cols["log_var"])
@@ -242,11 +232,9 @@ def prior_rollout(params: ModelParams, trajs: list[Trajectory],
     constants, gradients never travel through them.
     """
     batch = Batch(trajs)
-    eps = batch.pack(noise)
-    if eps.shape[1:] != (params.spec.n_z,):
-        raise ValueError("noise width must equal n_z")
     with no_tape():
-        return constant(prior_chain(params, batch.u, eps, batch.spans).data)
+        return constant(prior_chain(params, batch.u, batch.pack(noise),
+                                    batch.spans).data)
 
 
 def adversarial_losses(d_real: Tensor, d_fake: Tensor) -> tuple[Tensor, Tensor]:

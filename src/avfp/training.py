@@ -39,6 +39,7 @@ import numpy as np
 
 from . import rng
 from .data import (
+    DEFAULT_RUL_CAP,
     Trajectory,
     gen_linear_gaussian,
     kalman_loglik,
@@ -58,6 +59,7 @@ from .diffcore import (
     tanh,
 )
 from .model import (
+    DISC_LOGIT_CLIP,
     ModelParams,
     NetworkSpec,
     discriminate,
@@ -77,6 +79,7 @@ from .objectives import (
 CHECKPOINT_MAGIC = b"AVFP"
 CHECKPOINT_VERSION = 1
 MAX_CONSECUTIVE_SKIPS = 10
+GRADIENT_CLIP_NORM = 5.0  # global-norm bound of every Adam step's gradients
 
 
 class TrainingAborted(RuntimeError):
@@ -174,18 +177,18 @@ class TrainConfig:
     epochs: int = 30
     trajectories_per_batch: int = 8
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1: float = OptimizerState.beta1
+    beta2: float = OptimizerState.beta2
+    eps: float = OptimizerState.eps
     lambda_adv: float = 0.1
     disc_steps: int = 1
-    gradient_clip_norm: float = 5.0
+    gradient_clip_norm: float = GRADIENT_CLIP_NORM
     markovian: bool = False
     rul_supervision: bool = True
     kl_warmup_steps: int = 0
     eval_every: int = 200
     val_frac: float = 0.1
-    rul_cap: int = 125
+    rul_cap: int = DEFAULT_RUL_CAP
 
     def __post_init__(self):
         if self.epochs < 0 or self.trajectories_per_batch <= 0:
@@ -429,8 +432,7 @@ def train(
 
 
 def fit_recognition(params: ModelParams, trajs: list[Trajectory], steps: int,
-                    lr: float = 1e-2, seed: int = 0,
-                    clip: float = 5.0) -> list[float]:
+                    lr: float = 1e-2, seed: int = 0) -> list[float]:
     """Adam on the recognition partition only, maximizing the bound.
 
     The generative side stays frozen, which is what makes the bound
@@ -444,7 +446,7 @@ def fit_recognition(params: ModelParams, trajs: list[Trajectory], steps: int,
         traj = trajs[(step - 1) % len(trajs)]
         noise = rng.normal(seed, (traj.length, params.spec.n_z),
                            "fit-phi", step)
-        with _adam_update(phi_group, opt, clip) as update:
+        with _adam_update(phi_group, opt, GRADIENT_CLIP_NORM) as update:
             elbo, _ = sequence_elbo(params, [traj], [noise])
             update.loss = elbo * -1.0
         trace.append(elbo.item())
@@ -497,8 +499,7 @@ class BoundAuditRow:
 
 
 def bound_gap_audit(n_instances: int = 20, draws: int = 256,
-                    fit_steps: int = 2000, lr: float = 1e-2, seed: int = 0,
-                    enc_hidden: int = 16) -> list[BoundAuditRow]:
+                    fit_steps: int = 2000, seed: int = 0) -> list[BoundAuditRow]:
     """Check the variational bound against exact marginals instance by instance.
 
     For each random linear-Gaussian instance the generative side of the
@@ -512,11 +513,10 @@ def bound_gap_audit(n_instances: int = 20, draws: int = 256,
         lg, length = random_linear_gaussian_instance(inst_seed)
         traj = gen_linear_gaussian(lg, length, seed=inst_seed)
         exact = kalman_loglik(lg, traj.x)
-        params = linear_gaussian_model(lg, enc_hidden=enc_hidden,
-                                       seed=inst_seed)
+        params = linear_gaussian_model(lg, seed=inst_seed)
         b_mean, b_se = mc_elbo(params, traj, draws, seed=inst_seed)
         if fit_steps > 0:
-            fit_recognition(params, [traj], fit_steps, lr=lr, seed=inst_seed)
+            fit_recognition(params, [traj], fit_steps, seed=inst_seed)
         a_mean, a_se = mc_elbo(params, traj, draws, seed=inst_seed + 1)
         rows.append(BoundAuditRow(
             seed=inst_seed, n_z=lg.n_z, n_x=lg.n_x, length=length,
@@ -568,13 +568,11 @@ def params_from_checkpoint(ckpt: Checkpoint) -> ModelParams:
     if set(named) != set(ckpt.params):
         raise ValueError("checkpoint parameter set mismatch: "
                          f"{sorted(set(named) ^ set(ckpt.params))}")
-    groups = params.partitions()
     for name, arr in ckpt.params.items():
         if named[name].data.shape != arr.shape:
             raise ValueError(f"shape mismatch for '{name}' in checkpoint")
-        part, local = name.split(".", 1)
-        groups[part][local] = Tensor(arr.copy())
-    return params
+    return params.with_tensors({name: Tensor(arr.copy())
+                                for name, arr in ckpt.params.items()})
 
 
 def _pack_entry(name: str, arr) -> bytes:
@@ -712,15 +710,17 @@ class ToyGanResult:
     trace: list[tuple[int, float, float]]
 
 
-def train_toy_gan(steps: int = 5000, batch: int = 64, lr: float = 1e-3,
-                  seed: int = 0, real_mean: float = 2.0,
-                  real_std: float = 0.5, hidden: int = 16) -> ToyGanResult:
+def train_toy_gan(steps: int = 5000, seed: int = 0) -> ToyGanResult:
     """Affine generator vs small discriminator on 1-D Gaussian data.
 
-    Real samples come from N(real_mean, real_std^2).  At equilibrium the
+    Real samples come from N(2, 0.5^2), 64 per step against 64 generated
+    ones; the discriminator has one tanh layer of 16 units, and both
+    sides take Adam steps at learning rate 1e-3.  At equilibrium the
     discriminator cannot tell the two apart (outputs near 1/2) and the
-    generator's sample mean sits at real_mean.
+    generator's sample mean sits at 2.
     """
+    batch, hidden, lr = 64, 16, 1e-3
+    real_mean, real_std = 2.0, 0.5
     g_params = {"scale": Tensor(np.array(1.0)), "shift": Tensor(np.array(0.0))}
     ginit = rng.stream(seed, "toy-gan-init")
     d_params = {
@@ -736,7 +736,7 @@ def train_toy_gan(steps: int = 5000, batch: int = 64, lr: float = 1e-3,
         # x holds one sample per row; one probability per sample
         h = tanh(affine(d_params["W1"], x, d_params["b1"]))
         logit = affine(d_params["w2"], h, d_params["b2"])
-        return sigmoid(logit.clip(-15.0, 15.0))
+        return sigmoid(logit.clip(-DISC_LOGIT_CLIP, DISC_LOGIT_CLIP))
 
     trace = []
     for step in range(1, steps + 1):
@@ -748,13 +748,13 @@ def train_toy_gan(steps: int = 5000, batch: int = 64, lr: float = 1e-3,
         # discriminator step: generator output detached
         with no_tape():
             fake_detached = g_params["scale"].data * eps_d + g_params["shift"].data
-        with _adam_update(d_params, opt_d, 5.0) as update:
+        with _adam_update(d_params, opt_d, GRADIENT_CLIP_NORM) as update:
             d_real = disc_prob(constant(real))
             d_fake = disc_prob(constant(fake_detached))
             update.loss, _ = adversarial_losses(d_real, d_fake)
 
         # generator step: non-saturating loss through the sampler
-        with _adam_update(g_params, opt_g, 5.0) as update:
+        with _adam_update(g_params, opt_g, GRADIENT_CLIP_NORM) as update:
             fake = constant(eps_g) * g_params["scale"] + g_params["shift"]
             d_fake = disc_prob(fake)
             update.loss = log(d_fake).mean() * -1.0

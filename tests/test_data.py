@@ -7,6 +7,7 @@ import pytest
 
 from avfp import data as avdata
 from avfp.data import (
+    DEFAULT_RUL_CAP,
     DataFormatError,
     LinearGaussianSpec,
     build_rul_targets,
@@ -205,7 +206,7 @@ def test_stats_sidecar_roundtrip(tmp_path, synth_train):
         back = json.load(f)
     assert tuple(back["sensor_mean"]) == stats.sensor_names
     assert tuple(back["dropped"]) == stats.dropped
-    assert back["rul_cap"] == stats.rul_cap
+    assert back["rul_cap"] == DEFAULT_RUL_CAP
     assert np.array_equal(list(back["sensor_mean"].values()), stats.sensor_mean)
     assert np.array_equal(list(back["sensor_std"].values()), stats.sensor_std)
 
@@ -263,7 +264,7 @@ def test_load_test_rul_rejects_negative(tmp_path):
 
 def test_to_trajectories(synth_train):
     norm, stats = normalize(synth_train)
-    targets = build_rul_targets(synth_train, cap=stats.rul_cap)
+    targets = build_rul_targets(synth_train, cap=DEFAULT_RUL_CAP)
     trajs = to_trajectories(norm, targets)
     assert [t.unit_id for t in trajs] == norm.unit_ids.tolist()
     tr = trajs[0]
@@ -307,7 +308,7 @@ def test_gen_deterministic():
     c = gen_linear_gaussian(lg, 10, seed=5)
     assert np.array_equal(a.x, b.x)
     assert not np.array_equal(a.x, c.x)
-    assert a.x.shape == (10, 3) and a.latent.shape == (10, 2)
+    assert a.x.shape == (10, 3)
 
 
 def test_gen_second_step_covariance():

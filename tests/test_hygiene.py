@@ -1,6 +1,7 @@
-"""Source hygiene: every top-level import in the package is used, and
-every module-level function and public method is named somewhere besides
-its definition."""
+"""Source hygiene: every top-level import in the package is used, every
+module-level function and public method is named somewhere besides its
+definition, and every defaulted parameter of a public function is passed
+by some call."""
 
 import ast
 import pathlib
@@ -100,3 +101,90 @@ def test_unused_function_check_catches_a_dead_function(tmp_path):
         "from mod import Box, used\nprint(used(), Box().opened())\n")
     assert unused_functions(tmp_path / "mod.py", [tmp_path]) == [
         "mod.py: dead", "mod.py: dead_too", "mod.py: dead_method"]
+
+
+def _dict_literal_keys(tree: ast.Module) -> dict[str, set[str]]:
+    """Keys of the module-level NAME = dict(k=...) or {"k": ...} literals."""
+    out = {}
+    for node in tree.body:
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            continue
+        v = node.value
+        if (isinstance(v, ast.Call) and isinstance(v.func, ast.Name)
+                and v.func.id == "dict" and not v.args
+                and all(k.arg is not None for k in v.keywords)):
+            out[node.targets[0].id] = {k.arg for k in v.keywords}
+        elif isinstance(v, ast.Dict) and all(
+                isinstance(k, ast.Constant) and isinstance(k.value, str)
+                for k in v.keys):
+            out[node.targets[0].id] = {k.value for k in v.keys}
+    return out
+
+
+def unpassed_defaults(path: pathlib.Path, roots) -> list[str]:
+    """Defaulted parameters of path's public module-level functions that
+    no call under roots passes: by position, by keyword, or through
+    **NAME where NAME is a module-level dict literal of the calling file.
+    Any other ** (and a *args) passes every parameter it could reach.
+    Calls are matched by the function's name, bare or as an attribute."""
+    funcs = {n.name: n for n in ast.parse(path.read_text()).body
+             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and not n.name.startswith("_")}
+    passed: dict[str, set[str]] = {name: set() for name in funcs}
+    for p in sorted(q for root in roots for q in root.rglob("*.py")):
+        tree = ast.parse(p.read_text())
+        literals = _dict_literal_keys(tree)
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name not in funcs:
+                continue
+            a = funcs[name].args
+            positional = [x.arg for x in a.posonlyargs + a.args]
+            everything = positional + [x.arg for x in a.kwonlyargs]
+            starred = any(isinstance(x, ast.Starred) for x in call.args)
+            passed[name] |= set(positional if starred
+                                else positional[:len(call.args)])
+            for kw in call.keywords:
+                if kw.arg is not None:
+                    passed[name].add(kw.arg)
+                elif isinstance(kw.value, ast.Name) and kw.value.id in literals:
+                    passed[name] |= literals[kw.value.id]
+                else:
+                    passed[name] |= set(everything)
+    out = []
+    for name, fn in funcs.items():
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        defaulted = positional[len(positional) - len(a.defaults):] + [
+            x for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        out += [f"{path.name}: {name}({x.arg})" for x in defaulted
+                if x.arg not in passed[name]]
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_defaulted_parameter_is_passed(path):
+    assert unpassed_defaults(path, CALLERS) == []
+
+
+def test_unpassed_default_check_catches_a_dead_parameter(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n\n"
+        "def g(a=1, b=2):\n    return a\n\n"
+        "def h(a=1, b=2):\n    return a\n\n"
+        "def k(a=1, b=2, c=3):\n    return a\n\n"
+        "def _private(a=1):\n    return a\n")
+    (tmp_path / "user.py").write_text(
+        "import mod\n"
+        "OPTS = dict(b=5)\n"
+        "SHAPE = {'a': 1}\n"
+        "f(0, 1, d=2)\n"
+        "mod.g(**OPTS)\n"
+        "h(**{'a': 1})\n"
+        "k(*SHAPE)\n")
+    assert unpassed_defaults(tmp_path / "mod.py", [tmp_path]) == [
+        "mod.py: f(c)", "mod.py: f(e)", "mod.py: g(a)"]

@@ -22,12 +22,13 @@ from avfp.model import (
     emission,
     init_params,
     linear_gaussian_model,
+    prior_chain,
     prior_history,
     recognition,
     rul_head,
     transition_prior,
 )
-from avfp.objectives import filter_forward, filter_means, sequence_elbo
+from avfp.objectives import Batch, filter_forward, filter_means, sequence_elbo
 
 
 def small_spec(**kw):
@@ -44,6 +45,10 @@ def test_spec_validation():
         small_spec(n_z=9, n_h=4)
     with pytest.raises(ValueError):
         small_spec(enc_hidden=-1)
+    with pytest.raises(ValueError):
+        small_spec(disc_hidden=0)
+    with pytest.raises(ValueError):
+        small_spec(rul_hidden=0)
 
 
 def test_init_deterministic_and_partitioned():
@@ -193,6 +198,33 @@ def test_recognition_sample_is_reparameterized():
                           q.mean.data + np.exp(q.log_var.data * 0.5) * noise)
     with pytest.raises(ValueError):
         filter_forward(p, [traj], [np.zeros((4, spec.n_z + 1))])
+
+
+@pytest.mark.parametrize("prior_hidden", [4, 0])
+@pytest.mark.parametrize("markovian", [False, True])
+def test_rollout_prior_equals_bound_prior(markovian, prior_hidden):
+    """The rollout's in-kernel prior (prior_chain) and the bound's
+    (prior_history, then transition_prior) are one prior computed twice."""
+    spec = small_spec(prior_hidden=prior_hidden)
+    p = init_params(spec, markovian=markovian, seed=13)
+    g = np.random.default_rng(8)
+    for b in ("pri.bm", "pri.bv"):  # nonzero: an unpinned first step shows
+        p.theta[b] = Tensor(g.uniform(-0.5, 0.5, spec.n_z))
+    batch = Batch([traj_of(g.standard_normal((T, spec.n_x)),
+                           g.standard_normal((T, spec.n_u))) for T in (9, 5, 7)])
+    eps = g.standard_normal((batch.n_rows, spec.n_z))
+    z = prior_chain(p, batch.u, eps, batch.spans).data
+    z_prev = np.zeros_like(z)
+    for rows in batch.rows:
+        z_prev[rows[1:]] = z[rows[:-1]]
+    first = batch.spans[0][1]
+    assert np.array_equal(z[:first], eps[:first])  # N(0, I) first step
+    history = prior_history(p, constant(z_prev), batch.u, batch.spans)
+    pr = transition_prior(
+        p, None if history is None else history.slice(first, batch.n_rows),
+        z_prev[first:])
+    want = pr.mean.data + np.exp(pr.log_var.data / 2) * eps[first:]
+    assert np.abs(z[first:] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_gaussian_diag_shape_check():
