@@ -19,7 +19,10 @@ hot paths:
 
 The Gaussian ops also take one vector.  The scans step only the
 recurrence in their loops and backpropagate through time by hand,
-forming every weight gradient with one product over all rows.
+forming every weight gradient with one product over all rows.  A GRU
+step is one matrix product: the previous step's [h, z] rows times K,
+U's and z's weights stacked so that the product's columns are every
+recurrent term of the gates at once.
 
 Every primitive checks its result for NaN/Inf and raises instead of
 propagating silently.  A Tape is an append-only record of primitive
@@ -485,8 +488,9 @@ def _gauss_kl_vjp(g, vals, out, aux):
 # longest first, so the rows of step t continue the first hi - lo rows of
 # step t - 1.  What needs no recurrent state runs once over all rows: the
 # input projections before the step loop, the gate derivatives and every
-# weight gradient after it.  The loops keep only the recurrent products
-# and the elementwise work between them, written into stacked buffers.
+# weight gradient after it.  The loops keep only the recurrent products,
+# one per GRU step forward and one backward, and the elementwise work
+# between them, written into stacked buffers.
 
 
 def _prev_rows(spans, n_rows: int) -> np.ndarray:
@@ -502,61 +506,88 @@ def _prev_rows(spans, n_rows: int) -> np.ndarray:
     return np.arange(counts[0], n_rows) - counts[step]
 
 
-def _gru_step(s, hp, UT, pre_ru, pre_c, h):
+def _gru_matrix(U, Wz=None):
+    """K = [[U_ru^T, 0, U_c^T], [W_z,ru^T, W_z,c^T, 0]], such that a row
+    [h, z] @ K is [U_ru h + W_z,ru z, W_z,c z, U_c h]: the reset and
+    update gates' recurrent terms, the candidate's z input and U_c h.
+    Wz is W's z columns with n zero rows appended (pre's layout, see
+    _gru_step); without it, K has h's rows only."""
+    n = U.shape[1]
+    K = np.zeros((n + (0 if Wz is None else Wz.shape[1]), 4 * n))
+    K[:n, :2 * n] = U[:2 * n].T
+    K[:n, 3 * n:] = U[2 * n:].T
+    if Wz is not None:
+        K[n:] = Wz.T
+    return K
+
+
+def _first_block(h0, n0, K):
+    """The [h, z] rows the first step starts from: h0 and z = 0."""
+    blk = np.zeros((n0, K.shape[0]))
+    blk[:, :K.shape[1] // 4] = h0
+    return blk
+
+
+def _gru_step(blk, K, pre, h):
     """One gated recurrent update, gates packed [reset; update; cand]:
-    rows hp become rows h, given their input pre-activations s = W @ x
-    + b.  The gate pre-activations are kept in pre_ru and pre_c."""
-    n = hp.shape[1]
-    t = hp @ UT
-    np.add(s[:, :2 * n], t[:, :2 * n], out=pre_ru)
-    ru = expit(pre_ru)
-    np.multiply(ru[:, :n], t[:, 2 * n:], out=pre_c)
-    pre_c += s[:, 2 * n:]
+    the step's rows blk = [h_prev, z_prev] become rows h.  pre holds the
+    other inputs' pre-activations [W @ x + b, 0] on entry (a zero block
+    under U_c h, so that one add of whole rows completes it) and on exit
+    the reset and update gates' pre-activations, the candidate's and
+    U_c h_prev: what the backward pass reads."""
+    n = h.shape[1]
+    pre += blk @ K
+    # expit reads a strided block of several rows at half its speed on
+    # contiguous memory, which a copy first more than pays for
+    ru = expit(np.ascontiguousarray(pre[:, :2 * n]))
+    pre_c = pre[:, 2 * n:3 * n]
+    pre_c += ru[:, :n] * pre[:, 3 * n:]
+    hp = blk[:, :n]
     np.subtract(np.tanh(pre_c), hp, out=h)
     h *= ru[:, n:]
     h += hp
 
 
-def _gru_factors(U, pre_ru, pre_c, hp):
-    """The gate derivatives of every row at once: ks as (rows, 3, n)
-    blocks, such that dh * ks (an adjoint row dh repeated over the three
-    gate blocks) is the adjoint of W @ x + b; the reset gate r and
-    keep = 1 - u."""
+def _gru_factors(pre, hp):
+    """The gate derivatives of every row at once: ks as (rows, 4, n)
+    blocks, such that dh * ks (an adjoint row dh repeated over the four
+    blocks) is the adjoint of a step's blk @ K + [W @ x + b, 0] (see
+    _gru_step), and keep = 1 - u."""
     n = hp.shape[1]
-    ru = expit(pre_ru)
+    ru = expit(np.ascontiguousarray(pre[:, :2 * n]))   # see _gru_step
     r, u = ru[:, :n], ru[:, n:]
     keep = 1.0 - u
-    ks = np.empty((hp.shape[0], 3, n))
-    kr, ku, kc = ks[:, 0], ks[:, 1], ks[:, 2]
-    np.tanh(pre_c, out=kc)                        # c
+    ks = np.empty((hp.shape[0], 4, n))
+    kr, ku, kc, kh = ks[:, 0], ks[:, 1], ks[:, 2], ks[:, 3]
+    np.tanh(pre[:, 2 * n:3 * n], out=kc)          # c
     np.subtract(kc, hp, out=ku)
     ku *= u
     ku *= keep                                    # (c - h) u (1 - u)
     np.multiply(kc, kc, out=kc)
     np.subtract(1.0, kc, out=kc)
     kc *= u                                       # u (1 - c^2)
-    np.matmul(hp, U[2 * n:].T, out=kr)            # U @ h, candidate rows
-    kr *= kc
-    kr *= r
-    kr *= 1.0 - r
-    return ks, r, keep
+    np.multiply(kc, r, out=kh)                    # u (1 - c^2) r
+    np.multiply(kh, pre[:, 3 * n:], out=kr)
+    kr *= 1.0 - r                                 # U_c h u (1 - c^2) r (1 - r)
+    return ks, keep
 
 
-def _gru_step_vjp(dh, ks, r, keep, U, ds):
-    """Backward through one step: writes the adjoint of W @ x + b (as
-    (rows, 3, n) blocks) into ds and returns that of the previous
-    state; the adjoint of U @ h is ds with the candidate block times r."""
-    n = dh.shape[1]
+def _gru_step_vjp(dh, ks, keep, KT, ds):
+    """Backward through one step: writes the adjoint of blk @ K + [W @ x
+    + b, 0] (as (rows, 4, n) blocks) into ds and returns that of the
+    step's rows blk = [h_prev, z_prev], with one product; the adjoint of
+    W @ x + b is ds's first three blocks."""
     np.multiply(ks, dh[:, None, :], out=ds)
-    return (dh * keep + ds[:, :2].reshape(len(dh), 2 * n) @ U[:2 * n]
-            + (ds[:, 2] * r) @ U[2 * n:])
+    d = ds.reshape(len(dh), -1) @ KT
+    d[:, :dh.shape[1]] += dh * keep
+    return d
 
 
-def _gru_dU(dS, r, hp):
-    """The gradient of U from the stacked adjoints of W @ x + b."""
+def _gru_dU(dS, hp):
+    """The gradient of U from the stacked adjoints of the steps' sums."""
     n = hp.shape[1]
     return np.concatenate((dS[:, :2].reshape(len(hp), 2 * n).T @ hp,
-                           (dS[:, 2] * r).T @ hp))
+                           dS[:, 3].T @ hp))
 
 
 def _hprev(h0, H, prev):
@@ -575,40 +606,41 @@ def _gru_scan(U, h0, S, spans):
             or h0.shape not in ((n,), (spans[0][1], n))):
         raise ValueError(f"gru_scan shapes unsupported: U {U.shape}, "
                          f"h0 {h0.shape}, S {S.shape}")
-    UT = U.T
+    K = _gru_matrix(U)
     H = np.empty((n_rows, n))
-    pre_ru, pre_c = np.empty((n_rows, 2 * n)), np.empty((n_rows, n))
-    hp = np.broadcast_to(h0, (spans[0][1], n))
+    pre = np.zeros((n_rows, 4 * n))
+    pre[:, :3 * n] = S
+    blk = _first_block(h0, spans[0][1], K)
     for lo, hi in spans:
         if lo:
-            hp = H[plo:plo + hi - lo]
-        _gru_step(S[lo:hi], hp, UT, pre_ru[lo:hi], pre_c[lo:hi], H[lo:hi])
+            blk = H[plo:plo + hi - lo]
+        _gru_step(blk, K, pre[lo:hi], H[lo:hi])
         plo = lo
     # The gates saturate, so an overflow in S or U @ h would leave a
-    # finite output.  Every entry of both reaches pre_ru or pre_c, and a
-    # NaN/Inf there stays NaN/Inf (r > 0, or r * inf is NaN), so this
-    # check also covers them.
-    _check_finite("gru_scan", pre_ru, pre_c)
-    return H, (spans, prev, pre_ru, pre_c)
+    # finite output.  Every entry of both reaches pre, and a NaN/Inf
+    # there stays NaN/Inf (r > 0, or r * inf is NaN), so this check also
+    # covers them.
+    _check_finite("gru_scan", pre)
+    return H, (spans, prev, K, pre)
 
 
 def _gru_scan_vjp(g, vals, out, aux):
     U, h0, S = vals
-    spans, prev, pre_ru, pre_c = aux
+    spans, prev, K, pre = aux
     n_rows, n = out.shape
     hp = _hprev(h0, out, prev)
-    ks, r, keep = _gru_factors(U, pre_ru, pre_c, hp)
+    ks, keep = _gru_factors(pre, hp)
+    KT = np.ascontiguousarray(K.T)
     dH = np.array(g)
-    dS = np.empty((n_rows, 3, n))
+    dS = np.empty((n_rows, 4, n))
     for t in range(len(spans) - 1, -1, -1):
         lo, hi = spans[t]
-        dhp = _gru_step_vjp(dH[lo:hi], ks[lo:hi], r[lo:hi], keep[lo:hi], U,
-                            dS[lo:hi])
+        dhp = _gru_step_vjp(dH[lo:hi], ks[lo:hi], keep[lo:hi], KT, dS[lo:hi])
         if t:
             plo = spans[t - 1][0]
             dH[plo:plo + hi - lo] += dhp
-    return (_gru_dU(dS, r, hp), dhp.sum(axis=0) if h0.ndim == 1 else dhp,
-            dS.reshape(n_rows, -1))
+    return (_gru_dU(dS, hp), dhp.sum(axis=0) if h0.ndim == 1 else dhp,
+            dS[:, :3].reshape(n_rows, -1))
 
 
 LATENT_INPUTS = ("xu", "eps", "h0", "W", "U", "b", "W1", "b1",
@@ -616,9 +648,12 @@ LATENT_INPUTS = ("xu", "eps", "h0", "W", "U", "b", "W1", "b1",
 
 
 def _latent_columns(n_h: int, n_z: int, sample: bool) -> dict[str, slice]:
-    """The columns of each output block of latent_scan, in order."""
-    widths = ([("h", n_h)] if n_h else []) + [("mean", n_z)] + (
-        [("log_var", n_z), ("z", n_z)] if sample else []) + [("z_prev", n_z)]
+    """The columns of each output block of latent_scan, in order.  h
+    sits right before the sample (the mean without noise), so a step's
+    rows [h, z] are one block, the next step's [h_prev, z_prev]."""
+    widths = ([("mean", n_z), ("log_var", n_z)] if sample else []) + (
+        [("h", n_h)] if n_h else []) + [("z" if sample else "mean", n_z),
+                                        ("z_prev", n_z)]
     cols, off = {}, 0
     for name, w in widths:
         cols[name] = slice(off, off + w)
@@ -671,7 +706,10 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
     # The input blocks are "xu" (the exogenous rows, whose projections
     # are computed once for all rows), "z" (z_prev) and "h".  With
     # pin_first the first step's mean and log_var are 0, so its z is eps.
-    # The loop writes h, mean, log_var and z straight into the output.
+    # The loop writes h, mean, log_var and z straight into the output,
+    # whose h columns sit right before z's (the mean's without eps), so
+    # that the GRU reads [h_prev, z_prev] as one block of the previous
+    # step's rows (see _gru_step).
     p = dict(zip(names, arrays))
     sample, gru, hidden = "eps" in p, "W" in p, "W1" in p
     need = {"xu", "Wm", "bm"} | ({"Wv", "bv"} if sample else set()) | (
@@ -689,7 +727,10 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
     # loop clips half the log-variance and exponentiates it directly.
     M, m, F, f = _head_layers(p, 0.5)
     Fc = _col_blocks(F, head_in, width)
-    Wc = _col_blocks(p["W"], gru_in, width) if gru else {}
+    # W with n_h zero rows appended, so that its products fill pre's
+    # layout (see _gru_step) directly
+    Wc = (_col_blocks(np.pad(p["W"], ((0, n_h), (0, 0))), gru_in, width)
+          if gru else {})
     if (m.shape != (M.shape[0],) or f.shape != (F.shape[0],)
             or (hidden and M.shape[1] != F.shape[0])
             or (sample and p["eps"].shape != (n_rows, n_z))
@@ -718,19 +759,22 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
         LVH = np.zeros((n_rows, n_z))   # half log-variance after the clip
         lv_lo, lv_hi = clip[0] * 0.5, clip[1] * 0.5
     if gru:
-        S = _projection(xu, Wc, p["b"])
-        WzT, UT = np.ascontiguousarray(Wc["z"].T), p["U"].T
-        pre_ru, pre_c = np.zeros((n_rows, 2 * n_h)), np.zeros((n_rows, n_h))
-        hp = np.broadcast_to(p["h0"], (n0, n_h))
+        # one product per step: the previous step's [h, z] output columns
+        # times K give every recurrent term of the gates (see _gru_step)
+        K = _gru_matrix(p["U"], Wc.get("z"))
+        HZ = out[:, cols["h"].start:cols["h"].start + K.shape[0]]
+        pre = _projection(xu, Wc, np.pad(p["b"], (0, n_h)))
+        if "xu" not in Wc:  # a broadcast of b, which the loop adds into
+            pre = pre.copy()
+        blk = _first_block(p["h0"], n0, K)
     zp = np.zeros((n0, n_z))
     for t, (lo, hi) in enumerate(spans):
         if t:
             zp = Z[plo:plo + hi - lo]
             if gru:
-                hp = H[plo:plo + hi - lo]
+                blk = HZ[plo:plo + hi - lo]
         if gru:
-            _gru_step(S[lo:hi] + zp @ WzT, hp, UT, pre_ru[lo:hi],
-                      pre_c[lo:hi], H[lo:hi])
+            _gru_step(blk, K, pre[lo:hi], H[lo:hi])
         ml = ML[lo:hi]
         if t or not pin_first:
             a = PA[lo:hi]
@@ -753,14 +797,14 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
         plo = lo
     # every pre-activation that feeds a saturating function: the gates,
     # the hidden tanh layer and the log-variance clip (see _gru_scan)
-    _check_finite("latent_scan", PA, ML, *((pre_ru, pre_c) if gru else ()))
+    _check_finite("latent_scan", PA, ML, *((pre,) if gru else ()))
     if sample:
         np.multiply(LVH, 2.0, out=out[:, cols["log_var"]])
     out[n0:, cols["z_prev"]] = Z[prev]
     aux = dict(names=names, spans=spans, gru_in=gru_in, head_in=head_in,
                clip=clip, pin_first=pin_first, prev=prev, width=width, Wc=Wc,
-               cols=cols, PA=PA if hidden else None, FEAT=FEAT,
-               pre=(pre_ru, pre_c) if gru else None)
+               cols=cols, FEAT=FEAT,
+               gru=(K, pre) if gru else None)
     return out, aux
 
 
@@ -774,9 +818,15 @@ def _latent_scan_vjp(g, vals, out, aux):
     xu = p["xu"]
     n_rows, n_z = xu.shape[0], p["Wm"].shape[0]
     n0 = spans[0][1]
+    n_h = p["U"].shape[1] if gru else 0
     H = out[:, cols["h"]] if gru else None
 
     G = {name: g[:, c] for name, c in cols.items()}
+    # the adjoint of the [h, z] columns: dH and dZ are views of one
+    # buffer, so a step's adjoint of [h_prev, z_prev] is one add
+    zc = cols["z" if sample else "mean"]
+    dHZ = np.array(g[:, zc.start - n_h:zc.stop])
+    dH, dZ = dHZ[:, :n_h], dHZ[:, n_h:]
     if sample:
         lv_lo, lv_hi = aux["clip"]
         LV = out[:, cols["log_var"]]
@@ -784,23 +834,21 @@ def _latent_scan_vjp(g, vals, out, aux):
         std = np.exp(LV * 0.5)
         dML = np.concatenate((G["mean"], G["log_var"] * inside), axis=1)
         k_lv = 0.5 * std * p["eps"] * inside    # d log_var / d z
-        dZ = np.array(G["z"])
     else:
-        dML = np.array(G["mean"])
-        dZ = dML
+        dML = dZ
     dZ[prev] += G["z_prev"][n0:]
     if hidden:  # starts as tanh' and becomes the adjoint row by row
         dA = FEAT * FEAT
         np.subtract(1.0, dA, out=dA)
     else:
         dA = dML
-    Fz, Fh, Wz = Fc.get("z"), Fc.get("h"), Wc.get("z")
+    Fz, Fh = Fc.get("z"), Fc.get("h")
     if gru:
+        K, pre = aux["gru"]
+        KT = np.ascontiguousarray(K.T)
         hp = _hprev(p["h0"], H, prev)
-        ks, r, keep = _gru_factors(p["U"], *aux["pre"], hp)
-        dH = np.array(G["h"])
-        dS = np.empty((n_rows, 3, H.shape[1]))
-        dS2 = dS.reshape(n_rows, -1)
+        ks, keep = _gru_factors(pre, hp)
+        dS = np.empty((n_rows, 4, n_h))
 
     for t in range(len(spans) - 1, -1, -1):
         lo, hi = spans[t]
@@ -823,16 +871,13 @@ def _latent_scan_vjp(g, vals, out, aux):
             dML[lo:hi] = 0.0
             dA[lo:hi] = 0.0
         if gru:
-            dhp = _gru_step_vjp(dH[lo:hi], ks[lo:hi], r[lo:hi], keep[lo:hi],
-                                p["U"], dS[lo:hi])
-            if Wz is not None:
-                dzp = dS2[lo:hi] @ Wz if dzp is None else dzp + dS2[lo:hi] @ Wz
-            if t:
-                plo = spans[t - 1][0]
-                dH[plo:plo + hi - lo] += dhp
-        if t and dzp is not None:
+            d = _gru_step_vjp(dH[lo:hi], ks[lo:hi], keep[lo:hi], KT, dS[lo:hi])
+        if t:
             plo = spans[t - 1][0]
-            dZ[plo:plo + hi - lo] += dzp
+            if gru:
+                dHZ[plo:plo + hi - lo, :K.shape[0]] += d
+            if dzp is not None:
+                dZ[plo:plo + hi - lo] += dzp
 
     blocks = {"xu": xu, "z": out[:, cols["z_prev"]], "h": H}
     grads = {"xu": np.zeros_like(xu)}
@@ -848,13 +893,14 @@ def _latent_scan_vjp(g, vals, out, aux):
     if "xu" in Fc:
         grads["xu"] += dA @ Fc["xu"]
     if gru:
-        grads["W"] = np.concatenate([dS2.T @ blocks[k] for k in aux["gru_in"]],
+        dS3 = dS[:, :3].reshape(n_rows, -1)     # the adjoint of W @ x + b
+        grads["W"] = np.concatenate([dS3.T @ blocks[k] for k in aux["gru_in"]],
                                     axis=1)
-        grads["U"] = _gru_dU(dS, r, hp)
-        grads["b"] = dS2.sum(axis=0)
-        grads["h0"] = dhp.sum(axis=0)
+        grads["U"] = _gru_dU(dS, hp)
+        grads["b"] = dS3.sum(axis=0)
+        grads["h0"] = d[:, :n_h].sum(axis=0)
         if "xu" in Wc:
-            grads["xu"] += dS2 @ Wc["xu"]
+            grads["xu"] += dS.reshape(n_rows, -1) @ Wc["xu"]
     return [grads[k] for k in aux["names"]]
 
 

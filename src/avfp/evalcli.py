@@ -127,9 +127,13 @@ class HealthIndexMap:
 
 def fit_health_index(params: ModelParams,
                      train_trajs: list[Trajectory]) -> HealthIndexMap:
-    if not train_trajs:
+    return _fit_index(_latent_means(params, train_trajs))
+
+
+def _fit_index(means: list[np.ndarray]) -> HealthIndexMap:
+    """The health index of the training units' (T, n_z) latent means."""
+    if not means:
         raise ValueError("health index needs training trajectories")
-    means = _latent_means(params, train_trajs)
     stacked = np.concatenate(means)
     center = stacked.mean(axis=0)
     _, _, vt = np.linalg.svd(stacked - center, full_matrices=False)
@@ -193,9 +197,11 @@ def predict_rul(params: ModelParams, test_trajs: list[Trajectory],
     else:
         if train_trajs is None:
             raise ValueError("health_index mode needs training trajectories")
-        hi = fit_health_index(params, train_trajs)
+        # one filter pass over the training and the test units
+        means = _latent_means(params, [*train_trajs, *ordered])
+        hi = _fit_index(means[:len(train_trajs)])
         preds = [match_remaining_life(hi, hi.project(m), cap)
-                 for m in _latent_means(params, ordered)]
+                 for m in means[len(train_trajs):]]
     return PredictionSet(
         unit_ids=tuple(t.unit_id for t in ordered),
         predicted=np.array(preds),

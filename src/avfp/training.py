@@ -432,15 +432,16 @@ def train(
 
 
 def fit_recognition(params: ModelParams, trajs: list[Trajectory], steps: int,
-                    lr: float = 1e-2, seed: int = 0) -> list[float]:
-    """Adam on the recognition partition only, maximizing the bound.
+                    seed: int = 0) -> list[float]:
+    """Adam (step size 1e-2) on the recognition partition only,
+    maximizing the bound.
 
     The generative side stays frozen, which is what makes the bound
     comparable against a fixed exact marginal likelihood throughout.
     Returns the per-step bound values.
     """
     phi_group = params.group("phi")
-    opt = OptimizerState(lr)
+    opt = OptimizerState(1e-2)
     trace = []
     for step in range(1, steps + 1):
         traj = trajs[(step - 1) % len(trajs)]

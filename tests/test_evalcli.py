@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from avfp.data import Trajectory, gen_linear_gaussian, LinearGaussianSpec
+from avfp import diffcore as dc
 from avfp.diffcore import NonFiniteError
 from avfp.evalcli import (
     PredictionSet,
@@ -203,6 +204,45 @@ def test_health_index_map_shape_and_matching():
     assert all(len(c) == 25 for c in hi.curves)
     # matching an exact full curve leaves zero remaining life
     assert match_remaining_life(hi, hi.curves[2].copy()) == 0.0
+
+
+def test_health_index_filters_train_and_test_units_in_one_scan(monkeypatch):
+    """One latent_scan over ragged train and test units together, with
+    the predictions of the index fitted on the train units alone and each
+    test unit's own curve."""
+    params = tiny_params(seed=4)
+    train_trajs = []
+    for i, T in enumerate((26, 41, 33)):
+        tr = rand_trajs(1, T, seed=30 + i)[0]
+        tr.unit_id = i + 1
+        train_trajs.append(tr)
+    test_trajs = []
+    for i, T in enumerate((9, 17, 4)):
+        tr = rand_trajs(1, T, seed=50 + i)[0]
+        tr.unit_id = 20 - i     # not in unit-id order
+        test_trajs.append(tr)
+    truth = {t.unit_id: 0.0 for t in test_trajs}
+    cap = 30
+
+    forward, vjp = dc._OPS["latent_scan"]
+    calls = []
+
+    def counted(*arrays, **kw):
+        calls.append(arrays[0].shape[0])
+        return forward(*arrays, **kw)
+
+    with monkeypatch.context() as m:
+        m.setitem(dc._OPS, "latent_scan", (counted, vjp))
+        pred = predict_rul(params, test_trajs, truth, mode="health_index",
+                           cap=cap, train_trajs=train_trajs)
+    assert calls == [26 + 41 + 33 + 9 + 17 + 4]
+
+    hi = fit_health_index(params, train_trajs)
+    ordered = sorted(test_trajs, key=lambda t: t.unit_id)
+    assert pred.unit_ids == tuple(t.unit_id for t in ordered)
+    assert pred.predicted.tolist() == [
+        match_remaining_life(hi, hi.index_curve(params, t), cap)
+        for t in ordered]
 
 
 # ---------------------------------------------------------------------------

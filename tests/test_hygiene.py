@@ -122,15 +122,40 @@ def _dict_literal_keys(tree: ast.Module) -> dict[str, set[str]]:
     return out
 
 
+_NO_LITERAL = object()
+
+
+def _literal(node: ast.expr):
+    """The value of a literal expression, or a marker for anything else."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError):   # a name, a call, an unhashable key
+        return _NO_LITERAL
+
+
+def _literal_defaults(fn: ast.FunctionDef) -> dict[str, object]:
+    """Each defaulted parameter's default, as _literal gives it."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    pairs = list(zip(positional[len(positional) - len(a.defaults):],
+                     a.defaults))
+    pairs += [(x, d) for x, d in zip(a.kwonlyargs, a.kw_defaults)
+              if d is not None]
+    return {x.arg: _literal(d) for x, d in pairs}
+
+
 def unpassed_defaults(path: pathlib.Path, roots) -> list[str]:
     """Defaulted parameters of path's public module-level functions that
     no call under roots passes: by position, by keyword, or through
     **NAME where NAME is a module-level dict literal of the calling file.
     Any other ** (and a *args) passes every parameter it could reach.
+    A keyword whose value is a literal equal to the default (same type
+    and value) passes nothing: every run still uses the one value.
     Calls are matched by the function's name, bare or as an attribute."""
     funcs = {n.name: n for n in ast.parse(path.read_text()).body
              if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
              and not n.name.startswith("_")}
+    defaults = {name: _literal_defaults(fn) for name, fn in funcs.items()}
     passed: dict[str, set[str]] = {name: set() for name in funcs}
     for p in sorted(q for root in roots for q in root.rglob("*.py")):
         tree = ast.parse(p.read_text())
@@ -150,7 +175,11 @@ def unpassed_defaults(path: pathlib.Path, roots) -> list[str]:
                                 else positional[:len(call.args)])
             for kw in call.keywords:
                 if kw.arg is not None:
-                    passed[name].add(kw.arg)
+                    value = _literal(kw.value)
+                    default = defaults[name].get(kw.arg, _NO_LITERAL)
+                    if (value is _NO_LITERAL or type(value) is not type(default)
+                            or value != default):
+                        passed[name].add(kw.arg)
                 elif isinstance(kw.value, ast.Name) and kw.value.id in literals:
                     passed[name] |= literals[kw.value.id]
                 else:
@@ -177,6 +206,7 @@ def test_unpassed_default_check_catches_a_dead_parameter(tmp_path):
         "def g(a=1, b=2):\n    return a\n\n"
         "def h(a=1, b=2):\n    return a\n\n"
         "def k(a=1, b=2, c=3):\n    return a\n\n"
+        "def m(a=1, b=0.5, *, c=None):\n    return a\n\n"
         "def _private(a=1):\n    return a\n")
     (tmp_path / "user.py").write_text(
         "import mod\n"
@@ -185,6 +215,8 @@ def test_unpassed_default_check_catches_a_dead_parameter(tmp_path):
         "f(0, 1, d=2)\n"
         "mod.g(**OPTS)\n"
         "h(**{'a': 1})\n"
-        "k(*SHAPE)\n")
+        "k(*SHAPE)\n"
+        "m(a=1, b=5e-1, c=None)\n"   # each the default itself: not passed
+        "m(a=1.0, c=SHAPE)\n")       # another type, not a literal: passed
     assert unpassed_defaults(tmp_path / "mod.py", [tmp_path]) == [
-        "mod.py: f(c)", "mod.py: f(e)", "mod.py: g(a)"]
+        "mod.py: f(c)", "mod.py: f(e)", "mod.py: g(a)", "mod.py: m(b)"]

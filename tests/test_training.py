@@ -510,7 +510,7 @@ def test_fit_recognition_tightens_the_bound():
     exact = kalman_loglik(lg, traj.x)
     params = linear_gaussian_model(lg, enc_hidden=8, seed=3)
     before, before_se = mc_elbo(params, traj, draws=64, seed=3)
-    trace = fit_recognition(params, [traj], steps=300, lr=1e-2, seed=3)
+    trace = fit_recognition(params, [traj], steps=300, seed=3)
     after, after_se = mc_elbo(params, traj, draws=64, seed=4)
     assert trace[-1] > trace[0]
     assert after > before
@@ -538,7 +538,7 @@ def test_kalman_oracle_audits_the_history_path():
                            z @ lg.C.T, atol=1e-14)
 
         before, before_se = mc_elbo(params, traj, draws=64, seed=seed)
-        fit_recognition(params, [traj], steps=100, lr=1e-2, seed=seed)
+        fit_recognition(params, [traj], steps=100, seed=seed)
         after, after_se = mc_elbo(params, traj, draws=64, seed=seed + 1)
         assert before <= exact + 3.0 * before_se
         assert after <= exact + 3.0 * after_se
