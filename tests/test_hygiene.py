@@ -184,15 +184,8 @@ def unpassed_defaults(path: pathlib.Path, roots) -> list[str]:
                     passed[name] |= literals[kw.value.id]
                 else:
                     passed[name] |= set(everything)
-    out = []
-    for name, fn in funcs.items():
-        a = fn.args
-        positional = a.posonlyargs + a.args
-        defaulted = positional[len(positional) - len(a.defaults):] + [
-            x for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-        out += [f"{path.name}: {name}({x.arg})" for x in defaulted
-                if x.arg not in passed[name]]
-    return out
+    return [f"{path.name}: {name}({x})" for name in funcs
+            for x in defaults[name] if x not in passed[name]]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
