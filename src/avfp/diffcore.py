@@ -11,18 +11,19 @@ hot paths:
   gauss_logpdf  log N(x; mean, diag(exp(log_var))), summed per row
   gauss_kl      KL between two diagonal Gaussians, summed per row
   gru_scan      a GRU over the rows of a time-major packed batch,
-                given their input projections W @ x + b
+                given its weights and input rows
   latent_scan   a whole latent chain over packed rows: an optional
                 GRU, a Gaussian head, its log-variance clip and the
-                reparameterized sample, with the exogenous inputs'
-                projections computed once for all rows
+                reparameterized sample
 
 The Gaussian ops also take one vector.  The scans step only the
 recurrence in their loops and backpropagate through time by hand,
-forming every weight gradient with one product over all rows.  A GRU
-step is one matrix product: the previous step's [h, z] rows times K,
-U's and z's weights stacked so that the product's columns are every
-recurrent term of the gates at once.
+forming every weight gradient with one product over all rows.  Inside
+a scan each time step's values are one contiguous feature-major block,
+(features, running rows), and a step's whole pre-activation, W x + W_z
+z + U h + b for every gate (plus the head's first layer on x and z), is
+one product of the previous step's block [x; 1; h; z] with a matrix
+built once per call.
 
 Every primitive checks its result for NaN/Inf and raises instead of
 propagating silently.  A Tape is an append-only record of primitive
@@ -483,111 +484,62 @@ def _gauss_kl_vjp(g, vals, out, aux):
 # ---------------------------------------------------------------------------
 # whole-sequence scans
 #
-# Both scans run over a time-major packed layout (objectives.Batch):
-# step t owns rows spans[t] = (lo, hi), one per sequence still running,
-# longest first, so the rows of step t continue the first hi - lo rows of
-# step t - 1.  What needs no recurrent state runs once over all rows: the
-# input projections before the step loop, the gate derivatives and every
-# weight gradient after it.  The loops keep only the recurrent products,
-# one per GRU step forward and one backward, and the elementwise work
-# between them, written into stacked buffers.
+# Both scans run over a time-major packed layout (objectives.Batch): step t
+# owns rows spans[t] = (lo, hi), one per sequence still running, longest
+# first, so the rows of step t continue the first r_t = hi - lo rows of
+# step t - 1.  Inside a scan every per-step value is stored feature-major:
+# step t's block is a (features, r_t) array, and the steps of a run of
+# equal width form one (steps, features, width) array, filled from and
+# read back to the row-major inputs and outputs with one transposed copy
+# per run.  A state block [x; 1; h; z] holds a step's outputs h and z and
+# the next step's exogenous inputs x with a row of ones, so that a step's
+# pre-activations are one product of the previous block with a matrix
+# built once per call, biases riding on the ones row.  A step whose width
+# drops reads the first r_t columns of the previous block.  What needs no
+# recurrent state runs outside the step loops: the gate derivatives once
+# per run, and every weight gradient as one product over all rows.
 
 
-def _prev_rows(spans, n_rows: int) -> np.ndarray:
-    """For each row after the first step, the row of the same sequence
-    one step earlier; raises unless spans pack n_rows rows time-major."""
-    bounds = np.array(spans, dtype=np.int64).reshape(-1, 2)
-    counts = bounds[:, 1] - bounds[:, 0]
-    if (len(counts) == 0 or bounds[0, 0] != 0 or bounds[-1, 1] != n_rows
-            or counts.min() < 1 or np.any(counts[1:] > counts[:-1])
-            or np.any(bounds[1:, 0] != bounds[:-1, 1])):
+def _layout(spans, n_rows: int):
+    """(runs, prev) of spans that pack n_rows rows time-major: runs lists
+    each run of steps of equal width as (first row, end row, width), and
+    prev gives each row after the first step the row of the same sequence
+    one step earlier; raises unless spans pack the rows that way."""
+    runs, end = [], 0
+    for lo, hi in spans:
+        w = hi - lo
+        if lo != end or w < 1 or (runs and w > runs[-1][2]):
+            raise ValueError(f"spans do not pack {n_rows} rows time-major")
+        if runs and w == runs[-1][2]:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi, w])
+        end = hi
+    if not runs or end != n_rows:
         raise ValueError(f"spans do not pack {n_rows} rows time-major")
-    step = np.repeat(np.arange(len(counts) - 1), counts[1:])
-    return np.arange(counts[0], n_rows) - counts[step]
+    # a run's first step reaches back by the previous run's width, its
+    # other steps by its own
+    sizes, shifts = [], []
+    for k, (a, b, w) in enumerate(runs):
+        if k:
+            sizes.append(w)
+            shifts.append(runs[k - 1][2])
+        sizes.append(b - a - w)
+        shifts.append(w)
+    prev = np.arange(runs[0][2], n_rows) - np.repeat(shifts, sizes)
+    return [tuple(r) for r in runs], prev
 
 
-def _gru_matrix(U, Wz=None):
-    """K = [[U_ru^T, 0, U_c^T], [W_z,ru^T, W_z,c^T, 0]], such that a row
-    [h, z] @ K is [U_ru h + W_z,ru z, W_z,c z, U_c h]: the reset and
-    update gates' recurrent terms, the candidate's z input and U_c h.
-    Wz is W's z columns with n zero rows appended (pre's layout, see
-    _gru_step); without it, K has h's rows only."""
-    n = U.shape[1]
-    K = np.zeros((n + (0 if Wz is None else Wz.shape[1]), 4 * n))
-    K[:n, :2 * n] = U[:2 * n].T
-    K[:n, 3 * n:] = U[2 * n:].T
-    if Wz is not None:
-        K[n:] = Wz.T
-    return K
+def _run_rows(X, run):
+    """The rows of one run (first row, end row, width) of a row-major
+    array as a (steps, columns, width) view of it."""
+    a, b, w = run
+    return X[a:b].reshape(-1, w, X.shape[1]).transpose(0, 2, 1)
 
 
-def _first_block(h0, n0, K):
-    """The [h, z] rows the first step starts from: h0 and z = 0."""
-    blk = np.zeros((n0, K.shape[0]))
-    blk[:, :K.shape[1] // 4] = h0
-    return blk
-
-
-def _gru_step(blk, K, pre, h):
-    """One gated recurrent update, gates packed [reset; update; cand]:
-    the step's rows blk = [h_prev, z_prev] become rows h.  pre holds the
-    other inputs' pre-activations [W @ x + b, 0] on entry (a zero block
-    under U_c h, so that one add of whole rows completes it) and on exit
-    the reset and update gates' pre-activations, the candidate's and
-    U_c h_prev: what the backward pass reads."""
-    n = h.shape[1]
-    pre += blk @ K
-    # expit reads a strided block of several rows at half its speed on
-    # contiguous memory, which a copy first more than pays for
-    ru = expit(np.ascontiguousarray(pre[:, :2 * n]))
-    pre_c = pre[:, 2 * n:3 * n]
-    pre_c += ru[:, :n] * pre[:, 3 * n:]
-    hp = blk[:, :n]
-    np.subtract(np.tanh(pre_c), hp, out=h)
-    h *= ru[:, n:]
-    h += hp
-
-
-def _gru_factors(pre, hp):
-    """The gate derivatives of every row at once: ks as (rows, 4, n)
-    blocks, such that dh * ks (an adjoint row dh repeated over the four
-    blocks) is the adjoint of a step's blk @ K + [W @ x + b, 0] (see
-    _gru_step), and keep = 1 - u."""
-    n = hp.shape[1]
-    ru = expit(np.ascontiguousarray(pre[:, :2 * n]))   # see _gru_step
-    r, u = ru[:, :n], ru[:, n:]
-    keep = 1.0 - u
-    ks = np.empty((hp.shape[0], 4, n))
-    kr, ku, kc, kh = ks[:, 0], ks[:, 1], ks[:, 2], ks[:, 3]
-    np.tanh(pre[:, 2 * n:3 * n], out=kc)          # c
-    np.subtract(kc, hp, out=ku)
-    ku *= u
-    ku *= keep                                    # (c - h) u (1 - u)
-    np.multiply(kc, kc, out=kc)
-    np.subtract(1.0, kc, out=kc)
-    kc *= u                                       # u (1 - c^2)
-    np.multiply(kc, r, out=kh)                    # u (1 - c^2) r
-    np.multiply(kh, pre[:, 3 * n:], out=kr)
-    kr *= 1.0 - r                                 # U_c h u (1 - c^2) r (1 - r)
-    return ks, keep
-
-
-def _gru_step_vjp(dh, ks, keep, KT, ds):
-    """Backward through one step: writes the adjoint of blk @ K + [W @ x
-    + b, 0] (as (rows, 4, n) blocks) into ds and returns that of the
-    step's rows blk = [h_prev, z_prev], with one product; the adjoint of
-    W @ x + b is ds's first three blocks."""
-    np.multiply(ks, dh[:, None, :], out=ds)
-    d = ds.reshape(len(dh), -1) @ KT
-    d[:, :dh.shape[1]] += dh * keep
-    return d
-
-
-def _gru_dU(dS, hp):
-    """The gradient of U from the stacked adjoints of the steps' sums."""
-    n = hp.shape[1]
-    return np.concatenate((dS[:, :2].reshape(len(hp), 2 * n).T @ hp,
-                           dS[:, 3].T @ hp))
+def _blocks(X, run):
+    """One run's rows of X as contiguous step blocks."""
+    return np.ascontiguousarray(_run_rows(X, run))
 
 
 def _hprev(h0, H, prev):
@@ -596,75 +548,10 @@ def _hprev(h0, H, prev):
     return np.concatenate((np.broadcast_to(h0, (n0, H.shape[1])), H[prev]))
 
 
-def _gru_scan(U, h0, S, spans):
-    # rows S of input pre-activations W @ x + b; h0 is one initial state
-    # for every sequence or one row per sequence of the first step
-    n_rows = S.shape[0] if S.ndim == 2 else -1
-    n = U.shape[-1] if U.ndim else 0
-    prev = _prev_rows(spans, n_rows)
-    if (U.shape != (3 * n, n) or S.shape != (n_rows, 3 * n)
-            or h0.shape not in ((n,), (spans[0][1], n))):
-        raise ValueError(f"gru_scan shapes unsupported: U {U.shape}, "
-                         f"h0 {h0.shape}, S {S.shape}")
-    K = _gru_matrix(U)
-    H = np.empty((n_rows, n))
-    pre = np.zeros((n_rows, 4 * n))
-    pre[:, :3 * n] = S
-    blk = _first_block(h0, spans[0][1], K)
-    for lo, hi in spans:
-        if lo:
-            blk = H[plo:plo + hi - lo]
-        _gru_step(blk, K, pre[lo:hi], H[lo:hi])
-        plo = lo
-    # The gates saturate, so an overflow in S or U @ h would leave a
-    # finite output.  Every entry of both reaches pre, and a NaN/Inf
-    # there stays NaN/Inf (r > 0, or r * inf is NaN), so this check also
-    # covers them.
-    _check_finite("gru_scan", pre)
-    return H, (spans, prev, K, pre)
-
-
-def _gru_scan_vjp(g, vals, out, aux):
-    U, h0, S = vals
-    spans, prev, K, pre = aux
-    n_rows, n = out.shape
-    hp = _hprev(h0, out, prev)
-    ks, keep = _gru_factors(pre, hp)
-    KT = np.ascontiguousarray(K.T)
-    dH = np.array(g)
-    dS = np.empty((n_rows, 4, n))
-    for t in range(len(spans) - 1, -1, -1):
-        lo, hi = spans[t]
-        dhp = _gru_step_vjp(dH[lo:hi], ks[lo:hi], keep[lo:hi], KT, dS[lo:hi])
-        if t:
-            plo = spans[t - 1][0]
-            dH[plo:plo + hi - lo] += dhp
-    return (_gru_dU(dS, hp), dhp.sum(axis=0) if h0.ndim == 1 else dhp,
-            dS[:, :3].reshape(n_rows, -1))
-
-
-LATENT_INPUTS = ("xu", "eps", "h0", "W", "U", "b", "W1", "b1",
-                 "Wm", "bm", "Wv", "bv")
-
-
-def _latent_columns(n_h: int, n_z: int, sample: bool) -> dict[str, slice]:
-    """The columns of each output block of latent_scan, in order.  h
-    sits right before the sample (the mean without noise), so a step's
-    rows [h, z] are one block, the next step's [h_prev, z_prev]."""
-    widths = ([("mean", n_z), ("log_var", n_z)] if sample else []) + (
-        [("h", n_h)] if n_h else []) + [("z" if sample else "mean", n_z),
-                                        ("z_prev", n_z)]
-    cols, off = {}, 0
-    for name, w in widths:
-        cols[name] = slice(off, off + w)
-        off += w
-    return cols
-
-
 def _col_blocks(M, order, width) -> dict:
     """The column blocks of M named in order, of the given widths."""
     if M.ndim != 2 or M.shape[1] != sum(width[k] for k in order):
-        raise ValueError(f"latent_scan: {M.shape} weights for input blocks "
+        raise ValueError(f"scan: {M.shape} weights for input blocks "
                          f"{tuple(order)}")
     out, off = {}, 0
     for k in order:
@@ -679,19 +566,422 @@ def _head_layers(p, lv_scale):
     the first layer F, f on the head's input (M, m itself without W1)."""
     M, m = p["Wm"], p["bm"]
     if "eps" in p:
-        M = np.concatenate((M, p["Wv"] * lv_scale))
-        m = np.concatenate((m, p["bv"] * lv_scale))
+        Mv, mv = p["Wv"], p["bv"]
+        if lv_scale != 1.0:
+            Mv, mv = Mv * lv_scale, mv * lv_scale
+        M, m = np.concatenate((M, Mv)), np.concatenate((m, mv))
     return (M, m) + ((p["W1"], p["b1"]) if "W1" in p else (M, m))
 
 
-def _projection(x, blocks, b):
-    """x @ W_x.T + b for the "xu" column block of W, or b on every row
-    when W has none: the part of a layer computed once for all rows."""
-    if "xu" not in blocks:
-        return np.broadcast_to(b, (x.shape[0], b.shape[0]))
-    out = x @ blocks["xu"].T
-    out += b
-    return out
+class _ScanParts:
+    """The state layout and the matrices of one scan call.
+
+    A state block's rows are [x; 1; h; z]: rows[name] for "xu", "one",
+    "h" and "z".  The forward pass reads KT: KT @ block (of the previous
+    step) is a step's pre-activations, pre, with a GRU its reset and
+    update gates, its candidate's W x + b and U_c h (see _gru_step),
+    then, when the head reads x or z, its first layer on those blocks
+    plus its bias.  Its part on h is Fh; a head that reads h alone is
+    FhB = [f, F_h] on the block's [1; h] rows.  After a hidden layer,
+    Mf = [M, m] maps [feat; 1] to [mean, log_var / 2].  The backward
+    pass reads MT = M^T, FhT = F_h^T and Kin, which maps the adjoint
+    blocks [(1 - u) dh; d pre] of a step to those of the [h; z] rows
+    of the block it read; Wc and Fc are W's and F's column blocks.
+    """
+
+    def __init__(self, p, n_x, gru_in, head_in, backward: bool):
+        self.gru, self.head = "W" in p, "Wm" in p
+        self.sample, self.hidden = "eps" in p, "W1" in p
+        n_h = self.n_h = p["U"].shape[1] if self.gru else 0
+        n_z = self.n_z = p["Wm"].shape[0] if self.head else 0
+        width = {"xu": n_x, "h": n_h, "z": n_z}
+        rows, off = {}, 0
+        for k, n in (("xu", n_x), ("one", 1), ("h", n_h), ("z", n_z)):
+            rows[k] = slice(off, off + n)
+            off += n
+        self.rows, self.n_state = rows, off
+        self.prev_in = [k for k in head_in if k != "h"]
+        self.reads_h = "h" in head_in
+        self.Wc = _col_blocks(p["W"], gru_in, width) if self.gru else {}
+        self.Fc, self.n_a = {}, 0
+        if self.head:
+            M, m, F, f = _head_layers(p, 1.0 if backward else 0.5)
+            self.Fc, self.n_a = _col_blocks(F, head_in, width), F.shape[0]
+        n_pre = 4 * n_h + (self.n_a if self.prev_in else 0)
+        if backward:
+            if self.head:
+                self.MT = np.ascontiguousarray(M.T)
+                if self.reads_h:
+                    self.FhT = np.ascontiguousarray(self.Fc["h"].T)
+            # the identity block passes (1 - u) dh on to h_prev
+            Kin = self.Kin = np.zeros((n_h + n_z, n_h + n_pre))
+            if self.gru:
+                Kin[range(n_h), range(n_h)] = 1.0
+                U = p["U"]
+                Kin[:n_h, n_h:3 * n_h] = U[:2 * n_h].T
+                Kin[:n_h, 4 * n_h:5 * n_h] = U[2 * n_h:].T
+                if "z" in self.Wc:
+                    Kin[n_h:, n_h:4 * n_h] = self.Wc["z"].T
+            if "z" in self.prev_in:
+                Kin[n_h:, 5 * n_h:] = self.Fc["z"].T
+            return
+        if self.hidden:
+            self.Mf = np.concatenate((M, m[:, None]), axis=1)
+        if self.reads_h:
+            self.Fh = np.ascontiguousarray(self.Fc["h"])
+            if not self.prev_in:
+                self.FhB = np.concatenate((f[:, None], self.Fc["h"]), axis=1)
+        KT = self.KT = np.zeros((n_pre, off))
+        if self.gru:
+            for k, Wk in self.Wc.items():
+                KT[:3 * n_h, rows[k]] = Wk
+            KT[:3 * n_h, rows["one"].start] = p["b"]
+            KT[:2 * n_h, rows["h"]] = p["U"][:2 * n_h]
+            KT[3 * n_h:4 * n_h, rows["h"]] = p["U"][2 * n_h:]
+        for k in self.prev_in:
+            KT[4 * n_h:, rows[k]] = self.Fc[k]
+        if self.prev_in:
+            KT[4 * n_h:, rows["one"].start] = f
+
+
+def _gru_step(pre, hp, h):
+    """One gated recurrent update of a step block, gates packed [reset;
+    update; cand]: pre holds its pre-activations [W x + b + U h for the
+    reset and update gates; W x + b for the candidate; U_c h_prev] and
+    the previous states hp become h.  On exit pre's third block is the
+    candidate's whole pre-activation, which the backward pass reads."""
+    n = h.shape[0]
+    ru = expit(pre[:2 * n])
+    pre_c = pre[2 * n:3 * n]
+    pre_c += ru[:n] * pre[3 * n:4 * n]
+    np.tanh(pre_c, out=h)
+    h -= hp
+    h *= ru[n:]
+    h += hp
+
+
+def _gru_factors(pre, hp):
+    """The gate derivatives of a run's steps at once, as (steps, 5, n,
+    width) blocks [1 - u, kr, ku, kc, kh], such that dh times them (dh
+    repeated over the five) is the adjoint of h_prev through 1 - u and
+    of pre's four gate blocks (see _gru_step)."""
+    n = hp.shape[1]
+    ks = np.empty((pre.shape[0], 5, n, pre.shape[2]))
+    keep, kr, ku, kc, kh = (ks[:, j] for j in range(5))
+    ru = expit(pre[:, :2 * n])
+    r, u = ru[:, :n], ru[:, n:]
+    np.subtract(1.0, u, out=keep)
+    np.tanh(pre[:, 2 * n:3 * n], out=kc)          # c
+    np.subtract(kc, hp, out=ku)
+    ku *= u
+    ku *= keep                                    # (c - h) u (1 - u)
+    np.multiply(kc, kc, out=kc)
+    np.subtract(1.0, kc, out=kc)
+    kc *= u                                       # u (1 - c^2)
+    np.multiply(kc, r, out=kh)                    # u (1 - c^2) r
+    np.multiply(kh, pre[:, 3 * n:4 * n], out=kr)
+    kr *= 1.0 - r                                 # U_c h u (1 - c^2) r (1 - r)
+    return ks
+
+
+def _scan_columns(sp):
+    """The output's column blocks and the columns of its [h, z] rows."""
+    if not sp.head:
+        return {"h": slice(0, sp.n_h)}, slice(0, sp.n_h)
+    cols = _latent_columns(sp.n_h, sp.n_z, sp.sample)
+    zc = cols["z" if sp.sample else "mean"]
+    return cols, slice(zc.start - sp.n_h, zc.stop)
+
+
+def _scan(op, xs, p, layout, gru_in, head_in, clip, pin_first):
+    # One chain over packed rows (see _latent_scan): the exogenous column
+    # blocks xs, and p's GRU (W, U, b, h0) and head weights if any.
+    runs, prev = layout
+    n_rows = xs[0].shape[0]
+    sp = _ScanParts(p, sum(x.shape[1] for x in xs), gru_in, head_in, False)
+    gru, head, sample, hidden = sp.gru, sp.head, sp.sample, sp.hidden
+    n_h, n_z, rows, KT = sp.n_h, sp.n_z, sp.rows, sp.KT
+    hs, zs, a_rows = rows["h"], rows["z"], slice(4 * n_h, None)
+    one_h = slice(rows["one"].start, hs.stop)
+    prev_in, reads_h = sp.prev_in, sp.reads_h
+    cols, hz_cols = _scan_columns(sp)
+    out = np.zeros((n_rows, max(c.stop for c in cols.values())))
+    if sample:
+        # the log-variance rows of the head's output are halved (exactly, a
+        # power of two): the loop clips half the log-variance and
+        # exponentiates it directly
+        lv_lo, lv_hi = clip[0] * 0.5, clip[1] * 0.5
+        eps = p["eps"]
+    n_hid = p["W1"].shape[0] if hidden else 0
+    # the block the first step reads: x_0 (filled below), 1, h0 and z = 0
+    blk = np.zeros((sp.n_state, runs[0][2]))
+    blk[rows["one"]] = 1.0
+    if gru:
+        h0 = p["h0"]
+        blk[hs] = h0.T if h0.ndim == 2 else h0[:, None]
+    PRE, FEAT = [], []
+    for k, run in enumerate(runs):
+        a, b, w = run
+        s = (b - a) // w
+        S = np.empty((s, sp.n_state, w))
+        S[:, rows["one"]] = 1.0
+        off = 0
+        for x in xs:    # each step's inputs go into the block before it
+            c = x.shape[1]
+            blk[off:off + c, :w] = x[a:a + w].T
+            if s > 1:
+                np.copyto(S[:-1, off:off + c], _run_rows(x, (a + w, b, w)))
+            off += c
+        pre = np.empty((s, KT.shape[0], w))
+        checked = [pre]
+        if head:
+            if prev_in:
+                A_run = pre[:, a_rows]
+            else:
+                A_run = np.zeros((s, sp.n_a, w))
+                checked.append(A_run)
+            ML = A_run
+            if hidden:
+                FE = np.zeros((s, n_hid + 1, w))
+                FE[:, n_hid] = 1.0
+                FEAT.append(FE)
+                if sample:
+                    ML = np.zeros((s, 2 * n_z, w))
+                    checked.append(ML)
+            if sample:
+                E = _blocks(eps, run)
+                LVH = np.zeros((s, n_z, w))   # half log-variance after the clip
+        inp = blk[:, :w]
+        for i in range(s):
+            blk = S[i]
+            pre_t = pre[i]
+            np.matmul(KT, inp, out=pre_t)
+            if gru:
+                _gru_step(pre_t, inp[hs], blk[hs])
+            if head and pin_first and not (k or i):   # the first step is N(0, I)
+                if sample:
+                    np.copyto(blk[zs], E[0])
+                else:
+                    blk[zs] = 0.0
+            elif head:
+                a_t = A_run[i]
+                if not prev_in:
+                    np.matmul(sp.FhB, blk[one_h], out=a_t)
+                elif reads_h:
+                    a_t += sp.Fh @ blk[hs]
+                ml = a_t
+                if hidden:
+                    f_t = FE[i]
+                    np.tanh(a_t, out=f_t[:n_hid])
+                    ml = ML[i] if sample else blk[zs]
+                    np.matmul(sp.Mf, f_t, out=ml)
+                elif not sample:
+                    np.copyto(blk[zs], ml)
+                if sample:
+                    lvh = np.maximum(ml[n_z:], lv_lo, out=LVH[i])
+                    np.minimum(lvh, lv_hi, out=lvh)
+                    z = np.exp(lvh, out=blk[zs])
+                    z *= E[i]
+                    z += ml[:n_z]
+            inp = blk
+        # every pre-activation that feeds a saturating function: the
+        # gates, the head's hidden tanh layer and the log-variance clip.
+        # An overflow there would leave a finite output, and every input
+        # entry a step reads reaches pre.
+        _check_finite(op, *checked)
+        np.copyto(_run_rows(out[:, hz_cols], run), S[:, hs.start:])
+        if sample:
+            np.copyto(_run_rows(out[:, cols["mean"]], run), ML[:, :n_z])
+            np.multiply(LVH, 2.0, out=_run_rows(out[:, cols["log_var"]], run))
+        PRE.append(pre)
+    if head:
+        n0 = runs[0][2]
+        if pin_first and sample:
+            out[:n0, cols["mean"].start:cols["log_var"].stop] = 0.0
+        out[n0:, cols["z_prev"]] = out[prev, cols["z" if sample else "mean"]]
+    return out, dict(runs=runs, prev=prev, PRE=PRE, FEAT=FEAT, gru_in=gru_in,
+                     head_in=head_in, clip=clip, pin_first=pin_first)
+
+
+def _scan_vjp(g, xs, p, out, aux):
+    runs, prev, PRE, FEAT = aux["runs"], aux["prev"], aux["PRE"], aux["FEAT"]
+    n_rows = out.shape[0]
+    n_x = sum(x.shape[1] for x in xs)
+    sp = _ScanParts(p, n_x, aux["gru_in"], aux["head_in"], True)
+    gru, head, sample, hidden = sp.gru, sp.head, sp.sample, sp.hidden
+    n_h, n_z, prev_in, reads_h = sp.n_h, sp.n_z, sp.prev_in, sp.reads_h
+    pin_first = aux["pin_first"]
+    cols, hz_cols = _scan_columns(sp)
+    n0 = runs[0][2]
+    n_k = n_h if gru else 0          # the (1 - u) dh block before d pre
+    a_rows = slice(n_k + 4 * n_h, None)
+    Kin = sp.Kin
+
+    # the adjoint of each step's [h; z] outputs; a z_prev row's goes to
+    # the previous row of its sequence
+    dHZ = np.array(g[:, hz_cols])
+    if head:
+        dHZ[prev, n_h:] += g[n0:, cols["z_prev"]]
+    DHZ = [_blocks(dHZ, run) for run in runs]
+    if gru:
+        H = out[:, cols["h"]]
+        hp = _hprev(p["h0"], H, prev)
+    if sample:
+        lv_lo, lv_hi = aux["clip"]
+        LV = out[:, cols["log_var"]]
+        inside = (LV > lv_lo) & (LV < lv_hi)   # where the clip passes
+        std = np.exp(LV * 0.5)
+        dML = np.concatenate((g[:, cols["mean"]], g[:, cols["log_var"]] * inside),
+                             axis=1)
+        # d z / d [mean, log_var], which the loop multiplies by dz
+        k_z = np.concatenate((np.ones_like(std), 0.5 * std * p["eps"] * inside),
+                             axis=1)
+    dS = np.empty((n_rows, sp.Kin.shape[1]))
+    if head and not prev_in:
+        dA = np.empty((n_rows, sp.n_a))
+    if hidden:
+        dMLr = dML if sample else np.empty((n_rows, n_z))
+        feat = np.empty((n_rows, FEAT[0].shape[1]))
+    for k in range(len(runs) - 1, -1, -1):
+        run = runs[k]
+        a, b, w = run
+        s = (b - a) // w
+        DHZk = DHZ[k]
+        ds = np.zeros((s, dS.shape[1], w))
+        if gru:
+            ks = _gru_factors(PRE[k], _run_rows(hp, run))
+            ds5 = ds[:, :5 * n_h].reshape(s, 5, n_h, w)
+        if head:
+            DA = ds[:, a_rows] if prev_in else np.zeros((s, sp.n_a, w))
+            if hidden:
+                D = np.square(FEAT[k][:, :-1])
+                np.subtract(1.0, D, out=D)         # tanh'
+            if sample:
+                DML = _blocks(dML, run)
+                DML2 = DML.reshape(s, 2, n_z, w)
+                KZ = _blocks(k_z, run).reshape(s, 2, n_z, w)
+        for i in range(s - 1, -1, -1):
+            dhz = DHZk[i]
+            dh = dhz[:n_h]
+            if head and pin_first and not (k or i):   # the pinned step ran no head
+                if sample:
+                    DML[0] = 0.0
+            elif head:
+                if sample:
+                    dml, dml2 = DML[i], DML2[i]
+                    dml2 += KZ[i] * dhz[n_h:]
+                else:
+                    dml = dhz[n_h:]
+                da = DA[i]
+                if hidden:
+                    np.matmul(sp.MT, dml, out=da)
+                    da *= D[i]
+                else:
+                    np.copyto(da, dml)
+                if reads_h:
+                    dh += sp.FhT @ da
+            if gru:
+                np.multiply(ks[i], dh, out=ds5[i])
+            d = Kin @ ds[i]
+            if i:
+                dprev = DHZk[i - 1]
+                dprev += d
+            elif k:
+                dprev = DHZ[k - 1][-1][:, :w]
+                dprev += d
+        np.copyto(_run_rows(dS, run), ds)
+        if head and not prev_in:
+            np.copyto(_run_rows(dA, run), DA)
+        if hidden:
+            np.copyto(_run_rows(dMLr, run), DML if sample else DHZk[:, n_h:])
+            np.copyto(_run_rows(feat, run), FEAT[k])
+        if sample:
+            np.copyto(_run_rows(dHZ, run), DHZk)
+    if hidden and pin_first and not sample:   # the pinned step's mean is 0
+        dMLr[:n0] = 0.0
+
+    named = {"z": out[:, cols["z_prev"]] if head else None,
+             "h": H if gru else None}
+
+    def inputs(order):   # the input rows of the blocks in order
+        return [x for key in order for x in (xs if key == "xu" else [named[key]])]
+
+    dpre = dS[:, n_k:]
+    grads = {}
+    if gru:
+        dg = dpre[:, :3 * n_h]
+        grads["W"] = np.concatenate([dg.T @ x for x in inputs(aux["gru_in"])],
+                                    axis=1)
+        grads["U"] = np.concatenate((dpre[:, :2 * n_h].T @ hp,
+                                     dpre[:, 3 * n_h:4 * n_h].T @ hp))
+        grads["b"] = dg.sum(axis=0)
+        dh0 = d[:n_h]
+        grads["h0"] = dh0.sum(axis=1) if p["h0"].ndim == 1 else dh0.T
+    if head:
+        if prev_in:
+            dA = dpre[:, 4 * n_h:]
+        dF = np.concatenate([dA.T @ x for x in inputs(aux["head_in"])], axis=1)
+        df = dA.sum(axis=0)
+        if hidden:
+            grads["W1"], grads["b1"] = dF, df
+            dMf = dMLr.T @ feat
+            dF, df = dMf[:, :-1], dMf[:, -1]
+        grads["Wm"], grads["bm"] = dF[:n_z], df[:n_z]
+        if sample:
+            grads["Wv"], grads["bv"] = dF[n_z:], df[n_z:]
+            grads["eps"] = dHZ[:, n_h:] * std
+    dx = np.zeros((n_rows, n_x))
+    if "xu" in sp.Wc:
+        dx += dpre[:, :3 * n_h] @ sp.Wc["xu"]
+    if "xu" in prev_in:
+        dx += dA @ sp.Fc["xu"]
+    dxs, off = [], 0
+    for x in xs:
+        dxs.append(dx[:, off:off + x.shape[1]])
+        off += x.shape[1]
+    return grads, dxs
+
+
+def _gru_scan(W, U, b, h0, *xs, spans):
+    # the GRU over packed rows whose inputs are the column blocks xs, in
+    # W's column order; h0 is one initial state for every sequence or one
+    # row per sequence of the first step
+    n_rows = xs[0].shape[0] if xs and xs[0].ndim == 2 else -1
+    layout = _layout(spans, n_rows)
+    n = U.shape[-1] if U.ndim else 0
+    if (U.shape != (3 * n, n) or b.shape != (3 * n,)
+            or W.shape != (3 * n, sum(x.shape[-1] for x in xs))
+            or any(x.shape[:1] != (n_rows,) or x.ndim != 2 for x in xs)
+            or h0.shape not in ((n,), (layout[0][0][2], n))):
+        raise ValueError(f"gru_scan shapes unsupported: W {W.shape}, U {U.shape}, "
+                         f"b {b.shape}, h0 {h0.shape}, "
+                         f"inputs {[x.shape for x in xs]}")
+    return _scan("gru_scan", xs, dict(W=W, U=U, b=b, h0=h0), layout, ("xu",),
+                 (), None, False)
+
+
+def _gru_scan_vjp(g, vals, out, aux):
+    W, U, b, h0, *xs = vals
+    grads, dxs = _scan_vjp(g, xs, dict(W=W, U=U, b=b, h0=h0), out, aux)
+    return [grads[k] for k in ("W", "U", "b", "h0")] + dxs
+
+
+LATENT_INPUTS = ("xu", "eps", "h0", "W", "U", "b", "W1", "b1",
+                 "Wm", "bm", "Wv", "bv")
+
+
+def _latent_columns(n_h: int, n_z: int, sample: bool) -> dict[str, slice]:
+    """The columns of each output block of latent_scan, in order.  h
+    sits right before the sample (the mean without noise), so that a
+    step's [h, z] outputs are adjacent columns, as in the state block."""
+    widths = ([("mean", n_z), ("log_var", n_z)] if sample else []) + (
+        [("h", n_h)] if n_h else []) + [("z" if sample else "mean", n_z),
+                                        ("z_prev", n_z)]
+    cols, off = {}, 0
+    for name, w in widths:
+        cols[name] = slice(off, off + w)
+        off += w
+    return cols
 
 
 def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
@@ -703,204 +993,44 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
     #   mean    = Wm @ feat + bm
     #   log_var = clip(Wv @ feat + bv)
     #   z       = mean + exp(log_var / 2) * eps          (mean, without eps)
-    # The input blocks are "xu" (the exogenous rows, whose projections
-    # are computed once for all rows), "z" (z_prev) and "h".  With
-    # pin_first the first step's mean and log_var are 0, so its z is eps.
-    # The loop writes h, mean, log_var and z straight into the output,
-    # whose h columns sit right before z's (the mean's without eps), so
-    # that the GRU reads [h_prev, z_prev] as one block of the previous
-    # step's rows (see _gru_step).
+    # The input blocks are "xu" (the exogenous rows), "z" (z_prev) and
+    # "h".  With pin_first the first step's mean and log_var are 0, so
+    # its z is eps.  A step's product with the previous state block gives
+    # the GRU's pre-activations and the head's first layer on xu and z;
+    # the head's part on h reads the step's own block (see _ScanParts).
     p = dict(zip(names, arrays))
     sample, gru, hidden = "eps" in p, "W" in p, "W1" in p
     need = {"xu", "Wm", "bm"} | ({"Wv", "bv"} if sample else set()) | (
         {"h0", "U", "b"} if gru else set()) | ({"b1"} if hidden else set())
     if (len(p) != len(names) or not need <= set(p) <= set(LATENT_INPUTS)
-            or sample != ("Wv" in p) or gru != ("U" in p)):
+            or sample != ("Wv" in p) or gru != ("U" in p)
+            or not set(head_in) <= {"xu", "z"} | ({"h"} if gru else set())):
         raise ValueError(f"latent_scan inputs unsupported: {names}")
     xu = p["xu"]
     n_rows, n_z = xu.shape[0], p["Wm"].shape[0]
+    layout = _layout(spans, n_rows)
     n_h = p["U"].shape[1] if gru else 0
-    width = {"xu": xu.shape[1], "z": n_z, "h": n_h}
-    prev = _prev_rows(spans, n_rows)
-    n0 = spans[0][1]
-    # The log-variance rows are halved (exactly, a power of two): the
-    # loop clips half the log-variance and exponentiates it directly.
-    M, m, F, f = _head_layers(p, 0.5)
-    Fc = _col_blocks(F, head_in, width)
-    # W with n_h zero rows appended, so that its products fill pre's
-    # layout (see _gru_step) directly
-    Wc = (_col_blocks(np.pad(p["W"], ((0, n_h), (0, 0))), gru_in, width)
-          if gru else {})
-    if (m.shape != (M.shape[0],) or f.shape != (F.shape[0],)
-            or (hidden and M.shape[1] != F.shape[0])
-            or (sample and p["eps"].shape != (n_rows, n_z))
+    n_feat = p["W1"].shape[0] if hidden else p["Wm"].shape[-1]
+    if (xu.ndim != 2 or p["Wm"].ndim != 2 or p["bm"].shape != (n_z,)
+            or (hidden and (p["b1"].shape != (n_feat,)
+                            or p["Wm"].shape[1] != n_feat))
+            or (sample and (p["Wv"].shape != p["Wm"].shape
+                            or p["bv"].shape != (n_z,)
+                            or p["eps"].shape != (n_rows, n_z)))
             or (gru and (p["U"].shape != (3 * n_h, n_h)
                          or p["b"].shape != (3 * n_h,)
                          or p["h0"].shape != (n_h,)))):
         raise ValueError(f"latent_scan shapes unsupported: "
                          f"{[(k, p[k].shape) for k in names]}")
-
-    cols = _latent_columns(n_h, n_z, sample)
-    out = np.zeros((n_rows, cols["z_prev"].stop))
-    H = out[:, cols["h"]] if gru else None
-    Z = out[:, cols["z" if sample else "mean"]]
-    # [mean, log_var] are adjacent output columns, which the head's output
-    # layer fills at once; the log-variance columns hold half of it
-    # before the clip until the loop ends.
-    ML = out[:, cols["mean"].start:cols["mean"].start + M.shape[0]]
-    PA = np.zeros((n_rows, F.shape[0])) if hidden else ML  # first layer
-    FEAT = np.zeros_like(PA) if hidden else None
-    A0 = _projection(xu, Fc, f)
-    FzT, FhT = (np.ascontiguousarray(Fc[b].T) if b in Fc else None
-                for b in ("z", "h"))
-    MT = M.T
-    if sample:
-        eps = p["eps"]
-        LVH = np.zeros((n_rows, n_z))   # half log-variance after the clip
-        lv_lo, lv_hi = clip[0] * 0.5, clip[1] * 0.5
-    if gru:
-        # one product per step: the previous step's [h, z] output columns
-        # times K give every recurrent term of the gates (see _gru_step)
-        K = _gru_matrix(p["U"], Wc.get("z"))
-        HZ = out[:, cols["h"].start:cols["h"].start + K.shape[0]]
-        pre = _projection(xu, Wc, np.pad(p["b"], (0, n_h)))
-        if "xu" not in Wc:  # a broadcast of b, which the loop adds into
-            pre = pre.copy()
-        blk = _first_block(p["h0"], n0, K)
-    zp = np.zeros((n0, n_z))
-    for t, (lo, hi) in enumerate(spans):
-        if t:
-            zp = Z[plo:plo + hi - lo]
-            if gru:
-                blk = HZ[plo:plo + hi - lo]
-        if gru:
-            _gru_step(blk, K, pre[lo:hi], H[lo:hi])
-        ml = ML[lo:hi]
-        if t or not pin_first:
-            a = PA[lo:hi]
-            if FzT is None:
-                np.matmul(H[lo:hi], FhT, out=a)
-            else:
-                np.matmul(zp, FzT, out=a)
-                if FhT is not None:
-                    a += H[lo:hi] @ FhT
-            a += A0[lo:hi]
-            if hidden:
-                np.matmul(np.tanh(a, out=FEAT[lo:hi]), MT, out=ml)
-                ml += m
-        if sample:
-            lvh = np.maximum(ml[:, n_z:], lv_lo, out=LVH[lo:hi])
-            np.minimum(lvh, lv_hi, out=lvh)
-            z = np.exp(lvh, out=Z[lo:hi])
-            z *= eps[lo:hi]
-            z += ml[:, :n_z]
-        plo = lo
-    # every pre-activation that feeds a saturating function: the gates,
-    # the hidden tanh layer and the log-variance clip (see _gru_scan)
-    _check_finite("latent_scan", PA, ML, *((pre,) if gru else ()))
-    if sample:
-        np.multiply(LVH, 2.0, out=out[:, cols["log_var"]])
-    out[n0:, cols["z_prev"]] = Z[prev]
-    aux = dict(names=names, spans=spans, gru_in=gru_in, head_in=head_in,
-               clip=clip, pin_first=pin_first, prev=prev, width=width, Wc=Wc,
-               cols=cols, FEAT=FEAT,
-               gru=(K, pre) if gru else None)
+    out, aux = _scan("latent_scan", [xu], p, layout, gru_in, head_in, clip,
+                     pin_first)
+    aux["names"] = names
     return out, aux
 
 
 def _latent_scan_vjp(g, vals, out, aux):
     p = dict(zip(aux["names"], vals))
-    spans, prev, Wc, cols = aux["spans"], aux["prev"], aux["Wc"], aux["cols"]
-    M, _, F, _ = _head_layers(p, 1.0)
-    Fc = _col_blocks(F, aux["head_in"], aux["width"])
-    FEAT = aux["FEAT"]
-    sample, gru, hidden = "eps" in p, "W" in p, "W1" in p
-    xu = p["xu"]
-    n_rows, n_z = xu.shape[0], p["Wm"].shape[0]
-    n0 = spans[0][1]
-    n_h = p["U"].shape[1] if gru else 0
-    H = out[:, cols["h"]] if gru else None
-
-    G = {name: g[:, c] for name, c in cols.items()}
-    # the adjoint of the [h, z] columns: dH and dZ are views of one
-    # buffer, so a step's adjoint of [h_prev, z_prev] is one add
-    zc = cols["z" if sample else "mean"]
-    dHZ = np.array(g[:, zc.start - n_h:zc.stop])
-    dH, dZ = dHZ[:, :n_h], dHZ[:, n_h:]
-    if sample:
-        lv_lo, lv_hi = aux["clip"]
-        LV = out[:, cols["log_var"]]
-        inside = (LV > lv_lo) & (LV < lv_hi)   # where the clip passes
-        std = np.exp(LV * 0.5)
-        dML = np.concatenate((G["mean"], G["log_var"] * inside), axis=1)
-        k_lv = 0.5 * std * p["eps"] * inside    # d log_var / d z
-    else:
-        dML = dZ
-    dZ[prev] += G["z_prev"][n0:]
-    if hidden:  # starts as tanh' and becomes the adjoint row by row
-        dA = FEAT * FEAT
-        np.subtract(1.0, dA, out=dA)
-    else:
-        dA = dML
-    Fz, Fh = Fc.get("z"), Fc.get("h")
-    if gru:
-        K, pre = aux["gru"]
-        KT = np.ascontiguousarray(K.T)
-        hp = _hprev(p["h0"], H, prev)
-        ks, keep = _gru_factors(pre, hp)
-        dS = np.empty((n_rows, 4, n_h))
-
-    for t in range(len(spans) - 1, -1, -1):
-        lo, hi = spans[t]
-        dzp = None
-        if t or not aux["pin_first"]:
-            dml = dML[lo:hi]
-            if sample:
-                dz = dZ[lo:hi]
-                dml[:, :n_z] += dz
-                dml[:, n_z:] += dz * k_lv[lo:hi]
-            da = dml
-            if hidden:
-                da = dA[lo:hi]
-                da *= dml @ M
-            if Fh is not None:
-                dH[lo:hi] += da @ Fh
-            if Fz is not None:
-                dzp = da @ Fz
-        else:   # the pinned first step ran no head
-            dML[lo:hi] = 0.0
-            dA[lo:hi] = 0.0
-        if gru:
-            d = _gru_step_vjp(dH[lo:hi], ks[lo:hi], keep[lo:hi], KT, dS[lo:hi])
-        if t:
-            plo = spans[t - 1][0]
-            if gru:
-                dHZ[plo:plo + hi - lo, :K.shape[0]] += d
-            if dzp is not None:
-                dZ[plo:plo + hi - lo] += dzp
-
-    blocks = {"xu": xu, "z": out[:, cols["z_prev"]], "h": H}
-    grads = {"xu": np.zeros_like(xu)}
-    dF = np.concatenate([dA.T @ blocks[k] for k in aux["head_in"]], axis=1)
-    df = dA.sum(axis=0)
-    if hidden:
-        grads["W1"], grads["b1"] = dF, df
-        dF, df = dML.T @ FEAT, dML.sum(axis=0)
-    grads["Wm"], grads["bm"] = dF[:n_z], df[:n_z]
-    if sample:
-        grads["Wv"], grads["bv"] = dF[n_z:], df[n_z:]
-        grads["eps"] = dZ * std
-    if "xu" in Fc:
-        grads["xu"] += dA @ Fc["xu"]
-    if gru:
-        dS3 = dS[:, :3].reshape(n_rows, -1)     # the adjoint of W @ x + b
-        grads["W"] = np.concatenate([dS3.T @ blocks[k] for k in aux["gru_in"]],
-                                    axis=1)
-        grads["U"] = _gru_dU(dS, hp)
-        grads["b"] = dS3.sum(axis=0)
-        grads["h0"] = d[:, :n_h].sum(axis=0)
-        if "xu" in Wc:
-            grads["xu"] += dS.reshape(n_rows, -1) @ Wc["xu"]
+    grads, (grads["xu"],) = _scan_vjp(g, [p["xu"]], p, out, aux)
     return [grads[k] for k in aux["names"]]
 
 
@@ -995,9 +1125,11 @@ def affine(W: Tensor, x: Tensor, b: Tensor) -> Tensor:
     return apply_primitive("affine", W, x, b)
 
 
-def gru_scan(U: Tensor, h0: Tensor, S: Tensor, spans) -> Tensor:
-    """The stacked states of a GRU over packed rows S = W @ x + b."""
-    return apply_primitive("gru_scan", U, h0, S, spans=tuple(spans))
+def gru_scan(W: Tensor, U: Tensor, b: Tensor, h0: Tensor, xs,
+             spans) -> Tensor:
+    """The stacked states of a GRU over packed rows whose inputs are the
+    column blocks xs (a list of row tensors), in W's column order."""
+    return apply_primitive("gru_scan", W, U, b, h0, *xs, spans=tuple(spans))
 
 
 def latent_scan(inputs: dict[str, Tensor], spans, gru_in, head_in, clip,

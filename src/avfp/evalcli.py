@@ -36,6 +36,7 @@ from .data import (
 from .diffcore import NonFiniteError, Tensor, grad_check
 from .model import GaussianDiag, ModelParams, NetworkSpec, init_params
 from .objectives import (
+    Batch,
     adversarial_losses,
     combined_objective,
     filter_means,
@@ -404,10 +405,11 @@ def gradient_audit(draws: int = 20, seed: int = 0) -> dict[str, float]:
                             u=g.standard_normal((T, spec.n_u)))
                  for k, T in enumerate((5, 3))]
         noise = [g.standard_normal((t.length, spec.n_z)) for t in trajs]
+        batch = Batch(trajs)
 
         tensors, rebuild = _model_leaves(params, ("theta", "phi"))
         worst["elbo"] = max(worst["elbo"], grad_check(
-            lambda ps: sequence_elbo(rebuild(ps), trajs, noise)[0],
+            lambda ps: sequence_elbo(rebuild(ps), batch, batch.pack(noise))[0],
             tensors, step=1e-5))
 
         prior_noise = [g.standard_normal((t.length, spec.n_z)) for t in trajs]

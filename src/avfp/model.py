@@ -266,13 +266,13 @@ def recognition(params: ModelParams, xu, eps, spans) -> dict[str, Tensor]:
 def prior_history(params: ModelParams, z_prev: Tensor, u,
                   spans) -> Tensor | None:
     """The prior's recurrent summaries g_t of (z_{t-1}, u_t) over packed
-    rows: one input projection of every row, then one gru_scan; None in
-    markovian mode, which has no such summary."""
+    rows, one gru_scan; None in markovian mode, which has no such
+    summary."""
     if params.markovian:
         return None
     th = params.theta
-    s = affine(th["gru.W"], concat([z_prev, constant(u)], axis=1), th["gru.b"])
-    return gru_scan(th["gru.U"], th["g0"], s, spans)
+    return gru_scan(th["gru.W"], th["gru.U"], th["gru.b"], th["g0"],
+                    [z_prev, constant(u)], spans)
 
 
 def transition_prior(params: ModelParams, state: Tensor | None,

@@ -7,19 +7,19 @@ whose rows run step by step.  No padded row is ever computed: when a
 trajectory ends, the recurrent states are cut to the running rows.
 
 filter_forward is the recognition chain alone, one scan primitive over
-the whole batch: at each step the recognition summary is updated with
-the current observation first, the posterior over z_t is read off, and
-a reparameterized sample is drawn with externally supplied noise (or,
-for readouts, the posterior mean stands in for it, and the
-log-variance head is not run).  filter_means runs it with recording
-off for the remaining-life and health-index readouts.
+the whole batch (a Batch, built once per set of trajectories, with its
+noise rows): at each step the recognition summary is updated with the
+current observation first, the posterior over z_t is read off, and a
+reparameterized sample is drawn with externally supplied noise (or, for
+readouts, the posterior mean stands in for it, and the log-variance head
+is not run).  filter_means runs it with recording off for the
+remaining-life and health-index readouts.
 
-The evidence bound runs the prior's recurrence over the given latents
-as one input projection of all rows plus one gru_scan; the transition
-prior, the emission head, the log-density and the KL then run once each
-over all stacked rows.  A batch's tape therefore has the same length
-whatever its sequences' lengths.  The first-step prior is pinned to
-N(0, I).
+The evidence bound runs the prior's recurrence over the given latents as
+one gru_scan; the transition prior, the emission head, the log-density
+and the KL then run once each over all stacked rows.  A batch's tape
+therefore has the same length whatever its sequences' lengths.  The
+first-step prior is pinned to N(0, I).
 
 The adversarial pair treats latent sequences rolled out from the
 transition prior as real and recognition-sampled sequences as fake; the
@@ -66,9 +66,11 @@ class Batch:
 
     Step t owns rows spans[t] = (lo, hi) of every stacked array: one row
     per trajectory still running, longest trajectories first (ties keep
-    the input order).  rows[b] lists trajectory b's rows, one per cycle,
-    in the input order of the trajectories; x and u hold the packed
-    observations and inputs.
+    the input order).  length counts the cycles of all trajectories,
+    which is the number of stacked rows.  rows[b] lists trajectory b's
+    rows, one per cycle, in the input order of the trajectories; x and u
+    hold the packed observations and inputs, and xu the rows [x, u]
+    that the recognition chain reads.
     """
 
     def __init__(self, trajs: list[Trajectory]):
@@ -81,15 +83,16 @@ class Batch:
         counts = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
         offsets = np.concatenate(([0], np.cumsum(counts)))
         self.spans = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
-        self.n_rows = int(offsets[-1])
+        self.length = int(offsets[-1])
         self.rows = [offsets[:n] + rank[b] for b, n in enumerate(lengths)]
         self.x = self.pack([t.x for t in trajs])
         self.u = self.pack([t.u for t in trajs])
+        self.xu = np.hstack([self.x, self.u])
 
     def pack(self, arrays) -> np.ndarray:
         """Per-trajectory arrays (one leading row per cycle) as stacked rows."""
         arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-        out = np.empty((self.n_rows,) + arrays[0].shape[1:])
+        out = np.empty((self.length,) + arrays[0].shape[1:])
         for rows, a in zip(self.rows, arrays, strict=True):
             if a.shape != (len(rows),) + out.shape[1:]:
                 raise ValueError(f"array of shape {a.shape}, expected "
@@ -104,7 +107,7 @@ class Batch:
     @cached_property
     def pool(self) -> np.ndarray:
         """(B, N) matrix whose row b averages trajectory b's rows."""
-        pool = np.zeros((len(self.rows), self.n_rows))
+        pool = np.zeros((len(self.rows), self.length))
         for b, rows in enumerate(self.rows):
             pool[b, rows] = 1.0 / len(rows)
         return pool
@@ -167,17 +170,16 @@ def kl_diag_gaussians(q: GaussianDiag, p: GaussianDiag) -> Tensor:
     return gauss_kl(q.mean, q.log_var, p.mean, p.log_var)
 
 
-def filter_forward(params: ModelParams, trajs: list[Trajectory],
-                   noise: list[np.ndarray] | None) -> FilterPass:
+def filter_forward(params: ModelParams, batch: Batch,
+                   eps: np.ndarray | None) -> FilterPass:
     """The recognition chain over a batch, one time-major scan.
 
-    noise holds one (T_b, n_z) array per trajectory; None switches to
+    eps holds the noise rows, stacked as the batch's rows (batch.pack
+    of one (T_b, n_z) array per trajectory); None switches to
     deterministic filtering where the posterior mean stands in for the
     sample and nothing else of the posterior is computed.
     """
-    batch = Batch(trajs)
-    eps = None if noise is None else batch.pack(noise)
-    cols = recognition(params, np.hstack([batch.x, batch.u]), eps, batch.spans)
+    cols = recognition(params, batch.xu, eps, batch.spans)
     posterior = None if eps is None else GaussianDiag(cols["mean"],
                                                       cols["log_var"])
     return FilterPass(batch=batch, states=cols.get("h"), posterior=posterior,
@@ -190,7 +192,7 @@ def filter_means(params: ModelParams, trajs: list[Trajectory]
     stacked (N, d_h) recognition summaries h_t and (N, n_z) posterior
     means, one row per cycle."""
     with no_tape():
-        fp = filter_forward(params, trajs, None)
+        fp = filter_forward(params, Batch(trajs), None)
     b = fp.batch
     states = (np.hstack([b.x, b.u, fp.prev.data]) if fp.states is None
               else fp.states.data)
@@ -206,35 +208,35 @@ def _bound(params: ModelParams, fp: FilterPass) -> Bound:
     first = batch.spans[0][1]
     pinned = constant(np.zeros((first, params.spec.n_z)))
     prior = GaussianDiag(pinned, pinned)
-    if batch.n_rows > first:
+    if batch.length > first:
         later = transition_prior(
-            params, None if history is None else history.slice(first, batch.n_rows),
-            fp.prev.slice(first, batch.n_rows))
+            params, None if history is None else history.slice(first, batch.length),
+            fp.prev.slice(first, batch.length))
         prior = GaussianDiag(concat([pinned, later.mean]),
                              concat([pinned, later.log_var]))
     return Bound(fp=fp, prior=prior, recon=recon,
                  kl=kl_diag_gaussians(fp.posterior, prior))
 
 
-def sequence_elbo(params: ModelParams, trajs: list[Trajectory],
-                  noise: list[np.ndarray]) -> tuple[Tensor, Bound]:
-    """Single-sample evidence bound, summed over the batch."""
-    bound = _bound(params, filter_forward(params, trajs, noise))
+def sequence_elbo(params: ModelParams, batch: Batch,
+                  eps: np.ndarray) -> tuple[Tensor, Bound]:
+    """Single-sample evidence bound, summed over the batch, with the
+    noise rows eps stacked as the batch's rows."""
+    bound = _bound(params, filter_forward(params, batch, eps))
     return bound.recon.sum() - bound.kl.sum(), bound
 
 
-def prior_rollout(params: ModelParams, trajs: list[Trajectory],
-                  noise: list[np.ndarray]) -> Tensor:
+def prior_rollout(params: ModelParams, batch: Batch,
+                  eps: np.ndarray) -> Tensor:
     """Latent rows sampled from the transition prior chain, driven by
-    each trajectory's inputs and stacked as in Batch(trajs).
+    each trajectory's inputs, with the noise rows eps, both stacked as
+    the batch's rows.
 
     Evaluated outside any tape: rollouts feed the discriminator as
     constants, gradients never travel through them.
     """
-    batch = Batch(trajs)
     with no_tape():
-        return constant(prior_chain(params, batch.u, batch.pack(noise),
-                                    batch.spans).data)
+        return constant(prior_chain(params, batch.u, eps, batch.spans).data)
 
 
 def adversarial_losses(d_real: Tensor, d_fake: Tensor) -> tuple[Tensor, Tensor]:
@@ -271,26 +273,28 @@ def combined_objective(
     """
     if lambda_adv < 0.0:
         raise ValueError("lambda_adv must be non-negative")
-    bound = _bound(params, filter_forward(params, trajs, noise))
+    batch = Batch(trajs)
+    bound = _bound(params, filter_forward(params, batch, batch.pack(noise)))
     recon = bound.recon.sum()
     kl = bound.kl.sum()
     target = recon - kl if kl_weight == 1.0 else recon - kl * kl_weight
 
     adv_gen_rows = adv_disc_rows = np.zeros(len(trajs))
     if lambda_adv > 0.0:
-        pool = bound.fp.batch.pool
+        pool = batch.pool
         d_fake = discriminate(params, bound.fp.samples, pool)
         adv_gen = log(d_fake) * -1.0
         with no_tape():
             pn = prior_noise if prior_noise is not None else noise
-            d_real = discriminate(params, prior_rollout(params, trajs, pn), pool)
+            d_real = discriminate(params, prior_rollout(params, batch,
+                                                        batch.pack(pn)), pool)
             adv_disc = (log(d_real) + log(1.0 - d_fake)) * -1.0
         adv_gen_rows, adv_disc_rows = adv_gen.data, adv_disc.data
         target = target - adv_gen.sum() * lambda_adv
 
     recons = bound.per_trajectory(bound.recon)
     breakdowns = []
-    for b, rows in enumerate(bound.fp.batch.rows):
+    for b, rows in enumerate(batch.rows):
         kl_steps = bound.kl.data[rows]
         r, k, a = float(recons[b]), float(kl_steps.sum()), float(adv_gen_rows[b])
         breakdowns.append(ObjectiveBreakdown(

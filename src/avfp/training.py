@@ -68,6 +68,7 @@ from .model import (
     rul_head,
 )
 from .objectives import (
+    Batch,
     adversarial_losses,
     combined_objective,
     filter_forward,
@@ -283,10 +284,11 @@ def _discriminator_loss(params: ModelParams, trajs: list[Trajectory],
                         real_noise: list[np.ndarray]) -> Tensor:
     """Phase 1's loss: recognition samples (fake) against prior rollouts
     (real), both computed with recording off, so only psi is taped."""
+    batch = Batch(trajs)
     with no_tape():
-        fp = filter_forward(params, trajs, fake_noise)
-        real = prior_rollout(params, trajs, real_noise)
-    pool = fp.batch.pool
+        fp = filter_forward(params, batch, batch.pack(fake_noise))
+        real = prior_rollout(params, batch, batch.pack(real_noise))
+    pool = batch.pool
     d_fake = discriminate(params, constant(fp.samples.data), pool)
     d_real = discriminate(params, real, pool)
     return adversarial_losses(d_real, d_fake)[0]
@@ -442,13 +444,14 @@ def fit_recognition(params: ModelParams, trajs: list[Trajectory], steps: int,
     """
     phi_group = params.group("phi")
     opt = OptimizerState(1e-2)
+    batches = [Batch([traj]) for traj in trajs]
     trace = []
     for step in range(1, steps + 1):
-        traj = trajs[(step - 1) % len(trajs)]
-        noise = rng.normal(seed, (traj.length, params.spec.n_z),
-                           "fit-phi", step)
+        batch = batches[(step - 1) % len(trajs)]
+        noise = rng.normal(seed, (batch.length, params.spec.n_z),
+                           "fit-phi", step)   # one trajectory: packed as drawn
         with _adam_update(phi_group, opt, GRADIENT_CLIP_NORM) as update:
-            elbo, _ = sequence_elbo(params, [traj], [noise])
+            elbo, _ = sequence_elbo(params, batch, noise)
             update.loss = elbo * -1.0
         trace.append(elbo.item())
     return trace
@@ -460,8 +463,9 @@ def mc_elbo(params: ModelParams, traj: Trajectory, draws: int,
     the draws are the rows of one batch."""
     noise = [rng.normal(seed, (traj.length, params.spec.n_z), "mc-elbo", d)
              for d in range(draws)]
+    batch = Batch([traj] * draws)
     with no_tape():
-        _, bound = sequence_elbo(params, [traj] * draws, noise)
+        _, bound = sequence_elbo(params, batch, batch.pack(noise))
     vals = bound.per_trajectory(bound.recon) - bound.per_trajectory(bound.kl)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(draws))
 

@@ -64,12 +64,12 @@ def test_batch_layout():
     # longest first: trajectory 0 (9), then 2 (7), then 1 (5)
     assert batch.spans[:2] == [(0, 3), (3, 6)]
     assert [hi - lo for lo, hi in batch.spans] == [3] * 5 + [2] * 2 + [1] * 2
-    assert batch.n_rows == sum(LENGTHS)
+    assert batch.length == sum(LENGTHS)
     assert batch.rows[0][:3].tolist() == [0, 3, 6]
     assert batch.rows[2][:3].tolist() == [1, 4, 7]
     assert batch.rows[1][:3].tolist() == [2, 5, 8]
     assert np.array_equal(np.sort(np.concatenate(batch.rows)),
-                          np.arange(batch.n_rows))
+                          np.arange(batch.length))
     for t, x in zip(ragged(spec), batch.unpack(batch.x)):
         assert np.array_equal(t.x, x)
     assert np.allclose(batch.pool.sum(axis=1), 1.0)
@@ -131,9 +131,10 @@ def test_mc_elbo_rows_equal_single_draws(markovian):
     noise = [rng.normal(9, (traj.length, spec.n_z), "mc-elbo", d)
              for d in range(draws)]
     with no_tape():
-        _, bound = sequence_elbo(params, [traj] * draws, noise)
+        batch = Batch([traj] * draws)
+        _, bound = sequence_elbo(params, batch, batch.pack(noise))
         rows = bound.per_trajectory(bound.recon) - bound.per_trajectory(bound.kl)
-        single = np.array([sequence_elbo(params, [traj], [n])[0].item()
+        single = np.array([sequence_elbo(params, Batch([traj]), n)[0].item()
                            for n in noise])
     assert_close(rows, single)
     mean, se = mc_elbo(params, traj, draws, seed=9)

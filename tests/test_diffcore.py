@@ -354,16 +354,15 @@ def _row(v):
 
 def _gru_cell(W, U, b, h, x):
     """One gated update of the rows h with inputs x, as the model runs
-    it: one input projection, then a single-step gru_scan whose
-    initial state holds one row per sequence."""
-    return dc.gru_scan(U, h, dc.affine(W, x, b), [(0, h.shape[0])])
+    it: a single-step gru_scan whose initial state holds one row per
+    sequence."""
+    return dc.gru_scan(W, U, b, h, [x], [(0, h.shape[0])])
 
 
 def _fused_cases():
     """(name, fused f, unfused f, param arrays, grad_check step).
 
-    affine and gru_cell (an input projection and a single-step gru_scan)
-    take row batches: the fused form runs on the vector inputs lifted to
+    affine and gru_cell (a single-step gru_scan) take row batches: the fused form runs on the vector inputs lifted to
     one row each, B = 1, and the unfused composition on the vectors
     themselves.
     Vector inputs and the output weights have magnitudes in [s/2, 3s/2],
@@ -602,8 +601,9 @@ def test_fused_shape_errors():
     with pytest.raises(ValueError):
         dc.affine(Tensor(np.ones(4)), Tensor(np.ones((2, 5, 4))), Tensor(0.0))
     with pytest.raises(ValueError):  # U is not (3 n, n)
-        dc.gru_scan(Tensor(np.ones((9, 2))), Tensor(np.ones(2)),
-                    Tensor(np.ones((1, 6))), [(0, 1)])
+        dc.gru_scan(Tensor(np.ones((6, 3))), Tensor(np.ones((9, 2))),
+                    Tensor(np.ones(6)), Tensor(np.ones(2)),
+                    [Tensor(np.ones((1, 3)))], [(0, 1)])
     with pytest.raises(ValueError):
         dc.gauss_logpdf(Tensor(np.ones(2)), Tensor(np.ones(3)), Tensor(np.ones(3)))
     with pytest.raises(ValueError):
@@ -614,24 +614,28 @@ def test_fused_shape_errors():
         dc.affine(Tensor(np.ones((3, 4))), Tensor(np.ones(4)), Tensor(np.ones(3)))
     with pytest.raises(ValueError):
         dc.affine(Tensor(np.ones(4)), Tensor(np.ones(4)), Tensor(0.0))
-    U = Tensor(np.ones((6, 2)))
+    W, U, b = Tensor(np.ones((6, 3))), Tensor(np.ones((6, 2))), Tensor(np.ones(6))
     with pytest.raises(ValueError):
-        dc.gru_scan(U, Tensor(np.ones(2)), Tensor(np.ones(6)), [(0, 1)])
+        dc.gru_scan(W, U, b, Tensor(np.ones(2)), [Tensor(np.ones(3))], [(0, 1)])
     with pytest.raises(ValueError):
-        dc.gru_scan(U, Tensor(np.ones((1, 1, 2))), Tensor(np.ones((1, 6))),
-                    [(0, 1)])
+        dc.gru_scan(W, U, b, Tensor(np.ones((1, 1, 2))),
+                    [Tensor(np.ones((1, 3)))], [(0, 1)])
 
 
 def test_row_form_shape_errors():
-    U, S = Tensor(np.ones((6, 2))), Tensor(np.ones((3, 6)))
+    W, U, b = Tensor(np.ones((6, 3))), Tensor(np.ones((6, 2))), Tensor(np.ones(6))
+    xs = [Tensor(np.ones((3, 1))), Tensor(np.ones((3, 2)))]
     with pytest.raises(ValueError):  # row counts differ
-        dc.gru_scan(U, Tensor(np.ones((2, 2))), S, [(0, 3)])
+        dc.gru_scan(W, U, b, Tensor(np.ones((2, 2))), xs, [(0, 3)])
+    with pytest.raises(ValueError):  # input blocks of other row counts
+        dc.gru_scan(W, U, b, Tensor(np.ones(2)), [xs[0], Tensor(np.ones((2, 2)))],
+                    [(0, 3)])
     with pytest.raises(ValueError):  # spans cover other rows
-        dc.gru_scan(U, Tensor(np.ones(2)), S, [(0, 2)])
+        dc.gru_scan(W, U, b, Tensor(np.ones(2)), xs, [(0, 2)])
     with pytest.raises(ValueError):  # a step with more rows than the last
-        dc.gru_scan(U, Tensor(np.ones(2)), S, [(0, 1), (1, 3)])
+        dc.gru_scan(W, U, b, Tensor(np.ones(2)), xs, [(0, 1), (1, 3)])
     with pytest.raises(ValueError):  # steps that do not follow each other
-        dc.gru_scan(U, Tensor(np.ones(2)), S, [(0, 2), (1, 3)])
+        dc.gru_scan(W, U, b, Tensor(np.ones(2)), xs, [(0, 2), (1, 3)])
     with pytest.raises(ValueError):
         dc.gauss_logpdf(*[Tensor(np.ones((2, 2, 2)))] * 3)
     with pytest.raises(ValueError):
@@ -663,9 +667,14 @@ def test_leaf_does_not_keep_its_tape_alive():
 
 # ---------------------------------------------------------------------------
 # whole-sequence scans, at default-NetworkSpec shapes over ragged packed
-# batches: B = 1 (4 steps) and B = 3 (lengths 5, 3, 2)
+# batches: B = 1 (4 steps) and B = 3 (lengths 5, 3, 2), and for the
+# compositions also the span shapes the step-block layout treats apart:
+# two sequences ending at the same step, no step narrowing, and a
+# one-cycle sequence
 
-SCAN_LENGTHS = {1: (4,), 3: (5, 3, 2)}
+SCAN_LENGTHS = {1: (4,), 3: (5, 3, 2), "ends_together": (5, 2, 2),
+                "equal": (3, 3, 3), "one_cycle": (4, 1)}
+GRADCHECK_LENGTHS = (1, 3)
 # (has GRU, head layer width (0: none), gru_in, head_in, samples, pin_first)
 SCAN_MODES = {
     "markovian": (False, N_H, (), ("xu", "z"), True, False),
@@ -688,8 +697,9 @@ def _scan_case(mode, n_seq, seed=0):
     the exogenous rows are [x, u] for the recognition modes, u for the
     prior modes."""
     gru, hidden, gru_in, head_in, samples, pin_first = SCAN_MODES[mode]
-    g = np.random.default_rng(seed + n_seq)
-    spans = _spans(SCAN_LENGTHS[n_seq])
+    lengths = SCAN_LENGTHS[n_seq]
+    g = np.random.default_rng(seed + len(lengths))
+    spans = _spans(lengths)
     n_rows = spans[-1][1]
     n_xu = N_U if pin_first else N_X + N_U
     width = {"xu": n_xu, "z": N_Z, "h": N_H}
@@ -775,7 +785,7 @@ def _weighted(cols, seed=7):
     return total
 
 
-@pytest.mark.parametrize("n_seq", [1, 3])
+@pytest.mark.parametrize("n_seq", list(SCAN_LENGTHS))
 @pytest.mark.parametrize("mode", sorted(SCAN_MODES))
 def test_latent_scan_matches_per_step_composition(mode, n_seq):
     arrays, static = _scan_case(mode, n_seq)
@@ -801,7 +811,7 @@ def test_latent_scan_matches_per_step_composition(mode, n_seq):
 
 @pytest.mark.parametrize("mode, n_seq", [
     (mode, n) for mode in sorted(SCAN_MODES)
-    for n in ((1, 3) if mode in ("history", "markovian") else (3,))])
+    for n in (GRADCHECK_LENGTHS if mode in ("history", "markovian") else (3,))])
 def test_latent_scan_gradcheck(mode, n_seq):
     """Every input, weights and rows alike.  As in _row_cases, some GRU
     weight coordinates (W, U) are products of gate derivatives over
@@ -819,33 +829,39 @@ def test_latent_scan_gradcheck(mode, n_seq):
         assert grad_check(f, [params[k]], step=1e-5) < tol, k
 
 
-@pytest.mark.parametrize("n_seq", [1, 3])
+@pytest.mark.parametrize("n_seq", list(SCAN_LENGTHS))
 def test_gru_scan_gradcheck_and_per_step_composition(n_seq):
+    """The prior-history GRU over two input blocks; grad_check runs at
+    GRADCHECK_LENGTHS only, the 1e-12 composition at every span shape."""
     arrays, static = _scan_case("history", n_seq)
     spans, n_rows = static["spans"], static["spans"][-1][1]
     g = np.random.default_rng(3)
-    S = g.uniform(-1.0, 1.0, (n_rows, 3 * N_H))
-    params = [Tensor(arrays["U"]), Tensor(arrays["h0"]), Tensor(S)]
+    W = g.normal(0, (N_Z + N_U) ** -0.5, (3 * N_H, N_Z + N_U))
+    xs = [g.uniform(-1.0, 1.0, (n_rows, N_Z)), g.uniform(-1.0, 1.0, (n_rows, N_U))]
+    params = [Tensor(a) for a in [W, arrays["U"], arrays["b"], arrays["h0"]] + xs]
     w = dc.constant(g.uniform(0.5, 1.5, (n_rows, N_H)))
 
     def fused(ps):
-        return (dc.gru_scan(*ps, spans) * w).sum()
+        return (dc.gru_scan(*ps[:4], ps[4:], spans) * w).sum()
 
     def per_step(ps):
-        U, h0, S = ps
+        W, U, b, h0, z, u = ps
         hs, h = [], None
         for t, (lo, hi) in enumerate(spans):
             n = hi - lo
             hp = dc.broadcast_to(h0, (n, N_H)) if t == 0 else h.slice(0, n)
-            h = _gru_cell_rows(U, hp, S.slice(lo, hi))
+            x = dc.concat([z.slice(lo, hi), u.slice(lo, hi)], axis=1)
+            h = _gru_cell_rows(U, hp, dc.affine(W, x, b))
             hs.append(h)
         return (dc.concat(hs) * w).sum()
 
-    for k, tol in enumerate((1e-4, 1e-5, 1e-5)):  # U: see the latent_scan test
-        def f(ps, k=k):
-            return fused(params[:k] + ps + params[k + 1:])
+    if n_seq in GRADCHECK_LENGTHS:
+        for k, tol in enumerate((1e-4, 1e-4, 1e-5, 1e-5, 1e-5, 1e-5)):
+            # W, U: see the latent_scan test
+            def f(ps, k=k):
+                return fused(params[:k] + ps + params[k + 1:])
 
-        assert grad_check(f, [params[k]], step=1e-5) < tol, f"input {k}"
+            assert grad_check(f, [params[k]], step=1e-5) < tol, f"input {k}"
     results = []
     for f in (fused, per_step):
         with Tape() as tape:
@@ -878,12 +894,10 @@ def test_scans_replay_bit_exact():
             arrays, static = _scan_case(mode, 3)
             cols = dc.latent_scan({k: Tensor(a) for k, a in arrays.items()},
                                   **static)
-        h = dc.gru_scan(Tensor(arrays["U"]), Tensor(arrays["h0"]),
-                        dc.affine(Tensor(arrays["W"][:, :N_Z + N_U]),
-                                  dc.concat([cols["z_prev"], cols["mean"],
-                                             Tensor(arrays["xu"])], axis=1)
-                                  .slice(N_Z, 2 * N_Z + N_U, axis=1),
-                                  Tensor(arrays["b"])),
+        h = dc.gru_scan(Tensor(arrays["W"][:, :N_Z + N_U]),
+                        Tensor(arrays["U"]), Tensor(arrays["b"]),
+                        Tensor(arrays["h0"]),
+                        [cols["mean"], Tensor(arrays["xu"]).slice(0, N_U, axis=1)],
                         static["spans"])
         loss = (h * h).sum()
     assert {"latent_scan", "gru_scan"} <= set(tape.ops)
@@ -894,7 +908,8 @@ def test_scans_replay_bit_exact():
 def test_scan_overflow_is_loud():
     """Each overflow below feeds a saturating function (a gate, the
     hidden tanh layer or the log-variance clip), so without the scans'
-    pre-activation checks the outputs would stay finite."""
+    pre-activation checks the outputs would stay finite.  The input-row
+    cases sit at the edges of the scans' step blocks."""
     arrays, static = _scan_case("history", 3)
     z_cols = slice(N_X + N_U, N_IN)
     huge = []
@@ -905,16 +920,30 @@ def test_scan_overflow_is_loud():
         big = arrays[name].copy()
         big[rows, cols] = 1e308
         huge.append({**arrays, name: big})
+    # One 1e308 input entry, which a weight of 2 in every gate overflows:
+    # in the last row of the shortest sequence (the last column of a step
+    # whose next step is narrower) and in the first step.
+    spans, lengths = static["spans"], SCAN_LENGTHS[3]
+    W = arrays["W"].copy()
+    W[:, 0] = 2.0
+    rows = {}
+    for row in (spans[min(lengths) - 1][0] + len(lengths) - 1, 0):
+        xu = arrays["xu"].copy()
+        xu[row, 0] = 1e308
+        rows[row] = xu
+        huge.append({**arrays, "W": W, "xu": xu})
+    assert sorted(rows) == [0, 5]
     with np.errstate(over="ignore", invalid="ignore"):
         for case in huge:
             with pytest.raises(NonFiniteError, match="latent_scan"):
                 dc.latent_scan({k: Tensor(a) for k, a in case.items()}, **static)
-        with pytest.raises(NonFiniteError, match="gru_scan"):
-            S = np.ones((static["spans"][-1][1], 3 * N_H))
-            big_U = arrays["U"].copy()
-            big_U[:N_H] = 1e308
-            dc.gru_scan(Tensor(big_U), Tensor(arrays["h0"]), Tensor(S),
-                        static["spans"])
+        zs = np.ones((spans[-1][1], N_Z))
+        big_U = arrays["U"].copy()
+        big_U[:N_H] = 1e308
+        for U, xu in [(big_U, arrays["xu"])] + [(arrays["U"], x) for x in rows.values()]:
+            with pytest.raises(NonFiniteError, match="gru_scan"):
+                dc.gru_scan(Tensor(W), Tensor(U), Tensor(arrays["b"]),
+                            Tensor(arrays["h0"]), [Tensor(xu), Tensor(zs)], spans)
 
 
 def test_latent_scan_input_errors():

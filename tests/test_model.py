@@ -9,7 +9,6 @@ from avfp.data import LinearGaussianSpec, Trajectory
 from avfp.diffcore import (
     Tape,
     Tensor,
-    affine,
     backward,
     constant,
     grad_check,
@@ -76,10 +75,10 @@ def test_markovian_drops_recurrent_params():
 
 
 def gru_step(group, h, inp):
-    """One step of the group's GRU from rows h: an input projection
-    and a single-step gru_scan, as the model's scans run it."""
-    s = affine(group["gru.W"], inp, group["gru.b"])
-    return gru_scan(group["gru.U"], h, s, [(0, h.shape[0])])
+    """One step of the group's GRU from rows h: a single-step gru_scan,
+    as the model's scans run it."""
+    return gru_scan(group["gru.W"], group["gru.U"], group["gru.b"], h, [inp],
+                    [(0, h.shape[0])])
 
 
 def test_gru_step_matches_hand_computation():
@@ -123,9 +122,11 @@ def traj_of(x, u):
 def test_recognition_state_shapes():
     spec = small_spec()
     traj = traj_of(np.zeros((2, spec.n_x)), np.zeros((2, spec.n_u)))
-    fp = filter_forward(init_params(spec, markovian=False, seed=1), [traj], None)
+    fp = filter_forward(init_params(spec, markovian=False, seed=1),
+                        Batch([traj]), None)
     assert fp.states.shape == (2, spec.n_h)
-    fp = filter_forward(init_params(spec, markovian=True, seed=1), [traj], None)
+    fp = filter_forward(init_params(spec, markovian=True, seed=1),
+                        Batch([traj]), None)
     assert fp.states is None  # the summary is the inputs themselves
 
 
@@ -167,7 +168,7 @@ def test_recognition_logvar_clamped():
     p = init_params(spec, markovian=True, seed=0)
     p.phi["enc.bv"] = Tensor(np.full(spec.n_z, 99.0))
     traj = traj_of(np.zeros((2, 3)), np.zeros((2, 2)))
-    fp = filter_forward(p, [traj], [np.zeros((2, spec.n_z))])
+    fp = filter_forward(p, Batch([traj]), np.zeros((2, spec.n_z)))
     assert np.all(fp.posterior.log_var.data == avm.LOG_VAR_MAX)
 
 
@@ -180,7 +181,8 @@ def test_first_step_prior_is_standard_normal():
                         u=g.standard_normal((T, spec.n_u)))
              for k, T in enumerate((3, 4))]
     noise = [g.standard_normal((t.length, spec.n_z)) for t in trajs]
-    _, bound = sequence_elbo(p, trajs, noise)
+    batch = Batch(trajs)
+    _, bound = sequence_elbo(p, batch, batch.pack(noise))
     first = [rows[0] for rows in bound.fp.batch.rows]
     pr = bound.prior
     assert np.all(pr.mean.data[first] == 0.0) and np.all(pr.log_var.data[first] == 0.0)
@@ -192,12 +194,12 @@ def test_recognition_sample_is_reparameterized():
     g = np.random.default_rng(4)
     traj = traj_of(g.standard_normal((4, 3)), g.standard_normal((4, 2)))
     noise = g.standard_normal((4, spec.n_z))
-    fp = filter_forward(p, [traj], [noise])
+    fp = filter_forward(p, Batch([traj]), noise)
     q = fp.posterior
     assert np.array_equal(fp.samples.data,
                           q.mean.data + np.exp(q.log_var.data * 0.5) * noise)
     with pytest.raises(ValueError):
-        filter_forward(p, [traj], [np.zeros((4, spec.n_z + 1))])
+        filter_forward(p, Batch([traj]), np.zeros((4, spec.n_z + 1)))
 
 
 @pytest.mark.parametrize("prior_hidden", [4, 0])
@@ -212,7 +214,7 @@ def test_rollout_prior_equals_bound_prior(markovian, prior_hidden):
         p.theta[b] = Tensor(g.uniform(-0.5, 0.5, spec.n_z))
     batch = Batch([traj_of(g.standard_normal((T, spec.n_x)),
                            g.standard_normal((T, spec.n_u))) for T in (9, 5, 7)])
-    eps = g.standard_normal((batch.n_rows, spec.n_z))
+    eps = g.standard_normal((batch.length, spec.n_z))
     z = prior_chain(p, batch.u, eps, batch.spans).data
     z_prev = np.zeros_like(z)
     for rows in batch.rows:
@@ -221,7 +223,7 @@ def test_rollout_prior_equals_bound_prior(markovian, prior_hidden):
     assert np.array_equal(z[:first], eps[:first])  # N(0, I) first step
     history = prior_history(p, constant(z_prev), batch.u, batch.spans)
     pr = transition_prior(
-        p, None if history is None else history.slice(first, batch.n_rows),
+        p, None if history is None else history.slice(first, batch.length),
         z_prev[first:])
     want = pr.mean.data + np.exp(pr.log_var.data / 2) * eps[first:]
     assert np.abs(z[first:] - want).max() <= 1e-12 * np.abs(want).max()

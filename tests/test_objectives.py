@@ -24,6 +24,7 @@ from avfp.model import (
     recognition,
 )
 from avfp.objectives import (
+    Batch,
     adversarial_losses,
     combined_objective,
     filter_forward,
@@ -188,7 +189,7 @@ def test_zero_net_reduction(markovian):
     for T in (1, 5):
         traj = Trajectory(unit_id=0, x=np.zeros((T, 3)), u=np.zeros((T, 2)))
         noise = rng.normal(0, (T, 2), "test-noise")
-        elbo, bound = sequence_elbo(params, [traj], [noise])
+        elbo, bound = sequence_elbo(params, Batch([traj]), noise)
         assert elbo.item() == pytest.approx(T * 3 * (-0.5 * LN_2PI), abs=1e-12)
         assert np.all(bound.kl.data == 0.0)
 
@@ -199,14 +200,14 @@ def test_filter_forward_structure():
     params = init_params(spec, markovian=False, seed=1)
     traj = rand_traj(6, 3, 2, seed=0)
     noise = rng.normal(1, (6, 2), "n")
-    fp = filter_forward(params, [traj], [noise])
-    _, bound = sequence_elbo(params, [traj], [noise])
+    fp = filter_forward(params, Batch([traj]), noise)
+    _, bound = sequence_elbo(params, Batch([traj]), noise)
     assert fp.samples.shape == (6, 2) and bound.kl.shape == (6,)
     # first-step prior pinned
     assert np.all(bound.prior.mean.data[0] == 0.0)
     assert np.all(bound.prior.log_var.data[0] == 0.0)
     with pytest.raises(ValueError):
-        filter_forward(params, [traj], [np.zeros((5, 2))])
+        filter_forward(params, Batch([traj]), np.zeros((5, 2)))
 
 
 def test_deterministic_mode_uses_means():
@@ -215,14 +216,14 @@ def test_deterministic_mode_uses_means():
     params = init_params(spec, markovian=False, seed=1)
     traj = rand_traj(4, 3, 2, seed=2)
     with Tape() as tape:
-        fp = filter_forward(params, [traj], None)
+        fp = filter_forward(params, Batch([traj]), None)
         loss = fp.samples.sum()
     assert fp.posterior is None
     grads = backward(tape, loss)
     assert params.phi["enc.Wm"].uid in grads
     assert params.phi["enc.Wv"].uid not in grads  # the log-variance head is not run
     # zero noise samples the posterior means
-    sampled = filter_forward(params, [traj], [np.zeros((4, 2))])
+    sampled = filter_forward(params, Batch([traj]), np.zeros((4, 2)))
     assert np.abs(fp.samples.data - sampled.posterior.mean.data).max() <= 1e-15
     assert np.array_equal(sampled.samples.data, sampled.posterior.mean.data)
 
@@ -248,7 +249,7 @@ def test_elbo_gradcheck_both_modes():
                 theta[n] = t
             trial = ModelParams(spec=spec, markovian=markovian, theta=theta,
                                 phi=phi, psi=params.psi, rho=params.rho)
-            elbo, _ = sequence_elbo(trial, [traj], [noise])
+            elbo, _ = sequence_elbo(trial, Batch([traj]), noise)
             return elbo
 
         assert grad_check(f, tensors + th_tensors, step=1e-5) < 1e-4
@@ -260,7 +261,7 @@ def test_combined_equals_elbo_when_lambda_zero():
     params = init_params(spec, markovian=False, seed=2)
     traj = rand_traj(5, 3, 2, seed=4)
     noise = rng.normal(2, (5, 2), "cmp")
-    elbo, _ = sequence_elbo(params, [traj], [noise])
+    elbo, _ = sequence_elbo(params, Batch([traj]), noise)
     (bd,), target, _ = combined_objective(params, [traj], [noise],
                                           lambda_adv=0.0)
     assert bd.combined == elbo.item()  # bit-identical
@@ -293,7 +294,7 @@ def test_zero_weight_discriminator_constant_penalty():
         params.psi[k] = Tensor(np.zeros_like(params.psi[k].data))
     traj = rand_traj(5, 3, 2, seed=4)
     noise = rng.normal(2, (5, 2), "cmp")
-    elbo, _ = sequence_elbo(params, [traj], [noise])
+    elbo, _ = sequence_elbo(params, Batch([traj]), noise)
     (bd,), _, _ = combined_objective(params, [traj], [noise], lambda_adv=1.0)
     assert bd.adv_gen == pytest.approx(np.log(2.0), abs=1e-15)
     assert bd.combined == pytest.approx(elbo.item() - np.log(2.0), abs=1e-12)
@@ -321,10 +322,10 @@ def test_prior_rollout_detached_and_deterministic():
     traj = Trajectory(unit_id=0, x=np.zeros((6, 3)), u=np.zeros((6, 2)))
     noise = rng.normal(8, (6, 2), "roll")
     with Tape() as tape:
-        zs = prior_rollout(params, [traj], [noise])
+        zs = prior_rollout(params, Batch([traj]), noise)
     assert len(tape) == 0  # nothing recorded
     assert zs.tape is None
-    zs2 = prior_rollout(params, [traj], [noise])
+    zs2 = prior_rollout(params, Batch([traj]), noise)
     assert np.array_equal(zs.data, zs2.data)
 
 
@@ -349,7 +350,7 @@ def test_elbo_never_exceeds_exact_loglik():
         vals = np.empty(draws)
         for d in range(draws):
             noise = rng.normal(seed, (12, n_z), "elbo-mc", d)
-            elbo, _ = sequence_elbo(params, [traj], [noise])
+            elbo, _ = sequence_elbo(params, Batch([traj]), noise)
             vals[d] = elbo.item()
         se = vals.std(ddof=1) / np.sqrt(draws)
         assert vals.mean() <= exact + 3.0 * se
