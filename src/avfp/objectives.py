@@ -194,7 +194,7 @@ def filter_means(params: ModelParams, trajs: list[Trajectory]
     with no_tape():
         fp = filter_forward(params, Batch(trajs), None)
     b = fp.batch
-    states = (np.hstack([b.x, b.u, fp.prev.data]) if fp.states is None
+    states = (np.hstack([b.xu, fp.prev.data]) if fp.states is None
               else fp.states.data)
     return b, states, fp.samples.data
 
