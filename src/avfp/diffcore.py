@@ -10,20 +10,19 @@ hot paths:
   affine        W @ x + b for each row x of a batch
   gauss_logpdf  log N(x; mean, diag(exp(log_var))), summed per row
   gauss_kl      KL between two diagonal Gaussians, summed per row
-  gru_scan      a GRU over the rows of a time-major packed batch,
-                given its weights and input rows
-  latent_scan   a whole latent chain over packed rows: an optional
-                GRU, a Gaussian head, its log-variance clip and the
-                reparameterized sample
+  latent_scan   a whole latent chain over the rows of a time-major
+                packed batch, given its weights and input rows: a GRU,
+                a Gaussian head with its log-variance clip and the
+                reparameterized sample, or either alone
 
-The Gaussian ops also take one vector.  The scans step only the
-recurrence in their loops and backpropagate through time by hand,
+The Gaussian ops also take one vector.  The scan steps only the
+recurrence in its loop and backpropagates through time by hand,
 forming every weight gradient with one product over all rows.  Inside
-a scan each time step's values are one contiguous feature-major block,
+it each time step's values are one contiguous feature-major block,
 (features, running rows), and a step's whole pre-activation, W x + W_z
 z + U h + b for every gate (plus the head's first layer on x and z), is
 one product of the previous step's block [x; 1; h; z] with a matrix
-built once per call.
+built once per call, which the backward pass reuses.
 
 Every primitive checks its result for NaN/Inf and raises instead of
 propagating silently.  A Tape is an append-only record of primitive
@@ -484,7 +483,7 @@ def _gauss_kl_vjp(g, vals, out, aux):
 # ---------------------------------------------------------------------------
 # whole-sequence scans
 #
-# Both scans run over a time-major packed layout (objectives.Batch): step t
+# The scan runs over a time-major packed layout (objectives.Batch): step t
 # owns rows spans[t] = (lo, hi), one per sequence still running, longest
 # first, so the rows of step t continue the first r_t = hi - lo rows of
 # step t - 1.  Inside a scan every per-step value is stored feature-major:
@@ -494,10 +493,11 @@ def _gauss_kl_vjp(g, vals, out, aux):
 # per run.  A state block [x; 1; h; z] holds a step's outputs h and z and
 # the next step's exogenous inputs x with a row of ones, so that a step's
 # pre-activations are one product of the previous block with a matrix
-# built once per call, biases riding on the ones row.  A step whose width
-# drops reads the first r_t columns of the previous block.  What needs no
-# recurrent state runs outside the step loops: the gate derivatives once
-# per run, and every weight gradient as one product over all rows.
+# built once per call, biases riding on the ones row; the backward pass
+# reads the same matrices.  A step whose width drops reads the first r_t
+# columns of the previous block.  What needs no recurrent state runs
+# outside the step loops: the gate derivatives once per run, and every
+# weight gradient as one product over all rows.
 
 
 def _layout(spans, n_rows: int):
@@ -560,38 +560,36 @@ def _col_blocks(M, order, width) -> dict:
     return out
 
 
-def _head_layers(p, lv_scale):
+def _head_layers(p):
     """The Gaussian head as (M, m, F, f): an output layer M, m giving
-    [mean, log_var * lv_scale] rows (no log-variance without eps) and
-    the first layer F, f on the head's input (M, m itself without W1)."""
+    [mean, log_var / 2] rows (no log-variance without eps; the halving
+    is exact, a power of two) and the first layer F, f on the head's
+    input (M, m itself without W1)."""
     M, m = p["Wm"], p["bm"]
     if "eps" in p:
-        Mv, mv = p["Wv"], p["bv"]
-        if lv_scale != 1.0:
-            Mv, mv = Mv * lv_scale, mv * lv_scale
-        M, m = np.concatenate((M, Mv)), np.concatenate((m, mv))
+        M = np.concatenate((M, p["Wv"] * 0.5))
+        m = np.concatenate((m, p["bv"] * 0.5))
     return (M, m) + ((p["W1"], p["b1"]) if "W1" in p else (M, m))
 
 
 class _ScanParts:
-    """The state layout and the matrices of one scan call.
+    """The state layout and the step matrices of one scan call, built by
+    its forward pass and kept on the tape for its backward pass.
 
     A state block's rows are [x; 1; h; z]: rows[name] for "xu", "one",
-    "h" and "z".  The forward pass reads KT: KT @ block (of the previous
-    step) is a step's pre-activations, pre, with a GRU its reset and
-    update gates, its candidate's W x + b and U_c h (see _gru_step),
-    then, when the head reads x or z, its first layer on those blocks
-    plus its bias.  Its part on h is Fh; a head that reads h alone is
-    FhB = [f, F_h] on the block's [1; h] rows.  After a hidden layer,
-    Mf = [M, m] maps [feat; 1] to [mean, log_var / 2].  The backward
-    pass reads MT = M^T, FhT = F_h^T and Kin, which maps the adjoint
-    blocks [(1 - u) dh; d pre] of a step to those of the [h; z] rows
-    of the block it read; Wc and Fc are W's and F's column blocks.
+    "h" and "z".  KT @ block (of the previous step) is a step's
+    pre-activations, pre, with a GRU its reset and update gates, its
+    candidate's W x + b and U_c h (see _gru_step), then, when the head
+    reads x or z, its first layer on those blocks plus its bias.  Its
+    part on h is Fh; a head that reads h alone is FhB = [f, F_h] on the
+    block's [1; h] rows.  After a hidden layer, Mf = [M, m] maps [feat;
+    1] to [mean, log_var / 2].  Wc and Fc are W's and F's column blocks.
     """
 
-    def __init__(self, p, n_x, gru_in, head_in, backward: bool):
+    def __init__(self, p, n_x, gru_in, head_in):
         self.gru, self.head = "W" in p, "Wm" in p
         self.sample, self.hidden = "eps" in p, "W1" in p
+        self.gru_in, self.head_in = gru_in, head_in
         n_h = self.n_h = p["U"].shape[1] if self.gru else 0
         n_z = self.n_z = p["Wm"].shape[0] if self.head else 0
         width = {"xu": n_x, "h": n_h, "z": n_z}
@@ -605,32 +603,15 @@ class _ScanParts:
         self.Wc = _col_blocks(p["W"], gru_in, width) if self.gru else {}
         self.Fc, self.n_a = {}, 0
         if self.head:
-            M, m, F, f = _head_layers(p, 1.0 if backward else 0.5)
+            M, m, F, f = _head_layers(p)
             self.Fc, self.n_a = _col_blocks(F, head_in, width), F.shape[0]
-        n_pre = 4 * n_h + (self.n_a if self.prev_in else 0)
-        if backward:
-            if self.head:
-                self.MT = np.ascontiguousarray(M.T)
-                if self.reads_h:
-                    self.FhT = np.ascontiguousarray(self.Fc["h"].T)
-            # the identity block passes (1 - u) dh on to h_prev
-            Kin = self.Kin = np.zeros((n_h + n_z, n_h + n_pre))
-            if self.gru:
-                Kin[range(n_h), range(n_h)] = 1.0
-                U = p["U"]
-                Kin[:n_h, n_h:3 * n_h] = U[:2 * n_h].T
-                Kin[:n_h, 4 * n_h:5 * n_h] = U[2 * n_h:].T
-                if "z" in self.Wc:
-                    Kin[n_h:, n_h:4 * n_h] = self.Wc["z"].T
-            if "z" in self.prev_in:
-                Kin[n_h:, 5 * n_h:] = self.Fc["z"].T
-            return
         if self.hidden:
             self.Mf = np.concatenate((M, m[:, None]), axis=1)
         if self.reads_h:
             self.Fh = np.ascontiguousarray(self.Fc["h"])
             if not self.prev_in:
                 self.FhB = np.concatenate((f[:, None], self.Fc["h"]), axis=1)
+        n_pre = 4 * n_h + (self.n_a if self.prev_in else 0)
         KT = self.KT = np.zeros((n_pre, off))
         if self.gru:
             for k, Wk in self.Wc.items():
@@ -684,27 +665,35 @@ def _gru_factors(pre, hp):
     return ks
 
 
-def _scan_columns(sp):
-    """The output's column blocks and the columns of its [h, z] rows."""
-    if not sp.head:
-        return {"h": slice(0, sp.n_h)}, slice(0, sp.n_h)
-    cols = _latent_columns(sp.n_h, sp.n_z, sp.sample)
-    zc = cols["z" if sp.sample else "mean"]
-    return cols, slice(zc.start - sp.n_h, zc.stop)
+def _scan_columns(n_h: int, n_z: int, sample: bool):
+    """The columns of each output block of a scan, in order, and the
+    columns of its [h, z] blocks.  h sits right before the sample (the
+    mean without noise), so that a step's [h, z] outputs are adjacent
+    columns, as in the state block.  Blocks of zero width are left out:
+    h without a GRU, and everything but h without a head (n_z = 0)."""
+    blocks = [("mean", n_z), ("log_var", n_z)] if sample else []
+    blocks += [("h", n_h), ("z" if sample else "mean", n_z), ("z_prev", n_z)]
+    cols, off = {}, 0
+    for name, w in blocks:
+        if w:
+            cols[name] = slice(off, off + w)
+            off += w
+    lead = 2 * n_z if sample else 0
+    return cols, slice(lead, lead + n_h + n_z)
 
 
-def _scan(op, xs, p, layout, gru_in, head_in, clip, pin_first):
+def _scan(xs, p, layout, gru_in, head_in, clip, pin_first):
     # One chain over packed rows (see _latent_scan): the exogenous column
     # blocks xs, and p's GRU (W, U, b, h0) and head weights if any.
     runs, prev = layout
     n_rows = xs[0].shape[0]
-    sp = _ScanParts(p, sum(x.shape[1] for x in xs), gru_in, head_in, False)
+    sp = _ScanParts(p, sum(x.shape[1] for x in xs), gru_in, head_in)
     gru, head, sample, hidden = sp.gru, sp.head, sp.sample, sp.hidden
     n_h, n_z, rows, KT = sp.n_h, sp.n_z, sp.rows, sp.KT
     hs, zs, a_rows = rows["h"], rows["z"], slice(4 * n_h, None)
     one_h = slice(rows["one"].start, hs.stop)
     prev_in, reads_h = sp.prev_in, sp.reads_h
-    cols, hz_cols = _scan_columns(sp)
+    cols, hz_cols = _scan_columns(n_h, n_z, sample)
     out = np.zeros((n_rows, max(c.stop for c in cols.values())))
     if sample:
         # the log-variance rows of the head's output are halved (exactly, a
@@ -717,8 +706,7 @@ def _scan(op, xs, p, layout, gru_in, head_in, clip, pin_first):
     blk = np.zeros((sp.n_state, runs[0][2]))
     blk[rows["one"]] = 1.0
     if gru:
-        h0 = p["h0"]
-        blk[hs] = h0.T if h0.ndim == 2 else h0[:, None]
+        blk[hs] = p["h0"][:, None]
     PRE, FEAT = [], []
     for k, run in enumerate(runs):
         a, b, w = run
@@ -788,7 +776,7 @@ def _scan(op, xs, p, layout, gru_in, head_in, clip, pin_first):
         # gates, the head's hidden tanh layer and the log-variance clip.
         # An overflow there would leave a finite output, and every input
         # entry a step reads reaches pre.
-        _check_finite(op, *checked)
+        _check_finite("latent_scan", *checked)
         np.copyto(_run_rows(out[:, hz_cols], run), S[:, hs.start:])
         if sample:
             np.copyto(_run_rows(out[:, cols["mean"]], run), ML[:, :n_z])
@@ -799,23 +787,31 @@ def _scan(op, xs, p, layout, gru_in, head_in, clip, pin_first):
         if pin_first and sample:
             out[:n0, cols["mean"].start:cols["log_var"].stop] = 0.0
         out[n0:, cols["z_prev"]] = out[prev, cols["z" if sample else "mean"]]
-    return out, dict(runs=runs, prev=prev, PRE=PRE, FEAT=FEAT, gru_in=gru_in,
-                     head_in=head_in, clip=clip, pin_first=pin_first)
+    return out, dict(sp=sp, runs=runs, prev=prev, PRE=PRE, FEAT=FEAT,
+                     clip=clip, pin_first=pin_first)
 
 
 def _scan_vjp(g, xs, p, out, aux):
     runs, prev, PRE, FEAT = aux["runs"], aux["prev"], aux["PRE"], aux["FEAT"]
+    sp = aux["sp"]      # the forward's layout and step matrices
     n_rows = out.shape[0]
     n_x = sum(x.shape[1] for x in xs)
-    sp = _ScanParts(p, n_x, aux["gru_in"], aux["head_in"], True)
     gru, head, sample, hidden = sp.gru, sp.head, sp.sample, sp.hidden
     n_h, n_z, prev_in, reads_h = sp.n_h, sp.n_z, sp.prev_in, sp.reads_h
     pin_first = aux["pin_first"]
-    cols, hz_cols = _scan_columns(sp)
+    cols, hz_cols = _scan_columns(n_h, n_z, sample)
     n0 = runs[0][2]
-    n_k = n_h if gru else 0          # the (1 - u) dh block before d pre
-    a_rows = slice(n_k + 4 * n_h, None)
-    Kin = sp.Kin
+    a_rows = slice(5 * n_h, None)    # after the (1 - u) dh block and the gates
+    # Kin maps a step's adjoint blocks [(1 - u) dh; d pre] to those of the
+    # [h; z] rows of the block it read: the identity block passes (1 - u)
+    # dh on to h_prev, and KT's h and z columns take d pre back
+    Kin = np.zeros((n_h + n_z, n_h + sp.KT.shape[0]))
+    Kin[range(n_h), range(n_h)] = 1.0
+    Kin[:, n_h:] = sp.KT[:, sp.rows["h"].start:].T
+    if hidden:
+        MT = np.ascontiguousarray(sp.Mf[:, :-1].T)
+    if reads_h:
+        FhT = np.ascontiguousarray(sp.Fh.T)
 
     # the adjoint of each step's [h; z] outputs; a z_prev row's goes to
     # the previous row of its sequence
@@ -827,16 +823,18 @@ def _scan_vjp(g, xs, p, out, aux):
         H = out[:, cols["h"]]
         hp = _hprev(p["h0"], H, prev)
     if sample:
+        # the head's output is [mean, log_var / 2], as in the forward pass,
+        # so the log-variance adjoints are doubled (exactly)
         lv_lo, lv_hi = aux["clip"]
         LV = out[:, cols["log_var"]]
         inside = (LV > lv_lo) & (LV < lv_hi)   # where the clip passes
         std = np.exp(LV * 0.5)
-        dML = np.concatenate((g[:, cols["mean"]], g[:, cols["log_var"]] * inside),
+        dML = np.concatenate((g[:, cols["mean"]],
+                              2.0 * g[:, cols["log_var"]] * inside), axis=1)
+        # d z / d [mean, log_var / 2], which the loop multiplies by dz
+        k_z = np.concatenate((np.ones_like(std), std * p["eps"] * inside),
                              axis=1)
-        # d z / d [mean, log_var], which the loop multiplies by dz
-        k_z = np.concatenate((np.ones_like(std), 0.5 * std * p["eps"] * inside),
-                             axis=1)
-    dS = np.empty((n_rows, sp.Kin.shape[1]))
+    dS = np.empty((n_rows, Kin.shape[1]))
     if head and not prev_in:
         dA = np.empty((n_rows, sp.n_a))
     if hidden:
@@ -874,12 +872,12 @@ def _scan_vjp(g, xs, p, out, aux):
                     dml = dhz[n_h:]
                 da = DA[i]
                 if hidden:
-                    np.matmul(sp.MT, dml, out=da)
+                    np.matmul(MT, dml, out=da)
                     da *= D[i]
                 else:
                     np.copyto(da, dml)
                 if reads_h:
-                    dh += sp.FhT @ da
+                    dh += FhT @ da
             if gru:
                 np.multiply(ks[i], dh, out=ds5[i])
             d = Kin @ ds[i]
@@ -906,29 +904,28 @@ def _scan_vjp(g, xs, p, out, aux):
     def inputs(order):   # the input rows of the blocks in order
         return [x for key in order for x in (xs if key == "xu" else [named[key]])]
 
-    dpre = dS[:, n_k:]
+    dpre = dS[:, n_h:]
     grads = {}
     if gru:
         dg = dpre[:, :3 * n_h]
-        grads["W"] = np.concatenate([dg.T @ x for x in inputs(aux["gru_in"])],
+        grads["W"] = np.concatenate([dg.T @ x for x in inputs(sp.gru_in)],
                                     axis=1)
         grads["U"] = np.concatenate((dpre[:, :2 * n_h].T @ hp,
                                      dpre[:, 3 * n_h:4 * n_h].T @ hp))
         grads["b"] = dg.sum(axis=0)
-        dh0 = d[:n_h]
-        grads["h0"] = dh0.sum(axis=1) if p["h0"].ndim == 1 else dh0.T
+        grads["h0"] = d[:n_h].sum(axis=1)
     if head:
         if prev_in:
             dA = dpre[:, 4 * n_h:]
-        dF = np.concatenate([dA.T @ x for x in inputs(aux["head_in"])], axis=1)
+        dF = np.concatenate([dA.T @ x for x in inputs(sp.head_in)], axis=1)
         df = dA.sum(axis=0)
         if hidden:
             grads["W1"], grads["b1"] = dF, df
             dMf = dMLr.T @ feat
             dF, df = dMf[:, :-1], dMf[:, -1]
         grads["Wm"], grads["bm"] = dF[:n_z], df[:n_z]
-        if sample:
-            grads["Wv"], grads["bv"] = dF[n_z:], df[n_z:]
+        if sample:   # back from half log-variance units, exactly
+            grads["Wv"], grads["bv"] = dF[n_z:] * 0.5, df[n_z:] * 0.5
             grads["eps"] = dHZ[:, n_h:] * std
     dx = np.zeros((n_rows, n_x))
     if "xu" in sp.Wc:
@@ -942,48 +939,6 @@ def _scan_vjp(g, xs, p, out, aux):
     return grads, dxs
 
 
-def _gru_scan(W, U, b, h0, *xs, spans):
-    # the GRU over packed rows whose inputs are the column blocks xs, in
-    # W's column order; h0 is one initial state for every sequence or one
-    # row per sequence of the first step
-    n_rows = xs[0].shape[0] if xs and xs[0].ndim == 2 else -1
-    layout = _layout(spans, n_rows)
-    n = U.shape[-1] if U.ndim else 0
-    if (U.shape != (3 * n, n) or b.shape != (3 * n,)
-            or W.shape != (3 * n, sum(x.shape[-1] for x in xs))
-            or any(x.shape[:1] != (n_rows,) or x.ndim != 2 for x in xs)
-            or h0.shape not in ((n,), (layout[0][0][2], n))):
-        raise ValueError(f"gru_scan shapes unsupported: W {W.shape}, U {U.shape}, "
-                         f"b {b.shape}, h0 {h0.shape}, "
-                         f"inputs {[x.shape for x in xs]}")
-    return _scan("gru_scan", xs, dict(W=W, U=U, b=b, h0=h0), layout, ("xu",),
-                 (), None, False)
-
-
-def _gru_scan_vjp(g, vals, out, aux):
-    W, U, b, h0, *xs = vals
-    grads, dxs = _scan_vjp(g, xs, dict(W=W, U=U, b=b, h0=h0), out, aux)
-    return [grads[k] for k in ("W", "U", "b", "h0")] + dxs
-
-
-LATENT_INPUTS = ("xu", "eps", "h0", "W", "U", "b", "W1", "b1",
-                 "Wm", "bm", "Wv", "bv")
-
-
-def _latent_columns(n_h: int, n_z: int, sample: bool) -> dict[str, slice]:
-    """The columns of each output block of latent_scan, in order.  h
-    sits right before the sample (the mean without noise), so that a
-    step's [h, z] outputs are adjacent columns, as in the state block."""
-    widths = ([("mean", n_z), ("log_var", n_z)] if sample else []) + (
-        [("h", n_h)] if n_h else []) + [("z" if sample else "mean", n_z),
-                                        ("z_prev", n_z)]
-    cols, off = {}, 0
-    for name, w in widths:
-        cols[name] = slice(off, off + w)
-        off += w
-    return cols
-
-
 def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
     # One latent chain over packed rows.  Per step, with z_prev the
     # previous sample of the same sequence (zeros at the first step):
@@ -993,45 +948,54 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
     #   mean    = Wm @ feat + bm
     #   log_var = clip(Wv @ feat + bv)
     #   z       = mean + exp(log_var / 2) * eps          (mean, without eps)
-    # The input blocks are "xu" (the exogenous rows), "z" (z_prev) and
-    # "h".  With pin_first the first step's mean and log_var are 0, so
+    # The leading arrays are the column blocks of the exogenous rows, which
+    # form the input block "xu" in their order; the others are the inputs
+    # named in names.  The input blocks are "xu", "z" (z_prev) and "h".
+    # Without head_in no head runs, the GRU is required, and h is the whole
+    # output.  With pin_first the first step's mean and log_var are 0, so
     # its z is eps.  A step's product with the previous state block gives
     # the GRU's pre-activations and the head's first layer on xu and z;
     # the head's part on h reads the step's own block (see _ScanParts).
-    p = dict(zip(names, arrays))
-    sample, gru, hidden = "eps" in p, "W" in p, "W1" in p
-    need = {"xu", "Wm", "bm"} | ({"Wv", "bv"} if sample else set()) | (
-        {"h0", "U", "b"} if gru else set()) | ({"b1"} if hidden else set())
-    if (len(p) != len(names) or not need <= set(p) <= set(LATENT_INPUTS)
-            or sample != ("Wv" in p) or gru != ("U" in p)
-            or not set(head_in) <= {"xu", "z"} | ({"h"} if gru else set())):
+    n_xs = len(arrays) - len(names)
+    xs, p = arrays[:n_xs], dict(zip(names, arrays[n_xs:]))
+    head = bool(head_in)
+    gru = "W" in p or not head
+    sample, hidden = head and "eps" in p, head and "W1" in p
+    need = ({"h0", "W", "U", "b"} if gru else set()) | (
+        {"Wm", "bm"} if head else set()) | (
+        {"eps", "Wv", "bv"} if sample else set()) | (
+        {"W1", "b1"} if hidden else set())
+    if (len(p) != len(names) or set(p) != need or sample and clip is None
+            or not set(gru_in) <= {"xu", "z"} or "z" in gru_in and not head
+            or not set(head_in) <= {"xu", "z", "h"} or "h" in head_in and not gru):
         raise ValueError(f"latent_scan inputs unsupported: {names}")
-    xu = p["xu"]
-    n_rows, n_z = xu.shape[0], p["Wm"].shape[0]
+    n_rows = xs[0].shape[0] if xs and xs[0].ndim == 2 else -1
     layout = _layout(spans, n_rows)
-    n_h = p["U"].shape[1] if gru else 0
-    n_feat = p["W1"].shape[0] if hidden else p["Wm"].shape[-1]
-    if (xu.ndim != 2 or p["Wm"].ndim != 2 or p["bm"].shape != (n_z,)
-            or (hidden and (p["b1"].shape != (n_feat,)
-                            or p["Wm"].shape[1] != n_feat))
-            or (sample and (p["Wv"].shape != p["Wm"].shape
-                            or p["bv"].shape != (n_z,)
-                            or p["eps"].shape != (n_rows, n_z)))
-            or (gru and (p["U"].shape != (3 * n_h, n_h)
-                         or p["b"].shape != (3 * n_h,)
-                         or p["h0"].shape != (n_h,)))):
+    n_h = p["U"].shape[-1] if gru and p["U"].ndim else 0
+    n_z = p["Wm"].shape[0] if head and p["Wm"].ndim else 0
+    n_feat = p["W1"].shape[0] if hidden else 0
+    want = dict(h0=(n_h,), U=(3 * n_h, n_h), b=(3 * n_h,), b1=(n_feat,),
+                bm=(n_z,), bv=(n_z,), eps=(n_rows, n_z))
+    if (any(x.ndim != 2 or x.shape[0] != n_rows for x in xs)
+            or any(p[k].shape != s for k, s in want.items() if k in p)
+            or gru and p["W"].shape[:1] != (3 * n_h,)
+            or head and p["Wm"].ndim != 2
+            or hidden and p["Wm"].shape[1] != n_feat
+            or sample and p["Wv"].shape != p["Wm"].shape):
         raise ValueError(f"latent_scan shapes unsupported: "
-                         f"{[(k, p[k].shape) for k in names]}")
-    out, aux = _scan("latent_scan", [xu], p, layout, gru_in, head_in, clip,
-                     pin_first)
+                         f"{[x.shape for x in xs]}, "
+                         f"{[(k, a.shape) for k, a in p.items()]}")
+    out, aux = _scan(xs, p, layout, gru_in, head_in, clip, pin_first)
     aux["names"] = names
     return out, aux
 
 
 def _latent_scan_vjp(g, vals, out, aux):
-    p = dict(zip(aux["names"], vals))
-    grads, (grads["xu"],) = _scan_vjp(g, [p["xu"]], p, out, aux)
-    return [grads[k] for k in aux["names"]]
+    names = aux["names"]
+    n_xs = len(vals) - len(names)
+    grads, dxs = _scan_vjp(g, vals[:n_xs], dict(zip(names, vals[n_xs:])),
+                           out, aux)
+    return dxs + [grads[k] for k in names]
 
 
 _OPS = {
@@ -1053,7 +1017,6 @@ _OPS = {
     "affine": (_affine, _affine_vjp),
     "gauss_logpdf": (_gauss_logpdf, _gauss_logpdf_vjp),
     "gauss_kl": (_gauss_kl, _gauss_kl_vjp),
-    "gru_scan": (_gru_scan, _gru_scan_vjp),
     "latent_scan": (_latent_scan, _latent_scan_vjp),
 }
 
@@ -1125,25 +1088,22 @@ def affine(W: Tensor, x: Tensor, b: Tensor) -> Tensor:
     return apply_primitive("affine", W, x, b)
 
 
-def gru_scan(W: Tensor, U: Tensor, b: Tensor, h0: Tensor, xs,
-             spans) -> Tensor:
-    """The stacked states of a GRU over packed rows whose inputs are the
-    column blocks xs (a list of row tensors), in W's column order."""
-    return apply_primitive("gru_scan", W, U, b, h0, *xs, spans=tuple(spans))
-
-
-def latent_scan(inputs: dict[str, Tensor], spans, gru_in, head_in, clip,
-                pin_first=False) -> dict[str, Tensor]:
+def latent_scan(xs, params: dict[str, Tensor], spans, gru_in, head_in=(),
+                clip=None, pin_first=False) -> dict[str, Tensor]:
     """One latent chain over packed rows, as one tape node (see
-    _latent_scan); inputs are keyed by LATENT_INPUTS names.  Returns its
-    output column blocks: h (with a GRU), mean, log_var and z (with
-    eps; without, z is the mean) and z_prev."""
+    _latent_scan): xs lists the column blocks of the exogenous rows, and
+    params holds the other inputs by name.  Returns its output column
+    blocks: h (with a GRU), mean, log_var and z (with eps; without, z is
+    the mean) and z_prev; without head_in, h alone, the node itself."""
     rows = apply_primitive(
-        "latent_scan", *inputs.values(), names=tuple(inputs),
+        "latent_scan", *xs, *params.values(), names=tuple(params),
         spans=tuple(spans), gru_in=tuple(gru_in), head_in=tuple(head_in),
-        clip=tuple(clip), pin_first=pin_first)
-    n_h = inputs["U"].shape[1] if "U" in inputs else 0
-    cols = _latent_columns(n_h, inputs["Wm"].shape[0], "eps" in inputs)
+        clip=clip if clip is None else tuple(clip), pin_first=pin_first)
+    n_h = params["U"].shape[1] if "U" in params else 0
+    n_z = params["Wm"].shape[0] if head_in else 0
+    cols, _ = _scan_columns(n_h, n_z, "eps" in params)
+    if len(cols) == 1:
+        return {"h": rows}
     out = {k: rows.slice(c.start, c.stop, axis=1) for k, c in cols.items()}
     out.setdefault("z", out["mean"])
     return out

@@ -549,10 +549,20 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    t0 = time.time()
+def _training_setup(args) -> tuple[Corpus, NetworkSpec, TrainConfig, dict]:
+    """The corpus and config of a training command; the training
+    targets are capped at the config's rul_cap."""
     corpus = load_corpus(_data_dir(args), args.tag)
     spec, config, doc = load_config(args.config, corpus.n_x, corpus.n_u)
+    targets = build_rul_targets(corpus.train_ds, config.rul_cap)
+    corpus = replace(corpus, train_trajs=to_trajectories(corpus.train_ds,
+                                                         targets))
+    return corpus, spec, config, doc
+
+
+def cmd_train(args) -> int:
+    t0 = time.time()
+    corpus, spec, config, doc = _training_setup(args)
     res = train(corpus.train_trajs, spec, config)
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(res.checkpoint, os.path.join(args.out, "model.ckpt"))
@@ -619,8 +629,7 @@ def _print_summary(tagline: str, s: RunSummary) -> None:
 
 def cmd_experiment(args) -> int:
     t0 = time.time()
-    corpus = load_corpus(_data_dir(args), args.tag)
-    spec, config, doc = load_config(args.config, corpus.n_x, corpus.n_u)
+    corpus, spec, config, doc = _training_setup(args)
     os.makedirs(args.out, exist_ok=True)
 
     def experiment(cfg: TrainConfig) -> RunSummary:

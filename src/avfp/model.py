@@ -19,9 +19,9 @@ latent, which removes every non-adjacent dependency.
 
 Every block takes stacked rows, one per cycle of a time-major packed
 batch (objectives.Batch).  The recurrent chains run whole sequences as
-one scan primitive each: recognition (GRU, posterior head and sample)
-and prior_chain (the prior's rollout) as a latent_scan, and the prior's
-summary of given latents as a gru_scan, so no per-step block exists.
+one latent_scan each: recognition (GRU, posterior head and sample),
+prior_chain (the prior's rollout) and the prior's summary of given
+latents (its GRU alone), so no per-step block exists.
 The transition prior and emission heads then read all stacked rows at
 once.  The discriminator pools stacked latent rows into one score per
 trajectory.
@@ -40,7 +40,6 @@ from .diffcore import (
     affine,
     concat,
     constant,
-    gru_scan,
     latent_scan,
     sigmoid,
     softplus,
@@ -219,17 +218,21 @@ def _gaussian_head(group: dict[str, Tensor], prefix: str, hidden: int,
     return GaussianDiag(mean=mean, log_var=log_var)
 
 
+def _gru_inputs(group: dict[str, Tensor], state0: str) -> dict[str, Tensor]:
+    """latent_scan inputs of one partition's GRU; state0 names its
+    initial state."""
+    return dict(h0=group[state0], W=group["gru.W"], U=group["gru.U"],
+                b=group["gru.b"])
+
+
 def _chain_inputs(group: dict[str, Tensor], state0: str, head: str,
-                  xu, eps) -> dict[str, Tensor]:
-    """latent_scan inputs from one partition: the exogenous rows and
-    noise, its GRU if it has one (state0 names the initial state) and
-    the Gaussian head called head; no log-variance head without noise."""
-    inputs = {"xu": constant(xu)}
-    if eps is not None:
-        inputs["eps"] = constant(eps)
+                  eps) -> dict[str, Tensor]:
+    """latent_scan inputs from one partition: the noise, its GRU if it
+    has one and the Gaussian head called head; no log-variance head
+    without noise."""
+    inputs = {} if eps is None else {"eps": constant(eps)}
     if state0 in group:
-        inputs.update(h0=group[state0], W=group["gru.W"], U=group["gru.U"],
-                      b=group["gru.b"])
+        inputs.update(_gru_inputs(group, state0))
     for w in ("W1", "Wm") + (("Wv",) if eps is not None else ()):
         if f"{head}.{w}" in group:  # no W1 without a hidden layer
             inputs[w] = group[f"{head}.{w}"]
@@ -253,8 +256,8 @@ def recognition(params: ModelParams, xu, eps, spans) -> dict[str, Tensor]:
     can only see adjacent information.  Returns the stacked column
     blocks h (history mode only), mean, log_var, z and z_prev.
     """
-    return latent_scan(_chain_inputs(params.phi, "h0", "enc", xu, eps), spans,
-                       gru_in=("xu", "z"),
+    inputs = _chain_inputs(params.phi, "h0", "enc", eps)
+    return latent_scan([constant(xu)], inputs, spans, gru_in=("xu", "z"),
                        head_in=("xu", "z") if params.markovian else ("h",),
                        clip=(LOG_VAR_MIN, LOG_VAR_MAX))
 
@@ -266,13 +269,12 @@ def recognition(params: ModelParams, xu, eps, spans) -> dict[str, Tensor]:
 def prior_history(params: ModelParams, z_prev: Tensor, u,
                   spans) -> Tensor | None:
     """The prior's recurrent summaries g_t of (z_{t-1}, u_t) over packed
-    rows, one gru_scan; None in markovian mode, which has no such
-    summary."""
+    rows, one latent_scan of the GRU alone; None in markovian mode,
+    which has no such summary."""
     if params.markovian:
         return None
-    th = params.theta
-    return gru_scan(th["gru.W"], th["gru.U"], th["gru.b"], th["g0"],
-                    [z_prev, constant(u)], spans)
+    return latent_scan([z_prev, constant(u)], _gru_inputs(params.theta, "g0"),
+                       spans, gru_in=("xu",))["h"]
 
 
 def transition_prior(params: ModelParams, state: Tensor | None,
@@ -289,8 +291,8 @@ def prior_chain(params: ModelParams, u, eps, spans) -> Tensor:
     of inputs u, one latent_scan: the prior's summary and head run as
     in prior_history and transition_prior, and the first step is N(0,
     I), so its sample is the noise."""
-    return latent_scan(_chain_inputs(params.theta, "g0", "pri", u, eps), spans,
-                       gru_in=("z", "xu"),
+    inputs = _chain_inputs(params.theta, "g0", "pri", eps)
+    return latent_scan([constant(u)], inputs, spans, gru_in=("z", "xu"),
                        head_in=("z",) if params.markovian else ("z", "h"),
                        clip=(LOG_VAR_MIN, LOG_VAR_MAX), pin_first=True)["z"]
 

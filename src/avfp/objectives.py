@@ -16,7 +16,7 @@ is not run).  filter_means runs it with recording off for the
 remaining-life and health-index readouts.
 
 The evidence bound runs the prior's recurrence over the given latents as
-one gru_scan; the transition prior, the emission head, the log-density
+one scan of its GRU alone; the transition prior, the emission head, the log-density
 and the KL then run once each over all stacked rows.  A batch's tape
 therefore has the same length whatever its sequences' lengths.  The
 first-step prior is pinned to N(0, I).
@@ -261,13 +261,13 @@ def combined_objective(
     lambda_adv: float,
     prior_noise: list[np.ndarray] | None = None,
     kl_weight: float = 1.0,
-) -> tuple[list[ObjectiveBreakdown], Tensor, Bound]:
+) -> tuple[list[ObjectiveBreakdown], Tensor]:
     """Evidence bound minus the weighted generator-side adversarial term.
 
     Returns (one breakdown per trajectory, maximization target summed
-    over the batch, the bound's per-row terms).  kl_weight scales the
-    KL term of the returned target only (warm-up support); the
-    breakdowns always report the canonical kl_weight = 1 value.
+    over the batch).  kl_weight scales the KL term of the returned
+    target only (warm-up support); the breakdowns always report the
+    canonical kl_weight = 1 value.
     prior_noise drives the reference rollout behind the reported
     discriminator loss and defaults to reusing noise.
     """
@@ -301,4 +301,4 @@ def combined_objective(
             recon_loglik=r, kl_total=k, adv_gen=a,
             adv_disc=float(adv_disc_rows[b]),
             combined=r - k - lambda_adv * a, kl_per_step=kl_steps))
-    return breakdowns, target, bound
+    return breakdowns, target

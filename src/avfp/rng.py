@@ -11,6 +11,8 @@ bit-exact without serializing generator internals.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -35,10 +37,17 @@ def _fold(state: int, token: int | str) -> int:
     return _splitmix(state ^ (int(token) & _MASK))
 
 
+@lru_cache(maxsize=256)
+def _salted(seed: int) -> tuple[int, int]:
+    """The (lo, hi) hash states of a 64-bit seed before any stream id;
+    a run derives every stream from a few seeds, so they are cached."""
+    state = _splitmix(seed)
+    return _fold(state, "avfp-lo"), _fold(state, "avfp-hi")
+
+
 def derive_key(seed: int, *ids: int | str) -> int:
     """128-bit Philox key for the stream named by (seed, *ids)."""
-    lo = _fold(_splitmix(int(seed) & _MASK), "avfp-lo")
-    hi = _fold(_splitmix(int(seed) & _MASK), "avfp-hi")
+    lo, hi = _salted(int(seed) & _MASK)
     for token in ids:
         lo = _fold(lo, token)
         hi = _fold(hi, token)

@@ -382,7 +382,7 @@ def train(
                 kl_w = 1.0
             try:
                 with update("gen") as u:
-                    breakdowns, target, _ = combined_objective(
+                    breakdowns, target = combined_objective(
                         params, batch, noise("noise", step), config.lambda_adv,
                         prior_noise=noise("prior-noise", step), kl_weight=kl_w)
                     # minimize -combined

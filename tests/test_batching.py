@@ -89,15 +89,15 @@ def test_combined_objective_batched_equals_per_trajectory(markovian, lambda_adv)
     prior_noise = noises(spec, trajs, "prior-noise")
 
     with Tape() as tape:
-        bds, target, _ = combined_objective(params, trajs, noise, lambda_adv,
-                                            prior_noise=prior_noise)
+        bds, target = combined_objective(params, trajs, noise, lambda_adv,
+                                         prior_noise=prior_noise)
     grads = backward(tape, target)
 
     singles, single_grads = [], []
     for t, n, p in zip(trajs, noise, prior_noise):
         with Tape() as tape:
-            (bd,), tgt, _ = combined_objective(params, [t], [n], lambda_adv,
-                                               prior_noise=[p])
+            (bd,), tgt = combined_objective(params, [t], [n], lambda_adv,
+                                            prior_noise=[p])
         singles.append((bd, tgt.item()))
         single_grads.append(backward(tape, tgt))
 
@@ -178,7 +178,7 @@ def test_phase_two_tape_is_at_most_20_nodes_per_step(n_traj):
         trajs = ragged(spec, lengths, seed=1)
         noise = noises(spec, trajs, "noise")
         with Tape() as tape:
-            _, target, _ = combined_objective(
+            _, target = combined_objective(
                 params, trajs, noise, 0.1, prior_noise=noises(spec, trajs, "pn"))
         assert len(tape) <= 20 * max(lengths)
         assert backward(tape, target)

@@ -352,19 +352,20 @@ def _row(v):
     return dc.broadcast_to(v, (1,) + v.shape)
 
 
-def _gru_cell(W, U, b, h, x):
-    """One gated update of the rows h with inputs x, as the model runs
-    it: a single-step gru_scan whose initial state holds one row per
-    sequence."""
-    return dc.gru_scan(W, U, b, h, [x], [(0, h.shape[0])])
+def _gru_cell(W, U, b, h0, x):
+    """One gated update of the state h0 for each row of inputs x, as the
+    model runs it: a one-step latent_scan of a GRU alone."""
+    return dc.latent_scan([x], dict(W=W, U=U, b=b, h0=h0), [(0, x.shape[0])],
+                          gru_in=("xu",))["h"]
 
 
 def _fused_cases():
     """(name, fused f, unfused f, param arrays, grad_check step).
 
-    affine and gru_cell (a single-step gru_scan) take row batches: the fused form runs on the vector inputs lifted to
-    one row each, B = 1, and the unfused composition on the vectors
-    themselves.
+    affine and gru_cell (a one-step scan) take row batches: the fused
+    form runs on the vector inputs lifted to one row each, B = 1, and the
+    unfused composition on the vectors themselves; gru_cell's state h0
+    is a vector in both.
     Vector inputs and the output weights have magnitudes in [s/2, 3s/2],
     so that no gradient coordinate is a product of near-zero factors
     that central differences cannot resolve.  affine is linear in each
@@ -389,7 +390,7 @@ def _fused_cases():
          lambda ps: dc.softplus(ps[0] @ ps[1] + ps[2]),
          [vec(N_H, N_H ** -0.5), vec(N_H), np.array(0.2)], 1e-6),
         ("gru_cell",
-         lambda ps: red_h(_gru_cell(*ps[:3], _row(ps[3]), _row(ps[4]))),
+         lambda ps: red_h(_gru_cell(*ps[:4], _row(ps[4]))),
          lambda ps: red_h(_unfused_gru(*ps)),
          [g.normal(0, N_IN ** -0.5, (3 * N_H, N_IN)),
           g.normal(0, N_H ** -0.5, (3 * N_H, N_H)), vec(3 * N_H, 0.1),
@@ -479,7 +480,8 @@ def test_batched_affine_matches_rows(shape):
 
 def _row_cases(n_rows):
     """(name, f, param arrays, grad_check step, tolerance) for the
-    row-batch forms, at default-NetworkSpec shapes with n_rows rows.
+    row-batch forms, at default-NetworkSpec shapes with n_rows rows
+    (gru_cell's rows share one initial state).
 
     Some coordinates of the GRU weight gradients are products of two
     small gate derivatives (about 1e-3), where central differences
@@ -503,7 +505,7 @@ def _row_cases(n_rows):
         ("gru_cell", lambda ps: red_h(_gru_cell(*ps)),
          [g.normal(0, N_IN ** -0.5, (3 * N_H, N_IN)),
           g.normal(0, N_H ** -0.5, (3 * N_H, N_H)), mat(3 * N_H, 0.1),
-          mat((n_rows, N_H), 0.5), mat((n_rows, N_IN))], 1e-5, 1e-5),
+          mat(N_H, 0.5), mat((n_rows, N_IN))], 1e-5, 1e-5),
         ("gauss_logpdf", lambda ps: red_r(dc.gauss_logpdf(*ps)),
          [mat((n_rows, N_X), 2.0), mat((n_rows, N_X)), mat((n_rows, N_X))],
          1e-6, 1e-6),
@@ -535,9 +537,9 @@ def test_row_form_gradcheck(name, n_rows):
 def test_row_form_matches_rows(name):
     """Each row of the batch form equals the op on that row alone (a
     batch of one for gru_cell, a vector for the Gaussian ops), values
-    and gradients; the first inputs of gru_cell are shared."""
+    and gradients; gru_cell's weights and initial state are shared."""
     arrays = next(c for c in _row_cases(3) if c[0] == name)[2]
-    shared = 3 if name == "gru_cell" else 0
+    shared = 4 if name == "gru_cell" else 0
     one, join = ((lambda a, i: a[i:i + 1]), np.concatenate) if shared else (
         (lambda a, i: a[i]), np.stack)
     w = np.random.default_rng(5).uniform(0.5, 1.5, 3)
@@ -586,9 +588,9 @@ def test_gru_cell_overflow_is_loud():
     huge_U[2 * N_H:] = 1e308     # candidate rows of U @ h overflow
     with np.errstate(over="ignore", invalid="ignore"):
         for args in ((huge_W, U, b, h, x), (W, huge_U, b, h, x)):
-            with pytest.raises(NonFiniteError):  # a batch of one row
-                _gru_cell(*[Tensor(a) for a in args[:3]],
-                          Tensor(h[None]), Tensor(x[None]))
+            with pytest.raises(NonFiniteError, match="latent_scan"):
+                _gru_cell(*[Tensor(a) for a in args[:4]],
+                          Tensor(x[None]))   # a batch of one row
             with pytest.raises(NonFiniteError):
                 _unfused_gru(*[Tensor(a) for a in args])
 
@@ -601,41 +603,47 @@ def test_fused_shape_errors():
     with pytest.raises(ValueError):
         dc.affine(Tensor(np.ones(4)), Tensor(np.ones((2, 5, 4))), Tensor(0.0))
     with pytest.raises(ValueError):  # U is not (3 n, n)
-        dc.gru_scan(Tensor(np.ones((6, 3))), Tensor(np.ones((9, 2))),
-                    Tensor(np.ones(6)), Tensor(np.ones(2)),
-                    [Tensor(np.ones((1, 3)))], [(0, 1)])
+        _gru_cell(Tensor(np.ones((6, 3))), Tensor(np.ones((9, 2))),
+                  Tensor(np.ones(6)), Tensor(np.ones(2)),
+                  Tensor(np.ones((1, 3))))
     with pytest.raises(ValueError):
         dc.gauss_logpdf(Tensor(np.ones(2)), Tensor(np.ones(3)), Tensor(np.ones(3)))
     with pytest.raises(ValueError):
         dc.gauss_kl(Tensor(np.ones(2)), Tensor(np.ones(2)), Tensor(np.ones(2)),
                     Tensor(np.ones(3)))
-    # affine and gru_scan take row batches only: a vector input is an error
+    # affine and the scan take row batches only: a vector input is an
+    # error, and the scan's initial state is one vector
     with pytest.raises(ValueError):
         dc.affine(Tensor(np.ones((3, 4))), Tensor(np.ones(4)), Tensor(np.ones(3)))
     with pytest.raises(ValueError):
         dc.affine(Tensor(np.ones(4)), Tensor(np.ones(4)), Tensor(0.0))
     W, U, b = Tensor(np.ones((6, 3))), Tensor(np.ones((6, 2))), Tensor(np.ones(6))
     with pytest.raises(ValueError):
-        dc.gru_scan(W, U, b, Tensor(np.ones(2)), [Tensor(np.ones(3))], [(0, 1)])
+        _gru_cell(W, U, b, Tensor(np.ones(2)), Tensor(np.ones(3)))
     with pytest.raises(ValueError):
-        dc.gru_scan(W, U, b, Tensor(np.ones((1, 1, 2))),
-                    [Tensor(np.ones((1, 3)))], [(0, 1)])
+        _gru_cell(W, U, b, Tensor(np.ones((1, 2))), Tensor(np.ones((1, 3))))
 
 
 def test_row_form_shape_errors():
-    W, U, b = Tensor(np.ones((6, 3))), Tensor(np.ones((6, 2))), Tensor(np.ones(6))
+    gru = dict(W=Tensor(np.ones((6, 3))), U=Tensor(np.ones((6, 2))),
+               b=Tensor(np.ones(6)), h0=Tensor(np.ones(2)))
     xs = [Tensor(np.ones((3, 1))), Tensor(np.ones((3, 2)))]
-    with pytest.raises(ValueError):  # row counts differ
-        dc.gru_scan(W, U, b, Tensor(np.ones((2, 2))), xs, [(0, 3)])
+
+    def scan(xs, spans, **inputs):
+        return dc.latent_scan(xs, {**gru, **inputs}, spans, gru_in=("xu",))
+
+    with pytest.raises(ValueError):  # one initial state per row
+        scan(xs, [(0, 3)], h0=Tensor(np.ones((3, 2))))
     with pytest.raises(ValueError):  # input blocks of other row counts
-        dc.gru_scan(W, U, b, Tensor(np.ones(2)), [xs[0], Tensor(np.ones((2, 2)))],
-                    [(0, 3)])
+        scan([xs[0], Tensor(np.ones((2, 2)))], [(0, 3)])
     with pytest.raises(ValueError):  # spans cover other rows
-        dc.gru_scan(W, U, b, Tensor(np.ones(2)), xs, [(0, 2)])
+        scan(xs, [(0, 2)])
     with pytest.raises(ValueError):  # a step with more rows than the last
-        dc.gru_scan(W, U, b, Tensor(np.ones(2)), xs, [(0, 1), (1, 3)])
+        scan(xs, [(0, 1), (1, 3)])
     with pytest.raises(ValueError):  # steps that do not follow each other
-        dc.gru_scan(W, U, b, Tensor(np.ones(2)), xs, [(0, 2), (1, 3)])
+        scan(xs, [(0, 2), (1, 3)])
+    with pytest.raises(ValueError):  # W's rows are not 3 n
+        scan(xs, [(0, 3)], W=Tensor(np.ones((5, 3))))
     with pytest.raises(ValueError):
         dc.gauss_logpdf(*[Tensor(np.ones((2, 2, 2)))] * 3)
     with pytest.raises(ValueError):
@@ -727,6 +735,13 @@ def _scan_case(mode, n_seq, seed=0):
     return arrays, static
 
 
+def _latent(p, **static):
+    """latent_scan of a case's inputs by name, whose "xu" is the one
+    block of exogenous rows."""
+    return dc.latent_scan([p["xu"]], {k: t for k, t in p.items() if k != "xu"},
+                          **static)
+
+
 def _per_step_chain(p, spans, gru_in, head_in, clip, pin_first):
     """The latent chain composed step by step from basic primitives and
     affine, as the model ran it before the scans: cut the states to the
@@ -790,7 +805,7 @@ def _weighted(cols, seed=7):
 def test_latent_scan_matches_per_step_composition(mode, n_seq):
     arrays, static = _scan_case(mode, n_seq)
     results = []
-    for chain in (lambda p: dc.latent_scan(p, **static),
+    for chain in (lambda p: _latent(p, **static),
                   lambda p: _per_step_chain(p, **static)):
         params = {k: Tensor(a) for k, a in arrays.items()}
         with Tape() as tape:
@@ -823,7 +838,7 @@ def test_latent_scan_gradcheck(mode, n_seq):
     params = {k: Tensor(a) for k, a in arrays.items()}
     for k in params:
         def f(ps, k=k):
-            return _weighted(dc.latent_scan({**params, k: ps[0]}, **static))
+            return _weighted(_latent({**params, k: ps[0]}, **static))
 
         tol = 1e-4 if k in ("W", "U") else 1e-5
         assert grad_check(f, [params[k]], step=1e-5) < tol, k
@@ -831,8 +846,9 @@ def test_latent_scan_gradcheck(mode, n_seq):
 
 @pytest.mark.parametrize("n_seq", list(SCAN_LENGTHS))
 def test_gru_scan_gradcheck_and_per_step_composition(n_seq):
-    """The prior-history GRU over two input blocks; grad_check runs at
-    GRADCHECK_LENGTHS only, the 1e-12 composition at every span shape."""
+    """The prior-history GRU, a latent_scan without a head, over two
+    input blocks; grad_check runs at GRADCHECK_LENGTHS only, the 1e-12
+    composition at every span shape."""
     arrays, static = _scan_case("history", n_seq)
     spans, n_rows = static["spans"], static["spans"][-1][1]
     g = np.random.default_rng(3)
@@ -842,7 +858,9 @@ def test_gru_scan_gradcheck_and_per_step_composition(n_seq):
     w = dc.constant(g.uniform(0.5, 1.5, (n_rows, N_H)))
 
     def fused(ps):
-        return (dc.gru_scan(*ps[:4], ps[4:], spans) * w).sum()
+        gru = dict(zip(("W", "U", "b", "h0"), ps[:4]))
+        return (dc.latent_scan(ps[4:], gru, spans, gru_in=("xu",))["h"]
+                * w).sum()
 
     def per_step(ps):
         W, U, b, h0, z, u = ps
@@ -892,15 +910,14 @@ def test_scans_replay_bit_exact():
     with Tape() as tape:
         for mode in sorted(SCAN_MODES):
             arrays, static = _scan_case(mode, 3)
-            cols = dc.latent_scan({k: Tensor(a) for k, a in arrays.items()},
-                                  **static)
-        h = dc.gru_scan(Tensor(arrays["W"][:, :N_Z + N_U]),
-                        Tensor(arrays["U"]), Tensor(arrays["b"]),
-                        Tensor(arrays["h0"]),
-                        [cols["mean"], Tensor(arrays["xu"]).slice(0, N_U, axis=1)],
-                        static["spans"])
+            cols = _latent({k: Tensor(a) for k, a in arrays.items()}, **static)
+        gru = {k: Tensor(arrays[k]) for k in ("U", "b", "h0")}
+        gru["W"] = Tensor(arrays["W"][:, :N_Z + N_U])
+        h = dc.latent_scan(
+            [cols["mean"], Tensor(arrays["xu"]).slice(0, N_U, axis=1)], gru,
+            static["spans"], gru_in=("xu",))["h"]
         loss = (h * h).sum()
-    assert {"latent_scan", "gru_scan"} <= set(tape.ops)
+    assert tape.ops.count("latent_scan") == len(SCAN_MODES) + 1
     replay(tape)
     assert backward(tape, loss)
 
@@ -936,14 +953,17 @@ def test_scan_overflow_is_loud():
     with np.errstate(over="ignore", invalid="ignore"):
         for case in huge:
             with pytest.raises(NonFiniteError, match="latent_scan"):
-                dc.latent_scan({k: Tensor(a) for k, a in case.items()}, **static)
+                _latent({k: Tensor(a) for k, a in case.items()}, **static)
+        # the same GRU without a head, over two input blocks
         zs = np.ones((spans[-1][1], N_Z))
         big_U = arrays["U"].copy()
         big_U[:N_H] = 1e308
         for U, xu in [(big_U, arrays["xu"])] + [(arrays["U"], x) for x in rows.values()]:
-            with pytest.raises(NonFiniteError, match="gru_scan"):
-                dc.gru_scan(Tensor(W), Tensor(U), Tensor(arrays["b"]),
-                            Tensor(arrays["h0"]), [Tensor(xu), Tensor(zs)], spans)
+            gru = dict(W=Tensor(W), U=Tensor(U), b=Tensor(arrays["b"]),
+                       h0=Tensor(arrays["h0"]))
+            with pytest.raises(NonFiniteError, match="latent_scan"):
+                dc.latent_scan([Tensor(xu), Tensor(zs)], gru, spans,
+                               gru_in=("xu",))
 
 
 def test_latent_scan_input_errors():
@@ -951,16 +971,57 @@ def test_latent_scan_input_errors():
     params = {k: Tensor(a) for k, a in arrays.items()}
     for drop in ("Wv", "U", "Wm"):  # a log-variance head without weights...
         with pytest.raises(ValueError):
-            dc.latent_scan({k: t for k, t in params.items() if k != drop},
-                           **static)
+            _latent({k: t for k, t in params.items() if k != drop}, **static)
     with pytest.raises(ValueError):  # an unknown input
-        dc.latent_scan({**params, "V": params["U"]}, **static)
+        _latent({**params, "V": params["U"]}, **static)
     with pytest.raises(ValueError):  # W's columns do not match its blocks
-        dc.latent_scan(params, **{**static, "gru_in": ("xu",)})
+        _latent(params, **{**static, "gru_in": ("xu",)})
     with pytest.raises(ValueError):  # noise rows of another count
-        dc.latent_scan({**params, "eps": Tensor(arrays["eps"][1:])}, **static)
+        _latent({**params, "eps": Tensor(arrays["eps"][1:])}, **static)
     with pytest.raises(ValueError):
-        dc.latent_scan(params, **{**static, "spans": static["spans"][:-1]})
+        _latent(params, **{**static, "spans": static["spans"][:-1]})
+    with pytest.raises(ValueError):  # sampling without a clip
+        _latent(params, **{**static, "clip": None})
+    # without a head: a GRU is required, no head weights or noise are
+    # taken, and there is no sample z to read
+    xs, spans = [params["xu"]], static["spans"]
+    gru = {k: params[k] for k in ("h0", "U", "b")}
+    gru["W"] = Tensor(arrays["W"][:, :N_X + N_U])
+    assert dc.latent_scan(xs, gru, spans, gru_in=("xu",))["h"].shape == (
+        spans[-1][1], N_H)
+    for inputs, gru_in in (({}, ("xu",)), ({**gru, "eps": params["eps"]}, ("xu",)),
+                           ({**gru, "Wm": params["Wm"]}, ("xu",)),
+                           ({**gru, "W": params["W"]}, ("xu", "z"))):
+        with pytest.raises(ValueError):
+            dc.latent_scan(xs, inputs, spans, gru_in=gru_in)
+
+
+def test_scan_builds_its_step_matrices_once(monkeypatch):
+    """A taped forward and its backward build one set of step matrices:
+    the backward reads the forward's, kept on the tape."""
+    builds = []
+
+    class Counted(dc._ScanParts):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(dc, "_ScanParts", Counted)
+    for mode in sorted(SCAN_MODES) + ["no head"]:
+        arrays, static = _scan_case("history" if mode == "no head" else mode, 3)
+        params = {k: Tensor(a) for k, a in arrays.items()}
+        builds.clear()
+        with Tape() as tape:
+            if mode == "no head":
+                gru = {k: params[k] for k in ("h0", "U", "b")}
+                gru["W"] = Tensor(arrays["W"][:, :N_X + N_U])
+                cols = dc.latent_scan([params["xu"]], gru, static["spans"],
+                                      gru_in=("xu",))
+            else:
+                cols = _latent(params, **static)
+            loss = _weighted(cols)
+        assert backward(tape, loss)
+        assert len(builds) == 1, mode
 
 
 def test_slice_along_columns():

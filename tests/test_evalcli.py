@@ -550,6 +550,27 @@ def test_cli_checkpoint_missing_entry_exits_2(synth_dir, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command", ["train", "experiment"])
+def test_cli_training_targets_use_the_config_cap(synth_dir, monkeypatch,
+                                                 tmp_path, command):
+    """The config's rul_cap caps the targets that training sees (the
+    conftest fleet's lives reach 119)."""
+    import avfp.evalcli as cli
+
+    seen = []
+
+    def record(trajs, *a, **kw):
+        seen.append(max(float(t.rul.max()) for t in trajs))
+        raise TrainingAborted("stop after recording the targets")
+
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"rul_cap": 40}))
+    monkeypatch.setattr(cli, "train", record)
+    assert main([command, "--data", synth_dir, "--out", str(tmp_path / "out"),
+                 "--config", str(cfg)]) == 3
+    assert seen and all(m == 40.0 for m in seen)
+
+
 def test_cli_training_abort_exits_3(synth_dir, monkeypatch, tmp_path, capsys):
     import avfp.evalcli as cli
 

@@ -12,7 +12,7 @@ from avfp.diffcore import (
     backward,
     constant,
     grad_check,
-    gru_scan,
+    latent_scan,
 )
 from avfp.model import (
     GaussianDiag,
@@ -74,11 +74,11 @@ def test_markovian_drops_recurrent_params():
     assert p.phi["enc.W1"].shape == (spec.enc_hidden, d_rec)
 
 
-def gru_step(group, h, inp):
-    """One step of the group's GRU from rows h: a single-step gru_scan,
-    as the model's scans run it."""
-    return gru_scan(group["gru.W"], group["gru.U"], group["gru.b"], h, [inp],
-                    [(0, h.shape[0])])
+def gru_step(group, h0, inp):
+    """One step of the group's GRU from the state h0 for each row of
+    inp: a one-step latent_scan of the GRU alone, as the model runs it."""
+    gru = dict(W=group["gru.W"], U=group["gru.U"], b=group["gru.b"], h0=h0)
+    return latent_scan([inp], gru, [(0, inp.shape[0])], gru_in=("xu",))["h"]
 
 
 def test_gru_step_matches_hand_computation():
@@ -88,7 +88,7 @@ def test_gru_step_matches_hand_computation():
     h = g.standard_normal(spec.n_h)
     inp = g.standard_normal(spec.n_x + spec.n_u + spec.n_z)
 
-    out = gru_step(p.phi, Tensor(h[None]), Tensor(inp[None]))  # B = 1
+    out = gru_step(p.phi, Tensor(h), Tensor(inp[None]))  # B = 1
 
     W, U, b = (p.phi["gru.W"].data, p.phi["gru.U"].data, p.phi["gru.b"].data)
     nh = spec.n_h
@@ -106,13 +106,13 @@ def test_gru_gate_saturation_limits():
     # huge positive update-gate bias -> h' ~ candidate; huge negative -> carry
     spec = small_spec()
     p = init_params(spec, markovian=False, seed=3)
-    h = Tensor(np.full((1, spec.n_h), 0.7))
+    h = Tensor(np.full(spec.n_h, 0.7))
     inp = Tensor(np.zeros((1, spec.n_x + spec.n_u + spec.n_z)))
     b = p.phi["gru.b"].data.copy()
     b[spec.n_h : 2 * spec.n_h] = -50.0
     p.phi["gru.b"] = Tensor(b)
     out = gru_step(p.phi, h, inp)
-    assert np.allclose(out.data, h.data, atol=1e-12)
+    assert np.allclose(out.data, h.data[None], atol=1e-12)
 
 
 def traj_of(x, u):
@@ -227,6 +227,26 @@ def test_rollout_prior_equals_bound_prior(markovian, prior_hidden):
         z_prev[first:])
     want = pr.mean.data + np.exp(pr.log_var.data / 2) * eps[first:]
     assert np.abs(z[first:] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_prior_history_is_one_scan_node():
+    """The prior's summaries of (z_prev, u) are one headless latent_scan
+    over both blocks, with no concat of its inputs and no slice of its
+    output."""
+    spec = small_spec()
+    p = init_params(spec, markovian=False, seed=2)
+    g = np.random.default_rng(9)
+    batch = Batch([traj_of(g.standard_normal((T, spec.n_x)),
+                           g.standard_normal((T, spec.n_u))) for T in (6, 3)])
+    z_prev = Tensor(g.standard_normal((batch.length, spec.n_z)))
+    with Tape() as tape:
+        history = prior_history(p, z_prev, batch.u, batch.spans)
+        loss = (history * history).sum()
+    ops = [op for op in tape.ops if op != "leaf"]
+    assert ops.count("latent_scan") == 1
+    assert "concat" not in ops and "slice" not in ops
+    assert history.shape == (batch.length, spec.n_h)
+    assert backward(tape, loss)[z_prev.uid].shape == z_prev.shape
 
 
 def test_gaussian_diag_shape_check():

@@ -262,8 +262,8 @@ def test_combined_equals_elbo_when_lambda_zero():
     traj = rand_traj(5, 3, 2, seed=4)
     noise = rng.normal(2, (5, 2), "cmp")
     elbo, _ = sequence_elbo(params, Batch([traj]), noise)
-    (bd,), target, _ = combined_objective(params, [traj], [noise],
-                                          lambda_adv=0.0)
+    (bd,), target = combined_objective(params, [traj], [noise],
+                                       lambda_adv=0.0)
     assert bd.combined == elbo.item()  # bit-identical
     assert target.item() == elbo.item()
     assert bd.adv_gen == 0.0
@@ -277,8 +277,8 @@ def test_combined_breakdown_invariant():
     noise = rng.normal(2, (5, 2), "cmp")
     pn = rng.normal(2, (5, 2), "cmp-prior")
     lam = 0.37
-    (bd,), target, _ = combined_objective(params, [traj], [noise],
-                                          lambda_adv=lam, prior_noise=[pn])
+    (bd,), target = combined_objective(params, [traj], [noise],
+                                       lambda_adv=lam, prior_noise=[pn])
     assert bd.combined == bd.recon_loglik - bd.kl_total - lam * bd.adv_gen
     assert bd.kl_per_step.shape == (5,)
     assert np.isfinite(bd.adv_disc)
@@ -295,7 +295,7 @@ def test_zero_weight_discriminator_constant_penalty():
     traj = rand_traj(5, 3, 2, seed=4)
     noise = rng.normal(2, (5, 2), "cmp")
     elbo, _ = sequence_elbo(params, Batch([traj]), noise)
-    (bd,), _, _ = combined_objective(params, [traj], [noise], lambda_adv=1.0)
+    (bd,), _ = combined_objective(params, [traj], [noise], lambda_adv=1.0)
     assert bd.adv_gen == pytest.approx(np.log(2.0), abs=1e-15)
     assert bd.combined == pytest.approx(elbo.item() - np.log(2.0), abs=1e-12)
     assert bd.adv_disc == pytest.approx(2.0 * np.log(2.0), abs=1e-15)
@@ -307,8 +307,8 @@ def test_kl_warmup_changes_target_not_breakdown():
     params = init_params(spec, markovian=False, seed=2)
     traj = rand_traj(5, 3, 2, seed=4)
     noise = rng.normal(2, (5, 2), "cmp")
-    (bd,), target, _ = combined_objective(params, [traj], [noise],
-                                          lambda_adv=0.0, kl_weight=0.25)
+    (bd,), target = combined_objective(params, [traj], [noise],
+                                       lambda_adv=0.0, kl_weight=0.25)
     assert bd.combined == bd.recon_loglik - bd.kl_total
     assert target.item() == pytest.approx(
         bd.recon_loglik - 0.25 * bd.kl_total, rel=1e-12
@@ -367,9 +367,9 @@ def test_replay_bit_exact_over_combined_objective_tape():
     prior_noise = [rng.normal(0, (t.length, spec.n_z), "replay-prior-noise", i)
                    for i, t in enumerate(trajs)]
     with Tape() as tape:
-        _, target, _ = combined_objective(params, trajs, noise, 0.1,
-                                          prior_noise=prior_noise)
-    assert {"affine", "latent_scan", "gru_scan", "gauss_logpdf", "gauss_kl",
+        _, target = combined_objective(params, trajs, noise, 0.1,
+                                       prior_noise=prior_noise)
+    assert {"affine", "latent_scan", "gauss_logpdf", "gauss_kl",
             "concat", "slice", "matmul"} <= set(tape.ops)
     replay(tape)
     grads = backward(tape, target)
