@@ -53,6 +53,7 @@ from .training import (
     predict_sequence_rul,
     save_checkpoint,
     train,
+    typed_fields,
 )
 
 # previously reported FD001 results, printed as context next to our
@@ -468,7 +469,8 @@ def load_config(path: str | None, n_x: int,
     """Single JSON file carrying network and training fields, snake_case.
 
     n_x and n_u always come from the data, so listing them in the file
-    is an error, as is any unknown key.
+    is an error, as is any unknown key or a value of the wrong JSON type
+    (training.typed_fields).
     """
     doc = {}
     if path is not None:
@@ -476,16 +478,15 @@ def load_config(path: str | None, n_x: int,
             doc = json.load(f)
         if not isinstance(doc, dict):
             raise ValueError("config file must hold a JSON object")
-    train_keys = {f.name for f in fields(TrainConfig)}
-    net_keys = {f.name for f in fields(NetworkSpec)} - {"n_x", "n_u"}
     if "n_x" in doc or "n_u" in doc:
         raise ValueError("n_x and n_u are set from the data, not the config")
-    unknown = set(doc) - train_keys - net_keys
+    unknown = set(doc) - {f.name for cls in (NetworkSpec, TrainConfig)
+                          for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     spec = NetworkSpec(n_x=n_x, n_u=n_u,
-                       **{k: doc[k] for k in doc if k in net_keys})
-    config = TrainConfig(**{k: doc[k] for k in doc if k in train_keys})
+                       **typed_fields(NetworkSpec, doc, "config key "))
+    config = TrainConfig(**typed_fields(TrainConfig, doc, "config key "))
     return spec, config, doc
 
 

@@ -260,14 +260,11 @@ def combined_objective(
     noise: list[np.ndarray],
     lambda_adv: float,
     prior_noise: list[np.ndarray] | None = None,
-    kl_weight: float = 1.0,
 ) -> tuple[list[ObjectiveBreakdown], Tensor]:
     """Evidence bound minus the weighted generator-side adversarial term.
 
     Returns (one breakdown per trajectory, maximization target summed
-    over the batch).  kl_weight scales the KL term of the returned
-    target only (warm-up support); the breakdowns always report the
-    canonical kl_weight = 1 value.
+    over the batch).
     prior_noise drives the reference rollout behind the reported
     discriminator loss and defaults to reusing noise.
     """
@@ -275,9 +272,7 @@ def combined_objective(
         raise ValueError("lambda_adv must be non-negative")
     batch = Batch(trajs)
     bound = _bound(params, filter_forward(params, batch, batch.pack(noise)))
-    recon = bound.recon.sum()
-    kl = bound.kl.sum()
-    target = recon - kl if kl_weight == 1.0 else recon - kl * kl_weight
+    target = bound.recon.sum() - bound.kl.sum()
 
     adv_gen_rows = adv_disc_rows = np.zeros(len(trajs))
     if lambda_adv > 0.0:

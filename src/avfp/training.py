@@ -17,8 +17,11 @@ one, and mc_elbo scores its draws as the rows of one batch.
 
 Randomness is derived per (seed, purpose, step), never from a shared
 mutable generator, so a run checkpointed at step s and resumed
-reproduces the uninterrupted run bit-exactly.  Batches whose loss goes
-non-finite are skipped and counted; more than 10 in a row aborts.
+reproduces the uninterrupted run bit-exactly.  A batch whose phase-2
+loss or gradients go non-finite is skipped: it moves no parameter, logs
+no trace row and counts in skipped_batches, and more than 10 such
+batches in a row abort the run.  A non-finite phase-1 or phase-3 step
+moves nothing and counts only in its Adam group's skipped count.
 
 Checkpoints are a single binary file: magic "AVFP", u32 version, a
 length-prefixed table of named float64 arrays, and a trailing 64-bit
@@ -30,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from copy import deepcopy
 from dataclasses import asdict, dataclass, field, fields, replace
 from types import SimpleNamespace
@@ -80,6 +83,7 @@ from .objectives import (
 CHECKPOINT_MAGIC = b"AVFP"
 CHECKPOINT_VERSION = 1
 MAX_CONSECUTIVE_SKIPS = 10
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 GRADIENT_CLIP_NORM = 5.0  # global-norm bound of every Adam step's gradients
 
 
@@ -96,9 +100,6 @@ class OptimizerState:
     """Adam moments keyed by canonical parameter name."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     skipped: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -122,8 +123,8 @@ def adam_step(group: dict[str, Tensor], grads: dict[str, np.ndarray],
             state.skipped += 1
             return False
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in group.items():
         g = grads[name]
         m = state.m.get(name)
@@ -132,11 +133,11 @@ def adam_step(group: dict[str, Tensor], grads: dict[str, np.ndarray],
         v = state.v.get(name)
         if v is None:
             v = state.v[name] = np.zeros_like(p.data)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return True
 
 
@@ -154,18 +155,19 @@ def clip_by_global_norm(grads: dict[str, np.ndarray],
 
 
 @contextmanager
-def _adam_update(group: dict[str, Tensor], state: OptimizerState,
-                 max_norm: float):
+def _adam_update(group: dict[str, Tensor], state: OptimizerState):
     """Tape the body, which sets .loss on the yielded record, then take
     one Adam step on group along the loss's gradients, clipped as a
-    whole to max_norm.  Nothing moves if the body raises."""
-    step = SimpleNamespace(loss=None)
+    whole to GRADIENT_CLIP_NORM.  The record's .applied tells whether
+    the step moved anything; nothing moves if the body raises."""
+    step = SimpleNamespace(loss=None, applied=False)
     with Tape() as tape:
         yield step
     by_uid = backward(tape, step.loss)
     grads = {name: by_uid.get(p.uid, np.zeros_like(p.data))
              for name, p in group.items()}
-    adam_step(group, clip_by_global_norm(grads, max_norm)[0], state)
+    step.applied = adam_step(
+        group, clip_by_global_norm(grads, GRADIENT_CLIP_NORM)[0], state)
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +180,9 @@ class TrainConfig:
     epochs: int = 30
     trajectories_per_batch: int = 8
     lr: float = 1e-3
-    beta1: float = OptimizerState.beta1
-    beta2: float = OptimizerState.beta2
-    eps: float = OptimizerState.eps
     lambda_adv: float = 0.1
-    disc_steps: int = 1
-    gradient_clip_norm: float = GRADIENT_CLIP_NORM
     markovian: bool = False
     rul_supervision: bool = True
-    kl_warmup_steps: int = 0
     eval_every: int = 200
     val_frac: float = 0.1
     rul_cap: int = DEFAULT_RUL_CAP
@@ -194,12 +190,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.trajectories_per_batch <= 0:
             raise ValueError("epochs must be >= 0 and batch size positive")
-        if self.lr <= 0 or not (0 <= self.beta1 < 1) or not (0 <= self.beta2 < 1):
-            raise ValueError("bad optimizer hyperparameters")
-        if self.lambda_adv < 0 or self.disc_steps < 0:
-            raise ValueError("lambda_adv and disc_steps must be non-negative")
-        if self.gradient_clip_norm <= 0:
-            raise ValueError("gradient_clip_norm must be positive")
+        if self.lr <= 0 or self.lambda_adv < 0:
+            raise ValueError("lr must be positive and lambda_adv non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +319,11 @@ def train(
               else params_from_checkpoint(resume))
     groups = {"gen": params.group("theta", "phi"), "disc": params.group("psi"),
               "rul": params.group("rho")}
-    opts = {g: OptimizerState(config.lr, config.beta1, config.beta2, config.eps,
-                              **deepcopy(state.opt.get(g, {})))
+    opts = {g: OptimizerState(config.lr, **deepcopy(state.opt.get(g, {})))
             for g in groups}
 
     def update(group: str):
-        return _adam_update(groups[group], opts[group], config.gradient_clip_norm)
+        return _adam_update(groups[group], opts[group])
 
     def noise(*ids) -> list[np.ndarray]:
         return [rng.normal(config.seed, (t.length, spec.n_z), *ids, i)
@@ -364,29 +355,24 @@ def train(
             # phase 1: discriminator
             disc_loss_val = None
             if config.lambda_adv > 0.0:
-                for j in range(config.disc_steps):
-                    fake_noise = noise("disc-fake", step, j)
-                    real_noise = noise("disc-real", step, j)
-                    try:
-                        with update("disc") as u:
-                            u.loss = _discriminator_loss(
-                                params, batch, fake_noise, real_noise)
-                        disc_loss_val = u.loss.item()
-                    except NonFiniteError:
-                        opts["disc"].skipped += 1
+                try:
+                    with update("disc") as u:
+                        u.loss = _discriminator_loss(
+                            params, batch, noise("disc-fake", step, 0),
+                            noise("disc-real", step, 0))
+                    disc_loss_val = u.loss.item()
+                except NonFiniteError:
+                    opts["disc"].skipped += 1
 
-            # phase 2: joint generative/recognition update
-            if config.kl_warmup_steps > 0:
-                kl_w = min(1.0, step / config.kl_warmup_steps)
-            else:
-                kl_w = 1.0
-            try:
-                with update("gen") as u:
-                    breakdowns, target = combined_objective(
-                        params, batch, noise("noise", step), config.lambda_adv,
-                        prior_noise=noise("prior-noise", step), kl_weight=kl_w)
-                    # minimize -combined
-                    u.loss = target * (-1.0 / len(batch))
+            # phase 2: joint generative/recognition update; a batch whose
+            # loss or gradients are non-finite is skipped
+            with suppress(NonFiniteError), update("gen") as u:
+                breakdowns, target = combined_objective(
+                    params, batch, noise("noise", step), config.lambda_adv,
+                    prior_noise=noise("prior-noise", step))
+                # minimize -combined
+                u.loss = target * (-1.0 / len(batch))
+            if u.applied:
                 state.consecutive_skips = 0
                 steps_log.append(StepRecord(
                     step=step, epoch=state.epoch,
@@ -398,7 +384,7 @@ def train(
                     disc_loss=disc_loss_val,
                     rul_loss=None,
                 ))
-            except NonFiniteError:
+            else:
                 state.skipped_batches += 1
                 state.consecutive_skips += 1
                 if state.consecutive_skips > MAX_CONSECUTIVE_SKIPS:
@@ -450,7 +436,7 @@ def fit_recognition(params: ModelParams, trajs: list[Trajectory], steps: int,
         batch = batches[(step - 1) % len(trajs)]
         noise = rng.normal(seed, (batch.length, params.spec.n_z),
                            "fit-phi", step)   # one trajectory: packed as drawn
-        with _adam_update(phi_group, opt, GRADIENT_CLIP_NORM) as update:
+        with _adam_update(phi_group, opt) as update:
             elbo, _ = sequence_elbo(params, batch, noise)
             update.loss = elbo * -1.0
         trace.append(elbo.item())
@@ -559,11 +545,29 @@ class Checkpoint:
     best_val: float = float("nan")
 
 
-_SCALAR_TYPES = {"int": int, "float": float, "bool": bool}
+# the values each scalar field type takes (typed_fields keeps bools apart)
+_SCALAR_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
 
 
 def _scalar_fields(cls) -> list:
     return [f for f in fields(cls) if f.type in _SCALAR_TYPES]
+
+
+def typed_fields(cls, values: dict, where: str) -> dict:
+    """The entries of values that name scalar fields of cls, each checked
+    against its field: a bool field takes only a bool, an int field only
+    an int that is not a bool, and a float field any other number, made
+    a float.  A mismatch raises a ValueError naming where + the field."""
+    out = {}
+    for f in _scalar_fields(cls):
+        if f.name in values:
+            value = values[f.name]
+            if (isinstance(value, bool) != (f.type == "bool")
+                    or not isinstance(value, _SCALAR_TYPES[f.type])):
+                raise ValueError(f"{where}{f.name} must be of type {f.type}, "
+                                 f"got {value!r}")
+            out[f.name] = float(value) if f.type == "float" else value
+    return out
 
 
 def params_from_checkpoint(ckpt: Checkpoint) -> ModelParams:
@@ -688,8 +692,15 @@ def load_checkpoint(path: str) -> Checkpoint:
         return node
 
     def typed(cls, branch: str) -> dict:
-        return {f.name: _SCALAR_TYPES[f.type](float(entry(f"{branch}/{f.name}")))
-                for f in _scalar_fields(cls)}
+        # integral values of int and bool fields back to ints, and 0 and 1
+        # of a bool field to bools; any other value fails typed_fields
+        values = {}
+        for f in _scalar_fields(cls):
+            x = float(entry(f"{branch}/{f.name}"))
+            if f.type != "float" and x.is_integer():
+                x = bool(x) if f.type == "bool" and x in (0.0, 1.0) else int(x)
+            values[f.name] = x
+        return typed_fields(cls, values, f"checkpoint entry {branch}/")
 
     opt = {g: {"t": int(entry(f"opt/{g}/t")),
                "skipped": int(entry(f"opt/{g}/skipped")),
@@ -753,13 +764,13 @@ def train_toy_gan(steps: int = 5000, seed: int = 0) -> ToyGanResult:
         # discriminator step: generator output detached
         with no_tape():
             fake_detached = g_params["scale"].data * eps_d + g_params["shift"].data
-        with _adam_update(d_params, opt_d, GRADIENT_CLIP_NORM) as update:
+        with _adam_update(d_params, opt_d) as update:
             d_real = disc_prob(constant(real))
             d_fake = disc_prob(constant(fake_detached))
             update.loss, _ = adversarial_losses(d_real, d_fake)
 
         # generator step: non-saturating loss through the sampler
-        with _adam_update(g_params, opt_g, GRADIENT_CLIP_NORM) as update:
+        with _adam_update(g_params, opt_g) as update:
             fake = constant(eps_g) * g_params["scale"] + g_params["shift"]
             d_fake = disc_prob(fake)
             update.loss = log(d_fake).mean() * -1.0

@@ -416,6 +416,15 @@ def test_load_config_rejections(tmp_path):
         load_config(str(p), n_x=10, n_u=2)
 
 
+def test_load_config_types(tmp_path):
+    """A float field takes any JSON number and holds it as a float."""
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"lr": 1, "val_frac": 0, "markovian": False}))
+    _, config, _ = load_config(str(p), n_x=10, n_u=2)
+    assert type(config.lr) is float and config.lr == 1.0
+    assert type(config.val_frac) is float and config.markovian is False
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -535,19 +544,64 @@ def test_cli_truncated_checkpoint_exits_2(synth_dir, tmp_path, capsys):
         assert "truncated checkpoint" in capsys.readouterr().err
 
 
-def test_cli_checkpoint_missing_entry_exits_2(synth_dir, tmp_path, capsys):
+def _resigned_checkpoint(tmp_path, edit) -> str:
+    """A checkpoint of an untrained fleet model whose entry table was
+    changed by edit and then signed again."""
     res = train(rand_trajs(3, 8), tiny_spec(3, 1),
                 TrainConfig(epochs=0, rul_supervision=False, val_frac=0.0))
     table = _checkpoint_table(res.checkpoint)
-    del table["config/rul_cap"]
+    edit(table)
     body = struct.pack("<Q", len(table)) + b"".join(
         _pack_entry(name, table[name]) for name in sorted(table))
     ckpt = tmp_path / "resigned.ckpt"
     ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
                      + body + hashlib.sha256(body).digest()[:8])
-    assert main(["eval", "--data", synth_dir, "--checkpoint", str(ckpt)]) == 2
+    return str(ckpt)
+
+
+def test_cli_checkpoint_missing_entry_exits_2(synth_dir, tmp_path, capsys):
+    ckpt = _resigned_checkpoint(tmp_path, lambda t: t.pop("config/rul_cap"))
+    assert main(["eval", "--data", synth_dir, "--checkpoint", ckpt]) == 2
     assert ("checkpoint missing entry 'config/rul_cap'"
             in capsys.readouterr().err)
+
+
+def test_cli_checkpoint_fractional_cap_exits_2(synth_dir, tmp_path, capsys):
+    """An int entry that is not integral is refused, not truncated."""
+    ckpt = _resigned_checkpoint(
+        tmp_path, lambda t: t.update({"config/rul_cap": 40.5}))
+    assert main(["eval", "--data", synth_dir, "--checkpoint", ckpt]) == 2
+    assert "config/rul_cap must be of type int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"markovian": "false"}, {"trajectories_per_batch": 2.5},
+    {"rul_cap": 40.5}, {"epochs": True}, {"n_z": 4.0}, {"lr": "1e-3"}],
+    ids=lambda d: next(iter(d)))
+def test_cli_mistyped_config_value_exits_2(synth_dir, tmp_path, capsys, doc):
+    """A bool field takes only true/false, an int field only integers,
+    a float field any number; the error names the key and nothing is
+    trained."""
+    (key,) = doc
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["train", "--data", synth_dir, "--out", str(out),
+                 "--config", str(cfg)]) == 2
+    assert f"config key {key} must be of type" in capsys.readouterr().err
+    assert not (out / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("key", ["beta1", "beta2", "eps", "disc_steps",
+                                 "gradient_clip_norm", "kl_warmup_steps"])
+def test_cli_retired_config_keys_exit_2(synth_dir, tmp_path, capsys, key):
+    """Adam's constants, the clip norm, the discriminator step count and
+    the KL warm-up are fixed, not settings."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: 1}))
+    assert main(["train", "--data", synth_dir, "--out", str(tmp_path / "out"),
+                 "--config", str(cfg)]) == 2
+    assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "experiment"])

@@ -301,20 +301,6 @@ def test_zero_weight_discriminator_constant_penalty():
     assert bd.adv_disc == pytest.approx(2.0 * np.log(2.0), abs=1e-15)
 
 
-def test_kl_warmup_changes_target_not_breakdown():
-    spec = NetworkSpec(n_x=3, n_u=2, n_z=2, n_h=4, enc_hidden=3,
-                       dec_hidden=3, prior_hidden=3)
-    params = init_params(spec, markovian=False, seed=2)
-    traj = rand_traj(5, 3, 2, seed=4)
-    noise = rng.normal(2, (5, 2), "cmp")
-    (bd,), target = combined_objective(params, [traj], [noise],
-                                       lambda_adv=0.0, kl_weight=0.25)
-    assert bd.combined == bd.recon_loglik - bd.kl_total
-    assert target.item() == pytest.approx(
-        bd.recon_loglik - 0.25 * bd.kl_total, rel=1e-12
-    )
-
-
 def test_prior_rollout_detached_and_deterministic():
     spec = NetworkSpec(n_x=3, n_u=2, n_z=2, n_h=4, enc_hidden=3,
                        dec_hidden=3, prior_hidden=3)

@@ -1,7 +1,9 @@
 """Optimizer, minimax loop, checkpointing, and the toy adversarial game."""
 
+import hashlib
 import os
-from dataclasses import replace
+import struct
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,11 +24,20 @@ from avfp.model import (
     transition_prior,
 )
 from avfp.objectives import filter_means
+from avfp import training
 from avfp.training import (
+    ADAM_BETA1,
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    ADAM_BETA2,
+    ADAM_EPS,
+    GRADIENT_CLIP_NORM,
     BoundAuditRow,
     OptimizerState,
     TrainConfig,
     TrainingAborted,
+    _checkpoint_table,
+    _pack_entry,
     adam_step,
     clip_by_global_norm,
     fit_recognition,
@@ -113,7 +124,7 @@ def test_adam_matches_reference_over_many_steps():
     want = reference_adam(init, grad_fn, lr, b1, b2, eps, steps=25)
 
     group = {k: Tensor(v.copy()) for k, v in init.items()}
-    st = OptimizerState(lr=lr, beta1=b1, beta2=b2, eps=eps)
+    st = OptimizerState(lr=lr)
     for _ in range(25):
         cur = {k: t.data for k, t in group.items()}
         adam_step(group, grad_fn(cur), st)
@@ -178,12 +189,20 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(beta1=1.0)
-    with pytest.raises(ValueError):
         TrainConfig(lambda_adv=-0.1)
-    with pytest.raises(ValueError):
-        TrainConfig(gradient_clip_norm=0.0)
     TrainConfig(epochs=0)  # a no-op run is a valid request
+
+
+def test_only_the_varied_settings_are_configurable():
+    """Adam's constants and the clip norm are fixed; one discriminator
+    step per batch and the full KL term are not switches either."""
+    assert [f.name for f in fields(TrainConfig)] == [
+        "seed", "epochs", "trajectories_per_batch", "lr", "lambda_adv",
+        "markovian", "rul_supervision", "eval_every", "val_frac", "rul_cap"]
+    assert [f.name for f in fields(OptimizerState)] == [
+        "lr", "t", "skipped", "m", "v"]
+    assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
+    assert GRADIENT_CLIP_NORM == 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +493,51 @@ def test_resumed_checkpoint_bytes_equal_uninterrupted_run(tmp_path, markovian):
                 assert f.read() == full, (k, attempt)
 
 
+def _write_table(table: dict, path) -> None:
+    body = struct.pack("<Q", len(table)) + b"".join(
+        _pack_entry(name, table[name]) for name in sorted(table))
+    with open(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
+                + body + hashlib.sha256(body).digest()[:8])
+
+
+def test_checkpoint_with_retired_config_entries_resumes_alike(tmp_path):
+    """Older checkpoints also hold Adam's constants, the clip norm, the
+    discriminator step count and the KL warm-up length under config/;
+    loading ignores them, so such a record resumes the same run."""
+    trajs = toy_trajs(4, rul=True)
+    spec = small_spec()
+    cfg = quick_config(epochs=3, rul_supervision=True, val_frac=0.25,
+                       eval_every=2, lambda_adv=0.1)
+    half = train(trajs, spec, cfg, stop_after_steps=3).checkpoint
+    table = _checkpoint_table(half)
+    _write_table(table, tmp_path / "new.ckpt")
+    _write_table({**table, "config/beta1": 0.9, "config/beta2": 0.999,
+                  "config/eps": 1e-8, "config/disc_steps": 1,
+                  "config/gradient_clip_norm": 5.0,
+                  "config/kl_warmup_steps": 0}, tmp_path / "old.ckpt")
+    outputs = []
+    for name in ("new", "old"):
+        loaded = load_checkpoint(str(tmp_path / f"{name}.ckpt"))
+        assert loaded.config == cfg
+        rest = train(trajs, spec, cfg, resume=loaded)
+        save_checkpoint(rest.checkpoint, str(tmp_path / f"{name}-rest.ckpt"))
+        outputs.append((tmp_path / f"{name}-rest.ckpt").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("entry,value", [
+    ("config/markovian", 2.0), ("meta/step", float("nan")),
+    ("spec/n_z", 2.5)])
+def test_checkpoint_rejects_mistyped_entries(tmp_path, entry, value):
+    res = train(toy_trajs(2), small_spec(), quick_config(epochs=1))
+    table = _checkpoint_table(res.checkpoint)
+    table[entry] = value
+    _write_table(table, tmp_path / "bad.ckpt")
+    with pytest.raises(ValueError, match=f"checkpoint entry {entry} must be"):
+        load_checkpoint(str(tmp_path / "bad.ckpt"))
+
+
 def test_resume_requires_matching_setup():
     trajs = toy_trajs(4)
     cfg = quick_config(epochs=1)
@@ -498,6 +562,35 @@ def test_streak_of_nonfinite_batches_aborts():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingAborted, match="consecutive non-finite"):
             train(trajs, spec, cfg, resume=poisoned)
+
+
+def _nan_gradients(monkeypatch):
+    real = training.backward
+    monkeypatch.setattr(training, "backward", lambda tape, loss: {
+        uid: np.full_like(g, np.nan) for uid, g in real(tape, loss).items()})
+
+
+def test_nonfinite_gradients_skip_the_batch(monkeypatch):
+    """A phase-2 step whose loss is finite but whose gradients are not
+    moves nothing, logs no trace row and counts as a skipped batch."""
+    _nan_gradients(monkeypatch)
+    trajs, spec = toy_trajs(4, T=6), small_spec()
+    res = train(trajs, spec, quick_config(epochs=2, lambda_adv=0.1))
+    assert res.steps == [] and res.skipped_batches == 4
+    assert res.checkpoint.consecutive_skips == 4
+    assert res.checkpoint.opt["gen"]["t"] == 0
+    ref = init_params(spec, markovian=False, seed=0)
+    for name, t in ref.named().items():
+        assert np.array_equal(res.params.named()[name].data, t.data), name
+
+
+def test_streak_of_nonfinite_gradients_aborts(monkeypatch):
+    _nan_gradients(monkeypatch)
+    cfg = TrainConfig(epochs=15, trajectories_per_batch=2, lambda_adv=0.1,
+                      rul_supervision=False, eval_every=0)
+    with pytest.raises(TrainingAborted,
+                       match="11 consecutive non-finite batches at step 11"):
+        train(toy_trajs(4, T=6), small_spec(), cfg)
 
 
 # ---------------------------------------------------------------------------
