@@ -497,7 +497,9 @@ def _gauss_kl_vjp(g, vals, out, aux):
 # reads the same matrices.  A step whose width drops reads the first r_t
 # columns of the previous block.  What needs no recurrent state runs
 # outside the step loops: the gate derivatives once per run, and every
-# weight gradient as one product over all rows.
+# weight gradient as one product over all rows.  One _ScanParts is a
+# call's whole description: the forward pass builds it, and the backward
+# pass reads it as the tape's aux.
 
 
 def _layout(spans, n_rows: int):
@@ -573,8 +575,13 @@ def _head_layers(p):
 
 
 class _ScanParts:
-    """The state layout and the step matrices of one scan call, built by
-    its forward pass and kept on the tape for its backward pass.
+    """One scan call's description, and the only place its inputs are
+    checked: its exogenous column blocks xs and its other inputs p by
+    name, its flags and sizes, its layout (runs and prev, see _layout),
+    its output columns (cols and hz_cols, see _scan_columns), the state
+    layout and the step matrices.  The forward pass builds it and adds
+    each run's step blocks of pre and of the hidden layer (PRE, FEAT);
+    it is then the tape's aux, which the backward pass reads.
 
     A state block's rows are [x; 1; h; z]: rows[name] for "xu", "one",
     "h" and "z".  KT @ block (of the previous step) is a step's
@@ -586,12 +593,47 @@ class _ScanParts:
     1] to [mean, log_var / 2].  Wc and Fc are W's and F's column blocks.
     """
 
-    def __init__(self, p, n_x, gru_in, head_in):
-        self.gru, self.head = "W" in p, "Wm" in p
-        self.sample, self.hidden = "eps" in p, "W1" in p
+    def __init__(self, arrays, names, spans, gru_in, head_in, clip,
+                 pin_first):
+        n_xs = len(arrays) - len(names)
+        xs, p = arrays[:n_xs], dict(zip(names, arrays[n_xs:]))
+        head = bool(head_in)
+        gru = "W" in p or not head
+        sample, hidden = head and "eps" in p, head and "W1" in p
+        need = ({"h0", "W", "U", "b"} if gru else set()) | (
+            {"Wm", "bm"} if head else set()) | (
+            {"eps", "Wv", "bv"} if sample else set()) | (
+            {"W1", "b1"} if hidden else set())
+        if (len(p) != len(names) or set(p) != need or sample and clip is None
+                or pin_first and not sample
+                or not set(gru_in) <= {"xu", "z"} or "z" in gru_in and not head
+                or not set(head_in) <= {"xu", "z", "h"}
+                or "h" in head_in and not gru):
+            raise ValueError(f"latent_scan inputs unsupported: {names}")
+        n_rows = xs[0].shape[0] if xs and xs[0].ndim == 2 else -1
+        self.runs, self.prev = _layout(spans, n_rows)
+        n_h = p["U"].shape[-1] if gru and p["U"].ndim else 0
+        n_z = p["Wm"].shape[0] if head and p["Wm"].ndim else 0
+        n_feat = p["W1"].shape[0] if hidden else 0
+        want = dict(h0=(n_h,), U=(3 * n_h, n_h), b=(3 * n_h,), b1=(n_feat,),
+                    bm=(n_z,), bv=(n_z,), eps=(n_rows, n_z))
+        if (any(x.ndim != 2 or x.shape[0] != n_rows for x in xs)
+                or any(p[k].shape != s for k, s in want.items() if k in p)
+                or gru and p["W"].shape[:1] != (3 * n_h,)
+                or head and p["Wm"].ndim != 2
+                or hidden and p["Wm"].shape[1] != n_feat
+                or sample and p["Wv"].shape != p["Wm"].shape):
+            raise ValueError(f"latent_scan shapes unsupported: "
+                             f"{[x.shape for x in xs]}, "
+                             f"{[(k, a.shape) for k, a in p.items()]}")
+        self.xs, self.p, self.names, self.n_rows = xs, p, names, n_rows
+        self.gru, self.head, self.sample, self.hidden = gru, head, sample, hidden
         self.gru_in, self.head_in = gru_in, head_in
-        n_h = self.n_h = p["U"].shape[1] if self.gru else 0
-        n_z = self.n_z = p["Wm"].shape[0] if self.head else 0
+        self.clip, self.pin_first = clip, pin_first
+        self.n_h, self.n_z, self.n_feat = n_h, n_z, n_feat
+        self.cols, self.hz_cols = _scan_columns(n_h, n_z, sample)
+        self.PRE, self.FEAT = [], []
+        n_x = sum(x.shape[1] for x in xs)
         width = {"xu": n_x, "h": n_h, "z": n_z}
         rows, off = {}, 0
         for k, n in (("xu", n_x), ("one", 1), ("h", n_h), ("z", n_z)):
@@ -600,12 +642,12 @@ class _ScanParts:
         self.rows, self.n_state = rows, off
         self.prev_in = [k for k in head_in if k != "h"]
         self.reads_h = "h" in head_in
-        self.Wc = _col_blocks(p["W"], gru_in, width) if self.gru else {}
+        self.Wc = _col_blocks(p["W"], gru_in, width) if gru else {}
         self.Fc, self.n_a = {}, 0
-        if self.head:
+        if head:
             M, m, F, f = _head_layers(p)
             self.Fc, self.n_a = _col_blocks(F, head_in, width), F.shape[0]
-        if self.hidden:
+        if hidden:
             self.Mf = np.concatenate((M, m[:, None]), axis=1)
         if self.reads_h:
             self.Fh = np.ascontiguousarray(self.Fc["h"])
@@ -613,7 +655,7 @@ class _ScanParts:
                 self.FhB = np.concatenate((f[:, None], self.Fc["h"]), axis=1)
         n_pre = 4 * n_h + (self.n_a if self.prev_in else 0)
         KT = self.KT = np.zeros((n_pre, off))
-        if self.gru:
+        if gru:
             for k, Wk in self.Wc.items():
                 KT[:3 * n_h, rows[k]] = Wk
             KT[:3 * n_h, rows["one"].start] = p["b"]
@@ -682,39 +724,50 @@ def _scan_columns(n_h: int, n_z: int, sample: bool):
     return cols, slice(lead, lead + n_h + n_z)
 
 
-def _scan(xs, p, layout, gru_in, head_in, clip, pin_first):
-    # One chain over packed rows (see _latent_scan): the exogenous column
-    # blocks xs, and p's GRU (W, U, b, h0) and head weights if any.
-    runs, prev = layout
-    n_rows = xs[0].shape[0]
-    sp = _ScanParts(p, sum(x.shape[1] for x in xs), gru_in, head_in)
+def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
+    # One latent chain over packed rows.  Per step, with z_prev the
+    # previous sample of the same sequence (zeros at the first step):
+    #   h       = GRU(h_prev, input blocks gru_in)  (if W is given, else
+    #                                                  gru_in is ignored)
+    #   feat    = tanh(W1 @ input blocks head_in + b1)   (the blocks, without W1)
+    #   mean    = Wm @ feat + bm
+    #   log_var = clip(Wv @ feat + bv)
+    #   z       = mean + exp(log_var / 2) * eps          (mean, without eps)
+    # The leading arrays are the column blocks of the exogenous rows, which
+    # form the input block "xu" in their order; the others are the inputs
+    # named in names.  The input blocks are "xu", "z" (z_prev) and "h".
+    # Without head_in no head runs, the GRU is required, and h is the whole
+    # output.  pin_first needs eps: the first step's mean and log_var are
+    # 0, so its z is eps.  A step's product with the previous state block
+    # gives the GRU's pre-activations and the head's first layer on xu and
+    # z; the head's part on h reads the step's own block (see _ScanParts).
+    sp = _ScanParts(arrays, names, spans, gru_in, head_in, clip, pin_first)
+    p, runs, prev = sp.p, sp.runs, sp.prev
     gru, head, sample, hidden = sp.gru, sp.head, sp.sample, sp.hidden
-    n_h, n_z, rows, KT = sp.n_h, sp.n_z, sp.rows, sp.KT
+    n_h, n_z, n_hid, rows, KT = sp.n_h, sp.n_z, sp.n_feat, sp.rows, sp.KT
     hs, zs, a_rows = rows["h"], rows["z"], slice(4 * n_h, None)
     one_h = slice(rows["one"].start, hs.stop)
-    prev_in, reads_h = sp.prev_in, sp.reads_h
-    cols, hz_cols = _scan_columns(n_h, n_z, sample)
-    out = np.zeros((n_rows, max(c.stop for c in cols.values())))
+    prev_in, reads_h, cols = sp.prev_in, sp.reads_h, sp.cols
+    out = np.zeros((sp.n_rows, max(c.stop for c in cols.values())))
     if sample:
         # the log-variance rows of the head's output are halved (exactly, a
         # power of two): the loop clips half the log-variance and
         # exponentiates it directly
         lv_lo, lv_hi = clip[0] * 0.5, clip[1] * 0.5
         eps = p["eps"]
-    n_hid = p["W1"].shape[0] if hidden else 0
     # the block the first step reads: x_0 (filled below), 1, h0 and z = 0
     blk = np.zeros((sp.n_state, runs[0][2]))
     blk[rows["one"]] = 1.0
     if gru:
         blk[hs] = p["h0"][:, None]
-    PRE, FEAT = [], []
+    PRE, FEAT = sp.PRE, sp.FEAT
     for k, run in enumerate(runs):
         a, b, w = run
         s = (b - a) // w
         S = np.empty((s, sp.n_state, w))
         S[:, rows["one"]] = 1.0
         off = 0
-        for x in xs:    # each step's inputs go into the block before it
+        for x in sp.xs:    # each step's inputs go into the block before it
             c = x.shape[1]
             blk[off:off + c, :w] = x[a:a + w].T
             if s > 1:
@@ -746,11 +799,8 @@ def _scan(xs, p, layout, gru_in, head_in, clip, pin_first):
             np.matmul(KT, inp, out=pre_t)
             if gru:
                 _gru_step(pre_t, inp[hs], blk[hs])
-            if head and pin_first and not (k or i):   # the first step is N(0, I)
-                if sample:
-                    np.copyto(blk[zs], E[0])
-                else:
-                    blk[zs] = 0.0
+            if pin_first and not (k or i):   # the first step is N(0, I)
+                np.copyto(blk[zs], E[0])
             elif head:
                 a_t = A_run[i]
                 if not prev_in:
@@ -777,29 +827,25 @@ def _scan(xs, p, layout, gru_in, head_in, clip, pin_first):
         # An overflow there would leave a finite output, and every input
         # entry a step reads reaches pre.
         _check_finite("latent_scan", *checked)
-        np.copyto(_run_rows(out[:, hz_cols], run), S[:, hs.start:])
+        np.copyto(_run_rows(out[:, sp.hz_cols], run), S[:, hs.start:])
         if sample:
             np.copyto(_run_rows(out[:, cols["mean"]], run), ML[:, :n_z])
             np.multiply(LVH, 2.0, out=_run_rows(out[:, cols["log_var"]], run))
         PRE.append(pre)
     if head:
         n0 = runs[0][2]
-        if pin_first and sample:
+        if pin_first:
             out[:n0, cols["mean"].start:cols["log_var"].stop] = 0.0
         out[n0:, cols["z_prev"]] = out[prev, cols["z" if sample else "mean"]]
-    return out, dict(sp=sp, runs=runs, prev=prev, PRE=PRE, FEAT=FEAT,
-                     clip=clip, pin_first=pin_first)
+    return out, sp
 
 
-def _scan_vjp(g, xs, p, out, aux):
-    runs, prev, PRE, FEAT = aux["runs"], aux["prev"], aux["PRE"], aux["FEAT"]
-    sp = aux["sp"]      # the forward's layout and step matrices
-    n_rows = out.shape[0]
-    n_x = sum(x.shape[1] for x in xs)
+def _latent_scan_vjp(g, vals, out, sp):
+    # sp is the forward's _ScanParts: its inputs split as xs and p are vals
+    xs, p, runs, prev, cols = sp.xs, sp.p, sp.runs, sp.prev, sp.cols
+    PRE, FEAT, n_rows, pin_first = sp.PRE, sp.FEAT, sp.n_rows, sp.pin_first
     gru, head, sample, hidden = sp.gru, sp.head, sp.sample, sp.hidden
     n_h, n_z, prev_in, reads_h = sp.n_h, sp.n_z, sp.prev_in, sp.reads_h
-    pin_first = aux["pin_first"]
-    cols, hz_cols = _scan_columns(n_h, n_z, sample)
     n0 = runs[0][2]
     a_rows = slice(5 * n_h, None)    # after the (1 - u) dh block and the gates
     # Kin maps a step's adjoint blocks [(1 - u) dh; d pre] to those of the
@@ -815,7 +861,7 @@ def _scan_vjp(g, xs, p, out, aux):
 
     # the adjoint of each step's [h; z] outputs; a z_prev row's goes to
     # the previous row of its sequence
-    dHZ = np.array(g[:, hz_cols])
+    dHZ = np.array(g[:, sp.hz_cols])
     if head:
         dHZ[prev, n_h:] += g[n0:, cols["z_prev"]]
     DHZ = [_blocks(dHZ, run) for run in runs]
@@ -825,7 +871,7 @@ def _scan_vjp(g, xs, p, out, aux):
     if sample:
         # the head's output is [mean, log_var / 2], as in the forward pass,
         # so the log-variance adjoints are doubled (exactly)
-        lv_lo, lv_hi = aux["clip"]
+        lv_lo, lv_hi = sp.clip
         LV = out[:, cols["log_var"]]
         inside = (LV > lv_lo) & (LV < lv_hi)   # where the clip passes
         std = np.exp(LV * 0.5)
@@ -861,9 +907,8 @@ def _scan_vjp(g, xs, p, out, aux):
         for i in range(s - 1, -1, -1):
             dhz = DHZk[i]
             dh = dhz[:n_h]
-            if head and pin_first and not (k or i):   # the pinned step ran no head
-                if sample:
-                    DML[0] = 0.0
+            if pin_first and not (k or i):   # the pinned step ran no head
+                DML[0] = 0.0
             elif head:
                 if sample:
                     dml, dml2 = DML[i], DML2[i]
@@ -895,8 +940,6 @@ def _scan_vjp(g, xs, p, out, aux):
             np.copyto(_run_rows(feat, run), FEAT[k])
         if sample:
             np.copyto(_run_rows(dHZ, run), DHZk)
-    if hidden and pin_first and not sample:   # the pinned step's mean is 0
-        dMLr[:n0] = 0.0
 
     named = {"z": out[:, cols["z_prev"]] if head else None,
              "h": H if gru else None}
@@ -927,7 +970,7 @@ def _scan_vjp(g, xs, p, out, aux):
         if sample:   # back from half log-variance units, exactly
             grads["Wv"], grads["bv"] = dF[n_z:] * 0.5, df[n_z:] * 0.5
             grads["eps"] = dHZ[:, n_h:] * std
-    dx = np.zeros((n_rows, n_x))
+    dx = np.zeros((n_rows, sp.rows["xu"].stop))
     if "xu" in sp.Wc:
         dx += dpre[:, :3 * n_h] @ sp.Wc["xu"]
     if "xu" in prev_in:
@@ -936,66 +979,7 @@ def _scan_vjp(g, xs, p, out, aux):
     for x in xs:
         dxs.append(dx[:, off:off + x.shape[1]])
         off += x.shape[1]
-    return grads, dxs
-
-
-def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
-    # One latent chain over packed rows.  Per step, with z_prev the
-    # previous sample of the same sequence (zeros at the first step):
-    #   h       = GRU(h_prev, input blocks gru_in)  (if W is given, else
-    #                                                  gru_in is ignored)
-    #   feat    = tanh(W1 @ input blocks head_in + b1)   (the blocks, without W1)
-    #   mean    = Wm @ feat + bm
-    #   log_var = clip(Wv @ feat + bv)
-    #   z       = mean + exp(log_var / 2) * eps          (mean, without eps)
-    # The leading arrays are the column blocks of the exogenous rows, which
-    # form the input block "xu" in their order; the others are the inputs
-    # named in names.  The input blocks are "xu", "z" (z_prev) and "h".
-    # Without head_in no head runs, the GRU is required, and h is the whole
-    # output.  With pin_first the first step's mean and log_var are 0, so
-    # its z is eps.  A step's product with the previous state block gives
-    # the GRU's pre-activations and the head's first layer on xu and z;
-    # the head's part on h reads the step's own block (see _ScanParts).
-    n_xs = len(arrays) - len(names)
-    xs, p = arrays[:n_xs], dict(zip(names, arrays[n_xs:]))
-    head = bool(head_in)
-    gru = "W" in p or not head
-    sample, hidden = head and "eps" in p, head and "W1" in p
-    need = ({"h0", "W", "U", "b"} if gru else set()) | (
-        {"Wm", "bm"} if head else set()) | (
-        {"eps", "Wv", "bv"} if sample else set()) | (
-        {"W1", "b1"} if hidden else set())
-    if (len(p) != len(names) or set(p) != need or sample and clip is None
-            or not set(gru_in) <= {"xu", "z"} or "z" in gru_in and not head
-            or not set(head_in) <= {"xu", "z", "h"} or "h" in head_in and not gru):
-        raise ValueError(f"latent_scan inputs unsupported: {names}")
-    n_rows = xs[0].shape[0] if xs and xs[0].ndim == 2 else -1
-    layout = _layout(spans, n_rows)
-    n_h = p["U"].shape[-1] if gru and p["U"].ndim else 0
-    n_z = p["Wm"].shape[0] if head and p["Wm"].ndim else 0
-    n_feat = p["W1"].shape[0] if hidden else 0
-    want = dict(h0=(n_h,), U=(3 * n_h, n_h), b=(3 * n_h,), b1=(n_feat,),
-                bm=(n_z,), bv=(n_z,), eps=(n_rows, n_z))
-    if (any(x.ndim != 2 or x.shape[0] != n_rows for x in xs)
-            or any(p[k].shape != s for k, s in want.items() if k in p)
-            or gru and p["W"].shape[:1] != (3 * n_h,)
-            or head and p["Wm"].ndim != 2
-            or hidden and p["Wm"].shape[1] != n_feat
-            or sample and p["Wv"].shape != p["Wm"].shape):
-        raise ValueError(f"latent_scan shapes unsupported: "
-                         f"{[x.shape for x in xs]}, "
-                         f"{[(k, a.shape) for k, a in p.items()]}")
-    out, aux = _scan(xs, p, layout, gru_in, head_in, clip, pin_first)
-    aux["names"] = names
-    return out, aux
-
-
-def _latent_scan_vjp(g, vals, out, aux):
-    names = aux["names"]
-    n_xs = len(vals) - len(names)
-    grads, dxs = _scan_vjp(g, vals[:n_xs], dict(zip(names, vals[n_xs:])),
-                           out, aux)
-    return dxs + [grads[k] for k in names]
+    return dxs + [grads[k] for k in sp.names]
 
 
 _OPS = {

@@ -274,21 +274,22 @@ class RunSummary:
 
 def run_experiment(train_trajs: list[Trajectory],
                    test_trajs: list[Trajectory], truth: dict[int, float],
-                   spec: NetworkSpec, config: TrainConfig, n_runs: int,
-                   cap: int = DEFAULT_RUL_CAP) -> RunSummary:
+                   spec: NetworkSpec, config: TrainConfig,
+                   n_runs: int) -> RunSummary:
     """Train n_runs independent models at seeds seed, seed+1, ...
 
-    Each run's curve is the test-set RMSE at every evaluation
-    checkpoint; its reported score is the curve value at the step with
-    the best validation RMSE (falling back to the curve minimum when no
-    validation split exists).  Runs aborted by training or by a
-    non-finite value are recorded and excluded from the aggregates.
+    Each run's curve is the test-set RMSE, predictions capped at the
+    config's rul_cap, at every evaluation checkpoint; its reported score
+    is the curve value at the step with the best validation RMSE
+    (falling back to the curve minimum when no validation split
+    exists).  Runs aborted by training or by a non-finite value are
+    recorded and excluded from the aggregates.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
 
     def test_score(params: ModelParams) -> float:
-        return rmse(predict_rul(params, test_trajs, truth, cap=cap))
+        return rmse(predict_rul(params, test_trajs, truth, cap=config.rul_cap))
 
     records = []
     for i in range(n_runs):
@@ -439,8 +440,9 @@ class Corpus:
     stats: NormalizationStats
 
 
-def load_corpus(data_dir: str, tag: str = "FD001",
-                cap: int = DEFAULT_RUL_CAP) -> Corpus:
+def load_corpus(data_dir: str, tag: str = "FD001") -> Corpus:
+    """The normalized train and test units of one subset; the train
+    targets take the default cap (_training_setup recaps them)."""
     files = {
         "train": os.path.join(data_dir, f"train_{tag}.txt"),
         "test": os.path.join(data_dir, f"test_{tag}.txt"),
@@ -453,7 +455,7 @@ def load_corpus(data_dir: str, tag: str = "FD001",
     test_raw = parse_cmapss(files["test"], split="test")
     train_ds, stats = normalize(train_raw)
     test_ds, _ = normalize(test_raw, stats)
-    targets = build_rul_targets(train_raw, cap)
+    targets = build_rul_targets(train_raw)
     train_trajs = to_trajectories(train_ds, targets)
     test_trajs = to_trajectories(test_ds)
     truth = load_test_rul(files["rul"], test_ds.unit_ids)
@@ -593,7 +595,7 @@ def cmd_train(args) -> int:
 def _checkpoint_predictions(args) -> PredictionSet:
     """The test-split predictions of the checkpoint in args.mode."""
     ckpt = load_checkpoint(args.checkpoint)
-    corpus = load_corpus(_data_dir(args), args.tag, cap=ckpt.config.rul_cap)
+    corpus = load_corpus(_data_dir(args), args.tag)
     if ckpt.spec.n_x != corpus.n_x or ckpt.spec.n_u != corpus.n_u:
         raise ValueError(
             f"checkpoint/data mismatch: model expects {ckpt.spec.n_x} sensor "
@@ -635,8 +637,7 @@ def cmd_experiment(args) -> int:
 
     def experiment(cfg: TrainConfig) -> RunSummary:
         s = run_experiment(corpus.train_trajs, corpus.test_trajs,
-                           corpus.truth, spec, cfg, args.runs,
-                           cap=config.rul_cap)
+                           corpus.truth, spec, cfg, args.runs)
         if not s.completed:
             raise TrainingAborted(f"all {len(s.records)} runs aborted")
         return s

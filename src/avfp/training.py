@@ -20,8 +20,9 @@ mutable generator, so a run checkpointed at step s and resumed
 reproduces the uninterrupted run bit-exactly.  A batch whose phase-2
 loss or gradients go non-finite is skipped: it moves no parameter, logs
 no trace row and counts in skipped_batches, and more than 10 such
-batches in a row abort the run.  A non-finite phase-1 or phase-3 step
-moves nothing and counts only in its Adam group's skipped count.
+batches in a row abort the run.  Every phase's step whose loss or
+gradients go non-finite moves nothing and counts in its Adam group's
+skipped count; a phase-1 or phase-3 step counts nowhere else.
 
 Checkpoints are a single binary file: magic "AVFP", u32 version, a
 length-prefixed table of named float64 arrays, and a trailing 64-bit
@@ -35,7 +36,7 @@ import os
 import struct
 from contextlib import contextmanager, suppress
 from copy import deepcopy
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -159,10 +160,15 @@ def _adam_update(group: dict[str, Tensor], state: OptimizerState):
     """Tape the body, which sets .loss on the yielded record, then take
     one Adam step on group along the loss's gradients, clipped as a
     whole to GRADIENT_CLIP_NORM.  The record's .applied tells whether
-    the step moved anything; nothing moves if the body raises."""
+    the step moved anything; nothing moves if the body raises, and a
+    NonFiniteError from it counts as a skipped step on state."""
     step = SimpleNamespace(loss=None, applied=False)
-    with Tape() as tape:
-        yield step
+    try:
+        with Tape() as tape:
+            yield step
+    except NonFiniteError:
+        state.skipped += 1
+        raise
     by_uid = backward(tape, step.loss)
     grads = {name: by_uid.get(p.uid, np.zeros_like(p.data))
              for name, p in group.items()}
@@ -190,8 +196,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.trajectories_per_batch <= 0:
             raise ValueError("epochs must be >= 0 and batch size positive")
-        if self.lr <= 0 or self.lambda_adv < 0:
-            raise ValueError("lr must be positive and lambda_adv non-negative")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.lambda_adv < np.inf:
+            raise ValueError("lambda_adv must be non-negative and finite, "
+                             f"got {self.lambda_adv}")
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +364,11 @@ def train(
             # phase 1: discriminator
             disc_loss_val = None
             if config.lambda_adv > 0.0:
-                try:
-                    with update("disc") as u:
-                        u.loss = _discriminator_loss(
-                            params, batch, noise("disc-fake", step, 0),
-                            noise("disc-real", step, 0))
+                with suppress(NonFiniteError), update("disc") as u:
+                    u.loss = _discriminator_loss(
+                        params, batch, noise("disc-fake", step, 0),
+                        noise("disc-real", step, 0))
                     disc_loss_val = u.loss.item()
-                except NonFiniteError:
-                    opts["disc"].skipped += 1
 
             # phase 2: joint generative/recognition update; a batch whose
             # loss or gradients are non-finite is skipped
@@ -394,13 +400,10 @@ def train(
 
             # phase 3: remaining-life readout
             if supervised:
-                try:
-                    with update("rul") as u:
-                        u.loss = readout_loss(params, batch)
+                with suppress(NonFiniteError), update("rul") as u:
+                    u.loss = readout_loss(params, batch)
                     if steps_log and steps_log[-1].step == step:
                         steps_log[-1].rul_loss = u.loss.item()
-                except NonFiniteError:
-                    opts["rul"].skipped += 1
 
             state.batch_idx += 1
             if config.eval_every > 0 and step % config.eval_every == 0:
@@ -594,24 +597,23 @@ def _pack_entry(name: str, arr) -> bytes:
     return head + arr.tobytes()
 
 
+# the scalar entries of an Adam group in a checkpoint
+_OPT_COUNTERS = ("t", "skipped")
+
+
 def _checkpoint_table(ckpt: Checkpoint) -> dict:
     """Every entry of the record by its "/"-joined path: spec/, config/,
     param/, opt/<group>/{t,skipped,m/,v/} and meta/<counter>.  Values are
     written as float64 (ints and bools are exact below 2^53)."""
-    return _flatten({"spec": asdict(ckpt.spec), "config": asdict(ckpt.config),
-                     "param": ckpt.params, "opt": ckpt.opt,
-                     "meta": {f.name: getattr(ckpt, f.name)
-                              for f in _scalar_fields(Checkpoint)}}, "", {})
-
-
-def _flatten(node: dict, prefix: str, table: dict) -> dict:
-    # a module-level function: a recursive closure would be a reference
-    # cycle holding the table's arrays until the cyclic collector runs
-    for k, v in node.items():
-        if isinstance(v, dict):
-            _flatten(v, f"{prefix}{k}/", table)
-        else:
-            table[prefix + k] = v
+    table = {f"{branch}/{f.name}": getattr(obj, f.name)
+             for branch, obj in (("spec", ckpt.spec), ("config", ckpt.config),
+                                 ("meta", ckpt))
+             for f in _scalar_fields(type(obj))}
+    table.update((f"param/{k}", v) for k, v in ckpt.params.items())
+    for g, o in ckpt.opt.items():
+        table.update((f"opt/{g}/{k}", o[k]) for k in _OPT_COUNTERS)
+        table.update((f"opt/{g}/{part}/{k}", v) for part in ("m", "v")
+                     for k, v in o[part].items())
     return table
 
 
@@ -659,7 +661,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     off = 0
     raw, off = _read(body, off, 8)
     (n_entries,) = struct.unpack("<Q", raw)
-    tree: dict = {}
+    table = {}
     for _ in range(n_entries):
         raw, off = _read(body, off, 4)
         (name_len,) = struct.unpack("<I", raw)
@@ -673,42 +675,37 @@ def load_checkpoint(path: str) -> Checkpoint:
             shape.append(struct.unpack("<Q", raw)[0])
         count = int(np.prod(shape)) if shape else 1
         raw, off = _read(body, off, count * 8)
-        *branches, leaf = name.split("/")
-        node = tree
-        for b in branches:
-            node = node.setdefault(b, {})
-            if not isinstance(node, dict):
-                raise ValueError(f"checkpoint entry '{name}' nests in an array")
-        node[leaf] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        table[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     if off != len(body):
         raise ValueError("trailing bytes in checkpoint")
 
-    def entry(path: str):
-        node = tree
-        for part in path.split("/"):
-            if not isinstance(node, dict) or part not in node:
-                raise ValueError(f"checkpoint missing entry '{path}'")
-            node = node[part]
-        return node
+    def under(prefix: str) -> dict:   # the entries below prefix, by the rest
+        return {k[len(prefix):]: v for k, v in table.items()
+                if k.startswith(prefix)}
 
-    def typed(cls, branch: str) -> dict:
-        # integral values of int and bool fields back to ints, and 0 and 1
-        # of a bool field to bools; any other value fails typed_fields
+    def typed(cls, branch: str, names=None) -> dict:
+        # the entries under branch of cls's scalar fields names (all by
+        # default): integral values of int and bool fields back to ints,
+        # and 0 and 1 of a bool field to bools; any other value fails
+        # typed_fields
+        kinds = {f.name: f.type for f in _scalar_fields(cls)}
         values = {}
-        for f in _scalar_fields(cls):
-            x = float(entry(f"{branch}/{f.name}"))
-            if f.type != "float" and x.is_integer():
-                x = bool(x) if f.type == "bool" and x in (0.0, 1.0) else int(x)
-            values[f.name] = x
+        for name in names or kinds:
+            path, kind = f"{branch}/{name}", kinds[name]
+            if path not in table:
+                raise ValueError(f"checkpoint missing entry '{path}'")
+            x = float(table[path])
+            if kind != "float" and x.is_integer():
+                x = bool(x) if kind == "bool" and x in (0.0, 1.0) else int(x)
+            values[name] = x
         return typed_fields(cls, values, f"checkpoint entry {branch}/")
 
-    opt = {g: {"t": int(entry(f"opt/{g}/t")),
-               "skipped": int(entry(f"opt/{g}/skipped")),
-               "m": group.get("m", {}), "v": group.get("v", {})}
-           for g, group in entry("opt").items()}
+    opt = {g: {**typed(OptimizerState, f"opt/{g}", _OPT_COUNTERS),
+               "m": under(f"opt/{g}/m/"), "v": under(f"opt/{g}/v/")}
+           for g in dict.fromkeys(k.split("/")[0] for k in under("opt/"))}
     return Checkpoint(spec=NetworkSpec(**typed(NetworkSpec, "spec")),
                       config=TrainConfig(**typed(TrainConfig, "config")),
-                      params=entry("param"), opt=opt,
+                      params=under("param/"), opt=opt,
                       **typed(Checkpoint, "meta"))
 
 

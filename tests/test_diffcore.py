@@ -982,6 +982,9 @@ def test_latent_scan_input_errors():
         _latent(params, **{**static, "spans": static["spans"][:-1]})
     with pytest.raises(ValueError):  # sampling without a clip
         _latent(params, **{**static, "clip": None})
+    with pytest.raises(ValueError):  # a pinned first step without noise
+        _latent({k: t for k, t in params.items() if k not in ("eps", "Wv", "bv")},
+                **{**static, "pin_first": True})
     # without a head: a GRU is required, no head weights or noise are
     # taken, and there is no sample z to read
     xs, spans = [params["xu"]], static["spans"]

@@ -574,6 +574,32 @@ def test_cli_checkpoint_fractional_cap_exits_2(synth_dir, tmp_path, capsys):
     assert "config/rul_cap must be of type int" in capsys.readouterr().err
 
 
+def test_cli_checkpoint_fractional_opt_counter_exits_2(synth_dir, tmp_path,
+                                                      capsys):
+    """The Adam groups' step and skip counters are ints like the rest."""
+    ckpt = _resigned_checkpoint(
+        tmp_path, lambda t: t.update({"opt/gen/t": 1.5}))
+    assert main(["eval", "--data", synth_dir, "--checkpoint", ckpt]) == 2
+    assert ("checkpoint entry opt/gen/t must be of type int"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("doc", [
+    {"lr": float("nan")}, {"lr": float("inf")}, {"lambda_adv": float("nan")}],
+    ids=lambda d: f"{next(iter(d))}={next(iter(d.values()))}")
+def test_cli_non_finite_rate_exits_2(synth_dir, tmp_path, capsys, doc):
+    """json reads NaN and Infinity; the config refuses them by key and
+    nothing is trained."""
+    (key,) = doc
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["train", "--data", synth_dir, "--out", str(out),
+                 "--config", str(cfg)]) == 2
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert not (out / "model.ckpt").exists()
+
+
 @pytest.mark.parametrize("doc", [
     {"markovian": "false"}, {"trajectories_per_batch": 2.5},
     {"rul_cap": 40.5}, {"epochs": True}, {"n_z": 4.0}, {"lr": "1e-3"}],

@@ -190,6 +190,10 @@ def test_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(lambda_adv=-0.1)
+    for bad in (dict(lr=np.nan), dict(lr=np.inf), dict(lambda_adv=np.nan),
+                dict(lambda_adv=np.inf)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            TrainConfig(**bad)
     TrainConfig(epochs=0)  # a no-op run is a valid request
 
 
@@ -528,7 +532,7 @@ def test_checkpoint_with_retired_config_entries_resumes_alike(tmp_path):
 
 @pytest.mark.parametrize("entry,value", [
     ("config/markovian", 2.0), ("meta/step", float("nan")),
-    ("spec/n_z", 2.5)])
+    ("spec/n_z", 2.5), ("opt/gen/t", 1.5), ("opt/rul/skipped", 0.5)])
 def test_checkpoint_rejects_mistyped_entries(tmp_path, entry, value):
     res = train(toy_trajs(2), small_spec(), quick_config(epochs=1))
     table = _checkpoint_table(res.checkpoint)
@@ -582,6 +586,31 @@ def test_nonfinite_gradients_skip_the_batch(monkeypatch):
     ref = init_params(spec, markovian=False, seed=0)
     for name, t in ref.named().items():
         assert np.array_equal(res.params.named()[name].data, t.data), name
+
+
+def test_nonfinite_losses_count_in_their_groups(monkeypatch):
+    """A step whose loss goes non-finite moves nothing and counts in its
+    Adam group's skipped count, in phase 2 as in phase 3; a phase-2
+    batch also counts as a skipped batch."""
+    trajs = toy_trajs(4, T=6, rul=True)
+    for name, group in (("combined_objective", "gen"), ("readout_loss", "rul")):
+        real, calls = getattr(training, name), []
+
+        def second_call_raises(*a, real=real, calls=calls, **kw):
+            calls.append(1)
+            if len(calls) == 2:
+                raise dc.NonFiniteError(f"non-finite result in {name}")
+            return real(*a, **kw)
+
+        with monkeypatch.context() as m:
+            m.setattr(training, name, second_call_raises)
+            res = train(trajs, small_spec(),
+                        quick_config(epochs=2, rul_supervision=True))
+        assert len(calls) == 4, name
+        skipped = {g: o["skipped"] for g, o in res.checkpoint.opt.items()}
+        assert skipped == {"gen": int(group == "gen"), "disc": 0,
+                           "rul": int(group == "rul")}, name
+        assert res.skipped_batches == int(group == "gen"), name
 
 
 def test_streak_of_nonfinite_gradients_aborts(monkeypatch):
