@@ -4,9 +4,10 @@ Reverse-mode differentiation on a tape
 
 Every public array operation records itself on an active Tape; walking
 the tape backwards accumulates exact gradients for the leaves.  This
-script differentiates a small composite function, shows fan-out
-accumulation, checks the result against central differences, and
-replays the tape bit-exactly.
+script replays the tape bit-exactly, differentiates a small composite
+function (the walk consumes the tape, so the replay comes first), shows
+fan-out accumulation, and checks the result against central
+differences.
 """
 
 import numpy as np
@@ -20,6 +21,12 @@ p = Tensor(np.array([1.0, -2.0]))
 with Tape() as tape:
     h = tanh(w @ p)          # (3,)
     y = (h * h).sum() + p.sum()
+
+# a tape can re-execute its recorded program; any deviation from the
+# cached forward values raises, so reaching the next line is the proof.
+# backward() drops those values as it walks, so replay comes first.
+replay(tape)
+print("replay reproduced every node bit-exactly")
 
 grads = backward(tape, y)
 print("value        :", y.item())
@@ -41,8 +48,3 @@ def f(leaves):
 
 err = grad_check(f, [Tensor(w.data.copy()), Tensor(p.data.copy())])
 print("worst relative error vs central differences:", err)
-
-# a tape can re-execute its recorded program; any deviation from the
-# cached forward values raises, so reaching the next line is the proof
-replay(tape)
-print("replay reproduced every node bit-exactly")

@@ -27,8 +27,10 @@ built once per call, which the backward pass reuses.
 Every primitive checks its result for NaN/Inf and raises instead of
 propagating silently.  A Tape is an append-only record of primitive
 applications; backward() walks it once in reverse and returns a map
-from leaf-tensor uid to gradient, and replay() re-runs every forward
-and demands bit-identical values.
+from leaf-tensor uid to gradient, releasing each node's cached value
+and aux as soon as the walk has passed it, so a walked tape is
+consumed.  replay() re-runs every forward and demands bit-identical
+values; it needs those cached values, so it belongs before backward().
 
 Forward evaluation with no tape open is plain numpy and carries no
 recording overhead, which is what prediction and rollout paths use.
@@ -164,6 +166,9 @@ class Tape:
 
     Nodes are stored as parallel lists (op name, parent node ids, cached
     forward value, op-specific aux data, static keyword arguments).
+    backward() consumes the tape: it sets each op node's value and aux
+    to None once the walk has passed it (leaves keep theirs), so
+    replay() must come before it.
     Leaves are enrolled lazily on first use and found again through the
     tape's own uid -> node map, so a leaf tensor never keeps a tape
     alive.  Entering the context makes the tape the active recorder;
@@ -1112,6 +1117,14 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
     Returns {leaf tensor uid: gradient array}, gradient shapes matching
     the leaves.  Raises TapeError if loss was not recorded on this tape
     and ValueError if it is not scalar.
+
+    The walk consumes the tape: it drops each node's value and aux once
+    the node's VJP has run, or as soon as it reaches a node with no
+    adjoint, so the adjoints never pile up on top of the whole forward
+    record.  The ops, parents, kws and leaves stay, so len(tape) does
+    not change.  replay() belongs before backward(); a later backward()
+    on the same tape first re-runs the recorded forward to rebuild what
+    the earlier walk dropped.
     """
     if loss.tape is not tape or loss.node_id is None:
         raise TapeError("loss is not a node on this tape")
@@ -1119,29 +1132,41 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
         raise ValueError("backward expects a scalar loss")
 
     ops, parents, values, aux = tape.ops, tape.parents, tape.values, tape.aux
+    for i, value in enumerate(values):   # rebuild what a past walk dropped
+        if value is None:
+            values[i], aux[i] = _forward(tape, i)
     adj: list = [None] * len(ops)
     adj[loss.node_id] = np.ones((), dtype=np.float64)
     grads: dict[int, np.ndarray] = {}
 
     # Adjoints are never updated in place: a contribution may be a view
-    # of another node's adjoint or of a taped value.
+    # of another node's adjoint or of a taped value.  A node's value is
+    # read only by its own VJP and its consumers', which come later on
+    # the tape, so it can go once the walk has passed it.
     for i in range(loss.node_id, -1, -1):
-        g = adj[i]
-        if g is None:
-            continue
-        adj[i] = None
+        g, adj[i] = adj[i], None
         op = ops[i]
         if op == "leaf":
             uid, is_const = aux[i]
-            if not is_const:
+            if g is not None and not is_const:
                 grads[uid] = np.array(g, dtype=np.float64)
             continue
-        ps = parents[i]
-        contribs = _OPS[op][1](g, [values[p] for p in ps], values[i], aux[i])
-        for pid, c in zip(ps, contribs):
-            cur = adj[pid]
-            adj[pid] = c if cur is None else cur + c
+        if g is not None:
+            ps = parents[i]
+            contribs = _OPS[op][1](g, [values[p] for p in ps], values[i],
+                                   aux[i])
+            for pid, c in zip(ps, contribs):
+                cur = adj[pid]
+                adj[pid] = c if cur is None else cur + c
+        values[i] = aux[i] = None
     return grads
+
+
+def _forward(tape: Tape, i: int) -> tuple[np.ndarray, object]:
+    """Node i's forward value and aux, recomputed from its parents."""
+    out, aux = _OPS[tape.ops[i]][0](*[tape.values[p] for p in tape.parents[i]],
+                                    **(tape.kws[i] or {}))
+    return np.asarray(out, dtype=np.float64), aux
 
 
 def replay(tape: Tape) -> None:
@@ -1149,13 +1174,16 @@ def replay(tape: Tape) -> None:
 
     Determinism check: the tape caches forward values, and rerunning
     the same kernels on the same inputs must reproduce them exactly.
+    It needs those cached values, which backward() drops as it walks,
+    so it raises TapeError on a tape that has been walked.
     """
+    if any(value is None for value in tape.values):
+        raise TapeError("replay needs the forward values that backward "
+                        "releases; replay the tape before walking it")
     for i, op in enumerate(tape.ops):
         if op == "leaf":
             continue
-        vals = [tape.values[p] for p in tape.parents[i]]
-        out, _ = _OPS[op][0](*vals, **(tape.kws[i] or {}))
-        if not np.array_equal(np.asarray(out, dtype=np.float64), tape.values[i]):
+        if not np.array_equal(_forward(tape, i)[0], tape.values[i]):
             raise AssertionError(f"replay mismatch at node {i} ('{op}')")
 
 

@@ -694,6 +694,9 @@ def load_checkpoint(path: str) -> Checkpoint:
             path, kind = f"{branch}/{name}", kinds[name]
             if path not in table:
                 raise ValueError(f"checkpoint missing entry '{path}'")
+            if table[path].ndim:
+                raise ValueError(f"checkpoint entry {path} must be a scalar, "
+                                 f"got shape {table[path].shape}")
             x = float(table[path])
             if kind != "float" and x.is_integer():
                 x = bool(x) if kind == "bool" and x in (0.0, 1.0) else int(x)

@@ -306,6 +306,30 @@ def test_replay_is_bit_exact():
     replay(tape)
 
 
+def test_backward_consumes_the_tape():
+    """The walk drops every walked node's value and aux, the record (and
+    len) stays, replay is refused, and a second walk rebuilds the forward
+    first and gives the same gradients bit for bit."""
+    rng = np.random.default_rng(6)
+    W = Tensor(rng.normal(size=(4, 4)))
+    x = Tensor(rng.normal(size=4))
+    with Tape() as tape:
+        h = dc.tanh(W @ x)
+        dc.exp(h).sum()  # walked without an adjoint
+        loss = (h * h).mean()
+    n = len(tape)
+    first = backward(tape, loss)
+    assert len(tape) == n
+    assert all(v is None and a is None
+               for op, v, a in zip(tape.ops, tape.values, tape.aux)
+               if op != "leaf")
+    with pytest.raises(TapeError, match="replay the tape before walking it"):
+        replay(tape)
+    second = backward(tape, loss)
+    assert first.keys() == second.keys() == {W.uid, x.uid}
+    assert all(np.array_equal(first[k], second[k]) for k in first)
+
+
 def test_primitive_set_is_pinned():
     assert set(dc.PRIMITIVES) >= {
         "add", "sub", "mul", "matmul", "tanh", "sigmoid", "exp", "log",

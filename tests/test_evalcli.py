@@ -584,6 +584,16 @@ def test_cli_checkpoint_fractional_opt_counter_exits_2(synth_dir, tmp_path,
             in capsys.readouterr().err)
 
 
+def test_cli_checkpoint_non_scalar_setting_exits_2(synth_dir, tmp_path,
+                                                  capsys):
+    """A spec, config, meta or optimizer-counter entry must be 0-d."""
+    ckpt = _resigned_checkpoint(
+        tmp_path, lambda t: t.update({"spec/n_z": np.array([2.0, 2.0])}))
+    assert main(["eval", "--data", synth_dir, "--checkpoint", ckpt]) == 2
+    assert ("checkpoint entry spec/n_z must be a scalar, got shape (2,)"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("doc", [
     {"lr": float("nan")}, {"lr": float("inf")}, {"lambda_adv": float("nan")}],
     ids=lambda d: f"{next(iter(d))}={next(iter(d.values()))}")
