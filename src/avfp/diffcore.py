@@ -166,9 +166,8 @@ class Tape:
 
     Nodes are stored as parallel lists (op name, parent node ids, cached
     forward value, op-specific aux data, static keyword arguments).
-    backward() consumes the tape: it sets each op node's value and aux
-    to None once the walk has passed it (leaves keep theirs), so
-    replay() must come before it.
+    backward() consumes the tape, setting each op node's value and aux
+    to None as it walks, so replay() comes before it.
     Leaves are enrolled lazily on first use and found again through the
     tape's own uid -> node map, so a leaf tensor never keeps a tape
     alive.  Entering the context makes the tape the active recorder;

@@ -198,7 +198,8 @@ def test_reverse_walk_peaks_at_its_forward_tape():
     spec = NetworkSpec(n_x=14, n_u=2)
     params = init_params(spec, markovian=False, seed=0)
     trajs = ragged(spec, [60 - 5 * (k % 4) for k in range(8)], seed=1)
-    noise, prior_noise = noises(spec, trajs, "noise"), noises(spec, trajs, "pn")
+    noise = noises(spec, trajs, "noise")
+    prior_noise = noises(spec, trajs, "pn")
     tracemalloc.start()
     try:
         with Tape() as tape:
