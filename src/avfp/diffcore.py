@@ -583,9 +583,10 @@ class _ScanParts:
     checked: its exogenous column blocks xs and its other inputs p by
     name, its flags and sizes, its layout (runs and prev, see _layout),
     its output columns (cols and hz_cols, see _scan_columns), the state
-    layout and the step matrices.  The forward pass builds it and adds
-    each run's step blocks of pre and of the hidden layer (PRE, FEAT);
-    it is then the tape's aux, which the backward pass reads.
+    layout and the step matrices.  The forward pass builds it and, for
+    a call a tape records, adds each run's step blocks of pre and of the
+    hidden layer (PRE, FEAT); it is then the tape's aux, which the
+    backward pass reads.
 
     A state block's rows are [x; 1; h; z]: rows[name] for "xu", "one",
     "h" and "z".  KT @ block (of the previous step) is a step's
@@ -728,7 +729,8 @@ def _scan_columns(n_h: int, n_z: int, sample: bool):
     return cols, slice(lead, lead + n_h + n_z)
 
 
-def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
+def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first,
+                 keep):
     # One latent chain over packed rows.  Per step, with z_prev the
     # previous sample of the same sequence (zeros at the first step):
     #   h       = GRU(h_prev, input blocks gru_in)  (if W is given, else
@@ -745,6 +747,7 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
     # 0, so its z is eps.  A step's product with the previous state block
     # gives the GRU's pre-activations and the head's first layer on xu and
     # z; the head's part on h reads the step's own block (see _ScanParts).
+    # Only with keep do a run's step blocks outlive it, for the backward.
     sp = _ScanParts(arrays, names, spans, gru_in, head_in, clip, pin_first)
     p, runs, prev = sp.p, sp.runs, sp.prev
     gru, head, sample, hidden = sp.gru, sp.head, sp.sample, sp.hidden
@@ -789,7 +792,8 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
             if hidden:
                 FE = np.zeros((s, n_hid + 1, w))
                 FE[:, n_hid] = 1.0
-                FEAT.append(FE)
+                if keep:
+                    FEAT.append(FE)
                 if sample:
                     ML = np.zeros((s, 2 * n_z, w))
                     checked.append(ML)
@@ -835,7 +839,8 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
         if sample:
             np.copyto(_run_rows(out[:, cols["mean"]], run), ML[:, :n_z])
             np.multiply(LVH, 2.0, out=_run_rows(out[:, cols["log_var"]], run))
-        PRE.append(pre)
+        if keep:
+            PRE.append(pre)
     if head:
         n0 = runs[0][2]
         if pin_first:
@@ -1086,7 +1091,8 @@ def latent_scan(xs, params: dict[str, Tensor], spans, gru_in, head_in=(),
     rows = apply_primitive(
         "latent_scan", *xs, *params.values(), names=tuple(params),
         spans=tuple(spans), gru_in=tuple(gru_in), head_in=tuple(head_in),
-        clip=clip if clip is None else tuple(clip), pin_first=pin_first)
+        clip=clip if clip is None else tuple(clip), pin_first=pin_first,
+        keep=_active_tape is not None)
     n_h = params["U"].shape[1] if "U" in params else 0
     n_z = params["Wm"].shape[0] if head_in else 0
     cols, _ = _scan_columns(n_h, n_z, "eps" in params)

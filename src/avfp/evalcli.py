@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -112,12 +112,35 @@ class HealthIndexMap:
 
     direction is the first principal direction of all per-cycle latent
     means, oriented so the index rises toward failure; curves holds one
-    index trajectory per training unit.
+    index trajectory per training unit, each a view of flat, where they
+    lie one after another.  For the matcher, sq_prefix[i] is the sum of
+    flat[:i] ** 2, and element i of flat lies in curve curve_of[i],
+    to_end[i] elements (itself included) before that curve's end.
     """
 
     direction: np.ndarray
     center: np.ndarray
     curves: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False)
+    sq_prefix: np.ndarray = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
+    curve_of: np.ndarray = field(init=False, repr=False)
+    to_end: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        lengths = np.array([np.size(c) for c in self.curves], dtype=np.intp)
+        if any(np.ndim(c) != 1 for c in self.curves) or np.any(lengths == 0):
+            raise ValueError("health index curves must be non-empty and 1-D")
+        flat = np.concatenate([np.zeros(0), *self.curves], dtype=np.float64)
+        if not np.all(np.isfinite(flat)):
+            raise ValueError("non-finite health index curve")
+        ends = np.cumsum(lengths)
+        self.flat = flat
+        self.curves = np.split(flat, ends[:-1]) if len(lengths) else []
+        self.sq_prefix = np.concatenate(([0.0], np.cumsum(flat * flat)))
+        self.starts = ends - lengths
+        self.curve_of = np.repeat(np.arange(len(lengths)), lengths)
+        self.to_end = np.repeat(ends, lengths) - np.arange(flat.size)
 
     def project(self, means: np.ndarray) -> np.ndarray:
         """Index curve of one unit's (T, n_z) latent means."""
@@ -153,24 +176,78 @@ def match_remaining_life(hi: HealthIndexMap, test_curve: np.ndarray,
                          cap: int = DEFAULT_RUL_CAP) -> float:
     """Remaining life of the best-matching training window.
 
-    The tail of the test unit's index curve is slid over every training
-    curve; the window with the lowest mean squared distance wins and the
-    prediction is that unit's remaining life at the window's end.
+    The test unit's index curve t (length T) is slid over every training
+    curve c; on a curve at least T long each window of T cycles is
+    scored, a shorter curve is one window against t's last len(c)
+    cycles.  The window with the lowest mean squared distance
+    ((window - tail) ** 2).mean() wins, ties going to the earlier
+    training curve and then to the earlier window, and the prediction
+    is that curve's remaining life after the window's end, clipped to
+    [0, cap].
+
+    One array pass per call finds the winner exactly.  Screen: a window
+    inside a long curve scores (sum c^2 - 2 c.t + sum t^2) / T, with
+    sum c^2 from hi.sq_prefix and every c.t from one np.correlate over
+    hi.flat; a short curve's one window scores its squared differences
+    summed by np.bincount.  Bound: with eps = 2 ** -52 and tiny the
+    least normal float, a screened long window lies within
+    r = 2 (N + 2T + 8) eps (P[s] + P[s+T] + sum t^2 + tiny) / T of the
+    loop's expression for it (N = len(hi.flat), P = hi.sq_prefix, s its
+    start): the prefix sums, the dot products and the loop's own sum
+    each err by at most (their length) * eps/2 of the sums of squares
+    above, and the factor 2 also covers the few roundings between them.
+    A short curve's screen and the loop's expression share every
+    squared difference and differ only in summation order and a
+    division, so r = 2 (L + 4) eps (score + tiny) for a curve of length
+    L.  Exact pick: every window whose score - r does not exceed the
+    least score + r holds the loop's minimum or could tie with it;
+    those few are recomputed with the loop's expression and ranked by
+    (distance, training curve, window), as the loop ranks them.
     """
-    if test_curve.size == 0:
+    t = np.asarray(test_curve, dtype=np.float64)
+    if t.size == 0:
         raise ValueError("empty test curve")
-    best = None
-    for c in hi.curves:
-        w = min(len(test_curve), len(c))
-        tail = test_curve[-w:]
-        windows = np.lib.stride_tricks.sliding_window_view(c, w)
-        mses = ((windows - tail) ** 2).mean(axis=1)
-        pos = int(np.argmin(mses))
-        key = (float(mses[pos]), len(c) - (pos + w))
-        if best is None or key[0] < best[0]:
-            best = key
-    remaining = best[1]
-    return float(min(max(remaining, 0), cap))
+    if t.ndim != 1:
+        raise ValueError("test curve must be 1-D")
+    if not hi.curves:
+        raise ValueError("health index map has no training curves")
+    T, N = t.size, hi.flat.size
+    tt = float(t @ t)
+    # the same check keeps every screened sum below overflow
+    if not np.isfinite(4.0 * (tt + hi.sq_prefix[-1])):
+        raise ValueError("non-finite test curve, or index values too large")
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+    flat, to_end, sq = hi.flat, hi.to_end, hi.sq_prefix
+
+    # screen every window of T cycles inside one curve, by its start
+    pos = np.flatnonzero(to_end[:max(N - T + 1, 0)] >= T)
+    head, end = sq[pos], sq[pos + T]
+    cross = np.correlate(flat, t, "valid")[pos]
+    score = (end - head - 2.0 * cross + tt) / T
+    r = (2.0 * (N + 2 * T + 8) * eps / T) * (head + end + tt + tiny)
+    # and each curve shorter than T, one window at its start
+    lengths = to_end[hi.starts]
+    short = np.flatnonzero(lengths < T)
+    el = np.flatnonzero(lengths[hi.curve_of] < T)
+    d = flat[el] - t[T - to_end[el]]
+    s_short = np.bincount(hi.curve_of[el], weights=d * d,
+                          minlength=lengths.size)[short] / lengths[short]
+    score = np.concatenate((score, s_short))
+    r = np.concatenate((r, 2.0 * (lengths[short] + 4) * eps * (s_short + tiny)))
+    pos = np.concatenate((pos, hi.starts[short]))
+
+    # rescore the windows that could hold the loop's minimum
+    pos = pos[score - r <= np.min(score + r)]
+    exact = np.empty(pos.size)
+    long_ = to_end[pos] >= T
+    windows = flat[pos[long_, None] + np.arange(T)]
+    exact[long_] = ((windows - t) ** 2).mean(axis=1)
+    for j in np.flatnonzero(~long_):
+        L = to_end[pos[j]]
+        window = flat[pos[j]:pos[j] + L][None]
+        exact[j] = ((window - t[-L:]) ** 2).mean(axis=1)[0]
+    best = pos[np.lexsort((pos, exact))[0]]
+    return float(min(max(to_end[best] - T, 0), cap))
 
 
 def predict_rul(params: ModelParams, test_trajs: list[Trajectory],

@@ -13,6 +13,7 @@ from avfp.data import Trajectory, gen_linear_gaussian, LinearGaussianSpec
 from avfp import diffcore as dc
 from avfp.diffcore import NonFiniteError
 from avfp.evalcli import (
+    HealthIndexMap,
     PredictionSet,
     RunRecord,
     RunSummary,
@@ -243,6 +244,96 @@ def test_health_index_filters_train_and_test_units_in_one_scan(monkeypatch):
     assert pred.predicted.tolist() == [
         match_remaining_life(hi, hi.index_curve(params, t), cap)
         for t in ordered]
+
+
+def loop_match(curves, test_curve, cap):
+    """The matcher as one window search per training curve: the
+    reference that match_remaining_life must equal exactly."""
+    best = None
+    for c in curves:
+        w = min(len(test_curve), len(c))
+        tail = test_curve[-w:]
+        windows = np.lib.stride_tricks.sliding_window_view(c, w)
+        mses = ((windows - tail) ** 2).mean(axis=1)
+        pos = int(np.argmin(mses))
+        key = (float(mses[pos]), len(c) - (pos + w))
+        if best is None or key[0] < best[0]:
+            best = key
+    return float(min(max(best[1], 0), cap))
+
+
+def index_map(curves):
+    return HealthIndexMap(direction=np.ones(1), center=np.zeros(1),
+                          curves=[np.asarray(c, dtype=float) for c in curves])
+
+
+def match_cases(kind, g):
+    """(training curves, test curve) draws of one kind."""
+    for _ in range(60):
+        lengths = g.integers(1, 30, size=g.integers(1, 7))
+        curves = [g.standard_normal(n) for n in lengths]
+        t = g.standard_normal(g.integers(1, 25))
+        if kind == "exact copy":        # a zero-distance window, or several
+            src = curves[g.integers(len(curves))]
+            a = g.integers(len(src))
+            t = src[a:a + g.integers(1, len(src) - a + 1)].copy()
+            curves.insert(g.integers(len(curves) + 1), t.copy())
+        elif kind == "constant":        # every window ties
+            curves = [np.full(n, 2.5) for n in lengths]
+            t = np.full(t.size, 2.5 if g.random() < 0.7 else 1.5)
+        elif kind == "short and equal":
+            t = g.standard_normal(int(lengths.max()))
+            curves.append(g.standard_normal(t.size))
+        elif kind == "length one":
+            t = t[:1]
+        elif kind == "magnitude 1e6":   # cancellation in the screen
+            curves = [1e6 + 1e-3 * np.cumsum(c) for c in curves]
+            t = 1e6 + 1e-3 * np.cumsum(t)
+        yield curves, t
+
+
+@pytest.mark.parametrize("kind", ["random ragged", "exact copy", "constant",
+                                  "short and equal", "length one",
+                                  "magnitude 1e6"])
+def test_matcher_equals_the_window_loop(kind):
+    g = np.random.default_rng(sum(map(ord, kind)))
+    for curves, t in match_cases(kind, g):
+        assert match_remaining_life(index_map(curves), t, 10 ** 6) == \
+            loop_match(curves, t, 10 ** 6)
+
+
+def test_matcher_tie_rule():
+    """The lowest distance wins, then the earlier training curve, then
+    the earlier window; a shorter curve is one window at its end."""
+    t = np.array([0.0, 1.0])
+    near = [0.0, 1.5, 9.0]               # distance 0.125, remaining 1
+    late = [5.0, 5.0, 5.0, 0.0, 1.0]     # distance 0, remaining 0
+    early = [0.0, 1.0, 9.0, 9.0]         # distance 0, remaining 2
+    twice = [0.0, 1.0, 7.0, 0.0, 1.0, 7.0, 7.0]   # remaining 5 or 2
+    cases = [([near, early], 2.0), ([late, early], 0.0), ([early, late], 2.0),
+             ([twice], 5.0), ([near, [1.0], early], 0.0),
+             ([[4.0], twice], 5.0)]
+    for curves, want in cases:
+        assert match_remaining_life(index_map(curves), t, 100) == want
+        assert loop_match([np.array(c) for c in curves], t, 100) == want
+
+
+def test_matcher_input_errors():
+    with pytest.raises(ValueError, match="no training curves"):
+        match_remaining_life(index_map([]), np.arange(3.0))
+    with pytest.raises(ValueError, match="non-finite test curve"):
+        match_remaining_life(index_map([np.arange(10.0)]),
+                             np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="empty test curve"):
+        match_remaining_life(index_map([np.arange(10.0)]), np.zeros(0))
+
+
+def test_health_index_curves_are_views_of_one_array():
+    hi = fit_health_index(tiny_params(seed=2), rand_trajs(3, 12, seed=5))
+    assert hi.flat.shape == (36,)
+    assert all(np.shares_memory(c, hi.flat) for c in hi.curves)
+    assert np.array_equal(np.concatenate(hi.curves), hi.flat)
+    assert np.array_equal(hi.sq_prefix[1:], np.cumsum(hi.flat ** 2))
 
 
 # ---------------------------------------------------------------------------
