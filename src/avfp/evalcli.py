@@ -189,20 +189,22 @@ def match_remaining_life(hi: HealthIndexMap, test_curve: np.ndarray,
     inside a long curve scores (sum c^2 - 2 c.t + sum t^2) / T, with
     sum c^2 from hi.sq_prefix and every c.t from one np.correlate over
     hi.flat; a short curve's one window scores its squared differences
-    summed by np.bincount.  Bound: with eps = 2 ** -52 and tiny the
-    least normal float, a screened long window lies within
-    r = 2 (N + 2T + 8) eps (P[s] + P[s+T] + sum t^2 + tiny) / T of the
-    loop's expression for it (N = len(hi.flat), P = hi.sq_prefix, s its
-    start): the prefix sums, the dot products and the loop's own sum
-    each err by at most (their length) * eps/2 of the sums of squares
-    above, and the factor 2 also covers the few roundings between them.
-    A short curve's screen and the loop's expression share every
-    squared difference and differ only in summation order and a
-    division, so r = 2 (L + 4) eps (score + tiny) for a curve of length
-    L.  Exact pick: every window whose score - r does not exceed the
-    least score + r holds the loop's minimum or could tie with it;
-    those few are recomputed with the loop's expression and ranked by
-    (distance, training curve, window), as the loop ranks them.
+    summed by np.bincount.  Bound: let u = eps / 2 be the unit
+    roundoff, N = len(hi.flat), P = hi.sq_prefix, s a window's start and
+    Q = P[s] + P[s+T] + sum t^2.  Counted as T times a distance, the
+    prefix sums err by at most N u Q, the dot product and sum t^2 by
+    2T u Q, the subtractions and the division by 7 u Q, and the loop's
+    own expression by 2 (T + 3) u Q, so a screened window lies within
+    (N + 4T + 13) u Q / T of the loop's value for it;
+    r = 2 (N + 2T + 8) eps (Q + tiny) / T covers that at least twice,
+    tiny (the least normal float) standing for underflow.  A short
+    curve's screen and the loop's expression share every squared
+    difference and differ only in summation order and the division:
+    r = 2 (L + 4) eps (score + tiny) for a curve of length L.  Exact
+    pick: every window whose score - r does not exceed the least
+    score + r holds the loop's minimum or could tie with it; those few
+    are recomputed with the loop's expression and ranked by (distance,
+    training curve, window), as the loop ranks them.
     """
     t = np.asarray(test_curve, dtype=np.float64)
     if t.size == 0:
