@@ -2,20 +2,26 @@
 
 Every primitive is one entry of the op table, name -> (forward, vjp).
 The basic set is elementwise add/sub/mul (either operand may be 0-d),
-matmul, tanh/sigmoid/exp/log/softplus, full reductions sum/mean,
-concat and slice along a static axis, broadcast, and a hard clip.
+matmul, tanh/sigmoid/exp/log/softplus, reductions sum (of all entries
+or along a static axis) and mean, concat and slice along a static axis,
+broadcast, and a hard clip.
 Fused primitives with hand-written backward rules carry the model's
 hot paths:
 
   affine        W @ x + b for each row x of a batch
   gauss_logpdf  log N(x; mean, diag(exp(log_var))), summed per row
   gauss_kl      KL between two diagonal Gaussians, summed per row
+  gauss_bound   the evidence bound's per-row terms from a sampling
+                scan's output: the emission head's log-density of the
+                observations and the KL of the posterior against the
+                transition-prior head, N(0, I) at the first step
   latent_scan   a whole latent chain over the rows of a time-major
                 packed batch, given its weights and input rows: a GRU,
                 a Gaussian head with its log-variance clip and the
-                reparameterized sample, or either alone
+                reparameterized sample, or either alone; its output
+                column blocks (ScanRows) are sliced when first read
 
-The Gaussian ops also take one vector.  The scan steps only the
+gauss_logpdf and gauss_kl also take one vector.  The scan steps only the
 recurrence in its loop and backpropagates through time by hand,
 forming every weight gradient with one product over all rows.  Inside
 it each time step's values are one contiguous feature-major block,
@@ -40,6 +46,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
+from contextlib import nullcontext
 
 import numpy as np
 from scipy.special import expit
@@ -132,8 +140,8 @@ class Tensor:
     def __matmul__(self, other):
         return apply_primitive("matmul", self, _lift(other))
 
-    def sum(self):
-        return apply_primitive("sum", self)
+    def sum(self, axis: int | None = None):
+        return apply_primitive("sum", self, axis=axis)
 
     def mean(self):
         return apply_primitive("mean", self)
@@ -240,7 +248,8 @@ class no_tape:
 # forward(*input arrays, **static args) -> (output, aux); aux is whatever
 # the backward rule needs beyond the inputs and the output.
 # vjp(output adjoint, input arrays, output, aux) -> one adjoint
-# contribution per input.  Neither may modify its arguments.
+# contribution per input (None for an input known to be constant).
+# Neither may modify its arguments.
 
 
 def _shape_match(op, a, b):
@@ -348,12 +357,17 @@ def _softplus_vjp(g, vals, out, aux):
     return (g * expit(vals[0]),)
 
 
-def _sum(x):
-    return x.sum(), None
+def _sum(x, axis=None):
+    # all entries, or along one static axis
+    if axis is not None and not 0 <= axis < x.ndim:
+        raise ValueError(f"sum along axis {axis} of a {x.ndim}-d input")
+    return x.sum(axis=axis), axis
 
 
 def _sum_vjp(g, vals, out, aux):
-    return (np.broadcast_to(g, vals[0].shape),)
+    if aux is not None:   # g regains the summed axis, of length 1
+        g = g.reshape(g.shape[:aux] + (1,) + g.shape[aux:])
+    return (np.full(vals[0].shape, g),)
 
 
 def _mean(x):
@@ -361,7 +375,7 @@ def _mean(x):
 
 
 def _mean_vjp(g, vals, out, aux):
-    return (np.broadcast_to(g / vals[0].size, vals[0].shape),)
+    return (np.full(vals[0].shape, g / vals[0].size),)
 
 
 def _concat(*parts, axis=0):
@@ -456,11 +470,16 @@ def _gauss_logpdf(x, mean, log_var):
     return out, (d, inv_var)
 
 
-def _gauss_logpdf_vjp(g, vals, out, aux):
-    d, inv_var = aux
-    g = np.expand_dims(g, -1)
+def _logpdf_adjoints(g, d, inv_var):
+    """gauss_logpdf's mean and log-variance adjoints from its aux, g the
+    output adjoint with a trailing axis."""
     g_mean = g * d * inv_var
-    return -g_mean, g_mean, (g * 0.5) * (d * d * inv_var - 1.0)
+    return g_mean, (g * 0.5) * (d * d * inv_var - 1.0)
+
+
+def _gauss_logpdf_vjp(g, vals, out, aux):
+    g_mean, g_lv = _logpdf_adjoints(g[..., None], *aux)
+    return -g_mean, g_mean, g_lv
 
 
 def _gauss_kl(q_mean, q_log_var, p_mean, p_log_var):
@@ -478,10 +497,98 @@ def _gauss_kl(q_mean, q_log_var, p_mean, p_log_var):
 
 def _gauss_kl_vjp(g, vals, out, aux):
     dm, ratio, inv_p = aux
-    g = np.expand_dims(g, -1)
+    g = g[..., None]
     g_mean = g * dm * inv_p
     g_lv = (g * 0.5) * (ratio - 1.0)
     return g_mean, g_lv, -g_mean, -g_lv - (g * 0.5) * (dm * dm * inv_p)
+
+
+def _gauss_head(p, head, z, hist, clip):
+    """The Gaussian head named head ("pri." or "dec.") of p on rows [z,
+    hist] (z alone without hist), as affine, tanh and clip compute it:
+    its mean and log_var, and (input, tanh layer, clip mask) for the VJP."""
+    inp = feat = z if hist is None else np.concatenate((z, hist), axis=1)
+    if head + "W1" in p:
+        pre = _affine(p[head + "W1"], inp, p[head + "b1"])[0]
+        _check_finite("gauss_bound", pre)   # tanh would hide an overflow,
+        feat = np.tanh(pre)
+    lv = _affine(p[head + "Wv"], feat, p[head + "bv"])[0]
+    _check_finite("gauss_bound", lv)        # and so would the clip
+    lo, hi = clip
+    return (_affine(p[head + "Wm"], feat, p[head + "bm"])[0],
+            np.minimum(np.maximum(lv, lo), hi), (inp, feat, (lv > lo) & (lv < hi)))
+
+
+def _head_vjp(p, head, inp, feat, inside, g_mean, g_lv, grads):
+    """The adjoint of a head's input rows from those of its mean and
+    clipped log-variance (see _gauss_head); its weights' go into grads."""
+    grads[head + "Wv"], g_feat, grads[head + "bv"] = _affine_vjp(
+        g_lv * inside, (p[head + "Wv"], feat, None), None, None)
+    grads[head + "Wm"], g_m, grads[head + "bm"] = _affine_vjp(
+        g_mean, (p[head + "Wm"], feat, None), None, None)
+    g_feat = g_feat + g_m
+    if head + "W1" not in p:
+        return g_feat
+    grads[head + "W1"], g_in, grads[head + "b1"] = _affine_vjp(
+        g_feat * (1.0 - feat * feat), (p[head + "W1"], inp, None), None, None)
+    return g_in
+
+
+# the input names gauss_bound takes: both heads' weights, each head with
+# or without its hidden layer, and the prior's summaries "hist" or not
+_BOUND_INPUTS = {
+    frozenset(h + w for h in ("pri.", "dec.") for w in ("Wm", "bm", "Wv", "bv")
+              + (("W1", "b1") if h in hidden else ())) | extra
+    for hidden in ((), ("pri.",), ("dec.",), ("pri.", "dec."))
+    for extra in (frozenset(), frozenset({"hist"}))}
+
+
+def _gauss_bound(rows, x, *arrays, names, cols, first, clip):
+    # For each row of a latent_scan output block rows, whose columns cols
+    # are the posterior's mean and log_var, the sample z and z_prev: log
+    # N(x; dec head) in row 0 of the output, KL(posterior || pri head) in
+    # row 1.  The heads read z and z_prev, with the prior's summaries
+    # "hist" if given; the first `first` rows (the first step) take N(0,
+    # I) as their prior.
+    p = dict(zip(names, arrays))
+    hist, n, n_z = p.get("hist"), len(rows), cols[0][1] - cols[0][0]
+    if (len(p) != len(names) or frozenset(p) not in _BOUND_INPUTS
+            or not 0 < first <= n or {b - a for a, b in cols} != {n_z}
+            or min(cols)[0] < 0 or max(cols)[1] > rows.shape[1]
+            or p["pri.Wm"].shape[0] != n_z or p["dec.Wm"].shape[0] != x.shape[-1]
+            or p["pri.Wv"].shape != p["pri.Wm"].shape
+            or p["dec.Wv"].shape != p["dec.Wm"].shape):
+        raise ValueError(f"gauss_bound inputs unsupported: {rows.shape}, "
+                         f"{names}, {cols}, first {first}")
+    q_mean, q_lv, z, z_prev = [rows[:, a:b] for a, b in cols]
+    d_mean, d_lv, dec = _gauss_head(p, "dec.", z, hist, clip)
+    p_mean, p_lv = np.zeros(q_mean.shape), np.zeros(q_mean.shape)
+    p_mean[first:], p_lv[first:], pri = _gauss_head(
+        p, "pri.", z_prev[first:], None if hist is None else hist[first:], clip)
+    out = np.empty((2, n))
+    out[0], lp_aux = _gauss_logpdf(x, d_mean, d_lv)
+    out[1], kl_aux = _gauss_kl(q_mean, q_lv, p_mean, p_lv)
+    return out, (names, cols, first, dec, pri, lp_aux, kl_aux)
+
+
+def _gauss_bound_vjp(g, vals, out, aux):
+    # no adjoint toward x, a constant
+    names, cols, first, dec, pri, lp_aux, kl_aux = aux
+    p, grads = dict(zip(names, vals[2:])), {}
+    g_dec = _head_vjp(p, "dec.", *dec, *_logpdf_adjoints(g[0][:, None], *lp_aux),
+                      grads)
+    gq_mean, gq_lv, gp_mean, gp_lv = _gauss_kl_vjp(g[1], None, None, kl_aux)
+    g_pri = _head_vjp(p, "pri.", *pri, gp_mean[first:], gp_lv[first:], grads)
+    n_z = gq_mean.shape[1]
+    g_rows = np.zeros(vals[0].shape)
+    for (a, b), c in zip(cols, (gq_mean, gq_lv, g_dec[:, :n_z])):
+        g_rows[:, a:b] = c
+    g_rows[first:, cols[3][0]:cols[3][1]] = g_pri[:, :n_z]
+    if "hist" in p:
+        grads["hist"] = np.zeros(p["hist"].shape)
+        grads["hist"][first:] = g_pri[:, n_z:]
+        grads["hist"] += g_dec[:, n_z:]
+    return [g_rows, None] + [grads[k] for k in names]
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +815,7 @@ def _gru_factors(pre, hp):
     kc *= u                                       # u (1 - c^2)
     np.multiply(kc, r, out=kh)                    # u (1 - c^2) r
     np.multiply(kh, pre[:, 3 * n:4 * n], out=kr)
-    kr *= 1.0 - r                                 # U_c h u (1 - c^2) r (1 - r)
+    kr *= np.subtract(1.0, r, out=u)              # U_c h u (1 - c^2) r (1 - r)
     return ks
 
 
@@ -874,6 +981,9 @@ def _latent_scan_vjp(g, vals, out, sp):
     if head:
         dHZ[prev, n_h:] += g[n0:, cols["z_prev"]]
     DHZ = [_blocks(dHZ, run) for run in runs]
+    del dHZ
+    if sample:   # the noise's adjoints, collected run by run
+        dZ = np.empty((n_rows, n_z))
     if gru:
         H = out[:, cols["h"]]
         hp = _hprev(p["h0"], H, prev)
@@ -948,7 +1058,9 @@ def _latent_scan_vjp(g, vals, out, sp):
             np.copyto(_run_rows(dMLr, run), DML if sample else DHZk[:, n_h:])
             np.copyto(_run_rows(feat, run), FEAT[k])
         if sample:
-            np.copyto(_run_rows(dHZ, run), DHZk)
+            np.copyto(_run_rows(dZ, run), DHZk[:, n_h:])
+        # free this run's blocks before the next run's are made
+        ds = ds5 = ks = DA = D = DML = DML2 = KZ = None
 
     named = {"z": out[:, cols["z_prev"]] if head else None,
              "h": H if gru else None}
@@ -978,7 +1090,7 @@ def _latent_scan_vjp(g, vals, out, sp):
         grads["Wm"], grads["bm"] = dF[:n_z], df[:n_z]
         if sample:   # back from half log-variance units, exactly
             grads["Wv"], grads["bv"] = dF[n_z:] * 0.5, df[n_z:] * 0.5
-            grads["eps"] = dHZ[:, n_h:] * std
+            grads["eps"] = dZ * std
     dx = np.zeros((n_rows, sp.rows["xu"].stop))
     if "xu" in sp.Wc:
         dx += dpre[:, :3 * n_h] @ sp.Wc["xu"]
@@ -1010,6 +1122,7 @@ _OPS = {
     "affine": (_affine, _affine_vjp),
     "gauss_logpdf": (_gauss_logpdf, _gauss_logpdf_vjp),
     "gauss_kl": (_gauss_kl, _gauss_kl_vjp),
+    "gauss_bound": (_gauss_bound, _gauss_bound_vjp),
     "latent_scan": (_latent_scan, _latent_scan_vjp),
 }
 
@@ -1081,13 +1194,37 @@ def affine(W: Tensor, x: Tensor, b: Tensor) -> Tensor:
     return apply_primitive("affine", W, x, b)
 
 
+class ScanRows(Mapping):
+    """A latent_scan's output node rows by column block: h (with a GRU),
+    mean, log_var and z (with eps; without, z is the mean) and z_prev;
+    without a head, h alone, the node itself.  A block is sliced when
+    first read (untaped for an untaped scan), so a tape records only the
+    blocks that something reads."""
+
+    def __init__(self, rows: Tensor, cols: dict[str, slice]):
+        self.rows, self.cols, self._read = rows, cols, {}
+
+    def __getitem__(self, name: str) -> Tensor:
+        c = self.cols[name]
+        if c.stop - c.start == self.rows.shape[1]:
+            return self.rows
+        if c.start not in self._read:
+            with no_tape() if self.rows.tape is None else nullcontext():
+                self._read[c.start] = self.rows.slice(c.start, c.stop, axis=1)
+        return self._read[c.start]
+
+    def __iter__(self):
+        return iter(self.cols)
+
+    def __len__(self) -> int:
+        return len(self.cols)
+
+
 def latent_scan(xs, params: dict[str, Tensor], spans, gru_in, head_in=(),
-                clip=None, pin_first=False) -> dict[str, Tensor]:
+                clip=None, pin_first=False) -> ScanRows:
     """One latent chain over packed rows, as one tape node (see
     _latent_scan): xs lists the column blocks of the exogenous rows, and
-    params holds the other inputs by name.  Returns its output column
-    blocks: h (with a GRU), mean, log_var and z (with eps; without, z is
-    the mean) and z_prev; without head_in, h alone, the node itself."""
+    params holds the other inputs by name."""
     rows = apply_primitive(
         "latent_scan", *xs, *params.values(), names=tuple(params),
         spans=tuple(spans), gru_in=tuple(gru_in), head_in=tuple(head_in),
@@ -1096,11 +1233,9 @@ def latent_scan(xs, params: dict[str, Tensor], spans, gru_in, head_in=(),
     n_h = params["U"].shape[1] if "U" in params else 0
     n_z = params["Wm"].shape[0] if head_in else 0
     cols, _ = _scan_columns(n_h, n_z, "eps" in params)
-    if len(cols) == 1:
-        return {"h": rows}
-    out = {k: rows.slice(c.start, c.stop, axis=1) for k, c in cols.items()}
-    out.setdefault("z", out["mean"])
-    return out
+    if "mean" in cols:
+        cols.setdefault("z", cols["mean"])
+    return ScanRows(rows, cols)
 
 
 def gauss_logpdf(x: Tensor, mean: Tensor, log_var: Tensor) -> Tensor:
@@ -1110,6 +1245,19 @@ def gauss_logpdf(x: Tensor, mean: Tensor, log_var: Tensor) -> Tensor:
 def gauss_kl(q_mean: Tensor, q_log_var: Tensor,
              p_mean: Tensor, p_log_var: Tensor) -> Tensor:
     return apply_primitive("gauss_kl", q_mean, q_log_var, p_mean, p_log_var)
+
+
+def gauss_bound(scan: ScanRows, x: Tensor, heads: dict[str, Tensor],
+                hist: Tensor | None, first: int, clip) -> Tensor:
+    """log N(x; dec head) and KL(posterior || pri head) of each row of a
+    sampling scan's output as the two rows of one node (_gauss_bound);
+    heads holds the "pri." and "dec." weights, hist the prior's summaries."""
+    inputs = heads if hist is None else {"hist": hist, **heads}
+    cols = tuple((scan.cols[k].start, scan.cols[k].stop)
+                 for k in ("mean", "log_var", "z", "z_prev"))
+    return apply_primitive("gauss_bound", scan.rows, x, *inputs.values(),
+                           names=tuple(inputs), cols=cols, first=first,
+                           clip=tuple(clip))
 
 
 # ---------------------------------------------------------------------------
@@ -1161,8 +1309,9 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
             contribs = _OPS[op][1](g, [values[p] for p in ps], values[i],
                                    aux[i])
             for pid, c in zip(ps, contribs):
-                cur = adj[pid]
-                adj[pid] = c if cur is None else cur + c
+                if c is not None:   # None: no adjoint toward a constant
+                    cur = adj[pid]
+                    adj[pid] = c if cur is None else cur + c
         values[i] = aux[i] = None
     return grads
 

@@ -610,6 +610,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _at_least(lo: int):
+    """An argument type: an integer no less than lo."""
+    def integer(text: str) -> int:   # argparse names it in its messages
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {text}")
+        return int(text)
+    return integer
+
+
 def _data_dir(args) -> str:
     d = args.data or os.environ.get(DATA_DIR_ENV)
     if not d:
@@ -824,15 +833,15 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_experiment)
 
     sp = sub.add_parser("gradcheck", help="derivative audit of every objective")
-    sp.add_argument("--draws", type=int, default=20)
+    sp.add_argument("--draws", type=_at_least(1), default=20)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tol", type=float, default=1e-4)
     sp.set_defaults(func=cmd_gradcheck)
 
     sp = sub.add_parser("oracle", help="variational bound vs exact filter")
-    sp.add_argument("--instances", type=int, default=20)
-    sp.add_argument("--draws", type=int, default=256)
-    sp.add_argument("--fit-steps", type=int, default=2000)
+    sp.add_argument("--instances", type=_at_least(1), default=20)
+    sp.add_argument("--draws", type=_at_least(2), default=256)
+    sp.add_argument("--fit-steps", type=_at_least(0), default=2000)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_oracle)
     return p

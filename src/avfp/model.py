@@ -22,9 +22,10 @@ batch (objectives.Batch).  The recurrent chains run whole sequences as
 one latent_scan each: recognition (GRU, posterior head and sample),
 prior_chain (the prior's rollout) and the prior's summary of given
 latents (its GRU alone), so no per-step block exists.
-The transition prior and emission heads then read all stacked rows at
-once.  The discriminator pools stacked latent rows into one score per
-trajectory.
+The transition prior and emission heads (theta's "pri." and "dec."
+weights) run inside the bound's one node, diffcore.gauss_bound, over
+all stacked rows at once.  The discriminator pools stacked latent rows
+into one score per trajectory.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ import numpy as np
 from . import rng
 from .data import LinearGaussianSpec
 from .diffcore import (
+    ScanRows,
     Tensor,
     affine,
-    concat,
     constant,
     latent_scan,
     sigmoid,
@@ -208,16 +209,6 @@ def init_params(spec: NetworkSpec, markovian: bool, seed: int) -> ModelParams:
 # building blocks
 
 
-def _gaussian_head(group: dict[str, Tensor], prefix: str, hidden: int,
-                   inp: Tensor) -> GaussianDiag:
-    feat = tanh(affine(group[f"{prefix}.W1"], inp, group[f"{prefix}.b1"])) \
-        if hidden > 0 else inp
-    mean = affine(group[f"{prefix}.Wm"], feat, group[f"{prefix}.bm"])
-    log_var = affine(group[f"{prefix}.Wv"], feat, group[f"{prefix}.bv"]).clip(
-        LOG_VAR_MIN, LOG_VAR_MAX)
-    return GaussianDiag(mean=mean, log_var=log_var)
-
-
 def _gru_inputs(group: dict[str, Tensor], state0: str) -> dict[str, Tensor]:
     """latent_scan inputs of one partition's GRU; state0 names its
     initial state."""
@@ -244,7 +235,7 @@ def _chain_inputs(group: dict[str, Tensor], state0: str, head: str,
 # recognition side (phi)
 
 
-def recognition(params: ModelParams, xu, eps, spans) -> dict[str, Tensor]:
+def recognition(params: ModelParams, xu, eps, spans) -> ScanRows:
     """The recognition chain over a time-major packed batch, one
     latent_scan: per step, the summary h_t folds (x_t, u_t, z_{t-1})
     into the GRU state, the posterior head reads h_t, and z_t is the
@@ -253,8 +244,8 @@ def recognition(params: ModelParams, xu, eps, spans) -> dict[str, Tensor]:
 
     xu holds the packed [x_t, u_t] rows.  Markovian mode carries no
     state: the head reads (x_t, u_t, z_{t-1}) directly, so the posterior
-    can only see adjacent information.  Returns the stacked column
-    blocks h (history mode only), mean, log_var, z and z_prev.
+    can only see adjacent information.  Returns the scan's stacked
+    column blocks h (history mode only), mean, log_var, z and z_prev.
     """
     inputs = _chain_inputs(params.phi, "h0", "enc", eps)
     return latent_scan([constant(xu)], inputs, spans, gru_in=("xu", "z"),
@@ -277,31 +268,15 @@ def prior_history(params: ModelParams, z_prev: Tensor, u,
                        spans, gru_in=("xu",))["h"]
 
 
-def transition_prior(params: ModelParams, state: Tensor | None,
-                     z_prev) -> GaussianDiag:
-    """p(z_t | z_{t-1}, history) for t >= 1; the caller pins the first
-    step to N(0, I)."""
-    z_prev = constant(z_prev)
-    inp = z_prev if params.markovian else concat([z_prev, state], axis=-1)
-    return _gaussian_head(params.theta, "pri", params.spec.prior_hidden, inp)
-
-
 def prior_chain(params: ModelParams, u, eps, spans) -> Tensor:
     """Latent rows sampled along the transition prior over packed rows
-    of inputs u, one latent_scan: the prior's summary and head run as
-    in prior_history and transition_prior, and the first step is N(0,
-    I), so its sample is the noise."""
+    of inputs u, one latent_scan: the prior's summary runs as in
+    prior_history and its head as in the bound (diffcore.gauss_bound),
+    and the first step is N(0, I), so its sample is the noise."""
     inputs = _chain_inputs(params.theta, "g0", "pri", eps)
     return latent_scan([constant(u)], inputs, spans, gru_in=("z", "xu"),
                        head_in=("z",) if params.markovian else ("z", "h"),
                        clip=(LOG_VAR_MIN, LOG_VAR_MAX), pin_first=True)["z"]
-
-
-def emission(params: ModelParams, state: Tensor | None,
-             z_t: Tensor) -> GaussianDiag:
-    """p(x_t | z_t, history); never conditioned on the current x_t."""
-    inp = z_t if params.markovian else concat([z_t, state], axis=-1)
-    return _gaussian_head(params.theta, "dec", params.spec.dec_hidden, inp)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ is not run).  filter_means runs it with recording off for the
 remaining-life and health-index readouts.
 
 The evidence bound runs the prior's recurrence over the given latents as
-one scan of its GRU alone; the transition prior, the emission head, the log-density
-and the KL then run once each over all stacked rows.  A batch's tape
-therefore has the same length whatever its sequences' lengths.  The
-first-step prior is pinned to N(0, I).
+one scan of its GRU alone (history mode only), then one gauss_bound node
+that runs the transition prior and emission heads, the log-density and
+the KL (first-step prior pinned to N(0, I)) over all stacked rows.  A
+bound's tape is therefore a few nodes whatever its batch and lengths.
 
 The adversarial pair treats latent sequences rolled out from the
 transition prior as real and recognition-sampled sequences as fake; the
@@ -41,23 +41,24 @@ import numpy as np
 
 from .data import Trajectory
 from .diffcore import (
+    ScanRows,
     Tensor,
-    concat,
     constant,
+    gauss_bound,
     gauss_kl,
     gauss_logpdf,
     log,
     no_tape,
 )
 from .model import (
+    LOG_VAR_MAX,
+    LOG_VAR_MIN,
     GaussianDiag,
     ModelParams,
     discriminate,
-    emission,
     prior_chain,
     prior_history,
     recognition,
-    transition_prior,
 )
 
 
@@ -129,29 +130,38 @@ class ObjectiveBreakdown:
 class FilterPass:
     """What the recognition chain produced, rows stacked as in batch.
 
-    states holds the recognition GRU's summaries h_t (None in markovian
-    mode, whose summary is the inputs [x_t, u_t, z_{t-1}]), and prev
-    each row's previous sample z_{t-1} (zeros at the first step), the
-    latent input of both recurrences.  In deterministic mode samples
-    holds the posterior means and posterior is None.
+    scan is its output (a ScanRows, sliced as read); states holds the
+    recognition GRU's summaries h_t (None in markovian mode, whose
+    summary is the inputs [x_t, u_t, z_{t-1}]), and prev each row's
+    previous sample z_{t-1} (zeros at the first step), the latent input
+    of both recurrences.  In deterministic mode samples holds the
+    posterior means and posterior is None.
     """
 
     batch: Batch
-    states: Tensor | None
-    posterior: GaussianDiag | None
-    samples: Tensor
-    prev: Tensor
+    scan: ScanRows
+    states = property(lambda self: self.scan.get("h"))
+    samples = property(lambda self: self.scan["z"])
+    prev = property(lambda self: self.scan["z_prev"])
+    posterior = property(lambda self: GaussianDiag(
+        self.scan["mean"], self.scan["log_var"]) if "log_var" in self.scan else None)
 
 
 @dataclass
 class Bound:
-    """Per-row terms of the evidence bound, rows stacked as in fp.batch;
-    the first-step rows of prior are N(0, I)."""
+    """Per-row terms of the evidence bound, rows stacked as in fp.batch:
+    terms is the gauss_bound node, whose two rows recon and kl hold them
+    (here detached).  The first-step rows' prior is N(0, I)."""
 
     fp: FilterPass
-    prior: GaussianDiag
-    recon: Tensor
-    kl: Tensor
+    terms: Tensor
+    recon = property(lambda self: constant(self.terms.data[0]))
+    kl = property(lambda self: constant(self.terms.data[1]))
+
+    def total(self) -> Tensor:
+        """The bound summed over all rows, recorded: sum of recon minus
+        sum of kl."""
+        return self.terms.sum(axis=1) @ [1.0, -1.0]
 
     def per_trajectory(self, values: Tensor) -> np.ndarray:
         """Sum of a per-row term over each trajectory's rows."""
@@ -179,11 +189,7 @@ def filter_forward(params: ModelParams, batch: Batch,
     deterministic filtering where the posterior mean stands in for the
     sample and nothing else of the posterior is computed.
     """
-    cols = recognition(params, batch.xu, eps, batch.spans)
-    posterior = None if eps is None else GaussianDiag(cols["mean"],
-                                                      cols["log_var"])
-    return FilterPass(batch=batch, states=cols.get("h"), posterior=posterior,
-                      samples=cols["z"], prev=cols["z_prev"])
+    return FilterPass(batch, recognition(params, batch.xu, eps, batch.spans))
 
 
 def filter_means(params: ModelParams, trajs: list[Trajectory]
@@ -200,22 +206,13 @@ def filter_means(params: ModelParams, trajs: list[Trajectory]
 
 
 def _bound(params: ModelParams, fp: FilterPass) -> Bound:
-    """Run the prior's recurrence, then score every row at once."""
+    """Run the prior's recurrence, then score every row in one node."""
     batch = fp.batch
-    history = prior_history(params, fp.prev, batch.u, batch.spans)
-    recon = gaussian_log_density(batch.x, emission(params, history, fp.samples))
-
-    first = batch.spans[0][1]
-    pinned = constant(np.zeros((first, params.spec.n_z)))
-    prior = GaussianDiag(pinned, pinned)
-    if batch.length > first:
-        later = transition_prior(
-            params, None if history is None else history.slice(first, batch.length),
-            fp.prev.slice(first, batch.length))
-        prior = GaussianDiag(concat([pinned, later.mean]),
-                             concat([pinned, later.log_var]))
-    return Bound(fp=fp, prior=prior, recon=recon,
-                 kl=kl_diag_gaussians(fp.posterior, prior))
+    history = (None if params.markovian else
+               prior_history(params, fp.prev, batch.u, batch.spans))
+    heads = {k: t for k, t in params.theta.items() if k[:4] in ("pri.", "dec.")}
+    return Bound(fp, gauss_bound(fp.scan, constant(batch.x), heads, history,
+                                 batch.spans[0][1], (LOG_VAR_MIN, LOG_VAR_MAX)))
 
 
 def sequence_elbo(params: ModelParams, batch: Batch,
@@ -223,7 +220,7 @@ def sequence_elbo(params: ModelParams, batch: Batch,
     """Single-sample evidence bound, summed over the batch, with the
     noise rows eps stacked as the batch's rows."""
     bound = _bound(params, filter_forward(params, batch, eps))
-    return bound.recon.sum() - bound.kl.sum(), bound
+    return bound.total(), bound
 
 
 def prior_rollout(params: ModelParams, batch: Batch,
@@ -272,7 +269,7 @@ def combined_objective(
         raise ValueError("lambda_adv must be non-negative")
     batch = Batch(trajs)
     bound = _bound(params, filter_forward(params, batch, batch.pack(noise)))
-    target = bound.recon.sum() - bound.kl.sum()
+    target = bound.total()
 
     adv_gen_rows = adv_disc_rows = np.zeros(len(trajs))
     if lambda_adv > 0.0:
@@ -290,7 +287,7 @@ def combined_objective(
     recons = bound.per_trajectory(bound.recon)
     breakdowns = []
     for b, rows in enumerate(batch.rows):
-        kl_steps = bound.kl.data[rows]
+        kl_steps = bound.terms.data[1, rows]
         r, k, a = float(recons[b]), float(kl_steps.sum()), float(adv_gen_rows[b])
         breakdowns.append(ObjectiveBreakdown(
             recon_loglik=r, kl_total=k, adv_gen=a,

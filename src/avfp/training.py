@@ -450,6 +450,8 @@ def mc_elbo(params: ModelParams, traj: Trajectory, draws: int,
             seed: int) -> tuple[float, float]:
     """Monte-Carlo mean and standard error of the single-sample bound;
     the draws are the rows of one batch."""
+    if draws < 2:
+        raise ValueError(f"a standard error needs at least 2 draws, got {draws}")
     noise = [rng.normal(seed, (traj.length, params.spec.n_z), "mc-elbo", d)
              for d in range(draws)]
     batch = Batch([traj] * draws)
@@ -501,6 +503,9 @@ def bound_gap_audit(n_instances: int = 20, draws: int = 256,
     fitted, so the exact Kalman log-likelihood stays a valid ceiling for
     the whole run.  Returns one row per instance.
     """
+    if n_instances < 1 or draws < 2 or fit_steps < 0:
+        raise ValueError(f"a bound audit needs at least 1 instance, 2 draws and "
+                         f"0 fit steps, got {n_instances}, {draws}, {fit_steps}")
     rows = []
     for i in range(n_instances):
         inst_seed = seed + i

@@ -253,3 +253,29 @@ def test_fit_recognition_tape_is_independent_of_length(markovian, monkeypatch):
         params = init_params(spec, markovian, seed=2)
         training.fit_recognition(params, ragged(spec, (T,)), steps=1)
     assert len(sizes) == 2 and sizes[0] == sizes[1]
+
+
+@pytest.mark.parametrize("markovian, most", [(True, 8), (False, 10)])
+def test_fit_recognition_step_tapes_few_nodes(markovian, most, monkeypatch):
+    """One fit_recognition step of the bound audit's model (linear heads)
+    and of small_spec (hidden heads) tapes the recognition scan, one
+    gauss_bound node, the bound's sum (a sum along the rows and a matmul
+    with [1, -1]) and its sign, 5 op nodes; history mode adds the prior's
+    summary scan and the z_prev slice it reads, 7."""
+    import avfp.training as training
+    from avfp.data import random_linear_gaussian_instance
+    from avfp.model import linear_gaussian_model
+
+    counts = []
+
+    def counting_backward(tape, loss):
+        counts.append(sum(op != "leaf" for op in tape.ops))
+        return backward(tape, loss)
+
+    monkeypatch.setattr(training, "backward", counting_backward)
+    lg, _ = random_linear_gaussian_instance(0)
+    for params in (linear_gaussian_model(lg, markovian=markovian),
+                   init_params(small_spec(), markovian, seed=2)):
+        trajs = ragged(params.spec, (18,))
+        training.fit_recognition(params, trajs, steps=1)
+    assert len(counts) == 2 and max(counts) <= most, counts

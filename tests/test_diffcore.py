@@ -200,26 +200,46 @@ def test_clip_gradient_mask():
     assert np.allclose(p.clip(-10, 10).data, [-10.0, 0.0, 10.0])
 
 
+# one case per basic primitive, each f of two 5-vectors
+_PRIMITIVE_CASES = {
+    "add": lambda ps: (ps[0] + ps[1]).sum(),
+    "sub": lambda ps: (ps[0] - ps[1]).sum(),
+    "mul": lambda ps: (ps[0] * ps[1]).sum(),
+    "tanh": lambda ps: dc.tanh(ps[0]).sum(),
+    "sigmoid": lambda ps: dc.sigmoid(ps[0]).sum(),
+    "exp": lambda ps: dc.exp(ps[0] * 0.3).sum(),
+    "softplus": lambda ps: dc.softplus(ps[0]).sum(),
+    "mean": lambda ps: (ps[0] * ps[1]).mean(),
+    "slice": lambda ps: ps[0].slice(1, 4).sum(),
+    "clip": lambda ps: ps[0].clip(-0.5, 0.5).sum(),
+    "concat": lambda ps: (dc.concat([ps[0], ps[1]]) * dc.concat([ps[1], ps[0]])).sum(),
+    "log": lambda ps: dc.log(ps[0] * ps[0] + 0.5).sum(),
+    "matmul": lambda ps: dc.tanh(ps[0] @ ps[1]),
+    "broadcast": lambda ps: (dc.broadcast_to(ps[0], (3, 5))
+                             * dc.broadcast_to(ps[1], (3, 5))).sum(),
+    "sum": lambda ps: (ps[0] * ps[1]).sum(),
+    "sum_axis": lambda ps: (dc.concat([_row(ps[0]), _row(ps[1] * ps[0])]).sum(axis=1)
+                            @ [0.7, -1.3]),
+}
+
+
 def test_gradients_match_finite_differences_per_primitive():
     rng = np.random.default_rng(7)
-
-    cases = {
-        "add": lambda ps: (ps[0] + ps[1]).sum(),
-        "sub": lambda ps: (ps[0] - ps[1]).sum(),
-        "mul": lambda ps: (ps[0] * ps[1]).sum(),
-        "tanh": lambda ps: dc.tanh(ps[0]).sum(),
-        "sigmoid": lambda ps: dc.sigmoid(ps[0]).sum(),
-        "exp": lambda ps: dc.exp(ps[0] * 0.3).sum(),
-        "softplus": lambda ps: dc.softplus(ps[0]).sum(),
-        "mean": lambda ps: (ps[0] * ps[1]).mean(),
-        "slice": lambda ps: ps[0].slice(1, 4).sum(),
-        "clip": lambda ps: ps[0].clip(-0.5, 0.5).sum(),
-        "concat": lambda ps: (dc.concat([ps[0], ps[1]]) * dc.concat([ps[1], ps[0]])).sum(),
-    }
-    for name, f in cases.items():
+    for name, f in _PRIMITIVE_CASES.items():
         params = [Tensor(rng.normal(size=5)), Tensor(rng.normal(size=5))]
         err = grad_check(f, params)
         assert err < 1e-6, f"{name}: {err}"
+
+
+def test_sum_along_an_axis():
+    x = Tensor(np.arange(6.0).reshape(2, 3) / 5.0)
+    assert x.sum(axis=0).data.tolist() == (x.data.sum(axis=0)).tolist()
+    assert np.array_equal(x.sum(axis=1).data, [x.data[0].sum(), x.data[1].sum()])
+    for axis, w in ((0, [0.5, -1.0, 2.0]), (1, [0.7, -1.3])):
+        assert grad_check(lambda ps: dc.tanh(ps[0] * ps[0]).sum(axis=axis) @ w, [x]) < 1e-6
+    for axis in (2, -1):
+        with pytest.raises(ValueError):
+            x.sum(axis=axis)
 
 
 def test_gradcheck_log():
@@ -425,7 +445,94 @@ def _fused_cases():
         ("gauss_kl", lambda ps: dc.gauss_kl(*ps),
          lambda ps: _unfused_kl(*ps),
          [vec(N_Z), vec(N_Z), vec(N_Z), vec(N_Z)], 1e-6),
-    ]
+    ] + [_bound_case(*c) for c in BOUND_CASES]
+
+
+# gauss_bound over a ragged batch of lengths 5, 3, 2 (3 first-step rows):
+# (name, prior history, hidden width of the pri head, of the dec head)
+BOUND_CASES = (("gauss_bound_history", True, 3, 3),
+               ("gauss_bound_markovian", False, 0, 0),
+               ("gauss_bound_mixed", True, 0, 3))
+BOUND_CLIP = (-1.0, 1.0)    # narrow enough that some log-variances clip
+B_X, B_Z, B_H = 3, 2, 3     # observations, latents, history width
+
+
+def _bound_cols(history):
+    """The output columns of a sampling scan: mean, log_var, (h,) z, z_prev."""
+    names = ("mean", "log_var") + (("h",) if history else ()) + ("z", "z_prev")
+    width = {"h": B_H}
+    cols, off = {}, 0
+    for k in names:
+        cols[k] = slice(off, off + width.get(k, B_Z))
+        off += width.get(k, B_Z)
+    return cols
+
+
+def _bound_inputs(history, pri_hidden, dec_hidden):
+    """(gauss_bound's inputs by name: the scan rows, the prior history if
+    any and the heads' weights; the observations x; weights w that reduce
+    the (2, N) output), over a batch of lengths 5, 3, 2."""
+    g = np.random.default_rng(41 + pri_hidden + dec_hidden + history)
+    n, cols = 10, _bound_cols(history)
+
+    def mat(*shape, s=1.0):
+        return s * g.choice((-1.0, 1.0), shape) * g.uniform(0.5, 1.5, shape)
+
+    arrays = {"rows": mat(n, max(c.stop for c in cols.values())) * 0.5}
+    if history:
+        arrays["hist"] = mat(n, B_H, s=0.5)
+    d_in = B_Z + (B_H if history else 0)
+    for head, hidden, d_out in (("pri.", pri_hidden, B_Z), ("dec.", dec_hidden, B_X)):
+        d_feat = hidden or d_in
+        if hidden:
+            arrays[head + "W1"] = mat(hidden, d_in, s=d_in ** -0.5)
+            arrays[head + "b1"] = mat(hidden, s=0.1)
+        for w in ("m", "v"):
+            arrays[head + "W" + w] = mat(d_out, d_feat, s=d_feat ** -0.5)
+            arrays[head + "b" + w] = mat(d_out, s=0.3)
+    return arrays, mat(n, B_X, s=2.0), g.uniform(0.5, 1.5, (2, n))
+
+
+def _bound(p, x, first=3):
+    """gauss_bound of Tensors by name, as _bound_inputs names them."""
+    p = dict(p)
+    rows, hist = p.pop("rows"), p.pop("hist", None)
+    cols = _bound_cols(hist is not None)
+    return dc.gauss_bound(dc.ScanRows(rows, cols), dc.constant(x), p, hist,
+                          first, BOUND_CLIP)
+
+
+def _bound_case(name, history, pri_hidden, dec_hidden):
+    """A _fused_cases entry for gauss_bound; x is a constant, and the
+    composition is the one the model ran before the fused op."""
+    arrays, x_arr, w_arr = _bound_inputs(history, pri_hidden, dec_hidden)
+    names, cols, n, first = list(arrays), _bound_cols(history), 10, 3
+    x, w = dc.constant(x_arr), dc.constant(w_arr)
+
+    def unfused(ps):
+        p = dict(zip(names, ps))
+        rows, hist = p["rows"], p.get("hist")
+        q_mean, q_lv, z, z_prev = (rows.slice(cols[k].start, cols[k].stop, axis=1)
+                                   for k in ("mean", "log_var", "z", "z_prev"))
+
+        def head(h, z, hist):
+            inp = z if hist is None else dc.concat([z, hist], axis=1)
+            if h + "W1" in p:
+                inp = dc.tanh(dc.affine(p[h + "W1"], inp, p[h + "b1"]))
+            return (dc.affine(p[h + "Wm"], inp, p[h + "bm"]),
+                    dc.affine(p[h + "Wv"], inp, p[h + "bv"]).clip(*BOUND_CLIP))
+
+        recon = dc.gauss_logpdf(x, *head("dec.", z, hist))
+        p_mean, p_lv = head("pri.", z_prev.slice(first, n),
+                            None if hist is None else hist.slice(first, n))
+        pinned = dc.constant(np.zeros((first, B_Z)))
+        kl = dc.gauss_kl(q_mean, q_lv, dc.concat([pinned, p_mean]),
+                         dc.concat([pinned, p_lv]))
+        return ((recon * dc.constant(w_arr[0])).sum()
+                + (kl * dc.constant(w_arr[1])).sum())
+
+    return (name, lambda ps: (_bound(dict(zip(names, ps)), x_arr) * w).sum(),
+            unfused, list(arrays.values()), 1e-5)
 
 
 @pytest.mark.parametrize("case", _fused_cases(), ids=lambda c: c[0])
@@ -646,6 +753,61 @@ def test_fused_shape_errors():
         _gru_cell(W, U, b, Tensor(np.ones(2)), Tensor(np.ones(3)))
     with pytest.raises(ValueError):
         _gru_cell(W, U, b, Tensor(np.ones((1, 2))), Tensor(np.ones((1, 3))))
+
+
+def test_gauss_bound_overflow_is_loud():
+    """An overflow before the tanh layer or the log-variance clip would
+    leave the rows finite; the op checks those pre-activations.  The
+    inputs each head reads are positive here, so a row of 1e308 weights
+    overflows."""
+    for history, hidden in ((False, 0), (True, 3)):
+        arrays, x, _ = _bound_inputs(history, hidden, hidden)
+        cols = _bound_cols(history)
+        for k in ("z", "z_prev"):
+            arrays["rows"][:, cols[k]] = np.abs(arrays["rows"][:, cols[k]]) + 1.0
+        if history:
+            arrays["hist"] = np.abs(arrays["hist"]) + 1.0
+        names = ("dec.Wv", "pri.Wv") + (("dec.W1", "pri.W1") if hidden else ())
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name in names:
+                big = {**arrays, name: arrays[name].copy()}
+                big[name][0] = 1e308
+                if name.endswith("Wv") and hidden:   # tanh rows lie in (-1, 1)
+                    big[name.replace("Wv", "b1")] = np.full(hidden, 50.0)
+                with pytest.raises(NonFiniteError, match="gauss_bound"):
+                    _bound({k: Tensor(a) for k, a in big.items()}, x)
+
+
+def test_gauss_bound_input_errors():
+    arrays, x, _ = _bound_inputs(True, 3, 0)
+    p = {k: Tensor(a) for k, a in arrays.items()}
+    assert _bound(p, x).shape == (2, 10)
+    bad = [
+        ({k: t for k, t in p.items() if k != "dec.bv"}, x, 3),   # a head weight missing
+        ({k: t for k, t in p.items() if k != "pri.b1"}, x, 3),   # W1 without b1
+        ({**p, "dec.V": p["dec.Wv"]}, x, 3),                     # an unknown input
+        (p, x[1:], 3),                                           # observations of other rows
+        ({**p, "hist": Tensor(arrays["hist"][1:])}, x, 3),       # history of other rows
+        (p, x, 0),                                               # no first step
+        (p, x, 11),                                              # a first step past the rows
+        ({**p, "pri.Wm": Tensor(np.ones((3, 3))),                # a prior of another width
+          "pri.Wv": Tensor(np.ones((3, 3))), "pri.bm": Tensor(np.ones(3)),
+          "pri.bv": Tensor(np.ones(3))}, x, 3),
+        ({**p, "dec.Wv": Tensor(np.ones((2, 5)))}, x, 3),        # Wv unlike Wm
+        ({**p, "dec.Wm": Tensor(np.ones((3, 4)))}, x, 3),        # Wm of another input width
+        ({**p, "dec.Wm": Tensor(np.ones((2, 5))),                # an emission unlike x
+          "dec.Wv": Tensor(np.ones((2, 5))), "dec.bm": Tensor(np.ones(2)),
+          "dec.bv": Tensor(np.ones(2))}, x, 3),
+    ]
+    for inputs, obs, first in bad:
+        with pytest.raises(ValueError):
+            _bound(inputs, obs, first)
+    rows, cols = p["rows"], _bound_cols(True)
+    for k, c in (("z", slice(9, 12)), ("z_prev", slice(11, 14))):  # 3 wide; past the end
+        scan = dc.ScanRows(rows, {**cols, k: c})
+        heads = {k: t for k, t in p.items() if k not in ("rows", "hist")}
+        with pytest.raises(ValueError):
+            dc.gauss_bound(scan, dc.constant(x), heads, p["hist"], 3, BOUND_CLIP)
 
 
 def test_row_form_shape_errors():
@@ -1061,3 +1223,30 @@ def test_slice_along_columns():
     assert grad_check(
         lambda ps: (ps[0].slice(1, 3, axis=1) * ps[0].slice(0, 2, axis=1)).sum(),
         [Tensor(np.arange(12.0).reshape(3, 4) / 7.0)]) < 1e-8
+
+
+def _gradchecked_forwards():
+    """(f, params) of every case in the tables that grad_check tests run:
+    _PRIMITIVE_CASES, _fused_cases, _row_cases and the scan modes."""
+    g = np.random.default_rng(7)
+    for f in _PRIMITIVE_CASES.values():
+        yield f, [Tensor(g.normal(size=5)), Tensor(g.normal(size=5))]
+    for _, fused, _, arrays, _ in _fused_cases():
+        yield fused, arrays
+    for _, f, arrays, _, _ in _row_cases(1):
+        yield f, arrays
+    for mode in SCAN_MODES:
+        arrays, static = _scan_case(mode, 3)
+        yield (lambda ps, names=list(arrays), static=static:
+               _weighted(_latent(dict(zip(names, ps)), **static))), arrays.values()
+
+
+def test_every_primitive_has_a_gradient_check():
+    """Each primitive is on the tape of some case that a grad_check test
+    runs; a new primitive fails here until one of the tables covers it."""
+    taped = set()
+    for f, arrays in _gradchecked_forwards():
+        with Tape() as tape:
+            f([a if isinstance(a, Tensor) else Tensor(a) for a in arrays])
+        taped |= set(tape.ops)
+    assert set(dc.PRIMITIVES) <= taped, sorted(set(dc.PRIMITIVES) - taped)

@@ -827,6 +827,24 @@ def test_cli_oracle_failure_exits_4(monkeypatch, capsys):
     assert "bound held on 0/1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["gradcheck", "--draws", "0"],
+    ["gradcheck", "--draws", "-3"],
+    ["oracle", "--instances", "0"],
+    ["oracle", "--instances", "1", "--draws", "2", "--fit-steps", "-5"],
+    ["oracle", "--instances", "1", "--draws", "1", "--fit-steps", "0"],
+    ["oracle", "--instances", "1", "--draws", "0", "--fit-steps", "0"],
+], ids=["gradcheck-draws-0", "gradcheck-draws-negative", "oracle-instances-0",
+        "oracle-fit-steps-negative", "oracle-draws-1", "oracle-draws-0"])
+def test_cli_audit_of_nothing_is_a_usage_error(argv, capsys):
+    """An audit that would check nothing, skip its fitting silently or
+    report a standard error of one draw is refused before it runs."""
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: argument --")
+    assert "must be at least" in err
+
+
 def test_gradient_audit_reports_every_objective():
     worst = gradient_audit(draws=1, seed=3)
     assert set(worst) == {"log_density", "kl", "elbo", "adversarial",

@@ -15,19 +15,25 @@ from avfp.diffcore import (
     latent_scan,
 )
 from avfp.model import (
+    LOG_VAR_MAX,
+    LOG_VAR_MIN,
     GaussianDiag,
     NetworkSpec,
     discriminate,
-    emission,
     init_params,
     linear_gaussian_model,
     prior_chain,
     prior_history,
-    recognition,
     rul_head,
-    transition_prior,
 )
-from avfp.objectives import Batch, filter_forward, filter_means, sequence_elbo
+from avfp.objectives import (
+    Batch,
+    filter_forward,
+    filter_means,
+    kl_diag_gaussians,
+    sequence_elbo,
+)
+from conftest import lg_bound_rows
 
 
 def small_spec(**kw):
@@ -184,8 +190,11 @@ def test_first_step_prior_is_standard_normal():
     batch = Batch(trajs)
     _, bound = sequence_elbo(p, batch, batch.pack(noise))
     first = [rows[0] for rows in bound.fp.batch.rows]
-    pr = bound.prior
-    assert np.all(pr.mean.data[first] == 0.0) and np.all(pr.log_var.data[first] == 0.0)
+    q, zero = bound.fp.posterior, constant(np.zeros((2, spec.n_z)))
+    standard = kl_diag_gaussians(
+        GaussianDiag(constant(q.mean.data[first]), constant(q.log_var.data[first])),
+        GaussianDiag(zero, zero))
+    assert np.array_equal(bound.kl.data[first], standard.data)
 
 
 def test_recognition_sample_is_reparameterized():
@@ -202,11 +211,27 @@ def test_recognition_sample_is_reparameterized():
         filter_forward(p, Batch([traj]), np.zeros((4, spec.n_z + 1)))
 
 
+def prior_rows(p, batch, z_prev):
+    """The transition prior's (mean, log_var) rows at z_prev, computed
+    here from theta: prior_history, then the "pri." head; N(0, I) at the
+    first step."""
+    history = prior_history(p, constant(z_prev), batch.u, batch.spans)
+    inp = z_prev if history is None else np.hstack([z_prev, history.data])
+    w = {k[4:]: t.data for k, t in p.theta.items() if k.startswith("pri.")}
+    if "W1" in w:
+        inp = np.tanh(inp @ w["W1"].T + w["b1"])
+    mean = inp @ w["Wm"].T + w["bm"]
+    log_var = np.clip(inp @ w["Wv"].T + w["bv"], LOG_VAR_MIN, LOG_VAR_MAX)
+    first = batch.spans[0][1]
+    mean[:first] = log_var[:first] = 0.0
+    return mean, log_var
+
+
 @pytest.mark.parametrize("prior_hidden", [4, 0])
 @pytest.mark.parametrize("markovian", [False, True])
 def test_rollout_prior_equals_bound_prior(markovian, prior_hidden):
-    """The rollout's in-kernel prior (prior_chain) and the bound's
-    (prior_history, then transition_prior) are one prior computed twice."""
+    """The rollout's in-kernel prior (prior_chain) and the bound's (in
+    gauss_bound) are one prior computed twice: each equals prior_rows."""
     spec = small_spec(prior_hidden=prior_hidden)
     p = init_params(spec, markovian=markovian, seed=13)
     g = np.random.default_rng(8)
@@ -221,12 +246,17 @@ def test_rollout_prior_equals_bound_prior(markovian, prior_hidden):
         z_prev[rows[1:]] = z[rows[:-1]]
     first = batch.spans[0][1]
     assert np.array_equal(z[:first], eps[:first])  # N(0, I) first step
-    history = prior_history(p, constant(z_prev), batch.u, batch.spans)
-    pr = transition_prior(
-        p, None if history is None else history.slice(first, batch.length),
-        z_prev[first:])
-    want = pr.mean.data + np.exp(pr.log_var.data / 2) * eps[first:]
+    mean, log_var = prior_rows(p, batch, z_prev)
+    want = mean[first:] + np.exp(log_var[first:] / 2) * eps[first:]
     assert np.abs(z[first:] - want).max() <= 1e-12 * np.abs(want).max()
+
+    _, bound = sequence_elbo(p, batch, eps)
+    q = bound.fp.posterior
+    mean, log_var = prior_rows(p, batch, bound.fp.prev.data)
+    d_lv = q.log_var.data - log_var
+    want = 0.5 * (np.exp(d_lv) + (q.mean.data - mean) ** 2 * np.exp(-log_var)
+                  - 1.0 - d_lv).sum(axis=1)
+    assert np.abs(bound.kl.data - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_prior_history_is_one_scan_node():
@@ -299,13 +329,11 @@ def test_linear_gaussian_model_is_exact():
     z_prev = g.standard_normal((1, 2))  # one row per trajectory, B = 1
     st = prior_history(p, constant(z_prev), np.zeros((1, 1)), [(0, 1)])
     assert st is None  # markovian: the heads read the adjacent latent only
-    pr = transition_prior(p, st, constant(z_prev))
-    assert np.allclose(pr.mean.data, z_prev @ lg.A.T, atol=1e-14)
-    assert np.allclose(pr.log_var.data, np.log(lg.q_diag), atol=1e-14)
-    z_t = constant(g.standard_normal((1, 2)))
-    em = emission(p, st, z_t)
-    assert np.allclose(em.mean.data, z_t.data @ lg.C.T, atol=1e-14)
-    assert np.allclose(em.log_var.data, np.log(lg.r_diag), atol=1e-14)
+    traj = traj_of(g.standard_normal((6, 3)), np.zeros((6, 1)))
+    _, bound = sequence_elbo(p, Batch([traj]), g.standard_normal((6, 2)))
+    recon, kl = lg_bound_rows(lg, traj.x, bound)
+    assert np.allclose(bound.recon.data, recon, atol=1e-14)
+    assert np.allclose(bound.kl.data, kl, atol=1e-14)
 
 
 def test_linear_gaussian_model_requires_standard_start():
@@ -321,8 +349,10 @@ def test_gradcheck_through_model_step():
     spec = small_spec(n_h=4, enc_hidden=3, dec_hidden=3)
     p = init_params(spec, markovian=False, seed=9)
     g = np.random.default_rng(7)
-    xu = g.standard_normal((1, spec.n_x + spec.n_u))  # B = 1 rows
-    noise = g.standard_normal((1, spec.n_z))
+    # B = 1, two steps: the bound's emission and transition prior
+    batch = Batch([traj_of(g.standard_normal((2, spec.n_x)),
+                           g.standard_normal((2, spec.n_u)))])
+    noise = g.standard_normal((2, spec.n_z))
     names = ["gru.W", "gru.b", "enc.Wm", "enc.bv"]
     tensors = [p.phi[n] for n in names]
 
@@ -332,8 +362,7 @@ def test_gradcheck_through_model_step():
             trial[n] = t
         params = avm.ModelParams(spec=spec, markovian=False, theta=p.theta,
                                  phi=trial, psi=p.psi, rho=p.rho)
-        q = recognition(params, xu, noise, [(0, 1)])
-        em = emission(params, q["h"], q["z"])
-        return (em.mean * em.mean).sum() + em.log_var.sum() + q["log_var"].sum()
+        elbo, bound = sequence_elbo(params, batch, noise)
+        return elbo + bound.fp.scan["log_var"].sum()
 
     assert grad_check(f, tensors) < 1e-5

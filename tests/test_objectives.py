@@ -203,9 +203,11 @@ def test_filter_forward_structure():
     fp = filter_forward(params, Batch([traj]), noise)
     _, bound = sequence_elbo(params, Batch([traj]), noise)
     assert fp.samples.shape == (6, 2) and bound.kl.shape == (6,)
-    # first-step prior pinned
-    assert np.all(bound.prior.mean.data[0] == 0.0)
-    assert np.all(bound.prior.log_var.data[0] == 0.0)
+    # first-step prior pinned: row 0's KL is against N(0, I), bit for bit
+    q, zero = bound.fp.posterior, constant(np.zeros(2))
+    assert bound.kl.data[0] == kl_diag_gaussians(
+        GaussianDiag(constant(q.mean.data[0]), constant(q.log_var.data[0])),
+        GaussianDiag(zero, zero)).item()
     with pytest.raises(ValueError):
         filter_forward(params, Batch([traj]), np.zeros((5, 2)))
 
@@ -355,8 +357,8 @@ def test_replay_bit_exact_over_combined_objective_tape():
     with Tape() as tape:
         _, target = combined_objective(params, trajs, noise, 0.1,
                                        prior_noise=prior_noise)
-    assert {"affine", "latent_scan", "gauss_logpdf", "gauss_kl",
-            "concat", "slice", "matmul"} <= set(tape.ops)
+    assert {"affine", "latent_scan", "gauss_bound", "slice",
+            "matmul"} <= set(tape.ops)
     replay(tape)
     grads = backward(tape, target)
     assert all(np.isfinite(g).all() for g in grads.values())

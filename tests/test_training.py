@@ -18,13 +18,12 @@ from avfp.data import (
 from avfp.diffcore import Tape, Tensor, backward
 from avfp.model import (
     NetworkSpec,
-    emission,
     init_params,
     linear_gaussian_model,
-    transition_prior,
 )
-from avfp.objectives import filter_means
+from avfp.objectives import Batch, filter_means, sequence_elbo
 from avfp import training
+from conftest import lg_bound_rows
 from avfp.training import (
     ADAM_BETA1,
     CHECKPOINT_MAGIC,
@@ -651,19 +650,28 @@ def test_kalman_oracle_audits_the_history_path():
                                        markovian=False)
         assert "gru.W" in params.theta and "gru.W" in params.phi
 
-        g = np.random.default_rng(seed)
-        history = Tensor(g.standard_normal((4, params.spec.n_h)))
-        z = g.standard_normal((4, lg.n_z))
-        assert np.allclose(transition_prior(params, history, z).mean.data,
-                           z @ lg.A.T, atol=1e-14)
-        assert np.allclose(emission(params, history, Tensor(z)).mean.data,
-                           z @ lg.C.T, atol=1e-14)
+        noise = np.random.default_rng(seed).standard_normal((length, lg.n_z))
+        _, bound = sequence_elbo(params, Batch([traj]), noise)
+        recon, kl = lg_bound_rows(lg, traj.x, bound)
+        assert np.allclose(bound.recon.data, recon, atol=1e-14)
+        assert np.allclose(bound.kl.data, kl, atol=1e-14)
 
         before, before_se = mc_elbo(params, traj, draws=64, seed=seed)
         fit_recognition(params, [traj], steps=100, seed=seed)
         after, after_se = mc_elbo(params, traj, draws=64, seed=seed + 1)
         assert before <= exact + 3.0 * before_se
         assert after <= exact + 3.0 * after_se
+
+
+def test_bound_audit_input_errors():
+    traj = gen_linear_gaussian(toy_lg(), 5, seed=0)
+    params = linear_gaussian_model(toy_lg(), seed=0)
+    for draws in (1, 0):   # a standard error needs two draws
+        with pytest.raises(ValueError, match="at least 2 draws"):
+            mc_elbo(params, traj, draws=draws, seed=0)
+    for kw in (dict(n_instances=0), dict(draws=1), dict(fit_steps=-5)):
+        with pytest.raises(ValueError, match="a bound audit needs"):
+            training.bound_gap_audit(**{"draws": 2, "fit_steps": 0, **kw})
 
 
 def test_bound_audit_row_logic():
