@@ -506,32 +506,38 @@ def _gauss_kl_vjp(g, vals, out, aux):
 def _gauss_head(p, head, z, hist, clip):
     """The Gaussian head named head ("pri." or "dec.") of p on rows [z,
     hist] (z alone without hist), as affine, tanh and clip compute it:
-    its mean and log_var, and (input, tanh layer, clip mask) for the VJP."""
+    its mean and log_var, and (input, tanh layer, clip mask or None when
+    nothing is clipped) for the VJP."""
     inp = feat = z if hist is None else np.concatenate((z, hist), axis=1)
     if head + "W1" in p:
         pre = _affine(p[head + "W1"], inp, p[head + "b1"])[0]
         _check_finite("gauss_bound", pre)   # tanh would hide an overflow,
         feat = np.tanh(pre)
-    lv = _affine(p[head + "Wv"], feat, p[head + "bv"])[0]
-    _check_finite("gauss_bound", lv)        # and so would the clip
+    lv, inside = _affine(p[head + "Wv"], feat, p[head + "bv"])[0], None
     lo, hi = clip
-    return (_affine(p[head + "Wm"], feat, p[head + "bm"])[0],
-            np.minimum(np.maximum(lv, lo), hi), (inp, feat, (lv > lo) & (lv < hi)))
+    if lv.size and not (lo < lv.min() and lv.max() < hi):   # NaN fails both
+        _check_finite("gauss_bound", lv)    # and so would the clip
+        inside = (lv > lo) & (lv < hi)
+        lv = np.minimum(np.maximum(lv, lo), hi)
+    return _affine(p[head + "Wm"], feat, p[head + "bm"])[0], lv, (inp, feat, inside)
 
 
-def _head_vjp(p, head, inp, feat, inside, g_mean, g_lv, grads):
+def _head_vjp(p, head, inp, feat, inside, g_mean, g_lv, grads, fixed):
     """The adjoint of a head's input rows from those of its mean and
-    clipped log-variance (see _gauss_head); its weights' go into grads."""
-    grads[head + "Wv"], g_feat, grads[head + "bv"] = _affine_vjp(
-        g_lv * inside, (p[head + "Wv"], feat, None), None, None)
-    grads[head + "Wm"], g_m, grads[head + "bm"] = _affine_vjp(
-        g_mean, (p[head + "Wm"], feat, None), None, None)
-    g_feat = g_feat + g_m
+    clipped log-variance (see _gauss_head); its weights' go into grads,
+    but for a layer whose weights and bias are both in fixed."""
+    def back(layer, g, x):   # the adjoint of x through one affine layer
+        W, b = head + "W" + layer, head + "b" + layer
+        if W in fixed and b in fixed:
+            return g @ p[W]
+        grads[W], g_x, grads[b] = _affine_vjp(g, (p[W], x, None), None, None)
+        return g_x
+
+    g_feat = (back("v", g_lv if inside is None else g_lv * inside, feat)
+              + back("m", g_mean, feat))
     if head + "W1" not in p:
         return g_feat
-    grads[head + "W1"], g_in, grads[head + "b1"] = _affine_vjp(
-        g_feat * (1.0 - feat * feat), (p[head + "W1"], inp, None), None, None)
-    return g_in
+    return back("1", g_feat * (1.0 - feat * feat), inp)
 
 
 # the input names gauss_bound takes: both heads' weights, each head with
@@ -543,21 +549,22 @@ _BOUND_INPUTS = {
     for extra in (frozenset(), frozenset({"hist"}))}
 
 
-def _gauss_bound(rows, x, *arrays, names, cols, first, clip):
+def _gauss_bound(rows, x, *arrays, names, cols, first, clip, fixed):
     # For each row of a latent_scan output block rows, whose columns cols
     # are the posterior's mean and log_var, the sample z and z_prev: log
     # N(x; dec head) in row 0 of the output, KL(posterior || pri head) in
     # row 1.  The heads read z and z_prev, with the prior's summaries
     # "hist" if given; the first `first` rows (the first step) take N(0,
-    # I) as their prior.
+    # I) as their prior.  The inputs named in fixed are constants, which
+    # get no adjoint.
     p = dict(zip(names, arrays))
     hist, n, n_z = p.get("hist"), len(rows), cols[0][1] - cols[0][0]
     if (len(p) != len(names) or frozenset(p) not in _BOUND_INPUTS
             or not 0 < first <= n or {b - a for a, b in cols} != {n_z}
             or min(cols)[0] < 0 or max(cols)[1] > rows.shape[1]
-            or p["pri.Wm"].shape[0] != n_z or p["dec.Wm"].shape[0] != x.shape[-1]
-            or p["pri.Wv"].shape != p["pri.Wm"].shape
-            or p["dec.Wv"].shape != p["dec.Wm"].shape):
+            # a prior head of one output would broadcast; gauss_logpdf and
+            # _affine check the rest
+            or {p["pri.Wm"].shape[0], p["pri.Wv"].shape[0]} != {n_z}):
         raise ValueError(f"gauss_bound inputs unsupported: {rows.shape}, "
                          f"{names}, {cols}, first {first}")
     q_mean, q_lv, z, z_prev = [rows[:, a:b] for a, b in cols]
@@ -568,17 +575,18 @@ def _gauss_bound(rows, x, *arrays, names, cols, first, clip):
     out = np.empty((2, n))
     out[0], lp_aux = _gauss_logpdf(x, d_mean, d_lv)
     out[1], kl_aux = _gauss_kl(q_mean, q_lv, p_mean, p_lv)
-    return out, (names, cols, first, dec, pri, lp_aux, kl_aux)
+    return out, (names, cols, first, fixed, dec, pri, lp_aux, kl_aux)
 
 
 def _gauss_bound_vjp(g, vals, out, aux):
     # no adjoint toward x, a constant
-    names, cols, first, dec, pri, lp_aux, kl_aux = aux
+    names, cols, first, fixed, dec, pri, lp_aux, kl_aux = aux
     p, grads = dict(zip(names, vals[2:])), {}
     g_dec = _head_vjp(p, "dec.", *dec, *_logpdf_adjoints(g[0][:, None], *lp_aux),
-                      grads)
+                      grads, fixed)
     gq_mean, gq_lv, gp_mean, gp_lv = _gauss_kl_vjp(g[1], None, None, kl_aux)
-    g_pri = _head_vjp(p, "pri.", *pri, gp_mean[first:], gp_lv[first:], grads)
+    g_pri = _head_vjp(p, "pri.", *pri, gp_mean[first:], gp_lv[first:], grads,
+                      fixed)
     n_z = gq_mean.shape[1]
     g_rows = np.zeros(vals[0].shape)
     for (a, b), c in zip(cols, (gq_mean, gq_lv, g_dec[:, :n_z])):
@@ -588,7 +596,7 @@ def _gauss_bound_vjp(g, vals, out, aux):
         grads["hist"] = np.zeros(p["hist"].shape)
         grads["hist"][first:] = g_pri[:, n_z:]
         grads["hist"] += g_dec[:, n_z:]
-    return [g_rows, None] + [grads[k] for k in names]
+    return [g_rows, None] + [None if k in fixed else grads[k] for k in names]
 
 
 # ---------------------------------------------------------------------------
@@ -1251,13 +1259,15 @@ def gauss_bound(scan: ScanRows, x: Tensor, heads: dict[str, Tensor],
                 hist: Tensor | None, first: int, clip) -> Tensor:
     """log N(x; dec head) and KL(posterior || pri head) of each row of a
     sampling scan's output as the two rows of one node (_gauss_bound);
-    heads holds the "pri." and "dec." weights, hist the prior's summaries."""
+    heads holds the "pri." and "dec." weights, hist the prior's summaries;
+    a constant among them gets no adjoint."""
     inputs = heads if hist is None else {"hist": hist, **heads}
     cols = tuple((scan.cols[k].start, scan.cols[k].stop)
                  for k in ("mean", "log_var", "z", "z_prev"))
     return apply_primitive("gauss_bound", scan.rows, x, *inputs.values(),
                            names=tuple(inputs), cols=cols, first=first,
-                           clip=tuple(clip))
+                           clip=tuple(clip), fixed=frozenset(
+                               k for k, t in inputs.items() if t.const))
 
 
 # ---------------------------------------------------------------------------

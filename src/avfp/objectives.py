@@ -147,6 +147,9 @@ class FilterPass:
         self.scan["mean"], self.scan["log_var"]) if "log_var" in self.scan else None)
 
 
+_RECON_MINUS_KL = constant(np.array([1.0, -1.0]))
+
+
 @dataclass
 class Bound:
     """Per-row terms of the evidence bound, rows stacked as in fp.batch:
@@ -161,7 +164,7 @@ class Bound:
     def total(self) -> Tensor:
         """The bound summed over all rows, recorded: sum of recon minus
         sum of kl."""
-        return self.terms.sum(axis=1) @ [1.0, -1.0]
+        return self.terms.sum(axis=1) @ _RECON_MINUS_KL
 
     def per_trajectory(self, values: Tensor) -> np.ndarray:
         """Sum of a per-row term over each trajectory's rows."""

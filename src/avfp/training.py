@@ -428,9 +428,12 @@ def fit_recognition(params: ModelParams, trajs: list[Trajectory], steps: int,
     maximizing the bound.
 
     The generative side stays frozen, which is what makes the bound
-    comparable against a fixed exact marginal likelihood throughout.
-    Returns the per-step bound values.
+    comparable against a fixed exact marginal likelihood throughout; its
+    tensors enter the bound as constants, so no gradient is formed for
+    them.  Returns the per-step bound values.
     """
+    params = params.with_tensors({k: constant(t.data)
+                                  for k, t in params.group("theta").items()})
     phi_group = params.group("phi")
     opt = OptimizerState(1e-2)
     batches = [Batch([traj]) for traj in trajs]

@@ -778,6 +778,37 @@ def test_gauss_bound_overflow_is_loud():
                     _bound({k: Tensor(a) for k, a in big.items()}, x)
 
 
+def test_gauss_bound_constant_heads_get_no_adjoint():
+    """Constant head weights (the bound audit's frozen theta) get no
+    gradient, and the other inputs' gradients stay bit for bit."""
+    arrays, x, w = _bound_inputs(True, 3, 0)
+    frozen = ("dec.Wm", "dec.bm", "pri.W1", "pri.b1", "pri.Wv", "pri.bv")
+    grads = []
+    for const in ((), frozen):
+        p = {k: Tensor(a, const=k in const) for k, a in arrays.items()}
+        with Tape() as tape:
+            loss = (_bound(p, x) * dc.constant(w)).sum()
+        by_uid = backward(tape, loss)
+        grads.append({k: by_uid.get(t.uid) for k, t in p.items()})
+    for k, g in grads[0].items():
+        if k in frozen:
+            assert grads[1][k] is None, k
+        else:
+            assert np.array_equal(grads[1][k], g), k
+    # the rule itself gives None toward x and each constant, and forms
+    # nothing for them
+    forward, vjp = dc._OPS["gauss_bound"]
+    names = tuple(k for k in arrays if k != "rows")
+    kw = dict(names=names, cols=tuple((c.start, c.stop) for c in (
+        _bound_cols(True)[k] for k in ("mean", "log_var", "z", "z_prev"))),
+              first=3, clip=BOUND_CLIP, fixed=frozenset(frozen))
+    vals = [arrays["rows"], x] + [arrays[k] for k in names]
+    out, aux = forward(*vals, **kw)
+    contribs = vjp(np.ones_like(out), vals, out, aux)
+    assert [k for k, c in zip(("rows", "x") + names, contribs) if c is None] == [
+        "x"] + [k for k in names if k in frozen]
+
+
 def test_gauss_bound_input_errors():
     arrays, x, _ = _bound_inputs(True, 3, 0)
     p = {k: Tensor(a) for k, a in arrays.items()}
