@@ -108,7 +108,8 @@ def parse_cmapss(path: str, split: str | None = None) -> Dataset:
 
     split is inferred from the file name (train_*/test_*) when not
     given.  Raises DataFormatError on wrong column counts, non-numeric
-    fields, or per-unit cycle indices that are not 1, 2, 3, ...
+    or non-finite fields, or per-unit cycle indices that are not 1, 2,
+    3, ...
     """
     if split is None:
         base = os.path.basename(path).lower()
@@ -136,6 +137,11 @@ def parse_cmapss(path: str, split: str | None = None) -> Dataset:
             f"{path}: expected {N_COLUMNS} columns, found {raw.shape[1]}"
         )
 
+    bad = ~np.isfinite(raw[:, 2:])
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        name = (SETTING_NAMES + SENSOR_NAMES)[col]
+        raise DataFormatError(f"{path}: non-finite {name} in data row {row + 1}")
     ids = raw[:, 0]
     # positive whole numbers within int64 range (NaN compares false)
     bad = ~((ids >= 1) & (ids < 2.0**63) & (ids == np.trunc(ids)))
@@ -287,6 +293,8 @@ def load_test_rul(
         raise DataFormatError(f"non-numeric value in {path}: {e}") from e
     if vals.ndim != 1:
         raise DataFormatError(f"{path}: expected one value per line")
+    if not np.isfinite(vals).all():
+        raise DataFormatError(f"{path}: non-finite remaining life")
     if np.any(vals < 0):
         raise DataFormatError(f"{path}: negative remaining life")
     ids = unit_ids if unit_ids is not None else list(range(1, len(vals) + 1))

@@ -33,15 +33,20 @@ from .data import (
     save_stats,
     to_trajectories,
 )
-from .diffcore import NonFiniteError, Tensor, grad_check
-from .model import GaussianDiag, ModelParams, NetworkSpec, init_params
+from .diffcore import (
+    NonFiniteError,
+    Tensor,
+    constant,
+    gauss_kl,
+    gauss_logpdf,
+    grad_check,
+)
+from .model import ModelParams, NetworkSpec, init_params
 from .objectives import (
     Batch,
     adversarial_losses,
     combined_objective,
     filter_means,
-    gaussian_log_density,
-    kl_diag_gaussians,
     sequence_elbo,
 )
 from .training import (
@@ -460,15 +465,12 @@ def gradient_audit(draws: int = 20, seed: int = 0) -> dict[str, float]:
         leaves = [Tensor(g.uniform(-1.5, 1.5, n)),
                   Tensor(g.uniform(-1.5, 1.5, n))]
         worst["log_density"] = max(worst["log_density"], grad_check(
-            lambda ps: gaussian_log_density(x, GaussianDiag(ps[0], ps[1])),
-            leaves))
+            lambda ps: gauss_logpdf(constant(x), *ps), leaves))
 
         k = int(g.integers(1, 5))
         leaves = [Tensor(g.uniform(-1.5, 1.5, k)) for _ in range(4)]
         worst["kl"] = max(worst["kl"], grad_check(
-            lambda ps: kl_diag_gaussians(GaussianDiag(ps[0], ps[1]),
-                                         GaussianDiag(ps[2], ps[3])),
-            leaves))
+            lambda ps: gauss_kl(*ps), leaves))
 
         m = int(g.integers(2, 5))
         probs = [Tensor(g.uniform(0.05, 0.95, m)),
@@ -827,7 +829,7 @@ def build_parser() -> _Parser:
     add_data(sp)
     sp.add_argument("--out", required=True)
     sp.add_argument("--config", default=None, help="JSON config file")
-    sp.add_argument("--runs", type=int, default=1)
+    sp.add_argument("--runs", type=_at_least(1), default=1)
     sp.add_argument("--compare-markovian", action="store_true",
                     help="run both history modes and emit a comparison table")
     sp.set_defaults(func=cmd_experiment)

@@ -21,11 +21,11 @@ Every block takes stacked rows, one per cycle of a time-major packed
 batch (objectives.Batch).  The recurrent chains run whole sequences as
 one latent_scan each: recognition (GRU, posterior head and sample),
 prior_chain (the prior's rollout) and the prior's summary of given
-latents (its GRU alone), so no per-step block exists.
-The transition prior and emission heads (theta's "pri." and "dec."
-weights) run inside the bound's one node, diffcore.gauss_bound, over
-all stacked rows at once.  The discriminator pools stacked latent rows
-into one score per trajectory.
+latents (its GRU alone), so no per-step block exists; callers read a
+scan's column blocks by name (diffcore.ScanRows).  The transition prior
+and emission heads (theta's "pri." and "dec." weights) run inside the
+bound's one node, diffcore.gauss_bound, over all stacked rows.  The
+discriminator pools stacked latent rows into one score per trajectory.
 """
 
 from __future__ import annotations
@@ -81,18 +81,6 @@ class NetworkSpec:
                 raise ValueError(f"{name} must be non-negative")
         if self.n_z > self.n_h:
             raise ValueError("n_z must not exceed n_h")
-
-
-@dataclass
-class GaussianDiag:
-    """Diagonal Gaussian; log_var is expected to be inside the clamp."""
-
-    mean: Tensor
-    log_var: Tensor
-
-    def __post_init__(self):
-        if self.mean.shape != self.log_var.shape:
-            raise ValueError("mean/log_var shape mismatch")
 
 
 @dataclass

@@ -12,14 +12,18 @@ noise rows): at each step the recognition summary is updated with the
 current observation first, the posterior over z_t is read off, and a
 reparameterized sample is drawn with externally supplied noise (or, for
 readouts, the posterior mean stands in for it, and the log-variance head
-is not run).  filter_means runs it with recording off for the
-remaining-life and health-index readouts.
+is not run).  It returns the scan's column blocks by name (a ScanRows:
+h, mean, log_var, z, z_prev), and callers read those directly.
+filter_means runs it with recording off for the remaining-life and
+health-index readouts.
 
-The evidence bound runs the prior's recurrence over the given latents as
-one scan of its GRU alone (history mode only), then one gauss_bound node
+sequence_elbo runs the prior's recurrence over the given latents as one
+scan of its GRU alone (history mode only), then one gauss_bound node
 that runs the transition prior and emission heads, the log-density and
-the KL (first-step prior pinned to N(0, I)) over all stacked rows.  A
-bound's tape is therefore a few nodes whatever its batch and lengths.
+the KL (first-step prior pinned to N(0, I)) over all stacked rows; that
+node's two rows are the bound's per-row terms, and Batch.per_trajectory
+sums them per trajectory.  A bound's tape is therefore a few nodes
+whatever its batch and lengths.
 
 The adversarial pair treats latent sequences rolled out from the
 transition prior as real and recognition-sampled sequences as fake; the
@@ -45,15 +49,12 @@ from .diffcore import (
     Tensor,
     constant,
     gauss_bound,
-    gauss_kl,
-    gauss_logpdf,
     log,
     no_tape,
 )
 from .model import (
     LOG_VAR_MAX,
     LOG_VAR_MIN,
-    GaussianDiag,
     ModelParams,
     discriminate,
     prior_chain,
@@ -105,6 +106,10 @@ class Batch:
         """Stacked rows back to one array per trajectory, input order."""
         return [stacked[rows] for rows in self.rows]
 
+    def per_trajectory(self, values: np.ndarray) -> np.ndarray:
+        """Sum of a per-row array over each trajectory's rows."""
+        return np.array([values[rows].sum() for rows in self.rows])
+
     @cached_property
     def pool(self) -> np.ndarray:
         """(B, N) matrix whose row b averages trajectory b's rows."""
@@ -126,104 +131,51 @@ class ObjectiveBreakdown:
     kl_per_step: np.ndarray
 
 
-@dataclass
-class FilterPass:
-    """What the recognition chain produced, rows stacked as in batch.
-
-    scan is its output (a ScanRows, sliced as read); states holds the
-    recognition GRU's summaries h_t (None in markovian mode, whose
-    summary is the inputs [x_t, u_t, z_{t-1}]), and prev each row's
-    previous sample z_{t-1} (zeros at the first step), the latent input
-    of both recurrences.  In deterministic mode samples holds the
-    posterior means and posterior is None.
-    """
-
-    batch: Batch
-    scan: ScanRows
-    states = property(lambda self: self.scan.get("h"))
-    samples = property(lambda self: self.scan["z"])
-    prev = property(lambda self: self.scan["z_prev"])
-    posterior = property(lambda self: GaussianDiag(
-        self.scan["mean"], self.scan["log_var"]) if "log_var" in self.scan else None)
-
-
 _RECON_MINUS_KL = constant(np.array([1.0, -1.0]))
 
 
-@dataclass
-class Bound:
-    """Per-row terms of the evidence bound, rows stacked as in fp.batch:
-    terms is the gauss_bound node, whose two rows recon and kl hold them
-    (here detached).  The first-step rows' prior is N(0, I)."""
-
-    fp: FilterPass
-    terms: Tensor
-    recon = property(lambda self: constant(self.terms.data[0]))
-    kl = property(lambda self: constant(self.terms.data[1]))
-
-    def total(self) -> Tensor:
-        """The bound summed over all rows, recorded: sum of recon minus
-        sum of kl."""
-        return self.terms.sum(axis=1) @ _RECON_MINUS_KL
-
-    def per_trajectory(self, values: Tensor) -> np.ndarray:
-        """Sum of a per-row term over each trajectory's rows."""
-        return np.array([values.data[rows].sum() for rows in self.fp.batch.rows])
-
-
-def gaussian_log_density(x, g: GaussianDiag) -> Tensor:
-    """log N(x; mean, diag(exp(log_var))), summed over dimensions (per
-    row for stacked rows)."""
-    return gauss_logpdf(constant(x), g.mean, g.log_var)
-
-
-def kl_diag_gaussians(q: GaussianDiag, p: GaussianDiag) -> Tensor:
-    """KL(q || p) between diagonal Gaussians, closed form, summed (per
-    row for stacked rows)."""
-    return gauss_kl(q.mean, q.log_var, p.mean, p.log_var)
-
-
 def filter_forward(params: ModelParams, batch: Batch,
-                   eps: np.ndarray | None) -> FilterPass:
-    """The recognition chain over a batch, one time-major scan.
+                   eps: np.ndarray | None) -> ScanRows:
+    """The recognition chain over a batch, one time-major scan; its
+    column blocks are model.recognition's, rows stacked as the batch's.
 
     eps holds the noise rows, stacked as the batch's rows (batch.pack
     of one (T_b, n_z) array per trajectory); None switches to
     deterministic filtering where the posterior mean stands in for the
-    sample and nothing else of the posterior is computed.
+    sample z and nothing else of the posterior is computed.
     """
-    return FilterPass(batch, recognition(params, batch.xu, eps, batch.spans))
+    return recognition(params, batch.xu, eps, batch.spans)
 
 
 def filter_means(params: ModelParams, trajs: list[Trajectory]
                  ) -> tuple[Batch, np.ndarray, np.ndarray]:
     """Deterministic, untaped filtering of a batch: its layout, the
-    stacked (N, d_h) recognition summaries h_t and (N, n_z) posterior
-    means, one row per cycle."""
+    stacked (N, d_h) recognition summaries h_t ([x_t, u_t, z_{t-1}] in
+    markovian mode) and (N, n_z) posterior means, one row per cycle."""
     with no_tape():
-        fp = filter_forward(params, Batch(trajs), None)
-    b = fp.batch
-    states = (np.hstack([b.xu, fp.prev.data]) if fp.states is None
-              else fp.states.data)
-    return b, states, fp.samples.data
+        b = Batch(trajs)
+        scan = filter_forward(params, b, None)
+    h = scan.get("h")
+    states = np.hstack([b.xu, scan["z_prev"].data]) if h is None else h.data
+    return b, states, scan["z"].data
 
 
-def _bound(params: ModelParams, fp: FilterPass) -> Bound:
-    """Run the prior's recurrence, then score every row in one node."""
-    batch = fp.batch
-    history = (None if params.markovian else
-               prior_history(params, fp.prev, batch.u, batch.spans))
-    heads = {k: t for k, t in params.theta.items() if k[:4] in ("pri.", "dec.")}
-    return Bound(fp, gauss_bound(fp.scan, constant(batch.x), heads, history,
-                                 batch.spans[0][1], (LOG_VAR_MIN, LOG_VAR_MAX)))
-
-
-def sequence_elbo(params: ModelParams, batch: Batch,
-                  eps: np.ndarray) -> tuple[Tensor, Bound]:
+def sequence_elbo(params: ModelParams, batch: Batch, eps: np.ndarray
+                  ) -> tuple[Tensor, Tensor, ScanRows]:
     """Single-sample evidence bound, summed over the batch, with the
-    noise rows eps stacked as the batch's rows."""
-    bound = _bound(params, filter_forward(params, batch, eps))
-    return bound.total(), bound
+    noise rows eps stacked as the batch's rows.
+
+    Returns (the bound, its per-row terms, the recognition scan): the
+    terms are the gauss_bound node, row 0 each row's reconstruction
+    log-likelihood and row 1 its KL, whose first-step prior is N(0, I).
+    """
+    scan = filter_forward(params, batch, eps)
+    history = (None if params.markovian else
+               prior_history(params, scan["z_prev"], batch.u, batch.spans))
+    heads = {k: t for k, t in params.theta.items() if k[:4] in ("pri.", "dec.")}
+    terms = gauss_bound(scan, constant(batch.x), heads, history,
+                        batch.spans[0][1], (LOG_VAR_MIN, LOG_VAR_MAX))
+    return terms.sum(axis=1) @ _RECON_MINUS_KL, terms, scan
 
 
 def prior_rollout(params: ModelParams, batch: Batch,
@@ -271,13 +223,12 @@ def combined_objective(
     if lambda_adv < 0.0:
         raise ValueError("lambda_adv must be non-negative")
     batch = Batch(trajs)
-    bound = _bound(params, filter_forward(params, batch, batch.pack(noise)))
-    target = bound.total()
+    target, terms, scan = sequence_elbo(params, batch, batch.pack(noise))
 
     adv_gen_rows = adv_disc_rows = np.zeros(len(trajs))
     if lambda_adv > 0.0:
         pool = batch.pool
-        d_fake = discriminate(params, bound.fp.samples, pool)
+        d_fake = discriminate(params, scan["z"], pool)
         adv_gen = log(d_fake) * -1.0
         with no_tape():
             pn = prior_noise if prior_noise is not None else noise
@@ -287,10 +238,10 @@ def combined_objective(
         adv_gen_rows, adv_disc_rows = adv_gen.data, adv_disc.data
         target = target - adv_gen.sum() * lambda_adv
 
-    recons = bound.per_trajectory(bound.recon)
+    recons = batch.per_trajectory(terms.data[0])
     breakdowns = []
     for b, rows in enumerate(batch.rows):
-        kl_steps = bound.terms.data[1, rows]
+        kl_steps = terms.data[1, rows]
         r, k, a = float(recons[b]), float(kl_steps.sum()), float(adv_gen_rows[b])
         breakdowns.append(ObjectiveBreakdown(
             recon_loglik=r, kl_total=k, adv_gen=a,

@@ -287,10 +287,10 @@ def _discriminator_loss(params: ModelParams, trajs: list[Trajectory],
     (real), both computed with recording off, so only psi is taped."""
     batch = Batch(trajs)
     with no_tape():
-        fp = filter_forward(params, batch, batch.pack(fake_noise))
+        fake = filter_forward(params, batch, batch.pack(fake_noise))["z"]
         real = prior_rollout(params, batch, batch.pack(real_noise))
     pool = batch.pool
-    d_fake = discriminate(params, constant(fp.samples.data), pool)
+    d_fake = discriminate(params, constant(fake.data), pool)
     d_real = discriminate(params, real, pool)
     return adversarial_losses(d_real, d_fake)[0]
 
@@ -443,7 +443,7 @@ def fit_recognition(params: ModelParams, trajs: list[Trajectory], steps: int,
         noise = rng.normal(seed, (batch.length, params.spec.n_z),
                            "fit-phi", step)   # one trajectory: packed as drawn
         with _adam_update(phi_group, opt) as update:
-            elbo, _ = sequence_elbo(params, batch, noise)
+            elbo = sequence_elbo(params, batch, noise)[0]
             update.loss = elbo * -1.0
         trace.append(elbo.item())
     return trace
@@ -459,8 +459,8 @@ def mc_elbo(params: ModelParams, traj: Trajectory, draws: int,
              for d in range(draws)]
     batch = Batch([traj] * draws)
     with no_tape():
-        _, bound = sequence_elbo(params, batch, batch.pack(noise))
-    vals = bound.per_trajectory(bound.recon) - bound.per_trajectory(bound.kl)
+        terms = sequence_elbo(params, batch, batch.pack(noise))[1].data
+    vals = batch.per_trajectory(terms[0]) - batch.per_trajectory(terms[1])
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(draws))
 
 

@@ -21,17 +21,17 @@ def scan_counts(path):
     return total, per_unit
 
 
-def lg_bound_rows(lg, x, bound):
+def lg_bound_rows(lg, x, scan):
     """The closed-form per-row reconstruction log-likelihoods and KLs of
     a linear-Gaussian model's bound over one trajectory x, at the
-    posterior and samples the bound read: emission N(C z, diag r),
-    transition prior N(A z_prev, diag q), and N(0, I) at the first step."""
-    fp = bound.fp
-    q_mean, q_lv = fp.posterior.mean.data, fp.posterior.log_var.data
+    posterior and samples of the recognition scan the bound read:
+    emission N(C z, diag r), transition prior N(A z_prev, diag q), and
+    N(0, I) at the first step."""
+    q_mean, q_lv = scan["mean"].data, scan["log_var"].data
     r = np.asarray(lg.r_diag, dtype=float)
-    recon = -0.5 * ((x - fp.samples.data @ lg.C.T) ** 2 / r
+    recon = -0.5 * ((x - scan["z"].data @ lg.C.T) ** 2 / r
                     + np.log(2.0 * np.pi * r)).sum(axis=1)
-    p_mean = fp.prev.data @ lg.A.T
+    p_mean = scan["z_prev"].data @ lg.A.T
     p_lv = np.tile(np.log(lg.q_diag), (len(x), 1))
     p_mean[0] = p_lv[0] = 0.0
     d_lv = q_lv - p_lv

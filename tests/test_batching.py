@@ -134,8 +134,8 @@ def test_mc_elbo_rows_equal_single_draws(markovian):
              for d in range(draws)]
     with no_tape():
         batch = Batch([traj] * draws)
-        _, bound = sequence_elbo(params, batch, batch.pack(noise))
-        rows = bound.per_trajectory(bound.recon) - bound.per_trajectory(bound.kl)
+        terms = sequence_elbo(params, batch, batch.pack(noise))[1].data
+        rows = batch.per_trajectory(terms[0]) - batch.per_trajectory(terms[1])
         single = np.array([sequence_elbo(params, Batch([traj]), n)[0].item()
                            for n in noise])
     assert_close(rows, single)

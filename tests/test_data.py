@@ -1,6 +1,7 @@
 """Parsing, normalization, RUL targets, and the Kalman oracle."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,19 @@ def test_parse_rejects_bad_unit_id(tmp_path, unit):
     p = tmp_path / "train_bad.txt"
     p.write_text(_row(unit, 1) + "\n")
     with pytest.raises(DataFormatError, match="unit id"):
+        parse_cmapss(str(p))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_parse_rejects_non_finite_values(tmp_path, value):
+    # a NaN sensor would give a NaN std, and the channel would be dropped
+    # as constant without a word
+    p = tmp_path / "train_bad.txt"
+    fields = _row(1, 2).split()
+    fields[6] = value   # unit, cycle, setting_1..3, sensor_01, sensor_02
+    p.write_text(_row(1, 1) + "\n" + " ".join(fields) + "\n")
+    with pytest.raises(DataFormatError,
+                       match=re.escape(f"{p}: non-finite sensor_02 in data row 2")):
         parse_cmapss(str(p))
 
 
@@ -255,6 +269,14 @@ def test_load_test_rul_rejects_negative(tmp_path):
     p = tmp_path / "RUL_bad.txt"
     p.write_text("10\n-3\n")
     with pytest.raises(DataFormatError):
+        load_test_rul(str(p))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_load_test_rul_rejects_non_finite(tmp_path, value):
+    p = tmp_path / "RUL_bad.txt"
+    p.write_text(f"10\n{value}\n")
+    with pytest.raises(DataFormatError, match=re.escape(f"{p}: non-finite")):
         load_test_rul(str(p))
 
 

@@ -834,11 +834,14 @@ def test_cli_oracle_failure_exits_4(monkeypatch, capsys):
     ["oracle", "--instances", "1", "--draws", "2", "--fit-steps", "-5"],
     ["oracle", "--instances", "1", "--draws", "1", "--fit-steps", "0"],
     ["oracle", "--instances", "1", "--draws", "0", "--fit-steps", "0"],
+    ["experiment", "--data", "no-data", "--out", "no-out", "--runs", "0"],
 ], ids=["gradcheck-draws-0", "gradcheck-draws-negative", "oracle-instances-0",
-        "oracle-fit-steps-negative", "oracle-draws-1", "oracle-draws-0"])
+        "oracle-fit-steps-negative", "oracle-draws-1", "oracle-draws-0",
+        "experiment-runs-0"])
 def test_cli_audit_of_nothing_is_a_usage_error(argv, capsys):
     """An audit that would check nothing, skip its fitting silently or
-    report a standard error of one draw is refused before it runs."""
+    report a standard error of one draw, and an experiment of no runs,
+    are refused before they run: before any data is read."""
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("usage error: argument --")

@@ -1,7 +1,7 @@
 """Source hygiene: every top-level import in the package is used, every
-module-level function and public method is named somewhere besides its
-definition, and every defaulted parameter of a public function is passed
-by some call."""
+module-level function, class and constant and every public method is
+named somewhere besides its definition, and every defaulted parameter of
+a public function is passed by some call."""
 
 import ast
 import pathlib
@@ -75,9 +75,14 @@ def unused_functions(path: pathlib.Path, roots) -> list[str]:
     names += [m.name for c in tree.body if isinstance(c, ast.ClassDef)
               for m in c.body
               if isinstance(m, funcs) and not m.name.startswith("_")]
+    return [f"{path.name}: {name}" for name in _named_once(names, roots)]
+
+
+def _named_once(names, roots) -> list[str]:
+    """The names that occur at most once in the .py files under roots."""
     text = "\n".join(p.read_text() for root in roots
                      for p in sorted(root.rglob("*.py")))
-    return [f"{path.name}: {name}" for name in names
+    return [name for name in names
             if len(re.findall(rf"\b{re.escape(name)}\b", text)) < 2]
 
 
@@ -101,6 +106,45 @@ def test_unused_function_check_catches_a_dead_function(tmp_path):
         "from mod import Box, used\nprint(used(), Box().opened())\n")
     assert unused_functions(tmp_path / "mod.py", [tmp_path]) == [
         "mod.py: dead", "mod.py: dead_too", "mod.py: dead_method"]
+
+
+def unused_records(path: pathlib.Path, roots) -> list[str]:
+    """Module-level classes and constants (names a module-level
+    assignment binds, dunders aside) of path whose name occurs in no .py
+    file under roots except in their own definition."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names += [n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                      and not n.id.startswith("__")]
+    return [f"{path.name}: {name}" for name in _named_once(names, roots)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_records(path):
+    assert unused_records(path, CALLERS) == []
+
+
+def test_unused_record_check_catches_a_dead_record(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "__all__ = ['Used']\n"
+        "LIMIT = 3\n"
+        "DEAD = 4\n"
+        "_DEAD_TOO: int = 5\n"
+        "LO, HI = 0, 1\n"
+        "LIMIT.attr = DEAD_ATTR = 6\n"
+        "class Used:\n    pass\n\n"
+        "class Dead:\n    size = LIMIT\n")
+    (tmp_path / "user.py").write_text(
+        "from mod import Used, LO\nprint(Used(), LO)\n")
+    assert unused_records(tmp_path / "mod.py", [tmp_path]) == [
+        "mod.py: DEAD", "mod.py: _DEAD_TOO", "mod.py: HI",
+        "mod.py: DEAD_ATTR", "mod.py: Dead"]
 
 
 def _dict_literal_keys(tree: ast.Module) -> dict[str, set[str]]:

@@ -11,13 +11,14 @@ from avfp.diffcore import (
     Tensor,
     backward,
     constant,
+    gauss_kl,
+    gauss_logpdf,
     grad_check,
     latent_scan,
 )
 from avfp.model import (
     LOG_VAR_MAX,
     LOG_VAR_MIN,
-    GaussianDiag,
     NetworkSpec,
     discriminate,
     init_params,
@@ -30,7 +31,6 @@ from avfp.objectives import (
     Batch,
     filter_forward,
     filter_means,
-    kl_diag_gaussians,
     sequence_elbo,
 )
 from conftest import lg_bound_rows
@@ -128,12 +128,12 @@ def traj_of(x, u):
 def test_recognition_state_shapes():
     spec = small_spec()
     traj = traj_of(np.zeros((2, spec.n_x)), np.zeros((2, spec.n_u)))
-    fp = filter_forward(init_params(spec, markovian=False, seed=1),
-                        Batch([traj]), None)
-    assert fp.states.shape == (2, spec.n_h)
-    fp = filter_forward(init_params(spec, markovian=True, seed=1),
-                        Batch([traj]), None)
-    assert fp.states is None  # the summary is the inputs themselves
+    scan = filter_forward(init_params(spec, markovian=False, seed=1),
+                          Batch([traj]), None)
+    assert scan["h"].shape == (2, spec.n_h)
+    scan = filter_forward(init_params(spec, markovian=True, seed=1),
+                          Batch([traj]), None)
+    assert "h" not in scan  # the summary is the inputs themselves
 
 
 def test_markovian_summary_is_inputs_only():
@@ -174,8 +174,8 @@ def test_recognition_logvar_clamped():
     p = init_params(spec, markovian=True, seed=0)
     p.phi["enc.bv"] = Tensor(np.full(spec.n_z, 99.0))
     traj = traj_of(np.zeros((2, 3)), np.zeros((2, 2)))
-    fp = filter_forward(p, Batch([traj]), np.zeros((2, spec.n_z)))
-    assert np.all(fp.posterior.log_var.data == avm.LOG_VAR_MAX)
+    scan = filter_forward(p, Batch([traj]), np.zeros((2, spec.n_z)))
+    assert np.all(scan["log_var"].data == avm.LOG_VAR_MAX)
 
 
 def test_first_step_prior_is_standard_normal():
@@ -188,13 +188,12 @@ def test_first_step_prior_is_standard_normal():
              for k, T in enumerate((3, 4))]
     noise = [g.standard_normal((t.length, spec.n_z)) for t in trajs]
     batch = Batch(trajs)
-    _, bound = sequence_elbo(p, batch, batch.pack(noise))
-    first = [rows[0] for rows in bound.fp.batch.rows]
-    q, zero = bound.fp.posterior, constant(np.zeros((2, spec.n_z)))
-    standard = kl_diag_gaussians(
-        GaussianDiag(constant(q.mean.data[first]), constant(q.log_var.data[first])),
-        GaussianDiag(zero, zero))
-    assert np.array_equal(bound.kl.data[first], standard.data)
+    _, terms, scan = sequence_elbo(p, batch, batch.pack(noise))
+    first = [rows[0] for rows in batch.rows]
+    zero = constant(np.zeros((2, spec.n_z)))
+    standard = gauss_kl(constant(scan["mean"].data[first]),
+                        constant(scan["log_var"].data[first]), zero, zero)
+    assert np.array_equal(terms.data[1, first], standard.data)
 
 
 def test_recognition_sample_is_reparameterized():
@@ -203,10 +202,9 @@ def test_recognition_sample_is_reparameterized():
     g = np.random.default_rng(4)
     traj = traj_of(g.standard_normal((4, 3)), g.standard_normal((4, 2)))
     noise = g.standard_normal((4, spec.n_z))
-    fp = filter_forward(p, Batch([traj]), noise)
-    q = fp.posterior
-    assert np.array_equal(fp.samples.data,
-                          q.mean.data + np.exp(q.log_var.data * 0.5) * noise)
+    scan = filter_forward(p, Batch([traj]), noise)
+    assert np.array_equal(scan["z"].data, scan["mean"].data
+                          + np.exp(scan["log_var"].data * 0.5) * noise)
     with pytest.raises(ValueError):
         filter_forward(p, Batch([traj]), np.zeros((4, spec.n_z + 1)))
 
@@ -250,13 +248,12 @@ def test_rollout_prior_equals_bound_prior(markovian, prior_hidden):
     want = mean[first:] + np.exp(log_var[first:] / 2) * eps[first:]
     assert np.abs(z[first:] - want).max() <= 1e-12 * np.abs(want).max()
 
-    _, bound = sequence_elbo(p, batch, eps)
-    q = bound.fp.posterior
-    mean, log_var = prior_rows(p, batch, bound.fp.prev.data)
-    d_lv = q.log_var.data - log_var
-    want = 0.5 * (np.exp(d_lv) + (q.mean.data - mean) ** 2 * np.exp(-log_var)
-                  - 1.0 - d_lv).sum(axis=1)
-    assert np.abs(bound.kl.data - want).max() <= 1e-12 * np.abs(want).max()
+    _, terms, scan = sequence_elbo(p, batch, eps)
+    mean, log_var = prior_rows(p, batch, scan["z_prev"].data)
+    d_lv = scan["log_var"].data - log_var
+    want = 0.5 * (np.exp(d_lv) + (scan["mean"].data - mean) ** 2
+                  * np.exp(-log_var) - 1.0 - d_lv).sum(axis=1)
+    assert np.abs(terms.data[1] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_prior_history_is_one_scan_node():
@@ -279,9 +276,12 @@ def test_prior_history_is_one_scan_node():
     assert backward(tape, loss)[z_prev.uid].shape == z_prev.shape
 
 
-def test_gaussian_diag_shape_check():
+def test_gaussian_mean_and_log_var_shapes_must_match():
+    mean, log_var = Tensor([0.0, 0.0]), Tensor([0.0])
     with pytest.raises(ValueError):
-        GaussianDiag(Tensor([0.0, 0.0]), Tensor([0.0]))
+        gauss_logpdf(constant(np.zeros(2)), mean, log_var)
+    with pytest.raises(ValueError):
+        gauss_kl(mean, log_var, mean, log_var)
 
 
 def test_discriminator_range_and_pooling():
@@ -330,10 +330,10 @@ def test_linear_gaussian_model_is_exact():
     st = prior_history(p, constant(z_prev), np.zeros((1, 1)), [(0, 1)])
     assert st is None  # markovian: the heads read the adjacent latent only
     traj = traj_of(g.standard_normal((6, 3)), np.zeros((6, 1)))
-    _, bound = sequence_elbo(p, Batch([traj]), g.standard_normal((6, 2)))
-    recon, kl = lg_bound_rows(lg, traj.x, bound)
-    assert np.allclose(bound.recon.data, recon, atol=1e-14)
-    assert np.allclose(bound.kl.data, kl, atol=1e-14)
+    _, terms, scan = sequence_elbo(p, Batch([traj]), g.standard_normal((6, 2)))
+    recon, kl = lg_bound_rows(lg, traj.x, scan)
+    assert np.allclose(terms.data[0], recon, atol=1e-14)
+    assert np.allclose(terms.data[1], kl, atol=1e-14)
 
 
 def test_linear_gaussian_model_requires_standard_start():
@@ -362,7 +362,7 @@ def test_gradcheck_through_model_step():
             trial[n] = t
         params = avm.ModelParams(spec=spec, markovian=False, theta=p.theta,
                                  phi=trial, psi=p.psi, rho=p.rho)
-        elbo, bound = sequence_elbo(params, batch, noise)
-        return elbo + bound.fp.scan["log_var"].sum()
+        elbo, _, scan = sequence_elbo(params, batch, noise)
+        return elbo + scan["log_var"].sum()
 
     assert grad_check(f, tensors) < 1e-5

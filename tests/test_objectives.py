@@ -12,11 +12,12 @@ from avfp.diffcore import (
     Tensor,
     backward,
     constant,
+    gauss_kl,
+    gauss_logpdf,
     grad_check,
     replay,
 )
 from avfp.model import (
-    GaussianDiag,
     ModelParams,
     NetworkSpec,
     init_params,
@@ -28,16 +29,23 @@ from avfp.objectives import (
     adversarial_losses,
     combined_objective,
     filter_forward,
-    gaussian_log_density,
-    kl_diag_gaussians,
     prior_rollout,
     sequence_elbo,
 )
 
 
 def diag(mean, log_var):
-    return GaussianDiag(constant(np.asarray(mean, dtype=float)),
-                        constant(np.asarray(log_var, dtype=float)))
+    """A diagonal Gaussian as its (mean, log_var) constants."""
+    return (constant(np.asarray(mean, dtype=float)),
+            constant(np.asarray(log_var, dtype=float)))
+
+
+def log_density(x, g):
+    return gauss_logpdf(constant(np.asarray(x, dtype=float)), *g)
+
+
+def kl(q, p):
+    return gauss_kl(*q, *p)
 
 
 def rand_traj(T, n_x, n_u, seed):
@@ -52,7 +60,7 @@ def rand_traj(T, n_x, n_u, seed):
 
 def test_log_density_standard_normal_at_zero():
     g = diag([0.0], [0.0])
-    assert gaussian_log_density([0.0], g).item() == pytest.approx(
+    assert log_density([0.0], g).item() == pytest.approx(
         -0.5 * LN_2PI, abs=1e-15
     )
     assert -0.5 * LN_2PI == pytest.approx(-0.9189385332046727, abs=1e-12)
@@ -65,7 +73,7 @@ def test_log_density_matches_scipy():
         mean = g.standard_normal(n)
         log_var = g.uniform(-3, 3, n)
         x = g.standard_normal(n) * 2
-        ours = gaussian_log_density(x, diag(mean, log_var)).item()
+        ours = log_density(x, diag(mean, log_var)).item()
         ref = multivariate_normal(mean=mean, cov=np.diag(np.exp(log_var))).logpdf(x)
         assert ours == pytest.approx(float(ref), abs=1e-11)
 
@@ -73,13 +81,13 @@ def test_log_density_matches_scipy():
 def test_log_density_univariate_sum():
     xs = np.array([0.3, -1.2, 2.0])
     g = diag([0.1, 0.0, -0.5], [0.2, -0.3, 0.0])
-    ref = norm.logpdf(xs, loc=g.mean.data, scale=np.exp(0.5 * g.log_var.data)).sum()
-    assert gaussian_log_density(xs, g).item() == pytest.approx(float(ref), abs=1e-11)
+    ref = norm.logpdf(xs, loc=g[0].data, scale=np.exp(0.5 * g[1].data)).sum()
+    assert log_density(xs, g).item() == pytest.approx(float(ref), abs=1e-11)
 
 
 def test_log_density_shape_check():
     with pytest.raises(ValueError):
-        gaussian_log_density(np.zeros(2), diag([0.0], [0.0]))
+        log_density(np.zeros(2), diag([0.0], [0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +97,8 @@ def test_log_density_shape_check():
 def test_kl_pinned_values():
     q = diag([1.0], [0.0])
     p = diag([0.0], [0.0])
-    assert kl_diag_gaussians(q, p).item() == pytest.approx(0.5, abs=1e-15)
-    assert kl_diag_gaussians(q, q).item() == 0.0
+    assert kl(q, p).item() == pytest.approx(0.5, abs=1e-15)
+    assert kl(q, q).item() == 0.0
 
 
 def test_kl_positive_and_asymmetric():
@@ -99,12 +107,12 @@ def test_kl_positive_and_asymmetric():
         n = int(g.integers(1, 5))
         q = diag(g.standard_normal(n), g.uniform(-2, 2, n))
         p = diag(g.standard_normal(n), g.uniform(-2, 2, n))
-        kqp = kl_diag_gaussians(q, p).item()
+        kqp = kl(q, p).item()
         assert kqp >= 0.0
     q = diag([1.0], [0.5])
     p = diag([0.0], [-0.5])
-    assert kl_diag_gaussians(q, p).item() != pytest.approx(
-        kl_diag_gaussians(p, q).item(), abs=1e-6
+    assert kl(q, p).item() != pytest.approx(
+        kl(p, q).item(), abs=1e-6
     )
 
 
@@ -114,7 +122,7 @@ def test_kl_matches_monte_carlo():
         n = int(g.integers(1, 5))
         mq, lq = g.standard_normal(n), g.uniform(-1.5, 1.5, n)
         mp, lp = g.standard_normal(n), g.uniform(-1.5, 1.5, n)
-        closed = kl_diag_gaussians(diag(mq, lq), diag(mp, lp)).item()
+        closed = kl(diag(mq, lq), diag(mp, lp)).item()
 
         m = 200_000
         z = mq + np.exp(0.5 * lq) * g.standard_normal((m, n))
@@ -131,8 +139,7 @@ def test_kl_gradcheck():
               Tensor(g.standard_normal(3)), Tensor(g.uniform(-1, 1, 3))]
 
     def f(ps):
-        return kl_diag_gaussians(GaussianDiag(ps[0], ps[1]),
-                                 GaussianDiag(ps[2], ps[3]))
+        return gauss_kl(*ps)
 
     assert grad_check(f, params) < 1e-6
 
@@ -143,7 +150,7 @@ def test_log_density_gradcheck():
     params = [Tensor(g.standard_normal(3)), Tensor(g.uniform(-1, 1, 3))]
 
     def f(ps):
-        return gaussian_log_density(x, GaussianDiag(ps[0], ps[1]))
+        return gauss_logpdf(constant(x), *ps)
 
     assert grad_check(f, params) < 1e-6
 
@@ -189,9 +196,9 @@ def test_zero_net_reduction(markovian):
     for T in (1, 5):
         traj = Trajectory(unit_id=0, x=np.zeros((T, 3)), u=np.zeros((T, 2)))
         noise = rng.normal(0, (T, 2), "test-noise")
-        elbo, bound = sequence_elbo(params, Batch([traj]), noise)
+        elbo, terms, _ = sequence_elbo(params, Batch([traj]), noise)
         assert elbo.item() == pytest.approx(T * 3 * (-0.5 * LN_2PI), abs=1e-12)
-        assert np.all(bound.kl.data == 0.0)
+        assert np.all(terms.data[1] == 0.0)
 
 
 def test_filter_forward_structure():
@@ -200,14 +207,14 @@ def test_filter_forward_structure():
     params = init_params(spec, markovian=False, seed=1)
     traj = rand_traj(6, 3, 2, seed=0)
     noise = rng.normal(1, (6, 2), "n")
-    fp = filter_forward(params, Batch([traj]), noise)
-    _, bound = sequence_elbo(params, Batch([traj]), noise)
-    assert fp.samples.shape == (6, 2) and bound.kl.shape == (6,)
+    scan = filter_forward(params, Batch([traj]), noise)
+    _, terms, q = sequence_elbo(params, Batch([traj]), noise)
+    assert scan["z"].shape == (6, 2) and terms.shape == (2, 6)
     # first-step prior pinned: row 0's KL is against N(0, I), bit for bit
-    q, zero = bound.fp.posterior, constant(np.zeros(2))
-    assert bound.kl.data[0] == kl_diag_gaussians(
-        GaussianDiag(constant(q.mean.data[0]), constant(q.log_var.data[0])),
-        GaussianDiag(zero, zero)).item()
+    zero = constant(np.zeros(2))
+    assert terms.data[1, 0] == gauss_kl(
+        constant(q["mean"].data[0]), constant(q["log_var"].data[0]),
+        zero, zero).item()
     with pytest.raises(ValueError):
         filter_forward(params, Batch([traj]), np.zeros((5, 2)))
 
@@ -218,16 +225,16 @@ def test_deterministic_mode_uses_means():
     params = init_params(spec, markovian=False, seed=1)
     traj = rand_traj(4, 3, 2, seed=2)
     with Tape() as tape:
-        fp = filter_forward(params, Batch([traj]), None)
-        loss = fp.samples.sum()
-    assert fp.posterior is None
+        scan = filter_forward(params, Batch([traj]), None)
+        loss = scan["z"].sum()
+    assert "log_var" not in scan
     grads = backward(tape, loss)
     assert params.phi["enc.Wm"].uid in grads
     assert params.phi["enc.Wv"].uid not in grads  # the log-variance head is not run
     # zero noise samples the posterior means
     sampled = filter_forward(params, Batch([traj]), np.zeros((4, 2)))
-    assert np.abs(fp.samples.data - sampled.posterior.mean.data).max() <= 1e-15
-    assert np.array_equal(sampled.samples.data, sampled.posterior.mean.data)
+    assert np.abs(scan["z"].data - sampled["mean"].data).max() <= 1e-15
+    assert np.array_equal(sampled["z"].data, sampled["mean"].data)
 
 
 def test_elbo_gradcheck_both_modes():
@@ -251,7 +258,7 @@ def test_elbo_gradcheck_both_modes():
                 theta[n] = t
             trial = ModelParams(spec=spec, markovian=markovian, theta=theta,
                                 phi=phi, psi=params.psi, rho=params.rho)
-            elbo, _ = sequence_elbo(trial, Batch([traj]), noise)
+            elbo = sequence_elbo(trial, Batch([traj]), noise)[0]
             return elbo
 
         assert grad_check(f, tensors + th_tensors, step=1e-5) < 1e-4
@@ -263,7 +270,7 @@ def test_combined_equals_elbo_when_lambda_zero():
     params = init_params(spec, markovian=False, seed=2)
     traj = rand_traj(5, 3, 2, seed=4)
     noise = rng.normal(2, (5, 2), "cmp")
-    elbo, _ = sequence_elbo(params, Batch([traj]), noise)
+    elbo = sequence_elbo(params, Batch([traj]), noise)[0]
     (bd,), target = combined_objective(params, [traj], [noise],
                                        lambda_adv=0.0)
     assert bd.combined == elbo.item()  # bit-identical
@@ -296,7 +303,7 @@ def test_zero_weight_discriminator_constant_penalty():
         params.psi[k] = Tensor(np.zeros_like(params.psi[k].data))
     traj = rand_traj(5, 3, 2, seed=4)
     noise = rng.normal(2, (5, 2), "cmp")
-    elbo, _ = sequence_elbo(params, Batch([traj]), noise)
+    elbo = sequence_elbo(params, Batch([traj]), noise)[0]
     (bd,), _ = combined_objective(params, [traj], [noise], lambda_adv=1.0)
     assert bd.adv_gen == pytest.approx(np.log(2.0), abs=1e-15)
     assert bd.combined == pytest.approx(elbo.item() - np.log(2.0), abs=1e-12)
@@ -338,7 +345,7 @@ def test_elbo_never_exceeds_exact_loglik():
         vals = np.empty(draws)
         for d in range(draws):
             noise = rng.normal(seed, (12, n_z), "elbo-mc", d)
-            elbo, _ = sequence_elbo(params, Batch([traj]), noise)
+            elbo = sequence_elbo(params, Batch([traj]), noise)[0]
             vals[d] = elbo.item()
         se = vals.std(ddof=1) / np.sqrt(draws)
         assert vals.mean() <= exact + 3.0 * se
