@@ -82,7 +82,9 @@ def _check_finite(op: str, *arrs: np.ndarray) -> None:
 
 
 class Tensor:
-    """Immutable view of a C-contiguous float64 array, optionally taped.
+    """A C-contiguous float64 array, optionally taped.  Ops never write
+    to data; Adam rebinds a parameter's data to a view of its group's
+    flat vector (training._pack) and updates that in place.
 
     data holds the values (row-major), uid identifies the tensor for
     gradient lookup, const marks values that never need gradients, and
@@ -1369,7 +1371,7 @@ def grad_check(f, params, step: float = 1e-6) -> float:
 
     worst = 0.0
     for k, p in enumerate(params):
-        g = grads.get(p.uid, np.zeros_like(p.data))
+        g = grads[p.uid] if p.uid in grads else np.zeros_like(p.data)
         flat = p.data.ravel()
         for j in range(flat.size):
             orig = flat[j]

@@ -6,7 +6,9 @@ seed plus a tuple of ids (strings or ints, e.g. ("noise", epoch, step)),
 mixed into a 128-bit Philox key with a splitmix64 finalizer.  Streams
 are stateless from the caller's point of view: the same (seed, ids)
 always yields the same draws, which is what makes checkpoint resume
-bit-exact without serializing generator internals.
+bit-exact without serializing generator internals.  Philox is
+counter-based, so normal() re-keys one generator per draw: it draws
+exactly what a fresh one would.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ def _splitmix(z: int) -> int:
     return z ^ (z >> 31)
 
 
+# A run names its streams with a few strings at a few states, so string
+# folds repeat; typed, so that a bool id still raises.
+@lru_cache(maxsize=1024, typed=True)
 def _fold(state: int, token: int | str) -> int:
     if isinstance(token, str):
         for byte in token.encode("utf-8"):
@@ -59,6 +64,18 @@ def stream(seed: int, *ids: int | str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=derive_key(seed, *ids)))
 
 
+@lru_cache(maxsize=1)
+def _drawer() -> tuple[np.random.Generator, dict]:
+    """normal()'s generator and a fresh Philox state, made on first use."""
+    gen = np.random.Generator(np.random.Philox(0))
+    return gen, gen.bit_generator.state
+
+
 def normal(seed: int, shape: tuple[int, ...], *ids: int | str) -> np.ndarray:
-    """Standard-normal draws from the named stream."""
-    return stream(seed, *ids).standard_normal(shape, dtype=np.float64)
+    """Standard-normal draws from the named stream, as stream(seed, *ids)
+    draws them, by one generator re-keyed per draw."""
+    gen, fresh = _drawer()
+    key = derive_key(seed, *ids)
+    fresh["state"]["key"] = np.array([key & _MASK, key >> 64], np.uint64)
+    gen.bit_generator.state = fresh
+    return gen.standard_normal(shape, dtype=np.float64)

@@ -15,14 +15,17 @@ each as one time-major pass over the whole batch (objectives.Batch):
 The bound audits use the same pass: fit_recognition filters a batch of
 one, and mc_elbo scores its draws as the rows of one batch.
 
-Randomness is derived per (seed, purpose, step), never from a shared
-mutable generator, so a run checkpointed at step s and resumed
+Randomness is derived per (seed, purpose, step), never from generator
+state carried between draws, so a run checkpointed at step s and resumed
 reproduces the uninterrupted run bit-exactly.  A batch whose phase-2
 loss or gradients go non-finite is skipped: it moves no parameter, logs
 no trace row and counts in skipped_batches, and more than 10 such
 batches in a row abort the run.  Every phase's step whose loss or
 gradients go non-finite moves nothing and counts in its Adam group's
 skipped count; a phase-1 or phase-3 step counts nowhere else.
+
+Adam packs a group's parameters and moments into one flat vector each,
+so a step is a few whole-vector calls with the bits of one per tensor.
 
 Checkpoints are a single binary file: magic "AVFP", u32 version, a
 length-prefixed table of named float64 arrays, and a trailing 64-bit
@@ -105,6 +108,33 @@ class OptimizerState:
     skipped: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    _flat = None  # _pack's vectors and views; not a field
+
+
+def _pack(group: dict[str, Tensor], state: OptimizerState) -> tuple:
+    """The group's parameters, m and v as one float64 vector each, which
+    the tensors and moment entries view; repacked once one does not."""
+    data = {name: p.data for name, p in group.items()}
+    held = [*data.values(), *map(state.m.get, data), *map(state.v.get, data)]
+    if state._flat and len(held) == len(state._flat[3]) and all(
+            a is b for a, b in zip(held, state._flat[3])):
+        return state._flat
+    ends = np.cumsum([arr.size for arr in data.values()])
+    flats, views = [], []
+    for saved in (data, state.m, state.v):
+        parts = [saved.get(name, np.zeros(arr.shape)) for name, arr in data.items()]
+        if [a.shape for a in parts] != [arr.shape for arr in data.values()]:
+            raise ValueError("Adam moment shapes differ from the group's")
+        flat = np.concatenate(parts, axis=None)
+        flats.append(flat)
+        views.append({name: flat[end - arr.size:end].reshape(arr.shape)
+                      for (name, arr), end in zip(data.items(), ends)})
+    for name, p in group.items():
+        p.data = views[0][name]
+    state.m.update(views[1])
+    state.v.update(views[2])
+    state._flat = (*flats, [a for v in views for a in v.values()])
+    return state._flat
 
 
 def adam_step(group: dict[str, Tensor], grads: dict[str, np.ndarray],
@@ -114,40 +144,37 @@ def adam_step(group: dict[str, Tensor], grads: dict[str, np.ndarray],
     grads must cover exactly this partition.  Any non-finite gradient
     skips the whole step (returns False, counted on the state).
     """
-    if set(grads) != set(group):
+    if grads.keys() != group.keys():
         missing = set(group) ^ set(grads)
         raise ValueError(f"gradient/parameter name mismatch: {sorted(missing)}")
-    for name, g in grads.items():
-        if g.shape != group[name].data.shape:
+    for name, p in group.items():
+        if grads[name].shape != p.data.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
-        if not np.all(np.isfinite(g)):
-            state.skipped += 1
-            return False
+    g = np.concatenate([grads[name] for name in group], axis=None)
+    if not np.isfinite(g).all():
+        state.skipped += 1
+        return False
+    p, m, v, _ = _pack(group, state)
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
-    for name, p in group.items():
-        g = grads[name]
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
-        v = state.v.get(name)
-        if v is None:
-            v = state.v[name] = np.zeros_like(p.data)
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return True
 
 
 def clip_by_global_norm(grads: dict[str, np.ndarray],
                         max_norm: float) -> tuple[dict[str, np.ndarray], float]:
-    """Scale the whole gradient set so its global norm is <= max_norm."""
-    total = 0.0
+    """Scale the whole gradient set so its global norm is <= max_norm,
+    as one flat vector whose squares are summed array by array."""
+    sq = np.square(np.concatenate(list(grads.values()), axis=None))
+    total, a = 0.0, 0
     for g in grads.values():
-        total += float((g * g).sum())
+        total += float(sq[a:a + g.size].sum())
+        a += g.size
     norm = float(np.sqrt(total))
     if norm <= max_norm or norm == 0.0:
         return grads, norm
@@ -170,7 +197,7 @@ def _adam_update(group: dict[str, Tensor], state: OptimizerState):
         state.skipped += 1
         raise
     by_uid = backward(tape, step.loss)
-    grads = {name: by_uid.get(p.uid, np.zeros_like(p.data))
+    grads = {name: by_uid[p.uid] if p.uid in by_uid else np.zeros(p.data.shape)
              for name, p in group.items()}
     step.applied = adam_step(
         group, clip_by_global_norm(grads, GRADIENT_CLIP_NORM)[0], state)

@@ -178,6 +178,144 @@ def test_clip_below_threshold_is_identity():
     assert np.array_equal(clipped["a"], grads["a"])
 
 
+def per_tensor_adam_step(group, grads, state):
+    """The update one tensor at a time, as Adam ran before groups were
+    packed flat; the flat update must give its bits."""
+    if not all(np.all(np.isfinite(g)) for g in grads.values()):
+        state.skipped += 1
+        return False
+    state.t += 1
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
+    for name, p in group.items():
+        g = grads[name]
+        m = state.m.setdefault(name, np.zeros_like(p.data))
+        v = state.v.setdefault(name, np.zeros_like(p.data))
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    return True
+
+
+def per_tensor_clip(grads, max_norm):
+    total = 0.0
+    for g in grads.values():
+        total += float((g * g).sum())
+    norm = float(np.sqrt(total))
+    if norm <= max_norm or norm == 0.0:
+        return grads, norm
+    scale = max_norm / norm
+    return {k: g * scale for k, g in grads.items()}, norm
+
+
+SHAPES = {"W": (5, 3), "b": (5,), "s": (), "U": (2, 7), "c": (1,)}
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def flat_and_per_tensor_runs(steps=60, lr=1e-2):
+    """The same gradient sequence through the flat and the per-tensor
+    update, yielding both sides after every step.  Every third step's
+    gradients are scaled past the clip norm; step 7 carries a NaN."""
+    draw = np.random.default_rng(11)
+    init = {k: draw.standard_normal(s) for k, s in SHAPES.items()}
+    flat = ({k: Tensor(v.copy()) for k, v in init.items()}, OptimizerState(lr))
+    ref = ({k: Tensor(v.copy()) for k, v in init.items()}, OptimizerState(lr))
+    for step in range(1, steps + 1):
+        scale = 10.0 if step % 3 == 0 else 0.3
+        grads = {k: scale * draw.standard_normal(s) for k, s in SHAPES.items()}
+        if step == 7:
+            grads["b"][2] = np.nan
+        clipped, norm = clip_by_global_norm(grads, GRADIENT_CLIP_NORM)
+        ref_clipped, ref_norm = per_tensor_clip(
+            {k: g.copy() for k, g in grads.items()}, GRADIENT_CLIP_NORM)
+        applied = adam_step(flat[0], clipped, flat[1])
+        ref_applied = per_tensor_adam_step(ref[0], ref_clipped, ref[1])
+        yield step, (applied, norm, *flat), (ref_applied, ref_norm, *ref)
+
+
+def test_flat_adam_matches_per_tensor_update_bit_for_bit():
+    clipped_steps = 0
+    for step, (ok, norm, group, st), (ref_ok, ref_norm, ref_group, ref_st) \
+            in flat_and_per_tensor_runs():
+        assert ok == ref_ok == (step != 7)
+        assert np.isnan(norm) == np.isnan(ref_norm)
+        if not np.isnan(norm):
+            assert norm == ref_norm
+            clipped_steps += norm > GRADIENT_CLIP_NORM
+        assert (st.t, st.skipped) == (ref_st.t, ref_st.skipped)
+        for k in SHAPES:
+            assert same_bits(group[k].data, ref_group[k].data), (step, k)
+            assert same_bits(st.m[k], ref_st.m[k]), (step, k)
+            assert same_bits(st.v[k], ref_st.v[k]), (step, k)
+    assert st.skipped == 1 and clipped_steps >= 10
+
+
+def test_flat_adam_group_shares_one_buffer_per_array_kind():
+    group = {k: Tensor(np.ones(s)) for k, s in SHAPES.items()}
+    st = OptimizerState(lr=0.1)
+    adam_step(group, {k: np.ones(s) for k, s in SHAPES.items()}, st)
+    for arrays in ([t.data for t in group.values()], list(st.m.values()),
+                   list(st.v.values())):
+        base = arrays[0].base
+        assert base is not None and all(a.base is base for a in arrays)
+        assert all(a.flags["C_CONTIGUOUS"] for a in arrays)
+    assert [a.shape for a in st.m.values()] == list(SHAPES.values())
+    assert group["W"].data.base is not st.m["W"].base
+
+
+def test_flat_adam_repacks_a_rebound_tensor():
+    group = {"w": Tensor(np.zeros(2)), "b": Tensor(np.zeros(()))}
+    st = OptimizerState(lr=0.1)
+    grads = {"w": np.ones(2), "b": np.ones(())}
+    adam_step(group, grads, st)
+    group["w"].data = np.array([5.0, 5.0])    # no longer a view of the pack
+    adam_step(group, grads, st)
+    assert group["w"].data == pytest.approx([4.9, 4.9], abs=1e-6)
+    assert group["b"].data == pytest.approx(-0.2, abs=1e-6)
+    assert group["w"].data.base is group["b"].data.base is not None
+    st.m = {"w": np.zeros((1, 2))}
+    with pytest.raises(ValueError, match="moment shapes"):
+        adam_step(group, grads, st)
+
+
+def test_flat_adam_resumes_from_saved_moment_dicts():
+    """A state rebuilt from copies of m and v, as a checkpoint restores
+    it, continues the run bit for bit."""
+    draw = np.random.default_rng(5)
+    grad_seq = [{k: draw.standard_normal(s) for k, s in SHAPES.items()}
+                for _ in range(30)]
+    init = {k: np.full(s, 0.5) for k, s in SHAPES.items()}
+
+    def run(group, st, seq):
+        for grads in seq:
+            adam_step(group, clip_by_global_norm(grads, GRADIENT_CLIP_NORM)[0],
+                      st)
+
+    whole = {k: Tensor(v.copy()) for k, v in init.items()}
+    whole_st = OptimizerState(lr=1e-2)
+    run(whole, whole_st, grad_seq)
+
+    part = {k: Tensor(v.copy()) for k, v in init.items()}
+    part_st = OptimizerState(lr=1e-2)
+    run(part, part_st, grad_seq[:13])
+    saved = {"t": part_st.t, "skipped": part_st.skipped,
+             "m": {k: a.copy() for k, a in part_st.m.items()},
+             "v": {k: a.copy() for k, a in part_st.v.items()}}
+    resumed = {k: Tensor(t.data.copy()) for k, t in part.items()}
+    resumed_st = OptimizerState(1e-2, **saved)
+    run(resumed, resumed_st, grad_seq[13:])
+    assert resumed_st.t == whole_st.t == 30
+    for k in SHAPES:
+        assert same_bits(resumed[k].data, whole[k].data)
+        assert same_bits(resumed_st.m[k], whole_st.m[k])
+        assert same_bits(resumed_st.v[k], whole_st.v[k])
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -661,6 +799,27 @@ def test_kalman_oracle_audits_the_history_path():
         after, after_se = mc_elbo(params, traj, draws=64, seed=seed + 1)
         assert before <= exact + 3.0 * before_se
         assert after <= exact + 3.0 * after_se
+
+
+def test_bound_audit_rows_are_pinned():
+    """Rows of a short audit as the per-tensor Adam update and a fresh
+    generator per noise draw computed them; the tolerance leaves room
+    for BLAS rounding across machines, not for a mis-keyed noise stream
+    or a reordered update."""
+    want = [
+        (0, 2, 1, 18, -22.713335448076773, -222.31052087698808,
+         15.0301453357138, -32.58329072681236, 1.468952686216422),
+        (1, 3, 1, 8, -16.58012913784346, -136.62454631742352,
+         11.10277778622582, -29.17825666971745, 1.6948813594922731),
+    ]
+    rows = training.bound_gap_audit(n_instances=2, draws=16, fit_steps=50,
+                                    seed=0)
+    for row, (seed, n_z, n_x, length, *values) in zip(rows, want, strict=True):
+        assert (row.seed, row.n_z, row.n_x, row.length) == (seed, n_z, n_x,
+                                                            length)
+        got = [row.exact, row.before_mean, row.before_se, row.after_mean,
+               row.after_se]
+        assert got == pytest.approx(values, rel=1e-10, abs=0.0)
 
 
 def test_bound_audit_input_errors():
