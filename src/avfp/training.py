@@ -168,8 +168,8 @@ def adam_step(group: dict[str, Tensor], grads: dict[str, np.ndarray],
 
 def clip_by_global_norm(grads: dict[str, np.ndarray],
                         max_norm: float) -> tuple[dict[str, np.ndarray], float]:
-    """Scale the whole gradient set so its global norm is <= max_norm,
-    as one flat vector whose squares are summed array by array."""
+    """Scale the whole gradient set so its global norm is <= max_norm;
+    the squares of one flat vector are summed array by array."""
     sq = np.square(np.concatenate(list(grads.values()), axis=None))
     total, a = 0.0, 0
     for g in grads.values():
