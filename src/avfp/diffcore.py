@@ -83,8 +83,7 @@ def _check_finite(op: str, *arrs: np.ndarray) -> None:
 
 class Tensor:
     """A C-contiguous float64 array, optionally taped.  Ops never write
-    to data; Adam rebinds a parameter's data to a view of its group's
-    flat vector (training._pack) and updates that in place.
+    to data; Adam updates its group's parameters in place (training._pack).
 
     data holds the values (row-major), uid identifies the tensor for
     gradient lookup, const marks values that never need gradients, and

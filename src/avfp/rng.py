@@ -6,9 +6,8 @@ seed plus a tuple of ids (strings or ints, e.g. ("noise", epoch, step)),
 mixed into a 128-bit Philox key with a splitmix64 finalizer.  Streams
 are stateless from the caller's point of view: the same (seed, ids)
 always yields the same draws, which is what makes checkpoint resume
-bit-exact without serializing generator internals.  Philox is
-counter-based, so normal() re-keys one generator per draw: it draws
-exactly what a fresh one would.
+bit-exact without serializing generator internals.  normal() re-keys
+one counter-based Philox per draw, which draws what a fresh one would.
 """
 
 from __future__ import annotations
@@ -29,14 +28,17 @@ def _splitmix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-# A run names its streams with a few strings at a few states, so string
-# folds repeat; typed, so that a bool id still raises.
-@lru_cache(maxsize=1024, typed=True)
+@lru_cache(maxsize=256)
+def _fold_text(state: int, token: str) -> int:
+    # a run names its streams with a few strings, folded at a few states
+    for byte in token.encode("utf-8"):
+        state = _splitmix(state ^ byte)
+    return state
+
+
 def _fold(state: int, token: int | str) -> int:
     if isinstance(token, str):
-        for byte in token.encode("utf-8"):
-            state = _splitmix(state ^ byte)
-        return state
+        return _fold_text(state, token)
     if isinstance(token, (bool, np.bool_)):
         raise TypeError("stream ids must be ints or strings")
     return _splitmix(state ^ (int(token) & _MASK))

@@ -125,8 +125,7 @@ def _pack(group: dict[str, Tensor], state: OptimizerState) -> tuple:
         parts = [saved.get(name, np.zeros(arr.shape)) for name, arr in data.items()]
         if [a.shape for a in parts] != [arr.shape for arr in data.values()]:
             raise ValueError("Adam moment shapes differ from the group's")
-        flat = np.concatenate(parts, axis=None)
-        flats.append(flat)
+        flats.append(flat := np.concatenate(parts, axis=None))
         views.append({name: flat[end - arr.size:end].reshape(arr.shape)
                       for (name, arr), end in zip(data.items(), ends)})
     for name, p in group.items():
@@ -168,13 +167,10 @@ def adam_step(group: dict[str, Tensor], grads: dict[str, np.ndarray],
 
 def clip_by_global_norm(grads: dict[str, np.ndarray],
                         max_norm: float) -> tuple[dict[str, np.ndarray], float]:
-    """Scale the whole gradient set so its global norm is <= max_norm;
-    the squares of one flat vector are summed array by array."""
-    sq = np.square(np.concatenate(list(grads.values()), axis=None))
-    total, a = 0.0, 0
+    """Scale the whole gradient set so its global norm is <= max_norm."""
+    total = 0.0
     for g in grads.values():
-        total += float(sq[a:a + g.size].sum())
-        a += g.size
+        total += float((g * g).sum())
     norm = float(np.sqrt(total))
     if norm <= max_norm or norm == 0.0:
         return grads, norm
