@@ -75,7 +75,7 @@ def _drawer() -> tuple[np.random.Generator, dict]:
 
 def normal(seed: int, shape: tuple[int, ...], *ids: int | str) -> np.ndarray:
     """Standard-normal draws from the named stream, as stream(seed, *ids)
-    draws them, by one generator re-keyed per draw."""
+    draws them, by one generator re-keyed per draw (one thread only)."""
     gen, fresh = _drawer()
     key = derive_key(seed, *ids)
     fresh["state"]["key"] = np.array([key & _MASK, key >> 64], np.uint64)

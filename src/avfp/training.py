@@ -1,4 +1,4 @@
-"""Minimax training loop, Adam, and bit-exact checkpointing.
+"""Minimax training loop, flat-packed Adam, and bit-exact checkpointing.
 
 Each batch runs up to three phases with strict parameter isolation,
 each as one time-major pass over the whole batch (objectives.Batch):
@@ -23,9 +23,6 @@ no trace row and counts in skipped_batches, and more than 10 such
 batches in a row abort the run.  Every phase's step whose loss or
 gradients go non-finite moves nothing and counts in its Adam group's
 skipped count; a phase-1 or phase-3 step counts nowhere else.
-
-Adam packs a group's parameters and moments into one flat vector each,
-so a step is a few whole-vector calls with the bits of one per tensor.
 
 Checkpoints are a single binary file: magic "AVFP", u32 version, a
 length-prefixed table of named float64 arrays, and a trailing 64-bit

@@ -200,6 +200,7 @@ def per_tensor_adam_step(group, grads, state):
 
 
 def per_tensor_clip(grads, max_norm):
+    """The clip as it ran beside the per-tensor update."""
     total = 0.0
     for g in grads.values():
         total += float((g * g).sum())
@@ -252,7 +253,7 @@ def test_flat_adam_matches_per_tensor_update_bit_for_bit():
             assert same_bits(group[k].data, ref_group[k].data), (step, k)
             assert same_bits(st.m[k], ref_st.m[k]), (step, k)
             assert same_bits(st.v[k], ref_st.v[k]), (step, k)
-    assert st.skipped == 1 and clipped_steps >= 10
+    assert st.skipped == 1 and clipped_steps == 20
 
 
 def test_flat_adam_group_shares_one_buffer_per_array_kind():
