@@ -25,9 +25,9 @@ gauss_logpdf and gauss_kl also take one vector.  The scan steps only the
 recurrence in its loop and backpropagates through time by hand,
 forming every weight gradient with one product over all rows.  Inside
 it each time step's values are one contiguous feature-major block,
-(features, running rows), and a step's whole pre-activation, W x + W_z
-z + U h + b for every gate (plus the head's first layer on x and z), is
-one product of the previous step's block [x; 1; h; z] with a matrix
+(features, running rows), and a step's whole pre-activation (every
+gate's W x + W_z z + U h + b, and the head's first layer on x and z) is
+one np.dot of the previous step's block [x; 1; h; z] with a matrix
 built once per call, which the backward pass reuses.
 
 Every primitive checks its result for NaN/Inf and raises instead of
@@ -617,7 +617,10 @@ def _gauss_bound_vjp(g, vals, out, aux):
 # reads the same matrices.  A step whose width drops reads the first r_t
 # columns of the previous block.  What needs no recurrent state runs
 # outside the step loops: the gate derivatives once per run, and every
-# weight gradient as one product over all rows.  One _ScanParts is a
+# weight gradient as one product over all rows.  A step indexes only
+# views and scratch blocks bound once per run and multiplies with
+# np.dot into C-contiguous row blocks: at one row it costs less per
+# call than np.matmul and gives the same bits.  One _ScanParts is a
 # call's whole description: the forward pass builds it, and the backward
 # pass reads it as the tape's aux.
 
@@ -707,7 +710,7 @@ class _ScanParts:
     A state block's rows are [x; 1; h; z]: rows[name] for "xu", "one",
     "h" and "z".  KT @ block (of the previous step) is a step's
     pre-activations, pre, with a GRU its reset and update gates, its
-    candidate's W x + b and U_c h (see _gru_step), then, when the head
+    candidate's W x + b and U_c h (see _latent_scan), then, when the head
     reads x or z, its first layer on those blocks plus its bias.  Its
     part on h is Fh; a head that reads h alone is FhB = [f, F_h] on the
     block's [1; h] rows.  After a hidden layer, Mf = [M, m] maps [feat;
@@ -768,8 +771,8 @@ class _ScanParts:
         if head:
             M, m, F, f = _head_layers(p)
             self.Fc, self.n_a = _col_blocks(F, head_in, width), F.shape[0]
-        if hidden:
-            self.Mf = np.concatenate((M, m[:, None]), axis=1)
+        self.Mf = np.concatenate((M, m[:, None]), axis=1) if hidden else None
+        self.Fh = self.FhB = None
         if self.reads_h:
             self.Fh = np.ascontiguousarray(self.Fc["h"])
             if not self.prev_in:
@@ -788,27 +791,11 @@ class _ScanParts:
             KT[4 * n_h:, rows["one"].start] = f
 
 
-def _gru_step(pre, hp, h):
-    """One gated recurrent update of a step block, gates packed [reset;
-    update; cand]: pre holds its pre-activations [W x + b + U h for the
-    reset and update gates; W x + b for the candidate; U_c h_prev] and
-    the previous states hp become h.  On exit pre's third block is the
-    candidate's whole pre-activation, which the backward pass reads."""
-    n = h.shape[0]
-    ru = expit(pre[:2 * n])
-    pre_c = pre[2 * n:3 * n]
-    pre_c += ru[:n] * pre[3 * n:4 * n]
-    np.tanh(pre_c, out=h)
-    h -= hp
-    h *= ru[n:]
-    h += hp
-
-
 def _gru_factors(pre, hp):
     """The gate derivatives of a run's steps at once, as (steps, 5, n,
     width) blocks [1 - u, kr, ku, kc, kh], such that dh times them (dh
     repeated over the five) is the adjoint of h_prev through 1 - u and
-    of pre's four gate blocks (see _gru_step)."""
+    of pre's four gate blocks (see _latent_scan's step loop)."""
     n = hp.shape[1]
     ks = np.empty((pre.shape[0], 5, n, pre.shape[2]))
     keep, kr, ku, kc, kh = (ks[:, j] for j in range(5))
@@ -884,6 +871,8 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first,
     if gru:
         blk[hs] = p["h0"][:, None]
     PRE, FEAT = sp.PRE, sp.FEAT
+    dot, tanh = np.dot, np.tanh
+    FhB, Fh, Mf = sp.FhB, sp.Fh, sp.Mf
     for k, run in enumerate(runs):
         a, b, w = run
         s = (b - a) // w
@@ -898,54 +887,76 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first,
             off += c
         pre = np.empty((s, KT.shape[0], w))
         checked = [pre]
+        # each step below indexes these views and scratch blocks only
+        H, Z = S[:, hs], S[:, zs]
+        if gru:
+            PRU, PC, PUC = np.split(pre[:, :4 * n_h], [2 * n_h, 3 * n_h], 1)
+            RU, RUC = np.empty((2 * n_h, w)), np.empty((n_h, w))
+            R, U = RU[:n_h], RU[n_h:]
+            hp = blk[hs, :w]
+        # the steps before `first` run no head: all without one, and the
+        # pinned first step, whose sample is its noise (N(0, I))
+        first = int(pin_first and not k) if head else s
         if head:
             if prev_in:
                 A_run = pre[:, a_rows]
+                if reads_h:
+                    FHH = np.empty((sp.n_a, w))
             else:
                 A_run = np.zeros((s, sp.n_a, w))
                 checked.append(A_run)
+                OH = S[:, one_h]
             ML = A_run
             if hidden:
                 FE = np.zeros((s, n_hid + 1, w))
                 FE[:, n_hid] = 1.0
+                HID = FE[:, :n_hid]
                 if keep:
                     FEAT.append(FE)
                 if sample:
                     ML = np.zeros((s, 2 * n_z, w))
                     checked.append(ML)
+                ML_out = ML if sample else Z
             if sample:
                 E = _blocks(eps, run)
                 LVH = np.zeros((s, n_z, w))   # half log-variance after the clip
+                MEAN, HLV = ML[:, :n_z], ML[:, n_z:]
+                if first:
+                    Z[0] = E[0]
         inp = blk[:, :w]
         for i in range(s):
-            blk = S[i]
-            pre_t = pre[i]
-            np.matmul(KT, inp, out=pre_t)
-            if gru:
-                _gru_step(pre_t, inp[hs], blk[hs])
-            if pin_first and not (k or i):   # the first step is N(0, I)
-                np.copyto(blk[zs], E[0])
-            elif head:
+            dot(KT, inp, out=pre[i])
+            if gru:   # gates [reset; update; cand], h = hp + u (c - hp)
+                h = H[i]
+                expit(PRU[i], out=RU)
+                pc = PC[i]
+                np.multiply(R, PUC[i], out=RUC)
+                pc += RUC               # the candidate's whole pre-activation
+                tanh(pc, out=h)
+                h -= hp
+                h *= U
+                h += hp
+                hp = h
+            if i >= first:
                 a_t = A_run[i]
                 if not prev_in:
-                    np.matmul(sp.FhB, blk[one_h], out=a_t)
+                    dot(FhB, OH[i], out=a_t)
                 elif reads_h:
-                    a_t += sp.Fh @ blk[hs]
-                ml = a_t
+                    dot(Fh, H[i], out=FHH)
+                    a_t += FHH
                 if hidden:
-                    f_t = FE[i]
-                    np.tanh(a_t, out=f_t[:n_hid])
-                    ml = ML[i] if sample else blk[zs]
-                    np.matmul(sp.Mf, f_t, out=ml)
+                    tanh(a_t, out=HID[i])
+                    dot(Mf, FE[i], out=ML_out[i])
                 elif not sample:
-                    np.copyto(blk[zs], ml)
+                    np.copyto(Z[i], a_t)
                 if sample:
-                    lvh = np.maximum(ml[n_z:], lv_lo, out=LVH[i])
+                    lvh = np.maximum(HLV[i], lv_lo, out=LVH[i])
                     np.minimum(lvh, lv_hi, out=lvh)
-                    z = np.exp(lvh, out=blk[zs])
+                    z = np.exp(lvh, out=Z[i])
                     z *= E[i]
-                    z += ml[:n_z]
-            inp = blk
+                    z += MEAN[i]
+            inp = S[i]
+        blk = inp
         # every pre-activation that feeds a saturating function: the
         # gates, the head's hidden tanh layer and the log-variance clip.
         # An overflow there would leave a finite output, and every input
@@ -983,6 +994,7 @@ def _latent_scan_vjp(g, vals, out, sp):
         MT = np.ascontiguousarray(sp.Mf[:, :-1].T)
     if reads_h:
         FhT = np.ascontiguousarray(sp.Fh.T)
+    dot = np.dot
 
     # the adjoint of each step's [h; z] outputs; a z_prev row's goes to
     # the previous row of its sequence
@@ -1028,38 +1040,45 @@ def _latent_scan_vjp(g, vals, out, sp):
             if hidden:
                 D = np.square(FEAT[k][:, :-1])
                 np.subtract(1.0, D, out=D)         # tanh'
+            if reads_h:
+                FHD = np.empty((n_h, w))
             if sample:
                 DML = _blocks(dML, run)
-                DML2 = DML.reshape(s, 2, n_z, w)
                 KZ = _blocks(k_z, run).reshape(s, 2, n_z, w)
+                KZD = np.empty((2 * n_z, w))    # KZ[i] * dz, also in KZ's shape
+                KZD2 = KZD.reshape(2, n_z, w)
+        # each step below indexes these views and scratch blocks only
+        DH, DZ = DHZk[:, :n_h], DHZk[:, n_h:]
+        d = np.empty((Kin.shape[0], w))   # the [h; z] adjoints a step passes
+        pinned = pin_first and not k
+        first = int(pinned) if head else s   # see _latent_scan
         for i in range(s - 1, -1, -1):
-            dhz = DHZk[i]
-            dh = dhz[:n_h]
-            if pin_first and not (k or i):   # the pinned step ran no head
-                DML[0] = 0.0
-            elif head:
+            dh = DH[i]
+            if i >= first:
                 if sample:
-                    dml, dml2 = DML[i], DML2[i]
-                    dml2 += KZ[i] * dhz[n_h:]
+                    dml = DML[i]
+                    np.multiply(KZ[i], DZ[i], out=KZD2)
+                    dml += KZD
                 else:
-                    dml = dhz[n_h:]
+                    dml = DZ[i]
                 da = DA[i]
                 if hidden:
-                    np.matmul(MT, dml, out=da)
+                    dot(MT, dml, out=da)
                     da *= D[i]
                 else:
                     np.copyto(da, dml)
                 if reads_h:
-                    dh += FhT @ da
+                    dot(FhT, da, out=FHD)
+                    dh += FHD
             if gru:
                 np.multiply(ks[i], dh, out=ds5[i])
-            d = Kin @ ds[i]
+            dot(Kin, ds[i], out=d)
             if i:
-                dprev = DHZk[i - 1]
-                dprev += d
-            elif k:
-                dprev = DHZ[k - 1][-1][:, :w]
-                dprev += d
+                DHZk[i - 1] += d
+        if k:
+            DHZ[k - 1][-1][:, :w] += d
+        if pinned:   # the pinned step ran no head
+            DML[0] = 0.0
         np.copyto(_run_rows(dS, run), ds)
         if head and not prev_in:
             np.copyto(_run_rows(dA, run), DA)
@@ -1069,7 +1088,7 @@ def _latent_scan_vjp(g, vals, out, sp):
         if sample:
             np.copyto(_run_rows(dZ, run), DHZk[:, n_h:])
         # free this run's blocks before the next run's are made
-        ds = ds5 = ks = DA = D = DML = DML2 = KZ = None
+        ds = ds5 = ks = DA = D = DML = KZ = None
 
     named = {"z": out[:, cols["z_prev"]] if head else None,
              "h": H if gru else None}

@@ -164,14 +164,20 @@ def adam_step(group: dict[str, Tensor], grads: dict[str, np.ndarray],
 
 def clip_by_global_norm(grads: dict[str, np.ndarray],
                         max_norm: float) -> tuple[dict[str, np.ndarray], float]:
-    """Scale the whole gradient set so its global norm is <= max_norm."""
-    total = 0.0
-    for g in grads.values():
-        total += float((g * g).sum())
-    norm = float(np.sqrt(total))
+    """Scale the whole gradient set so its global norm is <= max_norm;
+    finite squares that overflow are summed in units of the largest |g|."""
+    total, unit = 0.0, 1.0
+    with np.errstate(over="ignore"):
+        for g in grads.values():
+            total += float((g * g).sum())
+    if total == np.inf and all(np.isfinite(g).all() for g in grads.values()):
+        unit = max(float(np.abs(g).max(initial=0.0)) for g in grads.values())
+        total = sum(float(np.square(g / unit).sum()) for g in grads.values())
+    root = float(np.sqrt(total))
+    norm = unit * root
     if norm <= max_norm or norm == 0.0:
         return grads, norm
-    scale = max_norm / norm
+    scale = max_norm / unit / root
     return {k: g * scale for k, g in grads.items()}, norm
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from avfp import diffcore as dc
 from avfp.diffcore import (
@@ -1137,6 +1138,128 @@ def test_scans_replay_bit_exact():
     assert tape.ops.count("latent_scan") == len(SCAN_MODES) + 1
     replay(tape)
     assert backward(tape, loss)
+
+
+def _reference_gru_step(pre, hp, h):
+    """One gated update of a step block, as a plain function: pre holds
+    [W x + b + U h for reset and update; W x + b for the candidate; U_c
+    h_prev]; on exit its third block is the candidate's pre-activation."""
+    n = h.shape[0]
+    ru = expit(pre[:2 * n])
+    pre_c = pre[2 * n:3 * n]
+    pre_c += ru[:n] * pre[3 * n:4 * n]
+    np.tanh(pre_c, out=h)
+    h -= hp
+    h *= ru[n:]
+    h += hp
+
+
+def _reference_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
+    """The scan's forward pass written plainly, slicing every step's
+    blocks and multiplying with np.matmul: (output, step blocks of pre,
+    step blocks of the hidden layer), which the optimized loop must
+    reproduce bit for bit."""
+    sp = dc._ScanParts(arrays, names, spans, gru_in, head_in, clip, pin_first)
+    p, runs, rows, KT, cols = sp.p, sp.runs, sp.rows, sp.KT, sp.cols
+    n_h, n_z, n_hid = sp.n_h, sp.n_z, sp.n_feat
+    hs, zs, a_rows = rows["h"], rows["z"], slice(4 * n_h, None)
+    one_h = slice(rows["one"].start, hs.stop)
+    out = np.zeros((sp.n_rows, max(c.stop for c in cols.values())))
+    if sp.sample:
+        lv_lo, lv_hi = clip[0] * 0.5, clip[1] * 0.5
+    blk = np.zeros((sp.n_state, runs[0][2]))
+    blk[rows["one"]] = 1.0
+    if sp.gru:
+        blk[hs] = p["h0"][:, None]
+    PRE, FEAT = [], []
+    for k, run in enumerate(runs):
+        a, b, w = run
+        s = (b - a) // w
+        S = np.empty((s, sp.n_state, w))
+        S[:, rows["one"]] = 1.0
+        off = 0
+        for x in sp.xs:
+            c = x.shape[1]
+            blk[off:off + c, :w] = x[a:a + w].T
+            if s > 1:
+                S[:-1, off:off + c] = dc._run_rows(x, (a + w, b, w))
+            off += c
+        pre = np.empty((s, KT.shape[0], w))
+        if sp.head:
+            A_run = pre[:, a_rows] if sp.prev_in else np.zeros((s, sp.n_a, w))
+            ML = A_run
+            if sp.hidden:
+                FE = np.zeros((s, n_hid + 1, w))
+                FE[:, n_hid] = 1.0
+                FEAT.append(FE)
+                if sp.sample:
+                    ML = np.zeros((s, 2 * n_z, w))
+            if sp.sample:
+                E = dc._blocks(p["eps"], run)
+                LVH = np.zeros((s, n_z, w))
+        inp = blk[:, :w]
+        for i in range(s):
+            blk = S[i]
+            pre_t = pre[i]
+            np.matmul(KT, inp, out=pre_t)
+            if sp.gru:
+                _reference_gru_step(pre_t, inp[hs], blk[hs])
+            if pin_first and not (k or i):
+                np.copyto(blk[zs], E[0])
+            elif sp.head:
+                a_t = A_run[i]
+                if not sp.prev_in:
+                    np.matmul(sp.FhB, blk[one_h], out=a_t)
+                elif sp.reads_h:
+                    a_t += sp.Fh @ blk[hs]
+                ml = a_t
+                if sp.hidden:
+                    f_t = FE[i]
+                    np.tanh(a_t, out=f_t[:n_hid])
+                    ml = ML[i] if sp.sample else blk[zs]
+                    np.matmul(sp.Mf, f_t, out=ml)
+                elif not sp.sample:
+                    np.copyto(blk[zs], ml)
+                if sp.sample:
+                    lvh = np.maximum(ml[n_z:], lv_lo, out=LVH[i])
+                    np.minimum(lvh, lv_hi, out=lvh)
+                    z = np.exp(lvh, out=blk[zs])
+                    z *= E[i]
+                    z += ml[:n_z]
+            inp = blk
+        np.copyto(dc._run_rows(out[:, sp.hz_cols], run), S[:, hs.start:])
+        if sp.sample:
+            np.copyto(dc._run_rows(out[:, cols["mean"]], run), ML[:, :n_z])
+            np.multiply(LVH, 2.0, out=dc._run_rows(out[:, cols["log_var"]], run))
+        PRE.append(pre)
+    if sp.head:
+        n0 = runs[0][2]
+        if pin_first:
+            out[:n0, cols["mean"].start:cols["log_var"].stop] = 0.0
+        z_col = cols["z" if sp.sample else "mean"]
+        out[n0:, cols["z_prev"]] = out[sp.prev, z_col]
+    return out, PRE, FEAT
+
+
+@pytest.mark.parametrize("n_seq", list(SCAN_LENGTHS))
+@pytest.mark.parametrize("mode", sorted(SCAN_MODES) + ["gru_alone"])
+def test_latent_scan_forward_matches_plain_loop_bit_for_bit(mode, n_seq):
+    """Every scan mode, and the GRU alone over two input blocks as the
+    prior's summary runs it: the whole output node and the step blocks
+    the backward pass reads."""
+    arrays, static = _scan_case("history" if mode == "gru_alone" else mode,
+                                n_seq)
+    xs = [arrays.pop("xu")]
+    if mode == "gru_alone":    # W reads [xu, eps] as its one input block
+        xs.append(arrays.pop("eps"))
+        arrays = {k: arrays[k] for k in ("h0", "W", "U", "b")}
+        static.update(gru_in=("xu",), head_in=())
+    kw = dict(static, spans=tuple(static["spans"]), names=tuple(arrays))
+    out, PRE, FEAT = _reference_scan(*xs, *arrays.values(), **kw)
+    got, sp = dc._latent_scan(*xs, *arrays.values(), keep=True, **kw)
+    assert len(sp.PRE) == len(PRE) and len(sp.FEAT) == len(FEAT)
+    for a, b in zip([got] + sp.PRE + sp.FEAT, [out] + PRE + FEAT):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_scan_overflow_is_loud():

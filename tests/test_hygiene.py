@@ -257,3 +257,58 @@ def test_unpassed_default_check_catches_a_dead_parameter(tmp_path):
         "m(a=1.0, c=SHAPE)\n")       # another type, not a literal: passed
     assert unpassed_defaults(tmp_path / "mod.py", [tmp_path]) == [
         "mod.py: f(c)", "mod.py: f(e)", "mod.py: g(a)", "mod.py: m(b)"]
+
+
+# the scan's step loops, where each product goes through np.dot
+STEP_LOOPS = ("_latent_scan", "_latent_scan_vjp")
+
+
+def matmul_in_step_loops(path: pathlib.Path, funcs=STEP_LOOPS) -> list[str]:
+    """Each np.matmul call and @ or @= operator inside a for loop of the
+    module-level functions named in funcs."""
+    found = set()
+    for fn in ast.parse(path.read_text()).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in funcs):
+            continue
+        for loop in (n for n in ast.walk(fn) if isinstance(n, ast.For)):
+            for node in ast.walk(loop):
+                if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                        and isinstance(node.op, ast.MatMult)):
+                    found.add((node.lineno, fn.name, "@"))
+                elif isinstance(node, ast.Call) and (
+                        getattr(node.func, "attr", None) == "matmul"
+                        or getattr(node.func, "id", None) == "matmul"):
+                    found.add((node.lineno, fn.name, "matmul"))
+    return [f"{path.name}:{line}: {op} in {name}"
+            for line, name, op in sorted(found)]
+
+
+def test_scan_step_loops_multiply_with_np_dot():
+    assert matmul_in_step_loops(SRC / "diffcore.py") == []
+
+
+def test_step_loop_check_catches_a_matmul_in_a_loop(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import numpy as np\n"
+        "def _latent_scan(K, x, out):\n"
+        "    y = K @ x\n"                       # outside the loops: fine
+        "    for i in range(3):\n"
+        "        np.dot(K, x, out=out)\n"
+        "        out += K @ x\n"
+        "        while i:\n"
+        "            np.matmul(K, x, out=out)\n"
+        "            i -= 1\n"
+        "    return y\n"
+        "def _latent_scan_vjp(K, x):\n"
+        "    for i in range(2):\n"
+        "        for j in range(2):\n"
+        "            x @= K\n"
+        "    return x\n"
+        "def other(K, x):\n"
+        "    for i in range(2):\n"
+        "        x = K @ x\n"
+        "    return x\n")
+    assert matmul_in_step_loops(mod) == [
+        "mod.py:6: @ in _latent_scan", "mod.py:8: matmul in _latent_scan",
+        "mod.py:14: @ in _latent_scan_vjp"]

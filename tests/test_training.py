@@ -3,6 +3,7 @@
 import hashlib
 import os
 import struct
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -178,6 +179,33 @@ def test_clip_below_threshold_is_identity():
     assert np.array_equal(clipped["a"], grads["a"])
 
 
+def test_clip_measures_finite_gradients_whose_squares_overflow():
+    grads = {"a": np.array([1e200, 1.0]), "b": np.array([3.0])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no overflow warning either
+        clipped, norm = clip_by_global_norm(grads, 5.0)
+    assert norm == pytest.approx(1e200, rel=1e-12)
+    flat = np.concatenate(list(clipped.values()))
+    assert np.linalg.norm(flat) == pytest.approx(5.0, rel=1e-12)
+    want = np.array([1e200, 1.0, 3.0])
+    assert flat / np.linalg.norm(flat) == pytest.approx(want / 1e200, rel=1e-12)
+    group = {k: Tensor(np.zeros_like(g)) for k, g in grads.items()}
+    st = OptimizerState(lr=0.1)
+    assert adam_step(group, clipped, st) and st.skipped == 0
+    assert group["b"].data[0] < 0.0 < st.m["b"][0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_clip_leaves_a_non_finite_gradient_to_a_skipped_step(bad):
+    grads = {"a": np.array([1e200, bad]), "b": np.array([3.0])}
+    group = {k: Tensor(np.ones_like(g)) for k, g in grads.items()}
+    st = OptimizerState(lr=0.1)
+    assert not adam_step(group, clip_by_global_norm(grads, 5.0)[0], st)
+    assert st.skipped == 1 and st.t == 0
+    assert all(np.array_equal(p.data, np.ones_like(p.data))
+               for p in group.values())
+
+
 def per_tensor_adam_step(group, grads, state):
     """The update one tensor at a time, as Adam ran before groups were
     packed flat; the flat update must give its bits."""
@@ -216,6 +244,16 @@ SHAPES = {"W": (5, 3), "b": (5,), "s": (), "U": (2, 7), "c": (1,)}
 
 def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_clip_of_a_normal_group_keeps_the_plain_formula_bits():
+    draw = np.random.default_rng(3)
+    for scale in (0.01, 1.0, 100.0):
+        grads = {k: scale * draw.standard_normal(s) for k, s in SHAPES.items()}
+        clipped, norm = clip_by_global_norm(grads, GRADIENT_CLIP_NORM)
+        ref, ref_norm = per_tensor_clip(grads, GRADIENT_CLIP_NORM)
+        assert norm == ref_norm
+        assert all(same_bits(clipped[k], ref[k]) for k in grads)
 
 
 def flat_and_per_tensor_runs(steps=60, lr=1e-2):
