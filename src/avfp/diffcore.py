@@ -931,7 +931,7 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first,
                 expit(PRU[i], out=RU)
                 pc = PC[i]
                 np.multiply(R, PUC[i], out=RUC)
-                pc += RUC               # the candidate's whole pre-activation
+                pc += RUC    # the candidate's pre-activation, read backward
                 tanh(pc, out=h)
                 h -= hp
                 h *= U
@@ -1045,7 +1045,7 @@ def _latent_scan_vjp(g, vals, out, sp):
             if sample:
                 DML = _blocks(dML, run)
                 KZ = _blocks(k_z, run).reshape(s, 2, n_z, w)
-                KZD = np.empty((2 * n_z, w))    # KZ[i] * dz, also in KZ's shape
+                KZD = np.empty((2 * n_z, w))   # KZ[i] * dz, also in KZ's shape
                 KZD2 = KZD.reshape(2, n_z, w)
         # each step below indexes these views and scratch blocks only
         DH, DZ = DHZk[:, :n_h], DHZk[:, n_h:]
