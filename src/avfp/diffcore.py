@@ -27,8 +27,9 @@ forming every weight gradient with one product over all rows.  Inside
 it each time step's values are one contiguous feature-major block,
 (features, running rows), and a step's whole pre-activation (every
 gate's W x + W_z z + U h + b, and the head's first layer on x and z) is
-one np.dot of the previous step's block [x; 1; h; z] with a matrix
-built once per call, which the backward pass reuses.
+one product of the previous step's block [x; 1; h; z] with a matrix
+built once per call, which the backward pass reuses along with the
+gates that the forward pass keeps.
 
 Every primitive checks its result for NaN/Inf and raises instead of
 propagating silently.  A Tape is an append-only record of primitive
@@ -616,13 +617,13 @@ def _gauss_bound_vjp(g, vals, out, aux):
 # built once per call, biases riding on the ones row; the backward pass
 # reads the same matrices.  A step whose width drops reads the first r_t
 # columns of the previous block.  What needs no recurrent state runs
-# outside the step loops: the gate derivatives once per run, and every
-# weight gradient as one product over all rows.  A step indexes only
-# views and scratch blocks bound once per run and multiplies with
-# np.dot into C-contiguous row blocks: at one row it costs less per
-# call than np.matmul and gives the same bits.  One _ScanParts is a
-# call's whole description: the forward pass builds it, and the backward
-# pass reads it as the tape's aux.
+# outside the step loops: the gate derivatives once per run, from the
+# kept gates, and every weight gradient as one product over all rows.  A
+# step indexes only views and scratch blocks bound once per run (and a
+# tape's kept gates) and multiplies with a matrix's bound .dot into
+# C-contiguous row blocks: the bits of np.matmul, at less cost per call
+# than it or np.dot.  One _ScanParts is a call's whole description,
+# built by the forward pass and read by the backward pass as its aux.
 
 
 def _layout(spans, n_rows: int):
@@ -700,12 +701,13 @@ def _head_layers(p):
 class _ScanParts:
     """One scan call's description, and the only place its inputs are
     checked: its exogenous column blocks xs and its other inputs p by
-    name, its flags and sizes, its layout (runs and prev, see _layout),
-    its output columns (cols and hz_cols, see _scan_columns), the state
-    layout and the step matrices.  The forward pass builds it and, for
-    a call a tape records, adds each run's step blocks of pre and of the
-    hidden layer (PRE, FEAT); it is then the tape's aux, which the
-    backward pass reads.
+    name, its flags and sizes, the constant inputs fixed (names, and
+    "xu" for the exogenous blocks), its layout (runs and prev, see
+    _layout), its output columns (cols and hz_cols, see _scan_columns),
+    the state layout and the step matrices.  The forward pass builds it
+    and, for a call a tape records, adds each run's step blocks of the
+    GRU's gates [r; u; c; U_c h] and of the hidden layer (GATES, FEAT);
+    it is then the tape's aux, which the backward pass reads.
 
     A state block's rows are [x; 1; h; z]: rows[name] for "xu", "one",
     "h" and "z".  KT @ block (of the previous step) is a step's
@@ -718,7 +720,7 @@ class _ScanParts:
     """
 
     def __init__(self, arrays, names, spans, gru_in, head_in, clip,
-                 pin_first):
+                 pin_first, fixed):
         n_xs = len(arrays) - len(names)
         xs, p = arrays[:n_xs], dict(zip(names, arrays[n_xs:]))
         head = bool(head_in)
@@ -753,10 +755,10 @@ class _ScanParts:
         self.xs, self.p, self.names, self.n_rows = xs, p, names, n_rows
         self.gru, self.head, self.sample, self.hidden = gru, head, sample, hidden
         self.gru_in, self.head_in = gru_in, head_in
-        self.clip, self.pin_first = clip, pin_first
+        self.clip, self.pin_first, self.fixed = clip, pin_first, fixed
         self.n_h, self.n_z, self.n_feat = n_h, n_z, n_feat
         self.cols, self.hz_cols = _scan_columns(n_h, n_z, sample)
-        self.PRE, self.FEAT = [], []
+        self.GATES, self.FEAT = [], []
         n_x = sum(x.shape[1] for x in xs)
         width = {"xu": n_x, "h": n_h, "z": n_z}
         rows, off = {}, 0
@@ -791,27 +793,25 @@ class _ScanParts:
             KT[4 * n_h:, rows["one"].start] = f
 
 
-def _gru_factors(pre, hp):
-    """The gate derivatives of a run's steps at once, as (steps, 5, n,
-    width) blocks [1 - u, kr, ku, kc, kh], such that dh times them (dh
-    repeated over the five) is the adjoint of h_prev through 1 - u and
-    of pre's four gate blocks (see _latent_scan's step loop)."""
+def _gru_factors(gates, hp):
+    """The gate derivatives of a run's steps, from its kept gates [r; u;
+    c; U_c h], as (steps, 5, n, width) blocks [1 - u, kr, ku, kc, kh]:
+    dh times them (repeated over the five) is the adjoint of h_prev
+    through 1 - u and of pre's four gate blocks (see the step loop)."""
     n = hp.shape[1]
-    ks = np.empty((pre.shape[0], 5, n, pre.shape[2]))
+    ks = np.empty((gates.shape[0], 5, n, gates.shape[2]))
     keep, kr, ku, kc, kh = (ks[:, j] for j in range(5))
-    ru = expit(pre[:, :2 * n])
-    r, u = ru[:, :n], ru[:, n:]
+    r, u, c, uch = (gates[:, j * n:(j + 1) * n] for j in range(4))
     np.subtract(1.0, u, out=keep)
-    np.tanh(pre[:, 2 * n:3 * n], out=kc)          # c
-    np.subtract(kc, hp, out=ku)
+    np.subtract(c, hp, out=ku)
     ku *= u
     ku *= keep                                    # (c - h) u (1 - u)
-    np.multiply(kc, kc, out=kc)
+    np.multiply(c, c, out=kc)
     np.subtract(1.0, kc, out=kc)
     kc *= u                                       # u (1 - c^2)
     np.multiply(kc, r, out=kh)                    # u (1 - c^2) r
-    np.multiply(kh, pre[:, 3 * n:4 * n], out=kr)
-    kr *= np.subtract(1.0, r, out=u)              # U_c h u (1 - c^2) r (1 - r)
+    np.multiply(kh, uch, out=kr)
+    kr *= 1.0 - r                                 # U_c h u (1 - c^2) r (1 - r)
     return ks
 
 
@@ -833,7 +833,7 @@ def _scan_columns(n_h: int, n_z: int, sample: bool):
 
 
 def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first,
-                 keep):
+                 keep, fixed):
     # One latent chain over packed rows.  Per step, with z_prev the
     # previous sample of the same sequence (zeros at the first step):
     #   h       = GRU(h_prev, input blocks gru_in)  (if W is given, else
@@ -850,8 +850,10 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first,
     # 0, so its z is eps.  A step's product with the previous state block
     # gives the GRU's pre-activations and the head's first layer on xu and
     # z; the head's part on h reads the step's own block (see _ScanParts).
-    # Only with keep do a run's step blocks outlive it, for the backward.
-    sp = _ScanParts(arrays, names, spans, gru_in, head_in, clip, pin_first)
+    # Only with keep do a run's gates and hidden layer outlive it, for the
+    # backward; it forms no adjoint toward the constant inputs in fixed.
+    sp = _ScanParts(arrays, names, spans, gru_in, head_in, clip, pin_first,
+                    fixed)
     p, runs, prev = sp.p, sp.runs, sp.prev
     gru, head, sample, hidden = sp.gru, sp.head, sp.sample, sp.hidden
     n_h, n_z, n_hid, rows, KT = sp.n_h, sp.n_z, sp.n_feat, sp.rows, sp.KT
@@ -870,12 +872,19 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first,
     blk[rows["one"]] = 1.0
     if gru:
         blk[hs] = p["h0"][:, None]
-    PRE, FEAT = sp.PRE, sp.FEAT
-    dot, tanh = np.dot, np.tanh
-    FhB, Fh, Mf = sp.FhB, sp.Fh, sp.Mf
+    GATES, FEAT, tanh, kt_dot = sp.GATES, sp.FEAT, np.tanh, KT.dot
+    fh_dot = (sp.Fh if prev_in else sp.FhB).dot if reads_h else None
+    mf_dot = sp.Mf.dot if hidden else None
+    # one pre-activation block for every run: the check reads it per run
+    pre_buf = np.empty(max(b - a for a, b, _ in runs) * KT.shape[0])
     for k, run in enumerate(runs):
         a, b, w = run
         s = (b - a) // w
+        # the kept blocks first: the run's others are then freed above them
+        if keep and gru:   # the gates [r; u; c; U_c h] of each step
+            G = np.empty((s, 4 * n_h, w))
+        if hidden:
+            FE = np.zeros((s, n_hid + 1, w))
         S = np.empty((s, sp.n_state, w))
         S[:, rows["one"]] = 1.0
         off = 0
@@ -885,14 +894,19 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first,
             if s > 1:
                 np.copyto(S[:-1, off:off + c], _run_rows(x, (a + w, b, w)))
             off += c
-        pre = np.empty((s, KT.shape[0], w))
+        pre = pre_buf[:(b - a) * KT.shape[0]].reshape(s, KT.shape[0], w)
         checked = [pre]
         # each step below indexes these views and scratch blocks only
         H, Z = S[:, hs], S[:, zs]
         if gru:
-            PRU, PC, PUC = np.split(pre[:, :4 * n_h], [2 * n_h, 3 * n_h], 1)
-            RU, RUC = np.empty((2 * n_h, w)), np.empty((n_h, w))
-            R, U = RU[:n_h], RU[n_h:]
+            PRU, PC = pre[:, :2 * n_h], pre[:, 2 * n_h:3 * n_h]
+            PUC, RUC = pre[:, 3 * n_h:4 * n_h], np.empty((n_h, w))
+            if keep:
+                GRU, GR = G[:, :2 * n_h], G[:, :n_h]
+                GU, GC = G[:, n_h:2 * n_h], G[:, 2 * n_h:3 * n_h]
+            else:
+                RU = np.empty((2 * n_h, w))
+                R, U = RU[:n_h], RU[n_h:]
             hp = blk[hs, :w]
         # the steps before `first` run no head: all without one, and the
         # pinned first step, whose sample is its noise (N(0, I))
@@ -908,7 +922,6 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first,
                 OH = S[:, one_h]
             ML = A_run
             if hidden:
-                FE = np.zeros((s, n_hid + 1, w))
                 FE[:, n_hid] = 1.0
                 HID = FE[:, :n_hid]
                 if keep:
@@ -925,28 +938,32 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first,
                     Z[0] = E[0]
         inp = blk[:, :w]
         for i in range(s):
-            dot(KT, inp, out=pre[i])
+            kt_dot(inp, out=pre[i])
             if gru:   # gates [reset; update; cand], h = hp + u (c - hp)
                 h = H[i]
+                if keep:
+                    RU, R, U, c = GRU[i], GR[i], GU[i], GC[i]
+                else:
+                    c = h
                 expit(PRU[i], out=RU)
                 pc = PC[i]
                 np.multiply(R, PUC[i], out=RUC)
-                pc += RUC    # the candidate's pre-activation, read backward
-                tanh(pc, out=h)
-                h -= hp
+                pc += RUC    # the candidate's pre-activation
+                tanh(pc, out=c)
+                np.subtract(c, hp, out=h)
                 h *= U
                 h += hp
                 hp = h
             if i >= first:
                 a_t = A_run[i]
                 if not prev_in:
-                    dot(FhB, OH[i], out=a_t)
+                    fh_dot(OH[i], out=a_t)
                 elif reads_h:
-                    dot(Fh, H[i], out=FHH)
+                    fh_dot(H[i], out=FHH)
                     a_t += FHH
                 if hidden:
                     tanh(a_t, out=HID[i])
-                    dot(Mf, FE[i], out=ML_out[i])
+                    mf_dot(FE[i], out=ML_out[i])
                 elif not sample:
                     np.copyto(Z[i], a_t)
                 if sample:
@@ -962,12 +979,13 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first,
         # An overflow there would leave a finite output, and every input
         # entry a step reads reaches pre.
         _check_finite("latent_scan", *checked)
+        if keep and gru:   # U_c h, contiguous, stands in for pre
+            np.copyto(G[:, 3 * n_h:], PUC)
+            GATES.append(G)
         np.copyto(_run_rows(out[:, sp.hz_cols], run), S[:, hs.start:])
         if sample:
             np.copyto(_run_rows(out[:, cols["mean"]], run), ML[:, :n_z])
             np.multiply(LVH, 2.0, out=_run_rows(out[:, cols["log_var"]], run))
-        if keep:
-            PRE.append(pre)
     if head:
         n0 = runs[0][2]
         if pin_first:
@@ -979,7 +997,7 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first,
 def _latent_scan_vjp(g, vals, out, sp):
     # sp is the forward's _ScanParts: its inputs split as xs and p are vals
     xs, p, runs, prev, cols = sp.xs, sp.p, sp.runs, sp.prev, sp.cols
-    PRE, FEAT, n_rows, pin_first = sp.PRE, sp.FEAT, sp.n_rows, sp.pin_first
+    GATES, FEAT, n_rows, pin_first = sp.GATES, sp.FEAT, sp.n_rows, sp.pin_first
     gru, head, sample, hidden = sp.gru, sp.head, sp.sample, sp.hidden
     n_h, n_z, prev_in, reads_h = sp.n_h, sp.n_z, sp.prev_in, sp.reads_h
     n0 = runs[0][2]
@@ -990,11 +1008,12 @@ def _latent_scan_vjp(g, vals, out, sp):
     Kin = np.zeros((n_h + n_z, n_h + sp.KT.shape[0]))
     Kin[range(n_h), range(n_h)] = 1.0
     Kin[:, n_h:] = sp.KT[:, sp.rows["h"].start:].T
+    kin_dot = Kin.dot
     if hidden:
-        MT = np.ascontiguousarray(sp.Mf[:, :-1].T)
+        mt_dot = np.ascontiguousarray(sp.Mf[:, :-1].T).dot
     if reads_h:
-        FhT = np.ascontiguousarray(sp.Fh.T)
-    dot = np.dot
+        fht_dot = np.ascontiguousarray(sp.Fh.T).dot
+    d_eps = sample and "eps" not in sp.fixed
 
     # the adjoint of each step's [h; z] outputs; a z_prev row's goes to
     # the previous row of its sequence
@@ -1003,7 +1022,7 @@ def _latent_scan_vjp(g, vals, out, sp):
         dHZ[prev, n_h:] += g[n0:, cols["z_prev"]]
     DHZ = [_blocks(dHZ, run) for run in runs]
     del dHZ
-    if sample:   # the noise's adjoints, collected run by run
+    if d_eps:   # the noise's adjoints, collected run by run
         dZ = np.empty((n_rows, n_z))
     if gru:
         H = out[:, cols["h"]]
@@ -1033,7 +1052,7 @@ def _latent_scan_vjp(g, vals, out, sp):
         DHZk = DHZ[k]
         ds = np.zeros((s, dS.shape[1], w))
         if gru:
-            ks = _gru_factors(PRE[k], _run_rows(hp, run))
+            ks = _gru_factors(GATES[k], _run_rows(hp, run))
             ds5 = ds[:, :5 * n_h].reshape(s, 5, n_h, w)
         if head:
             DA = ds[:, a_rows] if prev_in else np.zeros((s, sp.n_a, w))
@@ -1063,16 +1082,16 @@ def _latent_scan_vjp(g, vals, out, sp):
                     dml = DZ[i]
                 da = DA[i]
                 if hidden:
-                    dot(MT, dml, out=da)
+                    mt_dot(dml, out=da)
                     da *= D[i]
                 else:
                     np.copyto(da, dml)
                 if reads_h:
-                    dot(FhT, da, out=FHD)
+                    fht_dot(da, out=FHD)
                     dh += FHD
             if gru:
                 np.multiply(ks[i], dh, out=ds5[i])
-            dot(Kin, ds[i], out=d)
+            kin_dot(ds[i], out=d)
             if i:
                 DHZk[i - 1] += d
         if k:
@@ -1085,7 +1104,7 @@ def _latent_scan_vjp(g, vals, out, sp):
         if hidden:
             np.copyto(_run_rows(dMLr, run), DML if sample else DHZk[:, n_h:])
             np.copyto(_run_rows(feat, run), FEAT[k])
-        if sample:
+        if d_eps:
             np.copyto(_run_rows(dZ, run), DHZk[:, n_h:])
         # free this run's blocks before the next run's are made
         ds = ds5 = ks = DA = D = DML = KZ = None
@@ -1118,17 +1137,17 @@ def _latent_scan_vjp(g, vals, out, sp):
         grads["Wm"], grads["bm"] = dF[:n_z], df[:n_z]
         if sample:   # back from half log-variance units, exactly
             grads["Wv"], grads["bv"] = dF[n_z:] * 0.5, df[n_z:] * 0.5
+        if d_eps:
             grads["eps"] = dZ * std
-    dx = np.zeros((n_rows, sp.rows["xu"].stop))
-    if "xu" in sp.Wc:
-        dx += dpre[:, :3 * n_h] @ sp.Wc["xu"]
-    if "xu" in prev_in:
-        dx += dA @ sp.Fc["xu"]
-    dxs, off = [], 0
-    for x in xs:
-        dxs.append(dx[:, off:off + x.shape[1]])
-        off += x.shape[1]
-    return dxs + [grads[k] for k in sp.names]
+    dxs = [None] * len(xs)
+    if "xu" not in sp.fixed:
+        dx = np.zeros((n_rows, sp.rows["xu"].stop))
+        if "xu" in sp.Wc:
+            dx += dpre[:, :3 * n_h] @ sp.Wc["xu"]
+        if "xu" in prev_in:
+            dx += dA @ sp.Fc["xu"]
+        dxs = np.split(dx, np.cumsum([x.shape[1] for x in xs[:-1]]), axis=1)
+    return dxs + [None if k in sp.fixed else grads[k] for k in sp.names]
 
 
 _OPS = {
@@ -1257,7 +1276,9 @@ def latent_scan(xs, params: dict[str, Tensor], spans, gru_in, head_in=(),
         "latent_scan", *xs, *params.values(), names=tuple(params),
         spans=tuple(spans), gru_in=tuple(gru_in), head_in=tuple(head_in),
         clip=clip if clip is None else tuple(clip), pin_first=pin_first,
-        keep=_active_tape is not None)
+        keep=_active_tape is not None, fixed=frozenset(
+            [k for k, t in params.items() if t.const]
+            + ["xu"] * all(x.const for x in xs)))
     n_h = params["U"].shape[1] if "U" in params else 0
     n_z = params["Wm"].shape[0] if head_in else 0
     cols, _ = _scan_columns(n_h, n_z, "eps" in params)

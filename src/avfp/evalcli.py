@@ -47,6 +47,7 @@ from .objectives import (
     adversarial_losses,
     combined_objective,
     filter_means,
+    prior_rollout,
     sequence_elbo,
 )
 from .training import (
@@ -495,11 +496,12 @@ def gradient_audit(draws: int = 20, seed: int = 0) -> dict[str, float]:
             lambda ps: sequence_elbo(rebuild(ps), batch, batch.pack(noise))[0],
             tensors, step=1e-5))
 
-        prior_noise = [g.standard_normal((t.length, spec.n_z)) for t in trajs]
+        prior = prior_rollout(params, batch, batch.pack(
+            [g.standard_normal((t.length, spec.n_z)) for t in trajs])).data
         tensors, rebuild = _model_leaves(params, ("theta", "phi", "psi"))
         worst["combined"] = max(worst["combined"], grad_check(
             lambda ps: combined_objective(rebuild(ps), trajs, noise, 0.3,
-                                          prior_noise=prior_noise)[1],
+                                          prior)[1],
             tensors, step=1e-5))
     return worst
 

@@ -182,13 +182,19 @@ def prior_rollout(params: ModelParams, batch: Batch,
                   eps: np.ndarray) -> Tensor:
     """Latent rows sampled from the transition prior chain, driven by
     each trajectory's inputs, with the noise rows eps, both stacked as
-    the batch's rows.
+    the batch's rows; eps may stack several draws as (draws, N, n_z),
+    which run as one scan over the batch stacked once per draw (row r of
+    draw d at row r * draws + d) and come back stacked alike.
 
     Evaluated outside any tape: rollouts feed the discriminator as
     constants, gradients never travel through them.
     """
+    n, rows = (len(eps) if eps.ndim == 3 else 1), batch.length
+    spans = [(lo * n, hi * n) for lo, hi in batch.spans]
     with no_tape():
-        return constant(prior_chain(params, batch.u, eps, batch.spans).data)
+        z = prior_chain(params, np.repeat(batch.u, n, axis=0), np.moveaxis(
+            eps.reshape(n, rows, -1), 0, 1).reshape(rows * n, -1), spans).data
+    return constant(np.moveaxis(z.reshape(rows, n, -1), 1, 0).reshape(eps.shape))
 
 
 def adversarial_losses(d_real: Tensor, d_fake: Tensor) -> tuple[Tensor, Tensor]:
@@ -211,14 +217,15 @@ def combined_objective(
     trajs: list[Trajectory],
     noise: list[np.ndarray],
     lambda_adv: float,
-    prior_noise: list[np.ndarray] | None = None,
+    prior_rows: np.ndarray | None = None,
 ) -> tuple[list[ObjectiveBreakdown], Tensor]:
     """Evidence bound minus the weighted generator-side adversarial term.
 
     Returns (one breakdown per trajectory, maximization target summed
     over the batch).
-    prior_noise drives the reference rollout behind the reported
-    discriminator loss and defaults to reusing noise.
+    prior_rows holds the prior rollout behind the reported discriminator
+    loss, stacked as Batch(trajs)'s rows; without it the prior is rolled
+    out with noise.
     """
     if lambda_adv < 0.0:
         raise ValueError("lambda_adv must be non-negative")
@@ -231,9 +238,9 @@ def combined_objective(
         d_fake = discriminate(params, scan["z"], pool)
         adv_gen = log(d_fake) * -1.0
         with no_tape():
-            pn = prior_noise if prior_noise is not None else noise
-            d_real = discriminate(params, prior_rollout(params, batch,
-                                                        batch.pack(pn)), pool)
+            if prior_rows is None:
+                prior_rows = prior_rollout(params, batch, batch.pack(noise)).data
+            d_real = discriminate(params, prior_rows, pool)
             adv_disc = (log(d_real) + log(1.0 - d_fake)) * -1.0
         adv_gen_rows, adv_disc_rows = adv_gen.data, adv_disc.data
         target = target - adv_gen.sum() * lambda_adv

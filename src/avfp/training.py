@@ -6,6 +6,8 @@ each as one time-major pass over the whole batch (objectives.Batch):
   1. discriminator (psi): latent sequences are rolled out from the
      prior (real) and the recognition path (fake) with recording off,
      then scored by one pooled discriminator call each; only psi moves.
+     The same prior rollout also draws phase 2's reference sequences
+     (both draws read theta before phase 2 moves it).
   2. joint generative/recognition (theta, phi): maximize the combined
      objective; psi gradients exist on the tape but are not applied.
   3. remaining-life readout (rho): mean squared error against capped
@@ -18,11 +20,12 @@ one, and mc_elbo scores its draws as the rows of one batch.
 Randomness is derived per (seed, purpose, step), never from generator
 state carried between draws, so a run checkpointed at step s and resumed
 reproduces the uninterrupted run bit-exactly.  A batch whose phase-2
-loss or gradients go non-finite is skipped: it moves no parameter, logs
-no trace row and counts in skipped_batches, and more than 10 such
-batches in a row abort the run.  Every phase's step whose loss or
-gradients go non-finite moves nothing and counts in its Adam group's
-skipped count; a phase-1 or phase-3 step counts nowhere else.
+loss or gradients or whose prior rollout go non-finite is skipped in
+phase 2: it moves no parameter there, logs no trace row and counts in
+skipped_batches, and more than 10 such batches in a row abort the run.
+Every phase's step whose loss or gradients go non-finite moves nothing
+and counts in its Adam group's skipped count; a phase-1 or phase-3 step
+counts nowhere else.
 
 Checkpoints are a single binary file: magic "AVFP", u32 version, a
 length-prefixed table of named float64 arrays, and a trailing 64-bit
@@ -306,15 +309,14 @@ def rmse_per_cycle(params: ModelParams, trajs: list[Trajectory]) -> float:
     return float(np.sqrt(sq / sum(t.length for t in trajs)))
 
 
-def _discriminator_loss(params: ModelParams, trajs: list[Trajectory],
+def _discriminator_loss(params: ModelParams, batch: Batch,
                         fake_noise: list[np.ndarray],
-                        real_noise: list[np.ndarray]) -> Tensor:
-    """Phase 1's loss: recognition samples (fake) against prior rollouts
-    (real), both computed with recording off, so only psi is taped."""
-    batch = Batch(trajs)
+                        real: np.ndarray) -> Tensor:
+    """Phase 1's loss: recognition samples (fake), filtered with
+    recording off, against prior rollout rows (real), both stacked as
+    the batch's rows, so only psi is taped."""
     with no_tape():
         fake = filter_forward(params, batch, batch.pack(fake_noise))["z"]
-        real = prior_rollout(params, batch, batch.pack(real_noise))
     pool = batch.pool
     d_fake = discriminate(params, constant(fake.data), pool)
     d_real = discriminate(params, real, pool)
@@ -387,21 +389,27 @@ def train(
             state.step += 1
             step = state.step
 
-            # phase 1: discriminator
-            disc_loss_val = None
+            # phase 1: discriminator; one prior rollout draws its real
+            # rows and phase 2's reference
+            disc_loss_val = prior_rows = None
             if config.lambda_adv > 0.0:
                 with suppress(NonFiniteError), update("disc") as u:
+                    packed = Batch(batch)
+                    real, prior_rows = prior_rollout(params, packed, np.stack(
+                        [packed.pack(noise("disc-real", step, 0)),
+                         packed.pack(noise("prior-noise", step))])).data
                     u.loss = _discriminator_loss(
-                        params, batch, noise("disc-fake", step, 0),
-                        noise("disc-real", step, 0))
+                        params, packed, noise("disc-fake", step, 0), real)
                     disc_loss_val = u.loss.item()
 
             # phase 2: joint generative/recognition update; a batch whose
-            # loss or gradients are non-finite is skipped
+            # loss, gradients or prior rollout go non-finite is skipped
             with suppress(NonFiniteError), update("gen") as u:
+                if config.lambda_adv > 0.0 and prior_rows is None:
+                    raise NonFiniteError("latent_scan: prior rollout overflow")
                 breakdowns, target = combined_objective(
                     params, batch, noise("noise", step), config.lambda_adv,
-                    prior_noise=noise("prior-noise", step))
+                    prior_rows)
                 # minimize -combined
                 u.loss = target * (-1.0 / len(batch))
             if u.applied:

@@ -14,6 +14,7 @@ from avfp.objectives import (
     Batch,
     combined_objective,
     filter_means,
+    prior_rollout,
     sequence_elbo,
 )
 from avfp.training import _discriminator_loss, mc_elbo
@@ -89,17 +90,20 @@ def test_combined_objective_batched_equals_per_trajectory(markovian, lambda_adv)
     trajs = ragged(spec)
     noise = noises(spec, trajs, "noise")
     prior_noise = noises(spec, trajs, "prior-noise")
+    batch = Batch(trajs)
+    prior = prior_rollout(params, batch, batch.pack(prior_noise)).data
 
     with Tape() as tape:
         bds, target = combined_objective(params, trajs, noise, lambda_adv,
-                                         prior_noise=prior_noise)
+                                         prior_rows=prior)
     grads = backward(tape, target)
 
     singles, single_grads = [], []
     for t, n, p in zip(trajs, noise, prior_noise):
         with Tape() as tape:
-            (bd,), tgt = combined_objective(params, [t], [n], lambda_adv,
-                                            prior_noise=[p])
+            (bd,), tgt = combined_objective(
+                params, [t], [n], lambda_adv,
+                prior_rows=prior_rollout(params, Batch([t]), p).data)
         singles.append((bd, tgt.item()))
         single_grads.append(backward(tape, tgt))
 
@@ -151,20 +155,45 @@ def test_discriminator_loss_batched_equals_per_trajectory(markovian):
     trajs = ragged(spec)
     fake, real = noises(spec, trajs, "fake"), noises(spec, trajs, "real")
 
+    def loss_of(trajs, fake, real):
+        batch = Batch(trajs)
+        rows = prior_rollout(params, batch, batch.pack(real)).data
+        return _discriminator_loss(params, batch, fake, rows)
+
     with Tape() as tape:
-        loss = _discriminator_loss(params, trajs, fake, real)
+        loss = loss_of(trajs, fake, real)
     grads = backward(tape, loss)
     assert set(grads) == {p.uid for p in params.psi.values()}
 
     values, single_grads = [], []
     for t, f, r in zip(trajs, fake, real):
         with Tape() as tape:
-            one = _discriminator_loss(params, [t], [f], [r])
+            one = loss_of([t], [f], [r])
         values.append(one.item())
         single_grads.append({k: v / len(trajs)
                              for k, v in backward(tape, one).items()})
     assert_close(loss.item(), np.mean(values))
     assert_grads_close(grads, summed(single_grads))
+
+
+@pytest.mark.parametrize("markovian", [False, True])
+def test_stacked_prior_rollout_matches_one_rollout_per_draw(markovian):
+    """Draws stacked as (draws, N, n_z) run as one scan over the batch
+    stacked once per draw; each matches its own rollout, on a ragged
+    batch whose width falls to 1."""
+    spec = small_spec()
+    params = init_params(spec, markovian, seed=7)
+    trajs = ragged(spec)
+    batch = Batch(trajs)
+    assert [hi - lo for lo, hi in batch.spans][-1] == 1
+    for n in (2, 3):
+        draws = np.stack([batch.pack(noises(spec, trajs, "draw", d))
+                          for d in range(n)])
+        with Tape() as tape:
+            stacked = prior_rollout(params, batch, draws)
+        assert len(tape) == 0 and stacked.shape == draws.shape
+        for d, eps in enumerate(draws):
+            assert_close(stacked.data[d], prior_rollout(params, batch, eps).data)
 
 
 @pytest.mark.parametrize("n_traj", [1, 4, 8])
@@ -180,8 +209,7 @@ def test_phase_two_tape_is_at_most_20_nodes_per_step(n_traj):
         trajs = ragged(spec, lengths, seed=1)
         noise = noises(spec, trajs, "noise")
         with Tape() as tape:
-            _, target = combined_objective(
-                params, trajs, noise, 0.1, prior_noise=noises(spec, trajs, "pn"))
+            _, target = combined_objective(params, trajs, noise, 0.1)
         assert len(tape) <= 20 * max(lengths)
         assert backward(tape, target)
         sizes.append(len(tape))
@@ -199,12 +227,10 @@ def test_reverse_walk_peaks_at_its_forward_tape():
     params = init_params(spec, markovian=False, seed=0)
     trajs = ragged(spec, [60 - 5 * (k % 4) for k in range(8)], seed=1)
     noise = noises(spec, trajs, "noise")
-    prior_noise = noises(spec, trajs, "pn")
     tracemalloc.start()
     try:
         with Tape() as tape:
-            _, target = combined_objective(params, trajs, noise, 0.1,
-                                           prior_noise=prior_noise)
+            _, target = combined_objective(params, trajs, noise, 0.1)
         forward_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         grads = backward(tape, target)

@@ -1140,14 +1140,17 @@ def test_scans_replay_bit_exact():
     assert backward(tape, loss)
 
 
-def _reference_gru_step(pre, hp, h):
+def _reference_gru_step(pre, hp, h, gates):
     """One gated update of a step block, as a plain function: pre holds
     [W x + b + U h for reset and update; W x + b for the candidate; U_c
-    h_prev]; on exit its third block is the candidate's pre-activation."""
+    h_prev]; on exit its third block is the candidate's pre-activation,
+    and gates holds [r; u; c; U_c h_prev]."""
     n = h.shape[0]
-    ru = expit(pre[:2 * n])
+    ru = gates[:2 * n] = expit(pre[:2 * n])
     pre_c = pre[2 * n:3 * n]
     pre_c += ru[:n] * pre[3 * n:4 * n]
+    gates[2 * n:3 * n] = np.tanh(pre_c)
+    gates[3 * n:] = pre[3 * n:4 * n]
     np.tanh(pre_c, out=h)
     h -= hp
     h *= ru[n:]
@@ -1156,10 +1159,11 @@ def _reference_gru_step(pre, hp, h):
 
 def _reference_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
     """The scan's forward pass written plainly, slicing every step's
-    blocks and multiplying with np.matmul: (output, step blocks of pre,
-    step blocks of the hidden layer), which the optimized loop must
-    reproduce bit for bit."""
-    sp = dc._ScanParts(arrays, names, spans, gru_in, head_in, clip, pin_first)
+    blocks and multiplying with np.matmul: (output, step blocks of the
+    GRU's gates [r; u; c; U_c h], step blocks of the hidden layer), which
+    the optimized loop must reproduce bit for bit."""
+    sp = dc._ScanParts(arrays, names, spans, gru_in, head_in, clip, pin_first,
+                       frozenset())
     p, runs, rows, KT, cols = sp.p, sp.runs, sp.rows, sp.KT, sp.cols
     n_h, n_z, n_hid = sp.n_h, sp.n_z, sp.n_feat
     hs, zs, a_rows = rows["h"], rows["z"], slice(4 * n_h, None)
@@ -1171,7 +1175,7 @@ def _reference_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
     blk[rows["one"]] = 1.0
     if sp.gru:
         blk[hs] = p["h0"][:, None]
-    PRE, FEAT = [], []
+    GATES, FEAT = [], []
     for k, run in enumerate(runs):
         a, b, w = run
         s = (b - a) // w
@@ -1185,6 +1189,7 @@ def _reference_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
                 S[:-1, off:off + c] = dc._run_rows(x, (a + w, b, w))
             off += c
         pre = np.empty((s, KT.shape[0], w))
+        gates = np.empty((s, 4 * n_h, w))
         if sp.head:
             A_run = pre[:, a_rows] if sp.prev_in else np.zeros((s, sp.n_a, w))
             ML = A_run
@@ -1203,7 +1208,7 @@ def _reference_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
             pre_t = pre[i]
             np.matmul(KT, inp, out=pre_t)
             if sp.gru:
-                _reference_gru_step(pre_t, inp[hs], blk[hs])
+                _reference_gru_step(pre_t, inp[hs], blk[hs], gates[i])
             if pin_first and not (k or i):
                 np.copyto(blk[zs], E[0])
             elif sp.head:
@@ -1231,14 +1236,15 @@ def _reference_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
         if sp.sample:
             np.copyto(dc._run_rows(out[:, cols["mean"]], run), ML[:, :n_z])
             np.multiply(LVH, 2.0, out=dc._run_rows(out[:, cols["log_var"]], run))
-        PRE.append(pre)
+        if sp.gru:
+            GATES.append(gates)
     if sp.head:
         n0 = runs[0][2]
         if pin_first:
             out[:n0, cols["mean"].start:cols["log_var"].stop] = 0.0
         z_col = cols["z" if sp.sample else "mean"]
         out[n0:, cols["z_prev"]] = out[sp.prev, z_col]
-    return out, PRE, FEAT
+    return out, GATES, FEAT
 
 
 @pytest.mark.parametrize("n_seq", list(SCAN_LENGTHS))
@@ -1246,7 +1252,7 @@ def _reference_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
 def test_latent_scan_forward_matches_plain_loop_bit_for_bit(mode, n_seq):
     """Every scan mode, and the GRU alone over two input blocks as the
     prior's summary runs it: the whole output node and the step blocks
-    the backward pass reads."""
+    the backward pass reads: the GRU's gates and the hidden layer."""
     arrays, static = _scan_case("history" if mode == "gru_alone" else mode,
                                 n_seq)
     xs = [arrays.pop("xu")]
@@ -1255,10 +1261,12 @@ def test_latent_scan_forward_matches_plain_loop_bit_for_bit(mode, n_seq):
         arrays = {k: arrays[k] for k in ("h0", "W", "U", "b")}
         static.update(gru_in=("xu",), head_in=())
     kw = dict(static, spans=tuple(static["spans"]), names=tuple(arrays))
-    out, PRE, FEAT = _reference_scan(*xs, *arrays.values(), **kw)
-    got, sp = dc._latent_scan(*xs, *arrays.values(), keep=True, **kw)
-    assert len(sp.PRE) == len(PRE) and len(sp.FEAT) == len(FEAT)
-    for a, b in zip([got] + sp.PRE + sp.FEAT, [out] + PRE + FEAT):
+    out, GATES, FEAT = _reference_scan(*xs, *arrays.values(), **kw)
+    got, sp = dc._latent_scan(*xs, *arrays.values(), keep=True,
+                              fixed=frozenset(), **kw)
+    assert len(sp.GATES) == len(GATES) and len(sp.FEAT) == len(FEAT)
+    assert len(GATES) == len(sp.runs) * sp.gru
+    for a, b in zip([got] + sp.GATES + sp.FEAT, [out] + GATES + FEAT):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -1304,6 +1312,63 @@ def test_scan_overflow_is_loud():
             with pytest.raises(NonFiniteError, match="latent_scan"):
                 dc.latent_scan([Tensor(xu), Tensor(zs)], gru, spans,
                                gru_in=("xu",))
+
+
+def test_scan_backward_reuses_the_forward_gates(monkeypatch):
+    """A taped history-mode scan keeps its gates, so its backward pass
+    evaluates neither expit nor np.tanh."""
+    arrays, static = _scan_case("history", 3)
+    params = {k: Tensor(a) for k, a in arrays.items()}
+    with Tape() as tape:
+        z = _latent(params, **static)["z"]
+        loss = (z * z).sum()
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*a, **kw):
+            calls.append(name)
+            return fn(*a, **kw)
+        return wrapper
+
+    monkeypatch.setattr(dc, "expit", counted("expit", dc.expit))
+    monkeypatch.setattr(np, "tanh", counted("tanh", np.tanh))
+    grads = backward(tape, loss)
+    monkeypatch.undo()
+    assert calls == []
+    assert {params[k].uid for k in ("W", "U", "b", "h0", "Wm")} <= grads.keys()
+
+
+def test_scan_forms_no_adjoint_toward_constant_inputs(monkeypatch):
+    """The exogenous rows and the noise, as constants, get no adjoint
+    from the scan's backward pass, and every other gradient keeps its
+    bits."""
+    arrays, static = _scan_case("history", 3)
+    fwd, vjp = dc._OPS["latent_scan"]
+    adjoints = []
+
+    def recording_vjp(*a):
+        adjoints.append(vjp(*a))
+        return adjoints[-1]
+
+    monkeypatch.setitem(dc._OPS, "latent_scan", (fwd, recording_vjp))
+    grads = []
+    for const in (False, True):
+        params = {k: Tensor(a, const=const and k in ("xu", "eps"))
+                  for k, a in arrays.items()}
+        with Tape() as tape:
+            z = _latent(params, **static)["z"]
+            loss = (z * z).sum()
+        by_uid = backward(tape, loss)
+        grads.append({k: by_uid.get(t.uid) for k, t in params.items()})
+    # inputs in the scan's order: the exogenous rows, then the others
+    names = ["xu"] + [k for k in arrays if k != "xu"]
+    loose, fixed = [dict(zip(names, a)) for a in adjoints]
+    assert loose["xu"] is not None and loose["eps"] is not None
+    assert fixed["xu"] is None and fixed["eps"] is None
+    assert grads[1]["xu"] is None and grads[1]["eps"] is None
+    for k in arrays:
+        if k not in ("xu", "eps"):
+            assert grads[0][k].tobytes() == grads[1][k].tobytes(), k
 
 
 def test_latent_scan_input_errors():

@@ -259,13 +259,15 @@ def test_unpassed_default_check_catches_a_dead_parameter(tmp_path):
         "mod.py: f(c)", "mod.py: f(e)", "mod.py: g(a)", "mod.py: m(b)"]
 
 
-# the scan's step loops, where each product goes through np.dot
+# the scan's step loops, where each product goes through a matrix's
+# bound .dot: np.dot would add a Python-level dispatch to every call
 STEP_LOOPS = ("_latent_scan", "_latent_scan_vjp")
 
 
 def matmul_in_step_loops(path: pathlib.Path, funcs=STEP_LOOPS) -> list[str]:
-    """Each np.matmul call and @ or @= operator inside a for loop of the
-    module-level functions named in funcs."""
+    """Each np.matmul or module-level np.dot call (also as a bare name)
+    and each @ or @= operator inside a for loop of the module-level
+    functions named in funcs; a bound A.dot(x) call passes."""
     found = set()
     for fn in ast.parse(path.read_text()).body:
         if not (isinstance(fn, ast.FunctionDef) and fn.name in funcs):
@@ -279,11 +281,16 @@ def matmul_in_step_loops(path: pathlib.Path, funcs=STEP_LOOPS) -> list[str]:
                         getattr(node.func, "attr", None) == "matmul"
                         or getattr(node.func, "id", None) == "matmul"):
                     found.add((node.lineno, fn.name, "matmul"))
+                elif isinstance(node, ast.Call) and (
+                        getattr(node.func, "id", None) == "dot"
+                        or getattr(node.func, "attr", None) == "dot"
+                        and getattr(node.func.value, "id", None) == "np"):
+                    found.add((node.lineno, fn.name, "dot"))
     return [f"{path.name}:{line}: {op} in {name}"
             for line, name, op in sorted(found)]
 
 
-def test_scan_step_loops_multiply_with_np_dot():
+def test_scan_step_loops_multiply_with_bound_dot():
     assert matmul_in_step_loops(SRC / "diffcore.py") == []
 
 
@@ -296,6 +303,7 @@ def test_step_loop_check_catches_a_matmul_in_a_loop(tmp_path):
         "    for i in range(3):\n"
         "        np.dot(K, x, out=out)\n"
         "        out += K @ x\n"
+        "        K.dot(x, out=out)\n"
         "        while i:\n"
         "            np.matmul(K, x, out=out)\n"
         "            i -= 1\n"
@@ -304,11 +312,13 @@ def test_step_loop_check_catches_a_matmul_in_a_loop(tmp_path):
         "    for i in range(2):\n"
         "        for j in range(2):\n"
         "            x @= K\n"
+        "            dot(K, x, out=x)\n"
         "    return x\n"
         "def other(K, x):\n"
         "    for i in range(2):\n"
         "        x = K @ x\n"
         "    return x\n")
     assert matmul_in_step_loops(mod) == [
-        "mod.py:6: @ in _latent_scan", "mod.py:8: matmul in _latent_scan",
-        "mod.py:14: @ in _latent_scan_vjp"]
+        "mod.py:5: dot in _latent_scan", "mod.py:6: @ in _latent_scan",
+        "mod.py:9: matmul in _latent_scan", "mod.py:15: @ in _latent_scan_vjp",
+        "mod.py:16: dot in _latent_scan_vjp"]

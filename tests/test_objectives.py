@@ -286,8 +286,9 @@ def test_combined_breakdown_invariant():
     noise = rng.normal(2, (5, 2), "cmp")
     pn = rng.normal(2, (5, 2), "cmp-prior")
     lam = 0.37
+    prior = prior_rollout(params, Batch([traj]), pn).data
     (bd,), target = combined_objective(params, [traj], [noise],
-                                       lambda_adv=lam, prior_noise=[pn])
+                                       lambda_adv=lam, prior_rows=prior)
     assert bd.combined == bd.recon_loglik - bd.kl_total - lam * bd.adv_gen
     assert bd.kl_per_step.shape == (5,)
     assert np.isfinite(bd.adv_disc)
@@ -361,9 +362,11 @@ def test_replay_bit_exact_over_combined_objective_tape():
              for i, t in enumerate(trajs)]
     prior_noise = [rng.normal(0, (t.length, spec.n_z), "replay-prior-noise", i)
                    for i, t in enumerate(trajs)]
+    batch = Batch(trajs)
+    prior = prior_rollout(params, batch, batch.pack(prior_noise)).data
     with Tape() as tape:
         _, target = combined_objective(params, trajs, noise, 0.1,
-                                       prior_noise=prior_noise)
+                                       prior_rows=prior)
     assert {"affine", "latent_scan", "gauss_bound", "slice",
             "matmul"} <= set(tape.ops)
     replay(tape)

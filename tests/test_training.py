@@ -22,7 +22,14 @@ from avfp.model import (
     init_params,
     linear_gaussian_model,
 )
-from avfp.objectives import Batch, filter_means, sequence_elbo
+from avfp import rng
+from avfp.objectives import (
+    Batch,
+    combined_objective,
+    filter_means,
+    prior_rollout,
+    sequence_elbo,
+)
 from avfp import training
 from conftest import lg_bound_rows
 from avfp.training import (
@@ -787,6 +794,65 @@ def test_nonfinite_losses_count_in_their_groups(monkeypatch):
         assert skipped == {"gen": int(group == "gen"), "disc": 0,
                            "rul": int(group == "rul")}, name
         assert res.skipped_batches == int(group == "gen"), name
+
+
+@pytest.mark.parametrize("lambda_adv", [0.0, 0.1])
+@pytest.mark.parametrize("markovian", [False, True])
+def test_training_step_scan_counts(markovian, lambda_adv, monkeypatch):
+    """One supervised step runs these scans: phase 1 (lambda_adv > 0) the
+    recognition filter and one prior rollout that draws both its real
+    rows and phase 2's reference; phase 2 the recognition scan and, in
+    history mode, the prior's summary scan, both taped and walked back;
+    phase 3 the readout's filter."""
+    fwd, vjp = dc._OPS["latent_scan"]
+    calls = {"forward": 0, "backward": 0}
+
+    def counted(kind, fn):
+        def wrapper(*a, **kw):
+            calls[kind] += 1
+            return fn(*a, **kw)
+        return wrapper
+
+    monkeypatch.setitem(dc._OPS, "latent_scan", (counted("forward", fwd),
+                                                 counted("backward", vjp)))
+    cfg = quick_config(markovian=markovian, lambda_adv=lambda_adv,
+                       rul_supervision=True)
+    train(toy_trajs(4, T=6, rul=True), small_spec(), cfg, stop_after_steps=1)
+    history = not markovian
+    assert calls == {"forward": 2 * (lambda_adv > 0) + 2 + history,
+                     "backward": 1 + history}
+
+
+@pytest.mark.parametrize("markovian", [False, True])
+def test_overflowing_prior_rollout_skips_phases_one_and_two(markovian):
+    """A finite theta whose prior rollout overflows while its bound stays
+    finite: the rollout draws the rows of both phases, so the step counts
+    one skip in disc, one in gen and one skipped batch, and moves no
+    parameter."""
+    trajs = toy_trajs(2, T=40)
+    spec = replace(small_spec(), prior_hidden=0)
+    cfg = quick_config(markovian=markovian, lambda_adv=0.1)
+    poisoned = train(trajs, spec, cfg, stop_after_steps=1).checkpoint
+    # the linear prior head scales z_prev 1e10-fold: the rollout, which
+    # feeds its samples back, passes 1e308 within 40 steps, but the
+    # bound's prior reads the recognition samples
+    W = poisoned.params["theta.pri.Wm"]
+    W[:, :spec.n_z] = 1e10 * np.eye(spec.n_z)
+    params = training.params_from_checkpoint(poisoned)
+    batch = Batch(trajs)
+    noise = [rng.normal(0, (t.length, spec.n_z), "poison", i)
+             for i, t in enumerate(trajs)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(combined_objective(params, trajs, noise, 0.0)[1].item())
+        with pytest.raises(dc.NonFiniteError, match="latent_scan"):
+            prior_rollout(params, batch, batch.pack(noise))
+        res = train(trajs, spec, cfg, resume=poisoned, stop_after_steps=2)
+    assert res.checkpoint.step == 2 and res.steps == []
+    skipped = {g: o["skipped"] for g, o in res.checkpoint.opt.items()}
+    assert skipped == {"disc": 1, "gen": 1, "rul": 0}
+    assert res.skipped_batches == 1
+    for name, t in res.params.named().items():
+        assert np.array_equal(t.data, poisoned.params[name]), name
 
 
 def test_streak_of_nonfinite_gradients_aborts(monkeypatch):
