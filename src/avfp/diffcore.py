@@ -604,56 +604,30 @@ def _gauss_bound_vjp(g, vals, out, aux):
 # ---------------------------------------------------------------------------
 # whole-sequence scans
 #
-# The scan runs over a time-major packed layout (objectives.Batch): step t
-# owns rows spans[t] = (lo, hi), one per sequence still running, longest
-# first, so the rows of step t continue the first r_t = hi - lo rows of
-# step t - 1.  Inside a scan every per-step value is stored feature-major:
-# step t's block is a (features, r_t) array, and the steps of a run of
-# equal width form one (steps, features, width) array, filled from and
-# read back to the row-major inputs and outputs with one transposed copy
-# per run.  A state block [x; 1; h; z] holds a step's outputs h and z and
-# the next step's exogenous inputs x with a row of ones, so that a step's
-# pre-activations are one product of the previous block with a matrix
-# built once per call, biases riding on the ones row; the backward pass
-# reads the same matrices.  A step whose width drops reads the first r_t
-# columns of the previous block.  What needs no recurrent state runs
-# outside the step loops: the gate derivatives once per run, from the
-# kept gates, and every weight gradient as one product over all rows.  A
-# step indexes only views and scratch blocks bound once per run (and a
-# tape's kept gates) and multiplies with a matrix's bound .dot into
-# C-contiguous row blocks: the bits of np.matmul, at less cost per call
-# than it or np.dot.  One _ScanParts is a call's whole description,
-# built by the forward pass and read by the backward pass as its aux.
-
-
-def _layout(spans, n_rows: int):
-    """(runs, prev) of spans that pack n_rows rows time-major: runs lists
-    each run of steps of equal width as (first row, end row, width), and
-    prev gives each row after the first step the row of the same sequence
-    one step earlier; raises unless spans pack the rows that way."""
-    runs, end = [], 0
-    for lo, hi in spans:
-        w = hi - lo
-        if lo != end or w < 1 or (runs and w > runs[-1][2]):
-            raise ValueError(f"spans do not pack {n_rows} rows time-major")
-        if runs and w == runs[-1][2]:
-            runs[-1][1] = hi
-        else:
-            runs.append([lo, hi, w])
-        end = hi
-    if not runs or end != n_rows:
-        raise ValueError(f"spans do not pack {n_rows} rows time-major")
-    # a run's first step reaches back by the previous run's width, its
-    # other steps by its own
-    sizes, shifts = [], []
-    for k, (a, b, w) in enumerate(runs):
-        if k:
-            sizes.append(w)
-            shifts.append(runs[k - 1][2])
-        sizes.append(b - a - w)
-        shifts.append(w)
-    prev = np.arange(runs[0][2], n_rows) - np.repeat(shifts, sizes)
-    return [tuple(r) for r in runs], prev
+# The scan runs over a time-major packed layout (objectives.Batch): each
+# step holds one row per sequence still running, longest first, so the
+# rows of a step continue the first rows of the step before.  The layout
+# is given as its runs of steps of equal width, (first row, end row,
+# width) each, in order and with strictly falling widths; _ScanParts
+# checks them and derives prev from them, the row one step earlier of
+# every row after the first step.  Inside a scan every per-step value is
+# stored feature-major: a step's block is a (features, width) array, and
+# the steps of a run form one (steps, features, width) array, filled
+# from and read back to the row-major inputs and outputs with one
+# transposed copy per run.  A state block [x; 1; h; z] holds a step's
+# outputs h and z and the next step's exogenous inputs x with a row of
+# ones, so that a step's pre-activations are one product of the previous
+# block with a matrix built once per call, biases riding on the ones
+# row; the backward pass reads the same matrices.  A run's first step
+# reads the first width columns of the previous block.  What needs no
+# recurrent state runs outside the step loops: the gate derivatives once
+# per run, from the kept gates, and every weight gradient as one product
+# over all rows.  A step indexes only views and scratch blocks bound once
+# per run (and a tape's kept gates) and multiplies with a matrix's bound
+# .dot into C-contiguous row blocks: the bits of np.matmul, at less cost
+# per call than it or np.dot.  One _ScanParts is a call's whole
+# description, built by the forward pass and read by the backward pass
+# as its aux.
 
 
 def _run_rows(X, run):
@@ -702,8 +676,8 @@ class _ScanParts:
     """One scan call's description, and the only place its inputs are
     checked: its exogenous column blocks xs and its other inputs p by
     name, its flags and sizes, the constant inputs fixed (names, and
-    "xu" for the exogenous blocks), its layout (runs and prev, see
-    _layout), its output columns (cols and hz_cols, see _scan_columns),
+    "xu" for the exogenous blocks), its layout (runs, checked, and prev),
+    its output columns (cols and hz_cols, see _scan_columns),
     the state layout and the step matrices.  The forward pass builds it
     and, for a call a tape records, adds each run's step blocks of the
     GRU's gates [r; u; c; U_c h] and of the hidden layer (GATES, FEAT);
@@ -719,7 +693,7 @@ class _ScanParts:
     1] to [mean, log_var / 2].  Wc and Fc are W's and F's column blocks.
     """
 
-    def __init__(self, arrays, names, spans, gru_in, head_in, clip,
+    def __init__(self, arrays, names, runs, gru_in, head_in, clip,
                  pin_first, fixed):
         n_xs = len(arrays) - len(names)
         xs, p = arrays[:n_xs], dict(zip(names, arrays[n_xs:]))
@@ -737,7 +711,18 @@ class _ScanParts:
                 or "h" in head_in and not gru):
             raise ValueError(f"latent_scan inputs unsupported: {names}")
         n_rows = xs[0].shape[0] if xs and xs[0].ndim == 2 else -1
-        self.runs, self.prev = _layout(spans, n_rows)
+        ends = [0] + [b for _, b, _ in runs]
+        if not runs or ends[-1] != n_rows or any(
+                a != e or w < 1 or b - a < w or (b - a) % w
+                or k and w >= runs[k - 1][2]
+                for k, ((a, b, w), e) in enumerate(zip(runs, ends))):
+            raise ValueError(f"runs do not pack {n_rows} rows time-major")
+        # a row reaches back by the width of the step before its own
+        step_w = np.repeat([w for *_, w in runs],
+                           [(b - a) // w for a, b, w in runs])
+        self.runs = runs
+        self.prev = np.arange(step_w[0], n_rows) - np.repeat(step_w[:-1],
+                                                             step_w[1:])
         n_h = p["U"].shape[-1] if gru and p["U"].ndim else 0
         n_z = p["Wm"].shape[0] if head and p["Wm"].ndim else 0
         n_feat = p["W1"].shape[0] if hidden else 0
@@ -832,7 +817,7 @@ def _scan_columns(n_h: int, n_z: int, sample: bool):
     return cols, slice(lead, lead + n_h + n_z)
 
 
-def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first,
+def _latent_scan(*arrays, names, runs, gru_in, head_in, clip, pin_first,
                  keep, fixed):
     # One latent chain over packed rows.  Per step, with z_prev the
     # previous sample of the same sequence (zeros at the first step):
@@ -852,7 +837,7 @@ def _latent_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first,
     # z; the head's part on h reads the step's own block (see _ScanParts).
     # Only with keep do a run's gates and hidden layer outlive it, for the
     # backward; it forms no adjoint toward the constant inputs in fixed.
-    sp = _ScanParts(arrays, names, spans, gru_in, head_in, clip, pin_first,
+    sp = _ScanParts(arrays, names, runs, gru_in, head_in, clip, pin_first,
                     fixed)
     p, runs, prev = sp.p, sp.runs, sp.prev
     gru, head, sample, hidden = sp.gru, sp.head, sp.sample, sp.hidden
@@ -1267,14 +1252,15 @@ class ScanRows(Mapping):
         return len(self.cols)
 
 
-def latent_scan(xs, params: dict[str, Tensor], spans, gru_in, head_in=(),
+def latent_scan(xs, params: dict[str, Tensor], runs, gru_in, head_in=(),
                 clip=None, pin_first=False) -> ScanRows:
     """One latent chain over packed rows, as one tape node (see
-    _latent_scan): xs lists the column blocks of the exogenous rows, and
-    params holds the other inputs by name."""
+    _latent_scan): xs lists the column blocks of the exogenous rows,
+    params holds the other inputs by name, and runs the rows' layout as
+    runs of steps of equal width (see objectives.Batch)."""
     rows = apply_primitive(
         "latent_scan", *xs, *params.values(), names=tuple(params),
-        spans=tuple(spans), gru_in=tuple(gru_in), head_in=tuple(head_in),
+        runs=tuple(runs), gru_in=tuple(gru_in), head_in=tuple(head_in),
         clip=clip if clip is None else tuple(clip), pin_first=pin_first,
         keep=_active_tape is not None, fixed=frozenset(
             [k for k, t in params.items() if t.const]

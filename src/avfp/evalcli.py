@@ -103,8 +103,8 @@ def rmse(pred: PredictionSet) -> float:
 def _latent_means(params: ModelParams,
                   trajs: list[Trajectory]) -> list[np.ndarray]:
     """Every unit's (T, n_z) posterior means from one filter pass."""
-    batch, _, means = filter_means(params, trajs)
-    return batch.unpack(means)
+    batch = Batch(trajs)
+    return batch.unpack(filter_means(params, batch)[1])
 
 
 def latent_mean_curve(params: ModelParams, traj: Trajectory) -> np.ndarray:
@@ -500,7 +500,7 @@ def gradient_audit(draws: int = 20, seed: int = 0) -> dict[str, float]:
             [g.standard_normal((t.length, spec.n_z)) for t in trajs])).data
         tensors, rebuild = _model_leaves(params, ("theta", "phi", "psi"))
         worst["combined"] = max(worst["combined"], grad_check(
-            lambda ps: combined_objective(rebuild(ps), trajs, noise, 0.3,
+            lambda ps: combined_objective(rebuild(ps), batch, noise, 0.3,
                                           prior)[1],
             tensors, step=1e-5))
     return worst

@@ -18,14 +18,16 @@ recurrent encoders are bypassed: the recognition head sees only
 latent, which removes every non-adjacent dependency.
 
 Every block takes stacked rows, one per cycle of a time-major packed
-batch (objectives.Batch).  The recurrent chains run whole sequences as
-one latent_scan each: recognition (GRU, posterior head and sample),
-prior_chain (the prior's rollout) and the prior's summary of given
-latents (its GRU alone), so no per-step block exists; callers read a
-scan's column blocks by name (diffcore.ScanRows).  The transition prior
-and emission heads (theta's "pri." and "dec." weights) run inside the
-bound's one node, diffcore.gauss_bound, over all stacked rows.  The
-discriminator pools stacked latent rows into one score per trajectory.
+batch (objectives.Batch), and the recurrent chains take its layout,
+Batch.runs: the runs of steps of equal width, each as (first row, end
+row, width).  They run whole sequences as one latent_scan each:
+recognition (GRU, posterior head and sample), prior_chain (the prior's
+rollout) and the prior's summary of given latents (its GRU alone), so
+no per-step block exists; callers read a scan's column blocks by name
+(diffcore.ScanRows).  The transition prior and emission heads (theta's
+"pri." and "dec." weights) run inside the bound's one node,
+diffcore.gauss_bound, over all stacked rows.  The discriminator pools
+stacked latent rows into one score per trajectory.
 """
 
 from __future__ import annotations
@@ -223,20 +225,21 @@ def _chain_inputs(group: dict[str, Tensor], state0: str, head: str,
 # recognition side (phi)
 
 
-def recognition(params: ModelParams, xu, eps, spans) -> ScanRows:
+def recognition(params: ModelParams, xu, eps, runs) -> ScanRows:
     """The recognition chain over a time-major packed batch, one
     latent_scan: per step, the summary h_t folds (x_t, u_t, z_{t-1})
     into the GRU state, the posterior head reads h_t, and z_t is the
     reparameterized sample with the supplied noise eps (the posterior
     mean without it, and no log-variance head is run).
 
-    xu holds the packed [x_t, u_t] rows.  Markovian mode carries no
-    state: the head reads (x_t, u_t, z_{t-1}) directly, so the posterior
-    can only see adjacent information.  Returns the scan's stacked
-    column blocks h (history mode only), mean, log_var, z and z_prev.
+    xu holds the packed [x_t, u_t] rows, laid out as runs says.
+    Markovian mode carries no state: the head reads (x_t, u_t, z_{t-1})
+    directly, so the posterior can only see adjacent information.
+    Returns the scan's stacked column blocks h (history mode only),
+    mean, log_var, z and z_prev.
     """
     inputs = _chain_inputs(params.phi, "h0", "enc", eps)
-    return latent_scan([constant(xu)], inputs, spans, gru_in=("xu", "z"),
+    return latent_scan([constant(xu)], inputs, runs, gru_in=("xu", "z"),
                        head_in=("xu", "z") if params.markovian else ("h",),
                        clip=(LOG_VAR_MIN, LOG_VAR_MAX))
 
@@ -246,23 +249,23 @@ def recognition(params: ModelParams, xu, eps, spans) -> ScanRows:
 
 
 def prior_history(params: ModelParams, z_prev: Tensor, u,
-                  spans) -> Tensor | None:
+                  runs) -> Tensor | None:
     """The prior's recurrent summaries g_t of (z_{t-1}, u_t) over packed
     rows, one latent_scan of the GRU alone; None in markovian mode,
     which has no such summary."""
     if params.markovian:
         return None
     return latent_scan([z_prev, constant(u)], _gru_inputs(params.theta, "g0"),
-                       spans, gru_in=("xu",))["h"]
+                       runs, gru_in=("xu",))["h"]
 
 
-def prior_chain(params: ModelParams, u, eps, spans) -> Tensor:
+def prior_chain(params: ModelParams, u, eps, runs) -> Tensor:
     """Latent rows sampled along the transition prior over packed rows
     of inputs u, one latent_scan: the prior's summary runs as in
     prior_history and its head as in the bound (diffcore.gauss_bound),
     and the first step is N(0, I), so its sample is the noise."""
     inputs = _chain_inputs(params.theta, "g0", "pri", eps)
-    return latent_scan([constant(u)], inputs, spans, gru_in=("z", "xu"),
+    return latent_scan([constant(u)], inputs, runs, gru_in=("z", "xu"),
                        head_in=("z",) if params.markovian else ("z", "h"),
                        clip=(LOG_VAR_MIN, LOG_VAR_MAX), pin_first=True)["z"]
 

@@ -4,18 +4,20 @@ A batch is packed time-major (Batch): its trajectories are ordered by
 length, longest first, so at step t only the first n_t of them are
 still running, and every per-cycle quantity is one stacked (N, .) array
 whose rows run step by step.  No padded row is ever computed: when a
-trajectory ends, the recurrent states are cut to the running rows.
+trajectory ends, the recurrent states are cut to the running rows.  The
+layout is described once, as the runs of steps of equal width, one per
+distinct length (Batch.runs), and every scan reads those runs.
 
 filter_forward is the recognition chain alone, one scan primitive over
-the whole batch (a Batch, built once per set of trajectories, with its
-noise rows): at each step the recognition summary is updated with the
-current observation first, the posterior over z_t is read off, and a
-reparameterized sample is drawn with externally supplied noise (or, for
-readouts, the posterior mean stands in for it, and the log-variance head
-is not run).  It returns the scan's column blocks by name (a ScanRows:
-h, mean, log_var, z, z_prev), and callers read those directly.
-filter_means runs it with recording off for the remaining-life and
-health-index readouts.
+the whole batch (a Batch, built once per set of trajectories and passed
+to every objective over them, with its noise rows): at each step the
+recognition summary is updated with the current observation first, the
+posterior over z_t is read off, and a reparameterized sample is drawn
+with externally supplied noise (or, for readouts, the posterior mean
+stands in for it, and the log-variance head is not run).  It returns
+the scan's column blocks by name (a ScanRows: h, mean, log_var, z,
+z_prev), and callers read those directly.  filter_means runs it with
+recording off for the remaining-life and health-index readouts.
 
 sequence_elbo runs the prior's recurrence over the given latents as one
 scan of its GRU alone (history mode only), then one gauss_bound node
@@ -66,13 +68,15 @@ from .model import (
 class Batch:
     """Time-major packed layout of a list of trajectories.
 
-    Step t owns rows spans[t] = (lo, hi) of every stacked array: one row
-    per trajectory still running, longest trajectories first (ties keep
-    the input order).  length counts the cycles of all trajectories,
-    which is the number of stacked rows.  rows[b] lists trajectory b's
-    rows, one per cycle, in the input order of the trajectories; x and u
-    hold the packed observations and inputs, and xu the rows [x, u]
-    that the recognition chain reads.
+    Each step holds one row per trajectory still running, longest
+    trajectories first (ties keep the input order), so the steps between
+    two distinct lengths all have one width.  runs lists those runs of
+    steps, one per distinct length, as (first row, end row, width): the
+    only description of the layout, which the scans read.  length counts
+    the cycles of all trajectories, which is the number of stacked rows.
+    rows[b] lists trajectory b's rows, one per cycle, in the input order
+    of the trajectories; x and u hold the packed observations and
+    inputs, and xu the rows [x, u] that the recognition chain reads.
     """
 
     def __init__(self, trajs: list[Trajectory]):
@@ -82,11 +86,14 @@ class Batch:
         order = np.argsort(-lengths, kind="stable")
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-        counts = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        self.spans = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
-        self.length = int(offsets[-1])
-        self.rows = [offsets[:n] + rank[b] for b, n in enumerate(lengths)]
+        ends = np.unique(lengths)   # each distinct length ends a run
+        widths = (lengths[:, None] >= ends).sum(axis=0).tolist()
+        # a run ends after every trajectory's first `end` cycles
+        bounds = np.minimum(lengths[:, None], ends).sum(axis=0).tolist()
+        self.runs = tuple(zip([0] + bounds[:-1], bounds, widths))
+        self.length = bounds[-1]
+        starts = np.concatenate([np.arange(*run) for run in self.runs])
+        self.rows = [starts[:n] + rank[b] for b, n in enumerate(lengths)]
         self.x = self.pack([t.x for t in trajs])
         self.u = self.pack([t.u for t in trajs])
         self.xu = np.hstack([self.x, self.u])
@@ -144,20 +151,20 @@ def filter_forward(params: ModelParams, batch: Batch,
     deterministic filtering where the posterior mean stands in for the
     sample z and nothing else of the posterior is computed.
     """
-    return recognition(params, batch.xu, eps, batch.spans)
+    return recognition(params, batch.xu, eps, batch.runs)
 
 
-def filter_means(params: ModelParams, trajs: list[Trajectory]
-                 ) -> tuple[Batch, np.ndarray, np.ndarray]:
-    """Deterministic, untaped filtering of a batch: its layout, the
-    stacked (N, d_h) recognition summaries h_t ([x_t, u_t, z_{t-1}] in
-    markovian mode) and (N, n_z) posterior means, one row per cycle."""
+def filter_means(params: ModelParams, batch: Batch
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic, untaped filtering of a batch: the stacked (N, d_h)
+    recognition summaries h_t ([x_t, u_t, z_{t-1}] in markovian mode)
+    and (N, n_z) posterior means, one row per cycle."""
     with no_tape():
-        b = Batch(trajs)
-        scan = filter_forward(params, b, None)
+        scan = filter_forward(params, batch, None)
     h = scan.get("h")
-    states = np.hstack([b.xu, scan["z_prev"].data]) if h is None else h.data
-    return b, states, scan["z"].data
+    if h is None:
+        return np.hstack([batch.xu, scan["z_prev"].data]), scan["z"].data
+    return h.data, scan["z"].data
 
 
 def sequence_elbo(params: ModelParams, batch: Batch, eps: np.ndarray
@@ -171,10 +178,10 @@ def sequence_elbo(params: ModelParams, batch: Batch, eps: np.ndarray
     """
     scan = filter_forward(params, batch, eps)
     history = (None if params.markovian else
-               prior_history(params, scan["z_prev"], batch.u, batch.spans))
+               prior_history(params, scan["z_prev"], batch.u, batch.runs))
     heads = {k: t for k, t in params.theta.items() if k[:4] in ("pri.", "dec.")}
     terms = gauss_bound(scan, constant(batch.x), heads, history,
-                        batch.spans[0][1], (LOG_VAR_MIN, LOG_VAR_MAX))
+                        batch.runs[0][2], (LOG_VAR_MIN, LOG_VAR_MAX))
     return terms.sum(axis=1) @ _RECON_MINUS_KL, terms, scan
 
 
@@ -190,10 +197,10 @@ def prior_rollout(params: ModelParams, batch: Batch,
     constants, gradients never travel through them.
     """
     n, rows = (len(eps) if eps.ndim == 3 else 1), batch.length
-    spans = [(lo * n, hi * n) for lo, hi in batch.spans]
+    runs = [(a * n, b * n, w * n) for a, b, w in batch.runs]
     with no_tape():
         z = prior_chain(params, np.repeat(batch.u, n, axis=0), np.moveaxis(
-            eps.reshape(n, rows, -1), 0, 1).reshape(rows * n, -1), spans).data
+            eps.reshape(n, rows, -1), 0, 1).reshape(rows * n, -1), runs).data
     return constant(np.moveaxis(z.reshape(rows, n, -1), 1, 0).reshape(eps.shape))
 
 
@@ -214,25 +221,25 @@ def adversarial_losses(d_real: Tensor, d_fake: Tensor) -> tuple[Tensor, Tensor]:
 
 def combined_objective(
     params: ModelParams,
-    trajs: list[Trajectory],
+    batch: Batch,
     noise: list[np.ndarray],
     lambda_adv: float,
     prior_rows: np.ndarray | None = None,
 ) -> tuple[list[ObjectiveBreakdown], Tensor]:
-    """Evidence bound minus the weighted generator-side adversarial term.
+    """Evidence bound minus the weighted generator-side adversarial term,
+    with one noise array per trajectory of the batch.
 
     Returns (one breakdown per trajectory, maximization target summed
     over the batch).
     prior_rows holds the prior rollout behind the reported discriminator
-    loss, stacked as Batch(trajs)'s rows; without it the prior is rolled
+    loss, stacked as the batch's rows; without it the prior is rolled
     out with noise.
     """
     if lambda_adv < 0.0:
         raise ValueError("lambda_adv must be non-negative")
-    batch = Batch(trajs)
     target, terms, scan = sequence_elbo(params, batch, batch.pack(noise))
 
-    adv_gen_rows = adv_disc_rows = np.zeros(len(trajs))
+    adv_gen_rows = adv_disc_rows = np.zeros(len(batch.rows))
     if lambda_adv > 0.0:
         pool = batch.pool
         d_fake = discriminate(params, scan["z"], pool)

@@ -285,17 +285,18 @@ def predict_sequence_rul(params: ModelParams,
                          trajs: list[Trajectory]) -> list[np.ndarray]:
     """Per-cycle remaining-life estimates from deterministic filtering,
     one array per trajectory."""
-    batch, states, means = filter_means(params, trajs)
+    batch = Batch(trajs)
+    feats = np.hstack(filter_means(params, batch))
     with no_tape():
-        return batch.unpack(rul_head(params, np.hstack([states, means])).data)
+        return batch.unpack(rul_head(params, feats).data)
 
 
-def readout_loss(params: ModelParams, trajs: list[Trajectory]) -> Tensor:
-    """Mean squared error against the capped targets of one readout over
-    the stacked rows of every trajectory; the filter rows are detached."""
-    batch, states, means = filter_means(params, trajs)
-    err = rul_head(params, np.hstack([states, means])) - batch.pack(
-        [t.rul for t in trajs])
+def readout_loss(params: ModelParams, batch: Batch,
+                 targets: np.ndarray) -> Tensor:
+    """Mean squared error of one readout over the stacked rows of a
+    batch against its capped targets, stacked alike; the filter rows are
+    detached."""
+    err = rul_head(params, np.hstack(filter_means(params, batch))) - targets
     return (err * err).mean()
 
 
@@ -386,6 +387,7 @@ def train(
         ]
         while state.batch_idx < len(batches) and not stopped:
             batch = [train_trajs[i] for i in batches[state.batch_idx]]
+            packed = Batch(batch)   # every phase's layout
             state.step += 1
             step = state.step
 
@@ -394,7 +396,6 @@ def train(
             disc_loss_val = prior_rows = None
             if config.lambda_adv > 0.0:
                 with suppress(NonFiniteError), update("disc") as u:
-                    packed = Batch(batch)
                     real, prior_rows = prior_rollout(params, packed, np.stack(
                         [packed.pack(noise("disc-real", step, 0)),
                          packed.pack(noise("prior-noise", step))])).data
@@ -408,7 +409,7 @@ def train(
                 if config.lambda_adv > 0.0 and prior_rows is None:
                     raise NonFiniteError("latent_scan: prior rollout overflow")
                 breakdowns, target = combined_objective(
-                    params, batch, noise("noise", step), config.lambda_adv,
+                    params, packed, noise("noise", step), config.lambda_adv,
                     prior_rows)
                 # minimize -combined
                 u.loss = target * (-1.0 / len(batch))
@@ -435,7 +436,8 @@ def train(
             # phase 3: remaining-life readout
             if supervised:
                 with suppress(NonFiniteError), update("rul") as u:
-                    u.loss = readout_loss(params, batch)
+                    u.loss = readout_loss(params, packed, packed.pack(
+                        [t.rul for t in batch]))
                     if steps_log and steps_log[-1].step == step:
                         steps_log[-1].rul_loss = u.loss.item()
 

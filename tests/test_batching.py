@@ -13,6 +13,7 @@ from avfp.model import NetworkSpec, init_params
 from avfp.objectives import (
     Batch,
     combined_objective,
+    filter_forward,
     filter_means,
     prior_rollout,
     sequence_elbo,
@@ -64,9 +65,9 @@ def summed(dicts):
 def test_batch_layout():
     spec = small_spec()
     batch = Batch(ragged(spec))
-    # longest first: trajectory 0 (9), then 2 (7), then 1 (5)
-    assert batch.spans[:2] == [(0, 3), (3, 6)]
-    assert [hi - lo for lo, hi in batch.spans] == [3] * 5 + [2] * 2 + [1] * 2
+    # longest first: trajectory 0 (9), then 2 (7), then 1 (5); one run
+    # of steps of equal width per distinct length
+    assert batch.runs == ((0, 15, 3), (15, 19, 2), (19, 21, 1))
     assert batch.length == sum(LENGTHS)
     assert batch.rows[0][:3].tolist() == [0, 3, 6]
     assert batch.rows[2][:3].tolist() == [1, 4, 7]
@@ -82,6 +83,18 @@ def test_batch_layout():
         batch.pack([np.zeros((9, 2)), np.zeros((4, 2)), np.zeros((7, 2))])
 
 
+def test_one_trajectory_scans_as_one_run():
+    """A trajectory alone is one run of one-row steps: a taped scan over
+    300 cycles records that one run as its layout, not 300 steps."""
+    spec = small_spec()
+    params = init_params(spec, markovian=False, seed=0)
+    trajs = ragged(spec, (300,))
+    with Tape() as tape:
+        filter_forward(params, Batch(trajs), noises(spec, trajs, "one")[0])
+    (node,) = [i for i, op in enumerate(tape.ops) if op == "latent_scan"]
+    assert tape.kws[node]["runs"] == ((0, 300, 1),)
+
+
 @pytest.mark.parametrize("lambda_adv", [0.0, 0.1])
 @pytest.mark.parametrize("markovian", [False, True])
 def test_combined_objective_batched_equals_per_trajectory(markovian, lambda_adv):
@@ -94,7 +107,7 @@ def test_combined_objective_batched_equals_per_trajectory(markovian, lambda_adv)
     prior = prior_rollout(params, batch, batch.pack(prior_noise)).data
 
     with Tape() as tape:
-        bds, target = combined_objective(params, trajs, noise, lambda_adv,
+        bds, target = combined_objective(params, batch, noise, lambda_adv,
                                          prior_rows=prior)
     grads = backward(tape, target)
 
@@ -102,7 +115,7 @@ def test_combined_objective_batched_equals_per_trajectory(markovian, lambda_adv)
     for t, n, p in zip(trajs, noise, prior_noise):
         with Tape() as tape:
             (bd,), tgt = combined_objective(
-                params, [t], [n], lambda_adv,
+                params, Batch([t]), [n], lambda_adv,
                 prior_rows=prior_rollout(params, Batch([t]), p).data)
         singles.append((bd, tgt.item()))
         single_grads.append(backward(tape, tgt))
@@ -121,9 +134,10 @@ def test_filter_means_batched_equals_per_trajectory(markovian):
     spec = small_spec()
     params = init_params(spec, markovian, seed=4)
     trajs = ragged(spec)
-    batch, states, means = filter_means(params, trajs)
+    batch = Batch(trajs)
+    states, means = filter_means(params, batch)
     for t, h, m in zip(trajs, batch.unpack(states), batch.unpack(means)):
-        _, h1, m1 = filter_means(params, [t])
+        h1, m1 = filter_means(params, Batch([t]))
         assert_close(h, h1)
         assert_close(m, m1)
 
@@ -185,7 +199,7 @@ def test_stacked_prior_rollout_matches_one_rollout_per_draw(markovian):
     params = init_params(spec, markovian, seed=7)
     trajs = ragged(spec)
     batch = Batch(trajs)
-    assert [hi - lo for lo, hi in batch.spans][-1] == 1
+    assert batch.runs[-1][2] == 1
     for n in (2, 3):
         draws = np.stack([batch.pack(noises(spec, trajs, "draw", d))
                           for d in range(n)])
@@ -209,7 +223,7 @@ def test_phase_two_tape_is_at_most_20_nodes_per_step(n_traj):
         trajs = ragged(spec, lengths, seed=1)
         noise = noises(spec, trajs, "noise")
         with Tape() as tape:
-            _, target = combined_objective(params, trajs, noise, 0.1)
+            _, target = combined_objective(params, Batch(trajs), noise, 0.1)
         assert len(tape) <= 20 * max(lengths)
         assert backward(tape, target)
         sizes.append(len(tape))
@@ -230,7 +244,7 @@ def test_reverse_walk_peaks_at_its_forward_tape():
     tracemalloc.start()
     try:
         with Tape() as tape:
-            _, target = combined_objective(params, trajs, noise, 0.1)
+            _, target = combined_objective(params, Batch(trajs), noise, 0.1)
         forward_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         grads = backward(tape, target)
@@ -255,7 +269,7 @@ def test_untaped_filter_keeps_no_step_blocks():
     trajs = ragged(spec, [10 * (k + 1) for k in range(20)], seed=1)
     tracemalloc.start()
     try:
-        _, states, means = filter_means(params, trajs)
+        states, means = filter_means(params, Batch(trajs))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

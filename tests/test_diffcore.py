@@ -400,7 +400,8 @@ def _row(v):
 def _gru_cell(W, U, b, h0, x):
     """One gated update of the state h0 for each row of inputs x, as the
     model runs it: a one-step latent_scan of a GRU alone."""
-    return dc.latent_scan([x], dict(W=W, U=U, b=b, h0=h0), [(0, x.shape[0])],
+    n = x.shape[0]
+    return dc.latent_scan([x], dict(W=W, U=U, b=b, h0=h0), [(0, n, n)],
                           gru_in=("xu",))["h"]
 
 
@@ -847,21 +848,39 @@ def test_row_form_shape_errors():
                b=Tensor(np.ones(6)), h0=Tensor(np.ones(2)))
     xs = [Tensor(np.ones((3, 1))), Tensor(np.ones((3, 2)))]
 
-    def scan(xs, spans, **inputs):
-        return dc.latent_scan(xs, {**gru, **inputs}, spans, gru_in=("xu",))
+    def scan(xs, runs, **inputs):
+        return dc.latent_scan(xs, {**gru, **inputs}, runs, gru_in=("xu",))
 
     with pytest.raises(ValueError):  # one initial state per row
-        scan(xs, [(0, 3)], h0=Tensor(np.ones((3, 2))))
+        scan(xs, [(0, 3, 3)], h0=Tensor(np.ones((3, 2))))
     with pytest.raises(ValueError):  # input blocks of other row counts
-        scan([xs[0], Tensor(np.ones((2, 2)))], [(0, 3)])
-    with pytest.raises(ValueError):  # spans cover other rows
-        scan(xs, [(0, 2)])
+        scan([xs[0], Tensor(np.ones((2, 2)))], [(0, 3, 3)])
+    with pytest.raises(ValueError):  # runs cover other rows
+        scan(xs, [(0, 2, 2)])
     with pytest.raises(ValueError):  # a step with more rows than the last
-        scan(xs, [(0, 1), (1, 3)])
+        scan(xs, [(0, 1, 1), (1, 3, 2)])
     with pytest.raises(ValueError):  # steps that do not follow each other
-        scan(xs, [(0, 2), (1, 3)])
+        scan(xs, [(0, 2, 2), (1, 3, 1)])
     with pytest.raises(ValueError):  # W's rows are not 3 n
-        scan(xs, [(0, 3)], W=Tensor(np.ones((5, 3))))
+        scan(xs, [(0, 3, 3)], W=Tensor(np.ones((5, 3))))
+    # six rows: two steps of two, then two of one
+    six = [Tensor(np.ones((6, 1))), Tensor(np.ones((6, 2)))]
+    assert scan(six, [(0, 4, 2), (4, 6, 1)])["h"].shape == (6, 2)
+    for runs in ([(0, 2, 2), (3, 6, 1)],    # a gap between runs
+                 [(0, 4, 2), (3, 6, 1)],    # runs that overlap
+                 [(2, 6, 2), (0, 2, 1)],    # runs out of order
+                 [(0, 2, 1), (2, 6, 2)],    # a width that rises
+                 [(0, 2, 2), (2, 6, 2)],    # two runs of one width
+                 [(0, 3, 2), (3, 6, 1)],    # a run that is not whole steps
+                 [(0, 6, 6), (6, 6, 1)],    # a run of no steps
+                 [(0, 6, 0)],               # steps of no rows
+                 [(0, 4, 2), (4, 5, 1)],    # fewer rows than the input's
+                 [(0, 4, 2), (4, 7, 1)],    # more rows than the input's
+                 []):                       # no runs
+        with pytest.raises(ValueError, match="runs do not pack 6 rows"):
+            scan(six, runs)
+    with pytest.raises(ValueError, match="runs do not pack 0 rows"):
+        scan([Tensor(np.ones((0, 1))), Tensor(np.ones((0, 2)))], [])
     with pytest.raises(ValueError):
         dc.gauss_logpdf(*[Tensor(np.ones((2, 2, 2)))] * 3)
     with pytest.raises(ValueError):
@@ -894,7 +913,7 @@ def test_leaf_does_not_keep_its_tape_alive():
 # ---------------------------------------------------------------------------
 # whole-sequence scans, at default-NetworkSpec shapes over ragged packed
 # batches: B = 1 (4 steps) and B = 3 (lengths 5, 3, 2), and for the
-# compositions also the span shapes the step-block layout treats apart:
+# compositions also the layouts the step blocks treat apart:
 # two sequences ending at the same step, no step narrowing, and a
 # one-cycle sequence
 
@@ -912,10 +931,20 @@ SCAN_MODES = {
 SCAN_CLIP = (-1.0, 1.0)     # narrow enough that some log-variances clip
 
 
-def _spans(lengths):
-    counts = [sum(T > t for T in lengths) for t in range(max(lengths))]
-    offsets = np.concatenate(([0], np.cumsum(counts))).tolist()
-    return list(zip(offsets[:-1], offsets[1:]))
+def _runs(lengths):
+    """The runs (first row, end row, width) of sequences of the given
+    lengths packed time-major: one per distinct length."""
+    runs, end, step = [], 0, 0
+    for T in sorted(set(lengths)):
+        w = sum(n >= T for n in lengths)
+        runs.append((end, end + (T - step) * w, w))
+        end, step = runs[-1][1], T
+    return runs
+
+
+def _steps(runs):
+    """The rows (lo, hi) of each step, the runs expanded step by step."""
+    return [(lo, lo + w) for a, b, w in runs for lo in range(a, b, w)]
 
 
 def _scan_case(mode, n_seq, seed=0):
@@ -925,8 +954,8 @@ def _scan_case(mode, n_seq, seed=0):
     gru, hidden, gru_in, head_in, samples, pin_first = SCAN_MODES[mode]
     lengths = SCAN_LENGTHS[n_seq]
     g = np.random.default_rng(seed + len(lengths))
-    spans = _spans(lengths)
-    n_rows = spans[-1][1]
+    runs = _runs(lengths)
+    n_rows = runs[-1][1]
     n_xu = N_U if pin_first else N_X + N_U
     width = {"xu": n_xu, "z": N_Z, "h": N_H}
 
@@ -948,7 +977,7 @@ def _scan_case(mode, n_seq, seed=0):
     for k in heads:
         arrays["W" + k] = w(N_Z, d_feat)
         arrays["b" + k] = g.uniform(-0.1, 0.1, N_Z)
-    static = dict(spans=spans, gru_in=gru_in, head_in=head_in, clip=SCAN_CLIP,
+    static = dict(runs=runs, gru_in=gru_in, head_in=head_in, clip=SCAN_CLIP,
                   pin_first=pin_first)
     return arrays, static
 
@@ -960,7 +989,7 @@ def _latent(p, **static):
                           **static)
 
 
-def _per_step_chain(p, spans, gru_in, head_in, clip, pin_first):
+def _per_step_chain(p, runs, gru_in, head_in, clip, pin_first):
     """The latent chain composed step by step from basic primitives and
     affine, as the model ran it before the scans: cut the states to the
     running rows, concat the step's inputs, one gated update, the head,
@@ -969,7 +998,7 @@ def _per_step_chain(p, spans, gru_in, head_in, clip, pin_first):
     gru, sample = "W" in p, "eps" in p
     out = {k: [] for k in ("h", "mean", "log_var", "z", "z_prev")}
     h = z = None
-    for t, (lo, hi) in enumerate(spans):
+    for t, (lo, hi) in enumerate(_steps(runs)):
         n = hi - lo
         zp = dc.constant(np.zeros((n, n_z))) if t == 0 else z.slice(0, n)
         blocks = {"xu": p["xu"].slice(lo, hi), "z": zp}
@@ -1066,9 +1095,9 @@ def test_latent_scan_gradcheck(mode, n_seq):
 def test_gru_scan_gradcheck_and_per_step_composition(n_seq):
     """The prior-history GRU, a latent_scan without a head, over two
     input blocks; grad_check runs at GRADCHECK_LENGTHS only, the 1e-12
-    composition at every span shape."""
+    composition at every layout."""
     arrays, static = _scan_case("history", n_seq)
-    spans, n_rows = static["spans"], static["spans"][-1][1]
+    runs, n_rows = static["runs"], static["runs"][-1][1]
     g = np.random.default_rng(3)
     W = g.normal(0, (N_Z + N_U) ** -0.5, (3 * N_H, N_Z + N_U))
     xs = [g.uniform(-1.0, 1.0, (n_rows, N_Z)), g.uniform(-1.0, 1.0, (n_rows, N_U))]
@@ -1077,13 +1106,13 @@ def test_gru_scan_gradcheck_and_per_step_composition(n_seq):
 
     def fused(ps):
         gru = dict(zip(("W", "U", "b", "h0"), ps[:4]))
-        return (dc.latent_scan(ps[4:], gru, spans, gru_in=("xu",))["h"]
+        return (dc.latent_scan(ps[4:], gru, runs, gru_in=("xu",))["h"]
                 * w).sum()
 
     def per_step(ps):
         W, U, b, h0, z, u = ps
         hs, h = [], None
-        for t, (lo, hi) in enumerate(spans):
+        for t, (lo, hi) in enumerate(_steps(runs)):
             n = hi - lo
             hp = dc.broadcast_to(h0, (n, N_H)) if t == 0 else h.slice(0, n)
             x = dc.concat([z.slice(lo, hi), u.slice(lo, hi)], axis=1)
@@ -1133,7 +1162,7 @@ def test_scans_replay_bit_exact():
         gru["W"] = Tensor(arrays["W"][:, :N_Z + N_U])
         h = dc.latent_scan(
             [cols["mean"], Tensor(arrays["xu"]).slice(0, N_U, axis=1)], gru,
-            static["spans"], gru_in=("xu",))["h"]
+            static["runs"], gru_in=("xu",))["h"]
         loss = (h * h).sum()
     assert tape.ops.count("latent_scan") == len(SCAN_MODES) + 1
     replay(tape)
@@ -1157,12 +1186,12 @@ def _reference_gru_step(pre, hp, h, gates):
     h += hp
 
 
-def _reference_scan(*arrays, names, spans, gru_in, head_in, clip, pin_first):
+def _reference_scan(*arrays, names, runs, gru_in, head_in, clip, pin_first):
     """The scan's forward pass written plainly, slicing every step's
     blocks and multiplying with np.matmul: (output, step blocks of the
     GRU's gates [r; u; c; U_c h], step blocks of the hidden layer), which
     the optimized loop must reproduce bit for bit."""
-    sp = dc._ScanParts(arrays, names, spans, gru_in, head_in, clip, pin_first,
+    sp = dc._ScanParts(arrays, names, runs, gru_in, head_in, clip, pin_first,
                        frozenset())
     p, runs, rows, KT, cols = sp.p, sp.runs, sp.rows, sp.KT, sp.cols
     n_h, n_z, n_hid = sp.n_h, sp.n_z, sp.n_feat
@@ -1260,7 +1289,7 @@ def test_latent_scan_forward_matches_plain_loop_bit_for_bit(mode, n_seq):
         xs.append(arrays.pop("eps"))
         arrays = {k: arrays[k] for k in ("h0", "W", "U", "b")}
         static.update(gru_in=("xu",), head_in=())
-    kw = dict(static, spans=tuple(static["spans"]), names=tuple(arrays))
+    kw = dict(static, runs=tuple(static["runs"]), names=tuple(arrays))
     out, GATES, FEAT = _reference_scan(*xs, *arrays.values(), **kw)
     got, sp = dc._latent_scan(*xs, *arrays.values(), keep=True,
                               fixed=frozenset(), **kw)
@@ -1288,11 +1317,11 @@ def test_scan_overflow_is_loud():
     # One 1e308 input entry, which a weight of 2 in every gate overflows:
     # in the last row of the shortest sequence (the last column of a step
     # whose next step is narrower) and in the first step.
-    spans, lengths = static["spans"], SCAN_LENGTHS[3]
+    runs, lengths = static["runs"], SCAN_LENGTHS[3]
     W = arrays["W"].copy()
     W[:, 0] = 2.0
     rows = {}
-    for row in (spans[min(lengths) - 1][0] + len(lengths) - 1, 0):
+    for row in (_steps(runs)[min(lengths) - 1][0] + len(lengths) - 1, 0):
         xu = arrays["xu"].copy()
         xu[row, 0] = 1e308
         rows[row] = xu
@@ -1303,14 +1332,14 @@ def test_scan_overflow_is_loud():
             with pytest.raises(NonFiniteError, match="latent_scan"):
                 _latent({k: Tensor(a) for k, a in case.items()}, **static)
         # the same GRU without a head, over two input blocks
-        zs = np.ones((spans[-1][1], N_Z))
+        zs = np.ones((runs[-1][1], N_Z))
         big_U = arrays["U"].copy()
         big_U[:N_H] = 1e308
         for U, xu in [(big_U, arrays["xu"])] + [(arrays["U"], x) for x in rows.values()]:
             gru = dict(W=Tensor(W), U=Tensor(U), b=Tensor(arrays["b"]),
                        h0=Tensor(arrays["h0"]))
             with pytest.raises(NonFiniteError, match="latent_scan"):
-                dc.latent_scan([Tensor(xu), Tensor(zs)], gru, spans,
+                dc.latent_scan([Tensor(xu), Tensor(zs)], gru, runs,
                                gru_in=("xu",))
 
 
@@ -1384,7 +1413,7 @@ def test_latent_scan_input_errors():
     with pytest.raises(ValueError):  # noise rows of another count
         _latent({**params, "eps": Tensor(arrays["eps"][1:])}, **static)
     with pytest.raises(ValueError):
-        _latent(params, **{**static, "spans": static["spans"][:-1]})
+        _latent(params, **{**static, "runs": static["runs"][:-1]})
     with pytest.raises(ValueError):  # sampling without a clip
         _latent(params, **{**static, "clip": None})
     with pytest.raises(ValueError):  # a pinned first step without noise
@@ -1392,16 +1421,16 @@ def test_latent_scan_input_errors():
                 **{**static, "pin_first": True})
     # without a head: a GRU is required, no head weights or noise are
     # taken, and there is no sample z to read
-    xs, spans = [params["xu"]], static["spans"]
+    xs, runs = [params["xu"]], static["runs"]
     gru = {k: params[k] for k in ("h0", "U", "b")}
     gru["W"] = Tensor(arrays["W"][:, :N_X + N_U])
-    assert dc.latent_scan(xs, gru, spans, gru_in=("xu",))["h"].shape == (
-        spans[-1][1], N_H)
+    assert dc.latent_scan(xs, gru, runs, gru_in=("xu",))["h"].shape == (
+        runs[-1][1], N_H)
     for inputs, gru_in in (({}, ("xu",)), ({**gru, "eps": params["eps"]}, ("xu",)),
                            ({**gru, "Wm": params["Wm"]}, ("xu",)),
                            ({**gru, "W": params["W"]}, ("xu", "z"))):
         with pytest.raises(ValueError):
-            dc.latent_scan(xs, inputs, spans, gru_in=gru_in)
+            dc.latent_scan(xs, inputs, runs, gru_in=gru_in)
 
 
 def test_scan_builds_its_step_matrices_once(monkeypatch):
@@ -1423,7 +1452,7 @@ def test_scan_builds_its_step_matrices_once(monkeypatch):
             if mode == "no head":
                 gru = {k: params[k] for k in ("h0", "U", "b")}
                 gru["W"] = Tensor(arrays["W"][:, :N_X + N_U])
-                cols = dc.latent_scan([params["xu"]], gru, static["spans"],
+                cols = dc.latent_scan([params["xu"]], gru, static["runs"],
                                       gru_in=("xu",))
             else:
                 cols = _latent(params, **static)

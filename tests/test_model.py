@@ -84,7 +84,8 @@ def gru_step(group, h0, inp):
     """One step of the group's GRU from the state h0 for each row of
     inp: a one-step latent_scan of the GRU alone, as the model runs it."""
     gru = dict(W=group["gru.W"], U=group["gru.U"], b=group["gru.b"], h0=h0)
-    return latent_scan([inp], gru, [(0, inp.shape[0])], gru_in=("xu",))["h"]
+    n = inp.shape[0]
+    return latent_scan([inp], gru, [(0, n, n)], gru_in=("xu",))["h"]
 
 
 def test_gru_step_matches_hand_computation():
@@ -141,7 +142,7 @@ def test_markovian_summary_is_inputs_only():
     p = init_params(spec, markovian=True, seed=1)
     x = np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 4.0]])
     u = np.array([[0.5, -0.5], [1.0, 2.0]])
-    _, states, means = filter_means(p, [traj_of(x, u)])
+    states, means = filter_means(p, Batch([traj_of(x, u)]))
     z_prev = np.vstack([np.zeros((1, spec.n_z)), means[:1]])
     assert np.array_equal(states, np.concatenate([x, u, z_prev], axis=1))
 
@@ -161,7 +162,8 @@ def test_history_dependence_only_without_markov():
                 w = params.phi[name].data.copy()
                 w[:, spec.n_x + spec.n_u:] = 0.0
                 params.phi[name] = Tensor(w)
-        return filter_means(params, [traj_of(np.vstack([x0, x1]), u)])[2][1]
+        batch = Batch([traj_of(np.vstack([x0, x1]), u)])
+        return filter_means(params, batch)[1][1]
 
     p_rec = init_params(spec, markovian=False, seed=2)
     assert not np.allclose(posterior_at_1(p_rec, x0a), posterior_at_1(p_rec, x0b))
@@ -213,14 +215,14 @@ def prior_rows(p, batch, z_prev):
     """The transition prior's (mean, log_var) rows at z_prev, computed
     here from theta: prior_history, then the "pri." head; N(0, I) at the
     first step."""
-    history = prior_history(p, constant(z_prev), batch.u, batch.spans)
+    history = prior_history(p, constant(z_prev), batch.u, batch.runs)
     inp = z_prev if history is None else np.hstack([z_prev, history.data])
     w = {k[4:]: t.data for k, t in p.theta.items() if k.startswith("pri.")}
     if "W1" in w:
         inp = np.tanh(inp @ w["W1"].T + w["b1"])
     mean = inp @ w["Wm"].T + w["bm"]
     log_var = np.clip(inp @ w["Wv"].T + w["bv"], LOG_VAR_MIN, LOG_VAR_MAX)
-    first = batch.spans[0][1]
+    first = batch.runs[0][2]
     mean[:first] = log_var[:first] = 0.0
     return mean, log_var
 
@@ -238,11 +240,11 @@ def test_rollout_prior_equals_bound_prior(markovian, prior_hidden):
     batch = Batch([traj_of(g.standard_normal((T, spec.n_x)),
                            g.standard_normal((T, spec.n_u))) for T in (9, 5, 7)])
     eps = g.standard_normal((batch.length, spec.n_z))
-    z = prior_chain(p, batch.u, eps, batch.spans).data
+    z = prior_chain(p, batch.u, eps, batch.runs).data
     z_prev = np.zeros_like(z)
     for rows in batch.rows:
         z_prev[rows[1:]] = z[rows[:-1]]
-    first = batch.spans[0][1]
+    first = batch.runs[0][2]
     assert np.array_equal(z[:first], eps[:first])  # N(0, I) first step
     mean, log_var = prior_rows(p, batch, z_prev)
     want = mean[first:] + np.exp(log_var[first:] / 2) * eps[first:]
@@ -267,7 +269,7 @@ def test_prior_history_is_one_scan_node():
                            g.standard_normal((T, spec.n_u))) for T in (6, 3)])
     z_prev = Tensor(g.standard_normal((batch.length, spec.n_z)))
     with Tape() as tape:
-        history = prior_history(p, z_prev, batch.u, batch.spans)
+        history = prior_history(p, z_prev, batch.u, batch.runs)
         loss = (history * history).sum()
     ops = [op for op in tape.ops if op != "leaf"]
     assert ops.count("latent_scan") == 1

@@ -271,7 +271,7 @@ def test_combined_equals_elbo_when_lambda_zero():
     traj = rand_traj(5, 3, 2, seed=4)
     noise = rng.normal(2, (5, 2), "cmp")
     elbo = sequence_elbo(params, Batch([traj]), noise)[0]
-    (bd,), target = combined_objective(params, [traj], [noise],
+    (bd,), target = combined_objective(params, Batch([traj]), [noise],
                                        lambda_adv=0.0)
     assert bd.combined == elbo.item()  # bit-identical
     assert target.item() == elbo.item()
@@ -287,7 +287,7 @@ def test_combined_breakdown_invariant():
     pn = rng.normal(2, (5, 2), "cmp-prior")
     lam = 0.37
     prior = prior_rollout(params, Batch([traj]), pn).data
-    (bd,), target = combined_objective(params, [traj], [noise],
+    (bd,), target = combined_objective(params, Batch([traj]), [noise],
                                        lambda_adv=lam, prior_rows=prior)
     assert bd.combined == bd.recon_loglik - bd.kl_total - lam * bd.adv_gen
     assert bd.kl_per_step.shape == (5,)
@@ -305,7 +305,8 @@ def test_zero_weight_discriminator_constant_penalty():
     traj = rand_traj(5, 3, 2, seed=4)
     noise = rng.normal(2, (5, 2), "cmp")
     elbo = sequence_elbo(params, Batch([traj]), noise)[0]
-    (bd,), _ = combined_objective(params, [traj], [noise], lambda_adv=1.0)
+    (bd,), _ = combined_objective(params, Batch([traj]), [noise],
+                                  lambda_adv=1.0)
     assert bd.adv_gen == pytest.approx(np.log(2.0), abs=1e-15)
     assert bd.combined == pytest.approx(elbo.item() - np.log(2.0), abs=1e-12)
     assert bd.adv_disc == pytest.approx(2.0 * np.log(2.0), abs=1e-15)
@@ -365,7 +366,7 @@ def test_replay_bit_exact_over_combined_objective_tape():
     batch = Batch(trajs)
     prior = prior_rollout(params, batch, batch.pack(prior_noise)).data
     with Tape() as tape:
-        _, target = combined_objective(params, trajs, noise, 0.1,
+        _, target = combined_objective(params, batch, noise, 0.1,
                                        prior_rows=prior)
     assert {"affine", "latent_scan", "gauss_bound", "slice",
             "matmul"} <= set(tape.ops)

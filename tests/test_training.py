@@ -5,6 +5,7 @@ import os
 import struct
 import warnings
 from dataclasses import fields, replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -494,19 +495,20 @@ def test_readout_loss_matches_per_row_reference():
         tr.rul = np.arange(T - 1, -1, -1, dtype=float) * 3.0
         trajs.append(tr)
     params = init_params(small_spec(), markovian=False, seed=5)
+    batch = Batch(trajs)
     with Tape() as tape:
-        loss = readout_loss(params, trajs)
+        loss = readout_loss(params, batch, batch.pack([t.rul for t in trajs]))
     grads = backward(tape, loss)
     assert len(tape) <= 20
     with Tape() as one:
-        readout_loss(params, trajs[:1])
+        readout_loss(params, Batch(trajs[:1]), trajs[0].rul)
     assert len(one) == len(tape)  # independent of the row count
 
     rho = params.rho
     with Tape() as tape:
         errs = []
         for tr in trajs:
-            _, states, means = filter_means(params, [tr])
+            states, means = filter_means(params, Batch([tr]))
             for row, target in zip(np.hstack([states, means]), tr.rul):
                 hidden = dc.tanh(dc.affine(rho["l1.W"], dc.constant(row[None]),
                                            rho["l1.b"]))  # a (1, d) row
@@ -823,6 +825,30 @@ def test_training_step_scan_counts(markovian, lambda_adv, monkeypatch):
                      "backward": 1 + history}
 
 
+def test_training_step_builds_one_batch(monkeypatch):
+    """One supervised step at lambda_adv > 0 packs its trajectories once:
+    the three phases read the same Batch, and its pool is built once."""
+    built, pools = [], []
+    init, pool = Batch.__init__, Batch.pool.func
+
+    def counted_init(self, trajs):
+        built.append(len(trajs))
+        init(self, trajs)
+
+    def counted_pool(self):
+        pools.append(self)
+        return pool(self)
+
+    monkeypatch.setattr(Batch, "__init__", counted_init)
+    monkeypatch.setattr(Batch, "pool", cached_property(counted_pool))
+    Batch.pool.__set_name__(Batch, "pool")
+    cfg = quick_config(lambda_adv=0.1, rul_supervision=True)
+    res = train(toy_trajs(4, T=6, rul=True), small_spec(), cfg,
+                stop_after_steps=1)
+    assert res.steps[0].rul_loss is not None and res.steps[0].disc_loss
+    assert built == [2] and len(pools) == 1
+
+
 @pytest.mark.parametrize("markovian", [False, True])
 def test_overflowing_prior_rollout_skips_phases_one_and_two(markovian):
     """A finite theta whose prior rollout overflows while its bound stays
@@ -843,7 +869,7 @@ def test_overflowing_prior_rollout_skips_phases_one_and_two(markovian):
     noise = [rng.normal(0, (t.length, spec.n_z), "poison", i)
              for i, t in enumerate(trajs)]
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isfinite(combined_objective(params, trajs, noise, 0.0)[1].item())
+        assert np.isfinite(combined_objective(params, batch, noise, 0.0)[1].item())
         with pytest.raises(dc.NonFiniteError, match="latent_scan"):
             prior_rollout(params, batch, batch.pack(noise))
         res = train(trajs, spec, cfg, resume=poisoned, stop_after_steps=2)

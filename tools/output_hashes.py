@@ -13,7 +13,9 @@ files to a temporary directory.  The artifacts:
   supervised and the health-index mode;
 - on the FD001-shaped synthetic fleet (100/100 units of 128-362 cycles,
   seed 0) with untrained default parameters: one health-index
-  predict_rul call over 10 train and 10 test units, and the gradients
+  predict_rul call over 10 train and 10 test units, one supervised
+  predict_rul call for each of the first 20 test units alone (the
+  per-unit scoring path), and the gradients
   of the taped combined objective over a batch of its first 8 training
   units at lambda_adv 0 and 0.1;
 - each of the 20 rows of bound_gap_audit() at its defaults (about a
@@ -37,7 +39,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 from avfp import data, evalcli, rng, training  # noqa: E402
 from avfp.diffcore import Tape, backward  # noqa: E402
 from avfp.model import NetworkSpec, init_params  # noqa: E402
-from avfp.objectives import combined_objective  # noqa: E402
+from avfp.objectives import Batch, combined_objective  # noqa: E402
 
 
 def digest(*parts) -> str:
@@ -102,12 +104,15 @@ def fd001_shaped(work: str):
                              corpus.truth, mode="health_index",
                              train_trajs=by_id(corpus.train_trajs)[:10])
     yield "fd001/health-index-10-10", digest(hi.predicted)
+    units = [evalcli.predict_rul(params, [u], corpus.truth).predicted
+             for u in by_id(corpus.test_trajs)[:20]]
+    yield "fd001/per-unit-20", digest(*units)
     batch = corpus.train_trajs[:8]
     noise = [rng.normal(0, (t.length, spec.n_z), "hash-noise", i)
              for i, t in enumerate(batch)]
     for lam in (0.0, 0.1):
         with Tape() as tape:
-            _, target = combined_objective(params, batch, noise, lam)
+            _, target = combined_objective(params, Batch(batch), noise, lam)
         grads = backward(tape, target)
         yield f"fd001/objective-grads-{lam}", digest(
             target.item(), *(grads[t.uid] for t in params.named().values()
