@@ -103,24 +103,14 @@ class Trajectory:
 # parsing
 
 
-def parse_cmapss(path: str, split: str | None = None) -> Dataset:
-    """Parse a 26-column run-to-failure text file into a Dataset.
+def parse_cmapss(path: str, split: str) -> Dataset:
+    """Parse a 26-column run-to-failure text file of the given split
+    ("train" or "test") into a Dataset.
 
-    split is inferred from the file name (train_*/test_*) when not
-    given.  Raises DataFormatError on wrong column counts, non-numeric
-    or non-finite fields, or per-unit cycle indices that are not 1, 2,
-    3, ...
+    Raises DataFormatError on an unknown split, wrong column counts,
+    non-numeric or non-finite fields, or per-unit cycle indices that are
+    not 1, 2, 3, ...
     """
-    if split is None:
-        base = os.path.basename(path).lower()
-        if base.startswith("train"):
-            split = "train"
-        elif base.startswith("test"):
-            split = "test"
-        else:
-            raise DataFormatError(
-                f"cannot infer split from file name '{base}'; pass split="
-            )
     if split not in ("train", "test"):
         raise DataFormatError(f"split must be 'train' or 'test', got '{split}'")
 

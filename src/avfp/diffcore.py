@@ -3,8 +3,8 @@
 Every primitive is one entry of the op table, name -> (forward, vjp).
 The basic set is elementwise add/sub/mul (either operand may be 0-d),
 matmul, tanh/sigmoid/exp/log/softplus, reductions sum (of all entries
-or along a static axis) and mean, concat and slice along a static axis,
-broadcast, and a hard clip.
+or along a static axis) and mean, slice along a static axis, and a
+hard clip.
 Fused primitives with hand-written backward rules carry the model's
 hot paths:
 
@@ -380,24 +380,6 @@ def _mean_vjp(g, vals, out, aux):
     return (np.full(vals[0].shape, g / vals[0].size),)
 
 
-def _concat(*parts, axis=0):
-    nd = parts[0].ndim
-    if nd == 0 or any(p.ndim != nd for p in parts) or not -nd <= axis < nd:
-        raise ValueError(f"concat of ranks {[p.ndim for p in parts]} "
-                         f"along axis {axis} unsupported")
-    return np.concatenate(parts, axis=axis), axis
-
-
-def _concat_vjp(g, vals, out, aux):
-    lead = (slice(None),) * (aux % g.ndim)  # basic slicing: views, no copies
-    pieces, off = [], 0
-    for v in vals:
-        n = v.shape[aux]
-        pieces.append(g[lead + (slice(off, off + n),)])
-        off += n
-    return pieces
-
-
 def _slice(x, start, stop, axis=0):
     # entries start:stop along a static axis
     if not 0 <= axis < x.ndim:
@@ -412,19 +394,6 @@ def _slice_vjp(g, vals, out, aux):
     gx = np.zeros_like(vals[0])
     gx[aux] = g
     return (gx,)
-
-
-def _broadcast(x, shape):
-    shape = tuple(shape)
-    if x.shape == ():
-        return np.full(shape, float(x), dtype=np.float64), None
-    if x.ndim == 1 and len(shape) == 2 and shape[1] == x.shape[0]:
-        return np.ascontiguousarray(np.broadcast_to(x, shape)), None
-    raise ValueError(f"broadcast {x.shape} -> {shape} unsupported")
-
-
-def _broadcast_vjp(g, vals, out, aux):
-    return (g.sum() if vals[0].shape == () else g.sum(axis=0),)
 
 
 def _clip(x, lo, hi):
@@ -1147,9 +1116,7 @@ _OPS = {
     "softplus": (_softplus, _softplus_vjp),
     "sum": (_sum, _sum_vjp),
     "mean": (_mean, _mean_vjp),
-    "concat": (_concat, _concat_vjp),
     "slice": (_slice, _slice_vjp),
-    "broadcast": (_broadcast, _broadcast_vjp),
     "clip": (_clip, _clip_vjp),
     "affine": (_affine, _affine_vjp),
     "gauss_logpdf": (_gauss_logpdf, _gauss_logpdf_vjp),
@@ -1164,8 +1131,8 @@ PRIMITIVES = tuple(_OPS)
 def apply_primitive(op: str, *inputs, **kw) -> Tensor:
     """Apply one primitive, record it on the active tape if any.
 
-    inputs are Tensors; kw carries the op's static arguments (slice
-    bounds, concat axis, broadcast shape, clip range).  The result is
+    inputs are Tensors; kw carries the op's static arguments (a sum's
+    axis, slice bounds, clip range, a fused op's layout).  The result is
     checked for finiteness before it is returned.
     """
     entry = _OPS.get(op)
@@ -1209,17 +1176,6 @@ def log(t: Tensor) -> Tensor:
 
 def softplus(t: Tensor) -> Tensor:
     return apply_primitive("softplus", t)
-
-
-def concat(parts, axis: int = 0) -> Tensor:
-    """The parts joined along axis; a single part is returned as is."""
-    if len(parts) == 1:
-        return parts[0]
-    return apply_primitive("concat", *parts, axis=axis)
-
-
-def broadcast_to(t: Tensor, shape) -> Tensor:
-    return apply_primitive("broadcast", t, shape=tuple(shape))
 
 
 def affine(W: Tensor, x: Tensor, b: Tensor) -> Tensor:

@@ -232,11 +232,12 @@ def combined_objective(
     Returns (one breakdown per trajectory, maximization target summed
     over the batch).
     prior_rows holds the prior rollout behind the reported discriminator
-    loss, stacked as the batch's rows; without it the prior is rolled
-    out with noise.
+    loss, stacked as the batch's rows; lambda_adv > 0 needs it.
     """
     if lambda_adv < 0.0:
         raise ValueError("lambda_adv must be non-negative")
+    if lambda_adv > 0.0 and prior_rows is None:
+        raise ValueError("lambda_adv > 0 needs the prior rollout's rows")
     target, terms, scan = sequence_elbo(params, batch, batch.pack(noise))
 
     adv_gen_rows = adv_disc_rows = np.zeros(len(batch.rows))
@@ -245,8 +246,6 @@ def combined_objective(
         d_fake = discriminate(params, scan["z"], pool)
         adv_gen = log(d_fake) * -1.0
         with no_tape():
-            if prior_rows is None:
-                prior_rows = prior_rollout(params, batch, batch.pack(noise)).data
             d_real = discriminate(params, prior_rows, pool)
             adv_disc = (log(d_real) + log(1.0 - d_fake)) * -1.0
         adv_gen_rows, adv_disc_rows = adv_gen.data, adv_disc.data

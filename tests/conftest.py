@@ -80,9 +80,9 @@ def synth_dir(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def synth_train(synth_dir):
-    return avdata.parse_cmapss(f"{synth_dir}/train_FD001.txt")
+    return avdata.parse_cmapss(f"{synth_dir}/train_FD001.txt", "train")
 
 
 @pytest.fixture(scope="session")
 def synth_test(synth_dir):
-    return avdata.parse_cmapss(f"{synth_dir}/test_FD001.txt")
+    return avdata.parse_cmapss(f"{synth_dir}/test_FD001.txt", "test")

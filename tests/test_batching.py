@@ -222,8 +222,10 @@ def test_phase_two_tape_is_at_most_20_nodes_per_step(n_traj):
         lengths = [longest - 5 * (k % 4) for k in range(n_traj)]
         trajs = ragged(spec, lengths, seed=1)
         noise = noises(spec, trajs, "noise")
+        batch = Batch(trajs)
+        prior = prior_rollout(params, batch, batch.pack(noise)).data
         with Tape() as tape:
-            _, target = combined_objective(params, Batch(trajs), noise, 0.1)
+            _, target = combined_objective(params, batch, noise, 0.1, prior)
         assert len(tape) <= 20 * max(lengths)
         assert backward(tape, target)
         sizes.append(len(tape))
@@ -233,25 +235,28 @@ def test_phase_two_tape_is_at_most_20_nodes_per_step(n_traj):
 def test_reverse_walk_peaks_at_its_forward_tape():
     """backward drops each node's value and aux once the walk has passed
     it, so on a default-spec phase-2 tape (lambda_adv 0.1, 8 ragged
-    trajectories of at most 60 rows) the walk's traced peak is about
-    1.03 times the forward's; a walk that keeps every value until it
-    returns peaks at about 1.52 times.  numpy reports its buffers to
-    tracemalloc."""
+    trajectories of at most 60 rows, the prior rolled out beforehand as
+    phase 1 does) the walk's traced peak is about 1.51 times the
+    forward's, the scan VJPs' working arrays; a walk that keeps every
+    value until it returns peaks at about 2.07 times.  numpy reports its
+    buffers to tracemalloc."""
     spec = NetworkSpec(n_x=14, n_u=2)
     params = init_params(spec, markovian=False, seed=0)
     trajs = ragged(spec, [60 - 5 * (k % 4) for k in range(8)], seed=1)
     noise = noises(spec, trajs, "noise")
+    batch = Batch(trajs)
+    prior = prior_rollout(params, batch, batch.pack(noise)).data
     tracemalloc.start()
     try:
         with Tape() as tape:
-            _, target = combined_objective(params, Batch(trajs), noise, 0.1)
+            _, target = combined_objective(params, batch, noise, 0.1, prior)
         forward_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         grads = backward(tape, target)
         walk_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert walk_peak <= 1.2 * forward_peak
+    assert walk_peak <= 1.6 * forward_peak
     again = backward(tape, target)  # rebuilds the dropped scan aux too
     assert grads.keys() == again.keys()
     assert all(np.array_equal(grads[k], again[k]) for k in grads)

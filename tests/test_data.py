@@ -44,17 +44,19 @@ def test_parse_record_shape(synth_train):
     assert synth_train.sensors.shape == (synth_train.n_rows, 21)
 
 
-def test_parse_split_inference(synth_dir, synth_test):
+def test_parse_split_is_required_and_checked(synth_dir, synth_test):
     assert synth_test.split == "test"
-    with pytest.raises(DataFormatError):
-        parse_cmapss("/tmp/whatever.txt")
+    with pytest.raises(TypeError):   # no guess from the file name
+        parse_cmapss(f"{synth_dir}/test_FD001.txt")
+    with pytest.raises(DataFormatError, match="split must be"):
+        parse_cmapss(f"{synth_dir}/test_FD001.txt", "val")
 
 
 def test_parse_rejects_wrong_columns(tmp_path):
     p = tmp_path / "train_bad.txt"
     p.write_text("1 1 0.1 0.2 100\n")
     with pytest.raises(DataFormatError, match="columns"):
-        parse_cmapss(str(p))
+        parse_cmapss(str(p), "train")
 
 
 def test_parse_rejects_nonnumeric(tmp_path):
@@ -62,7 +64,7 @@ def test_parse_rejects_nonnumeric(tmp_path):
     row = " ".join(["1", "1"] + ["oops"] * 24)
     p.write_text(row + "\n")
     with pytest.raises(DataFormatError):
-        parse_cmapss(str(p))
+        parse_cmapss(str(p), "train")
 
 
 def test_parse_rejects_gap_in_cycles(tmp_path):
@@ -71,7 +73,7 @@ def test_parse_rejects_gap_in_cycles(tmp_path):
     r3 = " ".join(["1", "3"] + ["0.0"] * 24)
     p.write_text(r1 + "\n" + r3 + "\n")
     with pytest.raises(DataFormatError, match="consecutive"):
-        parse_cmapss(str(p))
+        parse_cmapss(str(p), "train")
 
 
 def _row(unit, cycle, value=0.0):
@@ -83,7 +85,7 @@ def test_parse_groups_interleaved_units(tmp_path):
     rows = [_row(2, 1, 20.0), _row(1, 1, 10.0), _row(2, 2, 21.0),
             _row(1, 2, 11.0), _row(2, 3, 22.0)]
     p.write_text("\n".join(rows) + "\n")
-    ds = parse_cmapss(str(p))
+    ds = parse_cmapss(str(p), "train")
     assert ds.unit_ids.tolist() == [1, 2]
     assert ds.offsets.tolist() == [0, 2, 5]
     assert ds.sensors[:, 0].tolist() == [10.0, 11.0, 20.0, 21.0, 22.0]
@@ -94,7 +96,7 @@ def test_parse_rejects_bad_unit_id(tmp_path, unit):
     p = tmp_path / "train_bad.txt"
     p.write_text(_row(unit, 1) + "\n")
     with pytest.raises(DataFormatError, match="unit id"):
-        parse_cmapss(str(p))
+        parse_cmapss(str(p), "train")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -107,14 +109,14 @@ def test_parse_rejects_non_finite_values(tmp_path, value):
     p.write_text(_row(1, 1) + "\n" + " ".join(fields) + "\n")
     with pytest.raises(DataFormatError,
                        match=re.escape(f"{p}: non-finite sensor_02 in data row 2")):
-        parse_cmapss(str(p))
+        parse_cmapss(str(p), "train")
 
 
 def test_parse_rejects_empty(tmp_path):
     p = tmp_path / "train_empty.txt"
     p.write_text("")
     with pytest.raises(DataFormatError):
-        parse_cmapss(str(p))
+        parse_cmapss(str(p), "train")
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +248,7 @@ def test_rul_cap_applies(tmp_path):
         str(tmp_path), n_train_units=2, n_test_units=1, seed=9,
         min_life=80, max_life=90,
     )
-    ds = parse_cmapss(f"{tmp_path}/train_FD001.txt")
+    ds = parse_cmapss(f"{tmp_path}/train_FD001.txt", "train")
     targets = build_rul_targets(ds, cap=30)
     for t in targets.values():
         assert t[0] == 30.0  # early life is clamped

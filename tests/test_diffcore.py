@@ -98,7 +98,6 @@ def test_scalar_operand_records_no_broadcast():
     with Tape() as tape:
         out = t * 2.0
         loss = (1.0 - out).sum()
-    assert "broadcast" not in tape.ops
     assert tape.ops.count("leaf") == 3  # t and the two lifted scalars
     assert backward(tape, loss)[t.uid].tolist() == [-2.0, -2.0, -2.0]
 
@@ -112,16 +111,6 @@ def test_matmul_shapes():
     assert (v @ v).shape == ()
     with pytest.raises(ValueError):
         _ = a @ Tensor(np.ones((2, 2)))
-
-
-def test_concat_slice_roundtrip():
-    x = Tensor([1.0, 2.0])
-    y = Tensor([3.0, 4.0, 5.0])
-    c = dc.concat([x, y])
-    assert np.allclose(c.data, [1, 2, 3, 4, 5])
-    assert np.allclose(c.slice(2, 5).data, y.data)
-    with pytest.raises(ValueError):
-        c.slice(3, 6)
 
 
 def test_no_tape_means_no_recording():
@@ -213,13 +202,10 @@ _PRIMITIVE_CASES = {
     "mean": lambda ps: (ps[0] * ps[1]).mean(),
     "slice": lambda ps: ps[0].slice(1, 4).sum(),
     "clip": lambda ps: ps[0].clip(-0.5, 0.5).sum(),
-    "concat": lambda ps: (dc.concat([ps[0], ps[1]]) * dc.concat([ps[1], ps[0]])).sum(),
     "log": lambda ps: dc.log(ps[0] * ps[0] + 0.5).sum(),
     "matmul": lambda ps: dc.tanh(ps[0] @ ps[1]),
-    "broadcast": lambda ps: (dc.broadcast_to(ps[0], (3, 5))
-                             * dc.broadcast_to(ps[1], (3, 5))).sum(),
     "sum": lambda ps: (ps[0] * ps[1]).sum(),
-    "sum_axis": lambda ps: (dc.concat([_row(ps[0]), _row(ps[1] * ps[0])]).sum(axis=1)
+    "sum_axis": lambda ps: (_stack([_row(ps[0]), _row(ps[1] * ps[0])]).sum(axis=1)
                             @ [0.7, -1.3]),
 }
 
@@ -261,18 +247,6 @@ def test_gradcheck_matmul_paths():
     assert err < 1e-6
     err = grad_check(lambda ps: ps[0] @ ps[0], [v])
     assert err < 1e-6
-
-
-def test_gradcheck_broadcast_rows():
-    rng = np.random.default_rng(13)
-    b = Tensor(rng.normal(size=4))
-    X = Tensor(rng.normal(size=(5, 4)))
-
-    def f(ps):
-        rows = dc.broadcast_to(ps[0], (5, 4))
-        return (dc.sigmoid(ps[1] + rows)).sum()
-
-    assert grad_check(f, [b, X]) < 1e-6
 
 
 def test_gradcheck_composite_mlp():
@@ -352,10 +326,12 @@ def test_backward_consumes_the_tape():
 
 
 def test_primitive_set_is_pinned():
-    assert set(dc.PRIMITIVES) >= {
+    assert set(dc.PRIMITIVES) == {
         "add", "sub", "mul", "matmul", "tanh", "sigmoid", "exp", "log",
-        "softplus", "sum", "mean", "concat", "slice", "broadcast",
+        "softplus", "sum", "mean", "slice", "clip",
+        "affine", "gauss_logpdf", "gauss_kl", "gauss_bound", "latent_scan",
     }
+    assert len(dc.PRIMITIVES) == 18
     with pytest.raises(ValueError):
         apply_primitive("pow", Tensor(1.0))
 
@@ -392,9 +368,43 @@ def _unfused_kl(q_mean, q_log_var, p_mean, p_log_var):
     return inner.sum() * 0.5
 
 
+def _rows(v, n):
+    """n copies of the vector v as a row batch, (m,) -> (n, m): zero
+    weights on a column of ones, with v as the bias, so exactly v."""
+    return dc.affine(dc.constant(np.zeros((v.shape[0], 1))),
+                     dc.constant(np.ones((n, 1))), v)
+
+
 def _row(v):
     """A vector as a batch of one row, (n,) -> (1, n)."""
-    return dc.broadcast_to(v, (1,) + v.shape)
+    return _rows(v, 1)
+
+
+def _stack(blocks):
+    """Row blocks stacked in order, each placed by a constant 0/1 matrix;
+    the products multiply by 0 and 1 only, so the stack is exact."""
+    n, out, off = sum(b.shape[0] for b in blocks), None, 0
+    for b in blocks:
+        place = np.zeros((n, b.shape[0]))
+        place[off:off + b.shape[0]] = np.eye(b.shape[0])
+        placed = dc.constant(place) @ b
+        out = placed if out is None else out + placed
+        off += b.shape[0]
+    return out
+
+
+def _affine_cols(W, blocks, b):
+    """W @ [x; ...] + b for each row of the column blocks side by side,
+    without joining them: one affine per column block of W, cut with a
+    taped slice."""
+    out, off = None, 0
+    for x in blocks:
+        c = x.shape[1]
+        term = dc.affine(W.slice(off, off + c, axis=1), x,
+                         b if out is None else dc.constant(np.zeros(W.shape[0])))
+        out = term if out is None else out + term
+        off += c
+    return out
 
 
 def _gru_cell(W, U, b, h0, x):
@@ -518,18 +528,18 @@ def _bound_case(name, history, pri_hidden, dec_hidden):
                                    for k in ("mean", "log_var", "z", "z_prev"))
 
         def head(h, z, hist):
-            inp = z if hist is None else dc.concat([z, hist], axis=1)
+            inp = [z] if hist is None else [z, hist]
             if h + "W1" in p:
-                inp = dc.tanh(dc.affine(p[h + "W1"], inp, p[h + "b1"]))
-            return (dc.affine(p[h + "Wm"], inp, p[h + "bm"]),
-                    dc.affine(p[h + "Wv"], inp, p[h + "bv"]).clip(*BOUND_CLIP))
+                inp = [dc.tanh(_affine_cols(p[h + "W1"], inp, p[h + "b1"]))]
+            return (_affine_cols(p[h + "Wm"], inp, p[h + "bm"]),
+                    _affine_cols(p[h + "Wv"], inp, p[h + "bv"]).clip(*BOUND_CLIP))
 
         recon = dc.gauss_logpdf(x, *head("dec.", z, hist))
         p_mean, p_lv = head("pri.", z_prev.slice(first, n),
                             None if hist is None else hist.slice(first, n))
         pinned = dc.constant(np.zeros((first, B_Z)))
-        kl = dc.gauss_kl(q_mean, q_lv, dc.concat([pinned, p_mean]),
-                         dc.concat([pinned, p_lv]))
+        kl = dc.gauss_kl(q_mean, q_lv, _stack([pinned, p_mean]),
+                         _stack([pinned, p_lv]))
         return ((recon * dc.constant(w_arr[0])).sum()
                 + (kl * dc.constant(w_arr[1])).sum())
 
@@ -633,7 +643,6 @@ def _row_cases(n_rows):
         return lambda out: (out * w).sum()
 
     red_h, red_r = red((n_rows, N_H)), red((n_rows,))
-    red_cols, red_stack = red((n_rows, N_Z + N_H)), red((n_rows + 2, N_Z))
     return [
         ("gru_cell", lambda ps: red_h(_gru_cell(*ps)),
          [g.normal(0, N_IN ** -0.5, (3 * N_H, N_IN)),
@@ -644,10 +653,6 @@ def _row_cases(n_rows):
          1e-6, 1e-6),
         ("gauss_kl", lambda ps: red_r(dc.gauss_kl(*ps)),
          [mat((n_rows, N_Z)) for _ in range(4)], 1e-6, 1e-6),
-        ("concat_columns", lambda ps: red_cols(dc.concat(ps, axis=1)),
-         [mat((n_rows, N_Z)), mat((n_rows, N_H))], 1e-2, 1e-6),
-        ("concat_rows", lambda ps: red_stack(dc.concat(ps, axis=0)),
-         [mat((n_rows, N_Z)), mat((2, N_Z))], 1e-2, 1e-6),
         ("slice_rows", lambda ps: red_h(ps[0].slice(1, n_rows + 1)),
          [mat((n_rows + 2, N_H))], 1e-2, 1e-6),
     ]
@@ -885,10 +890,6 @@ def test_row_form_shape_errors():
         dc.gauss_logpdf(*[Tensor(np.ones((2, 2, 2)))] * 3)
     with pytest.raises(ValueError):
         dc.gauss_kl(*[Tensor(np.ones((2, 3)))] * 3, Tensor(np.ones((3, 3))))
-    with pytest.raises(ValueError):  # mixed ranks
-        dc.concat([Tensor(np.ones(2)), Tensor(np.ones((1, 2)))])
-    with pytest.raises(ValueError):
-        dc.concat([Tensor(np.ones((1, 2))), Tensor(np.ones((1, 2)))], axis=2)
     with pytest.raises(ValueError):
         Tensor(np.ones((3, 2))).slice(2, 4)
     with pytest.raises(ValueError):
@@ -992,8 +993,8 @@ def _latent(p, **static):
 def _per_step_chain(p, runs, gru_in, head_in, clip, pin_first):
     """The latent chain composed step by step from basic primitives and
     affine, as the model ran it before the scans: cut the states to the
-    running rows, concat the step's inputs, one gated update, the head,
-    the clip and the reparameterized sample."""
+    running rows, one gated update of the step's input blocks, the head,
+    the clip and the reparameterized sample; the steps' rows stacked."""
     n_z = p["Wm"].shape[0]
     gru, sample = "W" in p, "eps" in p
     out = {k: [] for k in ("h", "mean", "log_var", "z", "z_prev")}
@@ -1004,9 +1005,8 @@ def _per_step_chain(p, runs, gru_in, head_in, clip, pin_first):
         blocks = {"xu": p["xu"].slice(lo, hi), "z": zp}
         if gru:
             m = p["U"].shape[1]
-            hp = dc.broadcast_to(p["h0"], (n, m)) if t == 0 else h.slice(0, n)
-            s = dc.affine(p["W"], dc.concat([blocks[k] for k in gru_in], axis=1),
-                          p["b"])
+            hp = _rows(p["h0"], n) if t == 0 else h.slice(0, n)
+            s = _affine_cols(p["W"], [blocks[k] for k in gru_in], p["b"])
             tt = dc.affine(p["U"], hp, dc.constant(np.zeros(3 * m)))
 
             def gate(k, v):
@@ -1021,12 +1021,12 @@ def _per_step_chain(p, runs, gru_in, head_in, clip, pin_first):
         if t == 0 and pin_first:
             mean = log_var = dc.constant(np.zeros((n, n_z)))
         else:
-            feat = dc.concat([blocks[k] for k in head_in], axis=1)
+            feat = [blocks[k] for k in head_in]
             if "W1" in p:
-                feat = dc.tanh(dc.affine(p["W1"], feat, p["b1"]))
-            mean = dc.affine(p["Wm"], feat, p["bm"])
+                feat = [dc.tanh(_affine_cols(p["W1"], feat, p["b1"]))]
+            mean = _affine_cols(p["Wm"], feat, p["bm"])
             if sample:
-                log_var = dc.affine(p["Wv"], feat, p["bv"]).clip(*clip)
+                log_var = _affine_cols(p["Wv"], feat, p["bv"]).clip(*clip)
         z = mean
         if sample:
             z = mean + dc.exp(log_var * 0.5) * p["eps"].slice(lo, hi)
@@ -1034,7 +1034,7 @@ def _per_step_chain(p, runs, gru_in, head_in, clip, pin_first):
         out["mean"].append(mean)
         out["z"].append(z)
         out["z_prev"].append(zp)
-    return {k: dc.concat(v) for k, v in out.items() if v}
+    return {k: _stack(v) for k, v in out.items() if v}
 
 
 def _weighted(cols, seed=7):
@@ -1114,11 +1114,11 @@ def test_gru_scan_gradcheck_and_per_step_composition(n_seq):
         hs, h = [], None
         for t, (lo, hi) in enumerate(_steps(runs)):
             n = hi - lo
-            hp = dc.broadcast_to(h0, (n, N_H)) if t == 0 else h.slice(0, n)
-            x = dc.concat([z.slice(lo, hi), u.slice(lo, hi)], axis=1)
-            h = _gru_cell_rows(U, hp, dc.affine(W, x, b))
+            hp = _rows(h0, n) if t == 0 else h.slice(0, n)
+            s = _affine_cols(W, [z.slice(lo, hi), u.slice(lo, hi)], b)
+            h = _gru_cell_rows(U, hp, s)
             hs.append(h)
-        return (dc.concat(hs) * w).sum()
+        return (_stack(hs) * w).sum()
 
     if n_seq in GRADCHECK_LENGTHS:
         for k, tol in enumerate((1e-4, 1e-4, 1e-5, 1e-5, 1e-5, 1e-5)):
@@ -1193,7 +1193,7 @@ def _reference_scan(*arrays, names, runs, gru_in, head_in, clip, pin_first):
     the optimized loop must reproduce bit for bit."""
     sp = dc._ScanParts(arrays, names, runs, gru_in, head_in, clip, pin_first,
                        frozenset())
-    p, runs, rows, KT, cols = sp.p, sp.runs, sp.rows, sp.KT, sp.cols
+    p, rows, KT, cols = sp.p, sp.rows, sp.KT, sp.cols
     n_h, n_z, n_hid = sp.n_h, sp.n_z, sp.n_feat
     hs, zs, a_rows = rows["h"], rows["z"], slice(4 * n_h, None)
     one_h = slice(rows["one"].start, hs.stop)
@@ -1272,7 +1272,10 @@ def _reference_scan(*arrays, names, runs, gru_in, head_in, clip, pin_first):
         if pin_first:
             out[:n0, cols["mean"].start:cols["log_var"].stop] = 0.0
         z_col = cols["z" if sp.sample else "mean"]
-        out[n0:, cols["z_prev"]] = out[sp.prev, z_col]
+        steps = _steps(runs)    # each row's previous row, from the runs
+        prev = [lo + i for (lo, _), (a, b) in zip(steps, steps[1:])
+                for i in range(b - a)]
+        out[n0:, cols["z_prev"]] = out[prev, z_col]
     return out, GATES, FEAT
 
 

@@ -295,6 +295,19 @@ def test_combined_breakdown_invariant():
     assert target.item() == bd.combined
 
 
+def test_adversarial_term_needs_prior_rows():
+    spec = NetworkSpec(n_x=3, n_u=2, n_z=2, n_h=4, enc_hidden=3,
+                       dec_hidden=3, prior_hidden=3)
+    params = init_params(spec, markovian=False, seed=2)
+    traj = rand_traj(5, 3, 2, seed=4)
+    noise = rng.normal(2, (5, 2), "cmp")
+    with pytest.raises(ValueError, match="prior rollout"):
+        combined_objective(params, Batch([traj]), [noise], lambda_adv=0.1)
+    (bd,), _ = combined_objective(params, Batch([traj]), [noise],
+                                  lambda_adv=0.0)
+    assert bd.adv_gen == bd.adv_disc == 0.0
+
+
 def test_zero_weight_discriminator_constant_penalty():
     # D == 0.5 everywhere: adversarial terms are ln 2 constants
     spec = NetworkSpec(n_x=3, n_u=2, n_z=2, n_h=4, enc_hidden=3,
@@ -305,8 +318,9 @@ def test_zero_weight_discriminator_constant_penalty():
     traj = rand_traj(5, 3, 2, seed=4)
     noise = rng.normal(2, (5, 2), "cmp")
     elbo = sequence_elbo(params, Batch([traj]), noise)[0]
+    prior = prior_rollout(params, Batch([traj]), noise).data
     (bd,), _ = combined_objective(params, Batch([traj]), [noise],
-                                  lambda_adv=1.0)
+                                  lambda_adv=1.0, prior_rows=prior)
     assert bd.adv_gen == pytest.approx(np.log(2.0), abs=1e-15)
     assert bd.combined == pytest.approx(elbo.item() - np.log(2.0), abs=1e-12)
     assert bd.adv_disc == pytest.approx(2.0 * np.log(2.0), abs=1e-15)

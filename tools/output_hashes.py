@@ -17,7 +17,8 @@ files to a temporary directory.  The artifacts:
   predict_rul call for each of the first 20 test units alone (the
   per-unit scoring path), and the gradients
   of the taped combined objective over a batch of its first 8 training
-  units at lambda_adv 0 and 0.1;
+  units at lambda_adv 0 and 0.1 (its prior rows rolled out from the
+  objective's own noise);
 - each of the 20 rows of bound_gap_audit() at its defaults (about a
   minute) and gradient_audit(draws=2).
 """
@@ -39,7 +40,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 from avfp import data, evalcli, rng, training  # noqa: E402
 from avfp.diffcore import Tape, backward  # noqa: E402
 from avfp.model import NetworkSpec, init_params  # noqa: E402
-from avfp.objectives import Batch, combined_objective  # noqa: E402
+from avfp.objectives import Batch, combined_objective, prior_rollout  # noqa: E402
 
 
 def digest(*parts) -> str:
@@ -110,9 +111,11 @@ def fd001_shaped(work: str):
     batch = corpus.train_trajs[:8]
     noise = [rng.normal(0, (t.length, spec.n_z), "hash-noise", i)
              for i, t in enumerate(batch)]
+    packed = Batch(batch)
+    prior = prior_rollout(params, packed, packed.pack(noise)).data
     for lam in (0.0, 0.1):
         with Tape() as tape:
-            _, target = combined_objective(params, Batch(batch), noise, lam)
+            _, target = combined_objective(params, packed, noise, lam, prior)
         grads = backward(tape, target)
         yield f"fd001/objective-grads-{lam}", digest(
             target.item(), *(grads[t.uid] for t in params.named().values()
