@@ -331,7 +331,6 @@ def test_primitive_set_is_pinned():
         "softplus", "sum", "mean", "slice", "clip",
         "affine", "gauss_logpdf", "gauss_kl", "gauss_bound", "latent_scan",
     }
-    assert len(dc.PRIMITIVES) == 18
     with pytest.raises(ValueError):
         apply_primitive("pow", Tensor(1.0))
 
