@@ -29,7 +29,9 @@ it each time step's values are one contiguous feature-major block,
 gate's W x + W_z z + U h + b, and the head's first layer on x and z) is
 one product of the previous step's block [x; 1; h; z] with a matrix
 built once per call, which the backward pass reuses along with the
-gates that the forward pass keeps.
+gates that the forward pass keeps.  Its reset and update rows are
+negated: a step divides by 1 + e^(-a), one exp and one add, where the
+gates r, u = 1 / (1 + e^(-a)) would multiply.
 
 Every primitive checks its result for NaN/Inf and raises instead of
 propagating silently.  A Tape is an append-only record of primitive
@@ -587,16 +589,22 @@ def _gauss_bound_vjp(g, vals, out, aux):
 # outputs h and z and the next step's exogenous inputs x with a row of
 # ones, so that a step's pre-activations are one product of the previous
 # block with a matrix built once per call, biases riding on the ones
-# row; the backward pass reads the same matrices.  A run's first step
-# reads the first width columns of the previous block.  What needs no
+# row; the backward pass reads the same matrices.  Their reset and update
+# rows are negated, giving -a, so a step divides by 1 + e^(-a) where the
+# gates r, u = 1 / (1 + e^(-a)) would multiply; where e^(-a) overflows
+# (silently, under np.errstate) the division gives the gate's exact
+# limit 0.  A run's first step reads the first width columns of the
+# previous block.  What needs no
 # recurrent state runs outside the step loops: the gate derivatives once
 # per run, from the kept gates, and every weight gradient as one product
 # over all rows.  A step indexes only views and scratch blocks bound once
 # per run (and a tape's kept gates) and multiplies with a matrix's bound
 # .dot into C-contiguous row blocks: the bits of np.matmul, at less cost
-# per call than it or np.dot.  One _ScanParts is a call's whole
-# description, built by the forward pass and read by the backward pass
-# as its aux.
+# per call than it or np.dot.  Its other calls take array operands (the
+# +1 and the clip read blocks filled once per call) and a positional out,
+# both cheaper per call (np.maximum and np.minimum need out=).  One
+# _ScanParts is a call's whole description, built by the forward pass
+# and read by the backward pass as its aux.
 
 
 def _run_rows(X, run):
@@ -654,8 +662,8 @@ class _ScanParts:
 
     A state block's rows are [x; 1; h; z]: rows[name] for "xu", "one",
     "h" and "z".  KT @ block (of the previous step) is a step's
-    pre-activations, pre, with a GRU its reset and update gates, its
-    candidate's W x + b and U_c h (see _latent_scan), then, when the head
+    pre-activations, pre, with a GRU its reset and update gates' -a
+    (those rows negated, exactly), its candidate's W x + b and U_c h (see _latent_scan), then, when the head
     reads x or z, its first layer on those blocks plus its bias.  Its
     part on h is Fh; a head that reads h alone is FhB = [f, F_h] on the
     block's [1; h] rows.  After a hidden layer, Mf = [M, m] maps [feat;
@@ -741,6 +749,7 @@ class _ScanParts:
             KT[:3 * n_h, rows["one"].start] = p["b"]
             KT[:2 * n_h, rows["h"]] = p["U"][:2 * n_h]
             KT[3 * n_h:4 * n_h, rows["h"]] = p["U"][2 * n_h:]
+            KT[:2 * n_h] *= -1.0   # the gates' -a (see _latent_scan)
         for k in self.prev_in:
             KT[4 * n_h:, rows[k]] = self.Fc[k]
         if self.prev_in:
@@ -815,136 +824,144 @@ def _latent_scan(*arrays, names, runs, gru_in, head_in, clip, pin_first,
     one_h = slice(rows["one"].start, hs.stop)
     prev_in, reads_h, cols = sp.prev_in, sp.reads_h, sp.cols
     out = np.zeros((sp.n_rows, max(c.stop for c in cols.values())))
+    w0 = runs[0][2]
     if sample:
         # the log-variance rows of the head's output are halved (exactly, a
-        # power of two): the loop clips half the log-variance and
-        # exponentiates it directly
-        lv_lo, lv_hi = clip[0] * 0.5, clip[1] * 0.5
+        # power of two): the loop clips half the log-variance, between
+        # bounds filled once, and exponentiates it directly
+        CLIP = np.repeat(np.multiply(clip, 0.5)[:, None], n_z * w0, axis=1)
         eps = p["eps"]
     # the block the first step reads: x_0 (filled below), 1, h0 and z = 0
-    blk = np.zeros((sp.n_state, runs[0][2]))
+    blk = np.zeros((sp.n_state, w0))
     blk[rows["one"]] = 1.0
     if gru:
         blk[hs] = p["h0"][:, None]
-    GATES, FEAT, tanh, kt_dot = sp.GATES, sp.FEAT, np.tanh, KT.dot
+        ones_buf = np.ones(2 * n_h * w0)   # the 1 of 1 + e^(-a)
+    GATES, FEAT, kt_dot = sp.GATES, sp.FEAT, KT.dot
+    tanh, add, subtract, divide, multiply = (
+        np.tanh, np.add, np.subtract, np.divide, np.multiply)
     fh_dot = (sp.Fh if prev_in else sp.FhB).dot if reads_h else None
     mf_dot = sp.Mf.dot if hidden else None
     # one pre-activation block for every run: the check reads it per run
     pre_buf = np.empty(max(b - a for a, b, _ in runs) * KT.shape[0])
-    for k, run in enumerate(runs):
-        a, b, w = run
-        s = (b - a) // w
-        # the kept blocks first: the run's others are then freed above them
-        if keep and gru:   # the gates [r; u; c; U_c h] of each step
-            G = np.empty((s, 4 * n_h, w))
-        if hidden:
-            FE = np.zeros((s, n_hid + 1, w))
-        S = np.empty((s, sp.n_state, w))
-        S[:, rows["one"]] = 1.0
-        off = 0
-        for x in sp.xs:    # each step's inputs go into the block before it
-            c = x.shape[1]
-            blk[off:off + c, :w] = x[a:a + w].T
-            if s > 1:
-                np.copyto(S[:-1, off:off + c], _run_rows(x, (a + w, b, w)))
-            off += c
-        pre = pre_buf[:(b - a) * KT.shape[0]].reshape(s, KT.shape[0], w)
-        checked = [pre]
-        # each step below indexes these views and scratch blocks only
-        H, Z = S[:, hs], S[:, zs]
-        if gru:
-            PRU, PC = pre[:, :2 * n_h], pre[:, 2 * n_h:3 * n_h]
-            PUC, RUC = pre[:, 3 * n_h:4 * n_h], np.empty((n_h, w))
-            if keep:
-                GRU, GR = G[:, :2 * n_h], G[:, :n_h]
-                GU, GC = G[:, n_h:2 * n_h], G[:, 2 * n_h:3 * n_h]
-            else:
-                RU = np.empty((2 * n_h, w))
-                R, U = RU[:n_h], RU[n_h:]
-            hp = blk[hs, :w]
-        # the steps before `first` run no head: all without one, and the
-        # pinned first step, whose sample is its noise (N(0, I))
-        first = int(pin_first and not k) if head else s
-        if head:
-            if prev_in:
-                A_run = pre[:, a_rows]
-                if reads_h:
-                    FHH = np.empty((sp.n_a, w))
-            else:
-                A_run = np.zeros((s, sp.n_a, w))
-                checked.append(A_run)
-                OH = S[:, one_h]
-            ML = A_run
+    with np.errstate(over="ignore") if gru else nullcontext():
+        for k, run in enumerate(runs):
+            a, b, w = run
+            s = (b - a) // w
+            # the kept blocks first: the run's others are then freed above them
+            if keep and gru:   # the gates [r; u; c; U_c h] of each step
+                G = np.empty((s, 4 * n_h, w))
             if hidden:
-                FE[:, n_hid] = 1.0
-                HID = FE[:, :n_hid]
+                FE = np.zeros((s, n_hid + 1, w))
+            S = np.empty((s, sp.n_state, w))
+            S[:, rows["one"]] = 1.0
+            off = 0
+            for x in sp.xs:    # each step's inputs go into the block before it
+                c = x.shape[1]
+                blk[off:off + c, :w] = x[a:a + w].T
+                if s > 1:
+                    np.copyto(S[:-1, off:off + c], _run_rows(x, (a + w, b, w)))
+                off += c
+            pre = pre_buf[:(b - a) * KT.shape[0]].reshape(s, KT.shape[0], w)
+            checked = [pre]
+            # each step below indexes these views and scratch blocks only
+            H, Z = S[:, hs], S[:, zs]
+            if gru:
+                PRU, PC = pre[:, :2 * n_h], pre[:, 2 * n_h:3 * n_h]
+                PUC, RUC = pre[:, 3 * n_h:4 * n_h], np.empty((n_h, w))
                 if keep:
-                    FEAT.append(FE)
-                if sample:
-                    ML = np.zeros((s, 2 * n_z, w))
-                    checked.append(ML)
-                ML_out = ML if sample else Z
-            if sample:
-                E = _blocks(eps, run)
-                LVH = np.zeros((s, n_z, w))   # half log-variance after the clip
-                MEAN, HLV = ML[:, :n_z], ML[:, n_z:]
-                if first:
-                    Z[0] = E[0]
-        inp = blk[:, :w]
-        for i in range(s):
-            kt_dot(inp, out=pre[i])
-            if gru:   # gates [reset; update; cand], h = hp + u (c - hp)
-                h = H[i]
-                if keep:
-                    RU, R, U, c = GRU[i], GR[i], GU[i], GC[i]
+                    GRU, GR = G[:, :2 * n_h], G[:, :n_h]
+                    GU, GC = G[:, n_h:2 * n_h], G[:, 2 * n_h:3 * n_h]
                 else:
-                    c = h
-                expit(PRU[i], out=RU)
-                pc = PC[i]
-                np.multiply(R, PUC[i], out=RUC)
-                pc += RUC    # the candidate's pre-activation
-                tanh(pc, out=c)
-                np.subtract(c, hp, out=h)
-                h *= U
-                h += hp
-                hp = h
-            if i >= first:
-                a_t = A_run[i]
-                if not prev_in:
-                    fh_dot(OH[i], out=a_t)
-                elif reads_h:
-                    fh_dot(H[i], out=FHH)
-                    a_t += FHH
+                    RU = np.empty((2 * n_h, w))
+                    R, U = RU[:n_h], RU[n_h:]
+                ONE = ones_buf[:2 * n_h * w].reshape(2 * n_h, w)
+                hp = blk[hs, :w]
+            # the steps before `first` run no head: all without one, and the
+            # pinned first step, whose sample is its noise (N(0, I))
+            first = int(pin_first and not k) if head else s
+            if head:
+                if prev_in:
+                    A_run = pre[:, a_rows]
+                    if reads_h:
+                        FHH = np.empty((sp.n_a, w))
+                else:
+                    A_run = np.zeros((s, sp.n_a, w))
+                    checked.append(A_run)
+                    OH = S[:, one_h]
+                ML = A_run
                 if hidden:
-                    tanh(a_t, out=HID[i])
-                    mf_dot(FE[i], out=ML_out[i])
-                elif not sample:
-                    np.copyto(Z[i], a_t)
+                    FE[:, n_hid] = 1.0
+                    HID = FE[:, :n_hid]
+                    if keep:
+                        FEAT.append(FE)
+                    if sample:
+                        ML = np.zeros((s, 2 * n_z, w))
+                        checked.append(ML)
+                    ML_out = ML if sample else Z
                 if sample:
-                    lvh = np.maximum(HLV[i], lv_lo, out=LVH[i])
-                    np.minimum(lvh, lv_hi, out=lvh)
-                    z = np.exp(lvh, out=Z[i])
-                    z *= E[i]
-                    z += MEAN[i]
-            inp = S[i]
-        blk = inp
-        # every pre-activation that feeds a saturating function: the
-        # gates, the head's hidden tanh layer and the log-variance clip.
-        # An overflow there would leave a finite output, and every input
-        # entry a step reads reaches pre.
-        _check_finite("latent_scan", *checked)
-        if keep and gru:   # U_c h, contiguous, stands in for pre
-            np.copyto(G[:, 3 * n_h:], PUC)
-            GATES.append(G)
-        np.copyto(_run_rows(out[:, sp.hz_cols], run), S[:, hs.start:])
-        if sample:
-            np.copyto(_run_rows(out[:, cols["mean"]], run), ML[:, :n_z])
-            np.multiply(LVH, 2.0, out=_run_rows(out[:, cols["log_var"]], run))
+                    E = _blocks(eps, run)
+                    LVH = np.zeros((s, n_z, w))   # half log-variance, clipped
+                    LO, HI = CLIP[:, :n_z * w].reshape(2, n_z, w)
+                    MEAN, HLV = ML[:, :n_z], ML[:, n_z:]
+                    if first:
+                        Z[0] = E[0]
+            inp = blk[:, :w]
+            for i in range(s):
+                kt_dot(inp, pre[i])
+                if gru:   # gates [reset; update; cand], h = hp + u (c - hp)
+                    h = H[i]
+                    if keep:
+                        RU, R, U, c = GRU[i], GR[i], GU[i], GC[i]
+                    else:
+                        c = h
+                    np.exp(PRU[i], RU)
+                    add(RU, ONE, RU)    # 1 / r and 1 / u
+                    pc = PC[i]
+                    divide(PUC[i], R, RUC)
+                    add(pc, RUC, pc)    # the candidate's pre-activation
+                    tanh(pc, c)
+                    subtract(c, hp, h)
+                    divide(h, U, h)
+                    add(h, hp, h)
+                    hp = h
+                if i >= first:
+                    a_t = A_run[i]
+                    if not prev_in:
+                        fh_dot(OH[i], a_t)
+                    elif reads_h:
+                        fh_dot(H[i], FHH)
+                        add(a_t, FHH, a_t)
+                    if hidden:
+                        tanh(a_t, HID[i])
+                        mf_dot(FE[i], ML_out[i])
+                    elif not sample:
+                        np.copyto(Z[i], a_t)
+                    if sample:
+                        lvh = np.maximum(HLV[i], LO, out=LVH[i])
+                        np.minimum(lvh, HI, out=lvh)
+                        z = np.exp(lvh, Z[i])
+                        multiply(z, E[i], z)
+                        add(z, MEAN[i], z)
+                inp = S[i]
+            blk = inp
+            # every pre-activation that feeds a saturating function: the
+            # gates, the head's hidden tanh layer and the log-variance clip.
+            # An overflow there would leave a finite output, and every input
+            # entry a step reads reaches pre.
+            _check_finite("latent_scan", *checked)
+            if keep and gru:   # r, u; U_c h, contiguous, stands in for pre
+                np.reciprocal(GRU, out=GRU)
+                np.copyto(G[:, 3 * n_h:], PUC)
+                GATES.append(G)
+            np.copyto(_run_rows(out[:, sp.hz_cols], run), S[:, hs.start:])
+            if sample:
+                np.copyto(_run_rows(out[:, cols["mean"]], run), ML[:, :n_z])
+                np.multiply(LVH, 2.0, out=_run_rows(out[:, cols["log_var"]], run))
     if head:
-        n0 = runs[0][2]
         if pin_first:
-            out[:n0, cols["mean"].start:cols["log_var"].stop] = 0.0
-        out[n0:, cols["z_prev"]] = out[prev, cols["z" if sample else "mean"]]
+            out[:w0, cols["mean"].start:cols["log_var"].stop] = 0.0
+        out[w0:, cols["z_prev"]] = out[prev, cols["z" if sample else "mean"]]
     return out, sp
 
 
@@ -962,7 +979,8 @@ def _latent_scan_vjp(g, vals, out, sp):
     Kin = np.zeros((n_h + n_z, n_h + sp.KT.shape[0]))
     Kin[range(n_h), range(n_h)] = 1.0
     Kin[:, n_h:] = sp.KT[:, sp.rows["h"].start:].T
-    kin_dot = Kin.dot
+    Kin[:, n_h:3 * n_h] *= -1.0   # d a of KT's negated gate rows
+    kin_dot, add, multiply = Kin.dot, np.add, np.multiply
     if hidden:
         mt_dot = np.ascontiguousarray(sp.Mf[:, :-1].T).dot
     if reads_h:
@@ -1030,24 +1048,24 @@ def _latent_scan_vjp(g, vals, out, sp):
             if i >= first:
                 if sample:
                     dml = DML[i]
-                    np.multiply(KZ[i], DZ[i], out=KZD2)
-                    dml += KZD
+                    multiply(KZ[i], DZ[i], KZD2)
+                    add(dml, KZD, dml)
                 else:
                     dml = DZ[i]
                 da = DA[i]
                 if hidden:
-                    mt_dot(dml, out=da)
-                    da *= D[i]
+                    mt_dot(dml, da)
+                    multiply(da, D[i], da)
                 else:
                     np.copyto(da, dml)
                 if reads_h:
-                    fht_dot(da, out=FHD)
-                    dh += FHD
+                    fht_dot(da, FHD)
+                    add(dh, FHD, dh)
             if gru:
-                np.multiply(ks[i], dh, out=ds5[i])
-            kin_dot(ds[i], out=d)
+                multiply(ks[i], dh, ds5[i])
+            kin_dot(ds[i], d)
             if i:
-                DHZk[i - 1] += d
+                add(DHZk[i - 1], d, DHZk[i - 1])
         if k:
             DHZ[k - 1][-1][:, :w] += d
         if pinned:   # the pinned step ran no head

@@ -1,5 +1,7 @@
 """Tape, primitives, backward pass, and finite-difference agreement."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -1170,18 +1172,21 @@ def test_scans_replay_bit_exact():
 
 def _reference_gru_step(pre, hp, h, gates):
     """One gated update of a step block, as a plain function: pre holds
-    [W x + b + U h for reset and update; W x + b for the candidate; U_c
-    h_prev]; on exit its third block is the candidate's pre-activation,
-    and gates holds [r; u; c; U_c h_prev]."""
+    [-a = -(W x + b + U h) for reset and update; W x + b for the
+    candidate; U_c h_prev]; on exit its third block is the candidate's
+    pre-activation, and gates holds [r; u; c; U_c h_prev] with r, u =
+    1 / (1 + e^(-a)).  The update divides by 1 + e^(-a) where it would
+    multiply by r or u."""
     n = h.shape[0]
-    ru = gates[:2 * n] = expit(pre[:2 * n])
+    inv = 1.0 + np.exp(pre[:2 * n])     # [1 / r; 1 / u]
+    gates[:2 * n] = 1.0 / inv
     pre_c = pre[2 * n:3 * n]
-    pre_c += ru[:n] * pre[3 * n:4 * n]
+    pre_c += pre[3 * n:4 * n] / inv[:n]
     gates[2 * n:3 * n] = np.tanh(pre_c)
     gates[3 * n:] = pre[3 * n:4 * n]
     np.tanh(pre_c, out=h)
     h -= hp
-    h *= ru[n:]
+    h /= inv[n:]
     h += hp
 
 
@@ -1343,6 +1348,57 @@ def test_scan_overflow_is_loud():
             with pytest.raises(NonFiniteError, match="latent_scan"):
                 dc.latent_scan([Tensor(xu), Tensor(zs)], gru, runs,
                                gru_in=("xu",))
+
+
+def test_scan_gates_saturate_without_warnings():
+    """Gate pre-activations of -1000, set through the bias, overflow
+    e^(-a) to inf: an update gate there keeps h at h_prev bit for bit,
+    and a reset gate there drops U_c h from the candidate, in a taped and
+    an untaped scan, with no warning and finite gradients.  A scan that
+    raises NonFiniteError leaves numpy's error state as it found it."""
+    arrays, static = _scan_case("history", 3)
+    runs = static["runs"]
+    zs = np.ones((runs[-1][1], N_Z))
+    W = arrays["W"][:, :N_X + N_U + N_Z]
+
+    def weights(b, U=arrays["U"]):
+        return dict(W=Tensor(W), U=Tensor(U), b=Tensor(b),
+                    h0=Tensor(arrays["h0"]))
+
+    def gru_h(gru, taped=False):
+        with Tape() if taped else no_tape() as tape:
+            h = dc.latent_scan([Tensor(arrays["xu"]), Tensor(zs)], gru, runs,
+                               gru_in=("xu",))["h"]
+            if taped:
+                grads = backward(tape, (h * h).sum())
+                assert all(np.isfinite(grads[t.uid]).all()
+                           for t in gru.values())
+        return h.data
+
+    shut, no_reset = arrays["b"].copy(), arrays["b"].copy()
+    shut[N_H:2 * N_H] = -1000.0        # u = 0
+    no_reset[:N_H] = -1000.0           # r = 0
+    no_reset[N_H:2 * N_H] = 1000.0     # u = 1: h is the candidate
+    U0 = arrays["U"].copy()
+    U0[2 * N_H:] = 0.0                 # no U_c h at all
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for taped in (False, True):
+            h = gru_h(weights(shut), taped)
+            assert h.tobytes() == np.tile(arrays["h0"], (len(h), 1)).tobytes()
+            cand = gru_h(weights(no_reset), taped)
+            assert cand.tobytes() == gru_h(weights(no_reset, U0), taped).tobytes()
+            assert not np.array_equal(cand, gru_h(weights(arrays["b"]), taped))
+    big_U = arrays["U"].copy()
+    big_U[:N_H] = 1e308
+    with np.errstate(over="ignore"):   # Tensor's own check squares 1e308
+        loud = weights(arrays["b"], big_U)
+    # an overflow outside the scan's own handling would raise here
+    with np.errstate(over="raise"):
+        state = np.geterr()
+        with pytest.raises(NonFiniteError, match="latent_scan"):
+            gru_h(loud)
+        assert np.geterr() == state
 
 
 def test_scan_backward_reuses_the_forward_gates(monkeypatch):

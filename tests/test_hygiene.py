@@ -260,14 +260,40 @@ def test_unpassed_default_check_catches_a_dead_parameter(tmp_path):
 
 
 # the scan's step loops, where each product goes through a matrix's
-# bound .dot: np.dot would add a Python-level dispatch to every call
+# bound .dot: np.dot would add a Python-level dispatch to every call; and
+# where every other call takes array operands, as numpy converts a
+# scalar operand on every call, and scipy's expit has no place
 STEP_LOOPS = ("_latent_scan", "_latent_scan_vjp")
 
 
-def matmul_in_step_loops(path: pathlib.Path, funcs=STEP_LOOPS) -> list[str]:
-    """Each np.matmul or module-level np.dot call (also as a bare name)
-    and each @ or @= operator inside a for loop of the module-level
-    functions named in funcs; a bound A.dot(x) call passes."""
+def _number(node: ast.expr) -> bool:
+    """A numeric literal, signed or not (a bool is not one)."""
+    while isinstance(node, ast.UnaryOp) and isinstance(node.op,
+                                                       (ast.USub, ast.UAdd)):
+        node = node.operand
+    return (isinstance(node, ast.Constant) and type(node.value) in
+            (int, float, complex))
+
+
+def _outside_indices(stmts):
+    """The nodes of stmts, not descending into a subscript's index."""
+    todo = list(stmts)
+    while todo:
+        node = todo.pop()
+        yield node
+        for field, child in ast.iter_fields(node):
+            if not (isinstance(node, ast.Subscript) and field == "slice"):
+                todo += [c for c in (child if isinstance(child, list)
+                                     else [child]) if isinstance(c, ast.AST)]
+
+
+def step_loop_faults(path: pathlib.Path, funcs=STEP_LOOPS) -> list[str]:
+    """Inside a for loop of the module-level functions named in funcs:
+    each np.matmul or module-level np.dot call (also as a bare name),
+    each @ or @= operator and each expit call (a bound A.dot(x) call
+    passes); and inside an innermost for loop, a step loop, each numeric
+    literal passed to a call or in an arithmetic operation, except in an
+    index and in the loop's own header."""
     found = set()
     for fn in ast.parse(path.read_text()).body:
         if not (isinstance(fn, ast.FunctionDef) and fn.name in funcs):
@@ -286,12 +312,27 @@ def matmul_in_step_loops(path: pathlib.Path, funcs=STEP_LOOPS) -> list[str]:
                         or getattr(node.func, "attr", None) == "dot"
                         and getattr(node.func.value, "id", None) == "np"):
                     found.add((node.lineno, fn.name, "dot"))
+                elif isinstance(node, ast.Call) and "expit" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    found.add((node.lineno, fn.name, "expit"))
+            if any(isinstance(n, ast.For) and n is not loop
+                   for n in ast.walk(loop)):
+                continue   # a loop over runs: its step loop is checked
+            for node in _outside_indices(loop.body):
+                operands = (node.args if isinstance(node, ast.Call)
+                            else [node.left, node.right]
+                            if isinstance(node, ast.BinOp)
+                            else [node.value] if isinstance(node, ast.AugAssign)
+                            else [])
+                if any(_number(x) for x in operands):
+                    found.add((node.lineno, fn.name, "literal"))
     return [f"{path.name}:{line}: {op} in {name}"
             for line, name, op in sorted(found)]
 
 
 def test_scan_step_loops_multiply_with_bound_dot():
-    assert matmul_in_step_loops(SRC / "diffcore.py") == []
+    assert step_loop_faults(SRC / "diffcore.py") == []
 
 
 def test_step_loop_check_catches_a_matmul_in_a_loop(tmp_path):
@@ -307,18 +348,90 @@ def test_step_loop_check_catches_a_matmul_in_a_loop(tmp_path):
         "        while i:\n"
         "            np.matmul(K, x, out=out)\n"
         "            i -= 1\n"
+        "        np.add(out, -1.0, out)\n"
+        "        out[i - 1] += x[2 * i]\n"     # index arithmetic: fine
+        "        np.maximum(out, x, out=out)\n"
         "    return y\n"
         "def _latent_scan_vjp(K, x):\n"
         "    for i in range(2):\n"
-        "        for j in range(2):\n"
+        "        y = expit(x * 2)\n"           # a run loop: expit, not 2
+        "        for j in range(i - 1, -1, -1):\n"   # the header: fine
         "            x @= K\n"
         "            dot(K, x, out=x)\n"
+        "            sp.special.expit(x, out=x)\n"
+        "            x *= 0.5\n"
+        "            np.multiply(x, K, x)\n"
         "    return x\n"
         "def other(K, x):\n"
         "    for i in range(2):\n"
-        "        x = K @ x\n"
+        "        x = K @ x + expit(1.0)\n"
         "    return x\n")
-    assert matmul_in_step_loops(mod) == [
+    assert step_loop_faults(mod) == [
         "mod.py:5: dot in _latent_scan", "mod.py:6: @ in _latent_scan",
-        "mod.py:9: matmul in _latent_scan", "mod.py:15: @ in _latent_scan_vjp",
-        "mod.py:16: dot in _latent_scan_vjp"]
+        "mod.py:9: matmul in _latent_scan", "mod.py:10: literal in _latent_scan",
+        "mod.py:11: literal in _latent_scan",
+        "mod.py:17: expit in _latent_scan_vjp",
+        "mod.py:19: @ in _latent_scan_vjp", "mod.py:20: dot in _latent_scan_vjp",
+        "mod.py:21: expit in _latent_scan_vjp",
+        "mod.py:22: literal in _latent_scan_vjp"]
+
+
+# ops that no code applies, each for a stated reason: the kernels call
+# np.exp, and the tests' unfused references need the exp primitive
+UNAPPLIED_OPS = ("exp",)
+
+
+def unapplied_ops(path: pathlib.Path, roots) -> list[str]:
+    """The names in path's _OPS table that no code under roots applies.
+    An op is applied where a function or method of path passes its name
+    to apply_primitive and that function is named under roots, bare or
+    as an attribute (of anything but np or math, whose same-named
+    functions are not the op), or is an operator method (a dunder)."""
+    tree = ast.parse(path.read_text())
+    table = next(n.value for n in tree.body if isinstance(n, ast.Assign)
+                 and any(getattr(t, "id", None) == "_OPS" for t in n.targets))
+    funcs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    funcs += [m for c in tree.body if isinstance(c, ast.ClassDef)
+              for m in c.body if isinstance(m, ast.FunctionDef)]
+    appliers: dict[str, set[str]] = {}
+    for fn in funcs:
+        for call in ast.walk(fn):
+            if (isinstance(call, ast.Call) and call.args
+                    and getattr(call.func, "id", None) == "apply_primitive"
+                    and isinstance(call.args[0], ast.Constant)):
+                appliers.setdefault(call.args[0].value, set()).add(fn.name)
+    named = set()
+    for p in sorted(q for root in roots for q in root.rglob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and getattr(node.value, "id", None) not in ("np", "math")):
+                named.add(node.attr)
+    return [k.value for k in table.keys
+            if not any(f in named or f.startswith("__")
+                       for f in appliers.get(k.value, ()))]
+
+
+def test_every_op_is_applied():
+    assert unapplied_ops(SRC / "diffcore.py", [SRC]) == list(UNAPPLIED_OPS)
+
+
+def test_unapplied_op_check_catches_a_dead_op(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "_OPS = {'add': 0, 'exp': 1, 'tanh': 2, 'sum': 3, 'dead': 4,\n"
+        "        'orphan': 5}\n"
+        "class T:\n"
+        "    def __add__(self, o):\n"
+        "        return apply_primitive('add', self, o)\n"
+        "    def sum(self):\n"
+        "        return apply_primitive('sum', self)\n"
+        "def exp(t):\n    return apply_primitive('exp', t)\n"
+        "def tanh(t):\n    return apply_primitive('tanh', t)\n"
+        "def dead(t):\n    return apply_primitive('dead', t)\n"
+        "def apply_primitive(op, *a):\n    return _OPS[op]\n")
+    (tmp_path / "user.py").write_text(
+        "import numpy as np\nfrom core import T, tanh\n"
+        "print(np.exp(1.0), tanh(T()), T().sum())\n")
+    assert unapplied_ops(tmp_path / "core.py", [tmp_path]) == [
+        "exp", "dead", "orphan"]
