@@ -663,9 +663,9 @@ class _ScanParts:
     A state block's rows are [x; 1; h; z]: rows[name] for "xu", "one",
     "h" and "z".  KT @ block (of the previous step) is a step's
     pre-activations, pre, with a GRU its reset and update gates' -a
-    (those rows negated, exactly), its candidate's W x + b and U_c h (see _latent_scan), then, when the head
-    reads x or z, its first layer on those blocks plus its bias.  Its
-    part on h is Fh; a head that reads h alone is FhB = [f, F_h] on the
+    (those rows negated, exactly), its candidate's W x + b and U_c h
+    (see _latent_scan), then, when the head reads x or z, its first
+    layer on those blocks plus its bias.  Its part on h is Fh; a head that reads h alone is FhB = [f, F_h] on the
     block's [1; h] rows.  After a hidden layer, Mf = [M, m] maps [feat;
     1] to [mean, log_var / 2].  Wc and Fc are W's and F's column blocks.
     """

@@ -1403,7 +1403,8 @@ def test_scan_gates_saturate_without_warnings():
 
 def test_scan_backward_reuses_the_forward_gates(monkeypatch):
     """A taped history-mode scan keeps its gates, so its backward pass
-    evaluates neither expit nor np.tanh."""
+    evaluates no gate function: neither expit, np.tanh nor np.reciprocal,
+    and np.exp once only, for the noise's scale exp(log_var / 2)."""
     arrays, static = _scan_case("history", 3)
     params = {k: Tensor(a) for k, a in arrays.items()}
     with Tape() as tape:
@@ -1418,10 +1419,11 @@ def test_scan_backward_reuses_the_forward_gates(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(dc, "expit", counted("expit", dc.expit))
-    monkeypatch.setattr(np, "tanh", counted("tanh", np.tanh))
+    for name in ("tanh", "exp", "reciprocal"):
+        monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
     grads = backward(tape, loss)
     monkeypatch.undo()
-    assert calls == []
+    assert calls == ["exp"]
     assert {params[k].uid for k in ("W", "U", "b", "h0", "Wm")} <= grads.keys()
 
 

@@ -292,8 +292,8 @@ def step_loop_faults(path: pathlib.Path, funcs=STEP_LOOPS) -> list[str]:
     each np.matmul or module-level np.dot call (also as a bare name),
     each @ or @= operator and each expit call (a bound A.dot(x) call
     passes); and inside an innermost for loop, a step loop, each numeric
-    literal passed to a call or in an arithmetic operation, except in an
-    index and in the loop's own header."""
+    literal that is a positional argument of a call or an operand of
+    arithmetic, except in an index and in the loop's own header."""
     found = set()
     for fn in ast.parse(path.read_text()).body:
         if not (isinstance(fn, ast.FunctionDef) and fn.name in funcs):
