@@ -139,7 +139,7 @@ class Tensor:
         return apply_primitive("mul", _lift(other), self)
 
     def __neg__(self):
-        return apply_primitive("mul", self, _lift(-1.0))
+        return apply_primitive("mul", self, _MINUS_ONE)
 
     def __matmul__(self, other):
         return apply_primitive("matmul", self, _lift(other))
@@ -159,6 +159,9 @@ class Tensor:
 
 def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x, const=True)
+
+
+_MINUS_ONE = Tensor(-1.0, const=True)   # the factor of every negation
 
 
 def constant(x) -> Tensor:
@@ -210,24 +213,32 @@ class Tape:
         _active_tape = self._prev
         return False
 
-    def _leaf(self, t: Tensor) -> int:
-        if t.tape is self:
-            return t.node_id
-        nid = self.leaves.get(t.uid)
-        if nid is None:
-            nid = self._record("leaf", (), t.data, (t.uid, t.const), None)
-            self.leaves[t.uid] = nid
-        return nid
-
-    def _record(self, op: str, pids: tuple[int, ...], value: np.ndarray,
-                aux, kw: dict | None) -> int:
-        nid = len(self.ops)
-        self.ops.append(op)
-        self.parents.append(pids)
-        self.values.append(value)
-        self.aux.append(aux)
-        self.kws.append(kw)
-        return nid
+    def _record(self, op: str, inputs, value: np.ndarray, aux,
+                kw: dict | None) -> int:
+        """Append op's node on the tensors inputs, enrolling each input
+        that is not a node of this tape as a leaf on first use; its id."""
+        ops, parents, values, auxs, kws = (
+            self.ops, self.parents, self.values, self.aux, self.kws)
+        pids = []
+        for t in inputs:
+            if t.tape is self:
+                pids.append(t.node_id)
+                continue
+            nid = self.leaves.get(t.uid)
+            if nid is None:
+                nid = self.leaves[t.uid] = len(ops)
+                ops.append("leaf")
+                parents.append(())
+                values.append(t.data)
+                auxs.append((t.uid, t.const))
+                kws.append(None)
+            pids.append(nid)
+        ops.append(op)
+        parents.append(tuple(pids))
+        values.append(value)
+        auxs.append(aux)
+        kws.append(kw)
+        return len(ops) - 1
 
 
 class no_tape:
@@ -371,7 +382,9 @@ def _sum(x, axis=None):
 def _sum_vjp(g, vals, out, aux):
     if aux is not None:   # g regains the summed axis, of length 1
         g = g.reshape(g.shape[:aux] + (1,) + g.shape[aux:])
-    return (np.full(vals[0].shape, g),)
+    gx = np.empty(vals[0].shape)
+    gx[...] = g
+    return (gx,)
 
 
 def _mean(x):
@@ -438,16 +451,16 @@ def _gauss_logpdf(x, mean, log_var):
                          f"{mean.shape}, {log_var.shape}")
     d = x - mean
     inv_var = np.exp(-log_var)
-    quad = (d * d * inv_var).sum(axis=-1)
-    out = (quad + log_var.sum(axis=-1)) * -0.5 + (-0.5 * LN_2PI * x.shape[-1])
-    return out, (d, inv_var)
+    quad = d * d * inv_var
+    out = (quad.sum(-1) + log_var.sum(-1)) * -0.5 + (-0.5 * LN_2PI * x.shape[-1])
+    return out, (d, inv_var, quad)
 
 
-def _logpdf_adjoints(g, d, inv_var):
+def _logpdf_adjoints(g, d, inv_var, quad):
     """gauss_logpdf's mean and log-variance adjoints from its aux, g the
     output adjoint with a trailing axis."""
     g_mean = g * d * inv_var
-    return g_mean, (g * 0.5) * (d * d * inv_var - 1.0)
+    return g_mean, (g * 0.5) * (quad - 1.0)
 
 
 def _gauss_logpdf_vjp(g, vals, out, aux):
@@ -464,16 +477,18 @@ def _gauss_kl(q_mean, q_log_var, p_mean, p_log_var):
     dm = q_mean - p_mean
     ratio = np.exp(diff_lv)
     inv_p = np.exp(-p_log_var)
-    inner = ratio + dm * dm * inv_p - 1.0 - diff_lv
-    return inner.sum(axis=-1) * 0.5, (dm, ratio, inv_p)
+    quad = dm * dm * inv_p
+    inner = ratio + quad - 1.0 - diff_lv
+    return inner.sum(axis=-1) * 0.5, (dm, ratio, inv_p, quad)
 
 
 def _gauss_kl_vjp(g, vals, out, aux):
-    dm, ratio, inv_p = aux
+    dm, ratio, inv_p, quad = aux
     g = g[..., None]
     g_mean = g * dm * inv_p
-    g_lv = (g * 0.5) * (ratio - 1.0)
-    return g_mean, g_lv, -g_mean, -g_lv - (g * 0.5) * (dm * dm * inv_p)
+    g_half = g * 0.5
+    g_lv = g_half * (ratio - 1.0)
+    return g_mean, g_lv, -g_mean, -g_lv - g_half * quad
 
 
 def _gauss_head(p, head, z, hist, clip):
@@ -542,7 +557,7 @@ def _gauss_bound(rows, x, *arrays, names, cols, first, clip, fixed):
                          f"{names}, {cols}, first {first}")
     q_mean, q_lv, z, z_prev = [rows[:, a:b] for a, b in cols]
     d_mean, d_lv, dec = _gauss_head(p, "dec.", z, hist, clip)
-    p_mean, p_lv = np.zeros(q_mean.shape), np.zeros(q_mean.shape)
+    p_mean, p_lv = np.zeros((2,) + q_mean.shape)
     p_mean[first:], p_lv[first:], pri = _gauss_head(
         p, "pri.", z_prev[first:], None if hist is None else hist[first:], clip)
     out = np.empty((2, n))
@@ -637,18 +652,6 @@ def _col_blocks(M, order, width) -> dict:
     return out
 
 
-def _head_layers(p):
-    """The Gaussian head as (M, m, F, f): an output layer M, m giving
-    [mean, log_var / 2] rows (no log-variance without eps; the halving
-    is exact, a power of two) and the first layer F, f on the head's
-    input (M, m itself without W1)."""
-    M, m = p["Wm"], p["bm"]
-    if "eps" in p:
-        M = np.concatenate((M, p["Wv"] * 0.5))
-        m = np.concatenate((m, p["bv"] * 0.5))
-    return (M, m) + ((p["W1"], p["b1"]) if "W1" in p else (M, m))
-
-
 class _ScanParts:
     """One scan call's description, and the only place its inputs are
     checked: its exogenous column blocks xs and its other inputs p by
@@ -665,9 +668,11 @@ class _ScanParts:
     pre-activations, pre, with a GRU its reset and update gates' -a
     (those rows negated, exactly), its candidate's W x + b and U_c h
     (see _latent_scan), then, when the head reads x or z, its first
-    layer on those blocks plus its bias.  Its part on h is Fh; a head that reads h alone is FhB = [f, F_h] on the
-    block's [1; h] rows.  After a hidden layer, Mf = [M, m] maps [feat;
-    1] to [mean, log_var / 2].  Wc and Fc are W's and F's column blocks.
+    layer on those blocks plus its bias.  Its part on h is Fh; a head
+    that reads h alone is FhB = [f, F_h] on the block's [1; h] rows.  The
+    head's output layer Mf = [M, m] maps [feat; 1] to [mean, log_var /
+    2], and without a hidden layer it is the first layer F, f too.  Wc
+    and Fc are W's and F's column blocks.
     """
 
     def __init__(self, arrays, names, runs, gru_in, head_in, clip,
@@ -688,18 +693,21 @@ class _ScanParts:
                 or "h" in head_in and not gru):
             raise ValueError(f"latent_scan inputs unsupported: {names}")
         n_rows = xs[0].shape[0] if xs and xs[0].ndim == 2 else -1
-        ends = [0] + [b for _, b, _ in runs]
-        if not runs or ends[-1] != n_rows or any(
-                a != e or w < 1 or b - a < w or (b - a) % w
-                or k and w >= runs[k - 1][2]
-                for k, ((a, b, w), e) in enumerate(zip(runs, ends))):
+        # a row reaches back by the width of the step before its own: a
+        # run's width, from its second step to the next run's first
+        w0, end = runs[0][2] if runs else 0, 0
+        prev = np.arange(w0, n_rows)
+        for k, (a, b, w) in enumerate(runs):
+            if (a != end or w < 1 or b - a < w or (b - a) % w
+                    or k and w >= runs[k - 1][2]):
+                end = None
+                break
+            c, _, v = runs[k + 1] if k + 1 < len(runs) else (n_rows, 0, 0)
+            prev[a + w - w0:c + v - w0] -= w
+            end = b
+        if not runs or end != n_rows:
             raise ValueError(f"runs do not pack {n_rows} rows time-major")
-        # a row reaches back by the width of the step before its own
-        step_w = np.repeat([w for *_, w in runs],
-                           [(b - a) // w for a, b, w in runs])
-        self.runs = runs
-        self.prev = np.arange(step_w[0], n_rows) - np.repeat(step_w[:-1],
-                                                             step_w[1:])
+        self.runs, self.prev = runs, prev
         n_h = p["U"].shape[-1] if gru and p["U"].ndim else 0
         n_z = p["Wm"].shape[0] if head and p["Wm"].ndim else 0
         n_feat = p["W1"].shape[0] if hidden else 0
@@ -723,19 +731,24 @@ class _ScanParts:
         self.GATES, self.FEAT = [], []
         n_x = sum(x.shape[1] for x in xs)
         width = {"xu": n_x, "h": n_h, "z": n_z}
-        rows, off = {}, 0
-        for k, n in (("xu", n_x), ("one", 1), ("h", n_h), ("z", n_z)):
-            rows[k] = slice(off, off + n)
-            off += n
-        self.rows, self.n_state = rows, off
+        off = n_x + 1 + n_h
+        rows = self.rows = {"xu": slice(0, n_x), "one": slice(n_x, n_x + 1),
+                            "h": slice(n_x + 1, off), "z": slice(off, off + n_z)}
+        off = self.n_state = off + n_z
         self.prev_in = [k for k in head_in if k != "h"]
         self.reads_h = "h" in head_in
         self.Wc = _col_blocks(p["W"], gru_in, width) if gru else {}
-        self.Fc, self.n_a = {}, 0
+        self.Fc, self.n_a, self.Mf = {}, 0, None
         if head:
-            M, m, F, f = _head_layers(p)
+            # [M, m] gives [mean, log_var / 2] (no log-variance without eps)
+            Mf = self.Mf = np.empty(((1 + sample) * n_z, p["Wm"].shape[1] + 1))
+            Mf[:n_z, :-1], Mf[:n_z, -1] = p["Wm"], p["bm"]
+            if sample:
+                np.multiply(p["Wv"], 0.5, Mf[n_z:, :-1])
+                np.multiply(p["bv"], 0.5, Mf[n_z:, -1])
+            # the first layer F, f on the head's input: [M, m] without W1
+            F, f = (p["W1"], p["b1"]) if hidden else (Mf[:, :-1], Mf[:, -1])
             self.Fc, self.n_a = _col_blocks(F, head_in, width), F.shape[0]
-        self.Mf = np.concatenate((M, m[:, None]), axis=1) if hidden else None
         self.Fh = self.FhB = None
         if self.reads_h:
             self.Fh = np.ascontiguousarray(self.Fc["h"])
@@ -829,7 +842,8 @@ def _latent_scan(*arrays, names, runs, gru_in, head_in, clip, pin_first,
         # the log-variance rows of the head's output are halved (exactly, a
         # power of two): the loop clips half the log-variance, between
         # bounds filled once, and exponentiates it directly
-        CLIP = np.repeat(np.multiply(clip, 0.5)[:, None], n_z * w0, axis=1)
+        CLIP = np.empty((2, n_z * w0))
+        CLIP[0], CLIP[1] = clip[0] * 0.5, clip[1] * 0.5
         eps = p["eps"]
     # the block the first step reads: x_0 (filled below), 1, h0 and z = 0
     blk = np.zeros((sp.n_state, w0))
@@ -840,6 +854,8 @@ def _latent_scan(*arrays, names, runs, gru_in, head_in, clip, pin_first,
     GATES, FEAT, kt_dot = sp.GATES, sp.FEAT, KT.dot
     tanh, add, subtract, divide, multiply = (
         np.tanh, np.add, np.subtract, np.divide, np.multiply)
+    # np_exp: the name exp is the module's exp primitive
+    np_exp, copyto, maximum, minimum = np.exp, np.copyto, np.maximum, np.minimum
     fh_dot = (sp.Fh if prev_in else sp.FhB).dot if reads_h else None
     mf_dot = sp.Mf.dot if hidden else None
     # one pre-activation block for every run: the check reads it per run
@@ -860,7 +876,7 @@ def _latent_scan(*arrays, names, runs, gru_in, head_in, clip, pin_first,
                 c = x.shape[1]
                 blk[off:off + c, :w] = x[a:a + w].T
                 if s > 1:
-                    np.copyto(S[:-1, off:off + c], _run_rows(x, (a + w, b, w)))
+                    copyto(S[:-1, off:off + c], _run_rows(x, (a + w, b, w)))
                 off += c
             pre = pre_buf[:(b - a) * KT.shape[0]].reshape(s, KT.shape[0], w)
             checked = [pre]
@@ -915,7 +931,7 @@ def _latent_scan(*arrays, names, runs, gru_in, head_in, clip, pin_first,
                         RU, R, U, c = GRU[i], GR[i], GU[i], GC[i]
                     else:
                         c = h
-                    np.exp(PRU[i], RU)
+                    np_exp(PRU[i], RU)
                     add(RU, ONE, RU)    # 1 / r and 1 / u
                     pc = PC[i]
                     divide(PUC[i], R, RUC)
@@ -936,11 +952,11 @@ def _latent_scan(*arrays, names, runs, gru_in, head_in, clip, pin_first,
                         tanh(a_t, HID[i])
                         mf_dot(FE[i], ML_out[i])
                     elif not sample:
-                        np.copyto(Z[i], a_t)
+                        copyto(Z[i], a_t)
                     if sample:
-                        lvh = np.maximum(HLV[i], LO, out=LVH[i])
-                        np.minimum(lvh, HI, out=lvh)
-                        z = np.exp(lvh, Z[i])
+                        lvh = maximum(HLV[i], LO, out=LVH[i])
+                        minimum(lvh, HI, out=lvh)
+                        z = np_exp(lvh, Z[i])
                         multiply(z, E[i], z)
                         add(z, MEAN[i], z)
                 inp = S[i]
@@ -977,10 +993,11 @@ def _latent_scan_vjp(g, vals, out, sp):
     # [h; z] rows of the block it read: the identity block passes (1 - u)
     # dh on to h_prev, and KT's h and z columns take d pre back
     Kin = np.zeros((n_h + n_z, n_h + sp.KT.shape[0]))
-    Kin[range(n_h), range(n_h)] = 1.0
     Kin[:, n_h:] = sp.KT[:, sp.rows["h"].start:].T
-    Kin[:, n_h:3 * n_h] *= -1.0   # d a of KT's negated gate rows
-    kin_dot, add, multiply = Kin.dot, np.add, np.multiply
+    if gru:
+        np.fill_diagonal(Kin[:, :n_h], 1.0)
+        Kin[:, n_h:3 * n_h] *= -1.0   # d a of KT's negated gate rows
+    kin_dot, add, multiply, copyto = Kin.dot, np.add, np.multiply, np.copyto
     if hidden:
         mt_dot = np.ascontiguousarray(sp.Mf[:, :-1].T).dot
     if reads_h:
@@ -1057,7 +1074,7 @@ def _latent_scan_vjp(g, vals, out, sp):
                     mt_dot(dml, da)
                     multiply(da, D[i], da)
                 else:
-                    np.copyto(da, dml)
+                    copyto(da, dml)
                 if reads_h:
                     fht_dot(da, FHD)
                     add(dh, FHD, dh)
@@ -1164,14 +1181,9 @@ def apply_primitive(op: str, *inputs, **kw) -> Tensor:
     result.data = out
     result.uid = next(_uid_counter)
     result.const = False
-    result.tape = None
-    result.node_id = None
-
-    tape = _active_tape
-    if tape is not None:
-        pids = tuple([tape._leaf(t) for t in inputs])
-        result.tape = tape
-        result.node_id = tape._record(op, pids, out, aux, kw or None)
+    tape = result.tape = _active_tape
+    result.node_id = (None if tape is None
+                      else tape._record(op, inputs, out, aux, kw or None))
     return result
 
 
@@ -1263,12 +1275,12 @@ def gauss_bound(scan: ScanRows, x: Tensor, heads: dict[str, Tensor],
     heads holds the "pri." and "dec." weights, hist the prior's summaries;
     a constant among them gets no adjoint."""
     inputs = heads if hist is None else {"hist": hist, **heads}
-    cols = tuple((scan.cols[k].start, scan.cols[k].stop)
-                 for k in ("mean", "log_var", "z", "z_prev"))
+    cols = tuple([(scan.cols[k].start, scan.cols[k].stop)
+                  for k in ("mean", "log_var", "z", "z_prev")])
     return apply_primitive("gauss_bound", scan.rows, x, *inputs.values(),
                            names=tuple(inputs), cols=cols, first=first,
                            clip=tuple(clip), fixed=frozenset(
-                               k for k, t in inputs.items() if t.const))
+                               [k for k, t in inputs.items() if t.const]))
 
 
 # ---------------------------------------------------------------------------
@@ -1311,9 +1323,8 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
         g, adj[i] = adj[i], None
         op = ops[i]
         if op == "leaf":
-            uid, is_const = aux[i]
-            if g is not None and not is_const:
-                grads[uid] = np.array(g, dtype=np.float64)
+            if g is not None and not aux[i][1]:   # (uid, const)
+                grads[aux[i][0]] = np.array(g, dtype=np.float64)
             continue
         if g is not None:
             ps = parents[i]

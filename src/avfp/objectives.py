@@ -158,13 +158,15 @@ def filter_means(params: ModelParams, batch: Batch
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic, untaped filtering of a batch: the stacked (N, d_h)
     recognition summaries h_t ([x_t, u_t, z_{t-1}] in markovian mode)
-    and (N, n_z) posterior means, one row per cycle."""
+    and (N, n_z) posterior means, one row per cycle.  Both are read off
+    the scan's output rows, views where they can be, unchecked again and
+    uncopied."""
     with no_tape():
         scan = filter_forward(params, batch, None)
-    h = scan.get("h")
-    if h is None:
-        return np.hstack([batch.xu, scan["z_prev"].data]), scan["z"].data
-    return h.data, scan["z"].data
+    rows, cols = scan.rows.data, scan.cols
+    if "h" not in cols:
+        return np.hstack([batch.xu, rows[:, cols["z_prev"]]]), rows[:, cols["z"]]
+    return rows[:, cols["h"]], rows[:, cols["z"]]
 
 
 def sequence_elbo(params: ModelParams, batch: Batch, eps: np.ndarray
@@ -214,8 +216,8 @@ def adversarial_losses(d_real: Tensor, d_fake: Tensor) -> tuple[Tensor, Tensor]:
     for d in (d_real, d_fake):
         if np.any(d.data <= 0.0) or np.any(d.data >= 1.0):
             raise ValueError("discriminator outputs must be strictly inside (0, 1)")
-    disc = (log(d_real).mean() + log(1.0 - d_fake).mean()) * -1.0
-    gen = log(d_fake).mean() * -1.0
+    disc = -(log(d_real).mean() + log(1.0 - d_fake).mean())
+    gen = -log(d_fake).mean()
     return disc, gen
 
 
@@ -244,10 +246,10 @@ def combined_objective(
     if lambda_adv > 0.0:
         pool = batch.pool
         d_fake = discriminate(params, scan["z"], pool)
-        adv_gen = log(d_fake) * -1.0
+        adv_gen = -log(d_fake)
         with no_tape():
             d_real = discriminate(params, prior_rows, pool)
-            adv_disc = (log(d_real) + log(1.0 - d_fake)) * -1.0
+            adv_disc = -(log(d_real) + log(1.0 - d_fake))
         adv_gen_rows, adv_disc_rows = adv_gen.data, adv_disc.data
         target = target - adv_gen.sum() * lambda_adv
 

@@ -35,6 +35,8 @@ checksum (first 8 bytes of the SHA-256 of the table).
 from __future__ import annotations
 
 import hashlib
+import math
+import operator
 import os
 import struct
 from contextlib import contextmanager, suppress
@@ -117,7 +119,7 @@ def _pack(group: dict[str, Tensor], state: OptimizerState) -> tuple:
     data = {name: p.data for name, p in group.items()}
     held = [*data.values(), *map(state.m.get, data), *map(state.v.get, data)]
     if state._flat and len(held) == len(state._flat[3]) and all(
-            a is b for a, b in zip(held, state._flat[3])):
+            map(operator.is_, held, state._flat[3])):
         return state._flat
     ends = np.cumsum([arr.size for arr in data.values()])
     flats, views = [], []
@@ -176,7 +178,7 @@ def clip_by_global_norm(grads: dict[str, np.ndarray],
     if total == np.inf and all(np.isfinite(g).all() for g in grads.values()):
         unit = max(float(np.abs(g).max(initial=0.0)) for g in grads.values())
         total = sum(float(np.square(g / unit).sum()) for g in grads.values())
-    root = float(np.sqrt(total))
+    root = math.sqrt(total)
     norm = unit * root
     if norm <= max_norm or norm == 0.0:
         return grads, norm
@@ -480,7 +482,7 @@ def fit_recognition(params: ModelParams, trajs: list[Trajectory], steps: int,
                            "fit-phi", step)   # one trajectory: packed as drawn
         with _adam_update(phi_group, opt) as update:
             elbo = sequence_elbo(params, batch, noise)[0]
-            update.loss = elbo * -1.0
+            update.loss = -elbo
         trace.append(elbo.item())
     return trace
 
@@ -817,7 +819,7 @@ def train_toy_gan(steps: int = 5000, seed: int = 0) -> ToyGanResult:
         with _adam_update(g_params, opt_g) as update:
             fake = constant(eps_g) * g_params["scale"] + g_params["shift"]
             d_fake = disc_prob(fake)
-            update.loss = log(d_fake).mean() * -1.0
+            update.loss = -log(d_fake).mean()
 
         if step % 100 == 0 or step == steps:
             trace.append((step, float(d_real.data.mean()),

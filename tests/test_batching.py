@@ -9,7 +9,8 @@ import pytest
 from avfp import rng
 from avfp.data import Trajectory
 from avfp.diffcore import Tape, backward, no_tape
-from avfp.model import NetworkSpec, init_params
+from avfp.evalcli import _latent_means
+from avfp.model import NetworkSpec, init_params, rul_head
 from avfp.objectives import (
     Batch,
     combined_objective,
@@ -18,7 +19,7 @@ from avfp.objectives import (
     prior_rollout,
     sequence_elbo,
 )
-from avfp.training import _discriminator_loss, mc_elbo
+from avfp.training import _discriminator_loss, mc_elbo, predict_sequence_rul
 
 LENGTHS = (9, 5, 7)
 
@@ -140,6 +141,32 @@ def test_filter_means_batched_equals_per_trajectory(markovian):
         h1, m1 = filter_means(params, Batch([t]))
         assert_close(h, h1)
         assert_close(m, m1)
+
+
+@pytest.mark.parametrize("markovian", [False, True])
+def test_readout_rows_equal_the_sliced_scan_blocks_bit_for_bit(markovian):
+    """The readout rows and the health index's means, read off the scan's
+    output, equal its blocks sliced through the slice primitive and
+    stacked, as the readout built them before, on a batch of three runs."""
+    spec = small_spec()
+    params = init_params(spec, markovian, seed=6)
+    trajs = ragged(spec)
+    batch = Batch(trajs)
+    assert len(batch.runs) == 3
+    with no_tape():
+        scan = filter_forward(params, batch, None)
+        states = (np.hstack([batch.xu, scan["z_prev"].data]) if markovian
+                  else scan["h"].data)
+        means = scan["z"].data
+    want = np.hstack([states, means])
+    got = np.hstack(filter_means(params, batch))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for m, ref in zip(_latent_means(params, trajs), batch.unpack(means)):
+        assert m.tobytes() == ref.tobytes()
+    preds = predict_sequence_rul(params, trajs)
+    with no_tape():
+        ref = batch.unpack(rul_head(params, want).data)
+    assert all(p.tobytes() == r.tobytes() for p, r in zip(preds, ref))
 
 
 @pytest.mark.parametrize("markovian", [False, True])

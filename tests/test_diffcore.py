@@ -1479,6 +1479,25 @@ def test_latent_scan_input_errors():
     with pytest.raises(ValueError):  # a pinned first step without noise
         _latent({k: t for k, t in params.items() if k not in ("eps", "Wv", "bv")},
                 **{**static, "pin_first": True})
+    # one malformed input per shape clause of _ScanParts, each of which
+    # must be the clause that raises
+    n_hid = arrays["W1"].shape[0]
+    wide = np.ones((N_Z, n_hid + 1))
+    for bad in ({"h0": np.ones(N_H + 1)}, {"U": np.ones((3 * N_H + 1, N_H))},
+                {"b": np.ones(3 * N_H - 1)}, {"b1": np.ones(n_hid + 1)},
+                {"bm": np.ones(N_Z + 1)}, {"bv": np.ones(N_Z + 1)},
+                {"W": np.ones((3 * N_H + 3, arrays["W"].shape[1]))},
+                {"Wm": np.ones(N_Z), "Wv": np.ones(N_Z)},   # not 2-D
+                {"Wm": wide, "Wv": wide},    # Wm's width is not W1's rows
+                {"Wv": np.ones((N_Z + 1, n_hid))}):     # Wv unlike Wm
+        with pytest.raises(ValueError, match="latent_scan shapes unsupported"):
+            _latent({**params, **{k: Tensor(a) for k, a in bad.items()}},
+                    **static)
+    xu = arrays["xu"]   # an exogenous block of another row count
+    with pytest.raises(ValueError, match="latent_scan shapes unsupported"):
+        dc.latent_scan([Tensor(xu[:, :1]), Tensor(xu[1:, 1:])],
+                       {k: t for k, t in params.items() if k != "xu"},
+                       **static)
     # without a head: a GRU is required, no head weights or noise are
     # taken, and there is no sample z to read
     xs, runs = [params["xu"]], static["runs"]

@@ -293,7 +293,8 @@ def step_loop_faults(path: pathlib.Path, funcs=STEP_LOOPS) -> list[str]:
     each @ or @= operator and each expit call (a bound A.dot(x) call
     passes); and inside an innermost for loop, a step loop, each numeric
     literal that is a positional argument of a call or an operand of
-    arithmetic, except in an index and in the loop's own header."""
+    arithmetic, except in an index and in the loop's own header, and
+    each other call of an np attribute (a local bound to it passes)."""
     found = set()
     for fn in ast.parse(path.read_text()).body:
         if not (isinstance(fn, ast.FunctionDef) and fn.name in funcs):
@@ -327,6 +328,11 @@ def step_loop_faults(path: pathlib.Path, funcs=STEP_LOOPS) -> list[str]:
                             else [])
                 if any(_number(x) for x in operands):
                     found.add((node.lineno, fn.name, "literal"))
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", "dot") not in (
+                            "dot", "matmul")
+                        and getattr(node.func.value, "id", None) == "np"):
+                    found.add((node.lineno, fn.name, f"np.{node.func.attr}"))
     return [f"{path.name}:{line}: {op} in {name}"
             for line, name, op in sorted(found)]
 
@@ -361,6 +367,8 @@ def test_step_loop_check_catches_a_matmul_in_a_loop(tmp_path):
         "            sp.special.expit(x, out=x)\n"
         "            x *= 0.5\n"
         "            np.multiply(x, K, x)\n"
+        "            exp(x, x)\n"               # a bound local: fine
+        "            np.copyto(x, K)\n"
         "    return x\n"
         "def other(K, x):\n"
         "    for i in range(2):\n"
@@ -370,10 +378,14 @@ def test_step_loop_check_catches_a_matmul_in_a_loop(tmp_path):
         "mod.py:5: dot in _latent_scan", "mod.py:6: @ in _latent_scan",
         "mod.py:9: matmul in _latent_scan", "mod.py:10: literal in _latent_scan",
         "mod.py:11: literal in _latent_scan",
+        "mod.py:11: np.add in _latent_scan",
+        "mod.py:13: np.maximum in _latent_scan",
         "mod.py:17: expit in _latent_scan_vjp",
         "mod.py:19: @ in _latent_scan_vjp", "mod.py:20: dot in _latent_scan_vjp",
         "mod.py:21: expit in _latent_scan_vjp",
-        "mod.py:22: literal in _latent_scan_vjp"]
+        "mod.py:22: literal in _latent_scan_vjp",
+        "mod.py:23: np.multiply in _latent_scan_vjp",
+        "mod.py:25: np.copyto in _latent_scan_vjp"]
 
 
 # ops that no code applies, each for a stated reason: the kernels call
