@@ -19,8 +19,8 @@ files to a temporary directory.  The artifacts:
   of the taped combined objective over a batch of its first 8 training
   units at lambda_adv 0 and 0.1 (its prior rows rolled out from the
   objective's own noise);
-- each of the 20 rows of bound_gap_audit() at its defaults (about a
-  minute) and gradient_audit(draws=2).
+- each of the 20 rows of bound_gap_audit() at its defaults (about 25 s
+  at one BLAS thread on a 2-vCPU VM) and gradient_audit(draws=2).
 """
 
 from __future__ import annotations
