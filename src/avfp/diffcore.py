@@ -161,7 +161,7 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x, const=True)
 
 
-_MINUS_ONE = Tensor(-1.0, const=True)   # the factor of every negation
+_MINUS_ONE = Tensor(np.broadcast_to(-1.0, ()), const=True)   # read-only
 
 
 def constant(x) -> Tensor:
@@ -189,8 +189,8 @@ class Tape:
     tapes may nest, the innermost one records.
     """
 
-    __slots__ = ("ops", "parents", "values", "aux", "kws", "leaves", "_prev",
-                 "__weakref__")
+    __slots__ = ("ops", "parents", "values", "aux", "kws", "leaves", "walked",
+                 "_prev", "__weakref__")
 
     def __init__(self):
         self.ops: list[str] = []
@@ -199,6 +199,7 @@ class Tape:
         self.aux: list = []
         self.kws: list[dict | None] = []
         self.leaves: dict[int, int] = {}
+        self.walked = False   # whether backward() has dropped values
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -215,8 +216,7 @@ class Tape:
 
     def _record(self, op: str, inputs, value: np.ndarray, aux,
                 kw: dict | None) -> int:
-        """Append op's node on the tensors inputs, enrolling each input
-        that is not a node of this tape as a leaf on first use; its id."""
+        """Append op's node on inputs, enrolling each new leaf; its id."""
         ops, parents, values, auxs, kws = (
             self.ops, self.parents, self.values, self.aux, self.kws)
         pids = []
@@ -382,9 +382,7 @@ def _sum(x, axis=None):
 def _sum_vjp(g, vals, out, aux):
     if aux is not None:   # g regains the summed axis, of length 1
         g = g.reshape(g.shape[:aux] + (1,) + g.shape[aux:])
-    gx = np.empty(vals[0].shape)
-    gx[...] = g
-    return (gx,)
+    return (np.full(vals[0].shape, g),)
 
 
 def _mean(x):
@@ -595,28 +593,28 @@ def _gauss_bound_vjp(g, vals, out, aux):
 # rows of a step continue the first rows of the step before.  The layout
 # is given as its runs of steps of equal width, (first row, end row,
 # width) each, in order and with strictly falling widths; _ScanParts
-# checks them and derives prev from them, the row one step earlier of
-# every row after the first step.  Inside a scan every per-step value is
-# stored feature-major: a step's block is a (features, width) array, and
-# the steps of a run form one (steps, features, width) array, filled
-# from and read back to the row-major inputs and outputs with one
-# transposed copy per run.  A state block [x; 1; h; z] holds a step's
-# outputs h and z and the next step's exogenous inputs x with a row of
-# ones, so that a step's pre-activations are one product of the previous
-# block with a matrix built once per call, biases riding on the ones
-# row; the backward pass reads the same matrices.  Their reset and update
-# rows are negated, giving -a, so a step divides by 1 + e^(-a) where the
-# gates r, u = 1 / (1 + e^(-a)) would multiply; where e^(-a) overflows
-# (silently, under np.errstate) the division gives the gate's exact
-# limit 0.  A run's first step reads the first width columns of the
-# previous block.  What needs no
-# recurrent state runs outside the step loops: the gate derivatives once
-# per run, from the kept gates, and every weight gradient as one product
-# over all rows.  A step indexes only views and scratch blocks bound once
-# per run (and a tape's kept gates) and multiplies with a matrix's bound
-# .dot into C-contiguous row blocks: the bits of np.matmul, at less cost
-# per call than it or np.dot.  Its other calls take array operands (the
-# +1 and the clip read blocks filled once per call) and a positional out,
+# checks them and derives back from them: the rows one step earlier of
+# every row after the first step, as one block of rows per run.  Inside a
+# scan every per-step value is stored feature-major: a step's block is a
+# (features, width) array, and the steps of a run form one (steps,
+# features, width) array, filled from and read back to the row-major
+# inputs and outputs with one transposed copy per run.  A state block [x;
+# 1; h; z] holds a step's outputs h and z and the next step's exogenous
+# inputs x with a row of ones, so that a step's pre-activations are one
+# product of the previous block with a matrix built once per call,
+# biases riding on the ones row; the backward pass reads the same
+# matrices.  Their reset and update rows are negated, giving -a, so a
+# step divides by 1 + e^(-a) where the gates r, u = 1 / (1 + e^(-a))
+# would multiply; where e^(-a) overflows (silently, under np.errstate)
+# the division gives the gate's exact limit 0.  A run's first step reads
+# the first width columns of the previous block.  What needs no recurrent
+# state runs outside the step loops: the gate derivatives once per run,
+# from the kept gates, and every weight gradient as one product over all
+# rows.  A step indexes only views and scratch blocks bound once per run
+# (and a tape's kept gates) and multiplies with a matrix's bound .dot
+# into C-contiguous row blocks: the bits of np.matmul, at less cost per
+# call than it or np.dot.  Its other calls take array operands (the +1
+# and the clip read blocks filled once per call) and a positional out,
 # both cheaper per call (np.maximum and np.minimum need out=).  One
 # _ScanParts is a call's whole description, built by the forward pass
 # and read by the backward pass as its aux.
@@ -634,10 +632,13 @@ def _blocks(X, run):
     return np.ascontiguousarray(_run_rows(X, run))
 
 
-def _hprev(h0, H, prev):
+def _hprev(h0, H, back):
     """The state each row's step starts from: h0 at the first step."""
-    n0 = H.shape[0] - len(prev)
-    return np.concatenate((np.broadcast_to(h0, (n0, H.shape[1])), H[prev]))
+    hp = np.empty(H.shape)
+    hp[:back[0][2]] = h0
+    for a, e, w in back:
+        hp[a + w:e + w] = H[a:e]
+    return hp
 
 
 def _col_blocks(M, order, width) -> dict:
@@ -656,7 +657,7 @@ class _ScanParts:
     """One scan call's description, and the only place its inputs are
     checked: its exogenous column blocks xs and its other inputs p by
     name, its flags and sizes, the constant inputs fixed (names, and
-    "xu" for the exogenous blocks), its layout (runs, checked, and prev),
+    "xu" for the exogenous blocks), its layout (runs, checked, and back),
     its output columns (cols and hz_cols, see _scan_columns),
     the state layout and the step matrices.  The forward pass builds it
     and, for a call a tape records, adds each run's step blocks of the
@@ -669,10 +670,9 @@ class _ScanParts:
     (those rows negated, exactly), its candidate's W x + b and U_c h
     (see _latent_scan), then, when the head reads x or z, its first
     layer on those blocks plus its bias.  Its part on h is Fh; a head
-    that reads h alone is FhB = [f, F_h] on the block's [1; h] rows.  The
-    head's output layer Mf = [M, m] maps [feat; 1] to [mean, log_var /
-    2], and without a hidden layer it is the first layer F, f too.  Wc
-    and Fc are W's and F's column blocks.
+    that reads h alone is FhB = [f, F_h] on the block's [1; h] rows.  Mf
+    = [M, m] maps [feat; 1] to [mean, log_var / 2] (without a hidden
+    layer, it is F, f).  Wc and Fc are W's and F's column blocks.
     """
 
     def __init__(self, arrays, names, runs, gru_in, head_in, clip,
@@ -693,21 +693,17 @@ class _ScanParts:
                 or "h" in head_in and not gru):
             raise ValueError(f"latent_scan inputs unsupported: {names}")
         n_rows = xs[0].shape[0] if xs and xs[0].ndim == 2 else -1
-        # a row reaches back by the width of the step before its own: a
-        # run's width, from its second step to the next run's first
-        w0, end = runs[0][2] if runs else 0, 0
-        prev = np.arange(w0, n_rows)
-        for k, (a, b, w) in enumerate(runs):
-            if (a != end or w < 1 or b - a < w or (b - a) % w
-                    or k and w >= runs[k - 1][2]):
-                end = None
-                break
-            c, _, v = runs[k + 1] if k + 1 < len(runs) else (n_rows, 0, 0)
-            prev[a + w - w0:c + v - w0] -= w
-            end = b
-        if not runs or end != n_rows:
+        ends = [0] + [b for _, b, _ in runs]
+        if not runs or ends[-1] != n_rows or any(
+                a != e or w < 1 or b - a < w or (b - a) % w
+                or k and w >= runs[k - 1][2]
+                for k, ((a, b, w), e) in enumerate(zip(runs, ends))):
             raise ValueError(f"runs do not pack {n_rows} rows time-major")
-        self.runs, self.prev = runs, prev
+        # a row reaches back by its run's width from the run's second step
+        # to the next run's first: rows a:e precede rows a + w:e + w
+        self.runs = runs
+        self.back = [(a, b + v - w, w) for (a, b, w), (*_, v)
+                     in zip(runs, [*runs[1:], (0, 0, 0)])]
         n_h = p["U"].shape[-1] if gru and p["U"].ndim else 0
         n_z = p["Wm"].shape[0] if head and p["Wm"].ndim else 0
         n_feat = p["W1"].shape[0] if hidden else 0
@@ -746,7 +742,6 @@ class _ScanParts:
             if sample:
                 np.multiply(p["Wv"], 0.5, Mf[n_z:, :-1])
                 np.multiply(p["bv"], 0.5, Mf[n_z:, -1])
-            # the first layer F, f on the head's input: [M, m] without W1
             F, f = (p["W1"], p["b1"]) if hidden else (Mf[:, :-1], Mf[:, -1])
             self.Fc, self.n_a = _col_blocks(F, head_in, width), F.shape[0]
         self.Fh = self.FhB = None
@@ -830,7 +825,7 @@ def _latent_scan(*arrays, names, runs, gru_in, head_in, clip, pin_first,
     # backward; it forms no adjoint toward the constant inputs in fixed.
     sp = _ScanParts(arrays, names, runs, gru_in, head_in, clip, pin_first,
                     fixed)
-    p, runs, prev = sp.p, sp.runs, sp.prev
+    p, runs = sp.p, sp.runs
     gru, head, sample, hidden = sp.gru, sp.head, sp.sample, sp.hidden
     n_h, n_z, n_hid, rows, KT = sp.n_h, sp.n_z, sp.n_feat, sp.rows, sp.KT
     hs, zs, a_rows = rows["h"], rows["z"], slice(4 * n_h, None)
@@ -977,17 +972,18 @@ def _latent_scan(*arrays, names, runs, gru_in, head_in, clip, pin_first,
     if head:
         if pin_first:
             out[:w0, cols["mean"].start:cols["log_var"].stop] = 0.0
-        out[w0:, cols["z_prev"]] = out[prev, cols["z" if sample else "mean"]]
+        zp, zc = cols["z_prev"], cols["z" if sample else "mean"]
+        for a, e, w in sp.back:
+            out[a + w:e + w, zp] = out[a:e, zc]
     return out, sp
 
 
 def _latent_scan_vjp(g, vals, out, sp):
     # sp is the forward's _ScanParts: its inputs split as xs and p are vals
-    xs, p, runs, prev, cols = sp.xs, sp.p, sp.runs, sp.prev, sp.cols
+    xs, p, runs, back, cols = sp.xs, sp.p, sp.runs, sp.back, sp.cols
     GATES, FEAT, n_rows, pin_first = sp.GATES, sp.FEAT, sp.n_rows, sp.pin_first
     gru, head, sample, hidden = sp.gru, sp.head, sp.sample, sp.hidden
     n_h, n_z, prev_in, reads_h = sp.n_h, sp.n_z, sp.prev_in, sp.reads_h
-    n0 = runs[0][2]
     a_rows = slice(5 * n_h, None)    # after the (1 - u) dh block and the gates
     # Kin maps a step's adjoint blocks [(1 - u) dh; d pre] to those of the
     # [h; z] rows of the block it read: the identity block passes (1 - u)
@@ -1004,18 +1000,19 @@ def _latent_scan_vjp(g, vals, out, sp):
         fht_dot = np.ascontiguousarray(sp.Fh.T).dot
     d_eps = sample and "eps" not in sp.fixed
 
-    # the adjoint of each step's [h; z] outputs; a z_prev row's goes to
-    # the previous row of its sequence
-    dHZ = np.array(g[:, sp.hz_cols])
+    # the adjoint of each step's [h; z] outputs, run by run; a z_prev
+    # row's goes to the previous row of its sequence (see back)
+    DHZ = [_blocks(g[:, sp.hz_cols], run) for run in runs]
     if head:
-        dHZ[prev, n_h:] += g[n0:, cols["z_prev"]]
-    DHZ = [_blocks(dHZ, run) for run in runs]
-    del dHZ
+        zp = g[:, cols["z_prev"]]
+        for DHZk, (a, b, w), (_, e, _) in zip(DHZ, runs, back):
+            DHZk[:-1, n_h:] += _run_rows(zp, (a + w, b, w))
+            DHZk[-1, n_h:, :e + w - b] += zp[b:e + w].T
     if d_eps:   # the noise's adjoints, collected run by run
         dZ = np.empty((n_rows, n_z))
     if gru:
         H = out[:, cols["h"]]
-        hp = _hprev(p["h0"], H, prev)
+        hp = _hprev(p["h0"], H, back)
     if sample:
         # the head's output is [mean, log_var / 2], as in the forward pass,
         # so the log-variance adjoints are doubled (exactly)
@@ -1275,12 +1272,12 @@ def gauss_bound(scan: ScanRows, x: Tensor, heads: dict[str, Tensor],
     heads holds the "pri." and "dec." weights, hist the prior's summaries;
     a constant among them gets no adjoint."""
     inputs = heads if hist is None else {"hist": hist, **heads}
-    cols = tuple([(scan.cols[k].start, scan.cols[k].stop)
-                  for k in ("mean", "log_var", "z", "z_prev")])
+    cols = tuple((scan.cols[k].start, scan.cols[k].stop)
+                 for k in ("mean", "log_var", "z", "z_prev"))
     return apply_primitive("gauss_bound", scan.rows, x, *inputs.values(),
                            names=tuple(inputs), cols=cols, first=first,
                            clip=tuple(clip), fixed=frozenset(
-                               [k for k, t in inputs.items() if t.const]))
+                               k for k, t in inputs.items() if t.const))
 
 
 # ---------------------------------------------------------------------------
@@ -1308,9 +1305,11 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
         raise ValueError("backward expects a scalar loss")
 
     ops, parents, values, aux = tape.ops, tape.parents, tape.values, tape.aux
-    for i, value in enumerate(values):   # rebuild what a past walk dropped
-        if value is None:
-            values[i], aux[i] = _forward(tape, i)
+    if tape.walked:   # rebuild what a past walk dropped
+        for i, value in enumerate(values):
+            if value is None:
+                values[i], aux[i] = _forward(tape, i)
+    tape.walked = True
     adj: list = [None] * len(ops)
     adj[loss.node_id] = np.ones((), dtype=np.float64)
     grads: dict[int, np.ndarray] = {}
@@ -1323,8 +1322,9 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
         g, adj[i] = adj[i], None
         op = ops[i]
         if op == "leaf":
-            if g is not None and not aux[i][1]:   # (uid, const)
-                grads[aux[i][0]] = np.array(g, dtype=np.float64)
+            uid, is_const = aux[i]
+            if g is not None and not is_const:
+                grads[uid] = np.array(g, dtype=np.float64)
             continue
         if g is not None:
             ps = parents[i]
@@ -1353,7 +1353,7 @@ def replay(tape: Tape) -> None:
     It needs those cached values, which backward() drops as it walks,
     so it raises TapeError on a tape that has been walked.
     """
-    if any(value is None for value in tape.values):
+    if tape.walked:
         raise TapeError("replay needs the forward values that backward "
                         "releases; replay the tape before walking it")
     for i, op in enumerate(tape.ops):

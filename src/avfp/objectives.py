@@ -158,9 +158,8 @@ def filter_means(params: ModelParams, batch: Batch
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic, untaped filtering of a batch: the stacked (N, d_h)
     recognition summaries h_t ([x_t, u_t, z_{t-1}] in markovian mode)
-    and (N, n_z) posterior means, one row per cycle.  Both are read off
-    the scan's output rows, views where they can be, unchecked again and
-    uncopied."""
+    and (N, n_z) posterior means, one row per cycle, views of the scan's
+    output rows where they can be."""
     with no_tape():
         scan = filter_forward(params, batch, None)
     rows, cols = scan.rows.data, scan.cols

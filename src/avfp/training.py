@@ -35,8 +35,6 @@ checksum (first 8 bytes of the SHA-256 of the table).
 from __future__ import annotations
 
 import hashlib
-import math
-import operator
 import os
 import struct
 from contextlib import contextmanager, suppress
@@ -59,6 +57,7 @@ from .diffcore import (
     NonFiniteError,
     Tape,
     Tensor,
+    _check_finite,
     affine,
     backward,
     constant,
@@ -119,7 +118,7 @@ def _pack(group: dict[str, Tensor], state: OptimizerState) -> tuple:
     data = {name: p.data for name, p in group.items()}
     held = [*data.values(), *map(state.m.get, data), *map(state.v.get, data)]
     if state._flat and len(held) == len(state._flat[3]) and all(
-            map(operator.is_, held, state._flat[3])):
+            a is b for a, b in zip(held, state._flat[3])):
         return state._flat
     ends = np.cumsum([arr.size for arr in data.values()])
     flats, views = [], []
@@ -152,7 +151,9 @@ def adam_step(group: dict[str, Tensor], grads: dict[str, np.ndarray],
         if grads[name].shape != p.data.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
     g = np.concatenate([grads[name] for name in group], axis=None)
-    if not np.isfinite(g).all():
+    try:
+        _check_finite("adam_step", g)
+    except NonFiniteError:
         state.skipped += 1
         return False
     p, m, v, _ = _pack(group, state)
@@ -178,7 +179,7 @@ def clip_by_global_norm(grads: dict[str, np.ndarray],
     if total == np.inf and all(np.isfinite(g).all() for g in grads.values()):
         unit = max(float(np.abs(g).max(initial=0.0)) for g in grads.values())
         total = sum(float(np.square(g / unit).sum()) for g in grads.values())
-    root = math.sqrt(total)
+    root = float(np.sqrt(total))
     norm = unit * root
     if norm <= max_norm or norm == 0.0:
         return grads, norm

@@ -121,6 +121,19 @@ def test_no_tape_means_no_recording():
     assert y.tape is None and y.node_id is None
 
 
+def test_negation_factor_is_read_only():
+    """Every negation multiplies by one shared -1 constant, so a write to
+    it (or to the value a tape keeps for it) must raise, not change every
+    later negation."""
+    x = Tensor(np.array([1.0, -2.0]))
+    with Tape() as tape:
+        y = -x
+    with pytest.raises(ValueError, match="read-only"):
+        tape.values[tape.leaves[dc._MINUS_ONE.uid]][...] = 2.0
+    assert np.array_equal((-x).data, y.data) and np.array_equal(y.data,
+                                                                [-1.0, 2.0])
+
+
 def test_tape_records_and_leaf_memoizes():
     p = Tensor([1.0, 2.0])
     with Tape() as tape:
