@@ -1005,9 +1005,10 @@ def _latent_scan_vjp(g, vals, out, sp):
     DHZ = [_blocks(g[:, sp.hz_cols], run) for run in runs]
     if head:
         zp = g[:, cols["z_prev"]]
-        for DHZk, (a, b, w), (_, e, _) in zip(DHZ, runs, back):
-            DHZk[:-1, n_h:] += _run_rows(zp, (a + w, b, w))
-            DHZk[-1, n_h:, :e + w - b] += zp[b:e + w].T
+        for k, (a, b, w) in enumerate(runs):
+            DHZ[k][:-1, n_h:] += _run_rows(zp, (a + w, b, w))
+            if k:   # the first step follows the previous run's last
+                DHZ[k - 1][-1, n_h:, :w] += zp[a:a + w].T
     if d_eps:   # the noise's adjoints, collected run by run
         dZ = np.empty((n_rows, n_z))
     if gru:

@@ -57,6 +57,7 @@ from .training import (
     load_checkpoint,
     params_from_checkpoint,
     predict_sequence_rul,
+    run_steps,
     save_checkpoint,
     train,
     typed_fields,
@@ -373,20 +374,20 @@ def run_experiment(train_trajs: list[Trajectory],
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
 
-    def test_score(params: ModelParams) -> float:
-        return rmse(predict_rul(params, test_trajs, truth, cap=config.rul_cap))
-
     records = []
     for i in range(n_runs):
         cfg = replace(config, seed=config.seed + i)
+        curve = []   # the test score at every step the run evaluates
         try:
-            res = train(train_trajs, spec, cfg, eval_extra=test_score)
+            for res in run_steps(train_trajs, spec, cfg):
+                if len(res.evals) > len(curve):
+                    curve.append((res.evals[-1].step, rmse(predict_rul(
+                        res.params, test_trajs, truth, cap=config.rul_cap))))
         except (TrainingAborted, NonFiniteError):
             records.append(RunRecord(run=i, seed=cfg.seed, best_step=-1,
                                      best_rmse=float("nan"), curve=[],
                                      aborted=True))
             continue
-        curve = [(e.step, float(e.extra)) for e in res.evals]
         if res.best_step is not None:
             sel = next(p for p in curve if p[0] == res.best_step)
         else:

@@ -256,7 +256,6 @@ class StepRecord:
 class EvalRecord:
     step: int
     val_rmse: float | None
-    extra: float | None
 
 
 @dataclass
@@ -331,21 +330,14 @@ def _discriminator_loss(params: ModelParams, batch: Batch,
 # training loop
 
 
-def train(
-    trajs: list[Trajectory],
-    spec: NetworkSpec,
-    config: TrainConfig,
-    eval_extra=None,
-    stop_after_steps: int | None = None,
-    resume: "Checkpoint | None" = None,
-) -> TrainResult:
-    """Run the minimax loop over run-to-failure trajectories.
+def run_steps(trajs: list[Trajectory], spec: NetworkSpec, config: TrainConfig,
+              resume: "Checkpoint | None" = None):
+    """The minimax loop over run-to-failure trajectories, step by step.
 
     When trajectories carry RUL targets and supervision is on, the last
-    val_frac of units is held out and scored every eval_every steps;
-    eval_extra(params) may compute an additional metric (say, test
-    RMSE) at the same cadence.  stop_after_steps ends the run early
-    with a resumable checkpoint in the result.
+    val_frac of units is held out and scored every eval_every steps.
+    Yields the run's live TrainResult, checkpoint packed, after every step
+    and after the final state is scored; the next step moves it on.
     """
     supervised = config.rul_supervision and all(t.rul is not None for t in trajs)
     if supervised and len(trajs) >= 5:
@@ -362,6 +354,7 @@ def train(
               "rul": params.group("rho")}
     opts = {g: OptimizerState(config.lr, **deepcopy(state.opt.get(g, {})))
             for g in groups}
+    res = TrainResult(params=params, steps=[], evals=[], checkpoint=state)
 
     def update(group: str):
         return _adam_update(groups[group], opts[group])
@@ -372,93 +365,98 @@ def train(
 
     def run_eval():
         val = rmse_per_cycle(params, val_trajs) if val_trajs else None
-        extra = eval_extra(params) if eval_extra is not None else None
-        evals.append(EvalRecord(step=state.step, val_rmse=val, extra=extra))
+        res.evals.append(EvalRecord(step=state.step, val_rmse=val))
         if val is not None and (state.best_step < 0 or val < state.best_val):
             state.best_val, state.best_step = val, state.step
 
-    steps_log: list[StepRecord] = []
-    evals: list[EvalRecord] = []
-    n_batch = config.trajectories_per_batch
-    stopped = False
-    while state.epoch < config.epochs and not stopped:
-        order = rng.stream(config.seed, "shuffle", state.epoch).permutation(
-            len(train_trajs)
-        )
-        batches = [
-            order[i : i + n_batch] for i in range(0, len(order), n_batch)
-        ]
-        while state.batch_idx < len(batches) and not stopped:
-            batch = [train_trajs[i] for i in batches[state.batch_idx]]
-            packed = Batch(batch)   # every phase's layout
-            state.step += 1
-            step = state.step
+    def result() -> TrainResult:
+        state.params = {k: t.data.copy() for k, t in params.named().items()}
+        state.opt = {g: {"t": o.t, "skipped": o.skipped, "m": o.m, "v": o.v}
+                     for g, o in opts.items()}
+        return res
 
-            # phase 1: discriminator; one prior rollout draws its real
-            # rows and phase 2's reference
-            disc_loss_val = prior_rows = None
-            if config.lambda_adv > 0.0:
-                with suppress(NonFiniteError), update("disc") as u:
-                    real, prior_rows = prior_rollout(params, packed, np.stack(
-                        [packed.pack(noise("disc-real", step, 0)),
-                         packed.pack(noise("prior-noise", step))])).data
-                    u.loss = _discriminator_loss(
-                        params, packed, noise("disc-fake", step, 0), real)
-                    disc_loss_val = u.loss.item()
+    # one flat loop over the (epoch, batch_idx) positions still to run
+    n_batch, order = config.trajectories_per_batch, None
+    n_batches = -(-len(train_trajs) // n_batch)
+    for pos in range(state.epoch * n_batches + state.batch_idx,
+                     config.epochs * n_batches):
+        epoch, idx = divmod(pos, n_batches)
+        if order is None or idx == 0:   # each epoch shuffles the units afresh
+            order = rng.stream(config.seed, "shuffle", epoch).permutation(
+                len(train_trajs))
+        batch = [train_trajs[i] for i in order[idx * n_batch:(idx + 1) * n_batch]]
+        packed = Batch(batch)   # every phase's layout
+        state.step += 1
+        step = state.step
 
-            # phase 2: joint generative/recognition update; a batch whose
-            # loss, gradients or prior rollout go non-finite is skipped
-            with suppress(NonFiniteError), update("gen") as u:
-                if config.lambda_adv > 0.0 and prior_rows is None:
-                    raise NonFiniteError("latent_scan: prior rollout overflow")
-                breakdowns, target = combined_objective(
-                    params, packed, noise("noise", step), config.lambda_adv,
-                    prior_rows)
-                # minimize -combined
-                u.loss = target * (-1.0 / len(batch))
-            if u.applied:
-                state.consecutive_skips = 0
-                steps_log.append(StepRecord(
-                    step=step, epoch=state.epoch,
-                    combined=float(np.mean([b.combined for b in breakdowns])),
-                    recon=float(np.mean([b.recon_loglik for b in breakdowns])),
-                    kl=float(np.mean([b.kl_total for b in breakdowns])),
-                    adv_gen=float(np.mean([b.adv_gen for b in breakdowns])),
-                    adv_disc=float(np.mean([b.adv_disc for b in breakdowns])),
-                    disc_loss=disc_loss_val,
-                    rul_loss=None,
-                ))
-            else:
-                state.skipped_batches += 1
-                state.consecutive_skips += 1
-                if state.consecutive_skips > MAX_CONSECUTIVE_SKIPS:
-                    raise TrainingAborted(
-                        f"{state.consecutive_skips} consecutive non-finite "
-                        f"batches at step {step}")
+        # phase 1: discriminator; one prior rollout draws its real
+        # rows and phase 2's reference
+        disc_loss_val = prior_rows = None
+        if config.lambda_adv > 0.0:
+            with suppress(NonFiniteError), update("disc") as u:
+                real, prior_rows = prior_rollout(params, packed, np.stack(
+                    [packed.pack(noise("disc-real", step, 0)),
+                     packed.pack(noise("prior-noise", step))])).data
+                u.loss = _discriminator_loss(
+                    params, packed, noise("disc-fake", step, 0), real)
+                disc_loss_val = u.loss.item()
 
-            # phase 3: remaining-life readout
-            if supervised:
-                with suppress(NonFiniteError), update("rul") as u:
-                    u.loss = readout_loss(params, packed, packed.pack(
-                        [t.rul for t in batch]))
-                    if steps_log and steps_log[-1].step == step:
-                        steps_log[-1].rul_loss = u.loss.item()
+        # phase 2: joint generative/recognition update; a batch whose
+        # loss, gradients or prior rollout go non-finite is skipped
+        with suppress(NonFiniteError), update("gen") as u:
+            if config.lambda_adv > 0.0 and prior_rows is None:
+                raise NonFiniteError("latent_scan: prior rollout overflow")
+            breakdowns, target = combined_objective(
+                params, packed, noise("noise", step), config.lambda_adv,
+                prior_rows)
+            # minimize -combined
+            u.loss = target * (-1.0 / len(batch))
+        if u.applied:
+            state.consecutive_skips = 0
+            res.steps.append(StepRecord(
+                step=step, epoch=epoch,
+                combined=float(np.mean([b.combined for b in breakdowns])),
+                recon=float(np.mean([b.recon_loglik for b in breakdowns])),
+                kl=float(np.mean([b.kl_total for b in breakdowns])),
+                adv_gen=float(np.mean([b.adv_gen for b in breakdowns])),
+                adv_disc=float(np.mean([b.adv_disc for b in breakdowns])),
+                disc_loss=disc_loss_val,
+                rul_loss=None,
+            ))
+        else:
+            state.skipped_batches += 1
+            state.consecutive_skips += 1
+            if state.consecutive_skips > MAX_CONSECUTIVE_SKIPS:
+                raise TrainingAborted(
+                    f"{state.consecutive_skips} consecutive non-finite "
+                    f"batches at step {step}")
 
-            state.batch_idx += 1
-            if config.eval_every > 0 and step % config.eval_every == 0:
-                run_eval()
-            stopped = stop_after_steps is not None and step >= stop_after_steps
-        if state.batch_idx >= len(batches):
-            state.epoch, state.batch_idx = state.epoch + 1, 0
-    if (not stopped and state.step > 0
-            and (not evals or evals[-1].step != state.step)):
+        # phase 3: remaining-life readout
+        if supervised:
+            with suppress(NonFiniteError), update("rul") as u:
+                u.loss = readout_loss(params, packed, packed.pack(
+                    [t.rul for t in batch]))
+                if res.steps and res.steps[-1].step == step:
+                    res.steps[-1].rul_loss = u.loss.item()
+
+        state.epoch, state.batch_idx = divmod(pos + 1, n_batches)
+        if config.eval_every > 0 and step % config.eval_every == 0:
+            run_eval()
+        yield result()
+    state.epoch = max(state.epoch, config.epochs)   # epochs with no units too
+    if state.step > 0 and (not res.evals or res.evals[-1].step != state.step):
         run_eval()  # final state always scored
+    yield result()
 
-    state.params = {k: t.data.copy() for k, t in params.named().items()}
-    state.opt = {g: {"t": o.t, "skipped": o.skipped, "m": o.m, "v": o.v}
-                 for g, o in opts.items()}
-    return TrainResult(params=params, steps=steps_log, evals=evals,
-                       checkpoint=state)
+
+def train(trajs: list[Trajectory], spec: NetworkSpec, config: TrainConfig,
+          stop_after_steps: int | None = None,
+          resume: "Checkpoint | None" = None) -> TrainResult:
+    """Drain run_steps, or stop after step stop_after_steps: resumable."""
+    for res in run_steps(trajs, spec, config, resume):
+        if stop_after_steps is not None and res.checkpoint.step >= stop_after_steps:
+            break
+    return res
 
 
 def fit_recognition(params: ModelParams, trajs: list[Trajectory], steps: int,

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -365,6 +366,20 @@ def test_run_experiment_single_run_aggregates(corpus, exp_setup):
     assert s.std_rmse == 0.0
     assert (r.best_step, r.best_rmse) in [(st, v) for st, v in r.curve]
     assert all(v > 0 for _, v in r.curve)
+
+
+def test_run_experiment_scores_the_test_set_at_every_eval(corpus, exp_setup):
+    """The curve has one point per step the run evaluates, its last one
+    the final state's test RMSE."""
+    spec, config = exp_setup
+    config = replace(config, eval_every=4)   # the last step is off-cadence
+    r = run_experiment(corpus.train_trajs, corpus.test_trajs, corpus.truth,
+                       spec, config, n_runs=1).records[0]
+    res = train(corpus.train_trajs, spec, config)
+    assert res.checkpoint.step % 4 != 0
+    assert [s for s, _ in r.curve] == [e.step for e in res.evals]
+    assert r.curve[-1] == (res.checkpoint.step, rmse(predict_rul(
+        res.params, corpus.test_trajs, corpus.truth, cap=config.rul_cap)))
 
 
 def test_run_experiment_deterministic_across_calls(corpus, exp_setup):
@@ -746,7 +761,9 @@ def test_cli_training_targets_use_the_config_cap(synth_dir, monkeypatch,
 
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"rul_cap": 40}))
-    monkeypatch.setattr(cli, "train", record)
+    # experiment drives the step generator, not train
+    monkeypatch.setattr(cli, "train" if command == "train" else "run_steps",
+                        record)
     assert main([command, "--data", synth_dir, "--out", str(tmp_path / "out"),
                  "--config", str(cfg)]) == 3
     assert seen and all(m == 40.0 for m in seen)
@@ -771,7 +788,7 @@ def test_cli_experiment_with_every_run_aborted_exits_3(
     def explode(*a, **kw):
         raise TrainingAborted("11 consecutive non-finite batches at step 11")
 
-    monkeypatch.setattr(cli, "train", explode)
+    monkeypatch.setattr(cli, "run_steps", explode)
     rc = main(["experiment", "--data", synth_dir, "--out", str(tmp_path),
                "--config", cli_cfg, "--runs", "2"])
     assert rc == 3

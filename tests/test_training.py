@@ -671,15 +671,44 @@ def test_resumed_checkpoint_bytes_equal_uninterrupted_run(tmp_path, markovian):
         save_checkpoint(ckpt, path)
         return path
 
-    with open(saved(train(trajs, spec, cfg).checkpoint, "full.ckpt"), "rb") as f:
+    run = train(trajs, spec, cfg)
+    with open(saved(run.checkpoint, "full.ckpt"), "rb") as f:
         full = f.read()
-    for k in (1, 3, 4):  # mid-epoch, at the epoch end, in the next epoch
+    # mid-epoch, at the epoch end, in the next epoch, and at the last step,
+    # whose zero-step resume still scores the final state
+    for k in (1, 3, 4, run.checkpoint.step):
         half = train(trajs, spec, cfg, stop_after_steps=k)
         loaded = load_checkpoint(saved(half.checkpoint, f"half{k}.ckpt"))
         for attempt in range(2):  # the same record resumes the same run
             rest = train(trajs, spec, cfg, resume=loaded)
             with open(saved(rest.checkpoint, "rest.ckpt"), "rb") as f:
                 assert f.read() == full, (k, attempt)
+
+
+def test_run_steps_yields_every_step_then_the_end(tmp_path):
+    """One yield per step and one more after the final eval; a checkpoint
+    saved at any yield resumes through train to the uninterrupted run's
+    bytes."""
+    trajs = toy_trajs(6, rul=True)
+    spec = small_spec()
+    cfg = quick_config(epochs=3, rul_supervision=True, val_frac=0.2,
+                       eval_every=2, lambda_adv=0.1)
+    path = tmp_path / "step.ckpt"
+
+    def saved(ckpt) -> bytes:
+        save_checkpoint(ckpt, str(path))
+        return path.read_bytes()
+
+    blobs = [(res.checkpoint.step, saved(res.checkpoint))
+             for res in training.run_steps(trajs, spec, cfg)]
+    n, full = blobs[-1]
+    assert n % 2 and [k for k, _ in blobs] == [*range(1, n + 1), n]
+    assert blobs[-2][1] != full   # the final eval moved the best score
+    assert saved(train(trajs, spec, cfg).checkpoint) == full
+    for k, blob in blobs:
+        path.write_bytes(blob)
+        rest = train(trajs, spec, cfg, resume=load_checkpoint(str(path)))
+        assert saved(rest.checkpoint) == full, k
 
 
 def _write_table(table: dict, path) -> None:

@@ -11,6 +11,11 @@ files to a temporary directory.  The artifacts:
   Markovian mode at lambda_adv 0 and 0.5: model.ckpt, trace.csv,
   evals.csv, and the `avfp predict` CSVs of the checkpoint in the
   supervised and the health-index mode;
+- `avfp experiment --runs 2` on the same fleet (2 epochs of 2 steps,
+  lambda_adv 0.1): alone at eval_every 2, and with `--compare-markovian`
+  at eval_every 3, so that the last point is the final state's extra
+  eval: curves.csv, summary.json and ablation.csv (not manifest.json,
+  which holds wall time);
 - on the FD001-shaped synthetic fleet (100/100 units of 128-362 cycles,
   seed 0) with untrained default parameters: one health-index
   predict_rul call over 10 train and 10 test units, one supervised
@@ -93,6 +98,25 @@ def train_runs(work: str):
                 yield f"{name}/predict-{mode}.csv", file_digest(csv)
 
 
+def experiment_runs(work: str):
+    fleet = os.path.join(work, "fleet-12-6")
+    for every, flags, files in (
+            (2, (), ("curves.csv", "summary.json")),
+            (3, ("--compare-markovian",),
+             ("history/curves.csv", "history/summary.json",
+              "markov/curves.csv", "markov/summary.json", "ablation.csv"))):
+        name = "experiment/" + ("compare" if flags else "single")
+        out = os.path.join(work, name)
+        cfg = out + ".json"
+        os.makedirs(os.path.dirname(cfg), exist_ok=True)
+        with open(cfg, "w") as f:
+            json.dump({"epochs": 2, "eval_every": every, "lambda_adv": 0.1}, f)
+        cli("experiment", "--data", fleet, "--out", out, "--config", cfg,
+            "--runs", "2", *flags)
+        for artifact in files:
+            yield f"{name}/{artifact}", file_digest(os.path.join(out, artifact))
+
+
 def fd001_shaped(work: str):
     fleet = os.path.join(work, "fleet-fd001")
     data.write_synthetic_cmapss(fleet, n_train_units=100, n_test_units=100,
@@ -131,7 +155,8 @@ def audits():
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as work:
-        for source in (train_runs(work), fd001_shaped(work), audits()):
+        for source in (train_runs(work), experiment_runs(work),
+                       fd001_shaped(work), audits()):
             for name, sha in source:
                 print(name, sha, flush=True)
     return 0
