@@ -42,7 +42,10 @@ consumed.  replay() re-runs every forward and demands bit-identical
 values; it needs those cached values, so it belongs before backward().
 
 Forward evaluation with no tape open is plain numpy and carries no
-recording overhead, which is what prediction and rollout paths use.
+recording overhead; prediction and rollout paths use it, and it runs
+every scan mode.  A tape records a scan with a head only sampling
+unpinned from constant noise and exogenous rows, and gauss_bound only
+on constant observations: the chains that training differentiates.
 """
 
 from __future__ import annotations
@@ -654,15 +657,14 @@ def _col_blocks(M, order, width) -> dict:
 
 
 class _ScanParts:
-    """One scan call's description, and the only place its inputs are
-    checked: its exogenous column blocks xs and its other inputs p by
-    name, its flags and sizes, the constant inputs fixed (names, and
-    "xu" for the exogenous blocks), its layout (runs, checked, and back),
-    its output columns (cols and hz_cols, see _scan_columns),
-    the state layout and the step matrices.  The forward pass builds it
-    and, for a call a tape records, adds each run's step blocks of the
-    GRU's gates [r; u; c; U_c h] and of the hidden layer (GATES, FEAT);
-    it is then the tape's aux, which the backward pass reads.
+    """One scan call's description, and the only place its inputs are checked:
+    its exogenous column blocks xs and its other inputs p by name, its flags
+    and sizes, its layout (runs, checked, and back), its output columns
+    (cols and hz_cols, see _scan_columns), the state layout and the step
+    matrices.  The forward pass builds it and, for a call a tape records
+    (headless, or sampling unpinned: see latent_scan), adds each run's step
+    blocks of the GRU's gates [r; u; c; U_c h] and of the hidden layer
+    (GATES, FEAT); the backward pass reads it as the tape's aux.
 
     A state block's rows are [x; 1; h; z]: rows[name] for "xu", "one",
     "h" and "z".  KT @ block (of the previous step) is a step's
@@ -676,7 +678,7 @@ class _ScanParts:
     """
 
     def __init__(self, arrays, names, runs, gru_in, head_in, clip,
-                 pin_first, fixed):
+                 pin_first):
         n_xs = len(arrays) - len(names)
         xs, p = arrays[:n_xs], dict(zip(names, arrays[n_xs:]))
         head = bool(head_in)
@@ -688,7 +690,7 @@ class _ScanParts:
             {"W1", "b1"} if hidden else set())
         if (len(p) != len(names) or set(p) != need or sample and clip is None
                 or pin_first and not sample
-                or not set(gru_in) <= {"xu", "z"} or "z" in gru_in and not head
+                or not set(gru_in) <= {"xu", "z"} or not head and gru_in != ("xu",)
                 or not set(head_in) <= {"xu", "z", "h"}
                 or "h" in head_in and not gru):
             raise ValueError(f"latent_scan inputs unsupported: {names}")
@@ -721,7 +723,7 @@ class _ScanParts:
         self.xs, self.p, self.names, self.n_rows = xs, p, names, n_rows
         self.gru, self.head, self.sample, self.hidden = gru, head, sample, hidden
         self.gru_in, self.head_in = gru_in, head_in
-        self.clip, self.pin_first, self.fixed = clip, pin_first, fixed
+        self.clip = clip
         self.n_h, self.n_z, self.n_feat = n_h, n_z, n_feat
         self.cols, self.hz_cols = _scan_columns(n_h, n_z, sample)
         self.GATES, self.FEAT = [], []
@@ -804,7 +806,7 @@ def _scan_columns(n_h: int, n_z: int, sample: bool):
 
 
 def _latent_scan(*arrays, names, runs, gru_in, head_in, clip, pin_first,
-                 keep, fixed):
+                 keep):
     # One latent chain over packed rows.  Per step, with z_prev the
     # previous sample of the same sequence (zeros at the first step):
     #   h       = GRU(h_prev, input blocks gru_in)  (if W is given, else
@@ -822,9 +824,8 @@ def _latent_scan(*arrays, names, runs, gru_in, head_in, clip, pin_first,
     # gives the GRU's pre-activations and the head's first layer on xu and
     # z; the head's part on h reads the step's own block (see _ScanParts).
     # Only with keep do a run's gates and hidden layer outlive it, for the
-    # backward; it forms no adjoint toward the constant inputs in fixed.
-    sp = _ScanParts(arrays, names, runs, gru_in, head_in, clip, pin_first,
-                    fixed)
+    # backward, which serves the chains that latent_scan lets a tape record.
+    sp = _ScanParts(arrays, names, runs, gru_in, head_in, clip, pin_first)
     p, runs = sp.p, sp.runs
     gru, head, sample, hidden = sp.gru, sp.head, sp.sample, sp.hidden
     n_h, n_z, n_hid, rows, KT = sp.n_h, sp.n_z, sp.n_feat, sp.rows, sp.KT
@@ -979,10 +980,12 @@ def _latent_scan(*arrays, names, runs, gru_in, head_in, clip, pin_first,
 
 
 def _latent_scan_vjp(g, vals, out, sp):
-    # sp is the forward's _ScanParts: its inputs split as xs and p are vals
+    # sp is the forward's _ScanParts: its inputs split as xs and p are vals.
+    # A taped scan with a head samples unpinned from constant eps and xs
+    # (see latent_scan); constant weights get adjoints, which backward drops.
     xs, p, runs, back, cols = sp.xs, sp.p, sp.runs, sp.back, sp.cols
-    GATES, FEAT, n_rows, pin_first = sp.GATES, sp.FEAT, sp.n_rows, sp.pin_first
-    gru, head, sample, hidden = sp.gru, sp.head, sp.sample, sp.hidden
+    GATES, FEAT, n_rows = sp.GATES, sp.FEAT, sp.n_rows
+    gru, head, hidden = sp.gru, sp.head, sp.hidden
     n_h, n_z, prev_in, reads_h = sp.n_h, sp.n_z, sp.prev_in, sp.reads_h
     a_rows = slice(5 * n_h, None)    # after the (1 - u) dh block and the gates
     # Kin maps a step's adjoint blocks [(1 - u) dh; d pre] to those of the
@@ -998,39 +1001,33 @@ def _latent_scan_vjp(g, vals, out, sp):
         mt_dot = np.ascontiguousarray(sp.Mf[:, :-1].T).dot
     if reads_h:
         fht_dot = np.ascontiguousarray(sp.Fh.T).dot
-    d_eps = sample and "eps" not in sp.fixed
 
     # the adjoint of each step's [h; z] outputs, run by run; a z_prev
     # row's goes to the previous row of its sequence (see back)
     DHZ = [_blocks(g[:, sp.hz_cols], run) for run in runs]
+    if gru:
+        H = out[:, cols["h"]]
+        hp = _hprev(p["h0"], H, back)
     if head:
         zp = g[:, cols["z_prev"]]
         for k, (a, b, w) in enumerate(runs):
             DHZ[k][:-1, n_h:] += _run_rows(zp, (a + w, b, w))
             if k:   # the first step follows the previous run's last
                 DHZ[k - 1][-1, n_h:, :w] += zp[a:a + w].T
-    if d_eps:   # the noise's adjoints, collected run by run
-        dZ = np.empty((n_rows, n_z))
-    if gru:
-        H = out[:, cols["h"]]
-        hp = _hprev(p["h0"], H, back)
-    if sample:
         # the head's output is [mean, log_var / 2], as in the forward pass,
         # so the log-variance adjoints are doubled (exactly)
         lv_lo, lv_hi = sp.clip
         LV = out[:, cols["log_var"]]
         inside = (LV > lv_lo) & (LV < lv_hi)   # where the clip passes
-        std = np.exp(LV * 0.5)
         dML = np.concatenate((g[:, cols["mean"]],
                               2.0 * g[:, cols["log_var"]] * inside), axis=1)
         # d z / d [mean, log_var / 2], which the loop multiplies by dz
-        k_z = np.concatenate((np.ones_like(std), std * p["eps"] * inside),
-                             axis=1)
+        k_z = np.concatenate(
+            (np.ones_like(LV), np.exp(LV * 0.5) * p["eps"] * inside), axis=1)
     dS = np.empty((n_rows, Kin.shape[1]))
     if head and not prev_in:
         dA = np.empty((n_rows, sp.n_a))
     if hidden:
-        dMLr = dML if sample else np.empty((n_rows, n_z))
         feat = np.empty((n_rows, FEAT[0].shape[1]))
     for k in range(len(runs) - 1, -1, -1):
         run = runs[k]
@@ -1048,25 +1045,19 @@ def _latent_scan_vjp(g, vals, out, sp):
                 np.subtract(1.0, D, out=D)         # tanh'
             if reads_h:
                 FHD = np.empty((n_h, w))
-            if sample:
-                DML = _blocks(dML, run)
-                KZ = _blocks(k_z, run).reshape(s, 2, n_z, w)
-                KZD = np.empty((2 * n_z, w))   # KZ[i] * dz, also in KZ's shape
-                KZD2 = KZD.reshape(2, n_z, w)
+            DML = _blocks(dML, run)
+            KZ = _blocks(k_z, run).reshape(s, 2, n_z, w)
+            KZD = np.empty((2 * n_z, w))   # KZ[i] * dz, also in KZ's shape
+            KZD2 = KZD.reshape(2, n_z, w)
         # each step below indexes these views and scratch blocks only
         DH, DZ = DHZk[:, :n_h], DHZk[:, n_h:]
         d = np.empty((Kin.shape[0], w))   # the [h; z] adjoints a step passes
-        pinned = pin_first and not k
-        first = int(pinned) if head else s   # see _latent_scan
         for i in range(s - 1, -1, -1):
             dh = DH[i]
-            if i >= first:
-                if sample:
-                    dml = DML[i]
-                    multiply(KZ[i], DZ[i], KZD2)
-                    add(dml, KZD, dml)
-                else:
-                    dml = DZ[i]
+            if head:
+                dml = DML[i]
+                multiply(KZ[i], DZ[i], KZD2)
+                add(dml, KZD, dml)
                 da = DA[i]
                 if hidden:
                     mt_dot(dml, da)
@@ -1083,16 +1074,12 @@ def _latent_scan_vjp(g, vals, out, sp):
                 add(DHZk[i - 1], d, DHZk[i - 1])
         if k:
             DHZ[k - 1][-1][:, :w] += d
-        if pinned:   # the pinned step ran no head
-            DML[0] = 0.0
         np.copyto(_run_rows(dS, run), ds)
         if head and not prev_in:
             np.copyto(_run_rows(dA, run), DA)
         if hidden:
-            np.copyto(_run_rows(dMLr, run), DML if sample else DHZk[:, n_h:])
+            np.copyto(_run_rows(dML, run), DML)
             np.copyto(_run_rows(feat, run), FEAT[k])
-        if d_eps:
-            np.copyto(_run_rows(dZ, run), DHZk[:, n_h:])
         # free this run's blocks before the next run's are made
         ds = ds5 = ks = DA = D = DML = KZ = None
 
@@ -1119,22 +1106,16 @@ def _latent_scan_vjp(g, vals, out, sp):
         df = dA.sum(axis=0)
         if hidden:
             grads["W1"], grads["b1"] = dF, df
-            dMf = dMLr.T @ feat
+            dMf = dML.T @ feat
             dF, df = dMf[:, :-1], dMf[:, -1]
         grads["Wm"], grads["bm"] = dF[:n_z], df[:n_z]
-        if sample:   # back from half log-variance units, exactly
-            grads["Wv"], grads["bv"] = dF[n_z:] * 0.5, df[n_z:] * 0.5
-        if d_eps:
-            grads["eps"] = dZ * std
+        # back from half log-variance units, exactly
+        grads["Wv"], grads["bv"] = dF[n_z:] * 0.5, df[n_z:] * 0.5
     dxs = [None] * len(xs)
-    if "xu" not in sp.fixed:
-        dx = np.zeros((n_rows, sp.rows["xu"].stop))
-        if "xu" in sp.Wc:
-            dx += dpre[:, :3 * n_h] @ sp.Wc["xu"]
-        if "xu" in prev_in:
-            dx += dA @ sp.Fc["xu"]
-        dxs = np.split(dx, np.cumsum([x.shape[1] for x in xs[:-1]]), axis=1)
-    return dxs + [None if k in sp.fixed else grads[k] for k in sp.names]
+    if not head:   # its GRU reads the rows as one block
+        dxs = np.split(dpre[:, :3 * n_h] @ sp.Wc["xu"],
+                       np.cumsum([x.shape[1] for x in xs[:-1]]), axis=1)
+    return dxs + [grads.get(k) for k in sp.names]
 
 
 _OPS = {
@@ -1241,14 +1222,19 @@ def latent_scan(xs, params: dict[str, Tensor], runs, gru_in, head_in=(),
     """One latent chain over packed rows, as one tape node (see
     _latent_scan): xs lists the column blocks of the exogenous rows,
     params holds the other inputs by name, and runs the rows' layout as
-    runs of steps of equal width (see objectives.Batch)."""
+    runs of steps of equal width (see objectives.Batch).  A tape records
+    a scan with a head only unpinned, sampling with constant eps from
+    constant rows xs; a headless scan's rows may take gradients."""
+    taped, eps = _active_tape is not None, params.get("eps")
+    if taped and head_in and (pin_first or eps is None or not eps.const
+                              or not all(x.const for x in xs)):
+        raise ValueError("a taped latent_scan with a head needs constant eps "
+                         "and exogenous rows, and no pinned first step")
     rows = apply_primitive(
         "latent_scan", *xs, *params.values(), names=tuple(params),
         runs=tuple(runs), gru_in=tuple(gru_in), head_in=tuple(head_in),
         clip=clip if clip is None else tuple(clip), pin_first=pin_first,
-        keep=_active_tape is not None, fixed=frozenset(
-            [k for k, t in params.items() if t.const]
-            + ["xu"] * all(x.const for x in xs)))
+        keep=taped)
     n_h = params["U"].shape[1] if "U" in params else 0
     n_z = params["Wm"].shape[0] if head_in else 0
     cols, _ = _scan_columns(n_h, n_z, "eps" in params)
@@ -1271,7 +1257,9 @@ def gauss_bound(scan: ScanRows, x: Tensor, heads: dict[str, Tensor],
     """log N(x; dec head) and KL(posterior || pri head) of each row of a
     sampling scan's output as the two rows of one node (_gauss_bound);
     heads holds the "pri." and "dec." weights, hist the prior's summaries;
-    a constant among them gets no adjoint."""
+    a constant among them gets no adjoint, nor does x, constant if taped."""
+    if _active_tape is not None and not x.const:
+        raise ValueError("a taped gauss_bound needs constant observations x")
     inputs = heads if hist is None else {"hist": hist, **heads}
     cols = tuple((scan.cols[k].start, scan.cols[k].stop)
                  for k in ("mean", "log_var", "z", "z_prev"))

@@ -248,15 +248,14 @@ def recognition(params: ModelParams, xu, eps, runs) -> ScanRows:
 # generative side (theta)
 
 
-def prior_history(params: ModelParams, z_prev: Tensor, u,
-                  runs) -> Tensor | None:
+def prior_history(params: ModelParams, scan, u, runs) -> Tensor | None:
     """The prior's recurrent summaries g_t of (z_{t-1}, u_t) over packed
-    rows, one latent_scan of the GRU alone; None in markovian mode,
-    which has no such summary."""
+    rows, one latent_scan of the GRU alone on scan["z_prev"]; None in
+    markovian mode, which has no such summary and reads nothing of scan."""
     if params.markovian:
         return None
-    return latent_scan([z_prev, constant(u)], _gru_inputs(params.theta, "g0"),
-                       runs, gru_in=("xu",))["h"]
+    return latent_scan([scan["z_prev"], constant(u)],
+                       _gru_inputs(params.theta, "g0"), runs, gru_in=("xu",))["h"]
 
 
 def prior_chain(params: ModelParams, u, eps, runs) -> Tensor:

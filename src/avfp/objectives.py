@@ -178,8 +178,7 @@ def sequence_elbo(params: ModelParams, batch: Batch, eps: np.ndarray
     log-likelihood and row 1 its KL, whose first-step prior is N(0, I).
     """
     scan = filter_forward(params, batch, eps)
-    history = (None if params.markovian else
-               prior_history(params, scan["z_prev"], batch.u, batch.runs))
+    history = prior_history(params, scan, batch.u, batch.runs)
     heads = {k: t for k, t in params.theta.items() if k[:4] in ("pri.", "dec.")}
     terms = gauss_bound(scan, constant(batch.x), heads, history,
                         batch.runs[0][2], (LOG_VAR_MIN, LOG_VAR_MAX))

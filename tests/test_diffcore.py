@@ -944,6 +944,8 @@ SCAN_MODES = {
     "linear_prior": (False, 0, (), ("z",), True, True),
 }
 SCAN_CLIP = (-1.0, 1.0)     # narrow enough that some log-variances clip
+# the modes a tape may record, unpinned (see latent_scan): those that sample
+TAPED_MODES = sorted(m for m, (*_, samples, _) in SCAN_MODES.items() if samples)
 
 
 def _runs(lengths):
@@ -995,6 +997,14 @@ def _scan_case(mode, n_seq, seed=0):
     static = dict(runs=runs, gru_in=gru_in, head_in=head_in, clip=SCAN_CLIP,
                   pin_first=pin_first)
     return arrays, static
+
+
+def _taped_case(mode, n_seq):
+    """_scan_case as a tape may record it: its arrays as Tensors, with
+    constant noise and exogenous rows, and no pinned first step."""
+    arrays, static = _scan_case(mode, n_seq)
+    return ({k: Tensor(a, const=k in ("xu", "eps")) for k, a in arrays.items()},
+            dict(static, pin_first=False))
 
 
 def _latent(p, **static):
@@ -1064,40 +1074,46 @@ def _weighted(cols, seed=7):
 @pytest.mark.parametrize("n_seq", list(SCAN_LENGTHS))
 @pytest.mark.parametrize("mode", sorted(SCAN_MODES))
 def test_latent_scan_matches_per_step_composition(mode, n_seq):
+    """Every mode's values untaped; then a sampling mode's values and
+    gradients as a tape records it (see _taped_case)."""
     arrays, static = _scan_case(mode, n_seq)
-    results = []
-    for chain in (lambda p: _latent(p, **static),
-                  lambda p: _per_step_chain(p, **static)):
-        params = {k: Tensor(a) for k, a in arrays.items()}
-        with Tape() as tape:
-            cols = chain(params)
-            loss = _weighted(cols)
-        grads = backward(tape, loss)
-        results.append(({k: c.data for k, c in cols.items()},
-                         {k: grads.get(p.uid, np.zeros(p.shape))
-                          for k, p in params.items()}))
-    (v_s, g_s), (v_u, g_u) = results
-    assert set(v_s) == set(v_u)
-    for k in v_u:
-        assert np.abs(v_s[k] - v_u[k]).max() <= 1e-12 * np.abs(v_u[k]).max(), k
-    for k in g_u:   # the linear prior's head does not read u: zeros
-        assert g_s[k].shape == g_u[k].shape
-        assert np.abs(g_s[k] - g_u[k]).max() <= 1e-12 * np.abs(g_u[k]).max(), k
+    cases = [({k: Tensor(a) for k, a in arrays.items()}, static, False)]
+    if mode in TAPED_MODES:
+        cases.append((*_taped_case(mode, n_seq), True))
+    for params, static, taped in cases:
+        results = []
+        for chain in (_latent, _per_step_chain):
+            with Tape() if taped else no_tape() as tape:
+                cols = chain(params, **static)
+                loss = _weighted(cols)
+            grads = backward(tape, loss) if taped else {}
+            results.append(({k: c.data for k, c in cols.items()},
+                            {k: grads[p.uid] for k, p in params.items()
+                             if p.uid in grads}))
+        (v_s, g_s), (v_u, g_u) = results
+        assert set(v_s) == set(v_u)
+        assert set(g_s) == set(g_u) == (
+            {k for k, p in params.items() if not p.const} if taped else set())
+        for k in v_u:
+            assert np.abs(v_s[k] - v_u[k]).max() <= 1e-12 * np.abs(v_u[k]).max(), k
+        for k in g_u:
+            assert g_s[k].shape == g_u[k].shape
+            assert np.abs(g_s[k] - g_u[k]).max() <= 1e-12 * np.abs(g_u[k]).max(), k
 
 
 @pytest.mark.parametrize("mode, n_seq", [
-    (mode, n) for mode in sorted(SCAN_MODES)
+    (mode, n) for mode in TAPED_MODES
     for n in (GRADCHECK_LENGTHS if mode in ("history", "markovian") else (3,))])
 def test_latent_scan_gradcheck(mode, n_seq):
-    """Every input, weights and rows alike.  As in _row_cases, some GRU
-    weight coordinates (W, U) are products of gate derivatives over
-    several steps, near 1e-4 of the largest, where central differences
-    resolve no better than about 5e-5 at step 1e-5: their bar is 1e-4.
+    """Every input a tape differentiates: the weights, as _taped_case
+    runs the mode.  As in _row_cases, some GRU weight coordinates (W, U)
+    are products of gate derivatives over several steps, near 1e-4 of
+    the largest, where central differences resolve no better than about
+    5e-5 at step 1e-5: their bar is 1e-4.
     test_latent_scan_matches_per_step_composition pins the same
     gradients to 1e-12."""
-    arrays, static = _scan_case(mode, n_seq)
-    params = {k: Tensor(a) for k, a in arrays.items()}
-    for k in params:
+    params, static = _taped_case(mode, n_seq)
+    for k in [k for k, t in params.items() if not t.const]:
         def f(ps, k=k):
             return _weighted(_latent({**params, k: ps[0]}, **static))
 
@@ -1169,16 +1185,16 @@ def _gru_cell_rows(U, hp, s):
 
 def test_scans_replay_bit_exact():
     with Tape() as tape:
-        for mode in sorted(SCAN_MODES):
-            arrays, static = _scan_case(mode, 3)
-            cols = _latent({k: Tensor(a) for k, a in arrays.items()}, **static)
-        gru = {k: Tensor(arrays[k]) for k in ("U", "b", "h0")}
-        gru["W"] = Tensor(arrays["W"][:, :N_Z + N_U])
+        for mode in TAPED_MODES:
+            params, static = _taped_case(mode, 3)
+            cols = _latent(params, **static)
+        gru = {k: params[k] for k in ("U", "b", "h0")}
+        gru["W"] = Tensor(params["W"].data[:, :N_Z + N_U])
         h = dc.latent_scan(
-            [cols["mean"], Tensor(arrays["xu"]).slice(0, N_U, axis=1)], gru,
-            static["runs"], gru_in=("xu",))["h"]
+            [cols["mean"], Tensor(params["xu"].data).slice(0, N_U, axis=1)],
+            gru, static["runs"], gru_in=("xu",))["h"]
         loss = (h * h).sum()
-    assert tape.ops.count("latent_scan") == len(SCAN_MODES) + 1
+    assert tape.ops.count("latent_scan") == len(TAPED_MODES) + 1
     replay(tape)
     assert backward(tape, loss)
 
@@ -1208,8 +1224,7 @@ def _reference_scan(*arrays, names, runs, gru_in, head_in, clip, pin_first):
     blocks and multiplying with np.matmul: (output, step blocks of the
     GRU's gates [r; u; c; U_c h], step blocks of the hidden layer), which
     the optimized loop must reproduce bit for bit."""
-    sp = dc._ScanParts(arrays, names, runs, gru_in, head_in, clip, pin_first,
-                       frozenset())
+    sp = dc._ScanParts(arrays, names, runs, gru_in, head_in, clip, pin_first)
     p, rows, KT, cols = sp.p, sp.rows, sp.KT, sp.cols
     n_h, n_z, n_hid = sp.n_h, sp.n_z, sp.n_feat
     hs, zs, a_rows = rows["h"], rows["z"], slice(4 * n_h, None)
@@ -1301,7 +1316,8 @@ def _reference_scan(*arrays, names, runs, gru_in, head_in, clip, pin_first):
 def test_latent_scan_forward_matches_plain_loop_bit_for_bit(mode, n_seq):
     """Every scan mode, and the GRU alone over two input blocks as the
     prior's summary runs it: the whole output node and the step blocks
-    the backward pass reads: the GRU's gates and the hidden layer."""
+    the backward pass reads: the GRU's gates and the hidden layer.  The
+    untaped public scan gives the same output."""
     arrays, static = _scan_case("history" if mode == "gru_alone" else mode,
                                 n_seq)
     xs = [arrays.pop("xu")]
@@ -1311,12 +1327,16 @@ def test_latent_scan_forward_matches_plain_loop_bit_for_bit(mode, n_seq):
         static.update(gru_in=("xu",), head_in=())
     kw = dict(static, runs=tuple(static["runs"]), names=tuple(arrays))
     out, GATES, FEAT = _reference_scan(*xs, *arrays.values(), **kw)
-    got, sp = dc._latent_scan(*xs, *arrays.values(), keep=True,
-                              fixed=frozenset(), **kw)
+    got, sp = dc._latent_scan(*xs, *arrays.values(), keep=True, **kw)
     assert len(sp.GATES) == len(GATES) and len(sp.FEAT) == len(FEAT)
     assert len(GATES) == len(sp.runs) * sp.gru
     for a, b in zip([got] + sp.GATES + sp.FEAT, [out] + GATES + FEAT):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    with no_tape():
+        rows = dc.latent_scan([Tensor(x) for x in xs],
+                              {k: Tensor(a) for k, a in arrays.items()},
+                              **static).rows
+    assert rows.data.tobytes() == out.tobytes()
 
 
 def test_scan_overflow_is_loud():
@@ -1418,8 +1438,7 @@ def test_scan_backward_reuses_the_forward_gates(monkeypatch):
     """A taped history-mode scan keeps its gates, so its backward pass
     evaluates no gate function: neither expit, np.tanh nor np.reciprocal,
     and np.exp once only, for the noise's scale exp(log_var / 2)."""
-    arrays, static = _scan_case("history", 3)
-    params = {k: Tensor(a) for k, a in arrays.items()}
+    params, static = _taped_case("history", 3)
     with Tape() as tape:
         z = _latent(params, **static)["z"]
         loss = (z * z).sum()
@@ -1441,10 +1460,11 @@ def test_scan_backward_reuses_the_forward_gates(monkeypatch):
 
 
 def test_scan_forms_no_adjoint_toward_constant_inputs(monkeypatch):
-    """The exogenous rows and the noise, as constants, get no adjoint
-    from the scan's backward pass, and every other gradient keeps its
-    bits."""
-    arrays, static = _scan_case("history", 3)
+    """A taped scan with a head forms no adjoint toward its noise and
+    exogenous rows, which are constants.  A headless scan with constant
+    weights, as the audit fit's prior summary reads its frozen generative
+    side, reports no gradient for them, and its rows' keeps its bits."""
+    params, static = _taped_case("history", 3)
     fwd, vjp = dc._OPS["latent_scan"]
     adjoints = []
 
@@ -1453,24 +1473,65 @@ def test_scan_forms_no_adjoint_toward_constant_inputs(monkeypatch):
         return adjoints[-1]
 
     monkeypatch.setitem(dc._OPS, "latent_scan", (fwd, recording_vjp))
-    grads = []
-    for const in (False, True):
-        params = {k: Tensor(a, const=const and k in ("xu", "eps"))
-                  for k, a in arrays.items()}
-        with Tape() as tape:
-            z = _latent(params, **static)["z"]
-            loss = (z * z).sum()
-        by_uid = backward(tape, loss)
-        grads.append({k: by_uid.get(t.uid) for k, t in params.items()})
+    with Tape() as tape:
+        z = _latent(params, **static)["z"]
+        by_uid = backward(tape, (z * z).sum())
     # inputs in the scan's order: the exogenous rows, then the others
-    names = ["xu"] + [k for k in arrays if k != "xu"]
-    loose, fixed = [dict(zip(names, a)) for a in adjoints]
-    assert loose["xu"] is not None and loose["eps"] is not None
-    assert fixed["xu"] is None and fixed["eps"] is None
-    assert grads[1]["xu"] is None and grads[1]["eps"] is None
-    for k in arrays:
-        if k not in ("xu", "eps"):
-            assert grads[0][k].tobytes() == grads[1][k].tobytes(), k
+    adj = dict(zip(["xu"] + [k for k in params if k != "xu"], adjoints[0]))
+    assert adj["xu"] is None and adj["eps"] is None
+    assert not {params[k].uid for k in ("xu", "eps")} & by_uid.keys()
+    rows, grads = Tensor(params["xu"].data), []
+    for const in (False, True):
+        gru = {k: Tensor(params[k].data, const=const) for k in ("h0", "U", "b")}
+        gru["W"] = Tensor(params["W"].data[:, :N_X + N_U], const=const)
+        with Tape() as tape:
+            h = dc.latent_scan([rows], gru, static["runs"], gru_in=("xu",))["h"]
+            by_uid = backward(tape, (h * h).sum())
+        grads.append([by_uid.get(t.uid) for t in gru.values()] + [by_uid[rows.uid]])
+    assert all(g is not None for g in grads[0])
+    assert all(g is None for g in grads[1][:-1])
+    assert grads[0][-1].tobytes() == grads[1][-1].tobytes()
+
+
+def _refused_case(case):
+    """(inputs by name, static arguments) of a scan with a head that a
+    tape does not record (see latent_scan), one per excluded case."""
+    # the markovian head reads xu itself
+    mode = {"pinned": "prior", "no_eps": "deterministic",
+            "xu_read_by_a_head": "markovian"}.get(case, "history")
+    params, static = _taped_case(mode, 3)
+    if case == "pinned":
+        static["pin_first"] = True
+    elif case == "eps_parameter":
+        params["eps"] = Tensor(params["eps"].data)
+    elif case == "xu_read_by_a_head":
+        params["xu"] = Tensor(params["xu"].data)
+    return params, static
+
+
+@pytest.mark.parametrize("case", ["pinned", "no_eps", "eps_parameter",
+                                  "xu_read_by_a_head"])
+def test_taped_scan_refuses_a_chain_its_backward_does_not_serve(case):
+    params, static = _refused_case(case)
+    with Tape():
+        with pytest.raises(ValueError, match="taped latent_scan with a head"):
+            _latent(params, **static)
+    with no_tape():   # the untaped forward runs every mode
+        assert _latent(params, **static)["z"].shape == (static["runs"][-1][1], N_Z)
+
+
+def test_taped_gauss_bound_refuses_observations_that_are_not_constant():
+    """The bound's rule forms no adjoint toward x: a parameter x would
+    get no gradient, so a tape refuses it; untaped it runs."""
+    arrays, x, _ = _bound_inputs(True, 3, 0)
+    p = {k: Tensor(a) for k, a in arrays.items()}
+    heads = {k: t for k, t in p.items() if k not in ("rows", "hist")}
+    scan = dc.ScanRows(p["rows"], _bound_cols(True))
+    with Tape():
+        with pytest.raises(ValueError, match="constant observations"):
+            dc.gauss_bound(scan, Tensor(x), heads, p["hist"], 3, BOUND_CLIP)
+    assert dc.gauss_bound(scan, Tensor(x), heads, p["hist"], 3,
+                          BOUND_CLIP).shape == (2, 10)
 
 
 def test_latent_scan_input_errors():
@@ -1536,14 +1597,13 @@ def test_scan_builds_its_step_matrices_once(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(dc, "_ScanParts", Counted)
-    for mode in sorted(SCAN_MODES) + ["no head"]:
-        arrays, static = _scan_case("history" if mode == "no head" else mode, 3)
-        params = {k: Tensor(a) for k, a in arrays.items()}
+    for mode in TAPED_MODES + ["no head"]:
+        params, static = _taped_case("history" if mode == "no head" else mode, 3)
         builds.clear()
         with Tape() as tape:
             if mode == "no head":
                 gru = {k: params[k] for k in ("h0", "U", "b")}
-                gru["W"] = Tensor(arrays["W"][:, :N_X + N_U])
+                gru["W"] = Tensor(params["W"].data[:, :N_X + N_U])
                 cols = dc.latent_scan([params["xu"]], gru, static["runs"],
                                       gru_in=("xu",))
             else:
@@ -1567,7 +1627,7 @@ def test_slice_along_columns():
 
 def _gradchecked_forwards():
     """(f, params) of every case in the tables that grad_check tests run:
-    _PRIMITIVE_CASES, _fused_cases, _row_cases and the scan modes."""
+    _PRIMITIVE_CASES, _fused_cases, _row_cases and the taped scan modes."""
     g = np.random.default_rng(7)
     for f in _PRIMITIVE_CASES.values():
         yield f, [Tensor(g.normal(size=5)), Tensor(g.normal(size=5))]
@@ -1575,10 +1635,10 @@ def _gradchecked_forwards():
         yield fused, arrays
     for _, f, arrays, _, _ in _row_cases(1):
         yield f, arrays
-    for mode in SCAN_MODES:
-        arrays, static = _scan_case(mode, 3)
-        yield (lambda ps, names=list(arrays), static=static:
-               _weighted(_latent(dict(zip(names, ps)), **static))), arrays.values()
+    for mode in TAPED_MODES:
+        params, static = _taped_case(mode, 3)
+        yield (lambda ps, names=list(params), static=static:
+               _weighted(_latent(dict(zip(names, ps)), **static))), params.values()
 
 
 def test_every_primitive_has_a_gradient_check():

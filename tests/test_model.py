@@ -215,7 +215,7 @@ def prior_rows(p, batch, z_prev):
     """The transition prior's (mean, log_var) rows at z_prev, computed
     here from theta: prior_history, then the "pri." head; N(0, I) at the
     first step."""
-    history = prior_history(p, constant(z_prev), batch.u, batch.runs)
+    history = prior_history(p, {"z_prev": constant(z_prev)}, batch.u, batch.runs)
     inp = z_prev if history is None else np.hstack([z_prev, history.data])
     w = {k[4:]: t.data for k, t in p.theta.items() if k.startswith("pri.")}
     if "W1" in w:
@@ -269,7 +269,7 @@ def test_prior_history_is_one_scan_node():
                            g.standard_normal((T, spec.n_u))) for T in (6, 3)])
     z_prev = Tensor(g.standard_normal((batch.length, spec.n_z)))
     with Tape() as tape:
-        history = prior_history(p, z_prev, batch.u, batch.runs)
+        history = prior_history(p, {"z_prev": z_prev}, batch.u, batch.runs)
         loss = (history * history).sum()
     ops = [op for op in tape.ops if op != "leaf"]
     assert ops == ["latent_scan", "mul", "sum"]
@@ -328,7 +328,7 @@ def test_linear_gaussian_model_is_exact():
     )
     p = linear_gaussian_model(lg, seed=1)
     z_prev = g.standard_normal((1, 2))  # one row per trajectory, B = 1
-    st = prior_history(p, constant(z_prev), np.zeros((1, 1)), [(0, 1)])
+    st = prior_history(p, {"z_prev": constant(z_prev)}, np.zeros((1, 1)), [(0, 1)])
     assert st is None  # markovian: the heads read the adjacent latent only
     traj = traj_of(g.standard_normal((6, 3)), np.zeros((6, 1)))
     _, terms, scan = sequence_elbo(p, Batch([traj]), g.standard_normal((6, 2)))

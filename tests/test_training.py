@@ -205,10 +205,16 @@ def test_clip_measures_finite_gradients_whose_squares_overflow():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_clip_leaves_a_non_finite_gradient_to_a_skipped_step(bad):
+    """The clip passes a non-finite set on unscaled, and neither it nor
+    Adam warns."""
     grads = {"a": np.array([1e200, bad]), "b": np.array([3.0])}
     group = {k: Tensor(np.ones_like(g)) for k, g in grads.items()}
     st = OptimizerState(lr=0.1)
-    assert not adam_step(group, clip_by_global_norm(grads, 5.0)[0], st)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clipped = clip_by_global_norm(grads, 5.0)[0]
+        assert not adam_step(group, clipped, st)
+    assert all(c is grads[k] for k, c in clipped.items())
     assert st.skipped == 1 and st.t == 0
     assert all(np.array_equal(p.data, np.ones_like(p.data))
                for p in group.values())

@@ -25,7 +25,12 @@ files to a temporary directory.  The artifacts:
   units at lambda_adv 0 and 0.1 (its prior rows rolled out from the
   objective's own noise);
 - each of the 20 rows of bound_gap_audit() at its defaults (about 25 s
-  at one BLAS thread on a 2-vCPU VM) and gradient_audit(draws=2).
+  at one BLAS thread on a 2-vCPU VM) and gradient_audit(draws=2);
+- a history-mode recognition fit: fit_recognition (300 steps) on
+  linear_gaussian_model(markovian=False) of the audit's instance 0, with
+  its mc_elbo before and after, its trace and the fitted recognition
+  weights.  Its prior-summary scan reads the frozen generative weights
+  as constants, which the Markovian audit rows never do.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 from avfp import data, evalcli, rng, training  # noqa: E402
 from avfp.diffcore import Tape, backward  # noqa: E402
-from avfp.model import NetworkSpec, init_params  # noqa: E402
+from avfp.model import NetworkSpec, init_params, linear_gaussian_model  # noqa: E402
 from avfp.objectives import Batch, combined_objective, prior_rollout  # noqa: E402
 
 
@@ -153,10 +158,21 @@ def audits():
     yield "gradient_audit/draws-2", digest(*sorted(worst.items()))
 
 
+def history_fit():
+    lg, length = data.random_linear_gaussian_instance(0)
+    traj = data.gen_linear_gaussian(lg, length, seed=0)
+    params = linear_gaussian_model(lg, seed=0, markovian=False)
+    yield "history_fit/before", digest(*training.mc_elbo(params, traj, 256, seed=0))
+    trace = training.fit_recognition(params, [traj], 300, seed=0)
+    yield "history_fit/trace", digest(*trace)
+    yield "history_fit/phi", digest(*(t.data for t in params.phi.values()))
+    yield "history_fit/after", digest(*training.mc_elbo(params, traj, 256, seed=1))
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         for source in (train_runs(work), experiment_runs(work),
-                       fd001_shaped(work), audits()):
+                       fd001_shaped(work), audits(), history_fit()):
             for name, sha in source:
                 print(name, sha, flush=True)
     return 0
