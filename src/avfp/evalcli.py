@@ -40,8 +40,9 @@ from .diffcore import (
     gauss_kl,
     gauss_logpdf,
     grad_check,
+    no_tape,
 )
-from .model import ModelParams, NetworkSpec, init_params
+from .model import ModelParams, NetworkSpec, init_params, rul_head
 from .objectives import (
     Batch,
     adversarial_losses,
@@ -56,7 +57,6 @@ from .training import (
     bound_gap_audit,
     load_checkpoint,
     params_from_checkpoint,
-    predict_sequence_rul,
     run_steps,
     save_checkpoint,
     train,
@@ -271,17 +271,22 @@ def predict_rul(params: ModelParams, test_trajs: list[Trajectory],
     for t in test_trajs:
         if t.length == 0:
             raise ValueError(f"unit {t.unit_id} is empty")
-        if t.x.shape[1] != params.spec.n_x:
-            raise ValueError(
-                f"channel mismatch: model expects {params.spec.n_x} sensor "
-                f"channels, data provides {t.x.shape[1]}")
+        for name, width, have in (("sensor", params.spec.n_x, t.x.shape[1]),
+                                  ("setting", params.spec.n_u, t.u.shape[1])):
+            if have != width:
+                raise ValueError(f"channel mismatch: model expects {width} "
+                                 f"{name} channels, data provides {have}")
         if t.unit_id not in truth:
             raise ValueError(f"no true remaining life for unit {t.unit_id}")
 
     ordered = sorted(test_trajs, key=lambda t: t.unit_id)
     if mode == "supervised":
-        preds = [min(float(p[-1]), float(cap))
-                 for p in predict_sequence_rul(params, ordered)]
+        # the readout runs on each unit's last filtered row only
+        batch = Batch(ordered)
+        last = [rows[-1] for rows in batch.rows]
+        feats = np.hstack([f[last] for f in filter_means(params, batch)])
+        with no_tape():
+            preds = np.minimum(rul_head(params, feats).data, float(cap))
     else:
         if train_trajs is None:
             raise ValueError("health_index mode needs training trajectories")

@@ -80,23 +80,29 @@ class Batch:
     """
 
     def __init__(self, trajs: list[Trajectory]):
-        lengths = np.array([t.length for t in trajs], dtype=np.int64)
-        if lengths.size == 0 or lengths.min() < 1:
+        lengths = [t.length for t in trajs]
+        if not lengths or min(lengths) < 1:
             raise ValueError("a batch needs trajectories of at least one cycle")
-        order = np.argsort(-lengths, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        ends = np.unique(lengths)   # each distinct length ends a run
-        widths = (lengths[:, None] >= ends).sum(axis=0).tolist()
-        # a run ends after every trajectory's first `end` cycles
-        bounds = np.minimum(lengths[:, None], ends).sum(axis=0).tolist()
-        self.runs = tuple(zip([0] + bounds[:-1], bounds, widths))
-        self.length = bounds[-1]
+        # longest first; a reversed sort stays stable, so ties keep input order
+        order = sorted(range(len(lengths)), key=lengths.__getitem__,
+                       reverse=True)
+        rank = [0] * len(order)
+        runs, lo, done = [], 0, 0
+        # from the shortest up: each distinct length ends a run whose steps
+        # hold the `width` trajectories at least that long
+        for width in range(len(order), 0, -1):
+            b = order[width - 1]
+            rank[b], end = width - 1, lengths[b]
+            if end > done:
+                runs.append((lo, lo + (end - done) * width, width))
+                lo, done = runs[-1][1], end
+        self.runs = tuple(runs)
+        self.length = lo
         starts = np.concatenate([np.arange(*run) for run in self.runs])
-        self.rows = [starts[:n] + rank[b] for b, n in enumerate(lengths)]
+        self.rows = [starts[:n] + r for n, r in zip(lengths, rank)]
         self.x = self.pack([t.x for t in trajs])
         self.u = self.pack([t.u for t in trajs])
-        self.xu = np.hstack([self.x, self.u])
+        self.xu = np.concatenate([self.x, self.u], axis=1)
 
     def pack(self, arrays) -> np.ndarray:
         """Per-trajectory arrays (one leading row per cycle) as stacked rows."""

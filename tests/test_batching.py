@@ -84,6 +84,56 @@ def test_batch_layout():
         batch.pack([np.zeros((9, 2)), np.zeros((4, 2)), np.zeros((7, 2))])
 
 
+def numpy_layout(trajs):
+    """The layout as an earlier Batch derived it with numpy: a stable
+    argsort for the order, np.unique for the run ends, and (B, D)
+    compares for the widths and the run bounds."""
+    lengths = np.array([t.length for t in trajs], dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ends = np.unique(lengths)
+    widths = (lengths[:, None] >= ends).sum(axis=0).tolist()
+    bounds = np.minimum(lengths[:, None], ends).sum(axis=0).tolist()
+    runs = tuple(zip([0] + bounds[:-1], bounds, widths))
+    starts = np.concatenate([np.arange(*run) for run in runs])
+    rows = [starts[:n] + rank[b] for b, n in enumerate(lengths)]
+    x = np.empty((bounds[-1], trajs[0].x.shape[1]))
+    u = np.empty((bounds[-1], trajs[0].u.shape[1]))
+    for r, t in zip(rows, trajs):
+        x[r], u[r] = t.x, t.u
+    return runs, bounds[-1], rows, x, u, np.hstack([x, u])
+
+
+@pytest.mark.parametrize("lengths", [
+    [int(n) for n in np.random.default_rng(3).integers(1, 12, 40)],  # ties
+    [57],
+    [19] * 256,
+    [1, 1, 1],
+    [1, 4, 1, 2],
+    [int(n) for n in np.random.default_rng(4).integers(128, 363, 100)],
+], ids=["ties", "single", "copies-256", "one-cycle", "one-cycle-mixed",
+        "fd001-shaped"])
+def test_batch_layout_matches_numpy_reference(lengths):
+    spec = small_spec()
+    trajs = ragged(spec, lengths, seed=len(lengths))
+    batch = Batch(trajs)
+    runs, length, rows, x, u, xu = numpy_layout(trajs)
+    assert batch.runs == runs
+    assert all(type(v) is int for run in batch.runs for v in run)
+    assert type(batch.length) is int and batch.length == length
+    assert len(batch.rows) == len(rows)
+    for got, want in zip(batch.rows, rows):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    for got, want in ((batch.x, x), (batch.u, u), (batch.xu, xu)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.flags.c_contiguous
+    with pytest.raises(ValueError, match="at least one cycle"):
+        Batch([])
+    with pytest.raises(ValueError, match="at least one cycle"):
+        Batch(trajs + ragged(spec, (0,)))
+
+
 def test_one_trajectory_scans_as_one_run():
     """A trajectory alone is one run of one-row steps: a taped scan over
     300 cycles records that one run as its layout, not 300 steps."""

@@ -29,7 +29,8 @@ from avfp.evalcli import (
     rmse,
     run_experiment,
 )
-from avfp.model import NetworkSpec, init_params
+from avfp.model import NetworkSpec, init_params, rul_head
+from avfp.objectives import Batch, filter_means
 from avfp.training import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -144,12 +145,60 @@ def test_supervised_prediction_is_clamped_last_cycle_readout():
     assert np.any(last > cap) and np.any(last < cap)
 
 
+def test_supervised_readout_sees_one_row_per_unit(monkeypatch):
+    """Per-unit supervised scoring runs the readout's first layer on the
+    unit's last filtered row alone, not on every cycle of the unit."""
+    params = tiny_params(seed=3)
+    trajs = rand_trajs(3, 12, seed=1)
+    truth = {t.unit_id: 1.0 for t in trajs}
+    forward, vjp = dc._OPS["affine"]
+    first_layer = []
+
+    def counting(W, x, b):
+        if W.shape == params.rho["l1.W"].shape:
+            first_layer.append(x.shape[0])
+        return forward(W, x, b)
+
+    monkeypatch.setitem(dc._OPS, "affine", (counting, vjp))
+    for t in trajs:
+        predict_rul(params, [t], truth)
+    predict_rul(params, trajs, truth)
+    assert first_layer == [1, 1, 1, 3]
+
+
+@pytest.mark.parametrize("markovian", [False, True])
+def test_supervised_prediction_equals_last_row_readout(markovian):
+    """On a default-spec batch of several runs, supervised predictions
+    are the readout of each unit's last filtered row, bit for bit, and
+    the last per-cycle estimate up to rounding."""
+    spec = NetworkSpec(n_x=4, n_u=2)
+    params = init_params(spec, markovian=markovian, seed=5)
+    g = np.random.default_rng(9)
+    trajs = [Trajectory(unit_id=k + 1, x=g.standard_normal((T, 4)),
+                        u=g.standard_normal((T, 2)))
+             for k, T in enumerate((23, 9, 40, 23, 1, 31))]
+    pred = predict_rul(params, trajs, {t.unit_id: 0.0 for t in trajs},
+                       cap=10**9)
+    batch = Batch(trajs)
+    feats = np.vstack([np.hstack([f[-1] for f in fs]) for fs in zip(
+        *[batch.unpack(f) for f in filter_means(params, batch)])])
+    with dc.no_tape():
+        want = rul_head(params, feats).data
+    assert np.array_equal(pred.predicted, want)
+    last = np.array([p[-1] for p in predict_sequence_rul(params, trajs)])
+    assert np.abs(pred.predicted - last).max() <= 1e-12 * np.abs(last).max()
+
+
 def test_predict_error_contracts():
     params = tiny_params(n_x=5)
     trajs = rand_trajs(2, 6)  # 3 channels, model wants 5
     truth = {1: 1.0, 2: 2.0}
     with pytest.raises(ValueError, match="channel mismatch"):
         predict_rul(params, trajs, truth)
+    wide_u = tiny_params(n_u=2)  # the units carry one setting channel
+    with pytest.raises(ValueError,
+                       match="channel mismatch.* 2 setting channels.* 1$"):
+        predict_rul(wide_u, trajs, truth)
     params3 = tiny_params()
     with pytest.raises(ValueError, match="no true remaining life"):
         predict_rul(params3, trajs, {1: 1.0})
