@@ -18,8 +18,9 @@ hot paths:
   latent_scan   a whole latent chain over the rows of a time-major
                 packed batch, given its weights and input rows: a GRU,
                 a Gaussian head with its log-variance clip and the
-                reparameterized sample, or either alone; its output
-                column blocks (ScanRows) are sliced when first read
+                reparameterized sample, or either alone, for one or
+                several noise draws side by side; its output column
+                blocks (ScanRows) are sliced when first read
 
 gauss_logpdf and gauss_kl also take one vector.  The scan steps only the
 recurrence in its loop and backpropagates through time by hand,
@@ -631,8 +632,15 @@ def _run_rows(X, run):
 
 
 def _blocks(X, run):
-    """One run's rows of X as contiguous step blocks."""
-    return np.ascontiguousarray(_run_rows(X, run))
+    """One run's rows of X as contiguous step blocks, always a copy (a
+    width-1 run's view is contiguous already).  X may stack draws as
+    (draws, rows, columns); a step's block then holds them side by side,
+    draw 0's columns first."""
+    a, b, w = run
+    X = X.reshape(-1, *X.shape[-2:])
+    n_d, c = X.shape[0], X.shape[2]
+    return (X[:, a:b].reshape(n_d, -1, w, c).transpose(1, 3, 0, 2).copy()
+            .reshape(-1, c, n_d * w))
 
 
 def _hprev(h0, H, back):
@@ -659,7 +667,8 @@ def _col_blocks(M, order, width) -> dict:
 class _ScanParts:
     """One scan call's description, and the only place its inputs are checked:
     its exogenous column blocks xs and its other inputs p by name, its flags
-    and sizes, its layout (runs, checked, and back), its output columns
+    and sizes (draws: the noise draws eps stacks, 1 unless eps is (draws,
+    rows, n_z)), its layout (runs, checked, and back), its output columns
     (cols and hz_cols, see _scan_columns), the state layout and the step
     matrices.  The forward pass builds it and, for a call a tape records
     (headless, or sampling unpinned: see latent_scan), adds each run's step
@@ -709,9 +718,13 @@ class _ScanParts:
         n_h = p["U"].shape[-1] if gru and p["U"].ndim else 0
         n_z = p["Wm"].shape[0] if head and p["Wm"].ndim else 0
         n_feat = p["W1"].shape[0] if hidden else 0
+        stacked = sample and p["eps"].ndim == 3
+        self.draws = p["eps"].shape[0] if stacked else 1
         want = dict(h0=(n_h,), U=(3 * n_h, n_h), b=(3 * n_h,), b1=(n_feat,),
-                    bm=(n_z,), bv=(n_z,), eps=(n_rows, n_z))
+                    bm=(n_z,), bv=(n_z,),
+                    eps=(self.draws,) * stacked + (n_rows, n_z))
         if (any(x.ndim != 2 or x.shape[0] != n_rows for x in xs)
+                or self.draws < 1
                 or any(p[k].shape != s for k, s in want.items() if k in p)
                 or gru and p["W"].shape[:1] != (3 * n_h,)
                 or head and p["Wm"].ndim != 2
@@ -825,28 +838,36 @@ def _latent_scan(*arrays, names, runs, gru_in, head_in, clip, pin_first,
     # z; the head's part on h reads the step's own block (see _ScanParts).
     # Only with keep do a run's gates and hidden layer outlive it, for the
     # backward, which serves the chains that latent_scan lets a tape record.
+    # eps of shape (draws, rows, n_z) runs one chain per draw on the same
+    # inputs, side by side: a step's blocks hold every draw's columns, draw
+    # 0's first, so the draws share each numpy call.  The output is draw
+    # 0's, laid out as a one-draw scan's, then each later draw's z; keep
+    # keeps draw 0's gates and hidden layer alone, copied out of a run's
+    # blocks after its steps, as a one-draw scan keeps them.
     sp = _ScanParts(arrays, names, runs, gru_in, head_in, clip, pin_first)
-    p, runs = sp.p, sp.runs
+    p, runs, n_d = sp.p, sp.runs, sp.draws
     gru, head, sample, hidden = sp.gru, sp.head, sp.sample, sp.hidden
     n_h, n_z, n_hid, rows, KT = sp.n_h, sp.n_z, sp.n_feat, sp.rows, sp.KT
     hs, zs, a_rows = rows["h"], rows["z"], slice(4 * n_h, None)
     one_h = slice(rows["one"].start, hs.stop)
-    prev_in, reads_h, cols = sp.prev_in, sp.reads_h, sp.cols
-    out = np.zeros((sp.n_rows, max(c.stop for c in cols.values())))
+    prev_in, reads_h, cols, n_state = sp.prev_in, sp.reads_h, sp.cols, sp.n_state
+    n_out = max(c.stop for c in cols.values())
+    out = np.zeros((sp.n_rows, n_out + (n_d - 1) * n_z))
     w0 = runs[0][2]
+    n0 = n_d * w0   # the columns of the widest block
     if sample:
         # the log-variance rows of the head's output are halved (exactly, a
         # power of two): the loop clips half the log-variance, between
         # bounds filled once, and exponentiates it directly
-        CLIP = np.empty((2, n_z * w0))
+        CLIP = np.empty((2, n_z * n0))
         CLIP[0], CLIP[1] = clip[0] * 0.5, clip[1] * 0.5
         eps = p["eps"]
     # the block the first step reads: x_0 (filled below), 1, h0 and z = 0
-    blk = np.zeros((sp.n_state, w0))
+    blk = np.zeros((n_state, n0))
     blk[rows["one"]] = 1.0
     if gru:
         blk[hs] = p["h0"][:, None]
-        ones_buf = np.ones(2 * n_h * w0)   # the 1 of 1 + e^(-a)
+        ones_buf = np.ones(2 * n_h * n0)   # the 1 of 1 + e^(-a)
     GATES, FEAT, kt_dot = sp.GATES, sp.FEAT, KT.dot
     tanh, add, subtract, divide, multiply = (
         np.tanh, np.add, np.subtract, np.divide, np.multiply)
@@ -855,40 +876,48 @@ def _latent_scan(*arrays, names, runs, gru_in, head_in, clip, pin_first,
     fh_dot = (sp.Fh if prev_in else sp.FhB).dot if reads_h else None
     mf_dot = sp.Mf.dot if hidden else None
     # one pre-activation block for every run: the check reads it per run
-    pre_buf = np.empty(max(b - a for a, b, _ in runs) * KT.shape[0])
+    pre_buf = np.empty(n_d * max(b - a for a, b, _ in runs) * KT.shape[0])
     with np.errstate(over="ignore") if gru else nullcontext():
         for k, run in enumerate(runs):
             a, b, w = run
-            s = (b - a) // w
+            s, n = (b - a) // w, n_d * w   # steps, and columns of a block
             # the kept blocks first: the run's others are then freed above them
-            if keep and gru:   # the gates [r; u; c; U_c h] of each step
+            if keep and gru:   # draw 0's gates [r; u; c; U_c h] of each step
                 G = np.empty((s, 4 * n_h, w))
-            if hidden:
-                FE = np.zeros((s, n_hid + 1, w))
-            S = np.empty((s, sp.n_state, w))
+            if keep and hidden:   # draw 0's hidden layer [tanh(...); 1]
+                FEAT.append(np.zeros((s, n_hid + 1, w)))
+            if hidden:   # one draw steps in its kept blocks
+                FE = FEAT[-1] if keep and n_d == 1 else np.zeros((s, n_hid + 1, n))
+            S = np.empty((s, n_state, n))
             S[:, rows["one"]] = 1.0
+            # the first w columns of each draw's part of the previous block:
+            # a view, or a copy where several draws narrow
+            inp = blk.reshape(n_state, n_d, -1)[:, :, :w].reshape(n_state, n)
+            inp_d, S_d = inp.reshape(n_state, n_d, w), S.reshape(s, n_state, n_d, w)
             off = 0
             for x in sp.xs:    # each step's inputs go into the block before it
                 c = x.shape[1]
-                blk[off:off + c, :w] = x[a:a + w].T
+                inp_d[off:off + c] = x[a:a + w].T[:, None]
                 if s > 1:
-                    copyto(S[:-1, off:off + c], _run_rows(x, (a + w, b, w)))
+                    copyto(S_d[:-1, off:off + c],
+                           _run_rows(x, (a + w, b, w))[:, :, None])
                 off += c
-            pre = pre_buf[:(b - a) * KT.shape[0]].reshape(s, KT.shape[0], w)
+            pre = pre_buf[:(b - a) * n_d * KT.shape[0]].reshape(s, KT.shape[0], n)
             checked = [pre]
             # each step below indexes these views and scratch blocks only
             H, Z = S[:, hs], S[:, zs]
             if gru:
                 PRU, PC = pre[:, :2 * n_h], pre[:, 2 * n_h:3 * n_h]
-                PUC, RUC = pre[:, 3 * n_h:4 * n_h], np.empty((n_h, w))
+                PUC, RUC = pre[:, 3 * n_h:4 * n_h], np.empty((n_h, n))
                 if keep:
-                    GRU, GR = G[:, :2 * n_h], G[:, :n_h]
-                    GU, GC = G[:, n_h:2 * n_h], G[:, 2 * n_h:3 * n_h]
+                    GS = G if n_d == 1 else np.empty((s, 3 * n_h, n))
+                    GRU, GR = GS[:, :2 * n_h], GS[:, :n_h]
+                    GU, GC = GS[:, n_h:2 * n_h], GS[:, 2 * n_h:3 * n_h]
                 else:
-                    RU = np.empty((2 * n_h, w))
+                    RU = np.empty((2 * n_h, n))
                     R, U = RU[:n_h], RU[n_h:]
-                ONE = ones_buf[:2 * n_h * w].reshape(2 * n_h, w)
-                hp = blk[hs, :w]
+                ONE = ones_buf[:2 * n_h * n].reshape(2 * n_h, n)
+                hp = inp[hs]
             # the steps before `first` run no head: all without one, and the
             # pinned first step, whose sample is its noise (N(0, I))
             first = int(pin_first and not k) if head else s
@@ -896,29 +925,26 @@ def _latent_scan(*arrays, names, runs, gru_in, head_in, clip, pin_first,
                 if prev_in:
                     A_run = pre[:, a_rows]
                     if reads_h:
-                        FHH = np.empty((sp.n_a, w))
+                        FHH = np.empty((sp.n_a, n))
                 else:
-                    A_run = np.zeros((s, sp.n_a, w))
+                    A_run = np.zeros((s, sp.n_a, n))
                     checked.append(A_run)
                     OH = S[:, one_h]
                 ML = A_run
                 if hidden:
                     FE[:, n_hid] = 1.0
                     HID = FE[:, :n_hid]
-                    if keep:
-                        FEAT.append(FE)
                     if sample:
-                        ML = np.zeros((s, 2 * n_z, w))
+                        ML = np.zeros((s, 2 * n_z, n))
                         checked.append(ML)
                     ML_out = ML if sample else Z
                 if sample:
                     E = _blocks(eps, run)
-                    LVH = np.zeros((s, n_z, w))   # half log-variance, clipped
-                    LO, HI = CLIP[:, :n_z * w].reshape(2, n_z, w)
+                    LVH = np.zeros((s, n_z, n))   # half log-variance, clipped
+                    LO, HI = CLIP[:, :n_z * n].reshape(2, n_z, n)
                     MEAN, HLV = ML[:, :n_z], ML[:, n_z:]
                     if first:
                         Z[0] = E[0]
-            inp = blk[:, :w]
             for i in range(s):
                 kt_dot(inp, pre[i])
                 if gru:   # gates [reset; update; cand], h = hp + u (c - hp)
@@ -963,13 +989,22 @@ def _latent_scan(*arrays, names, runs, gru_in, head_in, clip, pin_first,
             # entry a step reads reaches pre.
             _check_finite("latent_scan", *checked)
             if keep and gru:   # r, u; U_c h, contiguous, stands in for pre
-                np.reciprocal(GRU, out=GRU)
-                np.copyto(G[:, 3 * n_h:], PUC)
+                if n_d > 1:
+                    copyto(G[:, :3 * n_h], GS[:, :, :w])
+                np.reciprocal(G[:, :2 * n_h], out=G[:, :2 * n_h])
+                np.copyto(G[:, 3 * n_h:], PUC[:, :, :w])
                 GATES.append(G)
-            np.copyto(_run_rows(out[:, sp.hz_cols], run), S[:, hs.start:])
+            if keep and hidden and n_d > 1:
+                np.copyto(FEAT[-1], FE[:, :, :w])
+            np.copyto(_run_rows(out[:, sp.hz_cols], run), S[:, hs.start:, :w])
+            if n_d > 1:   # the later draws' z, draw by draw
+                np.copyto(out[a:b, n_out:].reshape(s, w, n_d - 1, n_z)
+                          .transpose(0, 3, 2, 1),
+                          S_d[:, zs, 1:])
             if sample:
-                np.copyto(_run_rows(out[:, cols["mean"]], run), ML[:, :n_z])
-                np.multiply(LVH, 2.0, out=_run_rows(out[:, cols["log_var"]], run))
+                np.copyto(_run_rows(out[:, cols["mean"]], run), ML[:, :n_z, :w])
+                np.multiply(LVH[:, :, :w], 2.0,
+                            out=_run_rows(out[:, cols["log_var"]], run))
     if head:
         if pin_first:
             out[:w0, cols["mean"].start:cols["log_var"].stop] = 0.0
@@ -983,6 +1018,8 @@ def _latent_scan_vjp(g, vals, out, sp):
     # sp is the forward's _ScanParts: its inputs split as xs and p are vals.
     # A taped scan with a head samples unpinned from constant eps and xs
     # (see latent_scan); constant weights get adjoints, which backward drops.
+    # Of several draws only draw 0 is differentiated, from its own columns,
+    # gates and hidden layer, as if it were the only one.
     xs, p, runs, back, cols = sp.xs, sp.p, sp.runs, sp.back, sp.cols
     GATES, FEAT, n_rows = sp.GATES, sp.FEAT, sp.n_rows
     gru, head, hidden = sp.gru, sp.head, sp.hidden
@@ -1022,9 +1059,10 @@ def _latent_scan_vjp(g, vals, out, sp):
         dML = np.concatenate((g[:, cols["mean"]],
                               2.0 * g[:, cols["log_var"]] * inside), axis=1)
         # d z / d [mean, log_var / 2], which the loop multiplies by dz
+        eps = p["eps"] if p["eps"].ndim == 2 else p["eps"][0]   # draw 0's
         k_z = np.concatenate(
-            (np.ones_like(LV), np.exp(LV * 0.5) * p["eps"] * inside), axis=1)
-    dS = np.empty((n_rows, Kin.shape[1]))
+            (np.ones_like(LV), np.exp(LV * 0.5) * eps * inside), axis=1)
+    dpre = np.empty((n_rows, sp.KT.shape[0]))   # each row's d pre
     if head and not prev_in:
         dA = np.empty((n_rows, sp.n_a))
     if hidden:
@@ -1034,7 +1072,7 @@ def _latent_scan_vjp(g, vals, out, sp):
         a, b, w = run
         s = (b - a) // w
         DHZk = DHZ[k]
-        ds = np.zeros((s, dS.shape[1], w))
+        ds = np.zeros((s, Kin.shape[1], w))
         if gru:
             ks = _gru_factors(GATES[k], _run_rows(hp, run))
             ds5 = ds[:, :5 * n_h].reshape(s, 5, n_h, w)
@@ -1074,7 +1112,7 @@ def _latent_scan_vjp(g, vals, out, sp):
                 add(DHZk[i - 1], d, DHZk[i - 1])
         if k:
             DHZ[k - 1][-1][:, :w] += d
-        np.copyto(_run_rows(dS, run), ds)
+        np.copyto(_run_rows(dpre, run), ds[:, n_h:])
         if head and not prev_in:
             np.copyto(_run_rows(dA, run), DA)
         if hidden:
@@ -1089,7 +1127,6 @@ def _latent_scan_vjp(g, vals, out, sp):
     def inputs(order):   # the input rows of the blocks in order
         return [x for key in order for x in (xs if key == "xu" else [named[key]])]
 
-    dpre = dS[:, n_h:]
     grads = {}
     if gru:
         dg = dpre[:, :3 * n_h]
@@ -1210,6 +1247,18 @@ class ScanRows(Mapping):
                 self._read[c.start] = self.rows.slice(c.start, c.stop, axis=1)
         return self._read[c.start]
 
+    def draw(self, d: int) -> np.ndarray:
+        """Noise draw d's sample rows z, as values: a scan of several draws
+        (see latent_scan) holds draw 0's in its z block and each later
+        draw's in trailing columns, which no tape records."""
+        z, end = self.cols["z"], max(c.stop for c in self.cols.values())
+        n = z.stop - z.start
+        if d:
+            z = slice(end + (d - 1) * n, end + d * n)
+        if d < 0 or z.stop > self.rows.shape[1]:
+            raise IndexError(f"no noise draw {d}")
+        return self.rows.data[:, z]
+
     def __iter__(self):
         return iter(self.cols)
 
@@ -1224,7 +1273,10 @@ def latent_scan(xs, params: dict[str, Tensor], runs, gru_in, head_in=(),
     params holds the other inputs by name, and runs the rows' layout as
     runs of steps of equal width (see objectives.Batch).  A tape records
     a scan with a head only unpinned, sampling with constant eps from
-    constant rows xs; a headless scan's rows may take gradients."""
+    constant rows xs; a headless scan's rows may take gradients.  eps of
+    shape (draws, rows, n_z) runs the chain once per draw in the one
+    scan: the blocks are draw 0's, which a tape records, and
+    ScanRows.draw reads every draw's z."""
     taped, eps = _active_tape is not None, params.get("eps")
     if taped and head_in and (pin_first or eps is None or not eps.const
                               or not all(x.const for x in xs)):
@@ -1323,6 +1375,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
                 if c is not None:   # None: no adjoint toward a constant
                     cur = adj[pid]
                     adj[pid] = c if cur is None else cur + c
+            contribs = c = cur = None   # no spent one outlives its node
         values[i] = aux[i] = None
     return grads
 

@@ -262,11 +262,15 @@ def prior_chain(params: ModelParams, u, eps, runs) -> Tensor:
     """Latent rows sampled along the transition prior over packed rows
     of inputs u, one latent_scan: the prior's summary runs as in
     prior_history and its head as in the bound (diffcore.gauss_bound),
-    and the first step is N(0, I), so its sample is the noise."""
+    and the first step is N(0, I), so its sample is the noise.  eps may
+    stack several draws as (draws, N, n_z), which the scan runs side by
+    side; the rows come back shaped like eps, as a constant."""
     inputs = _chain_inputs(params.theta, "g0", "pri", eps)
-    return latent_scan([constant(u)], inputs, runs, gru_in=("z", "xu"),
+    scan = latent_scan([constant(u)], inputs, runs, gru_in=("z", "xu"),
                        head_in=("z",) if params.markovian else ("z", "h"),
-                       clip=(LOG_VAR_MIN, LOG_VAR_MAX), pin_first=True)["z"]
+                       clip=(LOG_VAR_MIN, LOG_VAR_MAX), pin_first=True)
+    return constant(scan.draw(0) if eps.ndim == 2 else
+                    np.stack([scan.draw(d) for d in range(len(eps))]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,13 @@ posterior over z_t is read off, and a reparameterized sample is drawn
 with externally supplied noise (or, for readouts, the posterior mean
 stands in for it, and the log-variance head is not run).  It returns
 the scan's column blocks by name (a ScanRows: h, mean, log_var, z,
-z_prev), and callers read those directly.  filter_means runs it with
-recording off for the remaining-life and health-index readouts.
+z_prev), and callers read those directly.  Noise rows may stack several
+draws; the scan runs them side by side, its blocks are draw 0's, and the
+other draws hand back their z as values (ScanRows.draw).  A training
+step draws phase 2's sample and phase 1's fake rows this way, in one
+taped scan, which it hands to combined_from_scan after phase 1's step.
+filter_means runs it with recording off for the remaining-life and
+health-index readouts.
 
 sequence_elbo runs the prior's recurrence over the given latents as one
 scan of its GRU alone (history mode only), then one gauss_bound node
@@ -30,7 +35,8 @@ whatever its batch and lengths.
 The adversarial pair treats latent sequences rolled out from the
 transition prior as real and recognition-sampled sequences as fake; the
 discriminator pools each trajectory's rows.  The generator-side term is
-the non-saturating form -log D(fake).
+the non-saturating form -log D(fake).  prior_rollout draws the real rows,
+several draws in one untaped scan.
 
 Per trajectory, combined = recon_loglik - kl_total - lambda_adv *
 adv_gen, and the maximization target is its sum over the batch.  With
@@ -153,9 +159,11 @@ def filter_forward(params: ModelParams, batch: Batch,
     column blocks are model.recognition's, rows stacked as the batch's.
 
     eps holds the noise rows, stacked as the batch's rows (batch.pack
-    of one (T_b, n_z) array per trajectory); None switches to
-    deterministic filtering where the posterior mean stands in for the
-    sample z and nothing else of the posterior is computed.
+    of one (T_b, n_z) array per trajectory); it may stack several draws
+    as (draws, N, n_z), which run side by side in the scan: its blocks
+    are draw 0's, and ScanRows.draw reads each draw's z as values.  None
+    switches to deterministic filtering where the posterior mean stands
+    in for the sample z and nothing else of the posterior is computed.
     """
     return recognition(params, batch.xu, eps, batch.runs)
 
@@ -177,13 +185,19 @@ def filter_means(params: ModelParams, batch: Batch
 def sequence_elbo(params: ModelParams, batch: Batch, eps: np.ndarray
                   ) -> tuple[Tensor, Tensor, ScanRows]:
     """Single-sample evidence bound, summed over the batch, with the
-    noise rows eps stacked as the batch's rows.
+    noise rows eps stacked as the batch's rows (draw 0's, if eps stacks
+    several: see filter_forward).
 
     Returns (the bound, its per-row terms, the recognition scan): the
     terms are the gauss_bound node, row 0 each row's reconstruction
     log-likelihood and row 1 its KL, whose first-step prior is N(0, I).
     """
-    scan = filter_forward(params, batch, eps)
+    return _bound(params, batch, filter_forward(params, batch, eps))
+
+
+def _bound(params: ModelParams, batch: Batch, scan: ScanRows
+           ) -> tuple[Tensor, Tensor, ScanRows]:
+    """sequence_elbo's result on the batch's recognition scan."""
     history = prior_history(params, scan, batch.u, batch.runs)
     heads = {k: t for k, t in params.theta.items() if k[:4] in ("pri.", "dec.")}
     terms = gauss_bound(scan, constant(batch.x), heads, history,
@@ -196,18 +210,13 @@ def prior_rollout(params: ModelParams, batch: Batch,
     """Latent rows sampled from the transition prior chain, driven by
     each trajectory's inputs, with the noise rows eps, both stacked as
     the batch's rows; eps may stack several draws as (draws, N, n_z),
-    which run as one scan over the batch stacked once per draw (row r of
-    draw d at row r * draws + d) and come back stacked alike.
+    which run side by side in one scan and come back stacked alike.
 
     Evaluated outside any tape: rollouts feed the discriminator as
     constants, gradients never travel through them.
     """
-    n, rows = (len(eps) if eps.ndim == 3 else 1), batch.length
-    runs = [(a * n, b * n, w * n) for a, b, w in batch.runs]
     with no_tape():
-        z = prior_chain(params, np.repeat(batch.u, n, axis=0), np.moveaxis(
-            eps.reshape(n, rows, -1), 0, 1).reshape(rows * n, -1), runs).data
-    return constant(np.moveaxis(z.reshape(rows, n, -1), 1, 0).reshape(eps.shape))
+        return prior_chain(params, batch.u, eps, batch.runs)
 
 
 def adversarial_losses(d_real: Tensor, d_fake: Tensor) -> tuple[Tensor, Tensor]:
@@ -240,11 +249,25 @@ def combined_objective(
     prior_rows holds the prior rollout behind the reported discriminator
     loss, stacked as the batch's rows; lambda_adv > 0 needs it.
     """
+    return combined_from_scan(params, batch, filter_forward(
+        params, batch, batch.pack(noise)), lambda_adv, prior_rows)
+
+
+def combined_from_scan(
+    params: ModelParams,
+    batch: Batch,
+    scan: ScanRows,
+    lambda_adv: float,
+    prior_rows: np.ndarray | None,
+) -> tuple[list[ObjectiveBreakdown], Tensor]:
+    """combined_objective on the batch's recognition scan (filter_forward),
+    whose draw 0 it reads: a training step filters phase 1's fake rows in
+    the same scan, before the discriminator's step."""
     if lambda_adv < 0.0:
         raise ValueError("lambda_adv must be non-negative")
     if lambda_adv > 0.0 and prior_rows is None:
         raise ValueError("lambda_adv > 0 needs the prior rollout's rows")
-    target, terms, scan = sequence_elbo(params, batch, batch.pack(noise))
+    target, terms, scan = _bound(params, batch, scan)
 
     adv_gen_rows = adv_disc_rows = np.zeros(len(batch.rows))
     if lambda_adv > 0.0:

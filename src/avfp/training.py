@@ -4,12 +4,17 @@ Each batch runs up to three phases with strict parameter isolation,
 each as one time-major pass over the whole batch (objectives.Batch):
 
   1. discriminator (psi): latent sequences are rolled out from the
-     prior (real) and the recognition path (fake) with recording off,
-     then scored by one pooled discriminator call each; only psi moves.
-     The same prior rollout also draws phase 2's reference sequences
-     (both draws read theta before phase 2 moves it).
+     prior (real) and sampled along the recognition path (fake), then
+     scored by one pooled discriminator call each, both as constants;
+     only psi moves.  The same prior rollout also draws phase 2's
+     reference sequences (both draws read theta before phase 2 moves
+     it), and phase 2's recognition scan draws the fake ones.
   2. joint generative/recognition (theta, phi): maximize the combined
      objective; psi gradients exist on the tape but are not applied.
+     Its tape opens first: the recognition scan draws phase 2's sample
+     (taped) and phase 1's fake rows (values) in one pass with the same
+     phi, phase 1 runs on a tape of its own, and the adversarial term
+     then reads the updated psi.
   3. remaining-life readout (rho): mean squared error against capped
      targets of one readout over the batch's stacked, detached filter
      rows [h_t, mean_t].
@@ -20,11 +25,12 @@ one, and mc_elbo scores its draws as the rows of one batch.
 Randomness is derived per (seed, purpose, step), never from generator
 state carried between draws, so a run checkpointed at step s and resumed
 reproduces the uninterrupted run bit-exactly.  A batch whose phase-2
-loss or gradients or whose prior rollout go non-finite is skipped in
-phase 2: it moves no parameter there, logs no trace row and counts in
-skipped_batches, and more than 10 such batches in a row abort the run.
-Every phase's step whose loss or gradients go non-finite moves nothing
-and counts in its Adam group's skipped count; a phase-1 or phase-3 step
+loss or gradients or whose recognition scan or prior rollout go
+non-finite is skipped in phase 2: it moves no parameter there, logs no
+trace row and counts in skipped_batches, and more than 10 such batches
+in a row abort the run.  Every phase's step whose loss or gradients go
+non-finite (phase 1's also when its real or fake rows do) moves nothing and
+counts in its Adam group's skipped count; a phase-1 or phase-3 step
 counts nowhere else.
 
 Checkpoints are a single binary file: magic "AVFP", u32 version, a
@@ -77,7 +83,7 @@ from .model import (
 from .objectives import (
     Batch,
     adversarial_losses,
-    combined_objective,
+    combined_from_scan,
     filter_forward,
     filter_means,
     prior_rollout,
@@ -311,15 +317,12 @@ def rmse_per_cycle(params: ModelParams, trajs: list[Trajectory]) -> float:
 
 
 def _discriminator_loss(params: ModelParams, batch: Batch,
-                        fake_noise: list[np.ndarray],
-                        real: np.ndarray) -> Tensor:
-    """Phase 1's loss: recognition samples (fake), filtered with
-    recording off, against prior rollout rows (real), both stacked as
-    the batch's rows, so only psi is taped."""
-    with no_tape():
-        fake = filter_forward(params, batch, batch.pack(fake_noise))["z"]
+                        fake: np.ndarray, real: np.ndarray) -> Tensor:
+    """Phase 1's loss: recognition samples (fake) against prior rollout
+    rows (real), both stacked as the batch's rows and constant, so only
+    psi is taped."""
     pool = batch.pool
-    d_fake = discriminate(params, constant(fake.data), pool)
+    d_fake = discriminate(params, fake, pool)
     d_real = discriminate(params, real, pool)
     return adversarial_losses(d_real, d_fake)[0]
 
@@ -387,26 +390,39 @@ def run_steps(trajs: list[Trajectory], spec: NetworkSpec, config: TrainConfig,
         state.step += 1
         step = state.step
 
-        # phase 1: discriminator; one prior rollout draws its real
-        # rows and phase 2's reference
+        # phase 2, the joint generative/recognition update, opens first:
+        # its taped recognition scan also draws phase 1's fake rows.  A
+        # batch whose loss, gradients, recognition or prior rollout go
+        # non-finite is skipped
+        adversarial = config.lambda_adv > 0.0
         disc_loss_val = prior_rows = None
-        if config.lambda_adv > 0.0:
-            with suppress(NonFiniteError), update("disc") as u:
-                real, prior_rows = prior_rollout(params, packed, np.stack(
-                    [packed.pack(noise("disc-real", step, 0)),
-                     packed.pack(noise("prior-noise", step))])).data
-                u.loss = _discriminator_loss(
-                    params, packed, noise("disc-fake", step, 0), real)
-                disc_loss_val = u.loss.item()
-
-        # phase 2: joint generative/recognition update; a batch whose
-        # loss, gradients or prior rollout go non-finite is skipped
+        draws = [("noise", step)] + [("disc-fake", step, 0)] * adversarial
         with suppress(NonFiniteError), update("gen") as u:
-            if config.lambda_adv > 0.0 and prior_rows is None:
-                raise NonFiniteError("latent_scan: prior rollout overflow")
-            breakdowns, target = combined_objective(
-                params, packed, noise("noise", step), config.lambda_adv,
-                prior_rows)
+            try:
+                scan = filter_forward(params, packed, np.stack(
+                    [packed.pack(noise(*ids)) for ids in draws]))
+            except NonFiniteError:
+                scan = None   # phase 1 still runs, to count its skip
+
+            # phase 1: discriminator, on a tape of its own; one prior
+            # rollout draws its real rows and phase 2's reference
+            if adversarial:
+                with suppress(NonFiniteError), update("disc") as d:
+                    real, prior_rows = prior_rollout(params, packed, np.stack(
+                        [packed.pack(noise("disc-real", step, 0)),
+                         packed.pack(noise("prior-noise", step))])).data
+                    if scan is None:
+                        raise NonFiniteError("latent_scan: recognition overflow")
+                    d.loss = _discriminator_loss(params, packed, scan.draw(1),
+                                                 real)
+                    disc_loss_val = d.loss.item()
+                del d   # and with it phase 1's tape
+
+            if scan is None or adversarial and prior_rows is None:
+                raise NonFiniteError("latent_scan: filter or rollout overflow")
+            breakdowns, target = combined_from_scan(
+                params, packed, scan, config.lambda_adv, prior_rows)
+            del scan   # the tape alone holds its rows, which the walk frees
             # minimize -combined
             u.loss = target * (-1.0 / len(batch))
         if u.applied:

@@ -249,7 +249,9 @@ def test_discriminator_loss_batched_equals_per_trajectory(markovian):
     def loss_of(trajs, fake, real):
         batch = Batch(trajs)
         rows = prior_rollout(params, batch, batch.pack(real)).data
-        return _discriminator_loss(params, batch, fake, rows)
+        with no_tape():
+            z = filter_forward(params, batch, batch.pack(fake))["z"].data
+        return _discriminator_loss(params, batch, z, rows)
 
     with Tape() as tape:
         loss = loss_of(trajs, fake, real)

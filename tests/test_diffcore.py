@@ -1493,6 +1493,110 @@ def test_scan_forms_no_adjoint_toward_constant_inputs(monkeypatch):
     assert grads[0][-1].tobytes() == grads[1][-1].tobytes()
 
 
+def _close(got, want):
+    """Equal to 1e-12 of want's largest magnitude."""
+    return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _draws_case(mode, n_seq, n_draws, taped):
+    """A sampling mode's scan (as _taped_case runs it when taped), and
+    noise stacking n_draws draws, the case's own noise first."""
+    if taped:
+        params, static = _taped_case(mode, n_seq)
+    else:
+        arrays, static = _scan_case(mode, n_seq)
+        params = {k: Tensor(a) for k, a in arrays.items()}
+    eps = params["eps"].data
+    more = np.random.default_rng(5).standard_normal((n_draws - 1,) + eps.shape)
+    return params, static, np.concatenate([eps[None], more])
+
+
+@pytest.mark.parametrize("n_seq", list(SCAN_LENGTHS))
+@pytest.mark.parametrize("mode", TAPED_MODES)
+def test_scan_of_several_draws_matches_one_scan_per_draw(mode, n_seq):
+    """Untaped, in every sampling mode (the prior pinned): a scan of three
+    noise draws gives draw 0's blocks and every draw's z of a one-draw
+    scan of that draw's noise, to 1e-12, on layouts whose width falls,
+    stays or ends with a one-cycle sequence."""
+    params, static, eps = _draws_case(mode, n_seq, 3, taped=False)
+    with no_tape():
+        scan = _latent({**params, "eps": Tensor(eps)}, **static)
+        singles = [_latent({**params, "eps": Tensor(e)}, **static) for e in eps]
+    assert set(scan) == set(singles[0])
+    for k in scan:
+        assert _close(scan[k].data, singles[0][k].data), k
+    for d, single in enumerate(singles):
+        assert _close(scan.draw(d), single["z"].data), d
+    with pytest.raises(IndexError):
+        scan.draw(3)
+
+
+@pytest.mark.parametrize("n_seq", list(SCAN_LENGTHS))
+@pytest.mark.parametrize("mode", TAPED_MODES)
+def test_taped_scan_of_two_draws_differentiates_draw_zero(mode, n_seq):
+    """A taped scan of two draws records draw 0 alone: a loss on every
+    block gets the value and the gradients of the same loss on a one-draw
+    taped scan of draw 0's noise, to 1e-12."""
+    params, static, eps = _draws_case(mode, n_seq, 2, taped=True)
+    results = []
+    for e in (eps, eps[0]):
+        with Tape() as tape:
+            loss = _weighted(_latent({**params, "eps": dc.constant(e)}, **static))
+        grads = backward(tape, loss)
+        results.append((loss.data, {k: grads[p.uid] for k, p in params.items()
+                                    if p.uid in grads}))
+    (loss_2, grads_2), (loss_1, grads_1) = results
+    assert _close(loss_2, loss_1)
+    assert grads_2.keys() == grads_1.keys() == {
+        k for k, p in params.items() if not p.const}
+    for k in grads_1:
+        assert _close(grads_2[k], grads_1[k]), k
+
+
+@pytest.mark.parametrize("mode", ["history", "markovian"])
+def test_taped_scan_of_two_draws_gradcheck(mode):
+    """grad_check of every weight through draw 0 of a taped two-draw scan
+    (bars as in test_latent_scan_gradcheck)."""
+    params, static, eps = _draws_case(mode, 3, 2, taped=True)
+    params["eps"] = dc.constant(eps)
+    for k in [k for k, t in params.items() if not t.const]:
+        def f(ps, k=k):
+            return _weighted(_latent({**params, k: ps[0]}, **static))
+
+        tol = 1e-4 if k in ("W", "U") else 1e-5
+        assert grad_check(f, [params[k]], step=1e-5) < tol, k
+
+
+def _width_one_arrays():
+    """A product of a (5, 4) parameter q, then a headless GRU scan over one
+    sequence of 5 rows, a single run of width 1, and q's inputs."""
+    g = np.random.default_rng(0)
+    return [g.standard_normal((5, 4)), g.standard_normal((5, 3)),
+            g.standard_normal(4), g.standard_normal((12, 3)),
+            g.standard_normal((12, 4)), g.standard_normal(12)]
+
+
+def _width_one_loss(ps):
+    """sum(h + q * 1): the add passes one output adjoint on to both the
+    scan and the product, which the tape holds before the scan."""
+    q, xu, h0, W, U, b = ps
+    q_times_1 = q * 1.0
+    h = dc.latent_scan([xu], dict(h0=h0, W=W, U=U, b=b),
+                       [(0, 5, 1)], gru_in=("xu",))["h"]
+    return (h + q_times_1).sum()
+
+
+def test_width_one_scan_leaves_its_output_adjoint_alone():
+    """A width-1 run's step blocks are contiguous views of the output
+    adjoint; the scan's backward adds into copies of them, so the adjoint
+    the add shares with q's product stays ones."""
+    params = [Tensor(a) for a in _width_one_arrays()]
+    with Tape() as tape:
+        loss = _width_one_loss(params)
+    assert np.array_equal(backward(tape, loss)[params[0].uid], np.ones((5, 4)))
+    assert grad_check(_width_one_loss, params) < 1e-6
+
+
 def _refused_case(case):
     """(inputs by name, static arguments) of a scan with a head that a
     tape does not record (see latent_scan), one per excluded case."""
@@ -1546,6 +1650,10 @@ def test_latent_scan_input_errors():
         _latent(params, **{**static, "gru_in": ("xu",)})
     with pytest.raises(ValueError):  # noise rows of another count
         _latent({**params, "eps": Tensor(arrays["eps"][1:])}, **static)
+    for eps in (arrays["eps"][None, :0], arrays["eps"][None, :, :, None],
+                np.stack([arrays["eps"][1:]] * 2)):   # no draws, 4-d, rows
+        with pytest.raises(ValueError, match="latent_scan shapes unsupported"):
+            _latent({**params, "eps": Tensor(eps)}, **static)
     with pytest.raises(ValueError):
         _latent(params, **{**static, "runs": static["runs"][:-1]})
     with pytest.raises(ValueError):  # sampling without a clip
@@ -1650,3 +1758,28 @@ def test_every_primitive_has_a_gradient_check():
             f([a if isinstance(a, Tensor) else Tensor(a) for a in arrays])
         taped |= set(tape.ops)
     assert set(dc.PRIMITIVES) <= taped, sorted(set(dc.PRIMITIVES) - taped)
+
+
+def test_vjps_leave_their_arguments_unchanged():
+    """The op table's rule: no VJP writes into its output adjoint, its
+    input values or its output.  Each node of every grad-checked case's
+    tape, and of the width-1 scan's, gets a random output adjoint."""
+    g = np.random.default_rng(11)
+    seen = set()
+    for f, arrays in [*_gradchecked_forwards(),
+                      (_width_one_loss, _width_one_arrays())]:
+        with Tape() as tape:
+            f([a if isinstance(a, Tensor) else Tensor(a) for a in arrays])
+        for i, op in enumerate(tape.ops):
+            if op == "leaf":
+                continue
+            vals = [tape.values[p] for p in tape.parents[i]]
+            out = tape.values[i]
+            args = [g.standard_normal(out.shape) + np.zeros(out.shape), out, *vals]
+            before = [a.copy() for a in args]
+            dc._OPS[op][1](args[0], vals, out, tape.aux[i])
+            for k, (a, b) in enumerate(zip(args, before)):
+                assert np.array_equal(a, b), (op, k)
+            seen.add(op)
+    assert seen == set(dc.PRIMITIVES)
+

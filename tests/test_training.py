@@ -27,6 +27,7 @@ from avfp import rng
 from avfp.objectives import (
     Batch,
     combined_objective,
+    filter_forward,
     filter_means,
     prior_rollout,
     sequence_elbo,
@@ -813,7 +814,7 @@ def test_nonfinite_losses_count_in_their_groups(monkeypatch):
     Adam group's skipped count, in phase 2 as in phase 3; a phase-2
     batch also counts as a skipped batch."""
     trajs = toy_trajs(4, T=6, rul=True)
-    for name, group in (("combined_objective", "gen"), ("readout_loss", "rul")):
+    for name, group in (("combined_from_scan", "gen"), ("readout_loss", "rul")):
         real, calls = getattr(training, name), []
 
         def second_call_raises(*a, real=real, calls=calls, **kw):
@@ -836,11 +837,11 @@ def test_nonfinite_losses_count_in_their_groups(monkeypatch):
 @pytest.mark.parametrize("lambda_adv", [0.0, 0.1])
 @pytest.mark.parametrize("markovian", [False, True])
 def test_training_step_scan_counts(markovian, lambda_adv, monkeypatch):
-    """One supervised step runs these scans: phase 1 (lambda_adv > 0) the
-    recognition filter and one prior rollout that draws both its real
-    rows and phase 2's reference; phase 2 the recognition scan and, in
-    history mode, the prior's summary scan, both taped and walked back;
-    phase 3 the readout's filter."""
+    """One supervised step runs these scans: phase 2's recognition scan,
+    which also draws phase 1's fake rows, and, in history mode, the
+    prior's summary scan, both taped and walked back; phase 1 (lambda_adv
+    > 0) one prior rollout that draws both its real rows and phase 2's
+    reference; phase 3 the readout's filter."""
     fwd, vjp = dc._OPS["latent_scan"]
     calls = {"forward": 0, "backward": 0}
 
@@ -856,7 +857,7 @@ def test_training_step_scan_counts(markovian, lambda_adv, monkeypatch):
                        rul_supervision=True)
     train(toy_trajs(4, T=6, rul=True), small_spec(), cfg, stop_after_steps=1)
     history = not markovian
-    assert calls == {"forward": 2 * (lambda_adv > 0) + 2 + history,
+    assert calls == {"forward": (lambda_adv > 0) + 2 + history,
                      "backward": 1 + history}
 
 
@@ -907,6 +908,37 @@ def test_overflowing_prior_rollout_skips_phases_one_and_two(markovian):
         assert np.isfinite(combined_objective(params, batch, noise, 0.0)[1].item())
         with pytest.raises(dc.NonFiniteError, match="latent_scan"):
             prior_rollout(params, batch, batch.pack(noise))
+        res = train(trajs, spec, cfg, resume=poisoned, stop_after_steps=2)
+    assert res.checkpoint.step == 2 and res.steps == []
+    skipped = {g: o["skipped"] for g, o in res.checkpoint.opt.items()}
+    assert skipped == {"disc": 1, "gen": 1, "rul": 0}
+    assert res.skipped_batches == 1
+    for name, t in res.params.named().items():
+        assert np.array_equal(t.data, poisoned.params[name]), name
+
+
+@pytest.mark.parametrize("markovian", [False, True])
+def test_overflowing_recognition_skips_phases_one_and_two(markovian):
+    """A finite phi whose recognition scan overflows: that one scan draws
+    phase 2's sample and phase 1's fake rows, so the step counts one skip
+    in disc, one in gen and one skipped batch, as when phase 1 filtered
+    on its own, and moves no parameter."""
+    trajs = toy_trajs(2, T=12)
+    spec = small_spec()
+    cfg = quick_config(markovian=markovian, lambda_adv=0.1)
+    poisoned = train(trajs, spec, cfg, stop_after_steps=1).checkpoint
+    # the recognition's first layer (its GRU's, in history mode) saturates
+    # to inf: finite weights whose products overflow
+    name = "phi.enc.W1" if markovian else "phi.gru.W"
+    poisoned.params[name] = np.full_like(poisoned.params[name], 1e308)
+    batch = Batch(trajs)
+    noise = batch.pack([rng.normal(0, (t.length, spec.n_z), "poison", i)
+                        for i, t in enumerate(trajs)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        params = training.params_from_checkpoint(poisoned)
+        with pytest.raises(dc.NonFiniteError, match="latent_scan"):
+            filter_forward(params, batch, noise)
+        assert np.isfinite(prior_rollout(params, batch, noise).data).all()
         res = train(trajs, spec, cfg, resume=poisoned, stop_after_steps=2)
     assert res.checkpoint.step == 2 and res.steps == []
     skipped = {g: o["skipped"] for g, o in res.checkpoint.opt.items()}
